@@ -111,7 +111,7 @@ bench-compare:
 
 equivalence-guard:
 	@out=$$($(GO) test -v -run 'TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestClusterEquivalence|TestClusterE2E' ./internal/... ./cmd/tsjserve/ 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestBoundedEquivalence TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestClusterEquivalence TestClusterE2E; do \
+	for pat in TestBoundedEquivalence TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestClusterEquivalence TestClusterE2E; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \

@@ -73,35 +73,6 @@ func BenchmarkVerifyBounded(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyBoundedCached adds the token-LD memo, warmed by one full
-// pass so the timed loop measures the steady state the batch join runs
-// in (hot postings re-verifying the same token pairs).
-func BenchmarkVerifyBoundedCached(b *testing.B) {
-	for _, th := range []float64{0.1, 0.3} {
-		b.Run(fmt.Sprintf("t=%.1f", th), func(b *testing.B) {
-			c, pairs := benchVerifyPairs(300, th)
-			v := core.Verifier{Cache: core.NewTokenLDCache(0)}
-			ids := make([][]token.TokenID, c.NumStrings())
-			for i, ts := range c.Strings {
-				ids[i] = make([]token.TokenID, ts.Count())
-				for p, tok := range ts.Tokens {
-					id, _ := c.TokenIDOf(tok)
-					ids[i][p] = id
-				}
-			}
-			for _, p := range pairs { // warm the memo
-				v.VerifyIDs(c.Strings[p[0]], c.Strings[p[1]], ids[p[0]], ids[p[1]], th)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := pairs[i%len(pairs)]
-				v.VerifyIDs(c.Strings[p[0]], c.Strings[p[1]], ids[p[0]], ids[p[1]], th)
-			}
-		})
-	}
-}
-
 // benchVerifyGroups reshapes the surviving-candidate pairs into the form
 // the batched verify path consumes: one probe string against all of its
 // surviving partners — exactly what a grouping-on-one-string reducer or

@@ -151,7 +151,6 @@ func (c *Corpus) SelfJoinStats(opts Options) ([]Pair, *Stats, error) {
 		MultiMatchAware:            true,
 		Parallelism:                opts.Parallelism,
 		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableTokenLDCache:        opts.DisableTokenLDCache,
 		DisableSIMD:                opts.DisableSIMD,
 		DisablePrefixFilter:        opts.DisablePrefixFilter,
 		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
@@ -204,7 +203,6 @@ func (c *Corpus) JoinTokenized(probes []TokenizedString, opts Options) ([]Pair, 
 		MultiMatchAware:            true,
 		Parallelism:                opts.Parallelism,
 		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableTokenLDCache:        opts.DisableTokenLDCache,
 		DisableSIMD:                opts.DisableSIMD,
 		DisablePrefixFilter:        opts.DisablePrefixFilter,
 		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,

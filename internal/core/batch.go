@@ -540,7 +540,7 @@ func (bs *BatchStager) stage(x token.TokenizedString, tokBase int32, ys []*token
 			}
 		}
 		if scalar {
-			sld, within, pruned := v.verify(x, *y, nil, nil, b)
+			sld, within, pruned := v.verify(x, *y, b)
 			out[c] = BatchResult{sld, within, pruned}
 			bs.ctr.ScalarCells += int64(m * nc)
 			continue

@@ -64,15 +64,6 @@ type Verifier struct {
 	// Greedy switches the alignment to the greedy-token-aligning
 	// approximation (Sec. III-G.5) instead of the exact Hungarian.
 	Greedy bool
-	// Cache optionally memoizes token-pair Levenshtein distances across
-	// pairs; see TokenLDCache. Only consulted when the caller supplies
-	// corpus token ids (VerifyIDs).
-	Cache *TokenLDCache
-	// Shared optionally points many Verifiers at one concurrent
-	// token-LD memo (SharedTokenLDCache) so hot token pairs warm once
-	// per join instead of once per worker. Cache wins when both are set.
-	// Like Cache, it is only consulted under VerifyIDs.
-	Shared *SharedTokenLDCache
 	// DisableBatch forces VerifyBatch onto the per-pair scalar path even
 	// when the vector kernel is available; the verdicts are identical
 	// either way (see VerifyBatch).
@@ -95,32 +86,21 @@ func (v *Verifier) Verify(x, y token.TokenizedString, t float64) (sld int, withi
 		// as "unbounded" in verify.
 		return 0, false, true
 	}
-	return v.verify(x, y, nil, nil, MaxSLDWithin(t, x.AggregateLen(), y.AggregateLen()))
-}
-
-// VerifyIDs is Verify with corpus-stable token ids aligned to the token
-// multisets (xIDs[i] identifies x's i-th token), enabling the token-LD
-// cache: hot postings re-verify the same token pairs many times in a
-// batch join, and the memo turns the repeat cells into a map probe.
-func (v *Verifier) VerifyIDs(x, y token.TokenizedString, xIDs, yIDs []token.TokenID, t float64) (sld int, within, pruned bool) {
-	if t < 0 {
-		return 0, false, true
-	}
-	return v.verify(x, y, xIDs, yIDs, MaxSLDWithin(t, x.AggregateLen(), y.AggregateLen()))
+	return v.verify(x, y, MaxSLDWithin(t, x.AggregateLen(), y.AggregateLen()))
 }
 
 // SLDBounded returns SLD(x, y) and true if it is at most max; otherwise
 // it returns a value exceeding max and false. max < 0 computes the exact
 // SLD unbounded (always true).
 func (v *Verifier) SLDBounded(x, y token.TokenizedString, max int) (int, bool) {
-	sld, ok, _ := v.verify(x, y, nil, nil, max)
+	sld, ok, _ := v.verify(x, y, max)
 	return sld, ok
 }
 
 // verify runs the budgeted pipeline: trivial sides, matrix construction
 // with the row-minima abort, then the budget-aware alignment. max < 0
 // means unbounded.
-func (v *Verifier) verify(x, y token.TokenizedString, xIDs, yIDs []token.TokenID, max int) (sld int, within, pruned bool) {
+func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within, pruned bool) {
 	if x.Count() == 0 {
 		d := y.AggregateLen()
 		return d, max < 0 || d <= max, false
@@ -129,7 +109,7 @@ func (v *Verifier) verify(x, y token.TokenizedString, xIDs, yIDs []token.TokenID
 		d := x.AggregateLen()
 		return d, max < 0 || d <= max, false
 	}
-	k, lower, ok := v.buildCost(x, y, xIDs, yIDs, max)
+	k, lower, ok := v.buildCost(x, y, max)
 	if !ok {
 		return lower, false, true
 	}
@@ -148,7 +128,7 @@ func (v *Verifier) verify(x, y token.TokenizedString, xIDs, yIDs []token.TokenID
 // the sum of per-row minima — each row must be matched to some column, so
 // the sum is a lower bound on any assignment — and aborts the moment that
 // bound exceeds the budget, returning ok = false and the bound.
-func (v *Verifier) buildCost(x, y token.TokenizedString, xIDs, yIDs []token.TokenID, max int) (k, lower int, ok bool) {
+func (v *Verifier) buildCost(x, y token.TokenizedString, max int) (k, lower int, ok bool) {
 	m, n := x.Count(), y.Count()
 	k = m
 	if n > k {
@@ -167,7 +147,7 @@ func (v *Verifier) buildCost(x, y token.TokenizedString, xIDs, yIDs []token.Toke
 			var c int
 			switch {
 			case i < m && j < n:
-				c = v.tokenLD(x.TokenRunes(i), y.TokenRunes(j), xIDs, yIDs, i, j, max)
+				c = v.tokenLD(x.TokenRunes(i), y.TokenRunes(j), max)
 			case i < m:
 				c = len(x.TokenRunes(i)) // delete whole token into ε
 			case j < n:
@@ -192,17 +172,8 @@ func (v *Verifier) buildCost(x, y token.TokenizedString, xIDs, yIDs []token.Toke
 }
 
 // tokenLD returns the (budget-capped when max >= 0) Levenshtein distance
-// between tokens i of x and j of y, consulting the cache when ids are
-// available.
-func (v *Verifier) tokenLD(xr, yr []rune, xIDs, yIDs []token.TokenID, i, j, max int) int {
-	if xIDs != nil && yIDs != nil {
-		if v.Cache != nil {
-			return v.Cache.ld(xIDs[i], yIDs[j], xr, yr, max, &v.levRow)
-		}
-		if v.Shared != nil {
-			return v.Shared.ld(xIDs[i], yIDs[j], xr, yr, max, &v.levRow)
-		}
-	}
+// between two tokens.
+func (v *Verifier) tokenLD(xr, yr []rune, max int) int {
 	if max < 0 {
 		return strdist.LevenshteinRunesScratchU16(xr, yr, &v.levRow)
 	}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/token"
 )
 
 // TestBoundedEquivalenceSLD: for random token multisets and every budget
@@ -67,48 +64,6 @@ func TestBoundedEquivalenceVerify(t *testing.T) {
 	}
 }
 
-// TestBoundedEquivalenceCachedVerify: VerifyIDs with a token-LD cache
-// produces the same decisions and distances as the uncached engine, with
-// the cache actually hit on repeats.
-func TestBoundedEquivalenceCachedVerify(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	cached := Verifier{Cache: NewTokenLDCache(0)}
-	var plain Verifier
-	// A small token universe so repeated pairs hit the memo.
-	universe := []string{"ab", "abc", "abd", "bc", "bcd", "cd", "dab", "abcd"}
-	ids := make(map[string]token.TokenID)
-	for i, s := range universe {
-		ids[s] = token.TokenID(i)
-	}
-	mk := func() (token.TokenizedString, []token.TokenID) {
-		n := 1 + r.Intn(4)
-		toks := make([]string, n)
-		for i := range toks {
-			toks[i] = universe[r.Intn(len(universe))]
-		}
-		ts := token.New(toks)
-		tids := make([]token.TokenID, ts.Count())
-		for i, tok := range ts.Tokens {
-			tids[i] = ids[tok]
-		}
-		return ts, tids
-	}
-	for iter := 0; iter < 500; iter++ {
-		x, xIDs := mk()
-		y, yIDs := mk()
-		th := []float64{0.1, 0.3, 0.6}[r.Intn(3)]
-		sld, within, _ := cached.VerifyIDs(x, y, xIDs, yIDs, th)
-		wsld, wwithin, _ := plain.Verify(x, y, th)
-		if within != wwithin || (within && sld != wsld) {
-			t.Fatalf("iter=%d t=%.2f: cached (%d,%v) != plain (%d,%v) for %q vs %q",
-				iter, th, sld, within, wsld, wwithin, x, y)
-		}
-	}
-	if cached.Cache.Hits == 0 {
-		t.Fatal("token-LD cache was never hit across 500 repeated-universe pairs")
-	}
-}
-
 // TestMaxSLDWithinBoundary: the budget is exactly the WithinNSLD
 // boundary — sld <= budget iff WithinNSLD(sld) — for a sweep of lengths
 // and thresholds including exact rational boundary cases.
@@ -128,32 +83,5 @@ func TestMaxSLDWithinBoundary(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestTokenLDCacheUpgrade: a bounded miss memoizes "LD > b"; a later
-// probe with a larger budget recomputes and upgrades to the exact value,
-// while a smaller budget is answered from the bound without recomputing.
-func TestTokenLDCacheUpgrade(t *testing.T) {
-	c := NewTokenLDCache(4)
-	a, b := []rune("abcdef"), []rune("uvwxyz") // LD 6
-	var row []uint16
-	if d := c.ld(1, 2, a, b, 2, &row); d != 3 {
-		t.Fatalf("budget 2: got %d, want capped 3", d)
-	}
-	misses := c.Misses
-	if d := c.ld(2, 1, b, a, 1, &row); d != 2 || c.Misses != misses {
-		t.Fatalf("budget 1 after bound 2: got %d (misses %d->%d), want capped 2 from memo",
-			d, misses, c.Misses)
-	}
-	if d := c.ld(1, 2, a, b, 10, &row); d != 6 {
-		t.Fatalf("budget 10: got %d, want exact 6", d)
-	}
-	hits := c.Hits
-	if d := c.ld(1, 2, a, b, 10, &row); d != 6 || c.Hits != hits+1 {
-		t.Fatalf("repeat exact: got %d (hits %d->%d), want 6 from memo", d, hits, c.Hits)
-	}
-	if d := c.ld(1, 2, a, b, 3, &row); d != 4 {
-		t.Fatalf("exact 6 at budget 3: got %d, want capped 4", d)
 	}
 }

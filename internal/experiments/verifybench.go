@@ -41,18 +41,15 @@ func VerifyBench(cfg VerifyBenchConfig) *Table {
 	}
 	for _, t := range cfg.Ts {
 		for _, mode := range []struct {
-			name            string
-			disableBounded  bool
-			disableTokenLDC bool
+			name           string
+			disableBounded bool
 		}{
-			{"bounded", false, false},
-			{"bounded-nocache", false, true},
-			{"exact", true, false},
+			{"bounded", false},
+			{"exact", true},
 		} {
 			opts := tsj.DefaultOptions()
 			opts.Threshold = t
 			opts.DisableBoundedVerify = mode.disableBounded
-			opts.DisableTokenLDCache = mode.disableTokenLDC
 			_, st, err := tsj.SelfJoin(c, opts)
 			if err != nil {
 				// Only reachable with a threshold outside [0, 1) in

@@ -152,7 +152,7 @@ func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 	}
 
 	// ---- Job 3: de-duplicate + filter + verify ---------------------------
-	verified := dedupVerify(candidates, ver, opts, engCfg, st)
+	verified := dedupVerify("tsj", candidates, ver, opts, engCfg, st)
 
 	results = append(results, verified...)
 	sort.Slice(results, func(i, j int) bool {

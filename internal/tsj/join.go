@@ -161,75 +161,7 @@ func Join(combined *token.Corpus, boundary int, opts Options) ([]Result, *Stats,
 	}
 
 	// ---- Job 3: dedup + filter + verify ----------------------------------
-	var verified []Result
-	var st3 *mapreduce.Stats
-	switch opts.Dedup {
-	case GroupOnBothStrings:
-		verified, st3 = mapreduce.Run(engCfg("tsj-join-dedup-verify-bothstrings"), candidates,
-			func(cand uint64, ctx *mapreduce.MapCtx[uint64, struct{}]) {
-				ctx.Emit(cand, struct{}{})
-			},
-			func(k uint64, vals []struct{}, ctx *mapreduce.ReduceCtx[Result]) {
-				a, b := unpackPair(k)
-				pv := ver.get()
-				ver.verifyPair(a, b, pv, ctx)
-				ver.put(pv)
-			},
-		)
-	default: // GroupOnOneString
-		verified, st3 = mapreduce.Run(engCfg("tsj-join-dedup-verify-onestring"), candidates,
-			func(cand uint64, ctx *mapreduce.MapCtx[token.StringID, token.StringID]) {
-				a, b := unpackPair(cand)
-				k, v := groupKey(a, b)
-				ctx.Emit(k, v)
-			},
-			func(k token.StringID, partners []token.StringID, ctx *mapreduce.ReduceCtx[Result]) {
-				seen := make(map[token.StringID]struct{}, len(partners))
-				pv := ver.get()
-				if ver.batch {
-					// Batched path: dedup first, then verify the whole
-					// partner list (one shared probe) in lane-width groups.
-					pv.partners = pv.partners[:0]
-					for _, p := range partners {
-						if _, dup := seen[p]; dup {
-							continue
-						}
-						seen[p] = struct{}{}
-						pv.partners = append(pv.partners, p)
-					}
-					ver.verifyPartners(k, pv.partners, pv, ctx)
-				} else {
-					for _, p := range partners {
-						if _, dup := seen[p]; dup {
-							continue
-						}
-						seen[p] = struct{}{}
-						// Restore id-ascending orientation.
-						a, b := k, p
-						if a > b {
-							a, b = b, a
-						}
-						ver.verifyPair(a, b, pv, ctx)
-					}
-				}
-				ver.put(pv)
-			},
-		)
-	}
-	// Flush the cross-key staged verdicts before the counters are read;
-	// their results were deferred past the reducers' emit windows.
-	verified = append(verified, ver.drain()...)
-	st.Pipeline.Add(st3)
-	st.DedupedCandidates = ver.lengthPruned.Load() + ver.lbPruned.Load() + ver.verified.Load()
-	st.LengthPruned = ver.lengthPruned.Load()
-	st.LBPruned = ver.lbPruned.Load()
-	st.Verified = ver.verified.Load()
-	st.BudgetPruned = ver.budgetPruned.Load()
-	st.Results = ver.results.Load() + st.EmptyStringPairs
-	st.BatchedPairs = ver.batchedPairs.Load()
-	st.SIMDKernels = ver.simdKernels.Load()
-	st.SIMDLanes = ver.simdLanes.Load()
-	st.BatchScalarCells = ver.batchScalarCells.Load()
+	verified := dedupVerify("tsj-join", candidates, ver, opts, engCfg, st)
 
 	results = append(results, verified...)
 	sort.Slice(results, func(i, j int) bool {

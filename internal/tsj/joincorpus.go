@@ -231,7 +231,7 @@ func JoinCorpus(pc *corpus.Corpus, probes []token.TokenizedString, opts Options)
 	// Every candidate is cross-side with the corpus id low, so verify
 	// orientation matches Join's (id-ascending) and Result.A is always
 	// the corpus side.
-	verified := dedupVerify(candidates, ver, opts, engCfg, st)
+	verified := dedupVerify("tsj", candidates, ver, opts, engCfg, st)
 
 	results = append(results, verified...)
 	for i := range results {

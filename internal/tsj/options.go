@@ -120,15 +120,11 @@ type Options struct {
 	// exceeds it. Results are byte-identical either way; disabling is for
 	// ablation and equivalence testing only.
 	DisableBoundedVerify bool
-	// DisableTokenLDCache switches off the bounded verifier's token-pair
-	// LD memo (on by default; it only applies when bounded verification
-	// is on). Results are unaffected.
-	DisableTokenLDCache bool
 	// DisableSIMD switches off the vectorized batched verification path:
 	// by default (when bounded verification is on and the kernel is live
-	// on this hardware/build — core.BatchKernelAvailable) each
-	// grouping-on-one-string reducer verifies its partner list in
-	// lane-width batches against the shared probe string. Results are
+	// on this hardware/build — core.BatchKernelAvailable) every candidate
+	// that survives the filters is staged on its reduce worker's batch
+	// engine and verified in lane-width kernel invocations. Results are
 	// byte-identical either way; disabling is for ablation, equivalence
 	// testing, and ruling out kernel issues in the field.
 	DisableSIMD bool

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/massjoin"
@@ -154,7 +155,7 @@ func SelfJoin(c *token.Corpus, opts Options) ([]Result, *Stats, error) {
 	}
 
 	// ---- Job 3: de-duplicate + filter + verify (Sec. III-E/F/G.3) -------
-	verified := dedupVerify(candidates, ver, opts, engCfg, st)
+	verified := dedupVerify("tsj", candidates, ver, opts, engCfg, st)
 
 	results = append(results, verified...)
 	sort.Slice(results, func(i, j int) bool {
@@ -167,9 +168,9 @@ func SelfJoin(c *token.Corpus, opts Options) ([]Result, *Stats, error) {
 }
 
 // dedupVerify runs the final de-duplicate + filter + verify job on a raw
-// candidate list and folds the verifier counters into st. Shared by the
-// per-call SelfJoin/Join pipelines and the persistent-corpus join.
-func dedupVerify(candidates []uint64, ver *verifier, opts Options,
+// candidate list and fills the verify funnel of st. Shared by every
+// join pipeline; jobPrefix names the job ("<jobPrefix>-dedup-verify-...").
+func dedupVerify(jobPrefix string, candidates []uint64, ver *verifier, opts Options,
 	engCfg func(string) mapreduce.Config, st *Stats) []Result {
 	var verified []Result
 	var st3 *mapreduce.Stats
@@ -177,76 +178,46 @@ func dedupVerify(candidates []uint64, ver *verifier, opts Options,
 	case GroupOnBothStrings:
 		// One reducer instance per candidate pair: the shuffle key is the
 		// pair itself, so duplicates collapse into one group.
-		verified, st3 = mapreduce.Run(engCfg("tsj-dedup-verify-bothstrings"), candidates,
+		verified, st3 = mapreduce.Run(engCfg(jobPrefix+"-dedup-verify-bothstrings"), candidates,
 			func(cand uint64, ctx *mapreduce.MapCtx[uint64, struct{}]) {
 				ctx.Emit(cand, struct{}{})
 			},
-			func(k uint64, vals []struct{}, ctx *mapreduce.ReduceCtx[Result]) {
+			func(k uint64, _ []struct{}, ctx *mapreduce.ReduceCtx[Result]) {
 				a, b := unpackPair(k)
-				pv := ver.get()
-				ver.verifyPair(a, b, pv, ctx)
-				ver.put(pv)
+				ver.verifyKey(a, []token.StringID{b}, ctx)
 			},
 		)
 	default: // GroupOnOneString
 		// One reducer instance per string: the key side of each pair is
 		// chosen by the hash-parity rule; the reducer de-duplicates its
-		// partner list with a hash set and verifies each partner.
-		verified, st3 = mapreduce.Run(engCfg("tsj-dedup-verify-onestring"), candidates,
+		// partner list and verifies each partner.
+		verified, st3 = mapreduce.Run(engCfg(jobPrefix+"-dedup-verify-onestring"), candidates,
 			func(cand uint64, ctx *mapreduce.MapCtx[token.StringID, token.StringID]) {
 				a, b := unpackPair(cand)
 				k, v := groupKey(a, b)
 				ctx.Emit(k, v)
 			},
-			func(k token.StringID, partners []token.StringID, ctx *mapreduce.ReduceCtx[Result]) {
-				seen := make(map[token.StringID]struct{}, len(partners))
-				pv := ver.get()
-				if ver.batch {
-					// Batched path: dedup first, then verify the whole
-					// partner list (one shared probe) in lane-width groups.
-					pv.partners = pv.partners[:0]
-					for _, p := range partners {
-						if _, dup := seen[p]; dup {
-							continue
-						}
-						seen[p] = struct{}{}
-						pv.partners = append(pv.partners, p)
-					}
-					ver.verifyPartners(k, pv.partners, pv, ctx)
-				} else {
-					for _, p := range partners {
-						if _, dup := seen[p]; dup {
-							continue
-						}
-						seen[p] = struct{}{}
-						a, b := normPair(k, p)
-						ver.verifyPair(a, b, pv, ctx)
-					}
-				}
-				ver.put(pv)
-			},
+			ver.verifyKey,
 		)
 	}
-	// Flush the cross-key staged verdicts before the counters are read;
-	// their results were deferred past the reducers' emit windows.
-	verified = append(verified, ver.drain()...)
+	// Staged results come back from the drain, past the reducers' emit
+	// windows. The job is charged what it would have been had they been
+	// emitted inside: the drain's wall time is verify time, and the
+	// engine's one unit per output keeps the job's work the same whether
+	// or not the kernel is live. (Which key a staged result belongs to is
+	// not tracked, so ReduceTaskCosts lack that unit under staging.)
+	drainStart := time.Now()
+	staged := ver.drain(st)
+	drainWall := time.Since(drainStart)
+	verified = append(verified, staged...)
+	st3.WallTime += drainWall
+	st3.ReduceWall += drainWall
+	st3.OutRecords += int64(len(staged))
+	st3.ReduceWork += float64(len(staged))
 	st.Pipeline.Add(st3)
-	st.DedupedCandidates = int64(st3.ReduceKeys)
-	if opts.Dedup == GroupOnOneString {
-		// Keys are strings, not pairs; count deduped pairs from the
-		// verifier instead.
-		st.DedupedCandidates = ver.lengthPruned.Load() + ver.lbPruned.Load() + ver.verified.Load()
-	}
 
-	st.LengthPruned = ver.lengthPruned.Load()
-	st.LBPruned = ver.lbPruned.Load()
-	st.Verified = ver.verified.Load()
-	st.BudgetPruned = ver.budgetPruned.Load()
-	st.Results = ver.results.Load() + st.EmptyStringPairs
-	st.BatchedPairs = ver.batchedPairs.Load()
-	st.SIMDKernels = ver.simdKernels.Load()
-	st.SIMDLanes = ver.simdLanes.Load()
-	st.BatchScalarCells = ver.batchScalarCells.Load()
+	st.DedupedCandidates = st.LengthPruned + st.LBPruned + st.Verified
+	st.Results += st.EmptyStringPairs
 	return verified
 }
 

@@ -2,8 +2,8 @@ package tsj
 
 import (
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mapreduce"
@@ -13,152 +13,168 @@ import (
 // verifier is the filter+verify stage shared by both dedup strategies. The
 // corpus acts as the distributed cache the paper resolves identifiers
 // against ("the tokenized-string identifiers are resolved to the tokenized
-// strings", Sec. III-F). Counters are atomic because reducers run
-// concurrently; the per-worker verification engines (scratch matrices,
-// Hungarian state, token-LD caches) live in a pool so reducers never
-// share one and steady-state verification allocates nothing.
+// strings", Sec. III-F). Reducers borrow a verification engine (scratch
+// matrices, Hungarian state, the batch stager and its verdict slab)
+// per reduce key, so concurrent reducers never share one, at most one
+// engine per reduce worker is ever built, and steady-state verification
+// allocates nothing per pair. Counters accumulate on the engines and are
+// folded into the join's Stats by drain.
 type verifier struct {
 	corpus *token.Corpus
 	opts   Options
-	pool   sync.Pool // *pairVerifier
-	// shared is the join-wide token-LD memo: one striped concurrent cache
-	// for all reduce workers, so a hot token pair warms once per join
-	// rather than once per pooled engine (nil when bounding or the cache
-	// is disabled).
-	shared *core.SharedTokenLDCache
-	// batch gates the vectorized batched verify path of the
-	// grouping-on-one-string reducers: on only when the kernel is live
-	// (core.BatchKernelAvailable), bounded verification is on, and the
-	// caller didn't opt out. Off, partner lists verify pair by pair
-	// through the (token-LD-cached) scalar engine.
+	// batch routes every filter survivor through the engine's batch stager:
+	// on only when the kernel is live (core.BatchKernelAvailable), bounded
+	// verification is on, and the caller didn't opt out. Off, survivors
+	// verify pair by pair through the scalar engine.
 	batch bool
-	// mu guards engines: every pairVerifier ever built, so drain can
-	// flush stagers the sync.Pool may have dropped.
-	mu      sync.Mutex
-	engines []*pairVerifier
-
-	lengthPruned     atomic.Int64
-	lbPruned         atomic.Int64
-	verified         atomic.Int64
-	budgetPruned     atomic.Int64
-	results          atomic.Int64
-	batchedPairs     atomic.Int64
-	simdKernels      atomic.Int64
-	simdLanes        atomic.Int64
-	batchScalarCells atomic.Int64
+	// mu guards idle: the engines no reducer is borrowing right now —
+	// after the job, every engine built.
+	mu   sync.Mutex
+	idle []*pairVerifier
 }
+
+// slabSize is the number of staged verdicts an engine lets its stager
+// owe before it flushes. Flushing per slab rather than once per job keeps
+// the stager's arenas (they only reset when nothing is in flight) at a
+// thousand pairs instead of the whole job's, for a handful of part-filled
+// kernel invocations per flush.
+const slabSize = 1024
 
 // pairVerifier is one worker's verification state: the threshold-aware
-// core engine plus the position-aligned token-id buffers that feed its
-// token-LD cache and the candidate-group scratch of the batched path.
+// core engine, the shared-probe candidate group of the reduce key in
+// hand, the slab of verdicts its stager still owes, and the results of
+// the slabs already harvested. The stager holds pointers into res between
+// StageBatch and FlushBatch, so the slab is a fixed array, never regrown.
 type pairVerifier struct {
-	v          core.Verifier
-	xIDs, yIDs []token.TokenID
-	partners   []token.StringID
-	ids        []token.StringID
-	ys         []*token.TokenizedString
-	// staged records the reduce keys whose batched verdicts are pending
-	// in the engine's stager: lanes pool token-pair cells across reduce
-	// keys, and the post-job drain flushes and emits them.
-	staged []stagedEmit
+	v       core.Verifier
+	groupID [][2]token.StringID
+	groupY  []*token.TokenizedString
+
+	n     int                         // pending verdicts in the slab
+	pairs [slabSize][2]token.StringID // (a, b) with a < b
+	res   [slabSize]core.BatchResult
+	out   []Result
+
+	// The engine's share of the kernel counters and of the verify funnel.
+	ctr core.BatchCounters
+
+	lengthPruned, lbPruned, verified, budgetPruned, results int64
 }
 
-// stagedEmit is one reduce key's deferred batched emission: the verdict
-// slots in res are retained by the engine's stager and land by the time
-// drain's FlushBatch returns.
-type stagedEmit struct {
-	k   token.StringID
-	la  int32
-	ids []token.StringID
-	lbs []int32
-	res []core.BatchResult
-}
-
-// newVerifier builds the stage and its engine pool from the join options.
+// newVerifier builds the stage from the join options.
 func newVerifier(c *token.Corpus, opts Options) *verifier {
-	v := &verifier{corpus: c, opts: opts}
-	if !opts.DisableBoundedVerify && !opts.DisableTokenLDCache {
-		v.shared = core.NewSharedTokenLDCache(0)
+	return &verifier{
+		corpus: c,
+		opts:   opts,
+		batch:  !opts.DisableSIMD && !opts.DisableBoundedVerify && core.BatchKernelAvailable(),
 	}
-	v.batch = !opts.DisableSIMD && !opts.DisableBoundedVerify && core.BatchKernelAvailable()
-	v.pool.New = func() any {
-		pv := &pairVerifier{}
-		pv.v.Greedy = opts.Aligning == GreedyAligning
-		pv.v.Shared = v.shared
-		// Engines carrying staged verdicts must survive until drain even
-		// if the GC empties the sync.Pool, so the verifier keeps a strong
-		// reference to every engine it ever built.
-		v.mu.Lock()
-		v.engines = append(v.engines, pv)
-		v.mu.Unlock()
+}
+
+// get borrows an idle engine, building one when every engine is in use.
+func (v *verifier) get() *pairVerifier {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if n := len(v.idle); n > 0 {
+		pv := v.idle[n-1]
+		v.idle = v.idle[:n-1]
 		return pv
 	}
-	return v
+	pv := &pairVerifier{}
+	pv.v.Greedy = v.opts.Aligning == GreedyAligning
+	return pv
 }
-
-// expandIDs maps the multiset positions of ts onto corpus TokenIDs:
-// members holds the string's distinct TokenIDs ascending, and both the
-// tokens and the corpus token space are lexicographically sorted, so the
-// distinct index advances exactly when the token changes.
-func expandIDs(ts *token.TokenizedString, members []token.TokenID, buf []token.TokenID) []token.TokenID {
-	buf = buf[:0]
-	di := 0
-	for i, tok := range ts.Tokens {
-		if i > 0 && tok != ts.Tokens[i-1] {
-			di++
-		}
-		buf = append(buf, members[di])
-	}
-	return buf
-}
-
-// get borrows a per-worker verification engine; callers hold it for a
-// whole reduce task (not a single pair) so pool churn stays off the
-// per-pair path and warmed token-LD caches survive longer.
-func (v *verifier) get() *pairVerifier { return v.pool.Get().(*pairVerifier) }
 
 // put returns an engine borrowed with get.
-func (v *verifier) put(pv *pairVerifier) { v.pool.Put(pv) }
+func (v *verifier) put(pv *pairVerifier) {
+	v.mu.Lock()
+	v.idle = append(v.idle, pv)
+	v.mu.Unlock()
+}
 
-// verifyPair runs the Sec. III-E filters and, if the candidate survives,
-// the Sec. III-F verification, emitting a Result when NSLD <= T. The
-// caller guarantees a < b and supplies a borrowed engine (get/put).
-func (v *verifier) verifyPair(a, b token.StringID, pv *pairVerifier, ctx *mapreduce.ReduceCtx[Result]) {
-	x := &v.corpus.Strings[a]
-	y := &v.corpus.Strings[b]
+// verifyKey is the one verification entry of the dedup reducers: it
+// de-duplicates reduce key k's partner list (sorting it in place), runs
+// the Sec. III-E filters and the cost accounting on every distinct pair,
+// and verifies the survivors (Sec. III-F) on a borrowed engine.
+//
+// With the batch path on, survivors are STAGED on the engine
+// (core.Verifier.StageBatch): their token-distance cells pool in kernel
+// lanes alongside cells staged by this engine's other reduce keys —
+// cross-key pooling is what keeps lane fill near the vector width when
+// partner lists are short — and the verdicts are deferred to drain.
+// Partners with k < p share the probe Strings[k] in one staging call.
+// Each partner with p < k is staged in its own (p, k) orientation, probe
+// Strings[p]: the row-minima abort walks the probe's rows, so whether a
+// rejected pair counts as budget-pruned depends on which string is the
+// probe, and every pair must verify exactly as Verify(Strings[a],
+// Strings[b]) with a < b would, whichever side the grouping rule keyed
+// it on. Deferred pairs are emitted by drain, not through ctx; join
+// results are sorted before return.
+func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *mapreduce.ReduceCtx[Result]) {
+	slices.Sort(partners)
+	partners = slices.Compact(partners)
+	pv := v.get()
+	pv.groupID, pv.groupY = pv.groupID[:0], pv.groupY[:0]
+	for _, p := range partners {
+		a, b := normPair(k, p)
+		x, y := &v.corpus.Strings[a], &v.corpus.Strings[b]
+		if !v.admit(x, y, pv, ctx) {
+			continue
+		}
+		switch {
+		case !v.batch:
+			v.verifyScalar(a, b, pv, ctx)
+		case p < k:
+			v.stage(pv, x, []*token.TokenizedString{y}, [][2]token.StringID{{a, b}})
+		default:
+			pv.groupID = append(pv.groupID, [2]token.StringID{a, b})
+			pv.groupY = append(pv.groupY, y)
+		}
+	}
+	if len(pv.groupY) > 0 {
+		v.stage(pv, &v.corpus.Strings[k], pv.groupY, pv.groupID)
+	}
+	v.put(pv)
+}
+
+// admit runs the Sec. III-E filters on candidate (x, y) and, when it
+// survives, charges the verification the paper's stated complexity.
+func (v *verifier) admit(x, y *token.TokenizedString, pv *pairVerifier, ctx *mapreduce.ReduceCtx[Result]) bool {
 	la, lb := x.AggregateLen(), y.AggregateLen()
 	t := v.opts.Threshold
-
 	// Filter 1: aggregate-length pruning (Lemma 6 lower bound). Costs one
 	// comparison on id-attached metadata.
 	if !v.opts.DisableLengthFilter && core.LengthPrune(la, lb, t) {
-		v.lengthPruned.Add(1)
-		return
+		pv.lengthPruned++
+		return false
 	}
 	// Filter 2: token-length-histogram lower bound on SLD.
 	if !v.opts.DisableLBFilter {
 		ctx.AddCost(float64(x.Count() + y.Count()))
 		if core.LowerBoundPrune(*x, *y, t) {
-			v.lbPruned.Add(1)
-			return
+			pv.lbPruned++
+			return false
 		}
 	}
-
-	// Verification. Charge the paper's stated complexity: the bigraph
-	// construction O(L(x)*L(y)) plus the alignment term — O(k^3) for the
-	// Hungarian algorithm (constant ~2 for its augmentation passes)
-	// versus O(k^2 log k) for the greedy selection (Sec. III-G.5).
-	k := x.Count()
-	if y.Count() > k {
-		k = y.Count()
-	}
+	// Verification cost: the bigraph construction O(L(x)*L(y)) plus the
+	// alignment term — O(k^3) for the Hungarian algorithm (constant ~2 for
+	// its augmentation passes) versus O(k^2 log k) for the greedy
+	// selection (Sec. III-G.5).
+	k := max(x.Count(), y.Count())
 	align := 2 * float64(k*k*k)
 	if v.opts.Aligning == GreedyAligning {
 		align = float64(k*k) * math.Log2(float64(k)+1)
 	}
 	ctx.AddCost(float64(la*lb) + align)
-	v.verified.Add(1)
+	pv.verified++
+	return true
+}
 
+// verifyScalar verifies one admitted pair (a < b) on the scalar engine
+// and emits it when NSLD <= T: the path taken when the kernel is
+// unavailable or DisableSIMD / DisableBoundedVerify is set.
+func (v *verifier) verifyScalar(a, b token.StringID, pv *pairVerifier, ctx *mapreduce.ReduceCtx[Result]) {
+	x, y := &v.corpus.Strings[a], &v.corpus.Strings[b]
+	la, lb := x.AggregateLen(), y.AggregateLen()
 	var sld int
 	var within bool
 	if v.opts.DisableBoundedVerify {
@@ -167,156 +183,74 @@ func (v *verifier) verifyPair(a, b token.StringID, pv *pairVerifier, ctx *mapred
 		} else {
 			sld = core.SLD(*x, *y)
 		}
-		within = core.WithinNSLD(sld, la, lb, t)
+		within = core.WithinNSLD(sld, la, lb, v.opts.Threshold)
 	} else {
 		var pruned bool
-		if pv.v.Cache != nil || pv.v.Shared != nil {
-			pv.xIDs = expandIDs(x, v.corpus.Members[a], pv.xIDs)
-			pv.yIDs = expandIDs(y, v.corpus.Members[b], pv.yIDs)
-			sld, within, pruned = pv.v.VerifyIDs(*x, *y, pv.xIDs, pv.yIDs, t)
-		} else {
-			sld, within, pruned = pv.v.Verify(*x, *y, t)
-		}
+		sld, within, pruned = pv.v.Verify(*x, *y, v.opts.Threshold)
 		if pruned {
-			v.budgetPruned.Add(1)
+			pv.budgetPruned++
 		}
 	}
 	if !within {
 		return
 	}
-	v.results.Add(1)
+	pv.results++
 	ctx.Emit(Result{A: a, B: b, SLD: sld, NSLD: core.NSLDFromSLD(sld, la, lb)})
 }
 
-// verifyPartners verifies one grouping-on-one-string reduce key's
-// deduplicated partner list. Partners on the far side of the pair
-// normalization (p < k, so the pair verifies as (p, k) with the partner
-// as x) go through the scalar per-pair engine — verdicts, including
-// greedy tie-breaking, which is orientation-sensitive, stay bit-identical
-// to the unbatched reducer. Partners with k < p all share the probe
-// x = Strings[k], so their filter survivors are STAGED on the engine
-// (core.Verifier.StageBatch): their token-distance cells pool in kernel
-// lanes alongside cells staged by this engine's other reduce keys, and
-// the verdicts are deferred to the post-job drain. Cross-key pooling is
-// what keeps lane fill near the vector width when individual partner
-// lists are short. Results are identical to the per-pair loop,
-// property-tested by TestSIMDEquivalenceJoin; the deferred pairs are
-// emitted by drain, not through ctx, and join results are sorted before
-// return.
-func (v *verifier) verifyPartners(k token.StringID, partners []token.StringID, pv *pairVerifier, ctx *mapreduce.ReduceCtx[Result]) {
-	x := &v.corpus.Strings[k]
-	la := x.AggregateLen()
-	t := v.opts.Threshold
-	pv.ids = pv.ids[:0]
-	pv.ys = pv.ys[:0]
-	var lengthPruned, lbPruned, verified int64
-	for _, p := range partners {
-		if p < k {
-			v.verifyPair(p, k, pv, ctx)
-			continue
+// stage hands probe x's candidates ys to pv's stager, recording
+// candidate i as pairs[i] next to its verdict slot. A full slab is
+// harvested first; a group that straddles the slab's end is staged in two
+// calls (the probe's runes are copied twice, nothing else).
+func (v *verifier) stage(pv *pairVerifier, x *token.TokenizedString, ys []*token.TokenizedString, pairs [][2]token.StringID) {
+	for len(ys) > 0 {
+		if pv.n == slabSize {
+			v.harvest(pv)
 		}
-		y := &v.corpus.Strings[p]
-		lb := y.AggregateLen()
-		// The Sec. III-E filters and the cost accounting, cell for cell
-		// the same as verifyPair's.
-		if !v.opts.DisableLengthFilter && core.LengthPrune(la, lb, t) {
-			lengthPruned++
-			continue
-		}
-		if !v.opts.DisableLBFilter {
-			ctx.AddCost(float64(x.Count() + y.Count()))
-			if core.LowerBoundPrune(*x, *y, t) {
-				lbPruned++
-				continue
-			}
-		}
-		kk := x.Count()
-		if y.Count() > kk {
-			kk = y.Count()
-		}
-		align := 2 * float64(kk*kk*kk)
-		if v.opts.Aligning == GreedyAligning {
-			align = float64(kk*kk) * math.Log2(float64(kk)+1)
-		}
-		ctx.AddCost(float64(la*lb) + align)
-		verified++
-		pv.ids = append(pv.ids, p)
-		pv.ys = append(pv.ys, y)
+		n := copy(pv.pairs[pv.n:], pairs)
+		pv.v.StageBatch(*x, ys[:n], v.opts.Threshold, pv.res[pv.n:pv.n+n])
+		pv.n += n
+		ys, pairs = ys[n:], pairs[n:]
 	}
-	if lengthPruned > 0 {
-		v.lengthPruned.Add(lengthPruned)
-	}
-	if lbPruned > 0 {
-		v.lbPruned.Add(lbPruned)
-	}
-	if verified > 0 {
-		v.verified.Add(verified)
-	}
-	if len(pv.ids) == 0 {
-		return
-	}
-	// Exact-size allocations: the stager retains &res[i] verdict slots
-	// until the drain's flush, so the backing array must never regrow.
-	se := stagedEmit{
-		k:   k,
-		la:  int32(la),
-		ids: append([]token.StringID(nil), pv.ids...),
-		lbs: make([]int32, len(pv.ids)),
-		res: make([]core.BatchResult, len(pv.ids)),
-	}
-	for i, y := range pv.ys {
-		se.lbs[i] = int32(y.AggregateLen())
-	}
-	pv.v.StageBatch(*x, pv.ys, t, se.res)
-	pv.staged = append(pv.staged, se)
 }
 
-// drain flushes every engine's stager and returns the deferred batched
-// results, folding the verdict and kernel counters the staged pairs
-// skipped at reduce time. Callers run it once, after the verify job's
-// mapreduce.Run returns and before reading the verifier's counters; the
-// engine registry (not the sync.Pool, which the GC may empty) guarantees
-// no staged verdict is lost.
-func (v *verifier) drain() []Result {
-	v.mu.Lock()
-	engines := v.engines
-	v.mu.Unlock()
-	var out []Result
-	var budgetPruned, results int64
-	var ctr core.BatchCounters
-	for _, pv := range engines {
-		pv.v.FlushBatch(&ctr)
-		for _, se := range pv.staged {
-			for i, r := range se.res {
-				if r.Pruned {
-					budgetPruned++
-				}
-				if r.Within {
-					results++
-					out = append(out, Result{
-						A: se.k, B: se.ids[i], SLD: r.SLD,
-						NSLD: core.NSLDFromSLD(r.SLD, int(se.la), int(se.lbs[i])),
-					})
-				}
-			}
+// harvest drives pv's pending verdicts to completion and moves the
+// qualifying pairs to pv.out, emptying the slab.
+func (v *verifier) harvest(pv *pairVerifier) {
+	pv.v.FlushBatch(&pv.ctr)
+	for i, r := range pv.res[:pv.n] {
+		if r.Pruned {
+			pv.budgetPruned++
 		}
-		pv.staged = pv.staged[:0]
+		if !r.Within {
+			continue
+		}
+		pv.results++
+		a, b := pv.pairs[i][0], pv.pairs[i][1]
+		la, lb := v.corpus.Strings[a].AggregateLen(), v.corpus.Strings[b].AggregateLen()
+		pv.out = append(pv.out, Result{A: a, B: b, SLD: r.SLD, NSLD: core.NSLDFromSLD(r.SLD, la, lb)})
 	}
-	if budgetPruned > 0 {
-		v.budgetPruned.Add(budgetPruned)
-	}
-	if results > 0 {
-		v.results.Add(results)
-	}
-	if ctr.Batched > 0 {
-		v.batchedPairs.Add(ctr.Batched)
-	}
-	if ctr.Kernels > 0 {
-		v.simdKernels.Add(ctr.Kernels)
-		v.simdLanes.Add(ctr.Lanes)
-	}
-	if ctr.ScalarCells > 0 {
-		v.batchScalarCells.Add(ctr.ScalarCells)
+	pv.n = 0
+}
+
+// drain harvests every engine and returns the staged results — they do
+// not pass through the reducers' ctx — folding the engines' funnel and
+// kernel counters into st. Callers run it once, after the verify job's
+// mapreduce.Run returns, when every engine is idle again.
+func (v *verifier) drain(st *Stats) []Result {
+	var out []Result
+	for _, pv := range v.idle {
+		v.harvest(pv)
+		out = append(out, pv.out...)
+		st.LengthPruned += pv.lengthPruned
+		st.LBPruned += pv.lbPruned
+		st.Verified += pv.verified
+		st.BudgetPruned += pv.budgetPruned
+		st.Results += pv.results
+		st.BatchedPairs += pv.ctr.Batched
+		st.SIMDKernels += pv.ctr.Kernels
+		st.SIMDLanes += pv.ctr.Lanes
+		st.BatchScalarCells += pv.ctr.ScalarCells
 	}
 	return out
 }

@@ -36,7 +36,6 @@ func JoinStats(r, p []string, opts Options) ([]Pair, *Stats, error) {
 		MultiMatchAware:            true,
 		Parallelism:                opts.Parallelism,
 		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableTokenLDCache:        opts.DisableTokenLDCache,
 		DisableSIMD:                opts.DisableSIMD,
 		DisablePrefixFilter:        opts.DisablePrefixFilter,
 		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,

@@ -131,14 +131,16 @@ type Options struct {
 	// is the hot-path optimization behind the join's verify speed.
 	// Results are identical either way; disable only for ablation.
 	DisableBoundedVerification bool
-	// DisableTokenLDCache switches off the bounded verifier's
-	// token-pair Levenshtein memo (on by default; hot postings re-verify
-	// the same token pairs many times). Results are unaffected.
+	// DisableTokenLDCache is ignored.
+	//
+	// Deprecated: the memo was removed in PR 14; results and speed no
+	// longer depend on it.
 	DisableTokenLDCache bool
 	// DisableSIMD switches off the vectorized batched verification path.
 	// By default, on hardware and builds where the kernel is live (see
-	// SIMDAvailable), each grouping-on-one-string reducer verifies its
-	// partner list in lane-width batches against the shared probe string.
+	// SIMDAvailable), every candidate that survives the filters is staged
+	// on its reduce worker's batch engine and verified in lane-width
+	// kernel invocations.
 	// Results are identical either way; disable only for ablation or to
 	// rule out kernel issues in the field.
 	DisableSIMD bool
@@ -197,7 +199,6 @@ func SelfJoinStats(names []string, opts Options) ([]Pair, *Stats, error) {
 		MultiMatchAware:            true,
 		Parallelism:                opts.Parallelism,
 		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableTokenLDCache:        opts.DisableTokenLDCache,
 		DisableSIMD:                opts.DisableSIMD,
 		DisablePrefixFilter:        opts.DisablePrefixFilter,
 		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
