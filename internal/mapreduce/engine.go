@@ -9,6 +9,14 @@
 // a shared-nothing cluster of m machines would need. The engine is the
 // execution layer for MassJoin, the TSJ pipeline and the HMJ baseline.
 //
+// Shuffle keys are fixed-size integers (Key). The shuffle is a sort, not a
+// hash table: every map task appends to its own buffer, the job's records
+// are radix-sorted by key into one slab, a reduce group is a run of equal
+// keys, and groups are reduced — and their outputs returned — in ascending
+// key order, so a job's output and Stats are the same at any Parallelism.
+// Stats.MapWall covers the map functions plus this shuffle; ReduceWall is
+// the reduce functions.
+//
 // The paper ran on 1,000 physical machines; we cannot. Every job therefore
 // records fine-grained task costs (map work per split, reduce work per key,
 // records shuffled), and the Cluster model schedules those tasks onto m
@@ -17,8 +25,9 @@ package mapreduce
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,15 +43,9 @@ type Config struct {
 	Parallelism int
 }
 
-func (c Config) withDefaults(inputLen int) Config {
+func (c Config) withDefaults() Config {
 	if c.MapTasks <= 0 {
 		c.MapTasks = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.MapTasks > inputLen {
-		c.MapTasks = inputLen
-	}
-	if c.MapTasks == 0 {
-		c.MapTasks = 1
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -50,17 +53,29 @@ func (c Config) withDefaults(inputLen int) Config {
 	return c
 }
 
+// Key is the set of shuffle key types: fixed-size integers. The shuffle
+// sorts keys instead of hashing them, so a job whose natural key is a
+// string or a struct keys on a packing or a fingerprint of it (see
+// massjoin).
+type Key interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+}
+
 // MapCtx is handed to map functions: Emit produces an intermediate
 // <key2, value2> record; AddCost charges extra work units beyond the
 // default per-record accounting (used by CPU-heavy mappers such as HMJ's
-// centroid assignment).
-type MapCtx[K comparable, V any] struct {
-	emit func(K, V)
+// centroid assignment). One MapCtx is the output buffer of one map task.
+type MapCtx[K Key, V any] struct {
+	keys []K
+	vals []V
 	cost float64
 }
 
 // Emit outputs an intermediate key/value pair.
-func (c *MapCtx[K, V]) Emit(k K, v V) { c.emit(k, v) }
+func (c *MapCtx[K, V]) Emit(k K, v V) {
+	c.keys = append(c.keys, k)
+	c.vals = append(c.vals, v)
+}
 
 // AddCost charges additional work units to the current map task.
 func (c *MapCtx[K, V]) AddCost(units float64) { c.cost += units }
@@ -68,38 +83,60 @@ func (c *MapCtx[K, V]) AddCost(units float64) { c.cost += units }
 // ReduceCtx is handed to reduce functions: Emit produces an output record;
 // AddCost charges extra work units to the current key's task (used by
 // verification reducers whose cost is dominated by distance computations,
-// not record counts).
+// not record counts). One ReduceCtx is the output buffer of one reduce
+// worker.
 type ReduceCtx[O any] struct {
-	emit func(O)
+	out  []O
 	cost float64
 }
 
 // Emit outputs a final record.
-func (c *ReduceCtx[O]) Emit(o O) { c.emit(o) }
+func (c *ReduceCtx[O]) Emit(o O) { c.out = append(c.out, o) }
 
 // AddCost charges additional work units to the current reduce task.
 func (c *ReduceCtx[O]) AddCost(units float64) { c.cost += units }
 
 // Mapper transforms one input record into intermediate key/value pairs.
-type Mapper[I any, K comparable, V any] func(item I, ctx *MapCtx[K, V])
+type Mapper[I any, K Key, V any] func(item I, ctx *MapCtx[K, V])
 
-// Reducer folds all values that share a key into output records.
-type Reducer[K comparable, V any, O any] func(key K, values []V, ctx *ReduceCtx[O])
+// Reducer folds all values that share a key into output records. values
+// holds them in emission order (input order, then Emit order); it is the
+// reducer's to reorder, and appending to it cannot reach a neighbour.
+type Reducer[K Key, V any, O any] func(key K, values []V, ctx *ReduceCtx[O])
+
+// entry is the sort handle of one intermediate record: the key's image
+// under an order-preserving map into uint64, and where the value lies —
+// map task in the high 32 bits, index in that task's buffer in the low 32,
+// so that pos order is emission order.
+type entry struct{ key, pos uint64 }
+
+// reduceBatch is how many consecutive keys a reduce worker claims at once.
+const reduceBatch = 64
+
+// sortScratch is the shuffle's pair of entry buffers. It is not generic,
+// so the jobs of a pipeline — whatever their key and value types — hand
+// one allocation down the line instead of each growing its own.
+type sortScratch struct{ a, b []entry }
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // Run executes one MapReduce job over the input and returns the outputs
-// (in unspecified order) together with the job's task-cost statistics.
+// together with the job's task-cost statistics. Keys are reduced in
+// ascending key order and the outputs are concatenated in that order, so
+// a job's output and statistics do not depend on Parallelism or on
+// scheduling.
 //
 // Default cost accounting mirrors the dominant terms on a real cluster:
 // each map task is charged 1 unit per input record plus 1 per emitted
 // record; each reduce key is charged 1 unit per grouped value plus 1 per
 // emitted output. AddCost layers algorithm-specific work on top.
-func Run[I any, K comparable, V any, O any](
+func Run[I any, K Key, V any, O any](
 	cfg Config,
 	input []I,
 	mapFn Mapper[I, K, V],
 	reduceFn Reducer[K, V, O],
 ) ([]O, *Stats) {
-	cfg = cfg.withDefaults(len(input))
+	cfg = cfg.withDefaults()
 	st := &Stats{Name: cfg.Name}
 	start := time.Now()
 	defer func() {
@@ -108,154 +145,162 @@ func Run[I any, K comparable, V any, O any](
 	}()
 
 	// ---- Map phase ------------------------------------------------------
-	type kv struct {
-		k K
-		v V
-	}
 	splits := splitRanges(len(input), cfg.MapTasks)
-	mapOut := make([][]kv, len(splits))
-	mapCosts := make([]float64, len(splits))
+	tasks := make([]MapCtx[K, V], len(splits))
+	st.MapTaskCosts = make([]float64, len(splits))
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
-	for si, sp := range splits {
-		wg.Add(1)
-		go func(si int, lo, hi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var buf []kv
-			ctx := &MapCtx[K, V]{}
-			cost := 0.0
-			for i := lo; i < hi; i++ {
-				ctx.cost = 0
-				ctx.emit = func(k K, v V) { buf = append(buf, kv{k, v}) }
-				before := len(buf)
-				mapFn(input[i], ctx)
-				cost += 1 + float64(len(buf)-before) + ctx.cost
-			}
-			mapOut[si] = buf
-			mapCosts[si] = cost
-		}(si, sp[0], sp[1])
+	each(cfg.Parallelism, len(splits), func(_, si int) {
+		ctx := &tasks[si]
+		cost := 0.0
+		for i := splits[si][0]; i < splits[si][1]; i++ {
+			ctx.cost = 0
+			before := len(ctx.keys)
+			mapFn(input[i], ctx)
+			cost += 1 + float64(len(ctx.keys)-before) + ctx.cost
+		}
+		st.MapTaskCosts[si] = cost
+	})
+
+	n := 0
+	for i := range tasks {
+		n += len(tasks[i].keys)
+		st.MapWork += st.MapTaskCosts[i]
 	}
-	wg.Wait()
-
-	st.MapTaskCosts = mapCosts
 	st.MapRecordsIn = int64(len(input))
-	for _, b := range mapOut {
-		st.MapRecordsOut += int64(len(b))
-	}
+	st.MapRecordsOut = int64(n)
 	st.ShuffleRecords = st.MapRecordsOut
 
-	// ---- Shuffle: group by key ------------------------------------------
-	groups := make(map[K][]V)
-	for _, b := range mapOut {
-		for _, p := range b {
-			groups[p.k] = append(groups[p.k], p.v)
+	// ---- Shuffle: sort by key, gather values into one slab ---------------
+	// A group is a run of equal keys in the sorted entries; its values are
+	// the matching run of the slab. The sort is stable and entries start in
+	// emission order, so values keep it within a key.
+	sc := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(sc)
+	if cap(sc.a) < n {
+		sc.a, sc.b = make([]entry, n), make([]entry, n)
+	}
+	// Signed keys sort as unsigned once their sign bit is flipped.
+	var zero K
+	var flip uint64
+	if zero-1 < zero {
+		flip = 1 << 63
+	}
+	ents := sc.a[:0]
+	for ti := range tasks {
+		for i, k := range tasks[ti].keys {
+			ents = append(ents, entry{uint64(k) ^ flip, uint64(ti)<<32 | uint64(i)})
 		}
 	}
-	// Release map output early.
-	mapOut = nil
-	st.ReduceKeys = int64(len(groups))
-	// The map-side wall covers mapping plus the shuffle grouping — the
+	ents = radixSort(ents, sc.b[:n])
+	vals := make([]V, n)
+	var starts []int // starts[g] is where group g begins; one sentinel at n
+	for i, e := range ents {
+		vals[i] = tasks[e.pos>>32].vals[uint32(e.pos)]
+		if i == 0 || e.key != ents[i-1].key {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, n)
+	tasks = nil // the map output is dead; let the reduce phase have the memory
+	groups := len(starts) - 1
+	st.ReduceKeys = int64(groups)
+	// The map-side wall covers mapping plus the shuffle — the
 	// record-stream handling; what remains of the job is reduce compute.
 	st.MapWall = time.Since(start)
 
 	// ---- Reduce phase ----------------------------------------------------
-	// Keys are processed by a worker pool; outputs and per-key costs are
-	// collected per worker and concatenated afterwards.
-	type keyGroup struct {
-		k  K
-		vs []V
-	}
-	kgs := make([]keyGroup, 0, len(groups))
-	for k, vs := range groups {
-		kgs = append(kgs, keyGroup{k, vs})
-	}
-	groups = nil
+	// Workers claim batches of consecutive keys. A batch's outputs are a
+	// span of its worker's buffer; spans are stitched in batch order.
+	type span struct{ worker, lo, hi int }
+	spans := make([]span, (groups+reduceBatch-1)/reduceBatch)
+	outs := make([]ReduceCtx[O], cfg.Parallelism)
+	costs := make([]float64, groups)
+	each(cfg.Parallelism, len(spans), func(w, b int) {
+		ctx := &outs[w]
+		lo := len(ctx.out)
+		for g := b * reduceBatch; g < min(groups, (b+1)*reduceBatch); g++ {
+			s, e := starts[g], starts[g+1]
+			ctx.cost = 0
+			before := len(ctx.out)
+			reduceFn(K(ents[s].key^flip), vals[s:e:e], ctx)
+			costs[g] = float64(e-s) + float64(len(ctx.out)-before) + ctx.cost
+		}
+		spans[b] = span{w, lo, len(ctx.out)}
+	})
 
-	nw := cfg.Parallelism
-	outs := make([][]O, nw)
-	costs := make([][]float64, nw)
-	var next int64
-	var mu sync.Mutex
-	takeBatch := func(n int) (int, int) {
-		mu.Lock()
-		defer mu.Unlock()
-		lo := int(next)
-		if lo >= len(kgs) {
-			return 0, 0
-		}
-		hi := lo + n
-		if hi > len(kgs) {
-			hi = len(kgs)
-		}
-		next = int64(hi)
-		return lo, hi
+	for i := range outs {
+		st.OutRecords += int64(len(outs[i].out))
 	}
-	wg = sync.WaitGroup{}
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := &ReduceCtx[O]{}
-			for {
-				lo, hi := takeBatch(64)
-				if lo == hi {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					ctx.cost = 0
-					n0 := len(outs[w])
-					ctx.emit = func(o O) { outs[w] = append(outs[w], o) }
-					reduceFn(kgs[i].k, kgs[i].vs, ctx)
-					c := float64(len(kgs[i].vs)) + float64(len(outs[w])-n0) + ctx.cost
-					costs[w] = append(costs[w], c)
-				}
-			}
-		}(w)
+	result := slices.Grow([]O(nil), int(st.OutRecords))
+	for _, sp := range spans {
+		result = append(result, outs[sp.worker].out[sp.lo:sp.hi]...)
 	}
-	wg.Wait()
-
-	var result []O
-	for w := 0; w < nw; w++ {
-		result = append(result, outs[w]...)
-		st.ReduceTaskCosts = append(st.ReduceTaskCosts, costs[w]...)
-		for _, c := range costs[w] {
-			st.ReduceWork += c
-		}
+	// Sorted costs and a total summed over them: per-key costs need not be
+	// integers, and a float sum is only reproducible in a fixed order.
+	slices.Sort(costs)
+	st.ReduceTaskCosts = costs
+	for _, c := range costs {
+		st.ReduceWork += c
 	}
-	st.OutRecords = int64(len(result))
-	for _, c := range mapCosts {
-		st.MapWork += c
-	}
-	// Deterministic stats regardless of scheduling.
-	sort.Float64s(st.ReduceTaskCosts)
 	return result, st
 }
 
-// splitRanges partitions [0, n) into at most k contiguous ranges of
-// near-equal size.
-func splitRanges(n, k int) [][2]int {
-	if k <= 0 {
-		k = 1
+// each calls fn(w, i) for every i in [0, n), in claim order, on at most
+// workers goroutines; w identifies the calling goroutine.
+func each(workers, n int, fn func(w, i int)) {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
+			}
+		}()
 	}
-	if k > n {
-		k = n
+	wg.Wait()
+}
+
+// radixSort sorts ents by key with a stable LSD byte radix, skipping the
+// bytes every key agrees on (dense ids vary in two or three of eight),
+// and returns the sorted slice: ents or tmp, which must be as long.
+func radixSort(ents, tmp []entry) []entry {
+	if len(ents) < 2 {
+		return ents
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([][2]int, 0, k)
-	base, rem := n/k, n%k
-	lo := 0
-	for i := 0; i < k; i++ {
-		size := base
-		if i < rem {
-			size++
+	var hist [8][256]int
+	for _, e := range ents {
+		for b := range hist {
+			hist[b][byte(e.key>>(8*b))]++
 		}
-		out = append(out, [2]int{lo, lo + size})
-		lo += size
+	}
+	for b := range hist {
+		next := &hist[b]
+		if next[byte(ents[0].key>>(8*b))] == len(ents) {
+			continue
+		}
+		sum := 0
+		for d, c := range next {
+			next[d], sum = sum, sum+c
+		}
+		for _, e := range ents {
+			d := byte(e.key >> (8 * b))
+			tmp[next[d]] = e
+			next[d]++
+		}
+		ents, tmp = tmp, ents
+	}
+	return ents
+}
+
+// splitRanges partitions [0, n) into at most k contiguous ranges of
+// near-equal size, the longer ones first.
+func splitRanges(n, k int) [][2]int {
+	k = min(max(k, 1), n)
+	var out [][2]int
+	for i := 0; i < k; i++ {
+		out = append(out, [2]int{i*(n/k) + min(i, n%k), (i+1)*(n/k) + min(i+1, n%k)})
 	}
 	return out
 }

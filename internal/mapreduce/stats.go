@@ -26,13 +26,15 @@ type Stats struct {
 	// string mechanism instantiates a worker for each string".
 	ReduceTaskCosts []float64
 
+	// MapWork sums MapTaskCosts in split order and ReduceWork sums the
+	// sorted ReduceTaskCosts, so equal jobs have == totals.
 	MapWork    float64
 	ReduceWork float64
 
 	// WallTime is the real in-process duration of the job (not the
 	// simulated-cluster time), measured by Run. MapWall covers the map
-	// phase plus the shuffle grouping (the record-stream handling);
-	// ReduceWall is the remainder — the reduce-function compute.
+	// phase plus the shuffle's sort and gather (the record-stream
+	// handling); ReduceWall is the remainder — the reduce-function compute.
 	WallTime   time.Duration
 	MapWall    time.Duration
 	ReduceWall time.Duration

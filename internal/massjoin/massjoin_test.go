@@ -2,8 +2,10 @@ package massjoin
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/mapreduce"
 	"repro/internal/passjoin"
 	"repro/internal/strdist"
 )
@@ -160,5 +162,141 @@ func TestEmptyTokenSpace(t *testing.T) {
 	got, pipe := SelfJoinNLD(nil, 0.1, DefaultConfig())
 	if len(got) != 0 || len(pipe.Jobs) != 2 {
 		t.Fatalf("empty input: %v pairs, %d jobs", got, len(pipe.Jobs))
+	}
+}
+
+// bruteJoin is the quadratic NLD join of r against p (p == nil: the
+// self-join of r) in massjoin's output orientation and order.
+func bruteJoin(r, p [][]rune, t float64) []passjoin.Pair {
+	var out []passjoin.Pair
+	self := p == nil
+	if self {
+		p = r
+	}
+	for i := range r {
+		for j := range p {
+			// Self-join: the shorter token is A, ties by id.
+			if self && (len(r[i]) > len(p[j]) || len(r[i]) == len(p[j]) && i >= j) {
+				continue
+			}
+			d := strdist.LevenshteinRunes(r[i], p[j])
+			if strdist.WithinNLD(d, len(r[i]), len(p[j]), t) {
+				out = append(out, passjoin.Pair{A: i, B: j, LD: d})
+			}
+		}
+	}
+	return out
+}
+
+// TestFingerprintCollisionsAreHarmless narrows the Job-1 fingerprint to 4
+// bits, so that every reduce group is a merger of hundreds of unrelated
+// (indexLen, probeLen, seg, chunk) keys, tokens of equal and of different
+// lengths among them, and requires both joins to still equal Pass-Join and
+// brute force. Only the number of reduce keys and of candidates may move:
+// a collision adds candidates, Job 2 verifies each exactly, and the
+// reducer's orientation rule reads token lengths, not the key.
+func TestFingerprintCollisionsAreHarmless(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, threshold := range []float64{0.1, 0.2, 0.3} {
+		r := corpusWithNearDuplicates(rng, 120)
+		p := corpusWithNearDuplicates(rng, 80)
+		for _, self := range []bool{true, false} {
+			join := func() ([]passjoin.Pair, *mapreduce.Pipeline) {
+				if self {
+					return SelfJoinNLD(r, threshold, DefaultConfig())
+				}
+				return JoinNLD(r, p, threshold, DefaultConfig())
+			}
+			full, fullPipe := join()
+			fpMask = 0xf
+			narrow, narrowPipe := join()
+			fpMask = ^uint64(0)
+
+			var brute, serial []passjoin.Pair
+			if self {
+				brute, serial = bruteJoin(r, nil, threshold), passjoin.SelfJoinNLD(r, threshold, passjoin.DefaultOptions())
+			} else {
+				brute, serial = bruteJoin(r, p, threshold), passjoin.JoinNLD(r, p, threshold, passjoin.DefaultOptions())
+			}
+			if len(brute) == 0 {
+				t.Fatalf("T=%v self=%v: no similar pairs, the corpus tests nothing", threshold, self)
+			}
+			for name, got := range map[string][]passjoin.Pair{"full": full, "narrow": narrow, "passjoin": serial} {
+				if !slices.Equal(got, brute) {
+					t.Fatalf("T=%v self=%v: %s fingerprints give %d pairs, brute force %d:\n got  %v\n want %v",
+						threshold, self, name, len(got), len(brute), got, brute)
+				}
+			}
+
+			fj, nj := fullPipe.Jobs, narrowPipe.Jobs
+			if nj[0].ReduceKeys > 16 || nj[0].ReduceKeys >= fj[0].ReduceKeys {
+				t.Fatalf("T=%v self=%v: %d reduce keys under a 4-bit mask (%d at full width)", threshold, self, nj[0].ReduceKeys, fj[0].ReduceKeys)
+			}
+			if nj[0].OutRecords <= fj[0].OutRecords {
+				t.Fatalf("T=%v self=%v: merged groups produced %d candidates, full width %d", threshold, self, nj[0].OutRecords, fj[0].OutRecords)
+			}
+			if nj[0].MapRecordsIn != fj[0].MapRecordsIn || nj[0].ShuffleRecords != fj[0].ShuffleRecords || nj[0].MapWork != fj[0].MapWork {
+				t.Fatalf("T=%v self=%v: the map side moved:\n narrow %v\n full   %v", threshold, self, nj[0], fj[0])
+			}
+			if nj[1].OutRecords != fj[1].OutRecords {
+				t.Fatalf("T=%v self=%v: verify emitted %d pairs, full width %d", threshold, self, nj[1].OutRecords, fj[1].OutRecords)
+			}
+		}
+	}
+}
+
+// TestFingerprintSeparatesNeighbours: at full width, keys that differ in
+// one field or one rune — the way real chunk keys differ — do not collide.
+// A collision would be harmless to the answer but would move ReduceKeys and
+// the candidate count, which the simulated-cluster figures read.
+func TestFingerprintSeparatesNeighbours(t *testing.T) {
+	seen := make(map[uint64][5]int)
+	for il := 1; il <= 12; il++ {
+		for pl := il; pl <= il+3; pl++ {
+			for seg := 0; seg < 4; seg++ {
+				for c1 := 'a'; c1 <= 'z'; c1++ {
+					for c2 := 'a' - 1; c2 <= 'z'; c2++ { // 'a'-1: the one-rune chunk
+						chunk := []rune{c1, c2}
+						if c2 < 'a' {
+							chunk = chunk[:1]
+						}
+						id := [5]int{il, pl, seg, int(c1), int(c2)}
+						f := fingerprint(il, pl, seg, chunk)
+						if other, dup := seen[f]; dup {
+							t.Fatalf("fingerprint %x for both %v and %v", f, other, id)
+						}
+						seen[f] = id
+					}
+				}
+			}
+		}
+	}
+}
+
+// countCtx is an emitter that only counts.
+type countCtx struct{ n int }
+
+func (c *countCtx) Emit(uint64, uint32) { c.n++ }
+
+// TestEmitAllocatesNothing: producing a token's Job-1 records — segments
+// for every compatible probe length, substrings for every compatible index
+// length — computes segment bounds and fingerprints in place: no partition
+// slice, no chunk string.
+func TestEmitAllocatesNothing(t *testing.T) {
+	const threshold = 0.3
+	rec := tokenRec{id: 3, r: []rune("metwally")}
+	plans := lenPlans(threshold, len(rec.r))
+	ctx := &countCtx{}
+	for _, self := range []bool{true, false} {
+		allocs := testing.AllocsPerRun(100, func() {
+			emitSegments(rec, plans[len(rec.r)], self, ctx)
+			emitSubstrings(rec, plans[len(rec.r)], self, true, ctx)
+		})
+		if allocs != 0 {
+			t.Errorf("selfJoin=%v: %v allocations per token", self, allocs)
+		}
+	}
+	if ctx.n == 0 {
+		t.Fatal("nothing was emitted")
 	}
 }

@@ -27,17 +27,20 @@ type Segment struct {
 // >= 1; zero-length segments occur only when m > l.
 func EvenPartition(l, m int) []Segment {
 	segs := make([]Segment, m)
-	base, rem := l/m, l%m
-	pos := 0
-	for i := 0; i < m; i++ {
-		ln := base
-		if i >= m-rem {
-			ln++
-		}
-		segs[i] = Segment{Start: pos, Len: ln}
-		pos += ln
+	for i := range segs {
+		segs[i] = EvenSegment(l, m, i)
 	}
 	return segs
+}
+
+// EvenSegment returns segment i (0-based) of EvenPartition(l, m) without
+// building the partition.
+func EvenSegment(l, m, i int) Segment {
+	base, long := l/m, i-(m-l%m) // long: how many ceil-length segments precede i
+	if long < 0 {
+		return Segment{Start: i * base, Len: base}
+	}
+	return Segment{Start: i*base + long, Len: base + 1}
 }
 
 // SubstringWindow returns the inclusive range [lo, hi] of start positions

@@ -550,14 +550,19 @@ func TestReplicationTortureSweep(t *testing.T) {
 	t.Logf("reference run: %d primary round trips", trips)
 
 	// Round trips after the reference count are timing noise
-	// (heartbeats); the sweep covers the deterministic core. Short mode
-	// strides coarser but still touches every flavor at several indices.
+	// (heartbeats); the sweep covers the deterministic core. It never
+	// covers fewer than 24 indices: the reference count itself moves with
+	// the heartbeats (13 to 23 between runs of one binary), and a suite
+	// whose subtest names change from run to run cannot be compared with
+	// its last run. Short mode strides coarser but still touches every
+	// flavor at several indices.
+	sweep := max(trips, 24)
 	stride := int64(1)
 	if testing.Short() {
-		stride = trips/6 + 1
+		stride = sweep/6 + 1
 	}
 	for _, fl := range netFlavors {
-		for i := int64(0); i < trips; i += stride {
+		for i := int64(0); i < sweep; i += stride {
 			i := i
 			t.Run(fmt.Sprintf("%s/trip%02d", fl.name, i), func(t *testing.T) {
 				got := tortureOne(t, func(h *harness) iofault.NetPlan { return fl.plan(h, i) })

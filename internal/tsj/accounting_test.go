@@ -1,0 +1,155 @@
+package tsj
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mapreduce"
+	"repro/internal/namegen"
+	"repro/internal/token"
+)
+
+// jobAccounting is what one MapReduce job hands the simulated cluster
+// (mapreduce.Cluster, the tsjexp scalability figures): record counts, the
+// number of reduce tasks, the straggler and the two work totals.
+type jobAccounting struct {
+	name                         string
+	in, shuffled, keys, out      int64
+	tasks                        int
+	maxTask, mapWork, reduceWork float64
+}
+
+func accountingOf(p *mapreduce.Pipeline) []jobAccounting {
+	var out []jobAccounting
+	for _, j := range p.Jobs {
+		out = append(out, jobAccounting{j.Name, j.MapRecordsIn, j.ShuffleRecords, j.ReduceKeys, j.OutRecords,
+			len(j.ReduceTaskCosts), j.MaxReduceTask(), j.MapWork, j.ReduceWork})
+	}
+	return out
+}
+
+// longCorpus builds n strings of 8-12 tokens drawn from a 300-word
+// vocabulary, every third one an edited copy of its predecessor: the
+// regime where prefixes are whole strings and the similar-token path and
+// verification carry the join.
+func longCorpus(seed int64, n int) *token.Corpus {
+	rng := rand.New(rand.NewSource(seed))
+	words := make([]string, 300)
+	for i := range words {
+		b := make([]byte, 3+rng.Intn(8))
+		for j := range b {
+			b[j] = byte('a' + rng.Intn(26))
+		}
+		words[i] = string(b)
+	}
+	raw := make([]string, 0, n)
+	for len(raw) < n {
+		toks := make([]string, 8+rng.Intn(5))
+		for j := range toks {
+			toks[j] = words[rng.Intn(len(words))]
+		}
+		raw = append(raw, strings.Join(toks, " "))
+		if len(raw) < n && len(raw)%3 == 2 {
+			for e := 1 + rng.Intn(3); e > 0; e-- {
+				j := rng.Intn(len(toks))
+				toks[j] = perturbName(rng, toks[j])
+			}
+			raw = append(raw, strings.Join(toks, " "))
+		}
+	}
+	return token.BuildCorpus(raw, token.WhitespaceAndPunct)
+}
+
+// TestPipelineAccountingGolden pins the per-job accounting of a self-join
+// to the values recorded at commit c547589 (the map[K][]V shuffle), on a
+// names corpus and a long-string corpus, with the staged SIMD verify on
+// and off. The engine may change how it groups records; what it charges
+// may not move, or every simulated-cluster figure moves with it. Work
+// totals are compared to 1e-9 relative: per-task costs are not all
+// integers (greedy's k^2 log k, the 0.05 n^2 pair charge), so a total is
+// only as exact as its summation order.
+func TestPipelineAccountingGolden(t *testing.T) {
+	cases := []struct {
+		name      string
+		corpus    *token.Corpus
+		threshold float64
+		want      []jobAccounting
+		// maxTaskStaged is the dedup-verify job's MaxReduceTask with the
+		// batch kernel live: staged results are emitted by the drain, so
+		// per-key costs lack the per-output unit (totals do not).
+		maxTaskStaged float64
+	}{
+		{
+			name:      "names",
+			corpus:    token.BuildCorpus(namegen.Generate(namegen.Config{Seed: 17, NumNames: 2500}), token.WhitespaceAndPunct),
+			threshold: 0.1,
+			want: []jobAccounting{
+				{"tsj-token-freq", 2500, 5751, 1290, 1290, 1290, 685, 8251, 7041},
+				{"tsj-shared-token", 2500, 5100, 1286, 117190, 1286, 58383.2, 7600, 156603},
+				{"tsj-similar-token-candidates", 1286, 3222, 1766, 100, 1766, 25.6, 4508, 3471.9},
+				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
+				{"tsj-dedup-verify-onestring", 119425, 119425, 2173, 15724, 2173, 36845, 238850, 1.8572238e+07},
+			},
+			maxTaskStaged: 36769,
+		},
+		{
+			name:      "long",
+			corpus:    longCorpus(23, 200),
+			threshold: 0.3,
+			want: []jobAccounting{
+				{"tsj-token-freq", 200, 1947, 378, 378, 378, 20, 2147, 2325},
+				{"tsj-shared-token", 200, 1947, 378, 4343, 378, 154.05, 2147, 7037.15},
+				{"tsj-similar-token-candidates", 378, 7842, 5798, 659, 5798, 44, 8220, 8686},
+				{"tsj-similar-token-verify", 659, 659, 559, 94, 559, 49, 1318, 11879},
+				{"tsj-dedup-verify-onestring", 5081, 5081, 200, 66, 200, 317302, 10162, 2.8825933e+07},
+			},
+			maxTaskStaged: 317302,
+		},
+	}
+	for _, tc := range cases {
+		for _, disableSIMD := range []bool{false, true} {
+			label := fmt.Sprintf("%s/disableSIMD=%v", tc.name, disableSIMD)
+			opts := DefaultOptions()
+			opts.Threshold, opts.MaxTokenFreq = tc.threshold, 0
+			opts.MapTasks, opts.Parallelism = 8, 2
+			opts.DisableSIMD = disableSIMD
+			_, st, err := SelfJoin(tc.corpus, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := accountingOf(&st.Pipeline)
+			want := append([]jobAccounting(nil), tc.want...)
+			if !disableSIMD && core.BatchKernelAvailable() && len(want) > 0 {
+				want[len(want)-1].maxTask = tc.maxTaskStaged
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s: %d jobs, want %d; got:\n%s", label, len(got), len(want), formatAccounting(got))
+				continue
+			}
+			for i, g := range got {
+				w := want[i]
+				close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+				if g.name != w.name || g.in != w.in || g.shuffled != w.shuffled || g.keys != w.keys ||
+					g.out != w.out || g.tasks != w.tasks || !close(g.maxTask, w.maxTask) ||
+					!close(g.mapWork, w.mapWork) || !close(g.reduceWork, w.reduceWork) {
+					t.Errorf("%s: job %d accounting moved:\n got  %+v\n want %+v\nall jobs:\n%s", label, i, g, w, formatAccounting(got))
+				}
+			}
+		}
+	}
+}
+
+// formatAccounting renders got as the Go literal of a want table, so a
+// deliberate re-base is a copy and paste.
+func formatAccounting(js []jobAccounting) string {
+	var b strings.Builder
+	for _, j := range js {
+		fmt.Fprintf(&b, "{%q, %d, %d, %d, %d, %d, %v, %v, %v},\n",
+			j.name, j.in, j.shuffled, j.keys, j.out, j.tasks, j.maxTask, j.mapWork, j.reduceWork)
+	}
+	return b.String()
+}
