@@ -45,7 +45,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzLevenshteinBoundedU16 -fuzztime 30s ./internal/strdist/
 
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./cmd/tsjserve/...
+	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./cmd/tsjserve/...
 
 # Storage fault-injection suite under the race detector: the op-sweep
 # torture test (every WAL/snapshot/compact I/O operation failed in turn,
@@ -110,14 +110,14 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -warn-only -threshold $(THRESHOLD) $(OLD) $(NEW)
 
 equivalence-guard:
-	@out=$$($(GO) test -v -run 'TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless' ./internal/... ./cmd/tsjserve/ 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestBoundedEquivalence TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless; do \
+	@out=$$($(GO) test -v -run 'TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference' ./internal/... ./cmd/tsjserve/ 2>&1) || { echo "$$out"; exit 1; }; \
+	for pat in TestBoundedEquivalence TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (bounded + prefix + segment-prefix + restart + simd + torture + replication + corpus-join + cluster + job accounting + fingerprint collisions): ok"
+	echo "equivalence guard (bounded + prefix + segment-prefix + restart + simd + torture + replication + corpus-join + cluster + job accounting + fingerprint collisions + corpus build): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

@@ -93,9 +93,8 @@ type cellRef struct {
 // same probe-token rune length la, same candidate-token rune length lb,
 // same kernel (full or banded). Lanes freely mix cells from different
 // probes and candidates — the cross-probe batching the lane-major pair
-// layout of internal/strdist/simd exists for. Lane rune blocks are
-// packed incrementally as cells arrive, so a flush only pads and fires
-// the kernel.
+// layout of internal/strdist/simd exists for. A pool holds references
+// and caps only: no rune is copied until the pool fires (flushPool).
 type lanePool struct {
 	la, lb  int
 	banded  bool
@@ -104,8 +103,6 @@ type lanePool struct {
 	inDirty bool
 	refs    [simd.Width]cellRef
 	caps    [simd.Width]uint16
-	ablock  []uint16 // la*Width probe runes, lane-major
-	bblock  []uint16 // lb*Width candidate runes, lane-major
 }
 
 // stagedPair is one (probe, candidate) verification in flight: its DP
@@ -114,9 +111,9 @@ type lanePool struct {
 // one at a time, so a pair that dies never occupies another lane — the
 // lane-refill property: pools only ever hold live work.
 type stagedPair struct {
+	xRunes  [][]rune // probe token runes, aligned with its Tokens
 	yRunes  [][]rune // candidate token runes, aligned with its Tokens
 	out     *BatchResult
-	tokBase int32 // first entry of this probe's token offsets in probeTokOff
 	m       int32 // probe token count
 	nc      int32 // candidate token count
 	row     int32 // current probe-token row
@@ -148,18 +145,19 @@ type BatchStager struct {
 	live  int
 	ctr   BatchCounters
 
-	// Arenas, reused across epochs (reset when live returns to 0).
-	probeRunes  []uint16
-	probeTokOff []int32
-	cells       []uint16
+	// Cell arena, reused across epochs (reset when live returns to 0).
+	cells []uint16
 
 	// Per-threshold budget memo, keyed by la+lb (see batchBudgetCacheLen).
 	budgetT     float64
 	budgetCache []int32
 
-	// Kernel scratch.
-	krow []uint16
-	kout [simd.Width]uint16
+	// Kernel scratch: the one pair of lane-major rune blocks every pool
+	// transposes into just before it fires, the DP row, the results.
+	ablock [batchMaxTokenLen * simd.Width]uint16
+	bblock [batchMaxTokenLen * simd.Width]uint16
+	krow   []uint16
+	kout   [simd.Width]uint16
 }
 
 // growSlice returns a slice of length n backed by s when possible.
@@ -186,34 +184,6 @@ func (v *Verifier) stagerInit() *BatchStager {
 	return v.stager
 }
 
-// stageProbe narrows the probe's tokens into the rune arena, reporting
-// false when any token is too long or carries runes outside the BMP —
-// those probes verify scalar. On success it returns the index of the
-// probe's first token-offset entry.
-func (bs *BatchStager) stageProbe(x token.TokenizedString) (int32, bool) {
-	base := len(bs.probeTokOff)
-	runeBase := len(bs.probeRunes)
-	for i := 0; i < x.Count(); i++ {
-		r := x.TokenRunes(i)
-		if len(r) == 0 || len(r) > batchMaxTokenLen {
-			bs.probeTokOff = bs.probeTokOff[:base]
-			bs.probeRunes = bs.probeRunes[:runeBase]
-			return 0, false
-		}
-		bs.probeTokOff = append(bs.probeTokOff, int32(len(bs.probeRunes)))
-		for _, c := range r {
-			if c < 0 || c >= 0x10000 {
-				bs.probeTokOff = bs.probeTokOff[:base]
-				bs.probeRunes = bs.probeRunes[:runeBase]
-				return 0, false
-			}
-			bs.probeRunes = append(bs.probeRunes, uint16(c))
-		}
-	}
-	bs.probeTokOff = append(bs.probeTokOff, int32(len(bs.probeRunes)))
-	return int32(base), true
-}
-
 // poolFor returns the lane pool for a cell shape; la and lb are both
 // in [1, batchMaxTokenLen].
 func (bs *BatchStager) poolFor(la, lb int, banded bool) *lanePool {
@@ -223,12 +193,7 @@ func (bs *BatchStager) poolFor(la, lb int, banded bool) *lanePool {
 	}
 	pool := bs.pools[idx]
 	if pool == nil {
-		blocks := make([]uint16, (la+lb)*simd.Width)
-		pool = &lanePool{
-			la: la, lb: lb, banded: banded,
-			ablock: blocks[: la*simd.Width : la*simd.Width],
-			bblock: blocks[la*simd.Width:],
-		}
+		pool = &lanePool{la: la, lb: lb, banded: banded}
 		bs.pools[idx] = pool
 	}
 	return pool
@@ -236,32 +201,27 @@ func (bs *BatchStager) poolFor(la, lb int, banded bool) *lanePool {
 
 // enqueueRow stages the current row of pair p: each cell is either
 // resolved immediately (length-pruned: LD >= |la-lb| > budget, so the
-// cell is budget+1 without any DP) or packed into a lane of its
+// cell is budget+1 without any DP) or referenced from a lane of its
 // shape's pool. The pending count is pre-loaded with a +1 guard so
 // eager pool flushes during the loop cannot see the row complete
 // before every cell has been enqueued.
 func (bs *BatchStager) enqueueRow(pi int32) {
 	p := &bs.pairs[pi]
 	i := p.row
-	prOff := bs.probeTokOff[p.tokBase+i]
-	la := int(bs.probeTokOff[p.tokBase+i+1] - prOff)
-	pr := bs.probeRunes[prOff : int(prOff)+la]
+	la := len(p.xRunes[i])
 	budget := p.budget
 	cap1 := budget + 1
 	cellBase := p.cellOff + i*p.nc
-	nc := p.nc
-	yRunes := p.yRunes
 	p.pending = 1   // guard
 	p.curMin = cap1 // every resolved cell is <= cap1, so this is the identity
-	for j := int32(0); j < nc; j++ {
-		cr := yRunes[j]
+	for j, cr := range p.yRunes {
 		lb := len(cr)
 		d := la - lb
 		if d < 0 {
 			d = -d
 		}
 		if int32(d) > budget {
-			bs.cells[cellBase+j] = uint16(cap1)
+			bs.cells[cellBase+int32(j)] = uint16(cap1)
 			continue
 		}
 		banded := batchBandedFactor*int(budget)+1 < lb
@@ -271,17 +231,6 @@ func (bs *BatchStager) enqueueRow(pi int32) {
 		pool.caps[l] = uint16(budget)
 		if int(budget) > pool.maxCap {
 			pool.maxCap = int(budget)
-		}
-		ab, bb := pool.ablock, pool.bblock
-		idx := l
-		for _, r := range pr {
-			ab[idx] = r
-			idx += simd.Width
-		}
-		idx = l
-		for _, r := range cr {
-			bb[idx] = uint16(r)
-			idx += simd.Width
 		}
 		pool.n++
 		// p stays valid across the flush (bs.pairs is not appended to
@@ -302,20 +251,34 @@ func (bs *BatchStager) enqueueRow(pi int32) {
 	}
 }
 
-// flushPool fires one kernel invocation over the pool's packed lanes,
-// writes each occupied lane's result into its pair's cell block, and
-// queues pairs whose current row just completed. Unoccupied lanes keep
-// whatever runes earlier flushes left behind; only their caps are
-// zeroed, which is all the kernel contract requires — lanes are
-// independent except for the all-dead abort, which a cap-0 stale lane
-// can only tighten toward the occupied lanes' own death (see
-// simd.LevBatch's padding note).
+// flushPool fires one kernel invocation over the pool's lanes: it
+// transposes each occupied lane's two tokens — narrowing runes to uint16
+// — from where they sit in their strings' rune arenas into the stager's
+// shared lane-major scratch blocks, runs the kernel, writes each lane's
+// result into its pair's cell block, and queues pairs whose current row
+// just completed. The scratch blocks are shared by every pool, so an
+// unoccupied lane holds whatever an earlier flush, usually of another
+// shape, left there; only its cap is zeroed, which is all the kernel
+// contract requires — lanes are independent except for the all-dead
+// abort, which a cap-0 stale lane can only tighten toward the occupied
+// lanes' own death (see simd.LevBatch's padding note).
 func (bs *BatchStager) flushPool(pool *lanePool) {
 	n := pool.n
 	if n == 0 {
 		return
 	}
 	la, lb := pool.la, pool.lb
+	ab, bb := bs.ablock[:la*simd.Width], bs.bblock[:lb*simd.Width]
+	for l := 0; l < n; l++ {
+		ref := pool.refs[l]
+		p := &bs.pairs[ref.p]
+		for k, r := range p.xRunes[ref.i] {
+			ab[k*simd.Width+l] = uint16(r)
+		}
+		for k, r := range p.yRunes[ref.j] {
+			bb[k*simd.Width+l] = uint16(r)
+		}
+	}
 	for l := n; l < simd.Width; l++ {
 		pool.caps[l] = 0
 	}
@@ -324,9 +287,9 @@ func (bs *BatchStager) flushPool(pool *lanePool) {
 		if band < 1 {
 			band = 1
 		}
-		simd.LevBandedBatch(pool.ablock, la, pool.bblock, lb, band, &pool.caps, &bs.krow, &bs.kout)
+		simd.LevBandedBatch(ab, la, bb, lb, band, &pool.caps, &bs.krow, &bs.kout)
 	} else {
-		simd.LevBatch(pool.ablock, la, pool.bblock, lb, &pool.caps, &bs.krow, &bs.kout)
+		simd.LevBatch(ab, la, bb, lb, &pool.caps, &bs.krow, &bs.kout)
 	}
 	bs.ctr.Kernels++
 	bs.ctr.Lanes += int64(n)
@@ -380,7 +343,7 @@ func (bs *BatchStager) finishRow(pi int32) {
 	rowMin := p.curMin
 	if p.nc < p.m {
 		// ε columns: deleting probe token i costs la (capped).
-		eps := bs.probeTokOff[p.tokBase+i+1] - bs.probeTokOff[p.tokBase+i]
+		eps := int32(len(p.xRunes[i]))
 		if eps > cap1 {
 			eps = cap1
 		}
@@ -408,7 +371,7 @@ func (bs *BatchStager) finishRow(pi int32) {
 func (bs *BatchStager) complete(pi int32) {
 	p := &bs.pairs[pi]
 	v := bs.v
-	yRunes := p.yRunes
+	xRunes, yRunes := p.xRunes, p.yRunes
 	m, nc := int(p.m), int(p.nc)
 	b := int(p.budget)
 	cap1 := b + 1
@@ -442,8 +405,7 @@ func (bs *BatchStager) complete(pi int32) {
 				row[j] = int(cells[i*nc+j])
 			}
 			if nc < k {
-				base := p.tokBase + int32(i)
-				eps := int(bs.probeTokOff[base+1] - bs.probeTokOff[base])
+				eps := len(xRunes[i])
 				if eps > cap1 {
 					eps = cap1
 				}
@@ -479,8 +441,6 @@ func (bs *BatchStager) retire(p *stagedPair) {
 	bs.live--
 	if bs.live == 0 && len(bs.ready) == 0 {
 		bs.pairs = bs.pairs[:0]
-		bs.probeRunes = bs.probeRunes[:0]
-		bs.probeTokOff = bs.probeTokOff[:0]
 		bs.cells = bs.cells[:0]
 	}
 }
@@ -512,9 +472,10 @@ func (bs *BatchStager) budgetFor(t float64, sum int) int {
 // kernel-ineligible candidates resolve immediately through the scalar
 // engine; the rest start their first row. The caller's out backing
 // array must stay addressable until the next flush.
-func (bs *BatchStager) stage(x token.TokenizedString, tokBase int32, ys []*token.TokenizedString, t float64, out []BatchResult) {
+func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedString, t float64, out []BatchResult) {
 	v := bs.v
-	m := x.Count()
+	xRunes := x.RuneSlices()
+	m := len(xRunes)
 	lx := x.AggregateLen()
 	bs.ctr.Batched += int64(len(ys))
 	for c, y := range ys {
@@ -554,9 +515,9 @@ func (bs *BatchStager) stage(x token.TokenizedString, tokBase int32, ys []*token
 			bs.pairs = append(bs.pairs, stagedPair{})
 		}
 		p := &bs.pairs[pi]
+		p.xRunes = xRunes
 		p.yRunes = yRunes
 		p.out = &out[c]
-		p.tokBase = tokBase
 		p.m = int32(m)
 		p.nc = int32(nc)
 		p.row = 0
@@ -604,7 +565,8 @@ func (bs *BatchStager) flush() {
 // returns. The out backing array (and ys's tokenized strings) must
 // stay addressable until then. Verdicts are identical to Verify pair
 // by pair. When the kernel is unavailable or the probe is
-// kernel-ineligible, every pair resolves scalar immediately.
+// kernel-ineligible (a rune outside the BMP, or a token longer than
+// batchMaxTokenLen), every pair resolves scalar immediately.
 func (v *Verifier) StageBatch(x token.TokenizedString, ys []*token.TokenizedString, t float64, out []BatchResult) {
 	if len(ys) == 0 {
 		return
@@ -615,17 +577,16 @@ func (v *Verifier) StageBatch(x token.TokenizedString, ys []*token.TokenizedStri
 		}
 		return
 	}
-	if v.DisableBatch || !simd.Available() || x.Count() == 0 {
+	// Probe eligibility is O(1): the BMP flag (set only by constructors
+	// that drop empty tokens, so every la >= 1) and the long end of the
+	// sorted length histogram.
+	m := x.Count()
+	if v.DisableBatch || !simd.Available() || m == 0 || !x.BMPOnly() || x.LengthHistogram()[m-1] > batchMaxTokenLen {
 		v.verifyBatchScalar(x, ys, t, out)
 		return
 	}
 	bs := v.stagerInit()
-	tokBase, ok := bs.stageProbe(x)
-	if !ok {
-		v.verifyBatchScalar(x, ys, t, out)
-		return
-	}
-	bs.stage(x, tokBase, ys, t, out)
+	bs.stage(x, ys, t, out)
 	if len(bs.cells) > batchMaxStagedCells {
 		bs.flush()
 	}

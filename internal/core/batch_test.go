@@ -234,3 +234,56 @@ func TestVerifyBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("VerifyBatch allocates %v/op in steady state, want 0", allocs)
 	}
 }
+
+// TestSIMDEquivalenceSharedScratch stages probes of two different cell
+// shapes back to back through one Verifier. Every pool transposes into
+// the same pair of scratch blocks, so when the second shape fires with
+// fewer than Width occupied lanes its stale lanes hold the first shape's
+// runes (only their caps are zeroed); verdicts must still equal the
+// scalar engine's, flush after flush, without allocating.
+func TestSIMDEquivalenceSharedScratch(t *testing.T) {
+	mk := func(toks ...string) *token.TokenizedString {
+		ts := token.New(toks)
+		return &ts
+	}
+	wide := mk("abcdefghij", "klmnopqrst", "uvwxyzabcd")
+	narrow := mk("ab", "cd")
+	var wideYs, narrowYs []*token.TokenizedString
+	for i := 0; i < 2*BatchKernelWidth(); i++ { // full pools of the wide shape
+		wideYs = append(wideYs, mk("abcdefghiX", "klmnopqrsX", "uvwxyzabc"+string(rune('a'+i))))
+	}
+	for i := 0; i < 3; i++ { // a partial pool of the narrow one
+		narrowYs = append(narrowYs, mk("ab", "c"+string(rune('d'+i))))
+	}
+	wideOut := make([]BatchResult, len(wideYs))
+	narrowOut := make([]BatchResult, len(narrowYs))
+	var v, sv Verifier
+	var ctr BatchCounters
+	round := func() {
+		v.StageBatch(*wide, wideYs, 0.3, wideOut)
+		v.StageBatch(*narrow, narrowYs, 0.3, narrowOut)
+		v.FlushBatch(&ctr)
+		v.StageBatch(*narrow, narrowYs, 0.3, narrowOut)
+		v.StageBatch(*wide, wideYs, 0.3, wideOut)
+		v.FlushBatch(&ctr)
+	}
+	round()
+	if BatchKernelAvailable() && ctr.Lanes == ctr.Kernels*int64(BatchKernelWidth()) {
+		t.Fatalf("no partially filled kernel fired (%d lanes, %d kernels): stale lanes untested", ctr.Lanes, ctr.Kernels)
+	}
+	for _, side := range []struct {
+		x   *token.TokenizedString
+		ys  []*token.TokenizedString
+		out []BatchResult
+	}{{wide, wideYs, wideOut}, {narrow, narrowYs, narrowOut}} {
+		for c, y := range side.ys {
+			sld, within, pruned := sv.Verify(*side.x, *y, 0.3)
+			if want := (BatchResult{sld, within, pruned}); side.out[c] != want {
+				t.Fatalf("probe %v cand %v: staged %+v != scalar %+v", side.x.Tokens, y.Tokens, side.out[c], want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("two shapes through the shared scratch allocate %v/op in steady state, want 0", allocs)
+	}
+}

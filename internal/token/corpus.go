@@ -1,8 +1,10 @@
 package token
 
 import (
-	"sort"
+	"reflect"
+	"slices"
 	"sync"
+	"unicode/utf8"
 )
 
 // StringID identifies a tokenized string within a Corpus. The joining
@@ -37,62 +39,161 @@ type Corpus struct {
 	tokenIDOnce sync.Once
 }
 
+// builtins maps the code pointers of this package's own tokenizers to
+// their rune scans, so BuildCorpus can run the scan straight into its
+// intern table instead of materializing a TokenizedString per input.
+var builtins = map[uintptr]splitter{
+	reflect.ValueOf(Whitespace).Pointer():         {},
+	reflect.ValueOf(WhitespaceAndPunct).Pointer(): {punct: true, fold: true},
+	reflect.ValueOf(CaseSensitivePunct).Pointer(): {punct: true},
+}
+
+// corpusBuilder is pass 1 of a corpus build: every token occurrence is
+// interned to a provisional first-seen id and appended to one flat
+// occurrence list with per-string offsets.
+type corpusBuilder struct {
+	ids    map[string]TokenID // token -> provisional id
+	toks   []string           // provisional id -> token
+	occ    []TokenID          // every string's occurrences, back to back
+	off    []int32            // string s owns occ[off[s]:off[s+1]]
+	nRunes int                // total rune length of toks
+}
+
+func newCorpusBuilder(n int) *corpusBuilder {
+	return &corpusBuilder{
+		ids: make(map[string]TokenID, n),
+		occ: make([]TokenID, 0, 4*n),
+		off: make([]int32, 1, n+1),
+	}
+}
+
+// intern gives a token that missed in ids the next provisional id.
+func (b *corpusBuilder) intern(tok string) TokenID {
+	id := TokenID(len(b.toks))
+	b.ids[tok] = id
+	b.toks = append(b.toks, tok)
+	b.nRunes += utf8.RuneCountInString(tok)
+	return id
+}
+
+// addTokens records the occurrences of one already-tokenized string.
+// Empty tokens are dropped, as New drops them.
+func (b *corpusBuilder) addTokens(tokens []string) {
+	for _, t := range tokens {
+		if t == "" {
+			continue
+		}
+		id, ok := b.ids[t]
+		if !ok {
+			id = b.intern(t)
+		}
+		b.occ = append(b.occ, id)
+	}
+	b.off = append(b.off, int32(len(b.occ)))
+}
+
 // BuildCorpus tokenizes raw strings and assembles the corpus and its token
-// space. The i-th raw string receives StringID i.
+// space. The i-th raw string receives StringID i; token ids are assigned
+// in lexicographic order of the tokens. The package's own tokenizers are
+// recognised and fused into the build (no per-string TokenizedString is
+// made); any other tokenizer is called per string and its Tokens interned.
 func BuildCorpus(raw []string, tok Tokenizer) *Corpus {
-	c := &Corpus{
-		Strings: make([]TokenizedString, len(raw)),
-		tokenID: make(map[string]TokenID),
-	}
-	// First pass: tokenize and collect the distinct token space.
-	distinct := make(map[string]struct{})
-	for i, s := range raw {
-		c.Strings[i] = tok(s)
-		for _, t := range c.Strings[i].Tokens {
-			distinct[t] = struct{}{}
+	b := newCorpusBuilder(len(raw))
+	sp, fused := builtins[reflect.ValueOf(tok).Pointer()]
+	var buf []byte
+	for _, s := range raw {
+		if !fused {
+			b.addTokens(tok(s).Tokens)
+			continue
 		}
-	}
-	c.Tokens = make([]string, 0, len(distinct))
-	for t := range distinct {
-		c.Tokens = append(c.Tokens, t)
-	}
-	sort.Strings(c.Tokens)
-	c.TokenRunes = make([][]rune, len(c.Tokens))
-	for id, t := range c.Tokens {
-		c.tokenID[t] = TokenID(id)
-		c.TokenRunes[id] = []rune(t)
-	}
-	// Second pass: membership lists and document frequencies.
-	c.Freq = make([]int32, len(c.Tokens))
-	c.Members = make([][]TokenID, len(c.Strings))
-	for i, ts := range c.Strings {
-		seen := make(map[TokenID]struct{}, len(ts.Tokens))
-		ids := make([]TokenID, 0, len(ts.Tokens))
-		for _, t := range ts.Tokens {
-			id := c.tokenID[t]
-			if _, dup := seen[id]; dup {
-				continue
+		for pos := 0; ; {
+			buf, pos = sp.next(s, pos, buf)
+			if len(buf) == 0 {
+				break
 			}
-			seen[id] = struct{}{}
-			ids = append(ids, id)
+			// The lookup converts without allocating; only a miss
+			// copies the bytes into a string.
+			id, ok := b.ids[string(buf)]
+			if !ok {
+				id = b.intern(string(buf))
+			}
+			b.occ = append(b.occ, id)
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		c.Members[i] = ids
-		for _, id := range ids {
-			c.Freq[id]++
-		}
+		b.off = append(b.off, int32(len(b.occ)))
 	}
-	return c
+	return b.finish()
 }
 
 // BuildCorpusFromTokenized assembles a corpus from already-tokenized
 // strings (used by generators that produce token multisets directly).
+// Tokens are interned as given — a token may contain whitespace.
 func BuildCorpusFromTokenized(strs []TokenizedString) *Corpus {
-	raw := make([]string, len(strs))
-	for i, ts := range strs {
-		raw[i] = ts.String()
+	b := newCorpusBuilder(len(strs))
+	for i := range strs {
+		b.addTokens(strs[i].Tokens)
 	}
-	return BuildCorpus(raw, Whitespace)
+	return b.finish()
+}
+
+// finish runs passes 2 and 3. Pass 2 sorts the distinct tokens into their
+// final lexicographic ids and decodes each once into the rune slab. Pass 3
+// rewrites every string's occurrences to final ids, sorts them, and carves
+// the string's Tokens, rune views and length histogram out of corpus-wide
+// arenas; the occurrence list itself becomes the Members arena (the dedup
+// walk compacts each string's region in place) and Freq falls out of it.
+func (b *corpusBuilder) finish() *Corpus {
+	nStr, nTok := len(b.off)-1, len(b.toks)
+	c := &Corpus{
+		Strings:    make([]TokenizedString, nStr),
+		Tokens:     b.toks, // sorted in place: ids holds the provisional order
+		TokenRunes: make([][]rune, nTok),
+		Freq:       make([]int32, nTok),
+		Members:    make([][]TokenID, nStr),
+	}
+	slices.Sort(c.Tokens)
+	final := make([]TokenID, nTok) // provisional id -> final id
+	bmp := make([]bool, nTok)
+	slab := make([]rune, 0, b.nRunes)
+	for id, t := range c.Tokens {
+		final[b.ids[t]] = TokenID(id)
+		slab, c.TokenRunes[id], bmp[id] = appendRunes(slab, t)
+	}
+
+	tokArena := make([]string, len(b.occ))
+	viewArena := make([][]rune, len(b.occ))
+	histArena := make([]int, len(b.occ))
+	for s := range c.Strings {
+		lo, hi := int(b.off[s]), int(b.off[s+1])
+		ids := b.occ[lo:hi]
+		for k, prov := range ids {
+			ids[k] = final[prov]
+		}
+		slices.Sort(ids)
+		ts := TokenizedString{
+			Tokens:  tokArena[lo:hi:hi],
+			runes:   viewArena[lo:hi:hi],
+			lenHist: histArena[lo:hi:hi],
+			bmpOnly: true,
+		}
+		distinct := 0
+		for k, id := range ids {
+			r := c.TokenRunes[id]
+			ts.Tokens[k] = c.Tokens[id]
+			ts.runes[k] = r
+			ts.lenHist[k] = len(r)
+			ts.aggLen += len(r)
+			ts.bmpOnly = ts.bmpOnly && bmp[id]
+			if k == 0 || id != ids[k-1] {
+				ids[distinct] = id // distinct <= k: writes trail reads
+				distinct++
+				c.Freq[id]++
+			}
+		}
+		slices.Sort(ts.lenHist)
+		c.Strings[s] = ts
+		c.Members[s] = ids[:distinct:distinct]
+	}
+	return c
 }
 
 // NewCorpusView assembles a Corpus from externally maintained state (the
@@ -120,9 +221,6 @@ func NewCorpusView(strings []TokenizedString, tokens []string, tokenRunes [][]ru
 // concurrent use (the lazy intern-map build is synchronized).
 func (c *Corpus) TokenIDOf(t string) (TokenID, bool) {
 	c.tokenIDOnce.Do(func() {
-		if c.tokenID != nil {
-			return // BuildCorpus filled it eagerly
-		}
 		m := make(map[string]TokenID, len(c.Tokens))
 		for id, tok := range c.Tokens {
 			m[tok] = TokenID(id)

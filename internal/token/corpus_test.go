@@ -1,0 +1,360 @@
+package token
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+	"unicode"
+
+	"repro/internal/namegen"
+)
+
+// The ref* functions are the tokenizers, New and BuildCorpus as they
+// stood before the rune arena, kept verbatim as the oracle for
+// TestBuildCorpusMatchesReference: FieldsFunc + ToLower, one []rune per
+// token occurrence, a second decode per distinct token, two maps over the
+// token space and a seen map per string.
+
+type refString struct {
+	Tokens  []string
+	runes   [][]rune
+	aggLen  int
+	lenHist []int
+	bmpOnly bool
+}
+
+func refNew(tokens []string) refString {
+	kept := make([]string, 0, len(tokens))
+	for _, t := range tokens {
+		if t != "" {
+			kept = append(kept, t)
+		}
+	}
+	sort.Strings(kept)
+	ts := refString{Tokens: kept}
+	ts.runes = make([][]rune, len(ts.Tokens))
+	ts.lenHist = make([]int, len(ts.Tokens))
+	ts.bmpOnly = true
+	for i, t := range ts.Tokens {
+		r := []rune(t)
+		ts.runes[i] = r
+		ts.aggLen += len(r)
+		ts.lenHist[i] = len(r)
+		for _, c := range r {
+			if c < 0 || c >= 0x10000 {
+				ts.bmpOnly = false
+				break
+			}
+		}
+	}
+	sort.Ints(ts.lenHist)
+	return ts
+}
+
+func refWhitespace(s string) refString { return refNew(strings.Fields(s)) }
+
+func refWhitespaceAndPunct(s string) refString {
+	fields := strings.FieldsFunc(s, func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	})
+	for i, f := range fields {
+		fields[i] = strings.ToLower(f)
+	}
+	return refNew(fields)
+}
+
+func refCaseSensitivePunct(s string) refString {
+	return refNew(strings.FieldsFunc(s, func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	}))
+}
+
+type refCorpus struct {
+	Strings    []refString
+	Tokens     []string
+	TokenRunes [][]rune
+	Freq       []int32
+	Members    [][]TokenID
+	tokenID    map[string]TokenID
+}
+
+func refBuildCorpus(raw []string, tok func(string) refString) *refCorpus {
+	c := &refCorpus{
+		Strings: make([]refString, len(raw)),
+		tokenID: make(map[string]TokenID),
+	}
+	// First pass: tokenize and collect the distinct token space.
+	distinct := make(map[string]struct{})
+	for i, s := range raw {
+		c.Strings[i] = tok(s)
+		for _, t := range c.Strings[i].Tokens {
+			distinct[t] = struct{}{}
+		}
+	}
+	c.Tokens = make([]string, 0, len(distinct))
+	for t := range distinct {
+		c.Tokens = append(c.Tokens, t)
+	}
+	sort.Strings(c.Tokens)
+	c.TokenRunes = make([][]rune, len(c.Tokens))
+	for id, t := range c.Tokens {
+		c.tokenID[t] = TokenID(id)
+		c.TokenRunes[id] = []rune(t)
+	}
+	// Second pass: membership lists and document frequencies.
+	c.Freq = make([]int32, len(c.Tokens))
+	c.Members = make([][]TokenID, len(c.Strings))
+	for i, ts := range c.Strings {
+		seen := make(map[TokenID]struct{}, len(ts.Tokens))
+		ids := make([]TokenID, 0, len(ts.Tokens))
+		for _, t := range ts.Tokens {
+			id := c.tokenID[t]
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		c.Members[i] = ids
+		for _, id := range ids {
+			c.Freq[id]++
+		}
+	}
+	return c
+}
+
+// commaTokenizer is the custom (non-built-in) tokenizer of the tests:
+// comma-separated fields, trimmed, so a token can contain whitespace.
+func commaTokenizer(s string) TokenizedString {
+	fields := strings.Split(s, ",")
+	for i, f := range fields {
+		fields[i] = strings.TrimSpace(f)
+	}
+	return New(fields)
+}
+
+func refCommaTokenizer(s string) refString {
+	fields := strings.Split(s, ",")
+	for i, f := range fields {
+		fields[i] = strings.TrimSpace(f)
+	}
+	return refNew(fields)
+}
+
+// adversarialInputs are the shapes a name corpus does not contain.
+func adversarialInputs() []string {
+	return []string{
+		"",
+		"   ",
+		"...,,; --",
+		"bo bo bo",
+		"Bo bo BO, bo",
+		"x2 2x 42 007 x2",
+		"Zoë Łukasz Ángel ß ǅ",
+		"İstanbul ȺȾ KelvinK ẞ", // lower case changes byte length
+		"smile \U0001F600 a\U0001F600b \U00010348", // astral plane
+		"bad\xffbyte \xc3( tail\xf0\x9f",           // invalid UTF-8
+		"a\vb\fc d\u0085e\u00a0f\u2003g\u200bh",    // whitespace beyond ASCII (and U+200B, which is none)
+		"名前 テスト 名前",
+		strings.Repeat("Ab3é", 17) + "xy tail", // a 70-rune token
+		"van der Berg, de la Cruz ,, van der Berg",
+		"� replacement �char",
+		"a", "A", "a a", "a,A",
+	}
+}
+
+func sameRuneViews(a, b [][]rune) bool {
+	return slices.EqualFunc(a, b, func(x, y []rune) bool { return slices.Equal(x, y) })
+}
+
+// compareCorpus checks every observable of a built corpus against the
+// reference build of the same inputs.
+func compareCorpus(t *testing.T, got *Corpus, want *refCorpus) {
+	t.Helper()
+	if !slices.Equal(got.Tokens, want.Tokens) {
+		t.Fatalf("Tokens differ:\n got %q\nwant %q", got.Tokens, want.Tokens)
+	}
+	if !sameRuneViews(got.TokenRunes, want.TokenRunes) {
+		t.Fatal("TokenRunes differ")
+	}
+	if !slices.Equal(got.Freq, want.Freq) {
+		t.Fatalf("Freq differ:\n got %v\nwant %v", got.Freq, want.Freq)
+	}
+	if got.NumStrings() != len(want.Strings) || got.NumTokens() != len(want.Tokens) {
+		t.Fatalf("sizes: %d strings %d tokens, want %d and %d",
+			got.NumStrings(), got.NumTokens(), len(want.Strings), len(want.Tokens))
+	}
+	for id, tok := range want.Tokens {
+		if gid, ok := got.TokenIDOf(tok); !ok || gid != TokenID(id) {
+			t.Fatalf("TokenIDOf(%q) = %d, %v; want %d", tok, gid, ok, id)
+		}
+	}
+	if _, ok := got.TokenIDOf("no such token \x00"); ok {
+		t.Fatal("TokenIDOf found a token that is not there")
+	}
+	for s := range want.Strings {
+		g, w := &got.Strings[s], &want.Strings[s]
+		if !slices.Equal(got.Members[s], want.Members[s]) {
+			t.Fatalf("string %d: Members %v, want %v", s, got.Members[s], want.Members[s])
+		}
+		if !slices.Equal(g.Tokens, w.Tokens) {
+			t.Fatalf("string %d: Tokens %q, want %q", s, g.Tokens, w.Tokens)
+		}
+		if g.Count() != len(w.Tokens) || g.AggregateLen() != w.aggLen || g.BMPOnly() != w.bmpOnly {
+			t.Fatalf("string %d %q: count/agglen/bmp %d/%d/%v, want %d/%d/%v", s, w.Tokens,
+				g.Count(), g.AggregateLen(), g.BMPOnly(), len(w.Tokens), w.aggLen, w.bmpOnly)
+		}
+		if !sameRuneViews(g.RuneSlices(), w.runes) {
+			t.Fatalf("string %d %q: rune views differ", s, w.Tokens)
+		}
+		for i := range w.runes {
+			if !slices.Equal(g.TokenRunes(i), w.runes[i]) {
+				t.Fatalf("string %d: TokenRunes(%d) differs", s, i)
+			}
+		}
+		if !slices.Equal(g.LengthHistogram(), w.lenHist) {
+			t.Fatalf("string %d: LengthHistogram %v, want %v", s, g.LengthHistogram(), w.lenHist)
+		}
+		if wantKey := strings.Join(w.Tokens, "\x1f"); g.Key() != wantKey {
+			t.Fatalf("string %d: Key %q, want %q", s, g.Key(), wantKey)
+		}
+	}
+}
+
+// TestBuildCorpusMatchesReference: the arena build is observably the
+// build it replaced — token space, ids, frequencies, members and every
+// per-string cache — for the three built-in tokenizers (fused scan) and
+// a custom one (called per string), and each built-in tokenizer alone
+// equals its FieldsFunc/ToLower predecessor string by string.
+func TestBuildCorpusMatchesReference(t *testing.T) {
+	inputs := append(namegen.Generate(namegen.Config{Seed: 21, NumNames: 1500}), adversarialInputs()...)
+	for _, tc := range []struct {
+		name string
+		tok  Tokenizer
+		ref  func(string) refString
+	}{
+		{"Whitespace", Whitespace, refWhitespace},
+		{"WhitespaceAndPunct", WhitespaceAndPunct, refWhitespaceAndPunct},
+		{"CaseSensitivePunct", CaseSensitivePunct, refCaseSensitivePunct},
+		{"custom", commaTokenizer, refCommaTokenizer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := refBuildCorpus(inputs, tc.ref)
+			got := BuildCorpus(inputs, tc.tok)
+			compareCorpus(t, got, want)
+			for s, in := range inputs {
+				one, w := tc.tok(in), want.Strings[s]
+				if !slices.Equal(one.Tokens, w.Tokens) || !sameRuneViews(one.RuneSlices(), w.runes) ||
+					!slices.Equal(one.LengthHistogram(), w.lenHist) ||
+					one.AggregateLen() != w.aggLen || one.BMPOnly() != w.bmpOnly {
+					t.Fatalf("%s(%q) = %q, reference %q", tc.name, in, one.Tokens, w.Tokens)
+				}
+				if !one.Equal(got.Strings[s]) {
+					t.Fatalf("fused scan of %q gave %q, tokenizer %q", in, got.Strings[s].Tokens, one.Tokens)
+				}
+			}
+			// A wrapped built-in is not recognised and takes the per-string
+			// route; the corpus must not depend on which route built it.
+			wrapped := BuildCorpus(inputs, func(s string) TokenizedString { return tc.tok(s) })
+			compareCorpus(t, wrapped, want)
+		})
+	}
+	if astral := Whitespace("smile \U0001F600x"); astral.BMPOnly() {
+		t.Fatal("astral-plane token reported BMPOnly")
+	}
+}
+
+// TestBuildCorpusFromTokenizedKeepsTokens: tokens are interned as given.
+// Rendering each string and re-splitting it on whitespace, as the builder
+// once did, cut "van der" in two.
+func TestBuildCorpusFromTokenizedKeepsTokens(t *testing.T) {
+	strs := []TokenizedString{
+		New([]string{"van der", "berg"}),
+		New([]string{"berg", "van", "der"}),
+		New([]string{"van der", "van der", "", "x y z"}),
+		New(nil),
+	}
+	c := BuildCorpusFromTokenized(strs)
+	if want := []string{"berg", "der", "van", "van der", "x y z"}; !slices.Equal(c.Tokens, want) {
+		t.Fatalf("token space %q, want %q", c.Tokens, want)
+	}
+	for s := range strs {
+		if !c.Strings[s].Equal(strs[s]) {
+			t.Fatalf("string %d: %q, want %q", s, c.Strings[s].Tokens, strs[s].Tokens)
+		}
+	}
+	id, _ := c.TokenIDOf("van der")
+	if c.Freq[id] != 2 || !slices.Equal(c.Members[2], []TokenID{id, id + 1}) {
+		t.Fatalf("Freq[van der] = %d, Members[2] = %v", c.Freq[id], c.Members[2])
+	}
+	want := refBuildCorpus([]string{"van der,berg", "berg,van,der", "van der,van der,,x y z", ""}, refCommaTokenizer)
+	compareCorpus(t, c, want)
+}
+
+// TestCorpusViewsAreCapLimited: everything a corpus hands out is a view
+// into a shared arena; an append to one must reallocate rather than
+// write over the neighbouring view.
+func TestCorpusViewsAreCapLimited(t *testing.T) {
+	inputs := []string{"alpha beta gamma", "beta beta delta", "epsilon alpha"}
+	c := BuildCorpus(inputs, WhitespaceAndPunct)
+	want := refBuildCorpus(inputs, refWhitespaceAndPunct)
+	for id := range c.TokenRunes {
+		_ = append(c.TokenRunes[id], 'X')
+	}
+	for s := range c.Strings {
+		ts := &c.Strings[s]
+		for i := 0; i < ts.Count(); i++ {
+			_ = append(ts.TokenRunes(i), 'Y')
+		}
+		_ = append(ts.RuneSlices(), []rune("zz"))
+		_ = append(ts.Tokens, "zz")
+		_ = append(ts.LengthHistogram(), 99)
+		_ = append(c.Members[s], 99)
+	}
+	compareCorpus(t, c, want)
+
+	one := New([]string{"alpha", "beta"})
+	_ = append(one.TokenRunes(0), 'Z')
+	if got := string(one.TokenRunes(1)); got != "beta" {
+		t.Fatalf("append to token 0's runes reached token 1: %q", got)
+	}
+}
+
+// TestBuildCorpusAllocations: the build allocates one string per
+// distinct token plus a bounded number of corpus-wide tables — nothing
+// per input string and nothing per token occurrence.
+func TestBuildCorpusAllocations(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 3, NumNames: 2000})
+	var c *Corpus
+	allocs := testing.AllocsPerRun(5, func() { c = BuildCorpus(names, WhitespaceAndPunct) })
+	if limit := float64(c.NumTokens() + 100); allocs > limit {
+		t.Fatalf("BuildCorpus of %d names allocates %.0f objects, want at most %.0f (%d distinct tokens + 100)",
+			len(names), allocs, limit, c.NumTokens())
+	}
+}
+
+func BenchmarkBuildCorpus(b *testing.B) {
+	names := namegen.Generate(namegen.Config{Seed: 3, NumNames: 8000})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := BuildCorpus(names, WhitespaceAndPunct); c.NumStrings() != len(names) {
+			b.Fatal(fmt.Sprint("built ", c.NumStrings(), " strings"))
+		}
+	}
+}
+
+func TestBuiltinTokenizersAreRecognised(t *testing.T) {
+	for _, tok := range []Tokenizer{Whitespace, WhitespaceAndPunct, CaseSensitivePunct} {
+		if _, ok := builtins[reflect.ValueOf(tok).Pointer()]; !ok {
+			t.Fatal("a built-in tokenizer missed the fused scan")
+		}
+	}
+	if _, ok := builtins[reflect.ValueOf(Tokenizer(commaTokenizer)).Pointer()]; ok {
+		t.Fatal("a custom tokenizer was taken for a built-in")
+	}
+}

@@ -3,12 +3,27 @@
 // derived quantities the paper's algorithms consume — the token count
 // T(x^t), the aggregate token length L(x^t), and per-string token-length
 // histograms (used by the TSJ distance-lower-bound filter of Sec. III-E.2).
+//
+// # Rune arena
+//
+// Rune data exists once. BuildCorpus decodes each distinct token once into
+// one corpus-wide []rune slab: Corpus.TokenRunes[id] is a view into it and
+// every string's TokenRunes(i) aliases the view of its token id. Each
+// string's Tokens, rune views, length histogram and Members are likewise
+// carved out of four corpus-wide arenas; New, the one-string path, decodes
+// into one slab per string. The Corpus (or lone TokenizedString) owns its
+// arenas and nothing writes them after construction, so workers may read
+// them concurrently. Everything handed out is a read-only, cap-limited
+// view: callers must not write through one, and an append to one
+// reallocates instead of running into its neighbour. BuildCorpus token ids
+// are lexicographic: a string's ascending id list is its sorted token list.
 package token
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenizedString is a tokenized string x^t = {x^t1, ..., x^tm}: a finite
@@ -36,38 +51,45 @@ type TokenizedString struct {
 // operations add and remove empty tokens freely, so a stored ε token never
 // changes any SLD/NSLD value.
 func New(tokens []string) TokenizedString {
+	aggLen := 0
 	kept := make([]string, 0, len(tokens))
 	for _, t := range tokens {
 		if t != "" {
 			kept = append(kept, t)
+			aggLen += utf8.RuneCountInString(t)
 		}
 	}
-	sort.Strings(kept)
-	ts := TokenizedString{Tokens: kept}
-	ts.index()
+	slices.Sort(kept)
+	ts := TokenizedString{
+		Tokens:  kept,
+		runes:   make([][]rune, len(kept)),
+		aggLen:  aggLen,
+		lenHist: make([]int, len(kept)),
+		bmpOnly: true,
+	}
+	slab := make([]rune, 0, aggLen)
+	for i, t := range kept {
+		var bmp bool
+		slab, ts.runes[i], bmp = appendRunes(slab, t)
+		ts.lenHist[i] = len(ts.runes[i])
+		ts.bmpOnly = ts.bmpOnly && bmp
+	}
+	slices.Sort(ts.lenHist)
 	return ts
 }
 
-// index populates the cached rune forms, aggregate length and length
-// histogram.
-func (ts *TokenizedString) index() {
-	ts.runes = make([][]rune, len(ts.Tokens))
-	ts.aggLen = 0
-	ts.lenHist = make([]int, len(ts.Tokens))
-	ts.bmpOnly = true
-	for i, t := range ts.Tokens {
-		r := []rune(t)
-		ts.runes[i] = r
-		ts.aggLen += len(r)
-		ts.lenHist[i] = len(r)
-		for _, c := range r {
-			if c < 0 || c >= 0x10000 {
-				ts.bmpOnly = false
-				break
-			}
-		}
+// appendRunes decodes t onto the end of slab, which must have the
+// capacity for it, and returns the grown slab, the cap-limited view of
+// the decoded token, and whether every rune lies in the Basic
+// Multilingual Plane.
+func appendRunes(slab []rune, t string) (grown, view []rune, bmp bool) {
+	start := len(slab)
+	bmp = true
+	for _, c := range t {
+		slab = append(slab, c)
+		bmp = bmp && c < 0x10000
 	}
-	sort.Ints(ts.lenHist)
+	return slab, slab[start:len(slab):len(slab)], bmp
 }
 
 // Count returns T(x^t), the number of tokens.
@@ -124,9 +146,9 @@ func (ts TokenizedString) LengthHistogram() []int {
 		// Tokens); fall back to computing on the spot.
 		h := make([]int, len(ts.Tokens))
 		for i, t := range ts.Tokens {
-			h[i] = len([]rune(t))
+			h[i] = utf8.RuneCountInString(t)
 		}
-		sort.Ints(h)
+		slices.Sort(h)
 		return h
 	}
 	return ts.lenHist
@@ -135,29 +157,71 @@ func (ts TokenizedString) LengthHistogram() []int {
 // Tokenizer is a function mapping a raw string to its tokenized form.
 type Tokenizer func(string) TokenizedString
 
-// Whitespace tokenizes on Unicode whitespace only.
-func Whitespace(s string) TokenizedString {
-	return New(strings.Fields(s))
+// splitter is the one rune scan under the three built-in tokenizers and
+// BuildCorpus: a separator predicate plus an optional case fold.
+type splitter struct {
+	// punct makes every non-letter, non-digit rune a separator; otherwise
+	// only Unicode whitespace separates.
+	punct bool
+	// fold lower-cases tokens rune by rune (unicode.ToLower, as
+	// strings.ToLower does).
+	fold bool
 }
+
+// next scans s from pos for the next token and returns its bytes,
+// written over buf, with the position just past it. An empty token means
+// s is exhausted. Invalid UTF-8 bytes decode to U+FFFD, which is no
+// letter and no space: they separate under punct and are kept verbatim
+// otherwise.
+func (sp splitter) next(s string, pos int, buf []byte) ([]byte, int) {
+	buf = buf[:0]
+	for pos < len(s) {
+		r, w := rune(s[pos]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[pos:])
+		}
+		sep := sp.punct && !unicode.IsLetter(r) && !unicode.IsDigit(r) || !sp.punct && unicode.IsSpace(r)
+		switch {
+		case sep && len(buf) > 0:
+			return buf, pos
+		case sep:
+		case sp.fold:
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		default:
+			buf = append(buf, s[pos:pos+w]...)
+		}
+		pos += w
+	}
+	return buf, pos
+}
+
+// tokenize is the one-string form of the scan.
+func (sp splitter) tokenize(s string) TokenizedString {
+	// Stack-backed for ordinary names; New copies what it keeps.
+	tokens := make([]string, 0, 8)
+	buf := make([]byte, 0, 32)
+	for pos := 0; ; {
+		buf, pos = sp.next(s, pos, buf)
+		if len(buf) == 0 {
+			return New(tokens)
+		}
+		tokens = append(tokens, string(buf))
+	}
+}
+
+// Whitespace tokenizes on Unicode whitespace only.
+func Whitespace(s string) TokenizedString { return splitter{}.tokenize(s) }
 
 // WhitespaceAndPunct is the paper's evaluation tokenizer (Sec. V: "The
 // names were tokenized using whitespaces and punctuation characters") with
 // case folding: any run of non-letter, non-digit runes separates tokens,
 // and tokens are lower-cased so that "Obama" and "obama" compare equal.
 func WhitespaceAndPunct(s string) TokenizedString {
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	for i, f := range fields {
-		fields[i] = strings.ToLower(f)
-	}
-	return New(fields)
+	return splitter{punct: true, fold: true}.tokenize(s)
 }
 
 // CaseSensitivePunct is WhitespaceAndPunct without case folding, for
 // applications where case carries signal.
 func CaseSensitivePunct(s string) TokenizedString {
-	return New(strings.FieldsFunc(s, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	}))
+	return splitter{punct: true}.tokenize(s)
 }
