@@ -142,20 +142,7 @@ func (c *Corpus) SelfJoin(opts Options) ([]Pair, error) {
 
 // SelfJoinStats is SelfJoin plus the pipeline statistics.
 func (c *Corpus) SelfJoinStats(opts Options) ([]Pair, *Stats, error) {
-	jopts := tsj.Options{
-		Threshold:                  opts.Threshold,
-		MaxTokenFreq:               opts.MaxTokenFreq,
-		Matching:                   opts.Matching,
-		Aligning:                   opts.Aligning,
-		Dedup:                      opts.Dedup,
-		MultiMatchAware:            true,
-		Parallelism:                opts.Parallelism,
-		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableSIMD:                opts.DisableSIMD,
-		DisablePrefixFilter:        opts.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
-	}
-	results, st, err := tsj.SelfJoinCorpus(c.c, jopts)
+	results, st, err := tsj.SelfJoinCorpus(c.c, opts.tsj())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -194,20 +181,7 @@ func (c *Corpus) JoinStats(names []string, opts Options) ([]Pair, *Stats, error)
 // cluster workers receive probe sets in — token multisets travel the
 // wire, so no tokenizer round trip can disagree with the corpus's).
 func (c *Corpus) JoinTokenized(probes []TokenizedString, opts Options) ([]Pair, *Stats, error) {
-	jopts := tsj.Options{
-		Threshold:                  opts.Threshold,
-		MaxTokenFreq:               opts.MaxTokenFreq,
-		Matching:                   opts.Matching,
-		Aligning:                   opts.Aligning,
-		Dedup:                      opts.Dedup,
-		MultiMatchAware:            true,
-		Parallelism:                opts.Parallelism,
-		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableSIMD:                opts.DisableSIMD,
-		DisablePrefixFilter:        opts.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
-	}
-	results, st, err := tsj.JoinCorpus(c.c, probes, jopts)
+	results, st, err := tsj.JoinCorpus(c.c, probes, opts.tsj())
 	if err != nil {
 		return nil, nil, err
 	}

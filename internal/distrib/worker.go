@@ -42,7 +42,7 @@ func (c JoinConfig) options() tsjoin.Options {
 }
 
 func (c JoinConfig) validate(w http.ResponseWriter) bool {
-	if c.Threshold < 0 || c.Threshold >= 1 {
+	if !(c.Threshold >= 0 && c.Threshold < 1) { // also rejects NaN
 		http.Error(w, "bad request: threshold must be in [0, 1)", http.StatusBadRequest)
 		return false
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -140,8 +141,10 @@ func TestShardedEmptyStrings(t *testing.T) {
 
 // TestShardedOptionValidation mirrors the sequential validation.
 func TestShardedOptionValidation(t *testing.T) {
-	if _, err := NewShardedMatcher(Options{Threshold: 1.0}, 2); err == nil {
-		t.Fatal("threshold 1.0 must be rejected")
+	for _, bad := range []float64{1.0, math.NaN()} {
+		if _, err := NewShardedMatcher(Options{Threshold: bad}, 2); err == nil {
+			t.Fatalf("threshold %v must be rejected", bad)
+		}
 	}
 	m, err := NewShardedMatcher(Options{Threshold: 0.1}, 0)
 	if err != nil {

@@ -78,7 +78,7 @@ type Options struct {
 
 // validate normalizes the options shared by both matcher implementations.
 func (opt *Options) validate() error {
-	if opt.Threshold < 0 || opt.Threshold >= 1 {
+	if !(opt.Threshold >= 0 && opt.Threshold < 1) { // also rejects NaN
 		return errors.New("stream: threshold must be in [0, 1)")
 	}
 	if opt.Tokenizer == nil {

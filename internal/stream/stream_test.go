@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,11 +135,10 @@ func TestMatcherMaxTokenFreq(t *testing.T) {
 }
 
 func TestMatcherOptionValidation(t *testing.T) {
-	if _, err := NewMatcher(Options{Threshold: 1.0}); err == nil {
-		t.Fatal("threshold 1.0 must be rejected")
-	}
-	if _, err := NewMatcher(Options{Threshold: -0.1}); err == nil {
-		t.Fatal("negative threshold must be rejected")
+	for _, bad := range []float64{1.0, -0.1, math.NaN()} {
+		if _, err := NewMatcher(Options{Threshold: bad}); err == nil {
+			t.Fatalf("threshold %v must be rejected", bad)
+		}
 	}
 }
 

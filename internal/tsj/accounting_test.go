@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/mapreduce"
 	"repro/internal/namegen"
 	"repro/internal/token"
@@ -68,14 +69,26 @@ func longCorpus(seed int64, n int) *token.Corpus {
 // to the values recorded at commit c547589 (the map[K][]V shuffle), on a
 // names corpus and a long-string corpus, with the staged SIMD verify on
 // and off. The engine may change how it groups records; what it charges
-// may not move, or every simulated-cluster figure moves with it. Work
+// may not move, or every simulated-cluster figure moves with it. The
+// Join, SelfJoinCorpus and JoinCorpus rows were recorded at commit c4cc012,
+// when each entry point still had its own pipeline; only their job-name
+// prefixes (tsj-join-, tsj-corpus-, tsj-joincorpus-) were rewritten to the
+// one set of names the single pipeline uses. Work
 // totals are compared to 1e-9 relative: per-task costs are not all
 // integers (greedy's k^2 log k, the 0.05 n^2 pair charge), so a total is
 // only as exact as its summation order.
 func TestPipelineAccountingGolden(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 17, NumNames: 2500})
+	namesCorpus := token.BuildCorpus(names, token.WhitespaceAndPunct)
+	selfJoin := func(c *token.Corpus) func(Options) ([]Result, *Stats, error) {
+		return func(o Options) ([]Result, *Stats, error) { return SelfJoin(c, o) }
+	}
+	stored := openSeeded(t, names, corpus.Options{})
+	storedHalf := openSeeded(t, names[:1250], corpus.Options{})
+	probes := namesCorpus.Strings[1250:]
 	cases := []struct {
 		name      string
-		corpus    *token.Corpus
+		join      func(Options) ([]Result, *Stats, error)
 		threshold float64
 		want      []jobAccounting
 		// maxTaskStaged is the dedup-verify job's MaxReduceTask with the
@@ -85,7 +98,7 @@ func TestPipelineAccountingGolden(t *testing.T) {
 	}{
 		{
 			name:      "names",
-			corpus:    token.BuildCorpus(namegen.Generate(namegen.Config{Seed: 17, NumNames: 2500}), token.WhitespaceAndPunct),
+			join:      selfJoin(namesCorpus),
 			threshold: 0.1,
 			want: []jobAccounting{
 				{"tsj-token-freq", 2500, 5751, 1290, 1290, 1290, 685, 8251, 7041},
@@ -98,7 +111,7 @@ func TestPipelineAccountingGolden(t *testing.T) {
 		},
 		{
 			name:      "long",
-			corpus:    longCorpus(23, 200),
+			join:      selfJoin(longCorpus(23, 200)),
 			threshold: 0.3,
 			want: []jobAccounting{
 				{"tsj-token-freq", 200, 1947, 378, 378, 378, 20, 2147, 2325},
@@ -109,6 +122,43 @@ func TestPipelineAccountingGolden(t *testing.T) {
 			},
 			maxTaskStaged: 317302,
 		},
+		{
+			name:      "join",
+			join:      func(o Options) ([]Result, *Stats, error) { return Join(namesCorpus, 1250, o) },
+			threshold: 0.1,
+			want: []jobAccounting{
+				{"tsj-token-freq", 2500, 5751, 1290, 1290, 1290, 685, 8251, 7041},
+				{"tsj-shared-token", 2500, 5100, 1286, 57180, 1286, 25840.85, 7600, 70548.95},
+				{"tsj-similar-token-candidates", 1472, 2099, 1822, 223, 1822, 11.5, 3571, 2344.3},
+				{"tsj-similar-token-verify", 223, 223, 212, 207, 212, 25, 446, 2263},
+				{"tsj-dedup-verify-onestring", 58423, 58423, 1959, 7373, 1959, 23864, 116846, 9.039942e+06},
+			},
+			maxTaskStaged: 23813,
+		},
+		{
+			name:      "selfjoincorpus",
+			join:      func(o Options) ([]Result, *Stats, error) { return SelfJoinCorpus(stored, o) },
+			threshold: 0.1,
+			want: []jobAccounting{
+				{"tsj-shared-token", 2500, 5100, 1257, 117742, 1257, 58863.8, 7600, 157887.2},
+				{"tsj-similar-token-candidates", 1257, 3142, 1718, 100, 1718, 25.6, 4399, 3388.7},
+				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
+				{"tsj-dedup-verify-onestring", 119992, 119992, 2188, 15724, 2188, 36845, 239984, 1.8612801e+07},
+			},
+			maxTaskStaged: 36769,
+		},
+		{
+			name:      "joincorpus",
+			join:      func(o Options) ([]Result, *Stats, error) { return JoinCorpus(storedHalf, probes, o) },
+			threshold: 0.1,
+			want: []jobAccounting{
+				{"tsj-shared-token", 2500, 5100, 1208, 58103, 1208, 26160.55, 7600, 71990.75},
+				{"tsj-similar-token-candidates", 1395, 2003, 1725, 224, 1725, 11.5, 3398, 2249.4},
+				{"tsj-similar-token-verify", 224, 224, 213, 208, 213, 25, 448, 2270},
+				{"tsj-dedup-verify-onestring", 59358, 59358, 2013, 7373, 2013, 23876, 118716, 9.066341e+06},
+			},
+			maxTaskStaged: 23825,
+		},
 	}
 	for _, tc := range cases {
 		for _, disableSIMD := range []bool{false, true} {
@@ -117,7 +167,7 @@ func TestPipelineAccountingGolden(t *testing.T) {
 			opts.Threshold, opts.MaxTokenFreq = tc.threshold, 0
 			opts.MapTasks, opts.Parallelism = 8, 2
 			opts.DisableSIMD = disableSIMD
-			_, st, err := SelfJoin(tc.corpus, opts)
+			_, st, err := tc.join(opts)
 			if err != nil {
 				t.Fatal(err)
 			}

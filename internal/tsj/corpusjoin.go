@@ -1,13 +1,9 @@
 package tsj
 
 import (
-	"errors"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/corpus"
-	"repro/internal/mapreduce"
-	"repro/internal/prefilter"
 	"repro/internal/token"
 )
 
@@ -35,131 +31,124 @@ import (
 // since the last re-rank — changes nothing but pruning power
 // (TestPrefixEquivalenceStaleCorpusOrder is the property test).
 func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
-	if opts.Threshold < 0 || opts.Threshold >= 1 {
-		return nil, nil, errors.New("tsj: threshold must be in [0, 1)")
-	}
 	v := pc.View()
+	results, st, err := run(&source{
+		c: v.TC, alive: v.Alive, split: -1, storedFreq: true,
+		rank: v.Rank, ranked: v.Ranked, postings: v.Postings,
+	}, opts)
+	if err == nil {
+		pc.NoteJoin()
+	}
+	return results, st, err
+}
+
+// JoinCorpus performs the bipartite NSLD join of a probe set against the
+// live strings of a persistent corpus, reusing the corpus's stored
+// filter state for its side of the join instead of rebuilding any of it
+// (the bipartite counterpart of SelfJoinCorpus):
+//
+//   - the corpus side's token document frequencies are read from the
+//     corpus; the probe side's are counted in one pass over the probes
+//     (so the MaxTokenFreq cutoff sees exactly the combined frequencies
+//     a from-scratch Join would compute);
+//   - the combined prefix order extends the corpus's epoch-stamped
+//     rarest-first order with probe-only tokens at its tail — any fixed
+//     total order is lossless (prefilter.NewIndexFromRanked), so the
+//     stored order serves unchanged and only the probes' member lists
+//     are rank-sorted;
+//   - the similar-token expansion walks the corpus's stored inverted
+//     postings for the corpus side and inverts only the probes'
+//     (prefix-restricted postings are re-derived only when the segment
+//     prefix filter is on, as in SelfJoinCorpus).
+//
+// Results are exactly Join's over (live corpus strings, probes):
+// Result.A is a corpus StringID, Result.B indexes probes. Tombstoned
+// corpus strings neither generate nor receive.
+func JoinCorpus(pc *corpus.Corpus, probes []token.TokenizedString, opts Options) ([]Result, *Stats, error) {
+	v := pc.View()
+	cc := v.TC
+	n, m := cc.NumStrings(), len(probes)
+	nt := cc.NumTokens()
+
+	// ---- Combined view ---------------------------------------------------
+	// Corpus strings keep their ids and token ids; probes occupy
+	// [n, n+m) with probe-only tokens interned at the tail of the token
+	// space. Probe member lists iterate the sorted token multiset, so the
+	// lexicographic-member-order invariant of NewCorpusView holds.
+	strs := make([]token.TokenizedString, n+m)
+	copy(strs, cc.Strings)
+	copy(strs[n:], probes)
+	tokens := append(make([]string, 0, nt), cc.Tokens...)
+	tokenRunes := append(make([][]rune, 0, nt), cc.TokenRunes...)
+	freq := append(make([]int32, 0, nt), cc.Freq...)
+	members := make([][]token.TokenID, n+m)
+	copy(members, cc.Members)
+	extra := make(map[string]token.TokenID)
+	for i := range probes {
+		ts := &strs[n+i]
+		mem := make([]token.TokenID, 0, ts.Count())
+		for j, tok := range ts.Tokens {
+			if j > 0 && tok == ts.Tokens[j-1] {
+				continue
+			}
+			id, ok := cc.TokenIDOf(tok)
+			if !ok {
+				id, ok = extra[tok]
+				if !ok {
+					id = token.TokenID(len(tokens))
+					extra[tok] = id
+					tokens = append(tokens, tok)
+					tokenRunes = append(tokenRunes, []rune(tok))
+					freq = append(freq, 0)
+				}
+			}
+			mem = append(mem, id)
+			freq[id]++
+		}
+		members[n+i] = mem
+	}
+
+	// Live ids: alive corpus strings plus every probe.
+	alive := make([]bool, n+m)
+	copy(alive, v.Alive)
+	for i := n; i < n+m; i++ {
+		alive[i] = true
+	}
+
+	// Extend the stored rank with tail ranks for probe-only tokens
+	// (first-appearance order — deterministic for a given probe set), and
+	// rank-sort the probes' member lists.
+	rank := make([]int32, len(tokens))
+	next := int32(0)
+	for tid, r := range v.Rank {
+		rank[tid] = r
+		if r >= next {
+			next = r + 1
+		}
+	}
+	for tid := nt; tid < len(tokens); tid++ {
+		rank[tid] = next
+		next++
+	}
+	ranked := make([][]token.TokenID, n+m)
+	copy(ranked, v.Ranked)
+	for i := n; i < n+m; i++ {
+		rl := append([]token.TokenID(nil), members[i]...)
+		sort.Slice(rl, func(a, b int) bool { return rank[rl[a]] < rank[rl[b]] })
+		ranked[i] = rl
+	}
+
+	results, st, err := run(&source{
+		c:     token.NewCorpusView(strs, tokens, tokenRunes, freq, members),
+		alive: alive, split: n, storedFreq: true,
+		rank: rank, ranked: ranked, postings: v.Postings,
+	}, opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	pc.NoteJoin()
-	c := v.TC
-	st := &Stats{}
-	ver := newVerifier(c, opts)
-	engCfg := func(name string) mapreduce.Config {
-		return mapreduce.Config{Name: name, MapTasks: opts.MapTasks, Parallelism: opts.Parallelism}
+	for i := range results {
+		results[i].B -= token.StringID(n) // probe side re-based to a probes index
 	}
-
-	// Live string ids only: tombstones neither generate nor receive.
-	sids := make([]token.StringID, 0, v.Live)
-	for i := range v.Alive {
-		if v.Alive[i] {
-			sids = append(sids, token.StringID(i))
-		}
-	}
-
-	// Token cutoff from the corpus's maintained live frequencies — the
-	// stored equivalent of Job 0.
-	var dropped []bool
-	if c.NumTokens() > 0 {
-		dropped = make([]bool, c.NumTokens())
-	}
-	if opts.MaxTokenFreq > 0 {
-		for tid, f := range c.Freq {
-			if int(f) > opts.MaxTokenFreq {
-				dropped[tid] = true
-				st.DroppedTokens++
-			}
-		}
-	}
-	st.KeptTokens = c.NumTokens() - st.DroppedTokens
-
-	// Preamble: pairs of live token-less strings (NSLD 0).
-	var results []Result
-	var empties []token.StringID
-	for _, sid := range sids {
-		if len(c.Members[sid]) == 0 {
-			empties = append(empties, sid)
-		}
-	}
-	for i := 0; i < len(empties); i++ {
-		for j := i + 1; j < len(empties); j++ {
-			results = append(results, Result{A: empties[i], B: empties[j]})
-			st.EmptyStringPairs++
-		}
-	}
-
-	// ---- Job 1: shared-token candidates from stored prefixes ------------
-	// As in SelfJoin, one prefix index serves both Job 1 and Job 2's
-	// segment prefix restriction (prefixFilterWants) — here sliced from
-	// the corpus's stored epoch-stamped order with zero sorts.
-	wantShared, wantSeg := prefixFilterWants(opts)
-	var pf, pfSeg *prefilter.Index
-	if wantShared || wantSeg {
-		ix := prefilter.NewIndexFromRanked(c, dropped, v.Rank, v.Ranked, v.Alive, opts.Threshold)
-		if wantShared {
-			pf = ix
-		}
-		if wantSeg {
-			pfSeg = ix
-		}
-	}
-	var prefixPruned atomic.Int64
-	sharedCands, st1 := mapreduce.Run(engCfg("tsj-corpus-shared-token"), sids,
-		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, token.StringID]) {
-			if pf != nil {
-				for _, tid := range pf.Prefix(sid) {
-					ctx.Emit(tid, sid)
-				}
-				return
-			}
-			for _, tid := range c.Members[sid] {
-				if !dropped[tid] {
-					ctx.Emit(tid, sid)
-				}
-			}
-		},
-		func(tid token.TokenID, vals []token.StringID, ctx *mapreduce.ReduceCtx[uint64]) {
-			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-			var pruned int64
-			for i := 0; i < len(vals); i++ {
-				for j := i + 1; j < len(vals); j++ {
-					if pf != nil {
-						emit, prn := pf.Admit(tid, vals[i], vals[j])
-						if !emit {
-							if prn {
-								pruned++
-							}
-							continue
-						}
-					}
-					ctx.Emit(pairKey(vals[i], vals[j]))
-				}
-			}
-			if pruned > 0 {
-				prefixPruned.Add(pruned)
-			}
-			n := float64(len(vals))
-			ctx.AddCost(n * n * 0.05)
-		},
-	)
-	st.Pipeline.Add(st1)
-	st.SharedTokenCandidates = int64(len(sharedCands))
-	st.PrefixPruned = prefixPruned.Load()
-	candidates := sharedCands
-
-	// ---- Jobs 2a+2b: similar-token candidates over stored postings ------
-	if opts.Matching == FuzzyTokenMatching {
-		similar := similarTokenCandidatesPostings(c, dropped, v.Postings, v.Alive, pfSeg, opts, st)
-		candidates = append(candidates, similar...)
-	}
-
-	// ---- Job 3: de-duplicate + filter + verify ---------------------------
-	verified := dedupVerify("tsj", candidates, ver, opts, engCfg, st)
-
-	results = append(results, verified...)
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].A != results[j].A {
-			return results[i].A < results[j].A
-		}
-		return results[i].B < results[j].B
-	})
 	return results, st, nil
 }

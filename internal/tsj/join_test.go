@@ -2,6 +2,7 @@ package tsj
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -72,6 +73,61 @@ func TestJoinBipartiteMatchesBruteForce(t *testing.T) {
 				t.Fatalf("stats mismatch: %d vs %d", st.Results, len(got))
 			}
 		}
+	}
+}
+
+// TestJoinSelfJoinEquivalence is the metamorphic statement of "the
+// bipartite join is the self-join with cross-side enumeration"
+// (Sec. II-B, III-G.1): on a random corpus cut at a random boundary,
+// Join returns exactly the cross-boundary pairs of SelfJoin — same ids,
+// same SLD, same NSLD — under the default options and under each
+// de-duplication strategy.
+func TestJoinSelfJoinEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	nonEmpty := false
+	for trial := 0; trial < 6; trial++ {
+		names := make([]string, 0, 160)
+		for _, ts := range nameCorpus(rng, 120).Strings {
+			names = append(names, ts.String())
+		}
+		for i := 0; i < 30; i++ {
+			names = append(names, perturbName(rng, names[rng.Intn(len(names))]))
+		}
+		names = append(names, "...", "---", "!!!") // token-less strings pair at NSLD 0
+		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		c := token.BuildCorpus(names, token.WhitespaceAndPunct)
+		boundary := rng.Intn(c.NumStrings() + 1)
+
+		configs := []Options{DefaultOptions()}
+		for _, dedup := range []Dedup{GroupOnOneString, GroupOnBothStrings} {
+			o := DefaultOptions()
+			o.Threshold, o.MaxTokenFreq, o.Dedup = 0.1+0.2*rng.Float64(), 0, dedup
+			configs = append(configs, o)
+		}
+		for _, opts := range configs {
+			self, _, err := SelfJoin(c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Result
+			for _, r := range self {
+				if int(r.A) < boundary && int(r.B) >= boundary {
+					want = append(want, r)
+				}
+			}
+			got, _, err := Join(c, boundary, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d boundary %d T=%.3f dedup=%v: Join has %d pairs, SelfJoin's cross-boundary subset %d",
+					trial, boundary, opts.Threshold, opts.Dedup, len(got), len(want))
+			}
+			nonEmpty = nonEmpty || len(got) > 0
+		}
+	}
+	if !nonEmpty {
+		t.Fatal("every trial joined to zero pairs; pick better seeds")
 	}
 }
 

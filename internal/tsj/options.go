@@ -2,20 +2,36 @@
 // MapReduce generate-filter-verify framework for NSLD self-joins and joins
 // of tokenized-string corpora.
 //
-// The pipeline stages map one-to-one onto the paper's:
+// The pipeline is one function, run (pipeline.go), and its jobs map
+// one-to-one onto the paper's stages:
 //
-//  1. token-frequency job — computes document frequencies and drops
+//  1. tsj-token-freq — computes document frequencies and drops
 //     high-frequency tokens (Sec. III-G.2, parameter M);
-//  2. shared-token candidate generation (Sec. III-C);
-//  3. similar-token candidate generation (Sec. III-D) — an NLD-join of the
-//     token space via MassJoin, then a postings expansion from similar
-//     token pairs to candidate string pairs (skipped entirely under the
+//  2. tsj-shared-token — shared-token candidate generation (Sec. III-C);
+//  3. tsj-similar-token-candidates / -verify — similar-token candidate
+//     generation (Sec. III-D): an NLD-join of the token space via
+//     MassJoin, then a postings expansion from similar token pairs to
+//     candidate string pairs (skipped entirely under the
 //     exact-token-matching approximation of Sec. III-G.4);
-//  4. de-duplication using either grouping strategy of Sec. III-G.3, fused
-//     with filtering (Sec. III-E: length filter and histogram
-//     distance-lower-bound filter) and final verification (Sec. III-F:
-//     exact SLD by Hungarian matching, or the greedy-token-aligning
-//     approximation of Sec. III-G.5).
+//  4. tsj-dedup-verify-onestring / -bothstrings — de-duplication using
+//     either grouping strategy of Sec. III-G.3, fused with filtering
+//     (Sec. III-E: length filter and histogram distance-lower-bound
+//     filter) and final verification (Sec. III-F: exact SLD by Hungarian
+//     matching, or the greedy-token-aligning approximation of
+//     Sec. III-G.5).
+//
+// The four entry points differ only in the source they hand to run: the
+// corpus view, a mask of tombstoned strings, and the R/P split of a
+// bipartite join — the paper's join is the self-join with cross-side pair
+// enumeration (Sec. II-B), so Join and JoinCorpus run the same jobs with
+// Job 1's reducers and the expansion pairing R ids with P ids only.
+// SelfJoin and Join run every job on an in-memory corpus. SelfJoinCorpus
+// and JoinCorpus read a persistent corpus's stored state in place of the
+// work that would rebuild it: its live document frequencies replace job 1,
+// its epoch-stamped rarest-first order replaces the prefix index's global
+// and per-string sorts, and its inverted postings replace the postings
+// inversion of job 3's expansion (for the corpus side; JoinCorpus inverts
+// only the probes).
 //
 // Every job reports task-cost statistics so the simulated cluster can
 // reproduce the paper's scalability figures.
@@ -107,9 +123,6 @@ type Options struct {
 	Aligning Aligning
 	// Dedup selects the grouping strategy (default: one string).
 	Dedup Dedup
-	// MultiMatchAware controls the MassJoin substring selection.
-	// Disabled only for ablation.
-	MultiMatchAware bool
 	// DisableLengthFilter / DisableLBFilter switch off the Sec. III-E
 	// filters (ablation only; results are unaffected, work grows).
 	DisableLengthFilter bool
@@ -152,26 +165,15 @@ type Options struct {
 	Parallelism int
 }
 
-// prefixFilterWants reports which candidate generators consume a prefix
-// index under opts: Job 1 (shared-token) unless DisablePrefixFilter, and
-// Job 2 (similar-token) unless DisableSegmentPrefixFilter — Job 2 only
-// exists under fuzzy matching. One index serves both; callers build it
-// when either wants it.
-func prefixFilterWants(opts Options) (shared, seg bool) {
-	return !opts.DisablePrefixFilter,
-		!opts.DisableSegmentPrefixFilter && opts.Matching == FuzzyTokenMatching
-}
-
 // DefaultOptions returns the paper's default configuration: T = 0.1,
 // M = 1000, fuzzy matching, Hungarian alignment, grouping-on-one-string.
 func DefaultOptions() Options {
 	return Options{
-		Threshold:       0.1,
-		MaxTokenFreq:    1000,
-		Matching:        FuzzyTokenMatching,
-		Aligning:        HungarianAligning,
-		Dedup:           GroupOnOneString,
-		MultiMatchAware: true,
+		Threshold:    0.1,
+		MaxTokenFreq: 1000,
+		Matching:     FuzzyTokenMatching,
+		Aligning:     HungarianAligning,
+		Dedup:        GroupOnOneString,
 	}
 }
 

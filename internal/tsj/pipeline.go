@@ -1,0 +1,426 @@
+package tsj
+
+import (
+	"errors"
+	"slices"
+	"sort"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/mapreduce"
+	"repro/internal/massjoin"
+	"repro/internal/passjoin"
+	"repro/internal/prefilter"
+	"repro/internal/token"
+)
+
+// source is what differs between the joins run serves. It is built by
+// the four entry points and is not user-settable.
+type source struct {
+	// c is the corpus view the pipeline runs over: every string of every
+	// side, in one id and token space.
+	c *token.Corpus
+	// alive masks tombstoned strings (nil = every string is live); dead
+	// strings neither generate nor receive candidates.
+	alive []bool
+	// split < 0 is a self-join. Otherwise ids below split are R, the rest
+	// are P, and only cross-side pairs are candidates.
+	split int
+	// storedFreq: c.Freq already holds the live document frequencies, so
+	// the token cutoff reads them and the token-frequency job is skipped.
+	storedFreq bool
+	// rank and ranked, when ranked is non-nil, are a stored global token
+	// order and every string's distinct tokens sorted by it; prefixes are
+	// sliced from them (prefilter.NewIndexFromRanked) instead of sorting
+	// (prefilter.NewIndex).
+	rank   []int32
+	ranked [][]token.TokenID
+	// postings, when non-nil, are stored token -> string id lists covering
+	// the R side of a bipartite join or all of a self-join; the
+	// similar-token expansion walks them instead of inverting c.Members.
+	// They may hold tombstoned ids and ids minted after c was captured.
+	postings [][]token.StringID
+}
+
+// live reports whether sid is inside the captured id space and not
+// tombstoned.
+func (s *source) live(sid token.StringID) bool {
+	return s.alive == nil || (int(sid) < len(s.alive) && s.alive[sid])
+}
+
+// run is the TSJ pipeline (Sec. III-C…G): token cutoff, shared-token
+// candidates, similar-token candidates, then de-duplicate + filter +
+// verify. Every entry point is run over its own source.
+func run(src *source, opts Options) ([]Result, *Stats, error) {
+	if !(opts.Threshold >= 0 && opts.Threshold < 1) { // also rejects NaN
+		return nil, nil, errors.New("tsj: threshold must be in [0, 1)")
+	}
+	c := src.c
+	bipartite := src.split >= 0
+	split := token.StringID(src.split)
+	st := &Stats{}
+	ver := newVerifier(c, opts)
+	engCfg := func(name string) mapreduce.Config {
+		return mapreduce.Config{Name: name, MapTasks: opts.MapTasks, Parallelism: opts.Parallelism}
+	}
+
+	// Live string ids, the universal job input.
+	sids := make([]token.StringID, 0, c.NumStrings())
+	for i := 0; i < c.NumStrings(); i++ {
+		if src.live(token.StringID(i)) {
+			sids = append(sids, token.StringID(i))
+		}
+	}
+
+	// ---- Job 0: token document frequencies (Sec. III-G.2) ---------------
+	// freq(token) = #strings containing it; tokens above the cutoff M are
+	// dropped. A source with stored frequencies skips the job.
+	dropped := make([]bool, c.NumTokens())
+	cut := func(tid token.TokenID, freq int) {
+		if opts.MaxTokenFreq > 0 && freq > opts.MaxTokenFreq {
+			dropped[tid] = true
+			st.DroppedTokens++
+		}
+	}
+	if src.storedFreq {
+		for tid, f := range c.Freq {
+			cut(token.TokenID(tid), int(f))
+		}
+	} else {
+		type tokenFreq struct {
+			id   token.TokenID
+			freq int
+		}
+		freqs, st0 := mapreduce.Run(engCfg("tsj-token-freq"), sids,
+			func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, struct{}]) {
+				for _, tid := range c.Members[sid] {
+					ctx.Emit(tid, struct{}{})
+				}
+			},
+			func(tid token.TokenID, vals []struct{}, ctx *mapreduce.ReduceCtx[tokenFreq]) {
+				ctx.Emit(tokenFreq{tid, len(vals)})
+			},
+		)
+		st.Pipeline.Add(st0)
+		for _, tf := range freqs {
+			cut(tf.id, tf.freq)
+		}
+	}
+	st.KeptTokens = c.NumTokens() - st.DroppedTokens
+
+	// Preamble: token-less strings. They share no token with anything, but
+	// pairs of them have NSLD 0 and belong in an exact result set.
+	var results []Result
+	var empties []token.StringID
+	for _, sid := range sids {
+		if len(c.Members[sid]) == 0 {
+			empties = append(empties, sid)
+		}
+	}
+	for i, a := range empties {
+		for _, b := range empties[i+1:] {
+			if bipartite && !(a < split && b >= split) {
+				continue
+			}
+			results = append(results, Result{A: a, B: b})
+			st.EmptyStringPairs++
+		}
+	}
+
+	// ---- Job 1: shared-token candidate generation (Sec. III-C) ----------
+	// map: r^t_s -> [<r^ti_s, r^t_s>]; reduce on token z: all pairs.
+	//
+	// With the prefix filter (default), the map ships only each string's
+	// threshold-derived prefix — its MaxErrors(T, L)+1 rarest kept tokens
+	// under the global frequency order — and the reducer emits a pair only
+	// from its first common prefix token, after the positional and length
+	// filters prove the pair can still satisfy NSLD <= T. Lossless under
+	// any fixed total order: see the prefilter package for the argument.
+	// One prefix index serves both filters: Job 1's first-common-token
+	// rule and Job 2's segment prefix restriction, which only exists under
+	// fuzzy matching.
+	wantShared := !opts.DisablePrefixFilter
+	wantSeg := !opts.DisableSegmentPrefixFilter && opts.Matching == FuzzyTokenMatching
+	var pf, pfSeg *prefilter.Index
+	if wantShared || wantSeg {
+		var ix *prefilter.Index
+		if src.ranked != nil {
+			ix = prefilter.NewIndexFromRanked(c, dropped, src.rank, src.ranked, src.alive, opts.Threshold)
+		} else {
+			ix = prefilter.NewIndex(c, dropped, opts.Threshold)
+		}
+		if wantShared {
+			pf = ix
+		}
+		if wantSeg {
+			pfSeg = ix
+		}
+	}
+	var prefixPruned atomic.Int64
+	sharedCands, st1 := mapreduce.Run(engCfg("tsj-shared-token"), sids,
+		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, token.StringID]) {
+			if pf != nil {
+				for _, tid := range pf.Prefix(sid) {
+					ctx.Emit(tid, sid)
+				}
+				return
+			}
+			for _, tid := range c.Members[sid] {
+				if !dropped[tid] {
+					ctx.Emit(tid, sid)
+				}
+			}
+		},
+		func(tid token.TokenID, vals []token.StringID, ctx *mapreduce.ReduceCtx[uint64]) {
+			// A self-join pairs every i < j. R ids sort before P ids, so a
+			// bipartite join pairs vals[:nr] with vals[nr:].
+			slices.Sort(vals)
+			nr := len(vals)
+			if bipartite {
+				nr, _ = slices.BinarySearch(vals, split)
+			}
+			var pruned int64
+			for i, a := range vals[:nr] {
+				partners := vals[nr:]
+				if !bipartite {
+					partners = vals[i+1:]
+				}
+				for _, b := range partners {
+					if pf != nil {
+						emit, prn := pf.Admit(tid, a, b)
+						if !emit {
+							if prn {
+								pruned++
+							}
+							continue
+						}
+					}
+					ctx.Emit(pairKey(a, b))
+				}
+			}
+			if pruned > 0 {
+				prefixPruned.Add(pruned)
+			}
+			// Quadratic pair enumeration beyond the default linear charge.
+			n, m := float64(nr), float64(nr)
+			if bipartite {
+				m = float64(len(vals) - nr)
+			}
+			ctx.AddCost(n * m * 0.05)
+		},
+	)
+	st.Pipeline.Add(st1)
+	st.SharedTokenCandidates = int64(len(sharedCands))
+	st.PrefixPruned = prefixPruned.Load()
+	candidates := sharedCands
+
+	// ---- Jobs 2a+2b: similar-token candidates (Sec. III-D) --------------
+	if opts.Matching == FuzzyTokenMatching {
+		candidates = append(candidates, similarTokenCandidates(src, dropped, pfSeg, opts, st)...)
+	}
+
+	// ---- Job 3: de-duplicate + filter + verify (Sec. III-E/F/G.3) -------
+	// Every candidate is packed id-ascending, so a bipartite pair verifies
+	// R side first and Result.A is always the R side.
+	results = append(results, dedupVerify(candidates, ver, opts, engCfg, st)...)
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].A != results[j].A {
+			return results[i].A < results[j].A
+		}
+		return results[i].B < results[j].B
+	})
+	return results, st, nil
+}
+
+// similarTokenCandidates runs the token-space NLD join (MassJoin) and
+// expands each similar token pair through the postings lists into
+// candidate string pairs (Sec. III-D). The expansion is fused into the
+// next job's map phase: its cost is exactly the number of candidate
+// records produced, which the dedup job's map accounting charges.
+//
+// post[0] and post[1] are the R-side and P-side postings; in a self-join
+// they are one table, and the token space is joined with itself under
+// the symmetry optimization of Sec. III-G.1 instead of bipartite.
+//
+// pfSeg, when non-nil, applies the segment prefix filter: the postings
+// are rebuilt over prefix membership only — post[s][t] lists the side-s
+// strings whose threshold-derived prefix contains t — which restricts
+// both the token-space NLD join (tokens in no prefix drop out of the
+// joined space) and the expansion. Lossless: a qualifying pair whose
+// only witness is a similar token pair shares no kept token, so both
+// strings' kept-distinct counts are within their SLD budgets and their
+// prefixes are their entire kept-distinct sets
+// (prefilter.SegmentPrefixLen) — both witness carriers are prefix
+// members. Pairs that do share a kept token are Job 1's responsibility.
+func similarTokenCandidates(src *source, dropped []bool, pfSeg *prefilter.Index, opts Options, st *Stats) []uint64 {
+	c := src.c
+	n, nt := c.NumStrings(), c.NumTokens()
+	bipartite := src.split >= 0
+	split := token.StringID(src.split)
+
+	var post [2][][]token.StringID
+	post[0] = make([][]token.StringID, nt)
+	post[1] = post[0]
+	if bipartite {
+		post[1] = make([][]token.StringID, nt)
+	}
+	// Stored postings serve the ids they cover; the rest (and, under the
+	// segment prefix filter, every id) are inverted from the live strings'
+	// member or prefix lists.
+	derived := 0
+	if pfSeg == nil && src.postings != nil {
+		copy(post[0], src.postings)
+		derived = n
+		if bipartite {
+			derived = src.split
+		}
+	}
+	var segPruned int64
+	for sid := derived; sid < n; sid++ {
+		s := token.StringID(sid)
+		if !src.live(s) {
+			continue
+		}
+		list, side := c.Members[sid], post[0]
+		if pfSeg != nil {
+			list = pfSeg.Prefix(s)
+			segPruned += int64(pfSeg.Distinct(s) - len(list))
+		}
+		if bipartite && s >= split {
+			side = post[1]
+		}
+		for _, tid := range list {
+			side[tid] = append(side[tid], s)
+		}
+	}
+	st.SegPrefixPruned = segPruned
+
+	// Compact each side's kept token space for the join. Tokens whose live
+	// document frequency reached zero (every containing string deleted)
+	// and tokens with no posting on the side — under the segment prefix
+	// filter, tokens in no prefix — cannot produce candidates; skipping
+	// them keeps the NLD join off dead token space.
+	compact := func(post [][]token.StringID) (idx []token.TokenID, runes [][]rune) {
+		idx = make([]token.TokenID, 0, nt)
+		runes = make([][]rune, 0, nt)
+		for tid := 0; tid < nt; tid++ {
+			if !dropped[tid] && c.Freq[tid] > 0 && len(post[tid]) > 0 {
+				idx = append(idx, token.TokenID(tid))
+				runes = append(runes, c.TokenRunes[tid])
+			}
+		}
+		return idx, runes
+	}
+	var idx [2][]token.TokenID
+	var runes [2][][]rune
+	idx[0], runes[0] = compact(post[0])
+	idx[1], runes[1] = idx[0], runes[0]
+	if bipartite {
+		idx[1], runes[1] = compact(post[1])
+	}
+
+	mjCfg := massjoin.Config{
+		MultiMatchAware: true,
+		MapTasks:        opts.MapTasks,
+		Parallelism:     opts.Parallelism,
+		NamePrefix:      "tsj-similar-token",
+	}
+	var pairs []passjoin.Pair
+	var pipe *mapreduce.Pipeline
+	if bipartite {
+		pairs, pipe = massjoin.JoinNLD(runes[0], runes[1], opts.Threshold, mjCfg)
+	} else {
+		pairs, pipe = massjoin.SelfJoinNLD(runes[0], opts.Threshold, mjCfg)
+	}
+	st.Pipeline.Merge(pipe)
+	st.SimilarTokenPairs = int64(len(pairs))
+
+	// Combiner: collapse duplicate candidates at expansion time (the
+	// standard MapReduce combiner optimization). The dedup job still runs
+	// — hot postings overlap heavily, and pre-collapsing keeps the
+	// shuffled record count proportional to the distinct pair count.
+	seen := make(map[uint64]struct{})
+	var cands []uint64
+	var raw int64
+	for _, p := range pairs {
+		ta, tb := idx[0][p.A], idx[1][p.B]
+		if ta == tb {
+			continue // the identical token on both sides: covered by Job 1
+		}
+		for _, sa := range post[0][ta] {
+			// A stored R-side entry at or past the split is a post-capture
+			// corpus id, not the P-side string that now has that id.
+			if !src.live(sa) || (bipartite && sa >= split) {
+				continue
+			}
+			for _, sb := range post[1][tb] {
+				if sa == sb || !src.live(sb) {
+					continue
+				}
+				a, b := normPair(sa, sb)
+				raw++
+				k := pairKey(a, b)
+				if _, dup := seen[k]; dup {
+					continue
+				}
+				seen[k] = struct{}{}
+				cands = append(cands, k)
+			}
+		}
+	}
+	st.SimilarTokenCandidates = raw
+	return cands
+}
+
+// dedupVerify runs the final de-duplicate + filter + verify job on a raw
+// candidate list and fills the verify funnel of st.
+func dedupVerify(candidates []uint64, ver *verifier, opts Options,
+	engCfg func(string) mapreduce.Config, st *Stats) []Result {
+	var verified []Result
+	var st3 *mapreduce.Stats
+	switch opts.Dedup {
+	case GroupOnBothStrings:
+		// One reducer instance per candidate pair: the shuffle key is the
+		// pair itself, so duplicates collapse into one group.
+		verified, st3 = mapreduce.Run(engCfg("tsj-dedup-verify-bothstrings"), candidates,
+			func(cand uint64, ctx *mapreduce.MapCtx[uint64, struct{}]) {
+				ctx.Emit(cand, struct{}{})
+			},
+			func(k uint64, _ []struct{}, ctx *mapreduce.ReduceCtx[Result]) {
+				a, b := unpackPair(k)
+				ver.verifyKey(a, []token.StringID{b}, ctx)
+			},
+		)
+	default: // GroupOnOneString
+		// One reducer instance per string: the key side of each pair is
+		// chosen by the hash-parity rule; the reducer de-duplicates its
+		// partner list and verifies each partner.
+		verified, st3 = mapreduce.Run(engCfg("tsj-dedup-verify-onestring"), candidates,
+			func(cand uint64, ctx *mapreduce.MapCtx[token.StringID, token.StringID]) {
+				a, b := unpackPair(cand)
+				k, v := groupKey(a, b)
+				ctx.Emit(k, v)
+			},
+			ver.verifyKey,
+		)
+	}
+	// Staged results come back from the drain, past the reducers' emit
+	// windows. The job is charged what it would have been had they been
+	// emitted inside: the drain's wall time is verify time, and the
+	// engine's one unit per output keeps the job's work the same whether
+	// or not the kernel is live. (Which key a staged result belongs to is
+	// not tracked, so ReduceTaskCosts lack that unit under staging.)
+	drainStart := time.Now()
+	staged := ver.drain(st)
+	drainWall := time.Since(drainStart)
+	verified = append(verified, staged...)
+	st3.WallTime += drainWall
+	st3.ReduceWall += drainWall
+	st3.OutRecords += int64(len(staged))
+	st3.ReduceWork += float64(len(staged))
+	st.Pipeline.Add(st3)
+
+	st.DedupedCandidates = st.LengthPruned + st.LBPruned + st.Verified
+	st.Results += st.EmptyStringPairs
+	return verified
+}

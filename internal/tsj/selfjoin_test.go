@@ -2,10 +2,12 @@ package tsj
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/token"
 )
 
@@ -300,12 +302,20 @@ func TestSelfJoinEmptyStrings(t *testing.T) {
 }
 
 func TestSelfJoinThresholdValidation(t *testing.T) {
-	c := token.BuildCorpus([]string{"a b"}, token.WhitespaceAndPunct)
-	for _, bad := range []float64{-0.1, 1.0, 2.5} {
+	c := token.BuildCorpus([]string{"a b", "a c"}, token.WhitespaceAndPunct)
+	pc := openSeeded(t, []string{"a b"}, corpus.Options{})
+	for _, bad := range []float64{-0.1, 1.0, 2.5, math.NaN()} {
 		opts := DefaultOptions()
 		opts.Threshold = bad
-		if _, _, err := SelfJoin(c, opts); err == nil {
-			t.Fatalf("threshold %v must be rejected", bad)
+		for name, join := range map[string]func() ([]Result, *Stats, error){
+			"SelfJoin":       func() ([]Result, *Stats, error) { return SelfJoin(c, opts) },
+			"Join":           func() ([]Result, *Stats, error) { return Join(c, 1, opts) },
+			"SelfJoinCorpus": func() ([]Result, *Stats, error) { return SelfJoinCorpus(pc, opts) },
+			"JoinCorpus":     func() ([]Result, *Stats, error) { return JoinCorpus(pc, c.Strings, opts) },
+		} {
+			if _, _, err := join(); err == nil {
+				t.Fatalf("%s: threshold %v must be rejected", name, bad)
+			}
 		}
 	}
 }

@@ -27,20 +27,7 @@ func JoinStats(r, p []string, opts Options) ([]Pair, *Stats, error) {
 	combined = append(combined, r...)
 	combined = append(combined, p...)
 	c := token.BuildCorpus(combined, tok)
-	jopts := tsj.Options{
-		Threshold:                  opts.Threshold,
-		MaxTokenFreq:               opts.MaxTokenFreq,
-		Matching:                   opts.Matching,
-		Aligning:                   opts.Aligning,
-		Dedup:                      opts.Dedup,
-		MultiMatchAware:            true,
-		Parallelism:                opts.Parallelism,
-		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableSIMD:                opts.DisableSIMD,
-		DisablePrefixFilter:        opts.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
-	}
-	results, st, err := tsj.Join(c, len(r), jopts)
+	results, st, err := tsj.Join(c, len(r), opts.tsj())
 	if err != nil {
 		return nil, nil, err
 	}

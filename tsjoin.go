@@ -131,11 +131,6 @@ type Options struct {
 	// is the hot-path optimization behind the join's verify speed.
 	// Results are identical either way; disable only for ablation.
 	DisableBoundedVerification bool
-	// DisableTokenLDCache is ignored.
-	//
-	// Deprecated: the memo was removed in PR 14; results and speed no
-	// longer depend on it.
-	DisableTokenLDCache bool
 	// DisableSIMD switches off the vectorized batched verification path.
 	// By default, on hardware and builds where the kernel is live (see
 	// SIMDAvailable), every candidate that survives the filters is staged
@@ -160,6 +155,22 @@ type Options struct {
 	// strings' entire distinct sets. Results are identical either way;
 	// disable only for ablation.
 	DisableSegmentPrefixFilter bool
+}
+
+// tsj maps the public options onto the pipeline's.
+func (o Options) tsj() tsj.Options {
+	return tsj.Options{
+		Threshold:                  o.Threshold,
+		MaxTokenFreq:               o.MaxTokenFreq,
+		Matching:                   o.Matching,
+		Aligning:                   o.Aligning,
+		Dedup:                      o.Dedup,
+		Parallelism:                o.Parallelism,
+		DisableBoundedVerify:       o.DisableBoundedVerification,
+		DisableSIMD:                o.DisableSIMD,
+		DisablePrefixFilter:        o.DisablePrefixFilter,
+		DisableSegmentPrefixFilter: o.DisableSegmentPrefixFilter,
+	}
 }
 
 // Pair is one joined pair of input strings: indices into the input slice
@@ -190,20 +201,7 @@ func SelfJoinStats(names []string, opts Options) ([]Pair, *Stats, error) {
 		tok = token.WhitespaceAndPunct
 	}
 	c := token.BuildCorpus(names, tok)
-	jopts := tsj.Options{
-		Threshold:                  opts.Threshold,
-		MaxTokenFreq:               opts.MaxTokenFreq,
-		Matching:                   opts.Matching,
-		Aligning:                   opts.Aligning,
-		Dedup:                      opts.Dedup,
-		MultiMatchAware:            true,
-		Parallelism:                opts.Parallelism,
-		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableSIMD:                opts.DisableSIMD,
-		DisablePrefixFilter:        opts.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
-	}
-	results, st, err := tsj.SelfJoin(c, jopts)
+	results, st, err := tsj.SelfJoin(c, opts.tsj())
 	if err != nil {
 		return nil, nil, err
 	}
