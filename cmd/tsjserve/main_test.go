@@ -144,6 +144,7 @@ func TestServeStatsFilterTelemetry(t *testing.T) {
 		BatchedPairs     *int64   `json:"batched_pairs"`
 		SIMDKernels      *int64   `json:"simd_kernels"`
 		SIMDLanes        *int64   `json:"simd_lanes"`
+		SigPruned        *int64   `json:"sig_pruned"`
 		BatchScalarCells *int64   `json:"batch_scalar_cells"`
 		SIMDWidth        *int     `json:"simd_width"`
 		LaneFillPct      *float64 `json:"lane_fill_pct"`
@@ -164,8 +165,12 @@ func TestServeStatsFilterTelemetry(t *testing.T) {
 		t.Fatal("seg_keys_probed not populated by the near-duplicate traffic")
 	}
 	if stats.BatchedPairs == nil || stats.SIMDKernels == nil ||
-		stats.SIMDLanes == nil || stats.BatchScalarCells == nil {
+		stats.SIMDLanes == nil || stats.SigPruned == nil || stats.BatchScalarCells == nil {
 		t.Fatal("/stats missing batched-verification counters")
+	}
+	if *stats.SigPruned > *stats.BudgetPruned || *stats.SigPruned > *stats.BatchedPairs {
+		t.Fatalf("sig_pruned = %d is not a subset of budget_pruned = %d and batched_pairs = %d",
+			*stats.SigPruned, *stats.BudgetPruned, *stats.BatchedPairs)
 	}
 	if tsjoin.SIMDAvailable() && stats.Verified > 0 && *stats.BatchedPairs == 0 {
 		t.Fatal("batched_pairs not populated despite a live kernel and verified pairs")

@@ -40,6 +40,9 @@ type BatchCounters struct {
 	// fell back to the scalar DP (oversized or non-BMP tokens, or
 	// degenerate budgets).
 	ScalarCells int64
+	// SigPruned counts staged candidates the signature pre-pass decided
+	// before any cell was staged — a subset of the budget-pruned verdicts.
+	SigPruned int64
 }
 
 // Add folds o into b.
@@ -48,6 +51,7 @@ func (b *BatchCounters) Add(o BatchCounters) {
 	b.Kernels += o.Kernels
 	b.Lanes += o.Lanes
 	b.ScalarCells += o.ScalarCells
+	b.SigPruned += o.SigPruned
 }
 
 const (
@@ -133,9 +137,10 @@ type stagedPair struct {
 // simd.Width lanes, and advances each pair's pruning ledger row by row.
 // Because pools pack lanes from whatever live cells arrive — across
 // candidates and probes — dead candidates stop occupying lanes the row
-// they die, and lane fill stays near Width even when most candidates
-// prune early. One stager serves one Verifier and inherits its
-// single-goroutine discipline.
+// they die, and lane fill stays near Width while pairs keep arriving
+// (few do when sigPrune rejects most candidates in stage: such a join
+// fires few, partly filled kernels). One stager serves one Verifier and
+// inherits its single-goroutine discipline.
 type BatchStager struct {
 	v     *Verifier
 	pools []*lanePool // direct-indexed by (la, lb, banded)
@@ -470,13 +475,16 @@ func (bs *BatchStager) budgetFor(t float64, sum int) int {
 
 // stage registers probe x's candidates with the stager. Trivial and
 // kernel-ineligible candidates resolve immediately through the scalar
-// engine; the rest start their first row. The caller's out backing
-// array must stay addressable until the next flush.
+// engine; of the rest, the signature pre-pass decides the dead ones and
+// the survivors start their first row. The caller's out backing array
+// must stay addressable until the next flush.
 func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedString, t float64, out []BatchResult) {
 	v := bs.v
 	xRunes := x.RuneSlices()
 	m := len(xRunes)
 	lx := x.AggregateLen()
+	// The scalar route below refills v.xsig, with this same probe.
+	v.xsig = tokenSigs(v.xsig, xRunes)
 	bs.ctr.Batched += int64(len(ys))
 	for c, y := range ys {
 		b := bs.budgetFor(t, lx+y.AggregateLen())
@@ -504,6 +512,12 @@ func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedStrin
 			sld, within, pruned := v.verify(x, *y, b)
 			out[c] = BatchResult{sld, within, pruned}
 			bs.ctr.ScalarCells += int64(m * nc)
+			continue
+		}
+		v.ysig = tokenSigs(v.ysig, yRunes)
+		if lower, dead := sigPrune(xRunes, yRunes, v.xsig, v.ysig, b); dead {
+			out[c] = BatchResult{lower, false, true}
+			bs.ctr.SigPruned++
 			continue
 		}
 		need := len(bs.cells) + m*nc

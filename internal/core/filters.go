@@ -1,10 +1,12 @@
 package core
 
-import (
-	"sort"
+import "repro/internal/token"
 
-	"repro/internal/token"
-)
+// The pipeline's lossless lower bounds and where each lives: aggregate
+// lengths — LengthPrune (Sec. III-E.1); token-length histograms —
+// HistogramLowerBound / LowerBoundPrune (Sec. III-E.2), both here, ahead
+// of verification; per-token character signatures — the Verifier's
+// pre-pass (sigPrune, verifier.go), ahead of the first DP cell.
 
 // LengthPrune implements the Sec. III-E.1 filter: by Lemma 6,
 // NSLD(x, y) >= 1 - L(x)/L(y) for L(x) <= L(y), so a candidate pair whose
@@ -73,39 +75,4 @@ func HistogramLowerBound(histA, histB []int) int {
 func LowerBoundPrune(x, y token.TokenizedString, t float64) bool {
 	lb := HistogramLowerBound(x.LengthHistogram(), y.LengthHistogram())
 	return !WithinNSLD(lb, x.AggregateLen(), y.AggregateLen(), t)
-}
-
-// MatchedTokenBound tightens HistogramLowerBound with knowledge from the
-// candidate-generation phase: matchedLDs holds exact Levenshtein distances
-// for token pairs already aligned by the generator (one per aligned pair;
-// the aligned tokens' lengths are removed from the histograms before the
-// histogram bound is applied to the remainder). It returns a lower bound on
-// SLD assuming those alignments are part of the optimal matching; TSJ uses
-// it only as a heuristic scheduler hint, never to prune (the assumption may
-// not hold in the optimal matching).
-func MatchedTokenBound(histA, histB []int, matchedA, matchedB []int, matchedLDs []int) int {
-	remA := removeLens(histA, matchedA)
-	remB := removeLens(histB, matchedB)
-	lb := HistogramLowerBound(remA, remB)
-	for _, d := range matchedLDs {
-		lb += d
-	}
-	return lb
-}
-
-// removeLens removes one occurrence of each length in rm from hist
-// (both ascending); unmatched removals are ignored.
-func removeLens(hist, rm []int) []int {
-	out := make([]int, 0, len(hist))
-	rmCopy := append([]int(nil), rm...)
-	sort.Ints(rmCopy)
-	i := 0
-	for _, h := range hist {
-		if i < len(rmCopy) && rmCopy[i] == h {
-			i++
-			continue
-		}
-		out = append(out, h)
-	}
-	return out
 }

@@ -93,22 +93,6 @@ func TestLowerBoundFilterIsUseful(t *testing.T) {
 	}
 }
 
-func TestMatchedTokenBound(t *testing.T) {
-	histA := []int{4, 5}
-	histB := []int{4, 5}
-	// Pretend the generator matched the two 4-length tokens with LD 1.
-	lb := MatchedTokenBound(histA, histB, []int{4}, []int{4}, []int{1})
-	// Remaining histograms [5] vs [5] add 0; total 1.
-	if lb != 1 {
-		t.Fatalf("MatchedTokenBound = %d, want 1", lb)
-	}
-	// Removing a length that is absent is ignored.
-	lb = MatchedTokenBound(histA, histB, []int{9}, []int{9}, []int{2})
-	if lb != 2 {
-		t.Fatalf("MatchedTokenBound with absent removal = %d, want 2", lb)
-	}
-}
-
 func TestLengthPruneBoundary(t *testing.T) {
 	// T = 0.5, Lb = 10: prune iff La < 5.
 	if !LengthPrune(4, 10, 0.5) {

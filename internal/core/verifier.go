@@ -40,12 +40,22 @@ func MaxSLDWithin(t float64, la, lb int) int {
 // Verifier is a reusable, threshold-aware verification engine for the
 // Sec. III-F decision NSLD <= T. Instead of computing the exact, unbounded
 // SLD for every surviving candidate, it derives an SLD budget from the
-// threshold (MaxSLDWithin) and rejects a pair the moment any lower bound
-// exceeds it: per-cell token distances run the banded Levenshtein capped
-// at budget+1, matrix construction aborts when the sum of per-row minima
-// (a valid assignment lower bound) exceeds the budget, and the alignment
-// itself — Hungarian or greedy — terminates as soon as its growing
-// partial-matching cost proves the total will.
+// threshold (MaxSLDWithin) and rejects a pair the moment a lower bound
+// exceeds it, cheapest bound first: (1) the signature pre-pass (sigPrune)
+// bounds each row's minimum cell from one 64-bit character signature per
+// token, touching no DP cell; (2) matrix construction runs each cell's
+// banded Levenshtein capped at budget+1, row by row, and aborts when the
+// sum of per-row minima (a valid assignment lower bound) exceeds the
+// budget; (3) the alignment itself — Hungarian or greedy — terminates as
+// soon as its growing partial-matching cost proves the total will.
+//
+// Step 1 is step 2's abort decided early, not a new filter: each of its
+// terms is at most the capped cell step 2 would compute, so a pair it
+// kills is one step 2 reports as pruned, and Within, Pruned and every
+// counter built on them are the same with and without it. Only the
+// lower-bound value reported for a pruned pair differs, and the scalar
+// engine and the BatchStager run the same function, so they agree on it.
+// Unbounded verification (max < 0) has no budget and skips it.
 //
 // All scratch (the flattened cost matrix, Levenshtein DP row, Hungarian
 // potentials and paths, greedy edge list) is owned by the Verifier and
@@ -69,10 +79,11 @@ type Verifier struct {
 	// either way (see VerifyBatch).
 	DisableBatch bool
 
-	cost    []int    // flattened k x k cost matrix
-	levRow  []uint16 // Levenshtein DP row (token lengths fit uint16)
-	scratch assignment.Scratch
-	stager  *BatchStager // batched-verification engine, lazily allocated
+	cost       []int    // flattened k x k cost matrix
+	levRow     []uint16 // Levenshtein DP row (token lengths fit uint16)
+	xsig, ysig []uint64 // per-token character signatures of the pair in hand
+	scratch    assignment.Scratch
+	stager     *BatchStager // batched-verification engine, lazily allocated
 }
 
 // Verify decides NSLD(x, y) <= t with the threshold-derived budget.
@@ -97,9 +108,9 @@ func (v *Verifier) SLDBounded(x, y token.TokenizedString, max int) (int, bool) {
 	return sld, ok
 }
 
-// verify runs the budgeted pipeline: trivial sides, matrix construction
-// with the row-minima abort, then the budget-aware alignment. max < 0
-// means unbounded.
+// verify runs the budgeted pipeline: trivial sides, the signature
+// pre-pass, matrix construction with the row-minima abort, then the
+// budget-aware alignment. max < 0 means unbounded.
 func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within, pruned bool) {
 	if x.Count() == 0 {
 		d := y.AggregateLen()
@@ -108,6 +119,13 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 	if y.Count() == 0 {
 		d := x.AggregateLen()
 		return d, max < 0 || d <= max, false
+	}
+	if max >= 0 {
+		xr, yr := x.RuneSlices(), y.RuneSlices()
+		v.xsig, v.ysig = tokenSigs(v.xsig, xr), tokenSigs(v.ysig, yr)
+		if lower, dead := sigPrune(xr, yr, v.xsig, v.ysig, max); dead {
+			return lower, false, true
+		}
 	}
 	k, lower, ok := v.buildCost(x, y, max)
 	if !ok {
@@ -121,6 +139,50 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 		total, ok, early = v.scratch.HungarianFlat(v.cost, k, max)
 	}
 	return total, ok, !ok && early
+}
+
+// tokenSigs returns the character signature of each token of rs, in buf's
+// storage.
+func tokenSigs(buf []uint64, rs [][]rune) []uint64 {
+	buf = buf[:0]
+	for _, r := range rs {
+		buf = append(buf, strdist.Sig(r))
+	}
+	return buf
+}
+
+// sigPrune is the signature pre-pass both engines run before they touch a
+// DP cell. It walks the rows of the padded k x k matrix in buildCost's
+// order, sums a lower bound on each row's minimum capped cell — per cell
+// strdist.SigLowerBound <= LD, and the exact |token| for ε cells — and
+// reports the pair dead, with the partial sum, the moment that sum exceeds
+// the budget b. Its partial sums never exceed buildCost's (or the
+// stager's finishRow's) over the same rows, so dead here implies their
+// row-minima abort fires.
+func sigPrune(xr, yr [][]rune, xs, ys []uint64, b int) (lower int, dead bool) {
+	m, n := len(xr), len(yr)
+	cap1 := b + 1
+	for i, sx := range xs {
+		la := len(xr[i])
+		rowMin := cap1
+		if n < m { // ε columns: delete the whole token
+			rowMin = min(la, cap1)
+		}
+		for j := 0; j < n && rowMin > 0; j++ {
+			rowMin = min(rowMin, strdist.SigLowerBound(sx, ys[j], la, len(yr[j])))
+		}
+		if lower += rowMin; lower > b {
+			return lower, true
+		}
+	}
+	if n > m { // ε rows: each grows into the shortest token at best
+		minTok := cap1
+		for _, r := range yr {
+			minTok = min(minTok, len(r))
+		}
+		lower += (n - m) * minTok
+	}
+	return lower, lower > b
 }
 
 // buildCost fills the flattened padded cost matrix of Sec. III-F

@@ -156,10 +156,12 @@ type WorkerStats struct {
 	SegTokensChecked int64 `json:"seg_tokens_checked"`
 	SegTokensSimilar int64 `json:"seg_tokens_similar"`
 	// Batched-verification funnel: pairs through the vector path, kernel
-	// invocations, occupied lanes, scalar-fallback cells.
+	// invocations, occupied lanes, pairs the signature pre-pass rejected
+	// before any cell, scalar-fallback cells.
 	BatchedPairs     int64 `json:"batched_pairs"`
 	SIMDKernels      int64 `json:"simd_kernels"`
 	SIMDLanes        int64 `json:"simd_lanes"`
+	SigPruned        int64 `json:"sig_pruned"`
 	BatchScalarCells int64 `json:"batch_scalar_cells"`
 	// SIMDWidth is this node's kernel lane width (16 on AVX2, 8 on NEON,
 	// 0 without a live kernel); LaneFillPct is the mean occupied-lane
@@ -194,7 +196,7 @@ func FromShardedStats(st stream.ShardedStats) WorkerStats {
 		SegPrefixPruned: st.SegPrefixPruned, SegKeysProbed: st.SegKeysProbed,
 		SegTokensChecked: st.SegTokensChecked, SegTokensSimilar: st.SegTokensSimilar,
 		BatchedPairs: st.BatchedPairs, SIMDKernels: st.SIMDKernels,
-		SIMDLanes: st.SIMDLanes, BatchScalarCells: st.BatchScalarCells,
+		SIMDLanes: st.SIMDLanes, SigPruned: st.SigPruned, BatchScalarCells: st.BatchScalarCells,
 		CandGenWallMs: ms(st.CandGenWall), VerifyWallMs: ms(st.VerifyWall),
 		TokensPerShard: st.TokensPerShard,
 	}
@@ -211,7 +213,7 @@ func (ws WorkerStats) Sharded() stream.ShardedStats {
 		SegPrefixPruned: ws.SegPrefixPruned, SegKeysProbed: ws.SegKeysProbed,
 		SegTokensChecked: ws.SegTokensChecked, SegTokensSimilar: ws.SegTokensSimilar,
 		BatchedPairs: ws.BatchedPairs, SIMDKernels: ws.SIMDKernels,
-		SIMDLanes: ws.SIMDLanes, BatchScalarCells: ws.BatchScalarCells,
+		SIMDLanes: ws.SIMDLanes, SigPruned: ws.SigPruned, BatchScalarCells: ws.BatchScalarCells,
 		CandGenWall: dur(ws.CandGenWallMs), VerifyWall: dur(ws.VerifyWallMs),
 		TokensPerShard: ws.TokensPerShard,
 	}

@@ -123,12 +123,15 @@ func run(r, p [][]rune, t float64, cfg Config, selfJoin bool) ([]passjoin.Pair, 
 	}
 
 	// Assemble Job-1 input. For the bipartite join, probe records carry
-	// ids offset by len(r) so both sides share one input slice.
+	// ids offset by len(r) so both sides share one input slice. sigs holds
+	// each token's character signature by id, for Job 2.
 	input := make([]tokenRec, 0, len(r)+len(p))
+	sigs := make([]uint64, 0, len(r)+len(p))
 	maxLen := 0
 	for _, side := range [2][][]rune{r, p} {
 		for _, s := range side {
 			input = append(input, tokenRec{id: int32(len(input)), r: s})
+			sigs = append(sigs, strdist.Sig(s))
 			maxLen = max(maxLen, len(s))
 		}
 	}
@@ -198,6 +201,10 @@ func run(r, p [][]rune, t float64, cfg Config, selfJoin bool) ([]passjoin.Pair, 
 			tau := strdist.MaxLDWithin(t, len(x), len(y))
 			// Charge the banded DP cost.
 			ctx.AddCost(float64((tau + 1) * (min(len(x), len(y)) + 1)))
+			// A signature bound above tau decides the pair without the DP.
+			if strdist.SigLowerBound(sigs[a], sigs[b], len(x), len(y)) > tau {
+				return
+			}
 			d, ok := strdist.LevenshteinBounded(x, y, tau)
 			if !ok || !strdist.WithinNLD(d, len(x), len(y), t) {
 				return

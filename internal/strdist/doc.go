@@ -2,7 +2,9 @@
 // builds on: the Levenshtein Distance (LD, Definition 1) and the Normalized
 // Levenshtein Distance (NLD, Definition 2, after Li & Liu 2007), together
 // with the length/threshold bounds of Lemmas 3, 8, 9 and 10 that drive the
-// PassJoin/MassJoin candidate generation and the TSJ filters.
+// PassJoin/MassJoin candidate generation and the TSJ filters, and the
+// character-signature lower bound on LD (Sig, SigLowerBound) that the
+// verifier and MassJoin's verify reducer test before running a DP.
 //
 // All distances operate on Unicode code points (runes), not bytes, so names
 // in any script are compared the way the paper's tokenizer intends. Hot paths

@@ -65,3 +65,18 @@ func FuzzLevenshteinBoundedU16(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSigLowerBound checks the character-signature bound the verifier's
+// pre-pass and MassJoin's verify reducer prune on against the exact
+// oracle on arbitrary rune pairs: never above the distance, symmetric, 0
+// against itself and |a| against the empty token.
+func FuzzSigLowerBound(f *testing.F) {
+	f.Add("barak obama", "obama barack")
+	f.Add("", "nonempty")
+	f.Add("aaaa", "aa")
+	f.Add("a1q", "AQ\U0001F600") // characters that share a class under & 31
+	f.Add("é✓ürich", "z\U0001F600rich")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkSigBound(t, clampRunes(a, 48), clampRunes(b, 48))
+	})
+}

@@ -278,6 +278,9 @@ func (m *ShardedMatcher) addAllStaged(toks []token.TokenizedString) [][]Match {
 	if ctr.ScalarCells > 0 {
 		m.batchScalarCells.Add(ctr.ScalarCells)
 	}
+	if ctr.SigPruned > 0 {
+		m.sigPruned.Add(ctr.SigPruned)
+	}
 
 	// ---- Assemble: chunks are contiguous ascending id runs, so chunk
 	// order keeps each element's matches sorted by id. ------------------

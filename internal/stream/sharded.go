@@ -66,6 +66,7 @@ type ShardedMatcher struct {
 	batchedPairs     atomic.Int64
 	simdKernels      atomic.Int64
 	simdLanes        atomic.Int64
+	sigPruned        atomic.Int64
 	batchScalarCells atomic.Int64
 	prefixPruned     atomic.Int64
 	segPrefixPruned  atomic.Int64
@@ -124,6 +125,9 @@ type ShardedStats struct {
 	// the lane-fill efficiency.
 	SIMDKernels int64
 	SIMDLanes   int64
+	// SigPruned counts batched pairs the verifier's character-signature
+	// pre-pass rejected before any DP cell (a subset of BudgetPruned).
+	SigPruned int64
 	// BatchScalarCells counts token-pair cells inside the batched path
 	// that fell back to the scalar DP (oversized or non-BMP tokens).
 	BatchScalarCells int64
@@ -161,6 +165,7 @@ func (s *ShardedStats) Merge(o ShardedStats) {
 	s.BatchedPairs += o.BatchedPairs
 	s.SIMDKernels += o.SIMDKernels
 	s.SIMDLanes += o.SIMDLanes
+	s.SigPruned += o.SigPruned
 	s.BatchScalarCells += o.BatchScalarCells
 	s.CandGenWall += o.CandGenWall
 	s.VerifyWall += o.VerifyWall
@@ -223,6 +228,7 @@ func (m *ShardedMatcher) Stats() ShardedStats {
 		BatchedPairs:     m.batchedPairs.Load(),
 		SIMDKernels:      m.simdKernels.Load(),
 		SIMDLanes:        m.simdLanes.Load(),
+		SigPruned:        m.sigPruned.Load(),
 		BatchScalarCells: m.batchScalarCells.Load(),
 		CandGenWall:      time.Duration(m.candGenWall.Load()),
 		VerifyWall:       time.Duration(m.verifyWall.Load()),
@@ -567,6 +573,9 @@ func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.Toke
 	}
 	if ctr.ScalarCells > 0 {
 		m.batchScalarCells.Add(ctr.ScalarCells)
+	}
+	if ctr.SigPruned > 0 {
+		m.sigPruned.Add(ctr.SigPruned)
 	}
 	return out
 }

@@ -130,6 +130,9 @@ type MatcherStats struct {
 	// the lane-fill efficiency.
 	SIMDKernels int64
 	SIMDLanes   int64
+	// SigPruned counts batched pairs the verifier's character-signature
+	// pre-pass rejected before any DP cell (a subset of BudgetPruned).
+	SigPruned int64
 	// BatchScalarCells counts token-pair cells inside the batched path
 	// that fell back to the scalar DP (oversized or non-BMP tokens).
 	BatchScalarCells int64
@@ -192,6 +195,7 @@ func (m *Matcher) Stats() MatcherStats {
 		BatchedPairs:     m.batchCtr.Batched,
 		SIMDKernels:      m.batchCtr.Kernels,
 		SIMDLanes:        m.batchCtr.Lanes,
+		SigPruned:        m.batchCtr.SigPruned,
 		BatchScalarCells: m.batchCtr.ScalarCells,
 		CandGenWall:      m.candGenWall,
 		VerifyWall:       m.verifyWall,

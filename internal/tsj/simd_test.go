@@ -40,8 +40,12 @@ func checkSIMDStats(t *testing.T, label string, on, off *Stats) {
 		on.Results != off.Results || on.DedupedCandidates != off.DedupedCandidates {
 		t.Fatalf("%s: staging changed the verify funnel:\n on  %v\n off %v", label, on, off)
 	}
-	if off.BatchedPairs != 0 || off.SIMDKernels != 0 {
+	if off.BatchedPairs != 0 || off.SIMDKernels != 0 || off.SigPruned != 0 {
 		t.Fatalf("%s: SIMD counters nonzero with DisableSIMD", label)
+	}
+	if on.SigPruned > on.BudgetPruned || on.SigPruned > on.BatchedPairs {
+		t.Fatalf("%s: SigPruned=%d is not a subset of BudgetPruned=%d and BatchedPairs=%d",
+			label, on.SigPruned, on.BudgetPruned, on.BatchedPairs)
 	}
 	jon, joff := dedupVerifyJob(t, on), dedupVerifyJob(t, off)
 	// Greedy's k^2 log k charge is not an integer, so its sum depends on

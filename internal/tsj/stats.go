@@ -61,6 +61,10 @@ type Stats struct {
 	// the lane-fill efficiency.
 	SIMDKernels int64
 	SIMDLanes   int64
+	// SigPruned counts staged pairs the verifier's character-signature
+	// pre-pass rejected before any DP cell — a subset of BudgetPruned,
+	// counted on the batched path only (0 wherever BatchedPairs is).
+	SigPruned int64
 	// BatchScalarCells counts token-pair cells inside the batched path
 	// that fell back to the scalar DP (oversized or non-BMP tokens).
 	BatchScalarCells int64
@@ -69,7 +73,7 @@ type Stats struct {
 // String renders a multi-line summary.
 func (s *Stats) String() string {
 	return fmt.Sprintf(
-		"tokens kept=%d dropped=%d | candidates shared=%d similar=%d (token pairs=%d) deduped=%d | pruned prefix=%d seg-prefix=%d len=%d lb=%d budget=%d | verified=%d (batched=%d kernels=%d lanes=%d) results=%d",
+		"tokens kept=%d dropped=%d | candidates shared=%d similar=%d (token pairs=%d) deduped=%d | pruned prefix=%d seg-prefix=%d len=%d lb=%d budget=%d | verified=%d (batched=%d sig-pruned=%d kernels=%d lanes=%d) results=%d",
 		s.KeptTokens, s.DroppedTokens, s.SharedTokenCandidates, s.SimilarTokenCandidates,
-		s.SimilarTokenPairs, s.DedupedCandidates, s.PrefixPruned, s.SegPrefixPruned, s.LengthPruned, s.LBPruned, s.BudgetPruned, s.Verified, s.BatchedPairs, s.SIMDKernels, s.SIMDLanes, s.Results)
+		s.SimilarTokenPairs, s.DedupedCandidates, s.PrefixPruned, s.SegPrefixPruned, s.LengthPruned, s.LBPruned, s.BudgetPruned, s.Verified, s.BatchedPairs, s.SigPruned, s.SIMDKernels, s.SIMDLanes, s.Results)
 }

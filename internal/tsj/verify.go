@@ -250,6 +250,7 @@ func (v *verifier) drain(st *Stats) []Result {
 		st.BatchedPairs += pv.ctr.Batched
 		st.SIMDKernels += pv.ctr.Kernels
 		st.SIMDLanes += pv.ctr.Lanes
+		st.SigPruned += pv.ctr.SigPruned
 		st.BatchScalarCells += pv.ctr.ScalarCells
 	}
 	return out
