@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nosimd test-arm64 race torture replication-torture cluster-e2e bench bench-verify bench-candidates bench-segment bench-corpus bench-json bench-compare fuzz-smoke equivalence-guard lint ci
+.PHONY: all build test test-nosimd test-arm64 race torture replication-torture cluster-e2e bench bench-verify bench-candidates bench-segment bench-corpus fuzz-smoke equivalence-guard lint ci
 
 all: build
 
@@ -46,7 +46,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzSigLowerBound -fuzztime 30s ./internal/strdist/
 
 race:
-	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./cmd/tsjserve/...
+	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/...
 
 # Storage fault-injection suite under the race detector: the op-sweep
 # torture test (every WAL/snapshot/compact I/O operation failed in turn,
@@ -55,7 +55,7 @@ race:
 # degraded-mode end-to-end test. -short strides the sweep; the full
 # sweep runs in the plain `test` target.
 torture:
-	$(GO) test -race -short -run 'Torture|Degraded|BitRot' -count=1 ./internal/corpus/ ./cmd/tsjserve/
+	$(GO) test -race -short -run 'Torture|Degraded|BitRot' -count=1 ./internal/corpus/ ./internal/serve/
 
 # Replication torture under the race detector: every shipped WAL frame
 # failed in turn (drop, torn write, delay, standby crash, primary
@@ -63,16 +63,16 @@ torture:
 # layer's failover end-to-end test. -short strides the frame sweep; the
 # full sweep runs in the plain `test` target.
 replication-torture:
-	$(GO) test -race -short -run 'Replication|Promotion|Failover' -count=1 ./internal/replica/ ./cmd/tsjserve/
+	$(GO) test -race -short -run 'Replication|Promotion|Failover' -count=1 ./internal/replica/ ./internal/serve/
 
 # Cluster end-to-end under the race detector: one coordinator over two
-# real tsjserve workers (worker 0 with a warm replication standby) —
+# real internal/serve workers (worker 0 with a warm replication standby) —
 # add/join/query/distributed-selfjoin traffic byte-compared against a
 # single node, then kill worker 0 and require hedged reads, heartbeat
 # detection, real standby promotion, and a repointed partition map. The
 # guard fails if the test is skipped or has gone missing.
 cluster-e2e:
-	@out=$$($(GO) test -race -v -run TestClusterE2E -count=1 ./cmd/tsjserve/ 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -race -v -run TestClusterE2E -count=1 ./internal/serve/ 2>&1) || { echo "$$out"; exit 1; }; \
 	if ! echo "$$out" | grep -q -- "--- PASS: TestClusterE2E"; then \
 		echo "$$out"; echo "TestClusterE2E did not run (missing or skipped)"; exit 1; fi; \
 	echo "cluster e2e (kill-worker failover + single-node equivalence): ok"
@@ -92,26 +92,8 @@ bench-segment:
 bench-corpus:
 	$(GO) test -run='^$$' -bench='CorpusAdd|SnapshotLoad|WALReplay' -benchtime=1x -benchmem ./internal/corpus/
 
-# Full benchmark pass rendered into one machine-readable artifact per
-# commit (CI uploads these so perf trajectories can be diffed offline).
-bench-json:
-	@sha=$$(git rev-parse --short HEAD 2>/dev/null || echo unknown); \
-	{ $(GO) test -run='^$$' -bench='SLD|Verify' -benchmem . && \
-	  $(GO) test -run='^$$' -bench='Candidates|Prefix' -benchtime=1x -benchmem . && \
-	  $(GO) test -run='^$$' -bench=SegmentProbe -benchtime=1x -benchmem ./internal/stream/ && \
-	  $(GO) test -run='^$$' -bench='CorpusAdd|SnapshotLoad|WALReplay' -benchtime=1x -benchmem ./internal/corpus/; } \
-	| $(GO) run ./cmd/benchjson -commit "$$sha" -o "BENCH_$$sha.json"
-
-# Warn-only diff of two bench-json artifacts: flags every time metric
-# (ns/op, ns/pair) that moved beyond THRESHOLD percent. Usage:
-#   make bench-compare OLD=BENCH_old.json NEW=BENCH_new.json [THRESHOLD=10]
-THRESHOLD ?= 10
-bench-compare:
-	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json [THRESHOLD=10]"; exit 2; }
-	$(GO) run ./cmd/benchjson -compare -warn-only -threshold $(THRESHOLD) $(OLD) $(NEW)
-
 equivalence-guard:
-	@out=$$($(GO) test -v -run 'TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference' ./internal/... ./cmd/tsjserve/ 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -v -run 'TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
 	for pat in TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \

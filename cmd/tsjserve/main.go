@@ -1,789 +1,27 @@
 // Command tsjserve serves an incremental NSLD matcher over HTTP/JSON —
-// the sign-up-screening scenario as a service. Every request body is
-// JSON; matches reference the sequence number (id) the matched string
-// received when it was added.
+// the sign-up-screening scenario as a service. A node (the default) is
+// internal/serve: see its package comment for the endpoints,
+// persistence (-data), replication (-replica-of) and degraded mode.
 //
-// Endpoints:
+// With -coordinator it instead serves the single-node wire contract
+// over a fleet of worker tsjserves (internal/distrib). The coordinator
+// owns no corpus — it owns the epoch-stamped partition map, the global
+// id table, the membership heartbeats that promote worker standbys, and
+// the scatter/merge logic.
 //
-//	POST /add      {"name": "Barak Obama"}
-//	               -> {"id": 17, "matches": [{"id": 3, "sld": 1, "nsld": 0.08}]}
-//	POST /query    {"name": "Barak Obama"}        match without indexing
-//	               -> {"matches": [...]}
-//	POST /join     {"names": ["a", "b", ...]}     atomic batch add
-//	               -> {"first": 18, "results": [{"id": 18, "matches": [...]}, ...]}
-//	POST /delete   {"id": 3}                      tombstone a string
-//	               -> {"deleted": 3}
-//	POST /snapshot {"compact": true}              checkpoint the corpus (-data only)
-//	               -> {"generation": 3, "strings": 1041}
-//	GET  /stats    -> matcher funnel/wall counters, per-endpoint latency
-//	                  quantiles and error/shed/panic counters, and (with
-//	                  -data) corpus/WAL counters and replication state
-//	GET  /healthz  -> ok        pure liveness: 200 while the process serves
-//	GET  /readyz   -> ready     flips to 503 while the corpus is degraded
-//	                  or the node is a standby that is syncing/out of contact
-//	GET  /replication          -> role plus shipper/applier status
-//	POST /replication/register   (replication protocol; standby -> primary)
-//	POST /replication/apply      (replication protocol; primary -> standby)
-//	POST /promote  {}            fail over: seal replication, flip writable
-//	               -> {"role": "primary", "lsn": 1041}
-//
-// With -data DIR the index is durable: every add is appended to a
-// CRC-framed write-ahead log under DIR before it becomes visible, POST
-// /snapshot (or -snapshot-every) checkpoints the corpus, and a restart
-// warm-loads the whole index from snapshot + WAL replay — same ids, same
-// matches — instead of starting empty.
-//
-// Replication: a durable node is always a shipping-capable primary —
-// standbys register via POST /replication/register and committed WAL
-// records stream to them (far-behind followers get a full bootstrap).
-// Started with -replica-of URL (plus -advertise URL and -data DIR), the
-// node is instead a warm standby: it applies the primary's shipped
-// stream through the same replay path a restart uses, serves /query
-// (and all read endpoints) from the warm index, answers 503 on writes,
-// and reports not-ready until it is registered and caught up. POST
-// /promote fails the node over: the applier is sealed, the corpus
-// fsynced, and the node becomes a writable primary that accepts
-// follower registrations of its own.
-//
-// Degraded mode: a storage failure that seals the corpus write path (a
-// failed WAL fsync cannot be retried soundly — the kernel may drop the
-// dirty pages and report the next fsync clean) flips the server
-// read-only. /query and /stats keep serving from memory, mutating
-// endpoints return 503 with Retry-After, /readyz reports not-ready, and
-// a background loop attempts recovery (a full generation rotation
-// through fresh descriptors) with exponential backoff until the
-// filesystem heals.
-//
-// The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
-// (including Adds mid-WAL-append) drain, the background snapshot and
-// recovery loops are joined, the worker pool is released, and finally
-// the corpus WAL is flushed and closed.
+// Either way the process shuts down gracefully on SIGINT/SIGTERM.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	tsjoin "repro"
-	"repro/internal/backoff"
 	"repro/internal/distrib"
-	"repro/internal/histo"
-	"repro/internal/replica"
+	"repro/internal/serve"
 )
-
-// maxBodyBytes bounds request bodies; a /join batch of ~10k names fits.
-const maxBodyBytes = 4 << 20
-
-// endpointCounters are one instrumented endpoint's error-path tallies.
-type endpointCounters struct {
-	// errors counts responses with status >= 400 (including sheds and
-	// panics); shed counts requests rejected at the concurrency limit;
-	// panics counts handler panics converted to 500s.
-	errors atomic.Int64
-	shed   atomic.Int64
-	panics atomic.Int64
-}
-
-// Replication roles a node can be in. A durable node starts as a
-// primary (shipping-capable, writable), a -replica-of node as a standby
-// (read-only applier) until promoted; an in-memory node is "none".
-const (
-	roleNone    = "none"
-	rolePrimary = "primary"
-	roleStandby = "standby"
-)
-
-// server wires a ConcurrentMatcher (and optionally its backing corpus)
-// to the HTTP API.
-type server struct {
-	// engMu guards the engine handles below. A standby's bootstrap
-	// re-seed closes and replaces m and c mid-flight (resetEngine), so
-	// every request that touches them runs under the read lock for its
-	// whole duration (readLocked) and the swap takes the write lock —
-	// the swap drains in-flight requests instead of closing the matcher
-	// under them.
-	engMu sync.RWMutex
-	m     *tsjoin.ConcurrentMatcher
-	// c is the persistent corpus backing m, nil when running in-memory.
-	c *tsjoin.Corpus
-	// lat holds one latency histogram per endpoint, keyed by the
-	// endpoint name reported in /stats.
-	lat map[string]*histo.Histogram
-	ctr map[string]*endpointCounters
-	// inflight is the load-shedding semaphore: a request that cannot
-	// acquire a slot without blocking is rejected with 503 rather than
-	// queued — queueing under overload only converts overload into
-	// latency and memory growth.
-	inflight chan struct{}
-
-	// role is the replication role (roleNone/rolePrimary/roleStandby);
-	// promotion flips it standby -> primary while serving.
-	role atomic.Value
-	// primMu guards prim, which a promotion creates while serving.
-	primMu sync.Mutex
-	prim   *replica.Primary
-	// stby is non-nil for the life of a node started with -replica-of
-	// (it stays, sealed, after promotion — its counters remain visible).
-	stby *replica.Standby
-	// dataDir plus the open options let resetEngine rebuild the engine
-	// from a wiped directory when the primary orders a bootstrap.
-	dataDir string
-	mopts   tsjoin.ConcurrentMatcherOptions
-	copts   tsjoin.CorpusOptions
-}
-
-func newServer(m *tsjoin.ConcurrentMatcher, c *tsjoin.Corpus, maxInflight int) *server {
-	if maxInflight <= 0 {
-		maxInflight = 256
-	}
-	lat := make(map[string]*histo.Histogram)
-	ctr := make(map[string]*endpointCounters)
-	for _, name := range endpointNames {
-		lat[name] = &histo.Histogram{}
-		ctr[name] = &endpointCounters{}
-	}
-	s := &server{m: m, c: c, lat: lat, ctr: ctr, inflight: make(chan struct{}, maxInflight)}
-	if c != nil {
-		s.role.Store(rolePrimary)
-	} else {
-		s.role.Store(roleNone)
-	}
-	return s
-}
-
-// degraded reports the backing corpus's degraded state (nil when
-// in-memory or healthy). Callers hold the engine read lock (readLocked).
-func (s *server) degraded() error { return s.m.Degraded() }
-
-func (s *server) roleName() string {
-	r, _ := s.role.Load().(string)
-	return r
-}
-
-// shipper returns the primary-side replication shipper, nil on a
-// standby (until promoted) or an in-memory node.
-func (s *server) shipper() *replica.Primary {
-	s.primMu.Lock()
-	defer s.primMu.Unlock()
-	return s.prim
-}
-
-// corpusHandle reads the current corpus under the engine lock; the
-// background loops re-read it every tick because a standby bootstrap
-// swaps it.
-func (s *server) corpusHandle() *tsjoin.Corpus {
-	s.engMu.RLock()
-	defer s.engMu.RUnlock()
-	return s.c
-}
-
-// serverEngine adapts the serving matcher+corpus to the replication
-// Applier: replicated records install through the same mutation path a
-// WAL replay uses, so the standby's matcher answers queries over
-// exactly the primary's acknowledged history. Its methods are called
-// only under the Standby's own lock, which also serializes them with
-// resetEngine's handle swap.
-type serverEngine struct{ s *server }
-
-func (e serverEngine) LSN() uint64 {
-	if e.s.m == nil {
-		return 0
-	}
-	return e.s.m.LSN()
-}
-
-func (e serverEngine) Apply(payload []byte) error {
-	if e.s.m == nil {
-		return errors.New("engine is resetting")
-	}
-	return e.s.m.ApplyShipped(payload)
-}
-
-func (e serverEngine) Seal() error {
-	if e.s.c == nil {
-		return errors.New("engine is resetting")
-	}
-	return e.s.c.Sync()
-}
-
-// resetEngine is the standby's bootstrap wipe: close the serving
-// handles, clear the data directory, and reopen an empty engine for the
-// primary to stream the full state into. Taking the engine write lock
-// drains every in-flight read first; while the swap is in progress (or
-// after a failed one) the handles are nil and readLocked answers 503.
-func (s *server) resetEngine() (replica.Applier, error) {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if s.m != nil {
-		s.m.Close()
-	}
-	if s.c != nil {
-		if err := s.c.Close(); err != nil {
-			log.Printf("replica reset: closing old corpus: %v", err)
-		}
-	}
-	s.m, s.c = nil, nil
-	if err := os.RemoveAll(s.dataDir); err != nil {
-		return nil, fmt.Errorf("replica reset: wiping %s: %w", s.dataDir, err)
-	}
-	if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
-		return nil, err
-	}
-	c, err := tsjoin.OpenCorpus(s.dataDir, s.copts)
-	if err != nil {
-		return nil, fmt.Errorf("replica reset: reopening corpus: %w", err)
-	}
-	m, err := tsjoin.NewConcurrentMatcherFromCorpus(c, s.mopts)
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("replica reset: rebuilding matcher: %w", err)
-	}
-	s.m, s.c = m, c
-	return serverEngine{s}, nil
-}
-
-// closeEngine shuts the current handles down at process exit; it reads
-// them under the write lock because a standby may have swapped them
-// since startup.
-func (s *server) closeEngine() {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if s.m != nil {
-		s.m.Close()
-	}
-	if s.c != nil {
-		if err := s.c.Close(); err != nil {
-			log.Printf("corpus close: %v", err)
-		} else {
-			log.Print("corpus WAL flushed and closed")
-		}
-	}
-	s.m, s.c = nil, nil
-}
-
-// endpointNames are the instrumented endpoints, in /stats display order.
-var endpointNames = []string{"add", "query", "join", "delete", "snapshot"}
-
-// wireMatch is the JSON form of one match.
-type wireMatch struct {
-	ID   int     `json:"id"`
-	SLD  int     `json:"sld"`
-	NSLD float64 `json:"nsld"`
-}
-
-func toWire(ms []tsjoin.Match) []wireMatch {
-	out := make([]wireMatch, len(ms))
-	for i, m := range ms {
-		out[i] = wireMatch{ID: m.ID, SLD: m.SLD, NSLD: m.NSLD}
-	}
-	return out
-}
-
-// handler builds the route table. Instrumented endpoints get the full
-// request-lifecycle wrapper (shedding, panic recovery, status capture,
-// latency); mutating endpoints additionally fail fast while the corpus
-// is degraded. /snapshot stays ungated — it IS the manual heal path
-// (a successful rotation clears the degraded state).
-func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/add", s.instrument("add", s.readLocked(s.writeGate(s.handleAdd))))
-	mux.HandleFunc("/query", s.instrument("query", s.readLocked(s.handleQuery)))
-	mux.HandleFunc("/join", s.instrument("join", s.readLocked(s.writeGate(s.handleJoin))))
-	mux.HandleFunc("/delete", s.instrument("delete", s.readLocked(s.writeGate(s.handleDelete))))
-	mux.HandleFunc("/snapshot", s.instrument("snapshot", s.readLocked(s.handleSnapshot)))
-	mux.HandleFunc("/stats", requireGet(s.readLocked(s.handleStats)))
-	mux.HandleFunc("/replication", requireGet(s.handleReplication))
-	mux.HandleFunc("/replication/register", s.handleRegister)
-	mux.HandleFunc("/replication/apply", s.handleApply)
-	mux.HandleFunc("/promote", s.handlePromote)
-	mux.HandleFunc("/healthz", requireGet(func(w http.ResponseWriter, r *http.Request) {
-		// Pure liveness: answers while the process can serve at all, even
-		// degraded — orchestrators must not restart a replica that is
-		// serving reads and waiting out a disk fault. Readiness (routing)
-		// is /readyz.
-		fmt.Fprintln(w, "ok")
-	}))
-	mux.HandleFunc("/readyz", requireGet(s.readLocked(s.handleReady)))
-	// Worker-side cluster endpoints: the executor surface a coordinator
-	// (tsjserve -coordinator) drives for the distributed join. They are
-	// corpus-backed, so an in-memory node answers 409.
-	mux.HandleFunc("/cluster/strings", s.readLocked(s.workerExt(distrib.WorkerExt.ServeStrings)))
-	mux.HandleFunc("/cluster/probe", s.readLocked(s.workerExt(distrib.WorkerExt.ServeProbe)))
-	mux.HandleFunc("/cluster/selfjoin", s.readLocked(s.workerExt(distrib.WorkerExt.ServeSelfJoin)))
-	return mux
-}
-
-// workerExt adapts a distrib.WorkerExt method to this server: the
-// corpus handle is re-read per request (a standby bootstrap swaps it;
-// callers hold the engine read lock via readLocked), and nodes without
-// a corpus reject the endpoint.
-func (s *server) workerExt(h func(distrib.WorkerExt, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.c == nil {
-			http.Error(w, "no -data directory: cluster join endpoints require a corpus", http.StatusConflict)
-			return
-		}
-		h(distrib.WorkerExt{C: s.c}, w, r)
-	}
-}
-
-// readLocked pins the engine handles for the request's duration: a
-// standby bootstrap swaps them under the write lock, so a handler that
-// grabbed s.m without this could race the swap's Close. While a swap is
-// in progress (or left the handles nil after failing) the request is
-// answered 503 — the primary's retry re-orders the reset.
-//
-// The replication endpoints themselves must NOT run under this lock:
-// /replication/apply is the path that takes the write lock.
-func (s *server) readLocked(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.engMu.RLock()
-		defer s.engMu.RUnlock()
-		if s.m == nil {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "engine resetting: replica re-seed in progress", http.StatusServiceUnavailable)
-			return
-		}
-		h(w, r)
-	}
-}
-
-// statusWriter captures the response status so the middleware can count
-// error responses without inspecting handler internals.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// instrument is the request-lifecycle wrapper: load-shedding semaphore,
-// panic-to-500 recovery, status capture for the error counters, and the
-// latency histogram.
-func (s *server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.lat[name]
-	ctr := s.ctr[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			ctr.shed.Add(1)
-			ctr.errors.Add(1)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "overloaded: concurrency limit reached", http.StatusServiceUnavailable)
-			return
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				ctr.panics.Add(1)
-				ctr.errors.Add(1)
-				log.Printf("panic in /%s: %v\n%s", name, p, debug.Stack())
-				if sw.status == 0 {
-					http.Error(sw, "internal server error", http.StatusInternalServerError)
-				}
-			} else if sw.status >= http.StatusBadRequest {
-				ctr.errors.Add(1)
-			}
-			hist.Observe(time.Since(start))
-		}()
-		h(sw, r)
-	}
-}
-
-// writeGate fails mutating requests fast: a standby is read-only by
-// role (writes go to the primary; promotion lifts this), and a degraded
-// corpus is read-only by circumstance — either way before the request
-// touches the write path.
-func (s *server) writeGate(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.roleName() == roleStandby {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "read-only standby: writes go to the primary (POST /promote to fail over)", http.StatusServiceUnavailable)
-			return
-		}
-		if err := s.degraded(); err != nil {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "degraded, serving read-only: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		h(w, r)
-	}
-}
-
-// requireGet rejects everything but GET/HEAD on read-only endpoints.
-func requireGet(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
-	}
-}
-
-func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.roleName() == roleStandby && s.stby != nil && !s.stby.Ready() {
-		// A standby is routable only as a warm, caught-up replica:
-		// registered with the primary, not mid-bootstrap, in recent
-		// contact. Anything else and its answers may be arbitrarily stale.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "standby not ready: syncing or out of contact with the primary", http.StatusServiceUnavailable)
-		return
-	}
-	if err := s.degraded(); err != nil {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "degraded: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ready")
-}
-
-// replStatus is the JSON shape of GET /replication and the replication
-// section of /stats: the node's role plus whichever sides it runs.
-type replStatus struct {
-	Role string `json:"role"`
-	// Primary is the shipper's view (followers, lag) on a shipping-
-	// capable node; Standby the applier's view on a -replica-of node
-	// (it remains, sealed, after promotion so its counters stay
-	// visible).
-	Primary *replica.PrimaryStatus `json:"primary,omitempty"`
-	Standby *replica.StandbyStatus `json:"standby,omitempty"`
-}
-
-func (s *server) replicationStatus() replStatus {
-	st := replStatus{Role: s.roleName()}
-	if p := s.shipper(); p != nil {
-		ps := p.Status()
-		st.Primary = &ps
-	}
-	if s.stby != nil {
-		ss := s.stby.Status()
-		st.Standby = &ss
-	}
-	return st
-}
-
-func (s *server) handleReplication(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.replicationStatus())
-}
-
-// handleRegister accepts a standby's "ship to me" handshake; only a
-// node currently acting as a primary has a shipper to hand it to.
-func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	p := s.shipper()
-	if p == nil {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "not accepting followers: node is a standby or in-memory", http.StatusServiceUnavailable)
-		return
-	}
-	p.ServeRegister(w, r)
-}
-
-// handleApply ingests one shipped batch on a standby. It runs outside
-// readLocked on purpose: a bootstrap chunk's reset takes the engine
-// write lock, which drains the readLocked endpoints first.
-func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if s.stby == nil {
-		http.Error(w, "not a standby: this node does not accept replication traffic", http.StatusConflict)
-		return
-	}
-	s.stby.ServeApply(w, r)
-}
-
-// handlePromote fails the node over: seal the applier (rejecting
-// further replication traffic, including from a still-live old
-// primary), fsync the corpus, and flip the role to writable primary —
-// from here the node accepts follower registrations of its own.
-// Promotion of a syncing standby is refused: its state is a partial
-// bootstrap, not a prefix of the primary's history.
-func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.stby == nil {
-		http.Error(w, "not a standby: nothing to promote", http.StatusConflict)
-		return
-	}
-	already := s.roleName() == rolePrimary
-	if err := s.stby.Promote(); err != nil {
-		if errors.Is(err, replica.ErrSyncing) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "promote: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		// A seal failure (e.g. degraded corpus: the final fsync cannot be
-		// trusted) leaves the standby unsealed and promotion retryable.
-		persistError(w, "promote", err)
-		return
-	}
-	s.role.Store(rolePrimary)
-	s.engMu.RLock()
-	c := s.c
-	s.engMu.RUnlock()
-	s.primMu.Lock()
-	if s.prim == nil && c != nil {
-		s.prim = replica.NewPrimary(c, replica.PrimaryOptions{Logf: log.Printf})
-	}
-	s.primMu.Unlock()
-	lsn := uint64(0)
-	if c != nil {
-		lsn = c.LSN()
-	}
-	if !already {
-		log.Printf("promoted: standby sealed at lsn %d, now serving as writable primary", lsn)
-	}
-	writeJSON(w, struct {
-		Role    string `json:"role"`
-		LSN     uint64 `json:"lsn"`
-		Already bool   `json:"already,omitempty"`
-	}{rolePrimary, lsn, already})
-}
-
-// decode parses a JSON body into v, enforcing method and size limits.
-func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-			return false
-		}
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-// persistError maps a persistence failure to its status: degraded-mode
-// failures are 503 with Retry-After (the replica heals in place or an
-// operator intervenes; the request is safe to retry elsewhere), anything
-// else is a 500.
-func persistError(w http.ResponseWriter, what string, err error) {
-	if errors.Is(err, tsjoin.ErrDegraded) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, what+": "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, what+": "+err.Error(), http.StatusInternalServerError)
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("write response: %v", err)
-	}
-}
-
-func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name string `json:"name"`
-	}
-	if !decode(w, r, &req) {
-		return
-	}
-	id, matches, err := s.m.AddDurable(req.Name)
-	if err != nil {
-		persistError(w, "persistence failure", err)
-		return
-	}
-	writeJSON(w, struct {
-		ID      int         `json:"id"`
-		Matches []wireMatch `json:"matches"`
-	}{id, toWire(matches)})
-}
-
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name string `json:"name"`
-	}
-	if !decode(w, r, &req) {
-		return
-	}
-	writeJSON(w, struct {
-		Matches []wireMatch `json:"matches"`
-	}{toWire(s.m.Query(req.Name))})
-}
-
-func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Names []string `json:"names"`
-	}
-	if !decode(w, r, &req) {
-		return
-	}
-	first, matches, err := s.m.AddAllDurable(req.Names)
-	if err != nil {
-		persistError(w, "persistence failure", err)
-		return
-	}
-	type result struct {
-		ID      int         `json:"id"`
-		Matches []wireMatch `json:"matches"`
-	}
-	results := make([]result, len(matches))
-	for i, ms := range matches {
-		results[i] = result{ID: first + i, Matches: toWire(ms)}
-	}
-	writeJSON(w, struct {
-		First   int      `json:"first"`
-		Results []result `json:"results"`
-	}{first, results})
-}
-
-func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID *int `json:"id"`
-	}
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.ID == nil {
-		http.Error(w, "bad request: missing id", http.StatusBadRequest)
-		return
-	}
-	// The matcher's delete keeps the live index and the corpus WAL (when
-	// durable) in step. Unknown/double deletes are the caller's fault; a
-	// WAL failure is ours.
-	if err := s.m.Delete(*req.ID); err != nil {
-		if errors.Is(err, tsjoin.ErrNotFound) {
-			http.Error(w, "delete: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		persistError(w, "delete", err)
-		return
-	}
-	writeJSON(w, struct {
-		Deleted int `json:"deleted"`
-	}{*req.ID})
-}
-
-func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Compact bool `json:"compact"`
-	}
-	if !decode(w, r, &req) {
-		return
-	}
-	if s.c == nil {
-		http.Error(w, "no -data directory: the index is not persistent", http.StatusConflict)
-		return
-	}
-	var err error
-	if req.Compact {
-		err = s.c.Compact()
-	} else {
-		err = s.c.Snapshot()
-	}
-	if err != nil {
-		persistError(w, "snapshot", err)
-		return
-	}
-	st := s.c.Stats()
-	writeJSON(w, struct {
-		Generation uint64 `json:"generation"`
-		Strings    int    `json:"strings"`
-		Compacted  bool   `json:"compacted"`
-	}{st.Generation, st.Strings, req.Compact})
-}
-
-// wireLatency is the JSON form of one endpoint's latency summary.
-type wireLatency struct {
-	Count  int64   `json:"count"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MeanMs float64 `json:"mean_ms"`
-}
-
-// wireEndpoint is the JSON form of one endpoint's error-path counters.
-type wireEndpoint struct {
-	Errors int64 `json:"errors"`
-	Shed   int64 `json:"shed"`
-	Panics int64 `json:"panics"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	lat := make(map[string]wireLatency, len(s.lat))
-	for name, h := range s.lat {
-		lat[name] = wireLatency{
-			Count:  h.Count(),
-			P50Ms:  ms(h.Quantile(0.50)),
-			P95Ms:  ms(h.Quantile(0.95)),
-			P99Ms:  ms(h.Quantile(0.99)),
-			MeanMs: ms(h.Mean()),
-		}
-	}
-	endpoints := make(map[string]wireEndpoint, len(s.ctr))
-	for name, c := range s.ctr {
-		endpoints[name] = wireEndpoint{
-			Errors: c.errors.Load(),
-			Shed:   c.shed.Load(),
-			Panics: c.panics.Load(),
-		}
-	}
-	var degradedCause string
-	if err := s.degraded(); err != nil {
-		degradedCause = err.Error()
-	}
-	var corpusStats *tsjoin.CorpusStats
-	if s.c != nil {
-		cs := s.c.Stats()
-		corpusStats = &cs
-	}
-	var repl *replStatus
-	if rs := s.replicationStatus(); rs.Primary != nil || rs.Standby != nil {
-		repl = &rs
-	}
-	// The funnel counters are the embedded distrib.WorkerStats — its json
-	// tags are the single source of truth for the field names, so a
-	// coordinator aggregating this node's /stats cannot drift from what
-	// the node publishes.
-	writeJSON(w, struct {
-		distrib.WorkerStats
-		Latency       map[string]wireLatency  `json:"latency"`
-		Endpoints     map[string]wireEndpoint `json:"endpoints"`
-		Degraded      bool                    `json:"degraded"`
-		DegradedCause string                  `json:"degraded_cause,omitempty"`
-		Corpus        *tsjoin.CorpusStats     `json:"corpus,omitempty"`
-		Replication   *replStatus             `json:"replication,omitempty"`
-	}{distrib.FromShardedStats(s.m.Stats()), lat, endpoints, degradedCause != "", degradedCause, corpusStats, repl})
-}
 
 func main() {
 	log.SetFlags(0)
@@ -793,8 +31,8 @@ func main() {
 	}
 }
 
-// run owns the full lifecycle so every shutdown path releases resources
-// in order (drain HTTP -> close matcher -> flush and close corpus);
+// run parses the flags and hands the process to a node or a
+// coordinator; either returns only after its shutdown sequence, so
 // main's log.Fatal never skips a close.
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -823,223 +61,45 @@ func run() error {
 		if *dataDir != "" || *replicaOf != "" {
 			return errors.New("-coordinator does not serve an index: drop -data/-replica-of (workers own the corpora)")
 		}
-		return runCoordinator(coordinatorConfig{
-			addr:         *addr,
-			workers:      *workersSpec,
-			heartbeat:    *heartbeat,
-			failAfter:    *failAfter,
-			queryTimeout: *queryTimeout,
-			writeTimeout: *writeTimeout,
-			idleTimeout:  *idleTimeout,
+		pm, err := distrib.ParseWorkers(*workersSpec)
+		if err != nil {
+			return errors.New("coordinator: " + err.Error() + " (use -workers=primary|standby,primary,...)")
+		}
+		co := distrib.New(pm, distrib.Options{
+			QueryTimeout: *queryTimeout,
+			WriteTimeout: *writeTimeout,
+			Heartbeat:    *heartbeat,
+			FailAfter:    *failAfter,
+			Logf:         log.Printf,
 		})
+		log.Printf("coordinator listening on %s (%d shards, heartbeat=%v, fail-after=%d)",
+			*addr, len(pm.Shards), *heartbeat, *failAfter)
+		return serve.ListenAndServe(*addr, co.Handler(), *writeTimeout, *idleTimeout, co.Run)
 	}
 	if *workersSpec != "" {
 		return errors.New("-workers requires -coordinator")
 	}
 
-	if *replicaOf != "" {
-		if *dataDir == "" {
-			return errors.New("-replica-of requires -data: a standby replicates into a durable corpus")
-		}
-		if *advertise == "" {
-			return errors.New("-replica-of requires -advertise: the primary ships to that URL")
-		}
-	}
-
-	mopts := tsjoin.ConcurrentMatcherOptions{
-		MatcherOptions: tsjoin.MatcherOptions{
-			Threshold:       *threshold,
-			MaxTokenFreq:    *maxFreq,
-			Greedy:          *greedy,
-			ExactTokensOnly: *exactTokens,
-			DisableSIMD:     *noSIMD,
+	s, err := serve.New(serve.Config{
+		Matcher: tsjoin.ConcurrentMatcherOptions{
+			MatcherOptions: tsjoin.MatcherOptions{
+				Threshold:       *threshold,
+				MaxTokenFreq:    *maxFreq,
+				Greedy:          *greedy,
+				ExactTokensOnly: *exactTokens,
+				DisableSIMD:     *noSIMD,
+			},
+			Shards: *shards,
 		},
-		Shards: *shards,
+		DataDir:       *dataDir,
+		Corpus:        tsjoin.CorpusOptions{SyncEvery: *syncEvery},
+		SnapshotEvery: *snapshotEvery,
+		MaxInflight:   *maxInflight,
+		ReplicaOf:     *replicaOf,
+		Advertise:     *advertise,
+	})
+	if err != nil {
+		return err
 	}
-
-	copts := tsjoin.CorpusOptions{SyncEvery: *syncEvery}
-
-	var (
-		m   *tsjoin.ConcurrentMatcher
-		c   *tsjoin.Corpus
-		err error
-	)
-	if *dataDir != "" {
-		c, err = tsjoin.OpenCorpus(*dataDir, copts)
-		if err != nil {
-			return err
-		}
-		cs := c.Stats()
-		start := time.Now()
-		m, err = tsjoin.NewConcurrentMatcherFromCorpus(c, mopts)
-		if err != nil {
-			c.Close()
-			return err
-		}
-		log.Printf("warm restart from %s: %d strings (%d live, generation %d, %d WAL records replayed) in %v",
-			*dataDir, cs.Strings, cs.Live, cs.Generation, cs.WALReplayed, time.Since(start).Round(time.Millisecond))
-	} else {
-		m, err = tsjoin.NewConcurrentMatcher(mopts)
-		if err != nil {
-			return err
-		}
-	}
-
-	s := newServer(m, c, *maxInflight)
-	s.dataDir = *dataDir
-	s.mopts = mopts
-	s.copts = copts
-	if *replicaOf != "" {
-		s.role.Store(roleStandby)
-		s.stby = replica.NewStandby(serverEngine{s}, s.resetEngine, replica.StandbyOptions{
-			Primary:   *replicaOf,
-			Advertise: *advertise,
-			StateDir:  *dataDir,
-			Logf:      log.Printf,
-		})
-		log.Printf("standby: replicating from %s, advertising %s (read-only until POST /promote)", *replicaOf, *advertise)
-	} else if c != nil {
-		s.prim = replica.NewPrimary(c, replica.PrimaryOptions{Logf: log.Printf})
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           s.handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Background maintenance loops. They touch the corpus, so shutdown
-	// must join them (bg.Wait below) before the corpus closes — the old
-	// detached-goroutine version could race a periodic Compact against
-	// Close. They re-read the corpus handle every tick because a standby
-	// bootstrap swaps it.
-	var bg sync.WaitGroup
-	if c != nil && *snapshotEvery > 0 {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			runPeriodicSnapshots(ctx, s, *snapshotEvery)
-		}()
-	}
-	if c != nil {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			runRecovery(ctx, s, time.Second)
-		}()
-	}
-	if s.stby != nil {
-		// The standby registration watchdog: registers with the primary
-		// and re-registers whenever heartbeats stop. Exits on its own
-		// once the standby is sealed by promotion.
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			s.stby.Run(ctx)
-		}()
-	}
-
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s (threshold=%g shards=%d durable=%v simd=%v)",
-			*addr, *threshold, m.Shards(), c != nil, tsjoin.SIMDAvailable() && !*noSIMD)
-		errc <- srv.ListenAndServe()
-	}()
-
-	var serveErr error
-	select {
-	case serveErr = <-errc:
-		// Listener failed: still run the shutdown sequence below so the
-		// WAL is flushed and closed.
-	case <-ctx.Done():
-		log.Print("shutting down")
-		// Drain in-flight requests — this is what guarantees no Add is
-		// mid-WAL-append when the corpus closes below.
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("shutdown: %v", err)
-		}
-		cancel()
-	}
-	stop()
-	bg.Wait()
-	if p := s.shipper(); p != nil {
-		// Stop the ship loops before the corpus closes under them.
-		p.Close()
-	}
-	s.closeEngine()
-	if serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
-		return serveErr
-	}
-	return nil
-}
-
-// runPeriodicSnapshots checkpoints the corpus on an interval, skipping
-// when nothing mutated since the last checkpoint and while the corpus
-// is degraded (the recovery loop owns the heal — checkpointing against
-// a failing disk would just spin it). Consecutive failures back the
-// interval off exponentially (backoff.Policy capped at 64x) so a
-// persistently sick filesystem isn't hammered; one success resets the
-// cadence. A standby skips checkpointing until promoted: its corpus is
-// wiped and re-seeded at the primary's discretion.
-func runPeriodicSnapshots(ctx context.Context, s *server, every time.Duration) {
-	pol := backoff.Policy{Base: every, Cap: every << 6}
-	fails := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(pol.Delay(fails)):
-		}
-		c := s.corpusHandle()
-		if c == nil || s.roleName() == roleStandby {
-			continue
-		}
-		if c.Degraded() != nil || !c.Stats().Dirty {
-			continue
-		}
-		if err := c.Compact(); err != nil {
-			fails++
-			log.Printf("periodic snapshot: %v (next attempt in %v)", err, pol.Delay(fails))
-		} else {
-			fails = 0
-			log.Printf("periodic snapshot: generation %d", c.Stats().Generation)
-		}
-	}
-}
-
-// runRecovery heals a degraded corpus: while the write path is sealed
-// it periodically attempts a full generation rotation through fresh
-// descriptors (Corpus.Recover), backing off exponentially (backoff.
-// Policy capped at 16x base) while the filesystem keeps failing. While
-// healthy it idles at the base interval, which costs one read-locked
-// nil check. It runs on standbys too — a degraded standby corpus heals
-// the same way, and must be healthy before promotion can seal it.
-func runRecovery(ctx context.Context, s *server, base time.Duration) {
-	pol := backoff.Policy{Base: base, Cap: 16 * base}
-	fails := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(pol.Delay(fails)):
-		}
-		c := s.corpusHandle()
-		if c == nil || c.Degraded() == nil {
-			fails = 0
-			continue
-		}
-		if err := c.Recover(); err != nil {
-			fails++
-			log.Printf("degraded: recovery failed: %v (next attempt in %v)", err, pol.Delay(fails))
-		} else {
-			fails = 0
-			log.Printf("recovered: write path restored at generation %d", c.Stats().Generation)
-		}
-	}
+	return s.Run(*addr, *writeTimeout, *idleTimeout)
 }

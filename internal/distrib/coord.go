@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -15,9 +14,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/token"
 )
-
-// maxBodyBytes bounds coordinator request bodies (mirrors tsjserve).
-const maxBodyBytes = 4 << 20
 
 // Options configures a Coordinator. The zero value works for tests;
 // production callers set the timeouts to their SLOs.
@@ -146,7 +142,6 @@ func (co *Coordinator) Status() ClusterStatus {
 			Worker:    sh.Worker,
 			Standbys:  append([]string(nil), sh.Standbys...),
 			Alive:     co.alive[i],
-			Moving:    sh.Moving,
 			Strings:   len(co.g[i]),
 			Failovers: co.failovers[i],
 		})
@@ -163,7 +158,6 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/delete", co.epochChecked(co.handleDelete))
 	mux.HandleFunc("/cluster", co.handleCluster)
 	mux.HandleFunc("/cluster/selfjoin", co.handleSelfJoin)
-	mux.HandleFunc("/cluster/rebalance", co.handleRebalance)
 	mux.HandleFunc("/stats", co.handleStats)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -185,7 +179,7 @@ func (co *Coordinator) epochChecked(h http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 			if cur := co.mapView().Epoch; want != cur {
-				writeJSONStatus(w, http.StatusConflict, StaleEpochResponse{
+				httpx.WriteJSONStatus(w, http.StatusConflict, StaleEpochResponse{
 					Error:   fmt.Sprintf("stale partition map: epoch %d, cluster at %d", want, cur),
 					Cluster: co.Status(),
 				})
@@ -201,7 +195,7 @@ func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, co.Status())
+	httpx.WriteJSON(w, co.Status())
 }
 
 func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -221,41 +215,12 @@ func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleRebalance is the versioned rebalance stub: it marks a shard
-// moving (done=false) or settled (done=true) and bumps the epoch, so
-// writes to the shard are rejected for the duration and every cached
-// map is detectably stale. The actual data move is the named follow-up;
-// the map plumbing it needs is already here.
-func (co *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Shard *int `json:"shard"`
-		Done  bool `json:"done"`
-	}
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Shard == nil {
-		http.Error(w, "bad request: missing shard", http.StatusBadRequest)
-		return
-	}
-	co.mu.Lock()
-	if *req.Shard < 0 || *req.Shard >= len(co.pm.Shards) {
-		co.mu.Unlock()
-		http.Error(w, "bad request: no such shard", http.StatusBadRequest)
-		return
-	}
-	co.pm.Shards[*req.Shard].Moving = !req.Done
-	co.pm.Epoch++
-	co.mu.Unlock()
-	co.opt.Logf("distrib: shard %d moving=%v (epoch %d)", *req.Shard, !req.Done, co.mapView().Epoch)
-	writeJSON(w, co.Status())
-}
-
 // ---- Routed writes -------------------------------------------------------
 
 // routeError maps a routing failure onto the client response: worker
-// rejections pass through with their status, transport failures are
-// 502, deadline exhaustion 503 (retryable).
+// rejections (and the coordinator's own verdicts, which addOne reports
+// in the same *httpx.StatusError form) pass through with their status,
+// transport failures are 502, deadline exhaustion 503 (retryable).
 func routeError(w http.ResponseWriter, what string, err error) {
 	if se, ok := httpx.Status(err); ok {
 		// The owning worker answered: its verdict (400 double delete, 503
@@ -274,48 +239,15 @@ func routeError(w http.ResponseWriter, what string, err error) {
 	http.Error(w, what+": "+err.Error(), http.StatusBadGateway)
 }
 
-// postWorker POSTs to the shard's active worker with retry-with-backoff
-// until ctx ends. Writes never fall back to standbys (they are
-// read-only); the URL is re-read from the map each attempt so a
-// mid-write failover heals the retry loop.
-func (co *Coordinator) postWorker(ctx context.Context, shard int, path string, in, out any) error {
-	var last error
-	err := httpx.Retry(ctx, co.opt.Retry, func() error {
-		co.mu.RLock()
-		url := co.pm.Shards[shard].Worker + path
-		co.mu.RUnlock()
-		last = httpx.PostJSON(ctx, co.client, url, in, out, co.opt.QueryTimeout, maxBodyBytes)
-		if se, ok := httpx.Status(last); ok && se.Code != http.StatusServiceUnavailable {
-			// A definitive worker answer (2xx handled above; 4xx/5xx other
-			// than 503) is not retryable: surface it.
-			return nil
-		}
-		return last
-	}, func(attempt int, d time.Duration, err error) {
-		co.opt.Logf("distrib: %s on shard %d failed (retry %d in %v): %v", path, shard, attempt, d, err)
-	})
-	if err != nil {
-		if last != nil {
-			return last
-		}
-		return err
-	}
-	return last
-}
-
 // addOne routes one /add: owner-shard add plus a scatter query of every
 // other shard, merged into the single-node response. Caller holds
 // writeMu.
-func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, int, error) {
+func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, error) {
 	pm := co.mapView()
 	owner := pm.OwnerOf(name, co.opt.Tokenizer)
-	if pm.Shards[owner].Moving {
-		return 0, nil, http.StatusServiceUnavailable,
-			fmt.Errorf("shard %d is rebalancing: writes to it are rejected until the move completes", owner)
-	}
 	var resp AddResponse
-	if err := co.postWorker(ctx, owner, "/add", AddRequest{Name: name}, &resp); err != nil {
-		return 0, nil, 0, err
+	if err := co.rpc(ctx, owner, false, "/add", AddRequest{Name: name}, &resp, co.opt.QueryTimeout); err != nil {
+		return 0, nil, err
 	}
 
 	// Register the global id. The local id must be the next one we have
@@ -324,8 +256,8 @@ func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, i
 	co.mu.Lock()
 	if resp.ID != len(co.g[owner]) {
 		co.mu.Unlock()
-		return 0, nil, http.StatusBadGateway,
-			fmt.Errorf("shard %d assigned local id %d, expected %d: out-of-band writes detected", owner, resp.ID, len(co.g[owner]))
+		return 0, nil, &httpx.StatusError{Code: http.StatusBadGateway,
+			Body: fmt.Sprintf("shard %d assigned local id %d, expected %d: out-of-band writes detected", owner, resp.ID, len(co.g[owner]))}
 	}
 	gid := len(co.locs)
 	co.locs = append(co.locs, loc{shard: int32(owner), local: int32(resp.ID)})
@@ -335,15 +267,15 @@ func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, i
 
 	merged, missing, err := co.mergeScatter(ctx, name, owner, resp.Matches)
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, nil, err
 	}
 	if len(missing) > 0 {
 		// The string IS indexed (the owner committed it); the match list
 		// would be incomplete, and /add has no partial mode. Fail closed.
-		return 0, nil, http.StatusServiceUnavailable,
-			fmt.Errorf("shards %v did not answer: matches would be incomplete (string %d is indexed)", missing, gid)
+		return 0, nil, &httpx.StatusError{Code: http.StatusServiceUnavailable,
+			Body: fmt.Sprintf("shards %v did not answer: matches would be incomplete (string %d is indexed)", missing, gid)}
 	}
-	return gid, merged, 0, nil
+	return gid, merged, nil
 }
 
 // mergeScatter queries every shard but owner, translates all local
@@ -390,66 +322,52 @@ func (co *Coordinator) toGlobal(perShard [][]Match) ([]Match, error) {
 
 func (co *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req AddRequest
-	if !decodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
 	ctx, cancel := context.WithTimeout(r.Context(), co.opt.WriteTimeout)
 	defer cancel()
-	gid, matches, code, err := co.addOne(ctx, req.Name)
+	gid, matches, err := co.addOne(ctx, req.Name)
 	if err != nil {
-		if code != 0 {
-			if code == http.StatusServiceUnavailable {
-				w.Header().Set("Retry-After", "1")
-			}
-			http.Error(w, "add: "+err.Error(), code)
-			return
-		}
 		routeError(w, "add", err)
 		return
 	}
-	writeJSON(w, AddResponse{ID: gid, Matches: emptyNotNull(matches)})
+	httpx.WriteJSON(w, AddResponse{ID: gid, Matches: emptyNotNull(matches)})
 }
 
 func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !decodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(len(req.Names)+1)*co.opt.WriteTimeout)
 	defer cancel()
-	first := -1
+	// writeMu makes this batch's ids consecutive from here, so first is
+	// right even for an empty batch — the single node's answer.
+	co.mu.RLock()
+	first := len(co.locs)
+	co.mu.RUnlock()
 	results := make([]JoinResult, 0, len(req.Names))
 	for _, name := range req.Names {
-		gid, matches, code, err := co.addOne(ctx, name)
+		gid, matches, err := co.addOne(ctx, name)
 		if err != nil {
 			// Like a single node's failed batch, earlier members stay
 			// indexed; report where it broke.
-			what := fmt.Sprintf("join: name %d of %d", len(results), len(req.Names))
-			if code != 0 {
-				if code == http.StatusServiceUnavailable {
-					w.Header().Set("Retry-After", "1")
-				}
-				http.Error(w, what+": "+err.Error(), code)
-				return
-			}
-			routeError(w, what, err)
+			routeError(w, fmt.Sprintf("join: name %d of %d", len(results), len(req.Names)), err)
 			return
-		}
-		if first < 0 {
-			first = gid
 		}
 		results = append(results, JoinResult{ID: gid, Matches: emptyNotNull(matches)})
 	}
-	writeJSON(w, JoinResponse{First: first, Results: results})
+	httpx.WriteJSON(w, JoinResponse{First: first, Results: results})
 }
 
 func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteRequest
-	if !decodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.ID == nil {
@@ -464,36 +382,30 @@ func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if known {
 		l = co.locs[*req.ID]
 	}
-	moving := known && co.pm.Shards[l.shard].Moving
 	co.mu.RUnlock()
 	if !known {
 		http.Error(w, fmt.Sprintf("delete: no string with id %d", *req.ID), http.StatusBadRequest)
-		return
-	}
-	if moving {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, fmt.Sprintf("delete: shard %d is rebalancing", l.shard), http.StatusServiceUnavailable)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), co.opt.WriteTimeout)
 	defer cancel()
 	local := int(l.local)
 	var resp DeleteResponse
-	if err := co.postWorker(ctx, int(l.shard), "/delete", DeleteRequest{ID: &local}, &resp); err != nil {
+	if err := co.rpc(ctx, int(l.shard), false, "/delete", DeleteRequest{ID: &local}, &resp, co.opt.QueryTimeout); err != nil {
 		routeError(w, "delete", err)
 		return
 	}
 	co.mu.Lock()
 	co.live--
 	co.mu.Unlock()
-	writeJSON(w, DeleteResponse{Deleted: *req.ID})
+	httpx.WriteJSON(w, DeleteResponse{Deleted: *req.ID})
 }
 
 // ---- Scatter-gather query ------------------------------------------------
 
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	partial := r.URL.Query().Get("partial") == "true"
@@ -504,7 +416,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Fail closed: an incomplete match set is silently wrong for the
 		// screening use case. ?partial=true opts into degraded answers.
 		w.Header().Set("Retry-After", "1")
-		writeJSONStatus(w, http.StatusServiceUnavailable, struct {
+		httpx.WriteJSONStatus(w, http.StatusServiceUnavailable, struct {
 			Error         string `json:"error"`
 			MissingShards []int  `json:"missing_shards"`
 		}{fmt.Sprintf("shards %v did not answer within the deadline (use ?partial=true for partial results)", missing), missing})
@@ -515,7 +427,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "query: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, QueryResponse{Matches: emptyNotNull(merged), MissingShards: missing})
+	httpx.WriteJSON(w, QueryResponse{Matches: emptyNotNull(merged), MissingShards: missing})
 }
 
 // ---- Aggregated stats ----------------------------------------------------
@@ -535,7 +447,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func(i int, url string) {
 			defer wg.Done()
 			var ws WorkerStats
-			if err := httpx.GetJSON(ctx, co.client, url+"/stats", &ws, co.opt.QueryTimeout, maxBodyBytes); err != nil {
+			if err := httpx.GetJSON(ctx, co.client, url+"/stats", &ws, co.opt.QueryTimeout, httpx.MaxBodyBytes); err != nil {
 				rows[i] = ClusterWorkerStats{Worker: url, Error: err.Error()}
 				return
 			}
@@ -553,47 +465,13 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st := co.Status()
-	writeJSON(w, ClusterStats{
+	httpx.WriteJSON(w, ClusterStats{
 		Epoch:   st.Epoch,
 		Strings: st.Strings,
 		Live:    st.Live,
 		Cluster: FromShardedStats(total),
 		Workers: rows,
 	})
-}
-
-// ---- JSON plumbing -------------------------------------------------------
-
-// decodeJSON parses a POSTed JSON body (mirrors tsjserve's decode).
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-			return false
-		}
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }
 
 // emptyNotNull keeps "matches": [] instead of null on the wire, exactly

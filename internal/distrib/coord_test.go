@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/distrib"
+	"repro/internal/httpx"
 	"repro/internal/token"
 )
 
@@ -147,13 +148,12 @@ func TestCoordinatorEndpointErrors(t *testing.T) {
 		{name: "add GET", method: http.MethodGet, path: "/add", wantCode: http.StatusMethodNotAllowed},
 		{name: "add bad json", method: http.MethodPost, path: "/add", body: "{", wantCode: http.StatusBadRequest},
 		{name: "add unknown field", method: http.MethodPost, path: "/add", body: `{"nom":"x"}`, wantCode: http.StatusBadRequest},
+		{name: "add oversized body", method: http.MethodPost, path: "/add", body: `{"name":"` + strings.Repeat("a", httpx.MaxBodyBytes+16) + `"}`, wantCode: http.StatusRequestEntityTooLarge},
 		{name: "query GET", method: http.MethodGet, path: "/query", wantCode: http.StatusMethodNotAllowed},
 		{name: "delete missing id", method: http.MethodPost, path: "/delete", body: `{}`, wantCode: http.StatusBadRequest, wantBody: "missing id"},
 		{name: "delete unknown id", method: http.MethodPost, path: "/delete", body: `{"id":7}`, wantCode: http.StatusBadRequest, wantBody: "no string with id 7"},
 		{name: "cluster POST", method: http.MethodPost, path: "/cluster", wantCode: http.StatusMethodNotAllowed},
 		{name: "stats POST", method: http.MethodPost, path: "/stats", wantCode: http.StatusMethodNotAllowed},
-		{name: "rebalance missing shard", method: http.MethodPost, path: "/cluster/rebalance", body: `{}`, wantCode: http.StatusBadRequest},
-		{name: "rebalance bad shard", method: http.MethodPost, path: "/cluster/rebalance", body: `{"shard":9}`, wantCode: http.StatusBadRequest},
 		{name: "selfjoin bad threshold", method: http.MethodPost, path: "/cluster/selfjoin", body: `{"threshold":1.5}`, wantCode: http.StatusBadRequest},
 		{name: "bad epoch header", method: http.MethodPost, path: "/query", body: `{"name":"x"}`, header: map[string]string{distrib.EpochHeader: "zebra"}, wantCode: http.StatusBadRequest},
 		{name: "healthz", method: http.MethodGet, path: "/healthz", wantCode: http.StatusOK},
@@ -202,17 +202,25 @@ func readBody(t *testing.T, resp *http.Response) string {
 
 // TestCoordinatorStaleEpoch: a stamped request with a stale epoch gets
 // 409 plus the current map; restamping with the refreshed epoch
-// succeeds.
+// succeeds. Failover is the only thing that bumps the epoch, so the
+// test drives one: the worker dies under a standby that accepts
+// promotion.
 func TestCoordinatorStaleEpoch(t *testing.T) {
-	w0 := newStubWorker(t).answers()
-	co, cs := coordServer(t, distrib.Map{Shards: []distrib.Shard{{Worker: w0.ts.URL}}}, fastOptions())
+	w0 := newStubWorker(t)
+	w0.ts.Close()
+	standby := newStubWorker(t).answers()
+	standby.mux.HandleFunc("/promote", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"role": "primary"})
+	})
+	co, cs := coordServer(t, distrib.Map{Shards: []distrib.Shard{{Worker: w0.ts.URL, Standbys: []string{standby.ts.URL}}}}, fastOptions())
 
-	// Bump the epoch once via the rebalance stub (mark + settle = +2).
-	var stRebal distrib.ClusterStatus
-	mustPost(t, cs.URL+"/cluster/rebalance", map[string]any{"shard": 0}, &stRebal)
-	mustPost(t, cs.URL+"/cluster/rebalance", map[string]any{"shard": 0, "done": true}, &stRebal)
-	if stRebal.Epoch != 2 {
-		t.Fatalf("epoch after rebalance mark+settle = %d, want 2", stRebal.Epoch)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for co.Status().Shards[0].Failovers != 1 {
+		if ctx.Err() != nil {
+			t.Fatal("heartbeats never failed the shard over")
+		}
+		co.CheckNow(ctx)
 	}
 
 	do := func(epoch string) (*http.Response, string) {
@@ -235,8 +243,8 @@ func TestCoordinatorStaleEpoch(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &stale); err != nil {
 		t.Fatalf("409 body is not a StaleEpochResponse: %v (%s)", err, body)
 	}
-	if stale.Cluster.Epoch != 2 || len(stale.Cluster.Shards) != 1 {
-		t.Fatalf("409 carries cluster %+v, want epoch 2 with the shard map", stale.Cluster)
+	if stale.Cluster.Epoch != 1 || len(stale.Cluster.Shards) != 1 {
+		t.Fatalf("409 carries cluster %+v, want epoch 1 with the shard map", stale.Cluster)
 	}
 
 	// One round trip refreshed the client: the carried epoch now works.
@@ -244,8 +252,8 @@ func TestCoordinatorStaleEpoch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("refreshed epoch: status %d, want 200 (%s)", resp.StatusCode, body)
 	}
-	if got := co.Status().Epoch; got != 2 {
-		t.Fatalf("Status().Epoch = %d, want 2", got)
+	if got := co.Status().Epoch; got != 1 {
+		t.Fatalf("Status().Epoch = %d, want 1", got)
 	}
 }
 
@@ -316,39 +324,6 @@ func TestCoordinatorQuerySlowWorker(t *testing.T) {
 	}
 	if len(qr.MissingShards) != 1 || qr.MissingShards[0] != 1 {
 		t.Fatalf("missing_shards = %v, want [1]", qr.MissingShards)
-	}
-}
-
-// TestCoordinatorRebalanceRejectsWrites: a moving shard rejects writes
-// (503) until the move settles, and every transition bumps the epoch.
-func TestCoordinatorRebalanceRejectsWrites(t *testing.T) {
-	w0 := newStubWorker(t).answers()
-	_, cs := coordServer(t, distrib.Map{Shards: []distrib.Shard{{Worker: w0.ts.URL}}}, fastOptions())
-
-	mustPost(t, cs.URL+"/cluster/rebalance", map[string]any{"shard": 0}, nil)
-	code, body := postRaw(t, cs.URL+"/add", distrib.AddRequest{Name: "jane doe"})
-	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "rebalancing") {
-		t.Fatalf("write to moving shard: status %d (%s), want 503 rebalancing", code, body)
-	}
-
-	mustPost(t, cs.URL+"/cluster/rebalance", map[string]any{"shard": 0, "done": true}, nil)
-	var ar distrib.AddResponse
-	mustPost(t, cs.URL+"/add", distrib.AddRequest{Name: "jane doe"}, &ar)
-	if ar.ID != 0 {
-		t.Fatalf("first add after settle got id %d, want 0", ar.ID)
-	}
-
-	var st distrib.ClusterStatus
-	resp, err := http.Get(cs.URL + "/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Epoch != 2 || st.Shards[0].Moving {
-		t.Fatalf("cluster after settle: %+v, want epoch 2, not moving", st)
 	}
 }
 

@@ -15,29 +15,30 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/distrib"
 	"repro/internal/namegen"
+	"repro/internal/serve"
 	"repro/internal/token"
 )
 
-// testWorker is one in-process corpus-backed worker node.
+// testWorker is one in-process corpus-backed worker node: the
+// production server (internal/serve), mounted on a test listener.
 type testWorker struct {
 	ts *httptest.Server
 }
 
 func newTestWorker(t *testing.T, mopts tsjoin.MatcherOptions) *testWorker {
 	t.Helper()
-	c, err := tsjoin.OpenCorpus(t.TempDir(), tsjoin.CorpusOptions{DisableSync: true})
+	s, err := serve.New(serve.Config{
+		Matcher: tsjoin.ConcurrentMatcherOptions{MatcherOptions: mopts, Shards: 2},
+		DataDir: t.TempDir(),
+		Corpus:  tsjoin.CorpusOptions{DisableSync: true},
+	})
 	if err != nil {
-		t.Fatalf("open corpus: %v", err)
+		t.Fatalf("worker: %v", err)
 	}
-	m, err := tsjoin.NewConcurrentMatcherFromCorpus(c, tsjoin.ConcurrentMatcherOptions{MatcherOptions: mopts, Shards: 2})
-	if err != nil {
-		t.Fatalf("matcher: %v", err)
-	}
-	ts := httptest.NewServer(distrib.WorkerMux(m, c))
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		m.Close()
-		c.Close()
+		s.Close()
 	})
 	return &testWorker{ts: ts}
 }
@@ -190,6 +191,16 @@ func TestClusterEquivalence(t *testing.T) {
 				wantJoin.Results = append(wantJoin.Results, distrib.JoinResult{ID: first + i, Matches: wireMatches(ms)})
 			}
 			assertSameJSON(t, "join batch", body, wantJoin)
+
+			// An empty batch allocates nothing and names the next id.
+			code, body = postRaw(t, cs.URL+"/join", distrib.JoinRequest{Names: []string{}})
+			if code != http.StatusOK {
+				t.Fatalf("empty join: status %d: %s", code, body)
+			}
+			if first, _, err = rm.AddAllDurable(nil); err != nil {
+				t.Fatalf("ref empty join: %v", err)
+			}
+			assertSameJSON(t, "empty join batch", body, distrib.JoinResponse{First: first, Results: []distrib.JoinResult{}})
 
 			// Deletes (including a double delete, which must 400 like a
 			// single node).

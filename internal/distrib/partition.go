@@ -9,19 +9,17 @@ import (
 )
 
 // Shard is one partition of the cluster: an active worker URL plus its
-// ordered standby chain. Moving marks the shard mid-rebalance (writes
-// rejected by the stub policy until the move completes).
+// ordered standby chain.
 type Shard struct {
 	Worker   string
 	Standbys []string
-	Moving   bool
 }
 
 // Map is the epoch-stamped partition map. The epoch advances on every
-// membership change — a standby promotion repointing a shard, a
-// rebalance marking one moving — exactly like the corpus's token-order
-// epoch: any cached copy is verifiable against the current one, so
-// stale routing is detectable (EpochHeader) instead of silently wrong.
+// membership change — a standby promotion repointing a shard — exactly
+// like the corpus's token-order epoch: any cached copy is verifiable
+// against the current one, so stale routing is detectable (EpochHeader)
+// instead of silently wrong.
 //
 // Maps are value types; the coordinator hands out copies under its lock
 // and never mutates a copy a reader might hold.
@@ -62,11 +60,7 @@ func ParseWorkers(spec string) (Map, error) {
 func (m Map) clone() Map {
 	out := Map{Epoch: m.Epoch, Shards: make([]Shard, len(m.Shards))}
 	for i, sh := range m.Shards {
-		out.Shards[i] = Shard{
-			Worker:   sh.Worker,
-			Standbys: append([]string(nil), sh.Standbys...),
-			Moving:   sh.Moving,
-		}
+		out.Shards[i] = Shard{Worker: sh.Worker, Standbys: append([]string(nil), sh.Standbys...)}
 	}
 	return out
 }
@@ -75,9 +69,9 @@ func (m Map) clone() Map {
 // sorted token multiset is hashed (FNV-1a over NUL-joined tokens), so
 // the route is a pure function of the string's tokenized identity —
 // token-order-insensitive, tokenizer-stable, and independent of the
-// map epoch as long as the shard count is fixed (rebalance, which
-// changes counts, is the versioned follow-up). Token-less names hash
-// their raw bytes so they still spread.
+// map epoch, because the shard count is fixed (nothing moves data
+// between shards). Token-less names hash their raw bytes so they still
+// spread.
 func (m Map) OwnerOf(name string, tok token.Tokenizer) int {
 	ts := tok(name)
 	h := fnv.New32a()

@@ -40,15 +40,17 @@ func (co *Coordinator) scatterQuery(ctx context.Context, name string, exclude in
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			ms, err := co.queryShard(ctx, shard, name)
-			if err != nil {
+			ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout)
+			defer cancel()
+			var resp QueryResponse
+			if err := co.rpc(ctx, shard, true, "/query", QueryRequest{Name: name}, &resp, 0); err != nil {
 				co.opt.Logf("distrib: query on shard %d failed: %v", shard, err)
 				missMu.Lock()
 				missing = append(missing, shard)
 				missMu.Unlock()
 				return
 			}
-			results[shard] = ms
+			results[shard] = resp.Matches
 		}(i)
 	}
 	wg.Wait()
@@ -56,49 +58,48 @@ func (co *Coordinator) scatterQuery(ctx context.Context, name string, exclude in
 	return results, missing
 }
 
-// queryShard runs one shard's leg of the scatter: deadline-bounded,
-// retry-with-backoff, hedging across the shard's chain.
-func (co *Coordinator) queryShard(ctx context.Context, shard int, name string) ([]Match, error) {
-	ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout)
-	defer cancel()
-	var resp QueryResponse
+// rpc is the coordinator's one worker RPC: retry-with-backoff until ctx
+// ends, each attempt re-reading the shard's chain from the partition map
+// — the active worker, then its warm standbys when hedge is set (reads
+// only: standbys are read-only) — so a mid-call failover heals the loop.
+// A 503 member (a syncing standby, a resetting or degraded engine) or an
+// unreachable one falls through to the next; any other worker answer is
+// final. Returns the last attempt's error. in == nil sends a GET.
+// timeout bounds one HTTP leg; 0 gives each leg half of what is left of
+// ctx's deadline (perAttemptTimeout), so a slow primary leaves room to
+// hedge.
+func (co *Coordinator) rpc(ctx context.Context, shard int, hedge bool, path string, in, out any, timeout time.Duration) error {
 	var last error
 	err := httpx.Retry(ctx, co.opt.Retry, func() error {
 		co.mu.RLock()
 		sh := co.pm.Shards[shard]
-		chain := append([]string{sh.Worker}, sh.Standbys...)
+		chain := []string{sh.Worker}
+		if hedge {
+			chain = append(chain, sh.Standbys...)
+		}
 		co.mu.RUnlock()
 		for _, base := range chain {
-			last = httpx.PostJSON(ctx, co.client, base+"/query", QueryRequest{Name: name}, &resp,
-				perAttemptTimeout(ctx, co.opt.Retry), maxBodyBytes)
-			if last == nil {
-				return nil
+			t := timeout
+			if t == 0 {
+				t = perAttemptTimeout(ctx, co.opt.Retry)
 			}
-			if httpx.IsStatus(last, http.StatusServiceUnavailable) {
-				// A syncing standby (or resetting engine) said "not me,
-				// yet" — fall through to the next chain member.
-				continue
+			if in == nil {
+				last = httpx.GetJSON(ctx, co.client, base+path, out, t, httpx.MaxBodyBytes)
+			} else {
+				last = httpx.PostJSON(ctx, co.client, base+path, in, out, t, httpx.MaxBodyBytes)
 			}
-			if _, definitive := httpx.Status(last); definitive {
-				// A non-503 worker answer (e.g. 400) will not improve with
-				// retries.
+			if se, answered := httpx.Status(last); last == nil || answered && se.Code != http.StatusServiceUnavailable {
 				return nil
 			}
 		}
 		return last
 	}, func(attempt int, d time.Duration, err error) {
-		co.opt.Logf("distrib: query on shard %d failed (retry %d in %v): %v", shard, attempt, d, err)
+		co.opt.Logf("distrib: %s on shard %d failed (retry %d in %v): %v", path, shard, attempt, d, err)
 	})
-	if err != nil {
-		if last != nil {
-			return nil, last
-		}
-		return nil, err
+	if last == nil {
+		return err
 	}
-	if last != nil {
-		return nil, last
-	}
-	return resp.Matches, nil
+	return last
 }
 
 // perAttemptTimeout slices the remaining deadline so at least a couple

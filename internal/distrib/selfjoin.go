@@ -18,7 +18,7 @@ import (
 // SelfJoin over the union corpus.
 func (co *Coordinator) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	var req SelfJoinRequest
-	if !decodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if !req.validate(w) {
@@ -37,7 +37,7 @@ func (co *Coordinator) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	if pairs == nil {
 		pairs = []Pair{}
 	}
-	writeJSON(w, PairsResponse{Pairs: pairs})
+	httpx.WriteJSON(w, PairsResponse{Pairs: pairs})
 }
 
 // shardStrings is one shard's live corpus snapshot (phase 0 output).
@@ -107,6 +107,13 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 	mrcfg := func(name string) mapreduce.Config {
 		return mapreduce.Config{Name: name, MapTasks: co.opt.MapTasks, Parallelism: co.opt.Parallelism}
 	}
+	// call is one phase RPC: hedged across the shard's chain and bounded
+	// by WriteTimeout, per leg and overall.
+	call := func(shard int, path string, in, out any) error {
+		ctx, cancel := context.WithTimeout(ctx, co.opt.WriteTimeout)
+		defer cancel()
+		return co.rpc(ctx, shard, true, path, in, out, co.opt.WriteTimeout)
+	}
 
 	// ---- Phase 0: gather every shard's live strings ----------------------
 	shards := make([]int, n)
@@ -119,7 +126,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 				return
 			}
 			var resp StringsResponse
-			if err := co.hedgedPost(ctx, shard, "/cluster/strings", nil, &resp); err != nil {
+			if err := call(shard, "/cluster/strings", nil, &resp); err != nil {
 				fail(fmt.Errorf("shard %d strings: %w", shard, err))
 				return
 			}
@@ -185,7 +192,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 			if t.j < 0 {
 				// Local leg: shard i's self-join over its stored state.
 				var resp PairsResponse
-				if err := co.hedgedPost(ctx, t.i, "/cluster/selfjoin", SelfJoinRequest{JoinConfig: cfg}, &resp); err != nil {
+				if err := call(t.i, "/cluster/selfjoin", SelfJoinRequest{JoinConfig: cfg}, &resp); err != nil {
 					fail(fmt.Errorf("shard %d selfjoin: %w", t.i, err))
 					return
 				}
@@ -205,9 +212,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 				return
 			}
 			var resp PairsResponse
-			err := co.hedgedPost(ctx, t.j, "/cluster/probe",
-				ProbeJoinRequest{JoinConfig: cfg, Probes: strs[t.i].Tokens}, &resp)
-			if err != nil {
+			if err := call(t.j, "/cluster/probe", ProbeJoinRequest{JoinConfig: cfg, Probes: strs[t.i].Tokens}, &resp); err != nil {
 				fail(fmt.Errorf("shard %d probe from shard %d: %w", t.j, t.i, err))
 				return
 			}
@@ -236,46 +241,4 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 		return pairs[i].B < pairs[j].B
 	})
 	return pairs, nil
-}
-
-// hedgedPost runs one worker RPC with the scatter discipline: bounded
-// by WriteTimeout, retry-with-backoff, each attempt walking the shard's
-// current chain (a 503 member falls through to the next; a non-503
-// worker answer is definitive). in == nil sends a GET.
-func (co *Coordinator) hedgedPost(ctx context.Context, shard int, path string, in, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, co.opt.WriteTimeout)
-	defer cancel()
-	var last error
-	err := httpx.Retry(ctx, co.opt.Retry, func() error {
-		co.mu.RLock()
-		sh := co.pm.Shards[shard]
-		chain := append([]string{sh.Worker}, sh.Standbys...)
-		co.mu.RUnlock()
-		for _, base := range chain {
-			if in == nil {
-				last = httpx.GetJSON(ctx, co.client, base+path, out, co.opt.WriteTimeout, maxBodyBytes)
-			} else {
-				last = httpx.PostJSON(ctx, co.client, base+path, in, out, co.opt.WriteTimeout, maxBodyBytes)
-			}
-			if last == nil {
-				return nil
-			}
-			if httpx.IsStatus(last, http.StatusServiceUnavailable) {
-				continue
-			}
-			if _, definitive := httpx.Status(last); definitive {
-				return nil
-			}
-		}
-		return last
-	}, func(attempt int, d time.Duration, err error) {
-		co.opt.Logf("distrib: %s on shard %d failed (retry %d in %v): %v", path, shard, attempt, d, err)
-	})
-	if err != nil {
-		if last != nil {
-			return last
-		}
-		return err
-	}
-	return last
 }

@@ -9,9 +9,11 @@
 // The coordinator serves the same /add, /query, /join and /delete wire
 // contract a single tsjserve node does — clients do not care whether
 // they talk to one node or a cluster — plus /cluster (membership and
-// partition map), /cluster/selfjoin (the distributed corpus-wide join),
-// /cluster/rebalance (the versioned-map rebalance stub) and an
-// aggregated cluster-wide /stats.
+// partition map), /cluster/selfjoin (the distributed corpus-wide join)
+// and an aggregated cluster-wide /stats. The request and response types
+// below ARE that contract: internal/serve, the single-node server,
+// encodes exactly these, so Match is the single-node type rather than a
+// copy of it.
 //
 // Identity: the coordinator assigns global ids in arrival order —
 // exactly the sequence numbers a single node would have assigned — and
@@ -34,11 +36,21 @@ import (
 // on dead routing state.
 const EpochHeader = "X-TSJ-Cluster-Epoch"
 
-// Match is the wire form of one match (identical to tsjserve's).
+// Match is the wire form of one match.
 type Match struct {
 	ID   int     `json:"id"`
 	SLD  int     `json:"sld"`
 	NSLD float64 `json:"nsld"`
+}
+
+// Matches converts engine matches to the wire form. The result is never
+// nil, so an empty list encodes as [] rather than null.
+func Matches(ms []stream.Match) []Match {
+	out := make([]Match, len(ms))
+	for i, m := range ms {
+		out[i] = Match{ID: m.ID, SLD: m.SLD, NSLD: m.NSLD}
+	}
+	return out
 }
 
 // AddRequest / AddResponse are POST /add.
@@ -228,9 +240,6 @@ type ShardStatus struct {
 	// Alive reflects the heartbeat: false after FailAfter consecutive
 	// missed heartbeats (the shard is then a promotion candidate).
 	Alive bool `json:"alive"`
-	// Moving marks a shard mid-rebalance: the map stub rejects writes
-	// for it until the move completes (full rebalance is a follow-up).
-	Moving bool `json:"moving"`
 	// Strings is the number of global ids routed to this shard.
 	Strings int `json:"strings"`
 	// Failovers counts standby promotions the coordinator performed.

@@ -9,6 +9,7 @@ import (
 	tsjoin "repro"
 	"repro/internal/backoff"
 	"repro/internal/distrib"
+	"repro/internal/serve"
 )
 
 // TestClusterLoadAgainstCoordinator drives the cluster load generator at
@@ -17,16 +18,18 @@ import (
 // the engine-vs-end-to-end split note rendered.
 func TestClusterLoadAgainstCoordinator(t *testing.T) {
 	newWorker := func() string {
-		m, err := tsjoin.NewConcurrentMatcher(tsjoin.ConcurrentMatcherOptions{
+		s, err := serve.New(serve.Config{Matcher: tsjoin.ConcurrentMatcherOptions{
 			MatcherOptions: tsjoin.MatcherOptions{Threshold: 0.2},
 			Shards:         2,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(m.Close)
-		ts := httptest.NewServer(distrib.WorkerMux(m, nil))
-		t.Cleanup(ts.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			s.Close()
+		})
 		return ts.URL
 	}
 	pm := distrib.Map{Shards: []distrib.Shard{{Worker: newWorker()}, {Worker: newWorker()}}}

@@ -1,11 +1,12 @@
-// Package httpx is the repo's one hand-rolled HTTP/JSON client: timeout-
-// bounded JSON round trips with limited response reads, non-2xx-to-error
-// decoding, and a retry-with-backoff driver. The replication shipper
-// (internal/replica) and the cluster coordinator (internal/distrib) both
-// speak JSON over HTTP with exactly these needs — timeouts on every leg,
-// bounded reads so a confused peer cannot balloon memory, and typed
-// status errors the caller can branch on — so the vocabulary lives here
-// once instead of twice.
+// Package httpx is the repo's one hand-rolled HTTP/JSON vocabulary. The
+// client half: timeout-bounded JSON round trips with limited response
+// reads, non-2xx-to-error decoding, and a retry-with-backoff driver. The
+// replication shipper (internal/replica) and the cluster coordinator
+// (internal/distrib) both speak JSON over HTTP with exactly these needs —
+// timeouts on every leg, bounded reads so a confused peer cannot balloon
+// memory, and typed status errors the caller can branch on. The server
+// half (server.go): the one request decoder and response encoder every
+// JSON endpoint in the repo uses, single node and coordinator alike.
 package httpx
 
 import (

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -99,9 +99,9 @@ func TestClusterE2E(t *testing.T) {
 		id, ms := ref.Add(name)
 		anyMatch = anyMatch || len(ms) > 0
 		sameJSON(fmt.Sprintf("add %q", name), body, struct {
-			ID      int         `json:"id"`
-			Matches []wireMatch `json:"matches"`
-		}{id, toWire(ms)})
+			ID      int             `json:"id"`
+			Matches []distrib.Match `json:"matches"`
+		}{id, distrib.Matches(ms)})
 	}
 	code, body := postJSON("/join", map[string][]string{"names": batch})
 	if code != http.StatusOK {
@@ -109,13 +109,13 @@ func TestClusterE2E(t *testing.T) {
 	}
 	first, mss := ref.AddAll(batch)
 	type joinResult struct {
-		ID      int         `json:"id"`
-		Matches []wireMatch `json:"matches"`
+		ID      int             `json:"id"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	var wantResults []joinResult
 	for i, ms := range mss {
 		anyMatch = anyMatch || len(ms) > 0
-		wantResults = append(wantResults, joinResult{ID: first + i, Matches: toWire(ms)})
+		wantResults = append(wantResults, joinResult{ID: first + i, Matches: distrib.Matches(ms)})
 	}
 	sameJSON("join batch", body, struct {
 		First   int          `json:"first"`
@@ -176,8 +176,8 @@ func TestClusterE2E(t *testing.T) {
 			ms := ref.Query(name)
 			got = got || len(ms) > 0
 			sameJSON(fmt.Sprintf("%s query %q", stage, name), body, struct {
-				Matches []wireMatch `json:"matches"`
-			}{toWire(ms)})
+				Matches []distrib.Match `json:"matches"`
+			}{distrib.Matches(ms)})
 		}
 		if !got {
 			t.Fatalf("%s: no probe matched — equivalence not exercised", stage)
@@ -236,9 +236,9 @@ func TestClusterE2E(t *testing.T) {
 		}
 		id, ms := ref.Add(name)
 		sameJSON(fmt.Sprintf("post-failover add %q", name), body, struct {
-			ID      int         `json:"id"`
-			Matches []wireMatch `json:"matches"`
-		}{id, toWire(ms)})
+			ID      int             `json:"id"`
+			Matches []distrib.Match `json:"matches"`
+		}{id, distrib.Matches(ms)})
 	}
 
 	// ---- Aggregated cluster /stats ------------------------------------

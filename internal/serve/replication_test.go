@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 
 	tsjoin "repro"
 	"repro/internal/backoff"
+	"repro/internal/distrib"
 	"repro/internal/iofault"
 	"repro/internal/replica"
 )
@@ -28,7 +29,7 @@ func fastPrimaryOptions(t *testing.T) replica.PrimaryOptions {
 
 // newReplPrimary starts a durable tsjserve primary with a shipping-
 // capable replication side, mirroring run()'s wiring.
-func newReplPrimary(t *testing.T, dir string) (*server, *httptest.Server, func()) {
+func newReplPrimary(t *testing.T, dir string) (*Server, *httptest.Server, func()) {
 	t.Helper()
 	s, ts := buildReplServer(t, dir, nil)
 	s.prim = replica.NewPrimary(s.c, fastPrimaryOptions(t))
@@ -51,7 +52,7 @@ func newReplPrimary(t *testing.T, dir string) (*server, *httptest.Server, func()
 
 // newReplStandby starts a standby replicating from primaryURL. The
 // watchdog runs until the test ends or the standby seals.
-func newReplStandby(t *testing.T, dir, primaryURL string) (*server, *httptest.Server, func()) {
+func newReplStandby(t *testing.T, dir, primaryURL string) (*Server, *httptest.Server, func()) {
 	t.Helper()
 	s, ts := buildReplServer(t, dir, nil)
 	s.role.Store(roleStandby)
@@ -93,7 +94,7 @@ func newReplStandby(t *testing.T, dir, primaryURL string) (*server, *httptest.Se
 
 // buildReplServer assembles an unstarted durable server with the reset
 // plumbing (dataDir + reopen options) that replication needs.
-func buildReplServer(t *testing.T, dir string, fs iofault.FS) (*server, *httptest.Server) {
+func buildReplServer(t *testing.T, dir string, fs iofault.FS) (*Server, *httptest.Server) {
 	t.Helper()
 	copts := tsjoin.CorpusOptions{FS: fs}
 	mopts := tsjoin.ConcurrentMatcherOptions{
@@ -113,7 +114,7 @@ func buildReplServer(t *testing.T, dir string, fs iofault.FS) (*server, *httptes
 	s.dataDir = dir
 	s.mopts = mopts
 	s.copts = copts
-	return s, httptest.NewUnstartedServer(s.handler())
+	return s, httptest.NewUnstartedServer(s.Handler())
 }
 
 // getJSON GETs url and decodes the body (request() closes its body, so
@@ -140,10 +141,10 @@ func getReplication(t *testing.T, baseURL string) replStatus {
 	return st
 }
 
-func queryNames(t *testing.T, baseURL, name string) []wireMatch {
+func queryNames(t *testing.T, baseURL, name string) []distrib.Match {
 	t.Helper()
 	var out struct {
-		Matches []wireMatch `json:"matches"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	if resp := post(t, baseURL+"/query", fmt.Sprintf(`{"name": %q}`, name), &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query %q: status %d", name, resp.StatusCode)
@@ -325,7 +326,7 @@ func TestServeFailover(t *testing.T) {
 
 	// Freeze the answers the promoted standby must reproduce.
 	probes := []string{"barak obamma", "angela merkl", "justin trudeau"}
-	want := make(map[string][]wireMatch, len(probes))
+	want := make(map[string][]distrib.Match, len(probes))
 	for _, p := range probes {
 		want[p] = queryNames(t, primTS.URL, p)
 	}

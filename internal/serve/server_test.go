@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -10,6 +10,8 @@ import (
 	"time"
 
 	tsjoin "repro"
+	"repro/internal/distrib"
+	"repro/internal/httpx"
 	"repro/internal/iofault"
 )
 
@@ -23,7 +25,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *tsjoin.ConcurrentMatcher) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	ts := httptest.NewServer(newServer(m, nil, 0).handler())
+	ts := httptest.NewServer(newServer(m, nil, 0).Handler())
 	t.Cleanup(ts.Close)
 	return ts, m
 }
@@ -45,7 +47,7 @@ func newDurableTestServer(t *testing.T, dir string) (*httptest.Server, *tsjoin.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(m, c, 0).handler())
+	ts := httptest.NewServer(newServer(m, c, 0).Handler())
 	done := false
 	shutdown := func() {
 		if done {
@@ -79,8 +81,8 @@ func TestServeAddQueryStats(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	var add struct {
-		ID      int         `json:"id"`
-		Matches []wireMatch `json:"matches"`
+		ID      int             `json:"id"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	post(t, ts.URL+"/add", `{"name": "barak obama"}`, &add)
 	if add.ID != 0 || len(add.Matches) != 0 {
@@ -92,7 +94,7 @@ func TestServeAddQueryStats(t *testing.T) {
 	}
 
 	var query struct {
-		Matches []wireMatch `json:"matches"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	post(t, ts.URL+"/query", `{"name": "barrak obama"}`, &query)
 	if len(query.Matches) != 2 {
@@ -209,8 +211,8 @@ func TestServeJoinBatch(t *testing.T) {
 	var join struct {
 		First   int `json:"first"`
 		Results []struct {
-			ID      int         `json:"id"`
-			Matches []wireMatch `json:"matches"`
+			ID      int             `json:"id"`
+			Matches []distrib.Match `json:"matches"`
 		} `json:"results"`
 	}
 	post(t, ts.URL+"/join", `{"names": ["john smith", "jon smith", "ann lee"]}`, &join)
@@ -337,7 +339,7 @@ func TestServeDurableWarmRestart(t *testing.T) {
 		t.Fatalf("post-snapshot id = %d", add.ID)
 	}
 	var before struct {
-		Matches []wireMatch `json:"matches"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	post(t, ts.URL+"/query", `{"name": "angela merkel"}`, &before)
 
@@ -353,7 +355,7 @@ func TestServeDurableWarmRestart(t *testing.T) {
 		t.Fatalf("restart recovery: generation %d, replayed %d (want 1, 1)", cs.Generation, cs.WALReplayed)
 	}
 	var after struct {
-		Matches []wireMatch `json:"matches"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	post(t, ts2.URL+"/query", `{"name": "angela merkel"}`, &after)
 	if len(after.Matches) != len(before.Matches) {
@@ -409,7 +411,7 @@ func request(t *testing.T, method, url, body string) *http.Response {
 // oversized bodies (413, not a generic 400).
 func TestServeErrorPaths(t *testing.T) {
 	ts, _ := newTestServer(t)
-	oversized := `{"name": "` + strings.Repeat("a", maxBodyBytes+16) + `"}`
+	oversized := `{"name": "` + strings.Repeat("a", httpx.MaxBodyBytes+16) + `"}`
 	cases := []struct {
 		name   string
 		method string
@@ -477,7 +479,7 @@ func TestServeShedOverload(t *testing.T) {
 	}
 	t.Cleanup(m.Close)
 	s := newServer(m, nil, 1)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
 	s.inflight <- struct{}{} // occupy the only slot
@@ -550,7 +552,7 @@ func TestServeDegradedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(m, c, 0)
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	var recoveryDone chan struct{}  // non-nil once the recovery loop starts
 	t.Cleanup(func() { c.Close() }) // LIFO: runs after shutdown below
@@ -595,7 +597,7 @@ func TestServeDegradedEndToEnd(t *testing.T) {
 
 	// Reads keep serving from the live index.
 	var query struct {
-		Matches []wireMatch `json:"matches"`
+		Matches []distrib.Match `json:"matches"`
 	}
 	if resp := post(t, ts.URL+"/query", `{"name": "barak obamma"}`, &query); resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded query: status %d, want 200", resp.StatusCode)
