@@ -6,7 +6,7 @@ import "repro/internal/stream"
 // inverted and segment indexes are partitioned across N shards by token
 // hash, each arrival's candidate generation fans out to the shards
 // through a persistent worker pool, and verification runs in parallel.
-// Results are identical to the sequential Matcher's for any shard count.
+// Results are the same for any shard count; Matcher is the one-shard case.
 //
 // Adds are serialized with each other (ids are assigned in arrival
 // order); Query runs concurrently with everything, so mixed Add/Query
@@ -30,7 +30,7 @@ type MatcherStats = stream.ShardedStats
 // NewConcurrentMatcher creates an empty concurrent matcher. Call Close
 // when done to release the worker pool.
 func NewConcurrentMatcher(opts ConcurrentMatcherOptions) (*ConcurrentMatcher, error) {
-	m, err := stream.NewShardedMatcher(streamOptions(opts), opts.Shards)
+	m, err := stream.NewShardedMatcher(streamOptions(opts.MatcherOptions), opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -52,14 +52,14 @@ func NewConcurrentMatcher(opts ConcurrentMatcherOptions) (*ConcurrentMatcher, er
 // (use ConcurrentMatcher.Delete). Close the matcher before closing the
 // corpus.
 func NewConcurrentMatcherFromCorpus(c *Corpus, opts ConcurrentMatcherOptions) (*ConcurrentMatcher, error) {
-	m, err := stream.NewShardedFromCorpus(streamOptions(opts), opts.Shards, c.c)
+	m, err := stream.NewShardedFromCorpus(streamOptions(opts.MatcherOptions), opts.Shards, c.c)
 	if err != nil {
 		return nil, err
 	}
 	return &ConcurrentMatcher{m: m}, nil
 }
 
-func streamOptions(opts ConcurrentMatcherOptions) stream.Options {
+func streamOptions(opts MatcherOptions) stream.Options {
 	return stream.Options{
 		Threshold:                  opts.Threshold,
 		MaxTokenFreq:               opts.MaxTokenFreq,

@@ -385,7 +385,7 @@ func Funnel(w Workload) *Table {
 }
 
 // SegmentFunnel renders the streaming similar-token probe funnel across a
-// T sweep: every workload name is streamed through the sequential matcher
+// T sweep: every workload name is streamed through a one-shard matcher
 // with and without the segment prefix filter, and the per-stage counters
 // — probe tokens pruned, window fingerprints probed, tokens reaching the
 // token-NLD check, tokens similar — show where segment-probe work dies,
@@ -394,16 +394,17 @@ func SegmentFunnel(w Workload) *Table {
 	names := namegen.Generate(namegen.Config{Seed: w.Seed, NumNames: w.NumNames})
 	t := &Table{
 		ID:    "segfunnel",
-		Title: "Streaming segment-probe funnel vs NSLD threshold T (sequential matcher)",
+		Title: "Streaming segment-probe funnel vs NSLD threshold T (one-shard matcher)",
 		Header: []string{"T", "seg-pruned", "keys-probed(no-filter)", "keys-probed", "tokens-checked",
 			"tokens-similar", "candgen-ms(no-filter)", "candgen-ms"},
 	}
 	for _, T := range []float64{0.05, 0.1, 0.2} {
-		run := func(disable bool) stream.MatcherStats {
-			m, err := stream.NewMatcher(stream.Options{Threshold: T, DisableSegmentPrefixFilter: disable})
+		run := func(disable bool) stream.ShardedStats {
+			m, err := stream.NewShardedMatcher(stream.Options{Threshold: T, DisableSegmentPrefixFilter: disable}, 1)
 			if err != nil {
 				panic(err)
 			}
+			defer m.Close()
 			for _, n := range names {
 				m.Add(n)
 			}

@@ -318,10 +318,19 @@ func TestServeFailover(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The primary sees exactly one follower, caught up.
-	if st := getReplication(t, primTS.URL); st.Role != rolePrimary || st.Primary == nil ||
-		len(st.Primary.Followers) != 1 || st.Primary.Followers[0].AckedLSN != liveLSN {
-		t.Fatalf("primary /replication: %+v", st)
+	// The primary sees exactly one follower, caught up. The standby
+	// applies a record before its ack reaches the primary, so the acked
+	// LSN may trail the standby's for a moment.
+	for {
+		st := getReplication(t, primTS.URL)
+		if st.Role == rolePrimary && st.Primary != nil &&
+			len(st.Primary.Followers) == 1 && st.Primary.Followers[0].AckedLSN == liveLSN {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("primary /replication: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Freeze the answers the promoted standby must reproduce.

@@ -26,7 +26,7 @@ import (
 // Match semantics are unchanged — element i's matches are exactly what
 // per-element Add would have returned (everything previously indexed
 // plus earlier elements of the same batch), property-tested by
-// TestSIMDEquivalenceAddAll and TestSIMDEquivalenceShardedAddAll.
+// TestSIMDEquivalenceAddAll and TestOracleEquivalence.
 
 // stagedChunk is one contiguous candidate chunk of one batch element
 // whose verdicts are pending in a verification engine's stager until
@@ -47,118 +47,17 @@ type stagedElem struct {
 	matches []Match
 }
 
-// stageChunk filters one ascending candidate chunk (tombstone mask,
-// length prune, histogram lower bound — the same funnel as
-// batchVerifier.verifyCands) and stages the survivors on the engine.
-// Verdicts land in sc.res by the time the engine's FlushBatch returns.
+// stageChunk filters one ascending candidate chunk through survivors
+// and stages the survivors on the engine. Verdicts land in sc.res by the
+// time the engine's FlushBatch returns.
 func stageChunk(bv *batchVerifier, ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, t float64, sc *stagedChunk) {
-	la := ts.AggregateLen()
-	ids := make([]int32, 0, len(cands))
-	ys := make([]*token.TokenizedString, 0, len(cands))
-	for _, cand := range cands {
-		if dead != nil && dead[cand] {
-			continue
-		}
-		other := &strs[cand]
-		if core.LengthPrune(la, other.AggregateLen(), t) {
-			continue
-		}
-		if core.LowerBoundPrune(ts, *other, t) {
-			continue
-		}
-		ids = append(ids, cand)
-		ys = append(ys, other)
-	}
+	ids, ys := survivors(ts, strs, dead, cands, t, make([]int32, 0, len(cands)), make([]*token.TokenizedString, 0, len(cands)))
 	if len(ids) == 0 {
 		return
 	}
 	res := make([]core.BatchResult, len(ids))
 	bv.ver.StageBatch(ts, ys, t, res)
 	sc.ids, sc.res = ids, res
-}
-
-// appendChunkMatches folds one flushed chunk's verdicts into a match
-// list, returning the extended list and the budget-pruned count.
-func appendChunkMatches(ms []Match, sc *stagedChunk, la int, strs []token.TokenizedString) ([]Match, int64) {
-	var pruned int64
-	for i, r := range sc.res {
-		if r.Pruned {
-			pruned++
-		}
-		if r.Within {
-			ms = append(ms, Match{
-				ID:   int(sc.ids[i]),
-				SLD:  r.SLD,
-				NSLD: core.NSLDFromSLD(r.SLD, la, strs[sc.ids[i]].AggregateLen()),
-			})
-		}
-	}
-	return ms, pruned
-}
-
-// AddAll adds a batch of raw strings, returning the first assigned id
-// and, per element, the matches per-element Add would have returned
-// (everything previously added plus earlier elements of the same
-// batch, sorted by id). When the batch kernels are live the whole
-// batch's verdicts are staged cross-probe and flushed once at the end;
-// otherwise it degrades to per-element Add.
-func (m *Matcher) AddAll(names []string) (int, [][]Match) {
-	first := len(m.strings)
-	out := make([][]Match, len(names))
-	if len(names) < 2 || m.opt.DisableSIMD || m.opt.DisableBoundedVerify || !core.BatchKernelAvailable() {
-		for i, s := range names {
-			out[i] = m.Add(s)
-		}
-		return first, out
-	}
-
-	t := m.opt.Threshold
-	elems := make([]stagedElem, len(names))
-	for ei, s := range names {
-		ts := m.opt.Tokenizer(s)
-		id := int32(len(m.strings))
-		probe := distinctProbe(ts)
-		el := &elems[ei]
-		if ts.Count() == 0 {
-			for _, e := range m.emptyIDs {
-				el.matches = append(el.matches, Match{ID: int(e)})
-			}
-			m.strings = append(m.strings, ts)
-			m.seen = append(m.seen, 0)
-			m.emptyIDs = append(m.emptyIDs, id)
-			continue
-		}
-		el.la = ts.AggregateLen()
-		cands := m.genCandidates(ts, probe)
-		verifyStart := time.Now()
-		var sc stagedChunk
-		stageChunk(&m.bver, ts, m.strings, nil, cands, t, &sc)
-		if len(sc.ids) > 0 {
-			m.verified += int64(len(sc.ids))
-			el.chunks = append(el.chunks, sc)
-		}
-		m.verifyWall += time.Since(verifyStart)
-		m.strings = append(m.strings, ts)
-		m.seen = append(m.seen, 0)
-		m.ix.insert(probe, id)
-	}
-
-	flushStart := time.Now()
-	m.bver.ver.FlushBatch(&m.batchCtr)
-	m.verifyWall += time.Since(flushStart)
-
-	for ei := range elems {
-		el := &elems[ei]
-		ms := el.matches
-		for c := range el.chunks {
-			var pruned int64
-			ms, pruned = appendChunkMatches(ms, &el.chunks[c], el.la, m.strings)
-			m.budgetPruned += pruned
-		}
-		sortMatches(ms)
-		out[ei] = ms
-	}
-	return first, out
 }
 
 // canStageAddAll reports whether a batch insert can defer its verdicts
@@ -191,12 +90,7 @@ func (m *ShardedMatcher) addAllStaged(toks []token.TokenizedString) [][]Match {
 		probe := distinctProbe(ts)
 		el := &elems[ei]
 		if ts.Count() == 0 {
-			m.mu.RLock()
-			el.matches = make([]Match, len(m.emptyIDs))
-			for i, e := range m.emptyIDs {
-				el.matches[i] = Match{ID: int(e)}
-			}
-			m.mu.RUnlock()
+			el.matches = m.emptyMatches()
 		} else {
 			el.la = ts.AggregateLen()
 			if cands := m.genCandidates(ts, probe); len(cands) > 0 {
@@ -230,21 +124,7 @@ func (m *ShardedMatcher) addAllStaged(toks []token.TokenizedString) [][]Match {
 				m.verifyWall.Add(int64(time.Since(verifyStart)))
 			}
 		}
-
-		// Index exactly like addTokenized: strings first, postings second,
-		// so a concurrent Query that discovers id in a shard's postings is
-		// guaranteed to find strings[id].
-		m.mu.Lock()
-		id := int32(len(m.strings))
-		m.strings = append(m.strings, ts)
-		m.dead = append(m.dead, false)
-		if ts.Count() == 0 {
-			m.emptyIDs = append(m.emptyIDs, id)
-		}
-		m.mu.Unlock()
-		if ts.Count() > 0 {
-			m.insertProbe(probe, id, nil, true)
-		}
+		m.appendAndIndex(ts, probe, nil)
 	}
 
 	// ---- Flush: one parallel sweep drives every pending verdict ---------
@@ -265,22 +145,6 @@ func (m *ShardedMatcher) addAllStaged(toks []token.TokenizedString) [][]Match {
 		ctr.Add(ctrs[i])
 		m.verPool.Put(bvs[i])
 	}
-	if staged > 0 {
-		m.verified.Add(staged)
-	}
-	if ctr.Batched > 0 {
-		m.batchedPairs.Add(ctr.Batched)
-	}
-	if ctr.Kernels > 0 {
-		m.simdKernels.Add(ctr.Kernels)
-		m.simdLanes.Add(ctr.Lanes)
-	}
-	if ctr.ScalarCells > 0 {
-		m.batchScalarCells.Add(ctr.ScalarCells)
-	}
-	if ctr.SigPruned > 0 {
-		m.sigPruned.Add(ctr.SigPruned)
-	}
 
 	// ---- Assemble: chunks are contiguous ascending id runs, so chunk
 	// order keeps each element's matches sorted by id. ------------------
@@ -294,13 +158,11 @@ func (m *ShardedMatcher) addAllStaged(toks []token.TokenizedString) [][]Match {
 		ms := el.matches
 		for c := range el.chunks {
 			var p int64
-			ms, p = appendChunkMatches(ms, &el.chunks[c], el.la, strs)
+			ms, p = appendMatches(ms, el.chunks[c].ids, el.chunks[c].res, el.la, strs)
 			pruned += p
 		}
 		out[ei] = ms
 	}
-	if pruned > 0 {
-		m.budgetPruned.Add(pruned)
-	}
+	m.countVerify(staged, pruned, ctr)
 	return out
 }

@@ -1,62 +1,69 @@
 package stream
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/namegen"
 )
 
-// TestSIMDEquivalenceStream: the sequential matcher returns
-// byte-identical match sets with the vectorized batch path on and off,
-// for both aligners, and the SIMD counters light up exactly when the
+// checkLanes fails unless the SIMD counters light up exactly when the
+// kernel is live, with a lane count coherent with the kernel count.
+func checkLanes(t *testing.T, label string, st ShardedStats) {
+	t.Helper()
+	if !core.BatchKernelAvailable() {
+		if st.BatchedPairs != 0 {
+			t.Fatalf("%s: BatchedPairs=%d without a kernel", label, st.BatchedPairs)
+		}
+		return
+	}
+	if st.BatchedPairs == 0 || st.SIMDKernels == 0 {
+		t.Fatalf("%s: kernel live but SIMD counters idle (%+v)", label, st)
+	}
+	if st.SIMDLanes < st.SIMDKernels || st.SIMDLanes > int64(core.BatchKernelWidth())*st.SIMDKernels {
+		t.Fatalf("%s: lane count %d incoherent for %d kernels", label, st.SIMDLanes, st.SIMDKernels)
+	}
+}
+
+// TestSIMDEquivalenceStream: at one shard, match sets equal the oracle's
+// with the vectorized batch path on and off, for both aligners, the
+// funnel counters agree, and the SIMD counters light up exactly when the
 // kernel is live. This is the stream leg of the CI equivalence guard.
 func TestSIMDEquivalenceStream(t *testing.T) {
 	t.Logf("batch kernel available: %v", core.BatchKernelAvailable())
 	names := namegen.Generate(namegen.Config{Seed: 43, NumNames: 220})
 	for _, greedy := range []bool{false, true} {
 		for _, th := range []float64{0.15, 0.3} {
+			label := fmt.Sprintf("t=%.2f greedy=%v", th, greedy)
+			want := oracleStream(names, th, greedy)
 			scalar, sst := streamAll(t, names, Options{
 				Threshold: th, Greedy: greedy, DisableSIMD: true,
-			})
+			}, 1)
 			batched, bst := streamAll(t, names, Options{
 				Threshold: th, Greedy: greedy,
-			})
-			if !reflect.DeepEqual(scalar, batched) {
-				t.Fatalf("t=%.2f greedy=%v: batched match sets differ from scalar", th, greedy)
-			}
+			}, 1)
+			checkStreams(t, label+" scalar", want, scalar)
+			checkStreams(t, label+" batched", want, batched)
 			if sst.BatchedPairs != 0 || sst.SIMDKernels != 0 {
-				t.Fatalf("t=%.2f greedy=%v: SIMD counters nonzero with DisableSIMD (%+v)",
-					th, greedy, sst)
+				t.Fatalf("%s: SIMD counters nonzero with DisableSIMD (%+v)", label, sst)
 			}
 			if bst.Verified != sst.Verified || bst.BudgetPruned != sst.BudgetPruned {
-				t.Fatalf("t=%.2f greedy=%v: batching changed Verified/BudgetPruned (%d/%d vs %d/%d)",
-					th, greedy, bst.Verified, bst.BudgetPruned, sst.Verified, sst.BudgetPruned)
+				t.Fatalf("%s: batching changed Verified/BudgetPruned (%d/%d vs %d/%d)",
+					label, bst.Verified, bst.BudgetPruned, sst.Verified, sst.BudgetPruned)
 			}
-			if core.BatchKernelAvailable() {
-				if bst.BatchedPairs == 0 || bst.SIMDKernels == 0 {
-					t.Fatalf("t=%.2f greedy=%v: kernel live but SIMD counters idle (%+v)",
-						th, greedy, bst)
-				}
-				if bst.SIMDLanes < bst.SIMDKernels || bst.SIMDLanes > 16*bst.SIMDKernels {
-					t.Fatalf("t=%.2f greedy=%v: lane count %d incoherent for %d kernels",
-						th, greedy, bst.SIMDLanes, bst.SIMDKernels)
-				}
-			} else if bst.BatchedPairs != 0 {
-				t.Fatalf("t=%.2f greedy=%v: BatchedPairs=%d without a kernel",
-					th, greedy, bst.BatchedPairs)
-			}
+			checkLanes(t, label, bst)
 		}
 	}
 }
 
 // TestSIMDEquivalenceAddAll: batched insertion with end-of-batch
-// verification (cross-probe staging, addall.go) returns per-element
-// match sets identical to per-element scalar Add on both matcher
-// implementations, across thresholds tight enough to ride the banded
-// kernel and loose enough to ride the full one, with empty strings
-// mixed in. This is the AddAll leg of the CI equivalence guard.
+// verification (cross-probe staging, addall.go) returns the oracle's
+// per-element match sets and the scalar per-element Add's funnel
+// counters, at one shard and more, across thresholds tight enough to
+// ride the banded kernel and loose enough to ride the full one, with
+// empty strings mixed in. This is the AddAll leg of the CI equivalence
+// guard.
 func TestSIMDEquivalenceAddAll(t *testing.T) {
 	t.Logf("batch kernel available: %v", core.BatchKernelAvailable())
 	names := namegen.Generate(namegen.Config{Seed: 45, NumNames: 200})
@@ -65,99 +72,40 @@ func TestSIMDEquivalenceAddAll(t *testing.T) {
 	names[17], names[101], names[102] = "...", "--", "?!"
 	for _, greedy := range []bool{false, true} {
 		for _, th := range []float64{0.1, 0.3} {
-			want, _ := streamAll(t, names, Options{
-				Threshold: th, Greedy: greedy, DisableSIMD: true,
-			})
-
-			seq, err := NewMatcher(Options{Threshold: th, Greedy: greedy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A leading single Add, then the rest in one staged batch:
-			// the batch's lanes mix candidates of many probes.
-			got := [][]Match{seq.Add(names[0])}
-			first, rest := seq.AddAll(names[1:])
-			if first != 1 {
-				t.Fatalf("t=%.2f greedy=%v: sequential AddAll first = %d, want 1", th, greedy, first)
-			}
-			got = append(got, rest...)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("t=%.2f greedy=%v: sequential AddAll differs from scalar Add", th, greedy)
-			}
-			sst := seq.Stats()
-			if core.BatchKernelAvailable() && sst.BatchedPairs == 0 {
-				t.Fatalf("t=%.2f greedy=%v: kernel live but AddAll staged nothing (%+v)", th, greedy, sst)
-			}
-
+			want := oracleStream(names, th, greedy)
+			_, sst := streamAll(t, names, Options{Threshold: th, Greedy: greedy, DisableSIMD: true}, 1)
 			for _, shards := range []int{1, 4} {
-				sh, err := NewShardedMatcher(Options{Threshold: th, Greedy: greedy}, shards)
-				if err != nil {
-					t.Fatal(err)
+				label := fmt.Sprintf("t=%.2f greedy=%v shards=%d", th, greedy, shards)
+				m := newMatcher(t, Options{Threshold: th, Greedy: greedy}, shards)
+				// A leading single Add, then the rest in one staged batch:
+				// the batch's lanes mix candidates of many probes.
+				_, lead := m.Add(names[0])
+				first, rest := m.AddAll(names[1:])
+				if first != 1 {
+					t.Fatalf("%s: AddAll first = %d, want 1", label, first)
 				}
-				firstSh, batch := sh.AddAll(names)
-				st := sh.Stats()
-				sh.Close()
-				if firstSh != 0 {
-					t.Fatalf("t=%.2f greedy=%v shards=%d: first = %d, want 0", th, greedy, shards, firstSh)
-				}
-				for i := range want {
-					// Element-wise like TestShardedEquivalence: the sharded
-					// empty-probe path returns an empty (not nil) slice.
-					if !matchesEqual(want[i], batch[i]) {
-						t.Fatalf("t=%.2f greedy=%v shards=%d element %d: sharded AddAll %v != scalar Add %v",
-							th, greedy, shards, i, batch[i], want[i])
-					}
-				}
-				if core.BatchKernelAvailable() {
-					if st.BatchedPairs == 0 {
-						t.Fatalf("t=%.2f greedy=%v shards=%d: kernel live but AddAll staged nothing (%+v)",
-							th, greedy, shards, st)
-					}
-					if st.SIMDLanes < st.SIMDKernels || st.SIMDLanes > int64(core.BatchKernelWidth())*st.SIMDKernels {
-						t.Fatalf("t=%.2f greedy=%v shards=%d: lane count %d incoherent for %d kernels",
-							th, greedy, shards, st.SIMDLanes, st.SIMDKernels)
-					}
-				}
+				checkStreams(t, label, want, append([][]Match{lead}, rest...))
+				st := m.Stats()
+				checkLanes(t, label, st)
 				if st.Verified != sst.Verified || st.BudgetPruned != sst.BudgetPruned {
-					t.Fatalf("t=%.2f greedy=%v shards=%d: funnel counters drifted (%d/%d vs %d/%d)",
-						th, greedy, shards, st.Verified, st.BudgetPruned, sst.Verified, sst.BudgetPruned)
+					t.Fatalf("%s: funnel counters drifted (%d/%d vs %d/%d)",
+						label, st.Verified, st.BudgetPruned, sst.Verified, sst.BudgetPruned)
 				}
 			}
 		}
 	}
 }
 
-// TestSIMDEquivalenceSharded: the sharded matcher agrees with the
-// sequential scalar baseline at several shard counts with the batch path
-// on, and its SIMD counters behave like the sequential ones.
+// TestSIMDEquivalenceSharded: with the batch path on, the matcher equals
+// the oracle at several shard counts, and its SIMD counters behave.
 func TestSIMDEquivalenceSharded(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 44, NumNames: 200})
 	const th = 0.2
-	want, _ := streamAll(t, names, Options{Threshold: th, DisableSIMD: true})
+	want := oracleStream(names, th, false)
 	for _, shards := range []int{1, 3, 8} {
-		m, err := NewShardedMatcher(Options{Threshold: th}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([][]Match, len(names))
-		for i, n := range names {
-			_, got[i] = m.Add(n)
-		}
-		st := m.Stats()
-		m.Close()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d: batched sharded match sets differ from scalar sequential", shards)
-		}
-		if core.BatchKernelAvailable() {
-			if st.BatchedPairs == 0 {
-				t.Fatalf("shards=%d: kernel live but BatchedPairs=0", shards)
-			}
-			if st.SIMDLanes < st.SIMDKernels || st.SIMDLanes > 16*st.SIMDKernels {
-				t.Fatalf("shards=%d: lane count %d incoherent for %d kernels",
-					shards, st.SIMDLanes, st.SIMDKernels)
-			}
-		} else if st.BatchedPairs != 0 {
-			t.Fatalf("shards=%d: BatchedPairs=%d without a kernel", shards, st.BatchedPairs)
-		}
+		label := fmt.Sprintf("shards=%d", shards)
+		got, st := streamAll(t, names, Options{Threshold: th}, shards)
+		checkStreams(t, label, want, got)
+		checkLanes(t, label, st)
 	}
 }

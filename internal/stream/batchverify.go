@@ -20,39 +20,13 @@ type batchVerifier struct {
 	res []core.BatchResult
 }
 
-// verifyCands filters one probe's candidates (the Sec. III-E length and
-// lower-bound prunes, plus the optional tombstone mask) and verifies the
-// survivors against ts, appending matches to out in candidate order.
-// Returns the extended slice plus the verified and budget-pruned counts
-// for the caller's stats; kernel-level counters accumulate into ctr.
-// Match sets are identical to per-pair verification.
-func (b *batchVerifier) verifyCands(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, opt *Options, ctr *core.BatchCounters, out []Match) ([]Match, int64, int64) {
-	if opt.DisableBoundedVerify {
-		// Exact unbounded verification has no batch form (the kernel is
-		// budget-capped by construction); keep the per-pair pipeline.
-		var verified, pruned int64
-		for _, cand := range cands {
-			if dead != nil && dead[cand] {
-				continue
-			}
-			mt, ok, oc := verifyPair(&b.ver, ts, strs[cand], cand, opt)
-			if oc.verified {
-				verified++
-			}
-			if oc.budgetPruned {
-				pruned++
-			}
-			if ok {
-				out = append(out, mt)
-			}
-		}
-		return out, verified, pruned
-	}
-
-	t := opt.Threshold
+// survivors is the stream's one filter chain: it appends to ids and ys
+// every candidate that is not tombstoned (dead is optional) and passes
+// the Sec. III-E length and lower-bound prunes against ts. Both verify
+// paths filter through it: verifyCands for one probe, stageChunk for an
+// AddAll batch.
+func survivors(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, t float64, ids []int32, ys []*token.TokenizedString) ([]int32, []*token.TokenizedString) {
 	la := ts.AggregateLen()
-	b.ids = b.ids[:0]
-	b.ys = b.ys[:0]
 	for _, cand := range cands {
 		if dead != nil && dead[cand] {
 			continue
@@ -64,29 +38,63 @@ func (b *batchVerifier) verifyCands(ts token.TokenizedString, strs []token.Token
 		if core.LowerBoundPrune(ts, *other, t) {
 			continue
 		}
-		b.ids = append(b.ids, cand)
-		b.ys = append(b.ys, other)
+		ids = append(ids, cand)
+		ys = append(ys, other)
 	}
-	if len(b.ids) == 0 {
+	return ids, ys
+}
+
+// verifyCands filters one probe's candidates and verifies the survivors
+// against ts, appending matches to out in candidate order. Returns the
+// extended slice plus the verified and budget-pruned counts for the
+// caller's stats; kernel-level counters accumulate into ctr. Under
+// DisableBoundedVerify each survivor runs the unbounded core.SLD (or
+// SLDGreedy) instead of the batch, which has no unbounded form: the
+// kernel is budget-capped by construction.
+func (b *batchVerifier) verifyCands(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, opt *Options, ctr *core.BatchCounters, out []Match) ([]Match, int64, int64) {
+	t := opt.Threshold
+	b.ids, b.ys = survivors(ts, strs, dead, cands, t, b.ids[:0], b.ys[:0])
+	n := len(b.ids)
+	if n == 0 {
 		return out, 0, 0
 	}
-	if cap(b.res) < len(b.ids) {
-		b.res = make([]core.BatchResult, len(b.ids), 2*len(b.ids))
+	if cap(b.res) < n {
+		b.res = make([]core.BatchResult, n, 2*n)
 	}
-	b.res = b.res[:len(b.ids)]
-	b.ver.VerifyBatch(ts, b.ys, t, b.res, ctr)
+	b.res = b.res[:n]
+	if opt.DisableBoundedVerify {
+		for i, y := range b.ys {
+			var sld int
+			if opt.Greedy {
+				sld = core.SLDGreedy(ts, *y)
+			} else {
+				sld = core.SLD(ts, *y)
+			}
+			b.res[i] = core.BatchResult{SLD: sld, Within: core.WithinNSLD(sld, ts.AggregateLen(), y.AggregateLen(), t)}
+		}
+	} else {
+		b.ver.VerifyBatch(ts, b.ys, t, b.res, ctr)
+	}
+	out, pruned := appendMatches(out, b.ids, b.res, ts.AggregateLen(), strs)
+	return out, int64(n), pruned
+}
+
+// appendMatches turns the verdicts res of candidates ids, probed by a
+// string of aggregate length la, into matches appended to ms, and
+// returns the extended list and the budget-pruned count.
+func appendMatches(ms []Match, ids []int32, res []core.BatchResult, la int, strs []token.TokenizedString) ([]Match, int64) {
 	var pruned int64
-	for i, r := range b.res {
+	for i, r := range res {
 		if r.Pruned {
 			pruned++
 		}
 		if r.Within {
-			out = append(out, Match{
-				ID:   int(b.ids[i]),
+			ms = append(ms, Match{
+				ID:   int(ids[i]),
 				SLD:  r.SLD,
-				NSLD: core.NSLDFromSLD(r.SLD, la, b.ys[i].AggregateLen()),
+				NSLD: core.NSLDFromSLD(r.SLD, la, strs[ids[i]].AggregateLen()),
 			})
 		}
 	}
-	return out, int64(len(b.ids)), pruned
+	return ms, pruned
 }

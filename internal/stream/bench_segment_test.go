@@ -13,43 +13,37 @@ import (
 	"repro/internal/namegen"
 )
 
-// segmentProbeBench builds a matcher over the bench corpus and
+// segmentProbeBench builds a one-shard matcher over the bench corpus and
 // pre-computes marked probes for a sample of its names, so the benchmark
 // loop exercises exactly the candidates() probe path (exact lookups +
 // segment probing) with warm per-worker scratch.
 func segmentProbeBench(b *testing.B, th float64, disable bool) {
 	names := namegen.Generate(namegen.Config{Seed: 3, NumNames: 2000})
-	m, err := NewMatcher(Options{Threshold: th, DisableSegmentPrefixFilter: disable})
+	m, err := NewShardedMatcher(Options{Threshold: th, DisableSegmentPrefixFilter: disable}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer m.Close()
 	for _, n := range names {
 		m.Add(n)
 	}
+	ix, sc := m.shards[0].ix, newProbeScratch(th)
 	probes := make([][]probeToken, 0, 64)
 	for i := 0; i < 64; i++ {
-		ts := m.opt.Tokenizer(names[(i*31)%len(names)])
-		probe := distinctProbe(ts)
-		freqs := make([]int32, len(probe))
-		for j, p := range probe {
-			freqs[j] = m.ix.freqOf(p.s)
-		}
-		var keys []int64
-		markPrefix(probe, freqs, th, ts, &keys)
-		probes = append(probes, probe)
+		probes = append(probes, markedProbe(ix, m.opt.Tokenizer(names[(i*31)%len(names)]), th))
 	}
 	var pc probeCounters
 	var emitted int64
 	emit := func(int32) { emitted++ }
 	// Warm the scratch (visited sizing, plan memo, hash arrays).
 	for _, p := range probes {
-		m.ix.candidates(p, m.scratch, &pc, emit)
+		ix.candidates(p, sc, &pc, emit)
 	}
 	pc, emitted = probeCounters{}, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ix.candidates(probes[i%len(probes)], m.scratch, &pc, emit)
+		ix.candidates(probes[i%len(probes)], sc, &pc, emit)
 	}
 	b.ReportMetric(float64(pc.segKeysProbed)/float64(b.N), "seg-keys/op")
 	b.ReportMetric(float64(pc.segTokensChecked)/float64(b.N), "seg-checked/op")

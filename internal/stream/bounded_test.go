@@ -1,80 +1,54 @@
 package stream
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/namegen"
 )
 
-// streamAll adds every name to a fresh sequential matcher and returns the
-// per-add match sets.
-func streamAll(t *testing.T, names []string, opt Options) ([][]Match, MatcherStats) {
-	t.Helper()
-	m, err := NewMatcher(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([][]Match, len(names))
-	for i, n := range names {
-		out[i] = m.Add(n)
-	}
-	return out, m.Stats()
-}
-
-// TestBoundedEquivalenceStream: the sequential matcher returns
-// byte-identical match sets with bounded verification on and off, for
-// both aligners, and populates BudgetPruned when on.
+// TestBoundedEquivalenceStream: at one shard, match sets equal the
+// oracle's with bounded verification on and off, for both aligners;
+// BudgetPruned is populated only when on, and bounding never changes
+// Verified.
 func TestBoundedEquivalenceStream(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 41, NumNames: 220})
 	for _, greedy := range []bool{false, true} {
 		for _, th := range []float64{0.15, 0.3} {
+			label := fmt.Sprintf("t=%.2f greedy=%v", th, greedy)
+			want := oracleStream(names, th, greedy)
 			exact, est := streamAll(t, names, Options{
 				Threshold: th, Greedy: greedy, DisableBoundedVerify: true,
-			})
+			}, 1)
 			bounded, bst := streamAll(t, names, Options{
 				Threshold: th, Greedy: greedy,
-			})
-			if !reflect.DeepEqual(exact, bounded) {
-				t.Fatalf("t=%.2f greedy=%v: bounded match sets differ", th, greedy)
-			}
+			}, 1)
+			checkStreams(t, label+" unbounded", want, exact)
+			checkStreams(t, label+" bounded", want, bounded)
 			if est.BudgetPruned != 0 {
-				t.Fatalf("t=%.2f greedy=%v: BudgetPruned=%d with bounding disabled",
-					th, greedy, est.BudgetPruned)
+				t.Fatalf("%s: BudgetPruned=%d with bounding disabled", label, est.BudgetPruned)
 			}
 			if bst.BudgetPruned == 0 || bst.BudgetPruned > bst.Verified {
-				t.Fatalf("t=%.2f greedy=%v: BudgetPruned=%d out of range (Verified=%d)",
-					th, greedy, bst.BudgetPruned, bst.Verified)
+				t.Fatalf("%s: BudgetPruned=%d out of range (Verified=%d)",
+					label, bst.BudgetPruned, bst.Verified)
 			}
 			if bst.Verified != est.Verified {
-				t.Fatalf("t=%.2f greedy=%v: bounding changed Verified (%d vs %d)",
-					th, greedy, bst.Verified, est.Verified)
+				t.Fatalf("%s: bounding changed Verified (%d vs %d)", label, bst.Verified, est.Verified)
 			}
 		}
 	}
 }
 
-// TestBoundedEquivalenceSharded: the sharded matcher agrees with the
-// sequential one under bounded verification at several shard counts, and
-// its stats report the budget's work.
+// TestBoundedEquivalenceSharded: under bounded verification the matcher
+// equals the oracle at several shard counts, and its stats report the
+// budget's work.
 func TestBoundedEquivalenceSharded(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 42, NumNames: 200})
 	const th = 0.2
-	want, _ := streamAll(t, names, Options{Threshold: th})
+	want := oracleStream(names, th, false)
 	for _, shards := range []int{1, 3, 8} {
-		m, err := NewShardedMatcher(Options{Threshold: th}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([][]Match, len(names))
-		for i, n := range names {
-			_, got[i] = m.Add(n)
-		}
-		st := m.Stats()
-		m.Close()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d: bounded sharded match sets differ from sequential", shards)
-		}
+		got, st := streamAll(t, names, Options{Threshold: th}, shards)
+		checkStreams(t, fmt.Sprintf("shards=%d", shards), want, got)
 		if st.BudgetPruned == 0 || st.BudgetPruned > st.Verified {
 			t.Fatalf("shards=%d: BudgetPruned=%d out of range (Verified=%d)",
 				shards, st.BudgetPruned, st.Verified)

@@ -67,7 +67,8 @@ func markStorageProbe(opt Options, v *corpus.View, sid int, probe []probeToken, 
 }
 
 // warmLoadSerial is the single-pass warm load: headers, probe and
-// insertion per string, in sid order.
+// insertion per string, in sid order. per is per-shard grouping scratch,
+// reused across strings so the restart path does not allocate per token.
 func (m *ShardedMatcher) warmLoadSerial(v *corpus.View, markStorage bool) {
 	per := make([][]probeToken, len(m.shards))
 	var prefixSet map[string]struct{}
@@ -84,7 +85,7 @@ func (m *ShardedMatcher) warmLoadSerial(v *corpus.View, markStorage bool) {
 		if markStorage {
 			markStorageProbe(m.opt, v, sid, probe, prefixSet)
 		}
-		m.loadTokenized(ts, probe, per)
+		m.appendAndIndex(ts, probe, per)
 	}
 }
 
@@ -187,23 +188,6 @@ func (m *ShardedMatcher) warmLoadParallel(v *corpus.View, markStorage bool) {
 		}(si)
 	}
 	wg.Wait()
-}
-
-// loadTokenized appends one string to the index without matching it
-// (warm-load path; the caller is single-threaded at construction time).
-// probe is the string's distinct-token probe, already carrying any
-// storage-side prefix marks; per is caller-owned per-shard grouping
-// scratch, reused across strings so the restart path does not allocate
-// per token.
-func (m *ShardedMatcher) loadTokenized(ts token.TokenizedString, probe []probeToken, per [][]probeToken) {
-	id := int32(len(m.strings))
-	m.strings = append(m.strings, ts)
-	m.dead = append(m.dead, false)
-	if ts.Count() == 0 {
-		m.emptyIDs = append(m.emptyIDs, id)
-		return
-	}
-	m.insertProbe(probe, id, per, false)
 }
 
 // loadTombstone reserves an id for a deleted corpus string: it occupies
@@ -325,26 +309,14 @@ func (m *ShardedMatcher) ApplyShipped(payload []byte) error {
 }
 
 // indexTokenized appends one string to the live index without matching
-// it — warm-load's loadTokenized, but with shard locking, for a matcher
-// already serving queries. The probe is priced and prefix-marked like a
-// live Add's so the standby's index keeps the same lazy segment-storage
-// shape as the primary's. Caller holds addMu.
+// it. The probe is priced and prefix-marked like a live Add's so the
+// standby's index keeps the same lazy segment-storage shape as the
+// primary's. Caller holds addMu.
 func (m *ShardedMatcher) indexTokenized(ts token.TokenizedString) {
 	m.applied.Add(1)
 	probe := distinctProbe(ts)
 	m.markProbe(ts, probe)
-	m.mu.Lock()
-	id := int32(len(m.strings))
-	m.strings = append(m.strings, ts)
-	m.dead = append(m.dead, false)
-	if ts.Count() == 0 {
-		m.emptyIDs = append(m.emptyIDs, id)
-	}
-	m.mu.Unlock()
-	if ts.Count() == 0 {
-		return
-	}
-	m.insertProbe(probe, id, nil, true)
+	m.appendAndIndex(ts, probe, nil)
 }
 
 // isDead reports whether id is tombstoned.

@@ -1,9 +1,6 @@
 package stream
 
 import (
-	"sort"
-
-	"repro/internal/core"
 	"repro/internal/strdist"
 	"repro/internal/token"
 )
@@ -51,11 +48,10 @@ func distinctProbe(ts token.TokenizedString) []probeToken {
 
 // tokenIndex is one partition of the incremental generate-filter index:
 // the shared-token inverted index plus the Pass-Join style segment index
-// over the token space. The sequential Matcher owns a single partition
-// holding every token; the ShardedMatcher owns N partitions, each holding
-// the tokens that hash to it. The type itself is not goroutine-safe —
-// callers serialize access (the ShardedMatcher guards each partition with
-// a RWMutex).
+// over the token space. A ShardedMatcher owns N partitions, each holding
+// the tokens that hash to it (at one shard, every token). The type itself
+// is not goroutine-safe: the ShardedMatcher guards each partition with a
+// RWMutex.
 type tokenIndex struct {
 	threshold    float64
 	maxFreq      int
@@ -419,51 +415,4 @@ func (ix *tokenIndex) tokenNLDWithin(x, y []rune, lx, ly, tau int, row *[]uint16
 		return false
 	}
 	return strdist.WithinNLD(d, lx, ly, ix.threshold)
-}
-
-// verifyOutcome reports what the verify stage did with one candidate
-// pair, for the matcher stats.
-type verifyOutcome struct {
-	verified     bool // survived the filters and reached verification
-	budgetPruned bool // rejected early by the threshold-derived SLD budget
-}
-
-// verifyPair runs the Sec. III-E filters and the SLD verification for one
-// candidate pair, shared by the sequential and sharded matchers. v is the
-// caller-owned verification engine (per worker), carrying all scratch so
-// steady-state verification allocates nothing.
-func verifyPair(v *core.Verifier, ts, other token.TokenizedString, cand int32, opt *Options) (Match, bool, verifyOutcome) {
-	t := opt.Threshold
-	if core.LengthPrune(ts.AggregateLen(), other.AggregateLen(), t) {
-		return Match{}, false, verifyOutcome{}
-	}
-	if core.LowerBoundPrune(ts, other, t) {
-		return Match{}, false, verifyOutcome{}
-	}
-	var sld int
-	var within bool
-	oc := verifyOutcome{verified: true}
-	if opt.DisableBoundedVerify {
-		if opt.Greedy {
-			sld = core.SLDGreedy(ts, other)
-		} else {
-			sld = core.SLD(ts, other)
-		}
-		within = core.WithinNSLD(sld, ts.AggregateLen(), other.AggregateLen(), t)
-	} else {
-		sld, within, oc.budgetPruned = v.Verify(ts, other, t)
-	}
-	if !within {
-		return Match{}, false, oc
-	}
-	return Match{
-		ID:   int(cand),
-		SLD:  sld,
-		NSLD: core.NSLDFromSLD(sld, ts.AggregateLen(), other.AggregateLen()),
-	}, true, oc
-}
-
-// sortMatches orders matches by id (the contract of Add and Query).
-func sortMatches(out []Match) {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 }

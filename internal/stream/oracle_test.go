@@ -1,0 +1,178 @@
+package stream
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/namegen"
+	"repro/internal/nsldtest"
+	"repro/internal/token"
+)
+
+// newMatcher builds a matcher the test closes on cleanup.
+func newMatcher(t *testing.T, opt Options, shards int) *ShardedMatcher {
+	t.Helper()
+	m, err := NewShardedMatcher(opt, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return m
+}
+
+// streamAll adds every name to a fresh matcher and returns the per-add
+// match sets and the final stats.
+func streamAll(t *testing.T, names []string, opt Options, shards int) ([][]Match, ShardedStats) {
+	t.Helper()
+	m := newMatcher(t, opt, shards)
+	out := make([][]Match, len(names))
+	for i, n := range names {
+		var id int
+		if id, out[i] = m.Add(n); id != i {
+			t.Fatalf("name %d: id = %d", i, id)
+		}
+	}
+	return out, m.Stats()
+}
+
+func tokenizeAll(names []string) []token.TokenizedString {
+	strs := make([]token.TokenizedString, len(names))
+	for i, n := range names {
+		strs[i] = token.WhitespaceAndPunct(n)
+	}
+	return strs
+}
+
+// oracleMatches is the naive join's matches of x against strs.
+func oracleMatches(x token.TokenizedString, strs []token.TokenizedString, th float64, greedy bool) []Match {
+	var out []Match
+	for _, h := range nsldtest.Matches(x, strs, th, greedy) {
+		out = append(out, Match(h))
+	}
+	return out
+}
+
+// oracleStream is the naive join's answer to adding names in order:
+// element i holds the matches of names[i] against names[:i].
+func oracleStream(names []string, th float64, greedy bool) [][]Match {
+	strs := tokenizeAll(names)
+	out := make([][]Match, len(strs))
+	for i := range strs {
+		out[i] = oracleMatches(strs[i], strs[:i], th, greedy)
+	}
+	return out
+}
+
+// matchesEqual compares two id-sorted match lists element-wise (nil and
+// empty are equal).
+func matchesEqual(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkStreams fails at the first element where got differs from want.
+func checkStreams(t *testing.T, label string, want, got [][]Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !matchesEqual(want[i], got[i]) {
+			t.Fatalf("%s: element %d: %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// checkSubset fails unless every match in got is also in want, at an SLD
+// no lower than want's.
+func checkSubset(t *testing.T, label string, want, got [][]Match) {
+	t.Helper()
+	for i := range got {
+		sld := make(map[int]int, len(want[i]))
+		for _, w := range want[i] {
+			sld[w.ID] = w.SLD
+		}
+		for _, g := range got[i] {
+			if s, ok := sld[g.ID]; !ok || g.SLD < s {
+				t.Fatalf("%s: element %d: %+v is not in %v", label, i, g, want[i])
+			}
+		}
+	}
+}
+
+// TestOracleEquivalence: the exact and the greedy matcher return exactly
+// the naive join's matches through Add, AddAll and Query, at several
+// thresholds and shard counts, with token-less strings mixed in.
+func TestOracleEquivalence(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 61, NumNames: 200})
+	names[17], names[101], names[102] = "...", "--", "?!"
+	probes := append(namegen.Generate(namegen.Config{Seed: 62, NumNames: 30}), "!!", names[5], names[150])
+	strs := tokenizeAll(names)
+	for _, greedy := range []bool{false, true} {
+		for _, th := range []float64{0.1, 0.2, 0.3} {
+			want := oracleStream(names, th, greedy)
+			for _, shards := range []int{1, 3, 8} {
+				opt := Options{Threshold: th, Greedy: greedy}
+				label := fmt.Sprintf("greedy=%v T=%.2f shards=%d", greedy, th, shards)
+				got, _ := streamAll(t, names, opt, shards)
+				checkStreams(t, label+" Add", want, got)
+				m := newMatcher(t, opt, shards)
+				first, batch := m.AddAll(names)
+				if first != 0 {
+					t.Fatalf("%s: AddAll first = %d", label, first)
+				}
+				checkStreams(t, label+" AddAll", want, batch)
+				for _, p := range probes {
+					if w, g := oracleMatches(token.WhitespaceAndPunct(p), strs, th, greedy), m.Query(p); !matchesEqual(w, g) {
+						t.Fatalf("%s: Query %q: %v, want %v", label, p, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOracleEquivalenceSubsets: the approximations only ever lose pairs.
+// Exact-token matching, a finite MaxTokenFreq and the greedy aligner
+// return subsets of the exact oracle's matches, at one shard and more.
+func TestOracleEquivalenceSubsets(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 32, NumNames: 200})
+	for _, th := range []float64{0.15, 0.25} {
+		want := oracleStream(names, th, false)
+		for _, opt := range []Options{
+			{Threshold: th, ExactTokensOnly: true},
+			{Threshold: th, MaxTokenFreq: 2},
+			{Threshold: th, MaxTokenFreq: 5, ExactTokensOnly: true},
+			{Threshold: th, Greedy: true},
+		} {
+			for _, shards := range []int{1, 3} {
+				got, _ := streamAll(t, names, opt, shards)
+				checkSubset(t, fmt.Sprintf("T=%.2f M=%d exact=%v greedy=%v shards=%d",
+					th, opt.MaxTokenFreq, opt.ExactTokensOnly, opt.Greedy, shards), want, got)
+			}
+		}
+	}
+}
+
+// TestOracleEquivalenceMonotone: raising the threshold never loses a
+// match, for the exact and the greedy matcher.
+func TestOracleEquivalenceMonotone(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 63, NumNames: 200})
+	for _, greedy := range []bool{false, true} {
+		var prev [][]Match
+		for _, th := range []float64{0.05, 0.1, 0.15, 0.2, 0.3} {
+			got, _ := streamAll(t, names, Options{Threshold: th, Greedy: greedy}, 3)
+			if prev != nil {
+				checkSubset(t, fmt.Sprintf("greedy=%v T=%.2f", greedy, th), got, prev)
+			}
+			prev = got
+		}
+	}
+}

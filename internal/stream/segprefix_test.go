@@ -2,42 +2,42 @@ package stream
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/namegen"
+	"repro/internal/token"
 )
 
-// TestSegmentPrefixEquivalenceStream: the sequential matcher returns
-// identical match sets with the segment prefix filter on and off, at
-// several thresholds, with the shared-token prefix filter both on and
-// off — and the filter actually skips segment probes somewhere in the
-// sweep.
+// TestSegmentPrefixEquivalenceStream: at one shard, match sets equal the
+// oracle's with the segment prefix filter on and off, at several
+// thresholds, with the shared-token prefix filter both on and off — and
+// the filter actually skips segment probes somewhere in the sweep.
 func TestSegmentPrefixEquivalenceStream(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 55, NumNames: 220})
 	prunedSomewhere := false
-	for _, sharedOff := range []bool{false, true} {
-		for _, th := range []float64{0.1, 0.2, 0.35} {
+	for _, th := range []float64{0.1, 0.2, 0.35} {
+		want := oracleStream(names, th, false)
+		for _, sharedOff := range []bool{false, true} {
+			label := fmt.Sprintf("t=%.2f sharedOff=%v", th, sharedOff)
 			plain, pst := streamAll(t, names, Options{
 				Threshold: th, DisablePrefixFilter: sharedOff, DisableSegmentPrefixFilter: true,
-			})
+			}, 1)
 			filtered, fst := streamAll(t, names, Options{
 				Threshold: th, DisablePrefixFilter: sharedOff,
-			})
-			if !reflect.DeepEqual(plain, filtered) {
-				t.Fatalf("t=%.2f sharedOff=%v: segment-filtered match sets differ", th, sharedOff)
-			}
+			}, 1)
+			checkStreams(t, label+" unfiltered", want, plain)
+			checkStreams(t, label, want, filtered)
 			if pst.SegPrefixPruned != 0 {
-				t.Fatalf("t=%.2f: SegPrefixPruned=%d with the filter disabled", th, pst.SegPrefixPruned)
+				t.Fatalf("%s: SegPrefixPruned=%d with the filter disabled", label, pst.SegPrefixPruned)
 			}
 			if fst.SegPrefixPruned > 0 {
 				prunedSomewhere = true
 			}
 			if fst.SegKeysProbed > pst.SegKeysProbed {
-				t.Fatalf("t=%.2f sharedOff=%v: filtering increased segment probes (%d vs %d)",
-					th, sharedOff, fst.SegKeysProbed, pst.SegKeysProbed)
+				t.Fatalf("%s: filtering increased segment probes (%d vs %d)",
+					label, fst.SegKeysProbed, pst.SegKeysProbed)
 			}
 		}
 	}
@@ -56,13 +56,11 @@ func TestSegmentPrefixEquivalenceStreamMaxFreq(t *testing.T) {
 		for _, th := range []float64{0.15, 0.25} {
 			plain, _ := streamAll(t, names, Options{
 				Threshold: th, MaxTokenFreq: maxFreq, DisableSegmentPrefixFilter: true,
-			})
+			}, 1)
 			filtered, _ := streamAll(t, names, Options{
 				Threshold: th, MaxTokenFreq: maxFreq,
-			})
-			if !reflect.DeepEqual(plain, filtered) {
-				t.Fatalf("M=%d t=%.2f: segment-filtered match sets differ under the cutoff", maxFreq, th)
-			}
+			}, 1)
+			checkStreams(t, fmt.Sprintf("M=%d t=%.2f", maxFreq, th), plain, filtered)
 		}
 	}
 }
@@ -91,13 +89,9 @@ func TestSegmentPrefixEquivalenceStreamMaxFreqCarveOut(t *testing.T) {
 	names = append(names, q) // q arrives last and must match x
 
 	const th = 0.06
-	opt := Options{Threshold: th, MaxTokenFreq: 1}
-	plain, _ := streamAll(t, names, Options{Threshold: th, MaxTokenFreq: 1, DisableSegmentPrefixFilter: true})
-	filtered, _ := streamAll(t, names, opt)
-	if !reflect.DeepEqual(plain, filtered) {
-		t.Fatalf("carve-out corner: match sets differ\nplain: %v\nfiltered: %v",
-			plain[len(plain)-1], filtered[len(filtered)-1])
-	}
+	plain, _ := streamAll(t, names, Options{Threshold: th, MaxTokenFreq: 1, DisableSegmentPrefixFilter: true}, 1)
+	filtered, _ := streamAll(t, names, Options{Threshold: th, MaxTokenFreq: 1}, 1)
+	checkStreams(t, "carve-out corner", plain, filtered)
 	// The corner must actually have triggered: the unfiltered matcher
 	// finds (x, q) through the u~v similar pair despite every shared
 	// token sitting beyond the cutoff.
@@ -113,32 +107,20 @@ func TestSegmentPrefixEquivalenceStreamMaxFreqCarveOut(t *testing.T) {
 	}
 }
 
-// TestSegmentPrefixEquivalenceSharded: the sharded matcher with the
-// segment prefix filter agrees with the unfiltered sequential matcher at
-// several shard counts and thresholds — per-shard segment storage and the
-// globally-folded frequency order must reproduce the sequential
-// decisions exactly.
+// TestSegmentPrefixEquivalenceSharded: with the segment prefix filter on,
+// the matcher equals the oracle at several shard counts and thresholds —
+// per-shard segment storage and the globally-folded frequency order must
+// lose nothing.
 func TestSegmentPrefixEquivalenceSharded(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 57, NumNames: 200})
 	for _, th := range []float64{0.1, 0.2, 0.3} {
-		want, _ := streamAll(t, names, Options{Threshold: th, DisableSegmentPrefixFilter: true})
+		want := oracleStream(names, th, false)
 		for _, shards := range []int{1, 3, 8} {
-			m, err := NewShardedMatcher(Options{Threshold: th}, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([][]Match, len(names))
-			for i, n := range names {
-				_, got[i] = m.Add(n)
-			}
-			st := m.Stats()
-			m.Close()
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("t=%.2f shards=%d: segment-filtered sharded match sets differ from unfiltered sequential",
-					th, shards)
-			}
+			label := fmt.Sprintf("t=%.2f shards=%d", th, shards)
+			got, st := streamAll(t, names, Options{Threshold: th}, shards)
+			checkStreams(t, label, want, got)
 			if st.SegKeysProbed == 0 {
-				t.Fatalf("t=%.2f shards=%d: SegKeysProbed never populated", th, shards)
+				t.Fatalf("%s: SegKeysProbed never populated", label)
 			}
 		}
 	}
@@ -147,8 +129,8 @@ func TestSegmentPrefixEquivalenceSharded(t *testing.T) {
 // TestSegmentPrefixEquivalenceTies: adversarial frequency ties — every
 // token appears the same number of times, so prefix membership (and with
 // it segment storage and probing) rests entirely on the deterministic
-// tie-break, which must agree between the sequential matcher and every
-// shard count.
+// tie-break, and every shard count must still return the oracle's
+// matches.
 func TestSegmentPrefixEquivalenceTies(t *testing.T) {
 	words := []string{
 		"alpha", "bravo", "carol", "delta", "echos", "fotox",
@@ -165,34 +147,21 @@ func TestSegmentPrefixEquivalenceTies(t *testing.T) {
 	// Similar-token-only partners (each token one edit off).
 	names = append(names, "alphq bravp carpl", "deltz echps fotpx")
 	const th = 0.3
-	want, _ := streamAll(t, names, Options{Threshold: th, DisableSegmentPrefixFilter: true})
-	seq, _ := streamAll(t, names, Options{Threshold: th})
-	if !reflect.DeepEqual(want, seq) {
-		t.Fatal("tie-broken sequential segment-filtered matcher differs from unfiltered")
-	}
-	for _, shards := range []int{2, 5} {
-		m, err := NewShardedMatcher(Options{Threshold: th}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([][]Match, len(names))
-		for i, nm := range names {
-			_, got[i] = m.Add(nm)
-		}
-		m.Close()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d: tie-broken sharded segment-filtered matcher differs", shards)
-		}
+	want := oracleStream(names, th, false)
+	for _, shards := range []int{1, 2, 5} {
+		got, _ := streamAll(t, names, Options{Threshold: th}, shards)
+		checkStreams(t, fmt.Sprintf("shards=%d", shards), want, got)
 	}
 }
 
 // TestSegmentPrefixEquivalenceWarmLoad: a matcher warm-loaded from a
 // persistent corpus prunes segment storage using the corpus's stored
 // epoch-stamped order — a different (and possibly stale) order than the
-// live-ingest path uses — and must still serve exactly the queries an
-// unfiltered warm load serves.
+// live-ingest path uses — and must still serve exactly the oracle's
+// queries.
 func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 58, NumNames: 180})
+	strs := tokenizeAll(names)
 	dir := t.TempDir()
 	pc, err := corpus.Open(dir, corpus.Options{DisableSync: true})
 	if err != nil {
@@ -205,23 +174,16 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 		}
 	}
 	for _, th := range []float64{0.1, 0.2, 0.3} {
-		plain, err := NewShardedFromCorpus(Options{Threshold: th, DisableSegmentPrefixFilter: true}, 3, pc)
+		m, err := NewShardedFromCorpus(Options{Threshold: th}, 3, pc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		filtered, err := NewShardedFromCorpus(Options{Threshold: th}, 3, pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range names {
-			want := plain.Query(n)
-			got := filtered.Query(n)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("t=%.2f: warm-loaded segment-filtered query %q differs: %v vs %v", th, n, got, want)
+		for i, n := range names {
+			if want, got := oracleMatches(strs[i], strs, th, false), m.Query(n); !matchesEqual(want, got) {
+				t.Fatalf("t=%.2f: warm-loaded segment-filtered query %q: %v, want %v", th, n, got, want)
 			}
 		}
-		plain.Close()
-		filtered.Close()
+		m.Close()
 	}
 }
 
@@ -230,31 +192,22 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 // allocations once the per-worker scratch is warm.
 func TestSegmentProbeZeroAlloc(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 59, NumNames: 500})
-	m, err := NewMatcher(Options{Threshold: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const th = 0.2
+	m := newMatcher(t, Options{Threshold: th}, 1)
 	for _, n := range names {
 		m.Add(n)
 	}
+	ix, sc := m.shards[0].ix, newProbeScratch(th)
 	probes := make([][]probeToken, 0, 50)
 	for i := 0; i < 50; i++ {
-		ts := m.opt.Tokenizer(names[i*7%len(names)])
-		probe := distinctProbe(ts)
-		freqs := make([]int32, len(probe))
-		for j, p := range probe {
-			freqs[j] = m.ix.freqOf(p.s)
-		}
-		var keys []int64
-		markPrefix(probe, freqs, m.opt.Threshold, ts, &keys)
-		probes = append(probes, probe)
+		probes = append(probes, markedProbe(ix, token.WhitespaceAndPunct(names[i*7%len(names)]), th))
 	}
 	var pc probeCounters
 	var sink int64
 	emit := func(cand int32) { sink += int64(cand) }
 	probeAll := func() {
 		for _, p := range probes {
-			m.ix.candidates(p, m.scratch, &pc, emit)
+			ix.candidates(p, sc, &pc, emit)
 		}
 	}
 	probeAll() // warm the scratch (visited growth, plan memo, hash arrays)
@@ -264,4 +217,17 @@ func TestSegmentProbeZeroAlloc(t *testing.T) {
 	if pc.segKeysProbed == 0 {
 		t.Fatal("probe exercised no segment keys; the zero-alloc claim is vacuous")
 	}
+}
+
+// markedProbe is ts's distinct-token probe, prefix-marked against ix's
+// frequencies the way a live Add marks it.
+func markedProbe(ix *tokenIndex, ts token.TokenizedString, th float64) []probeToken {
+	probe := distinctProbe(ts)
+	freqs := make([]int32, len(probe))
+	for j, p := range probe {
+		freqs[j] = ix.freqOf(p.s)
+	}
+	var keys []int64
+	markPrefix(probe, freqs, th, ts, &keys)
+	return probe
 }

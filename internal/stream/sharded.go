@@ -12,14 +12,15 @@ import (
 	"repro/internal/token"
 )
 
-// ShardedMatcher is the concurrent incremental joiner: the inverted and
-// segment indexes are partitioned across N shards by token hash (the
+// ShardedMatcher is the incremental joiner: the inverted and segment
+// indexes are partitioned across N shards by token hash (the
 // MassJoin/PASS-JOIN partitioning carried over to the online path), and a
 // persistent worker pool fans each arrival's candidate generation out to
-// the shards and verifies the merged candidates in parallel.
+// the shards and verifies the merged candidates in parallel. One shard
+// is the single-threaded matcher: its pool starts no goroutine.
 //
-// Semantics are exactly those of the sequential Matcher: driven serially,
-// Add returns the identical match set (sorted by id) for any shard count.
+// Driven serially, Add returns the same match set (sorted by id) for any
+// shard count; under the exact configuration it is the naive join's.
 // Concurrently, writers are serialized with each other — ids are assigned
 // in arrival order — while Query (match-without-insert) runs lock-free
 // against writers except for brief per-shard read locks, so mixed
@@ -174,9 +175,9 @@ func (s *ShardedStats) Merge(o ShardedStats) {
 	s.SweptEntries += o.SweptEntries
 }
 
-// NewShardedMatcher creates an empty concurrent matcher with the given
-// shard count (<= 0 means GOMAXPROCS). The worker pool holds one
-// goroutine per shard, so the shard count is also the parallelism knob.
+// NewShardedMatcher creates an empty matcher with the given shard count
+// (<= 0 means GOMAXPROCS). The worker pool holds one goroutine per shard
+// (none at one shard), so the shard count is also the parallelism knob.
 func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -295,10 +296,15 @@ func (m *ShardedMatcher) addTokenized(ts token.TokenizedString) (int, []Match) {
 	m.adds.Add(1)
 	probe := distinctProbe(ts)
 	matches := m.match(ts, probe)
+	return int(m.appendAndIndex(ts, probe, nil)), matches
+}
 
-	// ---- Index the new string -------------------------------------------
-	// Strings first, postings second: a concurrent Query that discovers id
-	// in a shard's postings is then guaranteed to find strings[id].
+// appendAndIndex gives ts the next id and indexes it under probe, its
+// distinct tokens. Strings first, postings second: a concurrent Query
+// that discovers id in a shard's postings is then guaranteed to find
+// strings[id]. per is optional grouping scratch (see insertProbe). The
+// caller holds addMu or owns the matcher outright.
+func (m *ShardedMatcher) appendAndIndex(ts token.TokenizedString, probe []probeToken, per [][]probeToken) int32 {
 	m.mu.Lock()
 	id := int32(len(m.strings))
 	m.strings = append(m.strings, ts)
@@ -307,27 +313,23 @@ func (m *ShardedMatcher) addTokenized(ts token.TokenizedString) (int, []Match) {
 		m.emptyIDs = append(m.emptyIDs, id)
 	}
 	m.mu.Unlock()
-	if ts.Count() == 0 {
-		return int(id), matches
+	if ts.Count() > 0 {
+		m.insertProbe(probe, id, per)
 	}
-	m.insertProbe(probe, id, nil, true)
-	return int(id), matches
+	return id
 }
 
 // insertProbe registers id under the probe tokens on their owning
-// shards, grouping the tokens so each shard is visited (and, with lock,
+// shards, grouping the tokens so each shard is visited (and
 // write-locked) exactly once. per is optional caller-owned grouping
 // scratch with one bucket per shard, reused across calls by the
-// warm-load path; nil allocates locally. lock is false only while the
-// matcher is still private to its constructor.
-func (m *ShardedMatcher) insertProbe(probe []probeToken, id int32, per [][]probeToken, lock bool) {
+// warm-load path; nil allocates locally.
+func (m *ShardedMatcher) insertProbe(probe []probeToken, id int32, per [][]probeToken) {
 	if len(m.shards) == 1 {
 		sh := m.shards[0]
-		if lock {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-		}
+		sh.mu.Lock()
 		sh.ix.insert(probe, id)
+		sh.mu.Unlock()
 		return
 	}
 	if per == nil {
@@ -342,13 +344,9 @@ func (m *ShardedMatcher) insertProbe(probe []probeToken, id int32, per [][]probe
 			continue
 		}
 		sh := m.shards[si]
-		if lock {
-			sh.mu.Lock()
-		}
+		sh.mu.Lock()
 		sh.ix.insert(ps, id)
-		if lock {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
 		per[si] = ps[:0]
 	}
 }
@@ -359,13 +357,7 @@ func (m *ShardedMatcher) insertProbe(probe []probeToken, id int32, per [][]probe
 // indexing). Matches are returned sorted by id.
 func (m *ShardedMatcher) match(ts token.TokenizedString, probe []probeToken) []Match {
 	if ts.Count() == 0 {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		out := make([]Match, len(m.emptyIDs))
-		for i, e := range m.emptyIDs {
-			out[i] = Match{ID: int(e)}
-		}
-		return out
+		return m.emptyMatches()
 	}
 
 	cands := m.genCandidates(ts, probe)
@@ -406,6 +398,18 @@ func (m *ShardedMatcher) match(ts token.TokenizedString, probe []probeToken) []M
 	var out []Match
 	for _, p := range parts {
 		out = append(out, p...)
+	}
+	return out
+}
+
+// emptyMatches returns the live token-less strings: the matches of a
+// token-less probe, which need no verification.
+func (m *ShardedMatcher) emptyMatches() []Match {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]Match, len(m.emptyIDs))
+	for i, e := range m.emptyIDs {
+		out[i] = Match{ID: int(e)}
 	}
 	return out
 }
@@ -558,6 +562,13 @@ func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.Toke
 	var ctr core.BatchCounters
 	out, verified, budgetPruned := bv.verifyCands(ts, strs, dead, cands, &m.opt, &ctr, nil)
 	m.verPool.Put(bv)
+	m.countVerify(verified, budgetPruned, ctr)
+	return out
+}
+
+// countVerify folds one verify pass's funnel into the stats, touching
+// only the atomics whose count moved.
+func (m *ShardedMatcher) countVerify(verified, budgetPruned int64, ctr core.BatchCounters) {
 	if verified > 0 {
 		m.verified.Add(verified)
 	}
@@ -577,7 +588,6 @@ func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.Toke
 	if ctr.SigPruned > 0 {
 		m.sigPruned.Add(ctr.SigPruned)
 	}
-	return out
 }
 
 // shardOf assigns a token to a shard by FNV-1a hash.
@@ -591,14 +601,20 @@ func shardOf(s string, n int) int {
 
 // workerPool is a fixed set of persistent goroutines executing submitted
 // closures; it exists so per-operation fan-out does not pay goroutine
-// startup on the hot path.
+// startup on the hot path. A pool of one runs each job inline on the
+// submitter and starts no goroutine: one worker never ran two jobs at
+// once, and a matcher that is never closed then leaks nothing.
 type workerPool struct {
-	jobs chan func()
+	jobs chan func() // nil for a pool of one
 	wg   sync.WaitGroup
 }
 
 func newWorkerPool(n int) *workerPool {
-	p := &workerPool{jobs: make(chan func())}
+	p := &workerPool{}
+	if n == 1 {
+		return p
+	}
+	p.jobs = make(chan func())
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -611,9 +627,17 @@ func newWorkerPool(n int) *workerPool {
 	return p
 }
 
-func (p *workerPool) submit(f func()) { p.jobs <- f }
+func (p *workerPool) submit(f func()) {
+	if p.jobs == nil {
+		f()
+		return
+	}
+	p.jobs <- f
+}
 
 func (p *workerPool) close() {
-	close(p.jobs)
+	if p.jobs != nil {
+		close(p.jobs)
+	}
 	p.wg.Wait()
 }

@@ -8,27 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/namegen"
+	"repro/internal/token"
 )
 
-// matchesEqual compares two match slices element-wise (both contracts
-// promise id-sorted output).
-func matchesEqual(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestShardedEquivalence is the property test of the satellite checklist:
-// identical random corpora fed to the sequential Matcher and to
-// ShardedMatchers of several shard counts must produce identical match
-// sets at several thresholds, for both the exact and the approximate
-// configurations.
+// TestShardedEquivalence: identical corpora fed to matchers of several
+// shard counts return the oracle's match sets under the exact and greedy
+// configurations. The lossy configurations (finite MaxTokenFreq,
+// exact-token matching) have no oracle: at one shard their matches are a
+// subset of the exact oracle's, and every other shard count must return
+// exactly the one-shard matches.
 func TestShardedEquivalence(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 41, NumNames: 300})
 	for _, cfg := range []Options{
@@ -38,55 +26,45 @@ func TestShardedEquivalence(t *testing.T) {
 		{Threshold: 0.15, Greedy: true},
 		{Threshold: 0.15, ExactTokensOnly: true},
 	} {
+		lossy := cfg.MaxTokenFreq > 0 || cfg.ExactTokensOnly
+		oracle := oracleStream(names, cfg.Threshold, cfg.Greedy)
+		oneShard, _ := streamAll(t, names, cfg, 1)
 		for _, shards := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("T=%v/M=%d/greedy=%v/exact=%v/shards=%d",
 				cfg.Threshold, cfg.MaxTokenFreq, cfg.Greedy, cfg.ExactTokensOnly, shards),
 				func(t *testing.T) {
-					seq, err := NewMatcher(cfg)
-					if err != nil {
-						t.Fatal(err)
+					got, st := streamAll(t, names, cfg, shards)
+					switch {
+					case !lossy:
+						checkStreams(t, "oracle", oracle, got)
+					case shards == 1:
+						checkSubset(t, "exact oracle", oracle, got)
+					default:
+						checkStreams(t, "one shard", oneShard, got)
 					}
-					sh, err := NewShardedMatcher(cfg, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sh.Close()
-					for i, n := range names {
-						want := seq.Add(n)
-						id, got := sh.Add(n)
-						if id != i {
-							t.Fatalf("name %d: sharded id = %d", i, id)
-						}
-						if !matchesEqual(want, got) {
-							t.Fatalf("name %d %q: sequential %v != sharded %v", i, n, want, got)
-						}
-					}
-					if sh.Len() != seq.Len() {
-						t.Fatalf("Len: sharded %d != sequential %d", sh.Len(), seq.Len())
+					if st.Strings != len(names) {
+						t.Fatalf("Strings = %d, want %d", st.Strings, len(names))
 					}
 				})
 		}
 	}
 }
 
-// TestShardedQueryMatchesSequential checks the read-only path against the
-// sequential matcher on a built index.
+// TestShardedQueryMatchesSequential: Query on a built index returns the
+// oracle's matches against everything added, and indexes nothing.
 func TestShardedQueryMatchesSequential(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 42, NumNames: 250})
 	probes := namegen.Generate(namegen.Config{Seed: 43, NumNames: 60})
 	const threshold = 0.2
-	seq, _ := NewMatcher(Options{Threshold: threshold})
-	sh, _ := NewShardedMatcher(Options{Threshold: threshold}, 4)
-	defer sh.Close()
+	strs := tokenizeAll(names)
+	sh := newMatcher(t, Options{Threshold: threshold}, 4)
 	for _, n := range names {
-		seq.Add(n)
 		sh.Add(n)
 	}
 	for _, p := range append(probes, names[:20]...) {
-		want := seq.Query(p)
-		got := sh.Query(p)
-		if !matchesEqual(want, got) {
-			t.Fatalf("query %q: sequential %v != sharded %v", p, want, got)
+		want := oracleMatches(token.WhitespaceAndPunct(p), strs, threshold, false)
+		if got := sh.Query(p); !matchesEqual(want, got) {
+			t.Fatalf("query %q: %v, want %v", p, got, want)
 		}
 	}
 	if sh.Len() != len(names) {
@@ -94,37 +72,26 @@ func TestShardedQueryMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedAddAllEquivalence checks the batch path assigns dense ids and
-// reproduces the serial match stream.
+// TestShardedAddAllEquivalence checks the batch path assigns dense ids
+// after a single Add and returns the oracle's per-element matches.
 func TestShardedAddAllEquivalence(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 44, NumNames: 200})
-	seq, _ := NewMatcher(Options{Threshold: 0.15})
-	sh, _ := NewShardedMatcher(Options{Threshold: 0.15}, 5)
-	defer sh.Close()
+	sh := newMatcher(t, Options{Threshold: 0.15}, 5)
 	_, seeded := sh.Add(names[0])
-	if len(seeded) != 0 {
-		t.Fatalf("first add matched: %v", seeded)
-	}
-	seq.Add(names[0])
 	first, batch := sh.AddAll(names[1:])
 	if first != 1 {
 		t.Fatalf("batch first id = %d, want 1", first)
 	}
-	for i, n := range names[1:] {
-		want := seq.Add(n)
-		if !matchesEqual(want, batch[i]) {
-			t.Fatalf("batch element %d %q: %v != %v", i, n, batch[i], want)
-		}
-	}
+	checkStreams(t, "AddAll", oracleStream(names, 0.15, false), append([][]Match{seeded}, batch...))
 	if sh.Len() != len(names) {
 		t.Fatalf("Len = %d, want %d", sh.Len(), len(names))
 	}
 }
 
-// TestShardedEmptyStrings mirrors the sequential empty-string semantics.
+// TestShardedEmptyStrings: token-less strings match each other at NSLD 0
+// and nothing else.
 func TestShardedEmptyStrings(t *testing.T) {
-	m, _ := NewShardedMatcher(Options{Threshold: 0.1}, 3)
-	defer m.Close()
+	m := newMatcher(t, Options{Threshold: 0.1}, 3)
 	if _, got := m.Add("..."); len(got) != 0 {
 		t.Fatal("first empty string matches nothing")
 	}
@@ -139,45 +106,41 @@ func TestShardedEmptyStrings(t *testing.T) {
 	}
 }
 
-// TestShardedOptionValidation mirrors the sequential validation.
+// TestShardedOptionValidation: thresholds outside [0, 1) are rejected,
+// and shards <= 0 defaults to at least one.
 func TestShardedOptionValidation(t *testing.T) {
-	for _, bad := range []float64{1.0, math.NaN()} {
+	for _, bad := range []float64{1.0, -0.1, math.NaN()} {
 		if _, err := NewShardedMatcher(Options{Threshold: bad}, 2); err == nil {
 			t.Fatalf("threshold %v must be rejected", bad)
 		}
 	}
-	m, err := NewShardedMatcher(Options{Threshold: 0.1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Shards() < 1 {
+	if m := newMatcher(t, Options{Threshold: 0.1}, 0); m.Shards() < 1 {
 		t.Fatalf("default shard count = %d", m.Shards())
 	}
 }
 
 // TestShardedStressRace is the -race stress test of the acceptance
 // criteria: >= 8 goroutines doing mixed Add/Query against one matcher.
-// Every Add result must be consistent: matches only reference ids below
-// the new id, and the matcher ends with exactly the added strings.
+// Every Add result must be consistent (matches only reference ids below
+// the new id), and after the storm every Query must return the oracle's
+// matches over the strings in the id order the storm assigned.
 func TestShardedStressRace(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 45, NumNames: 400})
-	m, err := NewShardedMatcher(Options{Threshold: 0.15}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	const threshold = 0.15
+	m := newMatcher(t, Options{Threshold: threshold}, 4)
 
 	const writers, readers = 4, 6 // 10 goroutines of mixed traffic
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+readers)
 	perWriter := len(names) / writers
+	ids := make([][]int, writers) // ids[w][k]: the id of writer w's k-th name
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for _, n := range names[w*perWriter : (w+1)*perWriter] {
 				id, matches := m.Add(n)
+				ids[w] = append(ids[w], id)
 				for _, mt := range matches {
 					if mt.ID >= id {
 						errs <- fmt.Errorf("add %d matched later id %d", id, mt.ID)
@@ -216,83 +179,73 @@ func TestShardedStressRace(t *testing.T) {
 	if got := m.Len(); got != perWriter*writers {
 		t.Fatalf("Len = %d, want %d", got, perWriter*writers)
 	}
-	// After the storm the index must still agree with a sequential rebuild.
-	seq, _ := NewMatcher(Options{Threshold: 0.15})
-	for _, n := range names[:perWriter*writers] {
-		seq.Add(n)
+	byID := make([]string, perWriter*writers)
+	for w := range ids {
+		for k, id := range ids[w] {
+			byID[id] = names[w*perWriter+k]
+		}
 	}
-	probe := names[7]
-	want := seq.Query(probe)
-	got := m.Query(probe)
-	if len(want) != len(got) {
-		t.Fatalf("post-stress query: %d matches, sequential %d", len(got), len(want))
+	strs := tokenizeAll(byID)
+	for i := 0; i < len(names); i += 5 {
+		want := oracleMatches(strs[i], strs, threshold, false)
+		if got := m.Query(byID[i]); !matchesEqual(want, got) {
+			t.Fatalf("post-storm query %q: %v, want %v", byID[i], got, want)
+		}
 	}
 }
 
-// TestTombstoneSweepEquivalence: the amortized tombstone sweep is a
-// pure occupancy reclaim — a matcher that sweeps aggressively must
-// return byte-identical Add and Query results to one that never sweeps,
-// through interleaved delete/re-add churn, while actually compacting
-// dead posting entries.
+// TestTombstoneSweepEquivalence: the amortized tombstone sweep is a pure
+// occupancy reclaim. A matcher that sweeps as often as it may returns
+// the oracle's matches over the live strings through interleaved
+// delete/re-add churn, while actually compacting dead posting entries.
 func TestTombstoneSweepEquivalence(t *testing.T) {
 	defer func(old int) { sweepMinDeletes = old }(sweepMinDeletes)
+	sweepMinDeletes = 1 // sweep every max(1, Len/8) deletes
 	names := namegen.Generate(namegen.Config{Seed: 91, NumNames: 160})
 	probes := append(namegen.Generate(namegen.Config{Seed: 92, NumNames: 40}), names[:30]...)
+	const threshold = 0.2
+	m := newMatcher(t, Options{Threshold: threshold}, 3)
 
-	newMatcher := func(shards int) *ShardedMatcher {
-		m, err := NewShardedMatcher(Options{Threshold: 0.2}, shards)
-		if err != nil {
-			t.Fatal(err)
+	var strs []token.TokenizedString
+	var dead []bool
+	liveOracle := func(s string) []Match {
+		var out []Match
+		for _, mt := range oracleMatches(token.WhitespaceAndPunct(s), strs, threshold, false) {
+			if !dead[mt.ID] {
+				out = append(out, mt)
+			}
 		}
-		t.Cleanup(m.Close)
-		return m
+		return out
 	}
-	control := newMatcher(3)
-	swept := newMatcher(3)
-
-	// sweepMinDeletes is consulted at Delete time, so route every
-	// operation through helpers that pin the control to never-sweep and
-	// the subject to max(1, n/8)-delete sweeps.
-	asControl := func(f func() error) error { sweepMinDeletes = 1 << 30; return f() }
-	asSwept := func(f func() error) error { sweepMinDeletes = 1; return f() }
-
-	step := func(op string, f func(m *ShardedMatcher) (int, []Match)) {
-		wantID, want := f(control)
-		gotID, got := f(swept)
-		if gotID != wantID || !matchesEqual(want, got) {
-			t.Fatalf("%s: swept (%d, %v) != control (%d, %v)", op, gotID, got, wantID, want)
+	add := func(n string) {
+		want := liveOracle(n)
+		if id, got := m.Add(n); id != len(strs) || !matchesEqual(want, got) {
+			t.Fatalf("add %q: (%d, %v), want (%d, %v)", n, id, got, len(strs), want)
 		}
+		strs = append(strs, token.WhitespaceAndPunct(n))
+		dead = append(dead, false)
 	}
 	for _, n := range names {
-		n := n
-		step("add "+n, func(m *ShardedMatcher) (int, []Match) { return m.Add(n) })
+		add(n)
 	}
 	// Delete-heavy churn: half the corpus dies, then part of it returns
 	// under new ids (exercising lazy segment re-indexing of tokens the
 	// sweep de-listed).
 	for id := 0; id < len(names); id += 2 {
-		if err := asControl(func() error { return control.Delete(id) }); err != nil {
+		if err := m.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := asSwept(func() error { return swept.Delete(id) }); err != nil {
-			t.Fatal(err)
-		}
+		dead[id] = true
 	}
 	for _, n := range names[:30] {
-		n := n
-		step("re-add "+n, func(m *ShardedMatcher) (int, []Match) { return m.Add(n) })
+		add(n)
 	}
 	for _, p := range probes {
-		if want, got := control.Query(p), swept.Query(p); !matchesEqual(want, got) {
-			t.Fatalf("query %q: swept %v != control %v", p, got, want)
+		if want, got := liveOracle(p), m.Query(p); !matchesEqual(want, got) {
+			t.Fatalf("query %q: %v, want %v", p, got, want)
 		}
 	}
-
-	cs, ss := control.Stats(), swept.Stats()
-	if cs.Sweeps != 0 {
-		t.Fatalf("control swept %d times, want 0", cs.Sweeps)
-	}
-	if ss.Sweeps == 0 || ss.SweptEntries == 0 {
-		t.Fatalf("subject never swept: %d sweeps, %d entries", ss.Sweeps, ss.SweptEntries)
+	if st := m.Stats(); st.Sweeps == 0 || st.SweptEntries == 0 {
+		t.Fatalf("never swept: %d sweeps, %d entries", st.Sweeps, st.SweptEntries)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/nsldtest"
 	"repro/internal/token"
 )
 
@@ -14,19 +14,6 @@ import (
 func buildBipartite(r, p []string) (*token.Corpus, int) {
 	combined := append(append([]string{}, r...), p...)
 	return token.BuildCorpus(combined, token.WhitespaceAndPunct), len(r)
-}
-
-func bruteBipartite(c *token.Corpus, nr int, t float64) map[[2]int]int {
-	want := make(map[[2]int]int)
-	for i := 0; i < nr; i++ {
-		for j := nr; j < c.NumStrings(); j++ {
-			sld := core.SLD(c.Strings[i], c.Strings[j])
-			if core.WithinNSLD(sld, c.Strings[i].AggregateLen(), c.Strings[j].AggregateLen(), t) {
-				want[[2]int{i, j}] = sld
-			}
-		}
-	}
-	return want
 }
 
 func TestJoinBipartiteMatchesBruteForce(t *testing.T) {
@@ -52,7 +39,7 @@ func TestJoinBipartiteMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteBipartite(c, nr, threshold)
+			want := nsldtest.Bipartite(c.Strings, nr, threshold, false)
 			gs := resultSet(got)
 			if len(gs) != len(want) {
 				t.Fatalf("T=%v dedup=%v: got %d pairs, want %d\n%s",

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/nsldtest"
 	"repro/internal/token"
 )
 
@@ -53,20 +54,6 @@ func perturbName(rng *rand.Rand, name string) string {
 	return string(r)
 }
 
-// bruteSelfJoin computes the exact NSLD self-join by pairwise SLD.
-func bruteSelfJoin(c *token.Corpus, t float64) map[[2]int]int {
-	want := make(map[[2]int]int)
-	for i := 0; i < c.NumStrings(); i++ {
-		for j := i + 1; j < c.NumStrings(); j++ {
-			sld := core.SLD(c.Strings[i], c.Strings[j])
-			if core.WithinNSLD(sld, c.Strings[i].AggregateLen(), c.Strings[j].AggregateLen(), t) {
-				want[[2]int{i, j}] = sld
-			}
-		}
-	}
-	return want
-}
-
 func resultSet(rs []Result) map[[2]int]int {
 	m := make(map[[2]int]int, len(rs))
 	for _, r := range rs {
@@ -88,7 +75,7 @@ func TestSelfJoinExactMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteSelfJoin(c, threshold)
+			want := nsldtest.SelfJoin(c.Strings, threshold, false)
 			gs := resultSet(got)
 			if len(gs) != len(want) {
 				t.Fatalf("T=%v dedup=%v: got %d pairs, want %d\n%s",

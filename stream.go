@@ -9,8 +9,10 @@ import "repro/internal/stream"
 // exact under the default configuration.
 //
 // Typical use: screening account sign-ups against everything seen so far.
+// It is the one-shard ConcurrentMatcher: it starts no goroutine, so it
+// needs no Close.
 type Matcher struct {
-	m *stream.Matcher
+	m *stream.ShardedMatcher
 }
 
 // MatcherOptions configures an incremental Matcher.
@@ -56,17 +58,7 @@ type Match = stream.Match
 
 // NewMatcher creates an empty incremental matcher.
 func NewMatcher(opts MatcherOptions) (*Matcher, error) {
-	m, err := stream.NewMatcher(stream.Options{
-		Threshold:                  opts.Threshold,
-		MaxTokenFreq:               opts.MaxTokenFreq,
-		Greedy:                     opts.Greedy,
-		ExactTokensOnly:            opts.ExactTokensOnly,
-		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableSIMD:                opts.DisableSIMD,
-		DisablePrefixFilter:        opts.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
-		Tokenizer:                  opts.Tokenizer,
-	})
+	m, err := stream.NewShardedMatcher(streamOptions(opts), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +68,10 @@ func NewMatcher(opts MatcherOptions) (*Matcher, error) {
 // Add matches s against every previously added string, then indexes s.
 // The new string's id is Len()-1 after the call. Matches are sorted by
 // id. Not safe for concurrent use; see ConcurrentMatcher.
-func (m *Matcher) Add(s string) []Match { return m.m.Add(s) }
+func (m *Matcher) Add(s string) []Match {
+	_, matches := m.m.Add(s)
+	return matches
+}
 
 // Query matches s against every previously added string without indexing
 // it. Not safe for concurrent use; see ConcurrentMatcher.
@@ -86,8 +81,8 @@ func (m *Matcher) Query(s string) []Match { return m.m.Query(s) }
 func (m *Matcher) Len() int { return m.m.Len() }
 
 // SequentialMatcherStats is a snapshot of a Matcher's verification
-// counters.
-type SequentialMatcherStats = stream.MatcherStats
+// counters: the ConcurrentMatcher's MatcherStats at one shard.
+type SequentialMatcherStats = MatcherStats
 
 // Stats snapshots the matcher's verification counters (candidates
 // verified, rejections the threshold-derived SLD budget short-circuited).
