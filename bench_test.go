@@ -282,26 +282,6 @@ func BenchmarkAblationSubstringSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLBFilter contrasts the TSJ histogram lower-bound
-// filter on and off.
-func BenchmarkAblationLBFilter(b *testing.B) {
-	c := benchCorpus(1500)
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"with-lb-filter", false}, {"without-lb-filter", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := tsj.DefaultOptions()
-			opts.DisableLBFilter = cfg.disable
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tsj.SelfJoin(c, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDedup contrasts the in-process cost of the two
 // candidate de-duplication strategies (the simulated-cluster contrast is
 // Fig. 1).

@@ -17,36 +17,6 @@ import "slices"
 
 const inf = int(^uint(0) >> 2)
 
-// HungarianBounded is the budget-aware form of Hungarian: it returns the
-// minimum matching total and true when that total is at most max, and
-// otherwise a lower bound exceeding max and false, terminating as soon as
-// the growing partial-matching cost proves the budget is busted. max < 0
-// solves unbounded. Hot paths should use Scratch.HungarianFlat directly.
-func HungarianBounded(cost [][]int, max int) (total int, ok bool) {
-	var s Scratch
-	total, ok, _ = s.HungarianFlat(flatten(cost), len(cost), max)
-	return total, ok
-}
-
-// GreedyBounded is the budget-aware form of Greedy with the same contract
-// as HungarianBounded (the bound applies to the greedy total, an upper
-// bound on the optimum).
-func GreedyBounded(cost [][]int, max int) (total int, ok bool) {
-	var s Scratch
-	total, ok, _ = s.GreedyFlat(flatten(cost), len(cost), max)
-	return total, ok
-}
-
-// flatten copies a square matrix into row-major form.
-func flatten(cost [][]int) []int {
-	n := len(cost)
-	flat := make([]int, 0, n*n)
-	for _, row := range cost {
-		flat = append(flat, row...)
-	}
-	return flat
-}
-
 // Scratch holds the reusable working arrays of the flat solvers. The zero
 // value is ready to use; arrays grow on demand and are retained across
 // calls, so steady-state solves allocate nothing.

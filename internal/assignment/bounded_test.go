@@ -5,17 +5,27 @@ import (
 	"testing"
 )
 
+// flatten copies a square matrix into row-major form.
+func flatten(cost [][]int) []int {
+	flat := make([]int, 0, len(cost)*len(cost))
+	for _, row := range cost {
+		flat = append(flat, row...)
+	}
+	return flat
+}
+
 // TestBoundedEquivalenceHungarian: for random matrices and every budget,
-// HungarianBounded agrees with Hungarian whenever the optimum is within
+// HungarianFlat agrees with Hungarian whenever the optimum is within
 // budget — same total — and correctly reports exceeded otherwise.
 func TestBoundedEquivalenceHungarian(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	var s Scratch
 	for iter := 0; iter < 300; iter++ {
 		n := 1 + r.Intn(7)
 		cost := randMatrix(r, n, 12)
 		_, want := Hungarian(cost)
 		for max := -1; max <= want+3; max++ {
-			got, ok := HungarianBounded(cost, max)
+			got, ok, _ := s.HungarianFlat(flatten(cost), n, max)
 			if max < 0 || want <= max {
 				if !ok || got != want {
 					t.Fatalf("n=%d max=%d: got (%d,%v), want (%d,true)", n, max, got, ok, want)
@@ -29,16 +39,17 @@ func TestBoundedEquivalenceHungarian(t *testing.T) {
 }
 
 // TestBoundedEquivalenceGreedy is the greedy counterpart: the bound
-// applies to the greedy total (tie-broken identically), so bounded greedy
+// applies to the greedy total (tie-broken identically), so GreedyFlat
 // accepts exactly the matrices unbounded greedy totals within budget.
 func TestBoundedEquivalenceGreedy(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
+	var s Scratch
 	for iter := 0; iter < 300; iter++ {
 		n := 1 + r.Intn(7)
 		cost := randMatrix(r, n, 12)
 		_, want := Greedy(cost)
 		for max := -1; max <= want+3; max++ {
-			got, ok := GreedyBounded(cost, max)
+			got, ok, _ := s.GreedyFlat(flatten(cost), n, max)
 			if max < 0 || want <= max {
 				if !ok || got != want {
 					t.Fatalf("n=%d max=%d: got (%d,%v), want (%d,true)", n, max, got, ok, want)

@@ -578,25 +578,26 @@ func (bs *BatchStager) flush() {
 // written into out — some immediately, the rest by the time FlushBatch
 // returns. The out backing array (and ys's tokenized strings) must
 // stay addressable until then. Verdicts are identical to Verify pair
-// by pair. When the kernel is unavailable or the probe is
-// kernel-ineligible (a rune outside the BMP, or a token longer than
-// batchMaxTokenLen), every pair resolves scalar immediately.
+// by pair. When the kernel is unavailable, DisableBatch or Unbounded is
+// set, or the probe is kernel-ineligible (a rune outside the BMP, or a
+// token longer than batchMaxTokenLen), every pair resolves through Verify
+// immediately.
 func (v *Verifier) StageBatch(x token.TokenizedString, ys []*token.TokenizedString, t float64, out []BatchResult) {
 	if len(ys) == 0 {
-		return
-	}
-	if t < 0 {
-		for i := range out {
-			out[i] = BatchResult{0, false, true}
-		}
 		return
 	}
 	// Probe eligibility is O(1): the BMP flag (set only by constructors
 	// that drop empty tokens, so every la >= 1) and the long end of the
 	// sorted length histogram.
 	m := x.Count()
-	if v.DisableBatch || !simd.Available() || m == 0 || !x.BMPOnly() || x.LengthHistogram()[m-1] > batchMaxTokenLen {
+	if v.Unbounded || v.DisableBatch || !simd.Available() || m == 0 || !x.BMPOnly() || x.LengthHistogram()[m-1] > batchMaxTokenLen {
 		v.verifyBatchScalar(x, ys, t, out)
+		return
+	}
+	if t < 0 {
+		for i := range out {
+			out[i] = BatchResult{0, false, true}
+		}
 		return
 	}
 	bs := v.stagerInit()
@@ -631,10 +632,10 @@ func (v *Verifier) FlushBatch(ctr *BatchCounters) {
 // whose budget is small against the candidate token (2*budget+1 < lb)
 // ride the banded kernel, which sweeps only the diagonal band.
 //
-// When the kernel is unavailable (BatchKernelAvailable false), the
-// batch is too small, or the probe carries oversized/non-BMP tokens,
-// every pair verifies through the scalar engine instead. ctr, when
-// non-nil, accumulates batching counters either way.
+// When the kernel is unavailable (BatchKernelAvailable false),
+// DisableBatch or Unbounded is set, the batch is too small, or the probe
+// carries oversized/non-BMP tokens, every pair verifies through Verify
+// instead. ctr, when non-nil, accumulates batching counters either way.
 //
 // VerifyBatch flushes the stager: any verdicts staged earlier through
 // StageBatch are completed as a side effect.
@@ -642,7 +643,7 @@ func (v *Verifier) VerifyBatch(x token.TokenizedString, ys []*token.TokenizedStr
 	if len(ys) == 0 {
 		return
 	}
-	if t >= 0 && (v.DisableBatch || !simd.Available() || len(ys) < batchMinCands || x.Count() == 0) {
+	if v.Unbounded || t >= 0 && (v.DisableBatch || !simd.Available() || len(ys) < batchMinCands || x.Count() == 0) {
 		v.verifyBatchScalar(x, ys, t, out)
 		return
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/assignment"
 	"repro/internal/strdist"
 	"repro/internal/token"
@@ -74,10 +72,17 @@ type Verifier struct {
 	// Greedy switches the alignment to the greedy-token-aligning
 	// approximation (Sec. III-G.5) instead of the exact Hungarian.
 	Greedy bool
-	// DisableBatch forces VerifyBatch onto the per-pair scalar path even
-	// when the vector kernel is available; the verdicts are identical
-	// either way (see VerifyBatch).
+	// DisableBatch forces VerifyBatch and StageBatch onto the per-pair
+	// scalar path even when the vector kernel is available; the verdicts
+	// are identical either way (see VerifyBatch).
 	DisableBatch bool
+	// Unbounded makes Verify, StageBatch and VerifyBatch run the
+	// unbudgeted reference, SLD (or SLDGreedy under Greedy) followed by
+	// WithinNSLD, pair by pair: no pair is ever Pruned and the batch
+	// kernel, which is budget-capped by construction, is never used. The
+	// verdicts equal the bounded engine's; this is the reference side of
+	// the bounded-verification equivalence tests.
+	Unbounded bool
 
 	cost       []int    // flattened k x k cost matrix
 	levRow     []uint16 // Levenshtein DP row (token lengths fit uint16)
@@ -92,6 +97,14 @@ type Verifier struct {
 // threshold, and whether it was rejected early (before the alignment
 // completed) by the budget.
 func (v *Verifier) Verify(x, y token.TokenizedString, t float64) (sld int, within, pruned bool) {
+	if v.Unbounded {
+		if v.Greedy {
+			sld = SLDGreedy(x, y)
+		} else {
+			sld = SLD(x, y)
+		}
+		return sld, WithinNSLD(sld, x.AggregateLen(), y.AggregateLen(), t), false
+	}
 	if t < 0 {
 		// No sld satisfies WithinNSLD; don't let MaxSLDWithin's -1 read
 		// as "unbounded" in verify.
@@ -242,17 +255,3 @@ func (v *Verifier) tokenLD(xr, yr []rune, max int) int {
 	d, _ := strdist.LevenshteinBoundedScratchU16(xr, yr, max, &v.levRow)
 	return d
 }
-
-// SLDBounded returns SLD(x, y) and true if it is at most max; otherwise a
-// value exceeding max and false. This convenience form allocates a
-// throwaway Verifier via an internal pool; hot paths should hold their
-// own Verifier.
-func SLDBounded(x, y token.TokenizedString, max int) (int, bool) {
-	v := pkgVerifiers.Get().(*Verifier)
-	v.Greedy = false
-	d, ok := v.SLDBounded(x, y, max)
-	pkgVerifiers.Put(v)
-	return d, ok
-}
-
-var pkgVerifiers = sync.Pool{New: func() any { return &Verifier{} }}

@@ -25,10 +25,6 @@ func TestBoundedEquivalenceSLD(t *testing.T) {
 				return false
 			}
 		}
-		// The convenience form must agree with the engine.
-		if got, ok := SLDBounded(a.TS, b.TS, want); !ok || got != want {
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {

@@ -7,6 +7,8 @@
 package nsldtest
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/token"
 )
@@ -62,4 +64,18 @@ func Bipartite(strs []token.TokenizedString, nr int, t float64, greedy bool) map
 		}
 	}
 	return out
+}
+
+// Subset checks the relation the paper's approximations keep against the
+// exact join, and a lower threshold keeps against a higher one: they only
+// ever lose pairs. Every pair of got must be a pair of want, at an SLD no
+// lower than want's (greedy alignment overestimates SLD, never the
+// reverse). It returns an error naming a pair that breaks the relation.
+func Subset(want, got map[[2]int]int) error {
+	for p, sld := range got {
+		if w, ok := want[p]; !ok || sld < w {
+			return fmt.Errorf("pair %v at SLD %d is not in the reference (present %v, SLD %d)", p, sld, ok, w)
+		}
+	}
+	return nil
 }

@@ -21,7 +21,10 @@ import (
 // That is the cross-probe half of the staging engine's design: lanes
 // that a single probe's survivors could only part-fill are topped up
 // by the next element's survivors, so kernel lane fill stays near the
-// vector width even when individual candidate lists are short.
+// vector width even when individual candidate lists are short. Every
+// batch insert takes this path: where the engine cannot use the kernel
+// (none live, DisableSIMD, DisableBoundedVerify, an ineligible probe) it
+// decides each staged pair at once, and the flush has nothing left to do.
 //
 // Match semantics are unchanged — element i's matches are exactly what
 // per-element Add would have returned (everything previously indexed
@@ -58,12 +61,6 @@ func stageChunk(bv *batchVerifier, ts token.TokenizedString, strs []token.Tokeni
 	res := make([]core.BatchResult, len(ids))
 	bv.ver.StageBatch(ts, ys, t, res)
 	sc.ids, sc.res = ids, res
-}
-
-// canStageAddAll reports whether a batch insert can defer its verdicts
-// to an end-of-batch flush through the cross-probe staging engine.
-func (m *ShardedMatcher) canStageAddAll(n int) bool {
-	return n >= 2 && !m.opt.DisableSIMD && !m.opt.DisableBoundedVerify && core.BatchKernelAvailable()
 }
 
 // addAllStaged runs one batch insert with end-of-batch verification:

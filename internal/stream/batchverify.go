@@ -9,10 +9,13 @@ import (
 // scratch of the batched verify path: all of one probe's
 // filter-surviving candidates are handed to core.Verifier.VerifyBatch in
 // one call, which buckets their tokens by length and sweeps the
-// Levenshtein cells a vector-lane-width at a time (falling back to the
-// scalar engine, with identical verdicts, when the kernel is
-// unavailable or batching is disabled). Like the Verifier it wraps, a
-// batchVerifier is single-threaded scratch: one per worker.
+// Levenshtein cells a vector-lane-width at a time. The engine is built
+// once from the matcher's options (NewShardedMatcher) and alone decides
+// how a pair is verified: it falls back to the scalar engine, with
+// identical verdicts, when the kernel is unavailable or DisableSIMD is
+// set, and runs the unbounded reference under DisableBoundedVerify. Like
+// the Verifier it wraps, a batchVerifier is single-threaded scratch: one
+// per worker.
 type batchVerifier struct {
 	ver core.Verifier
 	ids []int32
@@ -45,14 +48,10 @@ func survivors(ts token.TokenizedString, strs []token.TokenizedString, dead []bo
 }
 
 // verifyCands filters one probe's candidates and verifies the survivors
-// against ts, appending matches to out in candidate order. Returns the
-// extended slice plus the verified and budget-pruned counts for the
-// caller's stats; kernel-level counters accumulate into ctr. Under
-// DisableBoundedVerify each survivor runs the unbounded core.SLD (or
-// SLDGreedy) instead of the batch, which has no unbounded form: the
-// kernel is budget-capped by construction.
-func (b *batchVerifier) verifyCands(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, opt *Options, ctr *core.BatchCounters, out []Match) ([]Match, int64, int64) {
-	t := opt.Threshold
+// against ts at threshold t, appending matches to out in candidate order.
+// Returns the extended slice plus the verified and budget-pruned counts
+// for the caller's stats; kernel-level counters accumulate into ctr.
+func (b *batchVerifier) verifyCands(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, t float64, ctr *core.BatchCounters, out []Match) ([]Match, int64, int64) {
 	b.ids, b.ys = survivors(ts, strs, dead, cands, t, b.ids[:0], b.ys[:0])
 	n := len(b.ids)
 	if n == 0 {
@@ -62,19 +61,7 @@ func (b *batchVerifier) verifyCands(ts token.TokenizedString, strs []token.Token
 		b.res = make([]core.BatchResult, n, 2*n)
 	}
 	b.res = b.res[:n]
-	if opt.DisableBoundedVerify {
-		for i, y := range b.ys {
-			var sld int
-			if opt.Greedy {
-				sld = core.SLDGreedy(ts, *y)
-			} else {
-				sld = core.SLD(ts, *y)
-			}
-			b.res[i] = core.BatchResult{SLD: sld, Within: core.WithinNSLD(sld, ts.AggregateLen(), y.AggregateLen(), t)}
-		}
-	} else {
-		b.ver.VerifyBatch(ts, b.ys, t, b.res, ctr)
-	}
+	b.ver.VerifyBatch(ts, b.ys, t, b.res, ctr)
 	out, pruned := appendMatches(out, b.ids, b.res, ts.AggregateLen(), strs)
 	return out, int64(n), pruned
 }

@@ -354,7 +354,6 @@ func (m *ShardedMatcher) AddAllDurable(names []string) (int, [][]Match, error) {
 	for i, s := range names {
 		toks[i] = m.opt.Tokenizer(s)
 	}
-	matches := make([][]Match, len(names))
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
 	if m.corpus != nil {
@@ -368,16 +367,9 @@ func (m *ShardedMatcher) AddAllDurable(names []string) (int, [][]Match, error) {
 	m.mu.RLock()
 	first := len(m.strings)
 	m.mu.RUnlock()
-	if m.canStageAddAll(len(toks)) {
-		// Cross-probe staging: the whole batch's verdicts pool in shared
-		// kernel lanes and flush once at the end (see addall.go).
-		copy(matches, m.addAllStaged(toks))
-	} else {
-		for i, ts := range toks {
-			_, matches[i] = m.addTokenized(ts)
-		}
-	}
-	return first, matches, nil
+	// Cross-probe staging: the whole batch's verdicts pool in shared
+	// kernel lanes and flush once at the end (see addall.go).
+	return first, m.addAllStaged(toks), nil
 }
 
 // persist appends one add record to the attached corpus (no-op when

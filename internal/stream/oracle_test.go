@@ -90,26 +90,23 @@ func checkStreams(t *testing.T, label string, want, got [][]Match) {
 	}
 }
 
-// checkSubset fails unless every match in got is also in want, at an SLD
-// no lower than want's.
-func checkSubset(t *testing.T, label string, want, got [][]Match) {
-	t.Helper()
-	for i := range got {
-		sld := make(map[int]int, len(want[i]))
-		for _, w := range want[i] {
-			sld[w.ID] = w.SLD
-		}
-		for _, g := range got[i] {
-			if s, ok := sld[g.ID]; !ok || g.SLD < s {
-				t.Fatalf("%s: element %d: %+v is not in %v", label, i, g, want[i])
-			}
+// pairsOf flattens per-element match lists into the oracle's pair form:
+// (earlier id, element) -> SLD.
+func pairsOf(stream [][]Match) map[[2]int]int {
+	out := make(map[[2]int]int)
+	for i, ms := range stream {
+		for _, m := range ms {
+			out[[2]int{m.ID, i}] = m.SLD
 		}
 	}
+	return out
 }
 
 // TestOracleEquivalence: the exact and the greedy matcher return exactly
 // the naive join's matches through Add, AddAll and Query, at several
-// thresholds and shard counts, with token-less strings mixed in.
+// thresholds and shard counts, with token-less strings mixed in, on every
+// verify path: the kernel where one is live, DisableSIMD's scalar engine
+// and DisableBoundedVerify's unbounded reference.
 func TestOracleEquivalence(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 61, NumNames: 200})
 	names[17], names[101], names[102] = "...", "--", "?!"
@@ -119,19 +116,22 @@ func TestOracleEquivalence(t *testing.T) {
 		for _, th := range []float64{0.1, 0.2, 0.3} {
 			want := oracleStream(names, th, greedy)
 			for _, shards := range []int{1, 3, 8} {
-				opt := Options{Threshold: th, Greedy: greedy}
-				label := fmt.Sprintf("greedy=%v T=%.2f shards=%d", greedy, th, shards)
-				got, _ := streamAll(t, names, opt, shards)
-				checkStreams(t, label+" Add", want, got)
-				m := newMatcher(t, opt, shards)
-				first, batch := m.AddAll(names)
-				if first != 0 {
-					t.Fatalf("%s: AddAll first = %d", label, first)
-				}
-				checkStreams(t, label+" AddAll", want, batch)
-				for _, p := range probes {
-					if w, g := oracleMatches(token.WhitespaceAndPunct(p), strs, th, greedy), m.Query(p); !matchesEqual(w, g) {
-						t.Fatalf("%s: Query %q: %v, want %v", label, p, g, w)
+				for _, off := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+					opt := Options{Threshold: th, Greedy: greedy, DisableSIMD: off[0], DisableBoundedVerify: off[1]}
+					label := fmt.Sprintf("greedy=%v T=%.2f shards=%d DisableSIMD=%v DisableBoundedVerify=%v",
+						greedy, th, shards, off[0], off[1])
+					got, _ := streamAll(t, names, opt, shards)
+					checkStreams(t, label+" Add", want, got)
+					m := newMatcher(t, opt, shards)
+					first, batch := m.AddAll(names)
+					if first != 0 {
+						t.Fatalf("%s: AddAll first = %d", label, first)
+					}
+					checkStreams(t, label+" AddAll", want, batch)
+					for _, p := range probes {
+						if w, g := oracleMatches(token.WhitespaceAndPunct(p), strs, th, greedy), m.Query(p); !matchesEqual(w, g) {
+							t.Fatalf("%s: Query %q: %v, want %v", label, p, g, w)
+						}
 					}
 				}
 			}
@@ -154,8 +154,10 @@ func TestOracleEquivalenceSubsets(t *testing.T) {
 		} {
 			for _, shards := range []int{1, 3} {
 				got, _ := streamAll(t, names, opt, shards)
-				checkSubset(t, fmt.Sprintf("T=%.2f M=%d exact=%v greedy=%v shards=%d",
-					th, opt.MaxTokenFreq, opt.ExactTokensOnly, opt.Greedy, shards), want, got)
+				if err := nsldtest.Subset(pairsOf(want), pairsOf(got)); err != nil {
+					t.Fatalf("T=%.2f M=%d exact=%v greedy=%v shards=%d: %v",
+						th, opt.MaxTokenFreq, opt.ExactTokensOnly, opt.Greedy, shards, err)
+				}
 			}
 		}
 	}
@@ -170,7 +172,9 @@ func TestOracleEquivalenceMonotone(t *testing.T) {
 		for _, th := range []float64{0.05, 0.1, 0.15, 0.2, 0.3} {
 			got, _ := streamAll(t, names, Options{Threshold: th, Greedy: greedy}, 3)
 			if prev != nil {
-				checkSubset(t, fmt.Sprintf("greedy=%v T=%.2f", greedy, th), got, prev)
+				if err := nsldtest.Subset(pairsOf(got), pairsOf(prev)); err != nil {
+					t.Fatalf("greedy=%v T=%.2f: %v", greedy, th, err)
+				}
 			}
 			prev = got
 		}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"repro/internal/passjoin"
 	"repro/internal/strdist"
 )
 
@@ -49,9 +50,10 @@ func runesEqual(a, b []rune) bool {
 }
 
 // segSpan is one segment of the even partition of an ls-length token for
-// probes of length ly: its start/length in the token, and the window
-// [lo, hi] of substring starts in the probe that the multi-match-aware
-// PASS-JOIN bound allows for it.
+// probes of length ly (passjoin.EvenSegment): its start/length in the
+// token, and the window [lo, hi] of substring starts in the probe that
+// the multi-match-aware PASS-JOIN bound allows for it
+// (passjoin.SubstringWindow).
 type segSpan struct {
 	start, n int32
 	lo, hi   int32
@@ -90,42 +92,13 @@ func (pc *planCache) plan(ls, ly int) *segPlan {
 		return negPlan
 	}
 	pl := &segPlan{tau: int32(tau), segs: make([]segSpan, tau+1)}
-	base, rem := ls/(tau+1), ls%(tau+1)
-	pos := 0
-	for i := 0; i <= tau; i++ {
-		n := base
-		if i >= tau+1-rem {
-			n++
-		}
-		lo, hi := substringWindow(ls, ly, tau, i, pos, n)
-		pl.segs[i] = segSpan{start: int32(pos), n: int32(n), lo: int32(lo), hi: int32(hi)}
-		pos += n
+	for i := range pl.segs {
+		sg := passjoin.EvenSegment(ls, tau+1, i)
+		lo, hi := passjoin.SubstringWindow(ls, ly, tau, i, sg, true)
+		pl.segs[i] = segSpan{start: int32(sg.Start), n: int32(sg.Len), lo: int32(lo), hi: int32(hi)}
 	}
 	pc.m[key] = pl
 	return pl
-}
-
-// substringWindow mirrors passjoin.SubstringWindow (multi-match-aware):
-// the start positions in an lr-length probe that segment i (at position p,
-// length n, of an ls-length token) can match under tau edits. An empty
-// window yields lo > hi.
-func substringWindow(ls, lr, tau, i, p, n int) (lo, hi int) {
-	delta := lr - ls
-	lo = p - i
-	if v := p + delta - (tau - i); v > lo {
-		lo = v
-	}
-	hi = p + i
-	if v := p + delta + (tau - i); v < hi {
-		hi = v
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if max := lr - n; hi > max {
-		hi = max
-	}
-	return lo, hi
 }
 
 // probeScratch is the per-worker scratch of the similar-token probe: the

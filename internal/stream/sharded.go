@@ -191,7 +191,11 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 		pool:   newWorkerPool(shards),
 	}
 	m.verPool.New = func() any {
-		return &batchVerifier{ver: core.Verifier{Greedy: opt.Greedy, DisableBatch: opt.DisableSIMD}}
+		return &batchVerifier{ver: core.Verifier{
+			Greedy:       opt.Greedy,
+			DisableBatch: opt.DisableSIMD,
+			Unbounded:    opt.DisableBoundedVerify,
+		}}
 	}
 	m.scratchPool.New = func() any {
 		return newProbeScratch(opt.Threshold)
@@ -560,7 +564,7 @@ func (m *ShardedMatcher) markProbe(ts token.TokenizedString, probe []probeToken)
 func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32) []Match {
 	bv := m.verPool.Get().(*batchVerifier)
 	var ctr core.BatchCounters
-	out, verified, budgetPruned := bv.verifyCands(ts, strs, dead, cands, &m.opt, &ctr, nil)
+	out, verified, budgetPruned := bv.verifyCands(ts, strs, dead, cands, m.opt.Threshold, &ctr, nil)
 	m.verPool.Put(bv)
 	m.countVerify(verified, budgetPruned, ctr)
 	return out

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/mapreduce"
 	"repro/internal/namegen"
@@ -73,10 +72,13 @@ func longCorpus(seed int64, n int) *token.Corpus {
 // Join, SelfJoinCorpus and JoinCorpus rows were recorded at commit c4cc012,
 // when each entry point still had its own pipeline; only their job-name
 // prefixes (tsj-join-, tsj-corpus-, tsj-joincorpus-) were rewritten to the
-// one set of names the single pipeline uses. Work
-// totals are compared to 1e-9 relative: per-task costs are not all
-// integers (greedy's k^2 log k, the 0.05 n^2 pair charge), so a total is
-// only as exact as its summation order.
+// one set of names the single pipeline uses. Every result is emitted by
+// the verifier's drain on every build, so the dedup-verify job's per-key
+// costs lack the per-output unit its totals carry, and its maxTask is the
+// same with and without a live kernel. Work totals are compared to 1e-9
+// relative: per-task costs are not all integers (greedy's k^2 log k, the
+// 0.05 n^2 pair charge), so a total is only as exact as its summation
+// order.
 func TestPipelineAccountingGolden(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 17, NumNames: 2500})
 	namesCorpus := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -91,10 +93,6 @@ func TestPipelineAccountingGolden(t *testing.T) {
 		join      func(Options) ([]Result, *Stats, error)
 		threshold float64
 		want      []jobAccounting
-		// maxTaskStaged is the dedup-verify job's MaxReduceTask with the
-		// batch kernel live: staged results are emitted by the drain, so
-		// per-key costs lack the per-output unit (totals do not).
-		maxTaskStaged float64
 	}{
 		{
 			name:      "names",
@@ -105,9 +103,8 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1286, 117190, 1286, 58383.2, 7600, 156603},
 				{"tsj-similar-token-candidates", 1286, 3222, 1766, 100, 1766, 25.6, 4508, 3471.9},
 				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
-				{"tsj-dedup-verify-onestring", 119425, 119425, 2173, 15724, 2173, 36845, 238850, 1.8572238e+07},
+				{"tsj-dedup-verify-onestring", 119425, 119425, 2173, 15724, 2173, 36769, 238850, 1.8572238e+07},
 			},
-			maxTaskStaged: 36769,
 		},
 		{
 			name:      "long",
@@ -120,7 +117,6 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-similar-token-verify", 659, 659, 559, 94, 559, 49, 1318, 11879},
 				{"tsj-dedup-verify-onestring", 5081, 5081, 200, 66, 200, 317302, 10162, 2.8825933e+07},
 			},
-			maxTaskStaged: 317302,
 		},
 		{
 			name:      "join",
@@ -131,9 +127,8 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1286, 57180, 1286, 25840.85, 7600, 70548.95},
 				{"tsj-similar-token-candidates", 1472, 2099, 1822, 223, 1822, 11.5, 3571, 2344.3},
 				{"tsj-similar-token-verify", 223, 223, 212, 207, 212, 25, 446, 2263},
-				{"tsj-dedup-verify-onestring", 58423, 58423, 1959, 7373, 1959, 23864, 116846, 9.039942e+06},
+				{"tsj-dedup-verify-onestring", 58423, 58423, 1959, 7373, 1959, 23813, 116846, 9.039942e+06},
 			},
-			maxTaskStaged: 23813,
 		},
 		{
 			name:      "selfjoincorpus",
@@ -143,9 +138,8 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1257, 117742, 1257, 58863.8, 7600, 157887.2},
 				{"tsj-similar-token-candidates", 1257, 3142, 1718, 100, 1718, 25.6, 4399, 3388.7},
 				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
-				{"tsj-dedup-verify-onestring", 119992, 119992, 2188, 15724, 2188, 36845, 239984, 1.8612801e+07},
+				{"tsj-dedup-verify-onestring", 119992, 119992, 2188, 15724, 2188, 36769, 239984, 1.8612801e+07},
 			},
-			maxTaskStaged: 36769,
 		},
 		{
 			name:      "joincorpus",
@@ -155,9 +149,8 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1208, 58103, 1208, 26160.55, 7600, 71990.75},
 				{"tsj-similar-token-candidates", 1395, 2003, 1725, 224, 1725, 11.5, 3398, 2249.4},
 				{"tsj-similar-token-verify", 224, 224, 213, 208, 213, 25, 448, 2270},
-				{"tsj-dedup-verify-onestring", 59358, 59358, 2013, 7373, 2013, 23876, 118716, 9.066341e+06},
+				{"tsj-dedup-verify-onestring", 59358, 59358, 2013, 7373, 2013, 23825, 118716, 9.066341e+06},
 			},
-			maxTaskStaged: 23825,
 		},
 	}
 	for _, tc := range cases {
@@ -172,16 +165,12 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := accountingOf(&st.Pipeline)
-			want := append([]jobAccounting(nil), tc.want...)
-			if !disableSIMD && core.BatchKernelAvailable() && len(want) > 0 {
-				want[len(want)-1].maxTask = tc.maxTaskStaged
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s: %d jobs, want %d; got:\n%s", label, len(got), len(want), formatAccounting(got))
+			if len(got) != len(tc.want) {
+				t.Errorf("%s: %d jobs, want %d; got:\n%s", label, len(got), len(tc.want), formatAccounting(got))
 				continue
 			}
 			for i, g := range got {
-				w := want[i]
+				w := tc.want[i]
 				close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
 				if g.name != w.name || g.in != w.in || g.shuffled != w.shuffled || g.keys != w.keys ||
 					g.out != w.out || g.tasks != w.tasks || !close(g.maxTask, w.maxTask) ||

@@ -123,23 +123,20 @@ type Options struct {
 	Aligning Aligning
 	// Dedup selects the grouping strategy (default: one string).
 	Dedup Dedup
-	// DisableLengthFilter / DisableLBFilter switch off the Sec. III-E
-	// filters (ablation only; results are unaffected, work grows).
-	DisableLengthFilter bool
-	DisableLBFilter     bool
 	// DisableBoundedVerify switches off threshold-aware verification
-	// (core.Verifier): by default the verify stage derives an SLD budget
-	// from the threshold and abandons a pair as soon as any lower bound
-	// exceeds it. Results are byte-identical either way; disabling is for
-	// ablation and equivalence testing only.
+	// (core.Verifier.Unbounded): by default the verify stage derives an
+	// SLD budget from the threshold and abandons a pair as soon as any
+	// lower bound exceeds it. Results are byte-identical either way;
+	// disabling is for ablation and equivalence testing only.
 	DisableBoundedVerify bool
-	// DisableSIMD switches off the vectorized batched verification path:
-	// by default (when bounded verification is on and the kernel is live
-	// on this hardware/build — core.BatchKernelAvailable) every candidate
-	// that survives the filters is staged on its reduce worker's batch
-	// engine and verified in lane-width kernel invocations. Results are
-	// byte-identical either way; disabling is for ablation, equivalence
-	// testing, and ruling out kernel issues in the field.
+	// DisableSIMD switches off the vectorized batched verification path
+	// (core.Verifier.DisableBatch): by default (when bounded verification
+	// is on and the kernel is live on this hardware/build —
+	// core.BatchKernelAvailable) every candidate that survives the
+	// filters is verified in lane-width kernel invocations on its reduce
+	// worker's batch engine. Results are byte-identical either way;
+	// disabling is for ablation, equivalence testing, and ruling out
+	// kernel issues in the field.
 	DisableSIMD bool
 	// DisablePrefixFilter switches off threshold-aware candidate pruning
 	// in the shared-token generator: by default only each string's

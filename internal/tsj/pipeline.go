@@ -404,12 +404,12 @@ func dedupVerify(candidates []uint64, ver *verifier, opts Options,
 			ver.verifyKey,
 		)
 	}
-	// Staged results come back from the drain, past the reducers' emit
+	// Every result comes back from the drain, past the reducers' emit
 	// windows. The job is charged what it would have been had they been
 	// emitted inside: the drain's wall time is verify time, and the
-	// engine's one unit per output keeps the job's work the same whether
-	// or not the kernel is live. (Which key a staged result belongs to is
-	// not tracked, so ReduceTaskCosts lack that unit under staging.)
+	// engine's one unit per output goes to the job's work and output
+	// count. Which key a result belongs to is not tracked, so
+	// ReduceTaskCosts lack that unit, on every build and configuration.
 	drainStart := time.Now()
 	staged := ver.drain(st)
 	drainWall := time.Since(drainStart)

@@ -230,40 +230,6 @@ func TestMaxTokenFreqDropsOnlyRecall(t *testing.T) {
 	}
 }
 
-func TestFiltersDoNotChangeResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	c := nameCorpus(rng, 120)
-	base := DefaultOptions()
-	base.Threshold = 0.2
-	base.MaxTokenFreq = 0
-	withFilters, stA, err := SelfJoin(c, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noF := base
-	noF.DisableLengthFilter = true
-	noF.DisableLBFilter = true
-	without, stB, err := SelfJoin(c, noF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := resultSet(withFilters), resultSet(without)
-	if len(a) != len(b) {
-		t.Fatalf("filters changed result count: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("filters changed pair %v", k)
-		}
-	}
-	if stA.LengthPruned+stA.LBPruned == 0 {
-		t.Log("note: filters never fired on this corpus")
-	}
-	if stB.Verified < stA.Verified {
-		t.Fatal("disabling filters must not reduce verification work")
-	}
-}
-
 func TestSelfJoinEmptyStrings(t *testing.T) {
 	raw := []string{"...", "---", "john smith", "!!!"}
 	c := token.BuildCorpus(raw, token.WhitespaceAndPunct)

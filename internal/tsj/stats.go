@@ -52,9 +52,11 @@ type Stats struct {
 	// EmptyStringPairs counts pairs of token-less strings (NSLD = 0)
 	// emitted by the preamble.
 	EmptyStringPairs int64
-	// BatchedPairs counts candidate pairs verified through the batched
-	// vector path (always 0 with DisableSIMD, DisableBoundedVerify, or
-	// when the kernel is unavailable on this hardware/build).
+	// BatchedPairs counts verified pairs the verifier's batch stager took
+	// (core.BatchCounters.Batched). It is 0 with DisableSIMD,
+	// DisableBoundedVerify, or when the kernel is unavailable on this
+	// hardware/build: core.Verifier then decides every pair on its scalar
+	// engine as it is staged.
 	BatchedPairs int64
 	// SIMDKernels / SIMDLanes count vector-kernel invocations and the
 	// occupied lanes they carried; SIMDLanes/SIMDKernels (out of 16) is

@@ -22,11 +22,6 @@ import (
 type verifier struct {
 	corpus *token.Corpus
 	opts   Options
-	// batch routes every filter survivor through the engine's batch stager:
-	// on only when the kernel is live (core.BatchKernelAvailable), bounded
-	// verification is on, and the caller didn't opt out. Off, survivors
-	// verify pair by pair through the scalar engine.
-	batch bool
 	// mu guards idle: the engines no reducer is borrowing right now —
 	// after the job, every engine built.
 	mu   sync.Mutex
@@ -63,14 +58,12 @@ type pairVerifier struct {
 
 // newVerifier builds the stage from the join options.
 func newVerifier(c *token.Corpus, opts Options) *verifier {
-	return &verifier{
-		corpus: c,
-		opts:   opts,
-		batch:  !opts.DisableSIMD && !opts.DisableBoundedVerify && core.BatchKernelAvailable(),
-	}
+	return &verifier{corpus: c, opts: opts}
 }
 
 // get borrows an idle engine, building one when every engine is in use.
+// The options that choose how a pair is verified are read here and
+// nowhere else: the core engine decides from them.
 func (v *verifier) get() *pairVerifier {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -79,9 +72,11 @@ func (v *verifier) get() *pairVerifier {
 		v.idle = v.idle[:n-1]
 		return pv
 	}
-	pv := &pairVerifier{}
-	pv.v.Greedy = v.opts.Aligning == GreedyAligning
-	return pv
+	return &pairVerifier{v: core.Verifier{
+		Greedy:       v.opts.Aligning == GreedyAligning,
+		DisableBatch: v.opts.DisableSIMD,
+		Unbounded:    v.opts.DisableBoundedVerify,
+	}}
 }
 
 // put returns an engine borrowed with get.
@@ -96,19 +91,20 @@ func (v *verifier) put(pv *pairVerifier) {
 // the Sec. III-E filters and the cost accounting on every distinct pair,
 // and verifies the survivors (Sec. III-F) on a borrowed engine.
 //
-// With the batch path on, survivors are STAGED on the engine
-// (core.Verifier.StageBatch): their token-distance cells pool in kernel
-// lanes alongside cells staged by this engine's other reduce keys —
-// cross-key pooling is what keeps lane fill near the vector width when
-// partner lists are short — and the verdicts are deferred to drain.
-// Partners with k < p share the probe Strings[k] in one staging call.
-// Each partner with p < k is staged in its own (p, k) orientation, probe
-// Strings[p]: the row-minima abort walks the probe's rows, so whether a
-// rejected pair counts as budget-pruned depends on which string is the
-// probe, and every pair must verify exactly as Verify(Strings[a],
-// Strings[b]) with a < b would, whichever side the grouping rule keyed
-// it on. Deferred pairs are emitted by drain, not through ctx; join
-// results are sorted before return.
+// Survivors are STAGED on the engine (core.Verifier.StageBatch): with
+// the kernel live, their token-distance cells pool in kernel lanes
+// alongside cells staged by this engine's other reduce keys — cross-key
+// pooling is what keeps lane fill near the vector width when partner
+// lists are short — and the verdicts are deferred to drain; otherwise
+// the engine decides each pair as it is staged. Partners with k < p
+// share the probe Strings[k] in one staging call. Each partner with
+// p < k is staged in its own (p, k) orientation, probe Strings[p]: the
+// row-minima abort walks the probe's rows, so whether a rejected pair
+// counts as budget-pruned depends on which string is the probe, and
+// every pair must verify exactly as Verify(Strings[a], Strings[b]) with
+// a < b would, whichever side the grouping rule keyed it on. Every pair
+// is emitted by drain, not through ctx; join results are sorted before
+// return.
 func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *mapreduce.ReduceCtx[Result]) {
 	slices.Sort(partners)
 	partners = slices.Compact(partners)
@@ -120,15 +116,12 @@ func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *m
 		if !v.admit(x, y, pv, ctx) {
 			continue
 		}
-		switch {
-		case !v.batch:
-			v.verifyScalar(a, b, pv, ctx)
-		case p < k:
+		if p < k {
 			v.stage(pv, x, []*token.TokenizedString{y}, [][2]token.StringID{{a, b}})
-		default:
-			pv.groupID = append(pv.groupID, [2]token.StringID{a, b})
-			pv.groupY = append(pv.groupY, y)
+			continue
 		}
+		pv.groupID = append(pv.groupID, [2]token.StringID{a, b})
+		pv.groupY = append(pv.groupY, y)
 	}
 	if len(pv.groupY) > 0 {
 		v.stage(pv, &v.corpus.Strings[k], pv.groupY, pv.groupID)
@@ -143,17 +136,15 @@ func (v *verifier) admit(x, y *token.TokenizedString, pv *pairVerifier, ctx *map
 	t := v.opts.Threshold
 	// Filter 1: aggregate-length pruning (Lemma 6 lower bound). Costs one
 	// comparison on id-attached metadata.
-	if !v.opts.DisableLengthFilter && core.LengthPrune(la, lb, t) {
+	if core.LengthPrune(la, lb, t) {
 		pv.lengthPruned++
 		return false
 	}
 	// Filter 2: token-length-histogram lower bound on SLD.
-	if !v.opts.DisableLBFilter {
-		ctx.AddCost(float64(x.Count() + y.Count()))
-		if core.LowerBoundPrune(*x, *y, t) {
-			pv.lbPruned++
-			return false
-		}
+	ctx.AddCost(float64(x.Count() + y.Count()))
+	if core.LowerBoundPrune(*x, *y, t) {
+		pv.lbPruned++
+		return false
 	}
 	// Verification cost: the bigraph construction O(L(x)*L(y)) plus the
 	// alignment term — O(k^3) for the Hungarian algorithm (constant ~2 for
@@ -167,35 +158,6 @@ func (v *verifier) admit(x, y *token.TokenizedString, pv *pairVerifier, ctx *map
 	ctx.AddCost(float64(la*lb) + align)
 	pv.verified++
 	return true
-}
-
-// verifyScalar verifies one admitted pair (a < b) on the scalar engine
-// and emits it when NSLD <= T: the path taken when the kernel is
-// unavailable or DisableSIMD / DisableBoundedVerify is set.
-func (v *verifier) verifyScalar(a, b token.StringID, pv *pairVerifier, ctx *mapreduce.ReduceCtx[Result]) {
-	x, y := &v.corpus.Strings[a], &v.corpus.Strings[b]
-	la, lb := x.AggregateLen(), y.AggregateLen()
-	var sld int
-	var within bool
-	if v.opts.DisableBoundedVerify {
-		if v.opts.Aligning == GreedyAligning {
-			sld = core.SLDGreedy(*x, *y)
-		} else {
-			sld = core.SLD(*x, *y)
-		}
-		within = core.WithinNSLD(sld, la, lb, v.opts.Threshold)
-	} else {
-		var pruned bool
-		sld, within, pruned = pv.v.Verify(*x, *y, v.opts.Threshold)
-		if pruned {
-			pv.budgetPruned++
-		}
-	}
-	if !within {
-		return
-	}
-	pv.results++
-	ctx.Emit(Result{A: a, B: b, SLD: sld, NSLD: core.NSLDFromSLD(sld, la, lb)})
 }
 
 // stage hands probe x's candidates ys to pv's stager, recording
