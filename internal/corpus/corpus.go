@@ -425,7 +425,7 @@ func distinctIDs(ids []token.TokenID) []token.TokenID {
 // rankSort returns a fresh copy of ids sorted by the current frozen rank.
 func (c *Corpus) rankSort(ids []token.TokenID) []token.TokenID {
 	out := append([]token.TokenID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return c.rank[out[i]] < c.rank[out[j]] })
+	token.SortByRank(out, c.rank)
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/iofault"
@@ -230,8 +231,21 @@ func encodeDelete(buf []byte, sid token.StringID) []byte {
 	return buf
 }
 
+// uvarint reads one uvarint as the encoders write it: in its shortest
+// form. k <= 0 means b does not start with one; an overlong form (a last
+// byte of zero after a continuation byte, as in 0x80 0x00) is rejected,
+// so every accepted payload has exactly one encoding.
+func uvarint(b []byte) (v uint64, k int) {
+	v, k = binary.Uvarint(b)
+	if k > 1 && b[k-1] == 0 {
+		return 0, -1
+	}
+	return v, k
+}
+
 // decodeRecord parses one payload. Errors mean corruption (a CRC
-// collision or a writer bug); callers treat them like a bad frame.
+// collision or a writer bug); callers treat them like a bad frame. It
+// accepts exactly the payloads encodeAdd and encodeDelete can write.
 func decodeRecord(payload []byte) (walRecord, error) {
 	if len(payload) == 0 {
 		return walRecord{}, errors.New("empty payload")
@@ -239,7 +253,7 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	op, rest := payload[0], payload[1:]
 	switch op {
 	case opAdd:
-		n, k := binary.Uvarint(rest)
+		n, k := uvarint(rest)
 		if k <= 0 {
 			return walRecord{}, errors.New("bad token count")
 		}
@@ -252,7 +266,7 @@ func decodeRecord(payload []byte) (walRecord, error) {
 		}
 		toks := make([]string, 0, n)
 		for i := uint64(0); i < n; i++ {
-			l, k := binary.Uvarint(rest)
+			l, k := uvarint(rest)
 			if k <= 0 || uint64(len(rest[k:])) < l {
 				return walRecord{}, errors.New("bad token length")
 			}
@@ -264,9 +278,14 @@ func decodeRecord(payload []byte) (walRecord, error) {
 		}
 		return walRecord{op: opAdd, tokens: toks}, nil
 	case opDelete:
-		sid, k := binary.Uvarint(rest)
+		sid, k := uvarint(rest)
 		if k <= 0 || len(rest) != k {
 			return walRecord{}, errors.New("bad delete record")
+		}
+		// StringID is an int32: a larger id was never written, and
+		// converting it would wrap onto a live string.
+		if sid > math.MaxInt32 {
+			return walRecord{}, fmt.Errorf("delete of id %d beyond the id space", sid)
 		}
 		return walRecord{op: opDelete, sid: token.StringID(sid)}, nil
 	default:

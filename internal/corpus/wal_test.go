@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"testing"
 
@@ -216,6 +218,49 @@ func TestDecodeRecordBoundsCounts(t *testing.T) {
 	if _, err := decodeRecord(payload); err == nil {
 		t.Fatal("absurd token count must fail decoding")
 	}
+}
+
+// FuzzDecodeRecord: the decoder never panics, never returns more token
+// bytes than its payload holds, and accepts only what the encoders write —
+// an accepted payload re-encodes to the same bytes. The seeds include
+// three payloads the encoders never write: a delete of id 2^32+5 (it once
+// decoded as a delete of 5), a delete of id 2^31 (once -2^31) and an
+// overlong uvarint (0x80 0x00, once read as 0).
+func FuzzDecodeRecord(f *testing.F) {
+	f.Add(encodeAdd(nil, token.WhitespaceAndPunct("Barak Obama, Obama")))
+	f.Add(encodeAdd(nil, token.TokenizedString{}))
+	f.Add(encodeDelete(nil, 0))
+	f.Add(encodeDelete(nil, 1<<31-1))
+	f.Add(binary.AppendUvarint([]byte{opDelete}, 1<<32+5))
+	f.Add(binary.AppendUvarint([]byte{opDelete}, 1<<31))
+	f.Add([]byte{opDelete, 0x80, 0x00})
+	f.Add([]byte{opAdd, 0x81, 0x00, 0x01, 'a'})
+	f.Add([]byte{opAdd, 0x01, 0x81, 0x00, 'a'})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch rec.op {
+		case opAdd:
+			n := 0
+			for _, tok := range rec.tokens {
+				n += len(tok)
+			}
+			if n > len(payload) {
+				t.Fatalf("%x: %d token bytes from a %d-byte payload", payload, n, len(payload))
+			}
+			again = encodeAdd(nil, token.TokenizedString{Tokens: rec.tokens})
+		case opDelete:
+			again = encodeDelete(nil, rec.sid)
+		default:
+			t.Fatalf("%x: accepted op 0x%02x", payload, rec.op)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted %x, which re-encodes as %x", payload, again)
+		}
+	})
 }
 
 // TestWALSyncBatching: SyncEvery > 1 defers fsync but Sync/Close force

@@ -23,10 +23,13 @@
 // NSLD <= T has L(y) <= L(x)/(1-T), and MaxSLDWithin is monotone in the
 // aggregate-length sum, so B <= MaxErrors(T, L(x)) for every admissible
 // partner.
+//
+// Every Index slices its prefixes in NewIndexFromRanked; NewIndex only
+// derives the rank and the rank-sorted member lists it takes.
 package prefilter
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/token"
@@ -149,68 +152,51 @@ type Index struct {
 // marks tokens excluded by the max-frequency cutoff M (nil = none): they
 // take no part in the order or the prefixes, which preserves the exact
 // candidate semantics of the unfiltered generator under the same M.
+// The global order — kept tokens by (document frequency asc, TokenID asc)
+// — is a counting sort over Freq, stable in id order. The deterministic
+// tie-break is load-bearing: prefix sets must agree across workers,
+// shards, and the batch/stream engines, and document frequencies tie
+// constantly in real corpora.
 func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
-	ix := &Index{
-		c:        c,
-		t:        t,
-		rank:     make([]int32, c.NumTokens()),
-		prefix:   make([][]token.TokenID, c.NumStrings()),
-		distinct: make([]int32, c.NumStrings()),
-		aggLen:   make([]int32, c.NumStrings()),
+	maxFreq := int32(0)
+	for _, f := range c.Freq {
+		maxFreq = max(maxFreq, f)
 	}
-	maxLen := 0
-	for sid := range c.Strings {
-		l := c.Strings[sid].AggregateLen()
-		ix.aggLen[sid] = int32(l)
-		if l > maxLen {
-			maxLen = l
+	// Dropped tokens sort as frequency maxFreq+1, after every kept one, so
+	// NewIndexFromRanked cuts them off each list's tail in place.
+	key := func(tid token.TokenID) int32 {
+		if dropped != nil && dropped[tid] {
+			return maxFreq + 1
 		}
+		return c.Freq[tid]
 	}
-	ix.budgetBySum = make([]int, 2*maxLen+1)
-	for sum := range ix.budgetBySum {
-		ix.budgetBySum[sum] = core.MaxSLDWithin(t, sum, 0)
+	next := make([]int32, maxFreq+3) // next[k]: the next free rank for key k
+	for tid := range c.Freq {
+		next[key(token.TokenID(tid))+1]++
 	}
-	// Global order: kept tokens by (document frequency asc, TokenID asc).
-	// The deterministic tie-break is load-bearing: prefix sets must agree
-	// across workers, shards, and the batch/stream engines, and document
-	// frequencies tie constantly in real corpora.
-	kept := make([]token.TokenID, 0, c.NumTokens())
-	for tid := 0; tid < c.NumTokens(); tid++ {
-		if dropped == nil || !dropped[tid] {
-			kept = append(kept, token.TokenID(tid))
-		} else {
-			ix.rank[tid] = -1
-		}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		fi, fj := c.Freq[kept[i]], c.Freq[kept[j]]
-		if fi != fj {
-			return fi < fj
-		}
-		return kept[i] < kept[j]
-	})
-	for r, tid := range kept {
-		ix.rank[tid] = int32(r)
+	rank := make([]int32, len(c.Freq))
+	for tid := range rank {
+		k := key(token.TokenID(tid))
+		rank[tid] = next[k]
+		next[k]++
 	}
-
-	// Per-string prefixes: rank-sort the kept members, keep the head.
-	var scratch []token.TokenID
-	for sid := range c.Members {
-		scratch = scratch[:0]
-		for _, tid := range c.Members[sid] {
-			if ix.rank[tid] >= 0 {
-				scratch = append(scratch, tid)
-			}
-		}
-		ix.distinct[sid] = int32(len(scratch))
-		p := PrefixLen(t, c.Strings[sid].AggregateLen(), len(scratch))
-		if p == 0 {
-			continue
-		}
-		sort.Slice(scratch, func(i, j int) bool { return ix.rank[scratch[i]] < ix.rank[scratch[j]] })
-		ix.prefix[sid] = append([]token.TokenID(nil), scratch[:p]...)
+	// Each string's members, rank-sorted, in one arena.
+	size := 0
+	for _, m := range c.Members {
+		size += len(m)
 	}
-	return ix
+	arena := make([]token.TokenID, 0, size)
+	ranked := make([][]token.TokenID, c.NumStrings())
+	for sid, m := range c.Members {
+		from := len(arena)
+		arena = append(arena, m...)
+		ranked[sid] = arena[from:len(arena):len(arena)]
+		token.SortByRank(ranked[sid], rank)
+	}
+	return NewIndexFromRanked(c, dropped, rank, ranked, nil, t)
 }
 
 // NewIndexFromRanked builds the pruning index from externally maintained
@@ -266,36 +252,38 @@ func NewIndexFromRanked(c *token.Corpus, dropped []bool, rank []int32, ranked []
 	for sum := range ix.budgetBySum {
 		ix.budgetBySum[sum] = core.MaxSLDWithin(t, sum, 0)
 	}
-	var scratch []token.TokenID
+	// maxPrefix[l] is MaxErrors(t, l) + 1, the prefix length of a string
+	// of aggregate length l before the cap at its distinct count.
+	maxPrefix := make([]int, maxLen+1)
+	for l := range maxPrefix {
+		maxPrefix[l] = MaxErrors(t, l) + 1
+	}
+	isDropped := func(tid token.TokenID) bool { return ix.rank[tid] < 0 }
 	for sid := range ranked {
 		if alive != nil && !alive[sid] {
 			continue
 		}
 		list := ranked[sid]
 		if anyDropped {
-			// Strip dropped tokens; the remainder keeps its rank order.
-			scratch = scratch[:0]
-			for _, tid := range list {
-				if ix.rank[tid] >= 0 {
-					scratch = append(scratch, tid)
-				}
+			// Strip dropped tokens; the rest keeps its rank order. Those
+			// trailing the list (NewIndex ranks every dropped token last)
+			// are cut off in place; only one amid the kept tokens forces a
+			// filtered copy.
+			for len(list) > 0 && isDropped(list[len(list)-1]) {
+				list = list[:len(list)-1]
 			}
-			list = scratch
+			if slices.ContainsFunc(list, isDropped) {
+				list = slices.DeleteFunc(slices.Clone(list), isDropped)
+			}
 		}
 		ix.distinct[sid] = int32(len(list))
-		p := PrefixLen(t, int(ix.aggLen[sid]), len(list))
+		p := min(len(list), maxPrefix[ix.aggLen[sid]])
 		if p == 0 {
 			continue
 		}
-		if anyDropped && len(list) != len(ranked[sid]) {
-			// The filtered list lives in scratch; the prefix needs its own
-			// storage.
-			ix.prefix[sid] = append([]token.TokenID(nil), list[:p]...)
-		} else {
-			// Common case (no cutoff in play): share the stored list. The
-			// caller guarantees it is never mutated after capture.
-			ix.prefix[sid] = ranked[sid][:p:p]
-		}
+		// The prefix shares the list: the caller guarantees a stored list
+		// is never mutated after capture.
+		ix.prefix[sid] = list[:p:p]
 	}
 	return ix
 }

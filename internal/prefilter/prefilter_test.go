@@ -1,9 +1,12 @@
 package prefilter
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/namegen"
 	"repro/internal/token"
 )
 
@@ -135,6 +138,151 @@ func TestDroppedTokensExcluded(t *testing.T) {
 			if tid == hot {
 				t.Fatalf("sid %d: dropped token in prefix", sid)
 			}
+		}
+	}
+}
+
+// refNewIndex is NewIndex as it stood before the counting sort, kept
+// verbatim as the oracle for TestNewIndexMatchesSortOrder: one global
+// sort.Slice for the order and one per string for its prefix.
+func refNewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
+	ix := &Index{
+		c:        c,
+		t:        t,
+		rank:     make([]int32, c.NumTokens()),
+		prefix:   make([][]token.TokenID, c.NumStrings()),
+		distinct: make([]int32, c.NumStrings()),
+		aggLen:   make([]int32, c.NumStrings()),
+	}
+	maxLen := 0
+	for sid := range c.Strings {
+		l := c.Strings[sid].AggregateLen()
+		ix.aggLen[sid] = int32(l)
+		if l > maxLen {
+			maxLen = l
+		}
+	}
+	ix.budgetBySum = make([]int, 2*maxLen+1)
+	for sum := range ix.budgetBySum {
+		ix.budgetBySum[sum] = core.MaxSLDWithin(t, sum, 0)
+	}
+	// Global order: kept tokens by (document frequency asc, TokenID asc).
+	// The deterministic tie-break is load-bearing: prefix sets must agree
+	// across workers, shards, and the batch/stream engines, and document
+	// frequencies tie constantly in real corpora.
+	kept := make([]token.TokenID, 0, c.NumTokens())
+	for tid := 0; tid < c.NumTokens(); tid++ {
+		if dropped == nil || !dropped[tid] {
+			kept = append(kept, token.TokenID(tid))
+		} else {
+			ix.rank[tid] = -1
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		fi, fj := c.Freq[kept[i]], c.Freq[kept[j]]
+		if fi != fj {
+			return fi < fj
+		}
+		return kept[i] < kept[j]
+	})
+	for r, tid := range kept {
+		ix.rank[tid] = int32(r)
+	}
+
+	// Per-string prefixes: rank-sort the kept members, keep the head.
+	var scratch []token.TokenID
+	for sid := range c.Members {
+		scratch = scratch[:0]
+		for _, tid := range c.Members[sid] {
+			if ix.rank[tid] >= 0 {
+				scratch = append(scratch, tid)
+			}
+		}
+		ix.distinct[sid] = int32(len(scratch))
+		p := PrefixLen(t, c.Strings[sid].AggregateLen(), len(scratch))
+		if p == 0 {
+			continue
+		}
+		sort.Slice(scratch, func(i, j int) bool { return ix.rank[scratch[i]] < ix.rank[scratch[j]] })
+		ix.prefix[sid] = append([]token.TokenID(nil), scratch[:p]...)
+	}
+	return ix
+}
+
+// TestNewIndexMatchesSortOrder: the counting-sort index is the sorting
+// one — the same rank for every token, the same prefixes and distinct
+// counts for every string, and the same Admit verdict for every pair that
+// shares a prefix token — on a name corpus full of frequency ties, with
+// no cutoff, with a max-frequency cutoff, and with an arbitrary dropped
+// set.
+func TestNewIndexMatchesSortOrder(t *testing.T) {
+	names := append(namegen.Generate(namegen.Config{Seed: 5, NumNames: 1200}),
+		"", "...", "bo bo bo", "a a b", "Zoë \U0001F600 zoë")
+	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
+	cutoff := make([]bool, c.NumTokens()) // MaxTokenFreq = 3
+	arbitrary := make([]bool, c.NumTokens())
+	nCut := 0
+	for tid, f := range c.Freq {
+		cutoff[tid] = f > 3
+		arbitrary[tid] = tid%7 == 3
+		if cutoff[tid] {
+			nCut++
+		}
+	}
+	if nCut == 0 {
+		t.Fatal("the corpus has no token above the cutoff")
+	}
+	for _, tc := range []struct {
+		name    string
+		dropped []bool
+	}{
+		{"nil", nil},
+		{"none", make([]bool, c.NumTokens())},
+		{"cutoff", cutoff},
+		{"arbitrary", arbitrary},
+	} {
+		for _, th := range []float64{0, 0.1, 0.3, 0.6} {
+			want := refNewIndex(c, tc.dropped, th)
+			got := NewIndex(c, tc.dropped, th)
+			if !slices.Equal(got.rank, want.rank) {
+				t.Fatalf("%s t=%g: ranks differ", tc.name, th)
+			}
+			// posting[z] lists the strings whose prefix holds z: every pair
+			// that shares one is a pair some reducer sees.
+			posting := make([][]token.StringID, c.NumTokens())
+			for sid := range c.Strings {
+				s := token.StringID(sid)
+				if !slices.Equal(got.Prefix(s), want.Prefix(s)) || got.Distinct(s) != want.Distinct(s) {
+					t.Fatalf("%s t=%g string %d %q: prefix %v distinct %d, want %v and %d", tc.name, th, sid,
+						names[sid], got.Prefix(s), got.Distinct(s), want.Prefix(s), want.Distinct(s))
+				}
+				for _, z := range got.Prefix(s) {
+					posting[z] = append(posting[z], s)
+				}
+			}
+			for z, list := range posting {
+				for i, a := range list {
+					for _, b := range list[i+1:] {
+						ge, gp := got.Admit(token.TokenID(z), a, b)
+						we, wp := want.Admit(token.TokenID(z), a, b)
+						if ge != we || gp != wp {
+							t.Fatalf("%s t=%g: Admit(%d, %d, %d) = %v/%v, want %v/%v", tc.name, th, z, a, b, ge, gp, we, wp)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkNewIndex(b *testing.B) {
+	c := token.BuildCorpus(namegen.Generate(namegen.Config{Seed: 3, NumNames: 8000}), token.WhitespaceAndPunct)
+	dropped := make([]bool, c.NumTokens())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix := NewIndex(c, dropped, 0.1); ix.Distinct(0) == 0 {
+			b.Fatal("string 0 has no kept token")
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package tsj
 
 import (
-	"sort"
-
 	"repro/internal/corpus"
 	"repro/internal/token"
 )
@@ -134,7 +132,7 @@ func JoinCorpus(pc *corpus.Corpus, probes []token.TokenizedString, opts Options)
 	copy(ranked, v.Ranked)
 	for i := n; i < n+m; i++ {
 		rl := append([]token.TokenID(nil), members[i]...)
-		sort.Slice(rl, func(a, b int) bool { return rank[rl[a]] < rank[rl[b]] })
+		token.SortByRank(rl, rank)
 		ranked[i] = rl
 	}
 

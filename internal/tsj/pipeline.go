@@ -1,9 +1,9 @@
 package tsj
 
 import (
+	"cmp"
 	"errors"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -223,11 +223,8 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	// Every candidate is packed id-ascending, so a bipartite pair verifies
 	// R side first and Result.A is always the R side.
 	results = append(results, dedupVerify(candidates, ver, opts, engCfg, st)...)
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].A != results[j].A {
-			return results[i].A < results[j].A
-		}
-		return results[i].B < results[j].B
+	slices.SortFunc(results, func(x, y Result) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return results, st, nil
 }
