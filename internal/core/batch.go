@@ -483,8 +483,9 @@ func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedStrin
 	xRunes := x.RuneSlices()
 	m := len(xRunes)
 	lx := x.AggregateLen()
-	// The scalar route below refills v.xsig, with this same probe.
-	v.xsig = tokenSigs(v.xsig, xRunes)
+	// The scalar route below may refill v.xsig, but with this same probe's
+	// signatures, so xs stays valid.
+	xs := sigsOf(&v.xsig, &x)
 	bs.ctr.Batched += int64(len(ys))
 	for c, y := range ys {
 		b := bs.budgetFor(t, lx+y.AggregateLen())
@@ -514,8 +515,7 @@ func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedStrin
 			bs.ctr.ScalarCells += int64(m * nc)
 			continue
 		}
-		v.ysig = tokenSigs(v.ysig, yRunes)
-		if lower, dead := sigPrune(xRunes, yRunes, v.xsig, v.ysig, b); dead {
+		if lower, dead := sigPrune(xRunes, yRunes, xs, sigsOf(&v.ysig, y), b); dead {
 			out[c] = BatchResult{lower, false, true}
 			bs.ctr.SigPruned++
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/token"
@@ -298,5 +299,66 @@ func TestSIMDEquivalenceSharedScratch(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Fatalf("two shapes through the shared scratch allocate %v/op in steady state, want 0", allocs)
+	}
+}
+
+// TestStoredSigEquivalence: the signature pre-pass reads the signatures
+// BuildCorpus stored where a string has them and computes them where it
+// has none, and the two are the same pass. The same pairs verify as
+// corpus strings (stored), as token.New strings (computed) and mixed
+// (stored probe, computed candidates), staged and under DisableBatch:
+// every BatchResult — the lower bound reported for a pruned pair
+// included — and every batch counter equal the stored side's.
+func TestStoredSigEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	computed := make([]token.TokenizedString, 300)
+	for i := range computed {
+		computed[i] = batchRandTS(rng, true)
+	}
+	stored := token.BuildCorpusFromTokenized(computed).Strings
+	for i := range stored {
+		if len(stored[i].Sigs()) != stored[i].Count() || computed[i].Sigs() != nil {
+			t.Fatalf("string %d: %d stored signatures for %d tokens, New stored %d",
+				i, len(stored[i].Sigs()), stored[i].Count(), len(computed[i].Sigs()))
+		}
+	}
+	sides := [3]struct{ xs, ys []token.TokenizedString }{
+		{stored, stored}, {computed, computed}, {stored, computed},
+	}
+	for _, th := range []float64{0.1, 0.3, 0.5} {
+		var staged, off [3]Verifier
+		var ctr [3]BatchCounters
+		var outStaged, outOff [3][][]BatchResult
+		for p := range computed {
+			idx := rng.Perm(len(computed))[:1+rng.Intn(20)]
+			for s, side := range sides {
+				ys := make([]*token.TokenizedString, len(idx))
+				for c, i := range idx {
+					ys[c] = &side.ys[i]
+				}
+				outStaged[s] = append(outStaged[s], make([]BatchResult, len(ys)))
+				staged[s].StageBatch(side.xs[p], ys, th, outStaged[s][p])
+				outOff[s] = append(outOff[s], make([]BatchResult, len(ys)))
+				off[s].DisableBatch = true
+				off[s].VerifyBatch(side.xs[p], ys, th, outOff[s][p], nil)
+			}
+		}
+		for s := range sides {
+			staged[s].FlushBatch(&ctr[s])
+		}
+		for s := range sides {
+			for p := range computed {
+				if !slices.Equal(outStaged[s][p], outOff[s][p]) || !slices.Equal(outStaged[s][p], outStaged[0][p]) {
+					t.Fatalf("t=%.1f side %d probe %d: staged %+v, DisableBatch %+v, stored signatures %+v",
+						th, s, p, outStaged[s][p], outOff[s][p], outStaged[0][p])
+				}
+			}
+			if ctr[s] != ctr[0] {
+				t.Fatalf("t=%.1f side %d: counters %+v, stored signatures gave %+v", th, s, ctr[s], ctr[0])
+			}
+		}
+		if BatchKernelAvailable() && ctr[0].SigPruned == 0 {
+			t.Fatalf("t=%.1f: the staged pre-pass decided no pair", th)
+		}
 	}
 }

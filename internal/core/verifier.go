@@ -41,10 +41,11 @@ func MaxSLDWithin(t float64, la, lb int) int {
 // threshold (MaxSLDWithin) and rejects a pair the moment a lower bound
 // exceeds it, cheapest bound first: (1) the signature pre-pass (sigPrune)
 // bounds each row's minimum cell from one 64-bit character signature per
-// token, touching no DP cell; (2) matrix construction runs each cell's
-// banded Levenshtein capped at budget+1, row by row, and aborts when the
-// sum of per-row minima (a valid assignment lower bound) exceeds the
-// budget; (3) the alignment itself — Hungarian or greedy — terminates as
+// token, touching no DP cell (BuildCorpus computes those signatures once
+// per distinct token at build time, and sigsOf reads them); (2) matrix
+// construction runs each cell's banded Levenshtein capped at budget+1, row
+// by row, and aborts when the sum of per-row minima (a valid assignment
+// lower bound) exceeds the budget; (3) the alignment itself — Hungarian or greedy — terminates as
 // soon as its growing partial-matching cost proves the total will.
 //
 // Step 1 is step 2's abort decided early, not a new filter: each of its
@@ -86,7 +87,7 @@ type Verifier struct {
 
 	cost       []int    // flattened k x k cost matrix
 	levRow     []uint16 // Levenshtein DP row (token lengths fit uint16)
-	xsig, ysig []uint64 // per-token character signatures of the pair in hand
+	xsig, ysig []int    // signature scratch for sides that store none (sigsOf)
 	scratch    assignment.Scratch
 	stager     *BatchStager // batched-verification engine, lazily allocated
 }
@@ -134,9 +135,8 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 		return d, max < 0 || d <= max, false
 	}
 	if max >= 0 {
-		xr, yr := x.RuneSlices(), y.RuneSlices()
-		v.xsig, v.ysig = tokenSigs(v.xsig, xr), tokenSigs(v.ysig, yr)
-		if lower, dead := sigPrune(xr, yr, v.xsig, v.ysig, max); dead {
+		xs, ys := sigsOf(&v.xsig, &x), sigsOf(&v.ysig, &y)
+		if lower, dead := sigPrune(x.RuneSlices(), y.RuneSlices(), xs, ys, max); dead {
 			return lower, false, true
 		}
 	}
@@ -154,12 +154,25 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 	return total, ok, !ok && early
 }
 
+// sigsOf returns the character signature of each token of ts: the ones
+// BuildCorpus stored once per distinct token, or, for a string that
+// carries none (token.New's, or one assembled by hand), the same values
+// computed into *scratch. The stored slice is read-only; only *scratch is
+// ever written.
+func sigsOf(scratch *[]int, ts *token.TokenizedString) []int {
+	if s := ts.Sigs(); s != nil {
+		return s
+	}
+	*scratch = tokenSigs(*scratch, ts.RuneSlices())
+	return *scratch
+}
+
 // tokenSigs returns the character signature of each token of rs, in buf's
-// storage.
-func tokenSigs(buf []uint64, rs [][]rune) []uint64 {
+// storage, as the int bit pattern token.TokenizedString.Sigs stores.
+func tokenSigs(buf []int, rs [][]rune) []int {
 	buf = buf[:0]
 	for _, r := range rs {
-		buf = append(buf, strdist.Sig(r))
+		buf = append(buf, int(strdist.Sig(r)))
 	}
 	return buf
 }
@@ -171,8 +184,11 @@ func tokenSigs(buf []uint64, rs [][]rune) []uint64 {
 // reports the pair dead, with the partial sum, the moment that sum exceeds
 // the budget b. Its partial sums never exceed buildCost's (or the
 // stager's finishRow's) over the same rows, so dead here implies their
-// row-minima abort fires.
-func sigPrune(xr, yr [][]rune, xs, ys []uint64, b int) (lower int, dead bool) {
+// row-minima abort fires. xs and ys are the sides' signatures from sigsOf,
+// which for BuildCorpus strings were computed once per distinct token at
+// build time, not per pair; uint64(uint(s)) recovers a signature without sign extension, so a
+// platform whose int truncates them only weakens the bound.
+func sigPrune(xr, yr [][]rune, xs, ys []int, b int) (lower int, dead bool) {
 	m, n := len(xr), len(yr)
 	cap1 := b + 1
 	for i, sx := range xs {
@@ -182,7 +198,7 @@ func sigPrune(xr, yr [][]rune, xs, ys []uint64, b int) (lower int, dead bool) {
 			rowMin = min(la, cap1)
 		}
 		for j := 0; j < n && rowMin > 0; j++ {
-			rowMin = min(rowMin, strdist.SigLowerBound(sx, ys[j], la, len(yr[j])))
+			rowMin = min(rowMin, strdist.SigLowerBound(uint64(uint(sx)), uint64(uint(ys[j])), la, len(yr[j])))
 		}
 		if lower += rowMin; lower > b {
 			return lower, true

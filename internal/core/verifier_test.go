@@ -64,22 +64,47 @@ func TestBoundedEquivalenceVerify(t *testing.T) {
 }
 
 // TestMaxSLDWithinBoundary: the budget is exactly the WithinNSLD
-// boundary — sld <= budget iff WithinNSLD(sld) — for a sweep of lengths
-// and thresholds including exact rational boundary cases.
+// boundary — sld <= budget iff WithinNSLD(sld) — on a dense threshold grid
+// (step 0.001 over [0, 1)) plus exact rational boundary cases, for every
+// pair of aggregate lengths up to 40.
 func TestMaxSLDWithinBoundary(t *testing.T) {
-	for _, th := range []float64{0, 0.1, 0.15, 0.2, 1.0 / 3, 0.5, 0.9, 0.99} {
-		for la := 0; la <= 40; la += 3 {
-			for lb := 0; lb <= 40; lb += 4 {
+	ths := []float64{1.0 / 3, 2.0 / 3, 1.0 / 7}
+	for i := 0; i < 1000; i++ {
+		ths = append(ths, float64(i)/1000)
+	}
+	for _, th := range ths {
+		for la := 0; la <= 40; la++ {
+			for lb := 0; lb <= 40; lb++ {
 				budget := MaxSLDWithin(th, la, lb)
 				if budget < 0 {
-					t.Fatalf("t=%.3f la=%d lb=%d: negative budget %d", th, la, lb, budget)
+					t.Fatalf("t=%v la=%d lb=%d: negative budget %d", th, la, lb, budget)
 				}
 				if !WithinNSLD(budget, la, lb, th) {
-					t.Fatalf("t=%.3f la=%d lb=%d: budget %d itself not within", th, la, lb, budget)
+					t.Fatalf("t=%v la=%d lb=%d: budget %d itself not within", th, la, lb, budget)
 				}
 				if WithinNSLD(budget+1, la, lb, th) {
-					t.Fatalf("t=%.3f la=%d lb=%d: budget %d not maximal", th, la, lb, budget)
+					t.Fatalf("t=%v la=%d lb=%d: budget %d not maximal", th, la, lb, budget)
 				}
+			}
+		}
+	}
+}
+
+// TestBudgetMemoMatchesMaxSLDWithin: the stager's per-threshold budget
+// memo answers MaxSLDWithin for every length sum, in and beyond the memo,
+// while the threshold switches back and forth between lookups — a switch
+// must drop the old threshold's entries, not serve them.
+func TestBudgetMemoMatchesMaxSLDWithin(t *testing.T) {
+	var v Verifier
+	bs := v.stagerInit()
+	rng := rand.New(rand.NewSource(5))
+	ths := []float64{0.1, 0.3, 0.1, 1.0 / 3, 0.999, 0, 0.3}
+	for round := 0; round < 40; round++ {
+		th := ths[round%len(ths)]
+		for k := 0; k < 200; k++ {
+			la, lb := rng.Intn(batchBudgetCacheLen), rng.Intn(batchBudgetCacheLen/4)
+			if got, want := bs.budgetFor(th, la+lb), MaxSLDWithin(th, la, lb); got != want {
+				t.Fatalf("round %d t=%v la=%d lb=%d: memo %d, MaxSLDWithin %d", round, th, la, lb, got, want)
 			}
 		}
 	}

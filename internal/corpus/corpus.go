@@ -367,10 +367,9 @@ func (c *Corpus) applySnapshot(st *snapState) {
 	}
 	n := len(c.tokens)
 	c.tokenRunes = make([][]rune, n)
-	c.tokenID = make(map[string]token.TokenID, n)
+	c.tokenID = st.tokenID
 	for id, t := range c.tokens {
 		c.tokenRunes[id] = []rune(t)
-		c.tokenID[t] = token.TokenID(id)
 	}
 	c.freq = make([]int32, n)
 	c.postings = make([][]token.StringID, n)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -34,6 +35,10 @@ import (
 //	        if alive: varint tokenCount, then tokenCount × varint TokenID
 //	        (the multiset in TokenizedString order; tombstones store nothing)
 //	crc32c  uint32 over everything above
+//
+// Tokens are distinct, no string lists an empty token, ranks and
+// frequencies are non-negative int32s, and every varint is in its
+// shortest form; decodeSnapshot refuses a file that breaks any of these.
 //
 // Derived state — distinct-member lists, rank-sorted member lists, the
 // inverted postings, live frequencies — is rebuilt at load time from the
@@ -254,6 +259,9 @@ type snapState struct {
 	epoch   uint64
 	reranks int64
 	tokens  []string
+	// tokenID is the intern map of tokens, built while decoding (where
+	// it catches duplicate tokens) and adopted by applySnapshot.
+	tokenID map[string]token.TokenID
 	rank    []int32
 	frozen  []int32
 	// strs[i] is nil for tombstones, else the multiset of TokenIDs.
@@ -261,12 +269,21 @@ type snapState struct {
 	alive []bool
 }
 
-// readSnapshot loads and CRC-verifies one snapshot file.
+// readSnapshot loads and decodes one snapshot file.
 func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 	raw, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(raw)
+}
+
+// decodeSnapshot CRC-verifies and parses a snapshot. It accepts exactly
+// what writeSnapshotTemp writes (the format comment above), with string
+// flags 0 and 1 and each alive string's ids sorted by token. Anything
+// else is corruption that slipped past the CRC, or a writer bug, and is
+// refused rather than loaded into a corpus that disagrees with itself.
+func decodeSnapshot(raw []byte) (*snapState, error) {
 	if len(raw) < len(snapMagic)+4+3*8+4 || string(raw[:len(snapMagic)]) != snapMagic {
 		return nil, errors.New("corpus: bad snapshot header")
 	}
@@ -286,12 +303,21 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 	p = p[24:]
 
 	uv := func() (uint64, error) {
-		v, k := binary.Uvarint(p)
+		v, k := uvarint(p)
 		if k <= 0 {
-			return 0, errors.New("corpus: truncated snapshot varint")
+			return 0, errors.New("corpus: bad snapshot varint")
 		}
 		p = p[k:]
 		return v, nil
+	}
+	// i32 reads a rank or frequency: an int32 the writer stored as a
+	// non-negative uvarint. A wider value would wrap on conversion.
+	i32 := func() (int32, error) {
+		v, err := uv()
+		if err == nil && v > math.MaxInt32 {
+			err = fmt.Errorf("corpus: snapshot value %d beyond int32", v)
+		}
+		return int32(v), err
 	}
 
 	// Counts are bounded by the remaining bytes (every element costs at
@@ -306,6 +332,7 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 		return nil, errors.New("corpus: snapshot token count exceeds payload")
 	}
 	st.tokens = make([]string, nTok)
+	st.tokenID = make(map[string]token.TokenID, nTok)
 	for i := range st.tokens {
 		l, err := uv()
 		if err != nil {
@@ -314,24 +341,29 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 		if uint64(len(p)) < l {
 			return nil, errors.New("corpus: truncated snapshot token")
 		}
-		st.tokens[i] = string(p[:l])
+		t := string(p[:l])
 		p = p[l:]
+		if _, dup := st.tokenID[t]; dup {
+			return nil, fmt.Errorf("corpus: snapshot token %q listed twice", t)
+		}
+		st.tokens[i] = t
+		st.tokenID[t] = token.TokenID(i)
+	}
+	// A rank and a frequency per token, at least a byte each.
+	if 2*nTok > uint64(len(p)) {
+		return nil, errors.New("corpus: snapshot ranks exceed payload")
 	}
 	st.rank = make([]int32, nTok)
 	for i := range st.rank {
-		v, err := uv()
-		if err != nil {
+		if st.rank[i], err = i32(); err != nil {
 			return nil, err
 		}
-		st.rank[i] = int32(v)
 	}
 	st.frozen = make([]int32, nTok)
 	for i := range st.frozen {
-		v, err := uv()
-		if err != nil {
+		if st.frozen[i], err = i32(); err != nil {
 			return nil, err
 		}
-		st.frozen[i] = int32(v)
 	}
 	nStr, err := uv()
 	if err != nil {
@@ -348,6 +380,9 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 		}
 		flag := p[0]
 		p = p[1:]
+		if flag > 1 {
+			return nil, fmt.Errorf("corpus: snapshot string flag 0x%02x", flag)
+		}
 		if flag == 0 {
 			continue
 		}
@@ -367,6 +402,10 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 			}
 			if v >= nTok {
 				return nil, errors.New("corpus: snapshot token id out of range")
+			}
+			t := st.tokens[v]
+			if t == "" || j > 0 && t < st.tokens[ids[j-1]] {
+				return nil, fmt.Errorf("corpus: snapshot string %d is not a sorted token multiset", i)
 			}
 			ids[j] = token.TokenID(v)
 		}

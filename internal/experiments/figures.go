@@ -64,12 +64,13 @@ func Fig1(w Workload) *Table {
 }
 
 // sweepT runs the three matching/aligning algorithms over the T sweep,
-// returning per-threshold simulated runtimes and discovered-pair counts.
-// Shared by Fig2 (runtime) and Fig4 (accuracy).
-func sweepT(w Workload) (runtimes [][3]float64, counts [][3]int64) {
+// returning per-threshold simulated runtimes and the discovered pairs,
+// each mapped to its reported SLD. Shared by Fig2 (runtime) and Fig4
+// (accuracy).
+func sweepT(w Workload) (runtimes [][3]float64, found [][3]map[[2]int]int) {
 	c := w.Corpus()
 	runtimes = make([][3]float64, len(Thresholds))
-	counts = make([][3]int64, len(Thresholds))
+	found = make([][3]map[[2]int]int, len(Thresholds))
 	var calOnce func(machines int) func(*tsj.Stats) float64
 	for ti, T := range Thresholds {
 		for ai, cfg := range []struct {
@@ -97,10 +98,14 @@ func sweepT(w Workload) (runtimes [][3]float64, counts [][3]int64) {
 				}
 			}
 			runtimes[ti][ai] = calOnce(1000)(st)
-			counts[ti][ai] = int64(len(res))
+			pairs := make(map[[2]int]int, len(res))
+			for _, r := range res {
+				pairs[[2]int{int(r.A), int(r.B)}] = r.SLD
+			}
+			found[ti][ai] = pairs
 		}
 	}
-	return runtimes, counts
+	return runtimes, found
 }
 
 // Fig2 reproduces Fig. 2: runtime while varying the NSLD threshold T for
@@ -136,14 +141,22 @@ func tableFromSweepT(runtimes [][3]float64) *Table {
 // recall of the approximations) while varying T. Paper shape: greedy
 // recall 1.0 -> 0.99993; exact recall 1.0 -> 0.86655 as T grows to 0.225.
 func Fig4(w Workload) *Table {
-	_, counts := sweepT(w)
+	_, found := sweepT(w)
+	return tableFromFound(found)
+}
+
+// tableFromFound renders Fig. 4 from sweepT's discovered pairs.
+func tableFromFound(found [][3]map[[2]int]int) *Table {
 	t := &Table{
 		ID:     "fig4",
 		Title:  "Discovered pairs vs NSLD threshold T (recall relative to fuzzy-token-matching)",
 		Header: []string{"T", "fuzzy pairs", "greedy pairs", "exact pairs", "recall(greedy)", "recall(exact)"},
 	}
 	for ti, T := range Thresholds {
-		cnt := counts[ti]
+		var cnt [3]int64
+		for ai, pairs := range found[ti] {
+			cnt[ai] = int64(len(pairs))
+		}
 		t.AddRow(T, cnt[0], cnt[1], cnt[2],
 			fmtRecall(ratio(cnt[1], cnt[0])), fmtRecall(ratio(cnt[2], cnt[0])))
 	}
@@ -448,16 +461,7 @@ func avgVerifyCost(c *token.Corpus) float64 {
 func All(w Workload) []*Table {
 	r2, c2 := sweepT(w)
 	fig2 := tableFromSweepT(r2)
-	fig4 := &Table{
-		ID:     "fig4",
-		Title:  "Discovered pairs vs NSLD threshold T (recall relative to fuzzy-token-matching)",
-		Header: []string{"T", "fuzzy pairs", "greedy pairs", "exact pairs", "recall(greedy)", "recall(exact)"},
-	}
-	for ti, T := range Thresholds {
-		cnt := c2[ti]
-		fig4.AddRow(T, cnt[0], cnt[1], cnt[2],
-			fmtRecall(ratio(cnt[1], cnt[0])), fmtRecall(ratio(cnt[2], cnt[0])))
-	}
+	fig4 := tableFromFound(c2)
 	r3, c3 := sweepM(w)
 	_ = r3
 	fig3 := &Table{

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/strdist"
 )
 
 // StringID identifies a tokenized string within a Corpus. The joining
@@ -137,11 +139,13 @@ func BuildCorpusFromTokenized(strs []TokenizedString) *Corpus {
 }
 
 // finish runs passes 2 and 3. Pass 2 sorts the distinct tokens into their
-// final lexicographic ids and decodes each once into the rune slab. Pass 3
-// rewrites every string's occurrences to final ids, sorts them, and carves
-// the string's Tokens, rune views and length histogram out of corpus-wide
-// arenas; the occurrence list itself becomes the Members arena (the dedup
-// walk compacts each string's region in place) and Freq falls out of it.
+// final lexicographic ids, decodes each once into the rune slab and takes
+// its character signature (strdist.Sig) once. Pass 3 rewrites every
+// string's occurrences to final ids, sorts them, and carves the string's
+// Tokens, rune views and length histogram plus signatures out of
+// corpus-wide arenas; the occurrence list itself becomes the Members arena
+// (the dedup walk compacts each string's region in place) and Freq falls
+// out of it.
 func (b *corpusBuilder) finish() *Corpus {
 	nStr, nTok := len(b.off)-1, len(b.toks)
 	c := &Corpus{
@@ -154,15 +158,17 @@ func (b *corpusBuilder) finish() *Corpus {
 	slices.Sort(c.Tokens)
 	final := make([]TokenID, nTok) // provisional id -> final id
 	bmp := make([]bool, nTok)
+	sig := make([]int, nTok)
 	slab := make([]rune, 0, b.nRunes)
 	for id, t := range c.Tokens {
 		final[b.ids[t]] = TokenID(id)
 		slab, c.TokenRunes[id], bmp[id] = appendRunes(slab, t)
+		sig[id] = int(strdist.Sig(c.TokenRunes[id]))
 	}
 
 	tokArena := make([]string, len(b.occ))
 	viewArena := make([][]rune, len(b.occ))
-	histArena := make([]int, len(b.occ))
+	histArena := make([]int, 2*len(b.occ)) // per string: k lengths, then k signatures
 	for s := range c.Strings {
 		lo, hi := int(b.off[s]), int(b.off[s+1])
 		ids := b.occ[lo:hi]
@@ -173,15 +179,17 @@ func (b *corpusBuilder) finish() *Corpus {
 		ts := TokenizedString{
 			Tokens:  tokArena[lo:hi:hi],
 			runes:   viewArena[lo:hi:hi],
-			lenHist: histArena[lo:hi:hi],
+			lenHist: histArena[2*lo : 2*hi : 2*hi],
 			bmpOnly: true,
 		}
+		sigs := ts.lenHist[hi-lo:]
 		distinct := 0
 		for k, id := range ids {
 			r := c.TokenRunes[id]
 			ts.Tokens[k] = c.Tokens[id]
 			ts.runes[k] = r
 			ts.lenHist[k] = len(r)
+			sigs[k] = sig[id]
 			ts.aggLen += len(r)
 			ts.bmpOnly = ts.bmpOnly && bmp[id]
 			if k == 0 || id != ids[k-1] {
@@ -190,7 +198,7 @@ func (b *corpusBuilder) finish() *Corpus {
 				c.Freq[id]++
 			}
 		}
-		slices.Sort(ts.lenHist)
+		slices.Sort(ts.lenHist[:hi-lo])
 		c.Strings[s] = ts
 		c.Members[s] = ids[:distinct:distinct]
 	}

@@ -10,6 +10,7 @@ import (
 	"unicode"
 
 	"repro/internal/namegen"
+	"repro/internal/strdist"
 )
 
 // The ref* functions are the tokenizers, New and BuildCorpus as they
@@ -216,8 +217,16 @@ func compareCorpus(t *testing.T, got *Corpus, want *refCorpus) {
 				t.Fatalf("string %d: TokenRunes(%d) differs", s, i)
 			}
 		}
-		if !slices.Equal(g.LengthHistogram(), w.lenHist) {
-			t.Fatalf("string %d: LengthHistogram %v, want %v", s, g.LengthHistogram(), w.lenHist)
+		if h := g.LengthHistogram(); !slices.Equal(h, w.lenHist) || cap(h) != len(h) {
+			t.Fatalf("string %d: LengthHistogram %v (cap %d), want %v cap-limited", s, h, cap(h), w.lenHist)
+		}
+		if len(g.Sigs()) != len(w.runes) {
+			t.Fatalf("string %d: %d stored signatures for %d tokens", s, len(g.Sigs()), len(w.runes))
+		}
+		for i, sig := range g.Sigs() {
+			if want := int(strdist.Sig(w.runes[i])); sig != want {
+				t.Fatalf("string %d: Sigs()[%d] = %#x, want strdist.Sig = %#x", s, i, sig, want)
+			}
 		}
 		if wantKey := strings.Join(w.Tokens, "\x1f"); g.Key() != wantKey {
 			t.Fatalf("string %d: Key %q, want %q", s, g.Key(), wantKey)
@@ -229,7 +238,9 @@ func compareCorpus(t *testing.T, got *Corpus, want *refCorpus) {
 // build it replaced — token space, ids, frequencies, members and every
 // per-string cache — for the three built-in tokenizers (fused scan) and
 // a custom one (called per string), and each built-in tokenizer alone
-// equals its FieldsFunc/ToLower predecessor string by string.
+// equals its FieldsFunc/ToLower predecessor string by string. Every
+// corpus string also stores each token's strdist.Sig, which the
+// one-string tokenizers (New) do not.
 func TestBuildCorpusMatchesReference(t *testing.T) {
 	inputs := append(namegen.Generate(namegen.Config{Seed: 21, NumNames: 1500}), adversarialInputs()...)
 	for _, tc := range []struct {
@@ -250,7 +261,7 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 				one, w := tc.tok(in), want.Strings[s]
 				if !slices.Equal(one.Tokens, w.Tokens) || !sameRuneViews(one.RuneSlices(), w.runes) ||
 					!slices.Equal(one.LengthHistogram(), w.lenHist) ||
-					one.AggregateLen() != w.aggLen || one.BMPOnly() != w.bmpOnly {
+					one.AggregateLen() != w.aggLen || one.BMPOnly() != w.bmpOnly || one.Sigs() != nil {
 					t.Fatalf("%s(%q) = %q, reference %q", tc.name, in, one.Tokens, w.Tokens)
 				}
 				if !one.Equal(got.Strings[s]) {

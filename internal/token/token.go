@@ -11,7 +11,10 @@
 // every string's TokenRunes(i) aliases the view of its token id. Each
 // string's Tokens, rune views, length histogram and Members are likewise
 // carved out of four corpus-wide arenas; New, the one-string path, decodes
-// into one slab per string. The Corpus (or lone TokenizedString) owns its
+// into one slab per string. BuildCorpus also takes each distinct token's
+// character signature (strdist.Sig) once and lays a string's signatures
+// right after its length histogram in the histogram arena, where Sigs
+// reads them; New stores none. The Corpus (or lone TokenizedString) owns its
 // arenas and nothing writes them after construction, so workers may read
 // them concurrently. Everything handed out is a read-only, cap-limited
 // view: callers must not write through one, and an append to one
@@ -37,8 +40,11 @@ type TokenizedString struct {
 	runes [][]rune
 	// aggLen caches L(x^t) in runes.
 	aggLen int
-	// lenHist caches the ascending token-length histogram, so the
-	// per-candidate-pair lower-bound filter costs no allocation.
+	// lenHist caches the ascending token-length histogram in [:k], so the
+	// per-candidate-pair lower-bound filter costs no allocation. For
+	// BuildCorpus strings [k:] holds each token's strdist.Sig, in token
+	// order, as an int bit pattern (one slice header for both keeps the
+	// struct from growing).
 	lenHist []int
 	// bmpOnly caches whether every rune sits in the Basic Multilingual
 	// Plane — the precondition for the uint16-narrowed vector kernels,
@@ -151,7 +157,18 @@ func (ts TokenizedString) LengthHistogram() []int {
 		slices.Sort(h)
 		return h
 	}
-	return ts.lenHist
+	return ts.lenHist[:len(ts.Tokens):len(ts.Tokens)]
+}
+
+// Sigs returns each token's character signature, int(strdist.Sig) of
+// TokenRunes(i), aligned with Tokens: the values BuildCorpus computed once
+// per distinct token. It returns nil for strings that stored none (New's,
+// or assembled by hand). The caller must not mutate the returned slice.
+func (ts *TokenizedString) Sigs() []int {
+	if len(ts.lenHist) <= len(ts.Tokens) {
+		return nil
+	}
+	return ts.lenHist[len(ts.Tokens):]
 }
 
 // Tokenizer is a function mapping a raw string to its tokenized form.

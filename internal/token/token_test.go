@@ -3,7 +3,19 @@ package token
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
+
+// TestTokenizedStringSize pins the struct at three slice headers, an int
+// and a flag: every served string and every candidate list copies it, so
+// new per-string data rides in an existing arena (the stored signatures
+// share lenHist) rather than in a new field.
+func TestTokenizedStringSize(t *testing.T) {
+	want := 3*unsafe.Sizeof([]int(nil)) + 2*unsafe.Sizeof(0)
+	if got := unsafe.Sizeof(TokenizedString{}); got != want {
+		t.Fatalf("unsafe.Sizeof(TokenizedString{}) = %d, want %d", got, want)
+	}
+}
 
 func TestWhitespaceAndPunct(t *testing.T) {
 	cases := []struct {
