@@ -38,14 +38,15 @@ test-arm64:
 		CGO_ENABLED=0 GOOS=linux GOARCH=arm64 $(GO) test -exec /bin/true -count=1 ./... >/dev/null; \
 	fi
 
-# Bounded coverage-guided exploration of the distance-kernel and
-# WAL-record and snapshot decoder fuzz targets; their seed corpora also run in every
-# plain `go test`.
+# Bounded coverage-guided exploration of the distance-kernel fuzz targets
+# and of the WAL-record, WAL-replay and snapshot decoder ones; their seed
+# corpora also run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLevenshteinSIMDEquivalence -fuzztime 30s ./internal/strdist/simd/
 	$(GO) test -fuzz FuzzLevenshteinBoundedU16 -fuzztime 30s ./internal/strdist/
 	$(GO) test -fuzz FuzzSigLowerBound -fuzztime 30s ./internal/strdist/
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/corpus/
+	$(GO) test -fuzz FuzzReplayWAL -fuzztime 30s ./internal/corpus/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/corpus/
 
 race:
@@ -96,14 +97,14 @@ bench-corpus:
 	$(GO) test -run='^$$' -bench='CorpusAdd|SnapshotLoad|WALReplay' -benchtime=1x -benchmem ./internal/corpus/
 
 equivalence-guard:
-	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestOracleEquivalence TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence; do \
+	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
+	for pat in TestOracleEquivalence TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (naive-join oracle + bounded + prefix + segment-prefix + restart + simd + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + prefix order + stored signatures): ok"
+	echo "equivalence guard (naive-join oracle + bounded + prefix + segment-prefix + restart + simd + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + prefix order + stored signatures + shared-token cancellation): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

@@ -113,20 +113,21 @@ type lanePool struct {
 // cells trickle through lane pools row by row, and the row-sum pruning
 // ledger advances each time a row's cells are all in. Rows are staged
 // one at a time, so a pair that dies never occupies another lane — the
-// lane-refill property: pools only ever hold live work.
+// lane-refill property: pools only ever hold live work. The matrix is
+// the residues' (cancelShared): shared tokens never reach a lane.
 type stagedPair struct {
-	xRunes  [][]rune // probe token runes, aligned with its Tokens
-	yRunes  [][]rune // candidate token runes, aligned with its Tokens
+	xRunes  [][]rune // probe residue token runes, in token order
+	yRunes  [][]rune // candidate residue token runes, in token order
 	out     *BatchResult
-	m       int32 // probe token count
-	nc      int32 // candidate token count
+	m       int32 // probe residue token count
+	nc      int32 // candidate residue token count
 	row     int32 // current probe-token row
 	pending int32 // cells of the current row still in pools
 	cellOff int32 // this pair's m*nc cell block in the cells arena
 	budget  int32
 	rowSum  int32
 	curMin  int32 // running minimum of the current row's resolved cells
-	minTok  int32 // shortest candidate token (epsilon-row cost source)
+	minTok  int32 // shortest candidate residue token (epsilon-row cost source)
 	done    bool
 	inReady bool
 }
@@ -138,9 +139,10 @@ type stagedPair struct {
 // Because pools pack lanes from whatever live cells arrive — across
 // candidates and probes — dead candidates stop occupying lanes the row
 // they die, and lane fill stays near Width while pairs keep arriving
-// (few do when sigPrune rejects most candidates in stage: such a join
-// fires few, partly filled kernels). One stager serves one Verifier and
-// inherits its single-goroutine discipline.
+// (few do when sigPrune rejects most candidates in stage and cancelShared
+// leaves the survivors small residues: such a join fires few, partly
+// filled kernels). One stager serves one Verifier and inherits its
+// single-goroutine discipline.
 type BatchStager struct {
 	v     *Verifier
 	pools []*lanePool // direct-indexed by (la, lb, banded)
@@ -150,8 +152,11 @@ type BatchStager struct {
 	live  int
 	ctr   BatchCounters
 
-	// Cell arena, reused across epochs (reset when live returns to 0).
+	// Cell and residue-view arenas, reused across epochs (reset when live
+	// returns to 0): a staged pair's cells and its xRunes / yRunes when
+	// cancelShared copied them.
 	cells []uint16
+	resid [][]rune
 
 	// Per-threshold budget memo, keyed by la+lb (see batchBudgetCacheLen).
 	budgetT     float64
@@ -447,6 +452,7 @@ func (bs *BatchStager) retire(p *stagedPair) {
 	if bs.live == 0 && len(bs.ready) == 0 {
 		bs.pairs = bs.pairs[:0]
 		bs.cells = bs.cells[:0]
+		bs.resid = bs.resid[:0]
 	}
 }
 
@@ -475,13 +481,13 @@ func (bs *BatchStager) budgetFor(t float64, sum int) int {
 
 // stage registers probe x's candidates with the stager. Trivial and
 // kernel-ineligible candidates resolve immediately through the scalar
-// engine; of the rest, the signature pre-pass decides the dead ones and
-// the survivors start their first row. The caller's out backing array
-// must stay addressable until the next flush.
+// engine; of the rest, the signature pre-pass decides the dead ones,
+// cancelShared resolves those with an empty residue, and the survivors
+// start the first row of their residue matrix. The caller's out backing
+// array must stay addressable until the next flush.
 func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedString, t float64, out []BatchResult) {
 	v := bs.v
 	xRunes := x.RuneSlices()
-	m := len(xRunes)
 	lx := x.AggregateLen()
 	// The scalar route below may refill v.xsig, but with this same probe's
 	// signatures, so xs stays valid.
@@ -498,27 +504,29 @@ func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedStrin
 		// Budget-0 pairs reduce to token equality scans; the scalar
 		// engine's capped DP resolves those faster than lane staging.
 		// Kernel eligibility reads the construction-time caches: the
-		// BMP flag plus the ends of the sorted length histogram.
-		scalar := b == 0 || b > batchMaxBudget || !y.BMPOnly()
-		var minTok int32
-		if !scalar {
-			hist := y.LengthHistogram()
-			if hist[nc-1] > batchMaxTokenLen {
-				scalar = true
-			} else {
-				minTok = int32(hist[0])
-			}
-		}
-		if scalar {
+		// BMP flag plus the long end of the sorted length histogram.
+		if b == 0 || b > batchMaxBudget || !y.BMPOnly() || y.LengthHistogram()[nc-1] > batchMaxTokenLen {
 			sld, within, pruned := v.verify(x, *y, b)
 			out[c] = BatchResult{sld, within, pruned}
-			bs.ctr.ScalarCells += int64(m * nc)
+			bs.ctr.ScalarCells += int64(len(xRunes) * nc)
 			continue
 		}
 		if lower, dead := sigPrune(xRunes, yRunes, xs, sigsOf(&v.ysig, y), b); dead {
 			out[c] = BatchResult{lower, false, true}
 			bs.ctr.SigPruned++
 			continue
+		}
+		resid, xr, yr := cancelShared(bs.resid, &x, y)
+		if len(xr) == 0 || len(yr) == 0 {
+			sld, within, pruned := residueOnly(xr, yr, b)
+			out[c] = BatchResult{sld, within, pruned}
+			continue
+		}
+		bs.resid = resid
+		m, nc := len(xr), len(yr)
+		minTok := batchMaxTokenLen
+		for _, r := range yr {
+			minTok = min(minTok, len(r))
 		}
 		need := len(bs.cells) + m*nc
 		bs.cells = growSlice(bs.cells, need)
@@ -529,8 +537,8 @@ func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedStrin
 			bs.pairs = append(bs.pairs, stagedPair{})
 		}
 		p := &bs.pairs[pi]
-		p.xRunes = xRunes
-		p.yRunes = yRunes
+		p.xRunes = xr
+		p.yRunes = yr
 		p.out = &out[c]
 		p.m = int32(m)
 		p.nc = int32(nc)
@@ -540,7 +548,7 @@ func (bs *BatchStager) stage(x token.TokenizedString, ys []*token.TokenizedStrin
 		p.budget = int32(b)
 		p.rowSum = 0
 		p.curMin = 0
-		p.minTok = minTok
+		p.minTok = int32(minTok)
 		p.done = false
 		p.inReady = false
 		bs.live++

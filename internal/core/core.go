@@ -14,6 +14,29 @@
 //	NSLD(x^t, y^t) = 2*SLD / (L(x^t) + L(y^t) + SLD)
 //
 // NSLD is a metric (Theorem 2) in [0, 1] (Lemma 5).
+//
+// # Shared tokens cancel
+//
+// The bounded Verifier matches only what two strings do not share. Token
+// LD extended to ε (LD(t, ε) = |t|) is a metric, and so is its cap
+// min(LD, budget+1), since min(d, c) of a metric d is one. So if x_i = y_j,
+// any optimal assignment can be changed to pair x_i with y_j at cost 0
+// without getting worse: if it pairs x_i with y_a and x_b with y_j, the
+// swap costs d(x_b, y_a) <= d(x_b, y_j) + d(y_j, y_a) = d(x_b, y_j) +
+// d(x_i, y_a). Repeating the swap for each pair of equal tokens fixes the
+// whole multiset intersection at cost 0, and what is left is the padded
+// matrix of the two residues: it has the same number of ε rows and columns
+// as the full one (both sides lost the same number of tokens), so the
+// optimal SLD, capped or not, and with it every WithinNSLD verdict, are
+// unchanged. The greedy aligner keeps its answer too. Its only zero-cost
+// edges are equal-token pairs (tokens are non-empty and ε never meets ε
+// in one matrix), and it takes them first, in (row, col) order: each copy
+// of a token takes the first free equal copy on the other side, which is
+// exactly the intersection a merge of the sorted lists cancels, first
+// copies first. The residue keeps the relative order of rows, columns and
+// ε padding, so greedy then picks the same remaining edges in the same
+// order, for the same total. SLD and SLDGreedy below do not cancel; they
+// are the independent reference the Verifier is tested against.
 package core
 
 import (

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/assignment"
 	"repro/internal/strdist"
 	"repro/internal/token"
@@ -39,29 +41,42 @@ func MaxSLDWithin(t float64, la, lb int) int {
 // Sec. III-F decision NSLD <= T. Instead of computing the exact, unbounded
 // SLD for every surviving candidate, it derives an SLD budget from the
 // threshold (MaxSLDWithin) and rejects a pair the moment a lower bound
-// exceeds it, cheapest bound first: (1) the signature pre-pass (sigPrune)
-// bounds each row's minimum cell from one 64-bit character signature per
-// token, touching no DP cell (BuildCorpus computes those signatures once
-// per distinct token at build time, and sigsOf reads them); (2) matrix
-// construction runs each cell's banded Levenshtein capped at budget+1, row
-// by row, and aborts when the sum of per-row minima (a valid assignment
-// lower bound) exceeds the budget; (3) the alignment itself — Hungarian or greedy — terminates as
-// soon as its growing partial-matching cost proves the total will.
+// exceeds it, cheapest bound first:
 //
-// Step 1 is step 2's abort decided early, not a new filter: each of its
-// terms is at most the capped cell step 2 would compute, so a pair it
-// kills is one step 2 reports as pruned, and Within, Pruned and every
-// counter built on them are the same with and without it. Only the
-// lower-bound value reported for a pruned pair differs, and the scalar
-// engine and the BatchStager run the same function, so they agree on it.
+//  1. the signature pre-pass (sigPrune) bounds each row's minimum cell
+//     from one 64-bit character signature per token, touching no DP cell
+//     (BuildCorpus computes those signatures once per distinct token at
+//     build time, and sigsOf reads them);
+//  2. shared-token cancellation (cancelShared) removes the multiset
+//     intersection of the two sorted token lists, which an optimal — and
+//     the greedy — alignment pairs at cost 0 (see the package comment); a
+//     pair with an empty residue on either side resolves right here, its
+//     SLD the other residue's aggregate length;
+//  3. matrix construction runs each residue cell's banded Levenshtein
+//     capped at budget+1, row by row, and aborts when the sum of per-row
+//     minima (a valid assignment lower bound) exceeds the budget;
+//  4. the alignment itself — Hungarian or greedy — over the residue
+//     matrix terminates as soon as its growing partial-matching cost
+//     proves the total will.
+//
+// Step 1 is the row-minima abort decided early, not a new filter: each of
+// its terms is at most the capped cell step 3 would compute over the full
+// matrix, whose row-minima sum cancellation only raises (a residue row
+// loses columns, never gains one), so a pair it kills is one steps 2–3
+// report as pruned, and Within, Pruned and every counter built on them are
+// the same with and without it. Only the lower-bound value reported for a
+// pruned pair differs, and the scalar engine and the BatchStager run the
+// same functions, so they agree on it. Step 1 runs over the full token
+// lists, before step 2: it rejects almost every candidate, so merging
+// first would spend a merge on pairs the signatures alone decide.
 // Unbounded verification (max < 0) has no budget and skips it.
 //
-// All scratch (the flattened cost matrix, Levenshtein DP row, Hungarian
-// potentials and paths, greedy edge list) is owned by the Verifier and
-// reused across calls, so a long-lived per-worker Verifier performs zero
-// steady-state allocations. A Verifier is NOT safe for concurrent use;
-// give each worker its own (the batch and stream layers keep theirs in
-// sync.Pools; the zero value is ready to use).
+// All scratch (the flattened cost matrix, residue views, Levenshtein DP
+// row, Hungarian potentials and paths, greedy edge list) is owned by the
+// Verifier and reused across calls, so a long-lived per-worker Verifier
+// performs zero steady-state allocations. A Verifier is NOT safe for
+// concurrent use; give each worker its own (the batch and stream layers
+// keep theirs in sync.Pools; the zero value is ready to use).
 //
 // Exactness: for every pair, the bounded verdict equals the exact one
 // (accept iff SLD <= budget, or greedy-SLD <= budget under Greedy), and
@@ -88,6 +103,7 @@ type Verifier struct {
 	cost       []int    // flattened k x k cost matrix
 	levRow     []uint16 // Levenshtein DP row (token lengths fit uint16)
 	xsig, ysig []int    // signature scratch for sides that store none (sigsOf)
+	resid      [][]rune // residue rune views of the pair in verify (cancelShared)
 	scratch    assignment.Scratch
 	stager     *BatchStager // batched-verification engine, lazily allocated
 }
@@ -123,8 +139,9 @@ func (v *Verifier) SLDBounded(x, y token.TokenizedString, max int) (int, bool) {
 }
 
 // verify runs the budgeted pipeline: trivial sides, the signature
-// pre-pass, matrix construction with the row-minima abort, then the
-// budget-aware alignment. max < 0 means unbounded.
+// pre-pass, shared-token cancellation, matrix construction over the
+// residues with the row-minima abort, then the budget-aware alignment.
+// max < 0 means unbounded.
 func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within, pruned bool) {
 	if x.Count() == 0 {
 		d := y.AggregateLen()
@@ -140,7 +157,12 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 			return lower, false, true
 		}
 	}
-	k, lower, ok := v.buildCost(x, y, max)
+	var xr, yr [][]rune
+	v.resid, xr, yr = cancelShared(v.resid[:0], &x, &y)
+	if len(xr) == 0 || len(yr) == 0 {
+		return residueOnly(xr, yr, max)
+	}
+	k, lower, ok := v.buildCost(xr, yr, max)
 	if !ok {
 		return lower, false, true
 	}
@@ -152,6 +174,64 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 		total, ok, early = v.scratch.HungarianFlat(v.cost, k, max)
 	}
 	return total, ok, !ok && early
+}
+
+// cancelShared merges the sorted token lists of x and y and cancels their
+// multiset intersection, first copies first. It returns the residue rune
+// views, each in its side's token order, carved out of buf grown by at
+// most x.Count()+y.Count() views; when the sides share no token it returns
+// buf untouched and the strings' own slices, copying nothing. A merge only
+// ever cancels two equal tokens, so on a string that was not sorted it
+// would only leave a shared token uncancelled, never drop an unshared one.
+func cancelShared(buf [][]rune, x, y *token.TokenizedString) (grown, xr, yr [][]rune) {
+	xt, yt := x.Tokens, y.Tokens
+	m, n := len(xt), len(yt)
+	i, j := 0, 0
+	for i < m && j < n && xt[i] != yt[j] {
+		if xt[i] < yt[j] {
+			i++
+		} else {
+			j++
+		}
+	}
+	xs, ys := x.RuneSlices(), y.RuneSlices()
+	if i == m || j == n {
+		return buf, xs, ys
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, m+n)[:start+m+n]
+	xr = append(buf[start:start:start+m], xs[:i]...)
+	yr = append(buf[start+m:start+m], ys[:j]...)
+	for i, j = i+1, j+1; i < m && j < n; {
+		switch {
+		case xt[i] == yt[j]:
+			i++
+			j++
+		case xt[i] < yt[j]:
+			xr = append(xr, xs[i])
+			i++
+		default:
+			yr = append(yr, ys[j])
+			j++
+		}
+	}
+	return buf, append(xr, xs[i:]...), append(yr, ys[j:]...)
+}
+
+// residueOnly resolves a pair whose residue is empty on at least one side:
+// every remaining token of the other side aligns with ε, so the SLD is its
+// aggregate length. No alignment runs, so a pair over a budget max >= 0 is
+// reported pruned: every pair the pre-pass kills stays one the later steps
+// report pruned (see Verifier).
+func residueOnly(xr, yr [][]rune, max int) (sld int, within, pruned bool) {
+	for _, r := range xr {
+		sld += len(r)
+	}
+	for _, r := range yr {
+		sld += len(r)
+	}
+	within = max < 0 || sld <= max
+	return sld, within, !within
 }
 
 // sigsOf returns the character signature of each token of ts: the ones
@@ -183,11 +263,13 @@ func tokenSigs(buf []int, rs [][]rune) []int {
 // strdist.SigLowerBound <= LD, and the exact |token| for ε cells — and
 // reports the pair dead, with the partial sum, the moment that sum exceeds
 // the budget b. Its partial sums never exceed buildCost's (or the
-// stager's finishRow's) over the same rows, so dead here implies their
-// row-minima abort fires. xs and ys are the sides' signatures from sigsOf,
-// which for BuildCorpus strings were computed once per distinct token at
-// build time, not per pair; uint64(uint(s)) recovers a signature without sign extension, so a
-// platform whose int truncates them only weakens the bound.
+// stager's finishRow's) over the same rows of the full matrix, and
+// cancelling shared tokens only raises that row-minima sum, so dead here
+// implies the residues' pruned verdict. xs and ys are the sides'
+// signatures from sigsOf, which for BuildCorpus strings were computed once
+// per distinct token at build time, not per pair; uint64(uint(s))
+// recovers a signature without sign extension, so a platform whose int
+// truncates them only weakens the bound.
 func sigPrune(xr, yr [][]rune, xs, ys []int, b int) (lower int, dead bool) {
 	m, n := len(xr), len(yr)
 	cap1 := b + 1
@@ -215,12 +297,14 @@ func sigPrune(xr, yr [][]rune, xs, ys []int, b int) (lower int, dead bool) {
 }
 
 // buildCost fills the flattened padded cost matrix of Sec. III-F
-// (costMatrix) with budget-capped cells. While building it accumulates
-// the sum of per-row minima — each row must be matched to some column, so
-// the sum is a lower bound on any assignment — and aborts the moment that
-// bound exceeds the budget, returning ok = false and the bound.
-func (v *Verifier) buildCost(x, y token.TokenizedString, max int) (k, lower int, ok bool) {
-	m, n := x.Count(), y.Count()
+// (costMatrix) over the token rune views xr and yr — in verify, the
+// residues cancelShared leaves — with budget-capped cells. While building
+// it accumulates the sum of per-row minima — each row must be matched to
+// some column, so the sum is a lower bound on any assignment — and aborts
+// the moment that bound exceeds the budget, returning ok = false and the
+// bound.
+func (v *Verifier) buildCost(xr, yr [][]rune, max int) (k, lower int, ok bool) {
+	m, n := len(xr), len(yr)
 	k = m
 	if n > k {
 		k = n
@@ -238,11 +322,11 @@ func (v *Verifier) buildCost(x, y token.TokenizedString, max int) (k, lower int,
 			var c int
 			switch {
 			case i < m && j < n:
-				c = v.tokenLD(x.TokenRunes(i), y.TokenRunes(j), max)
+				c = v.tokenLD(xr[i], yr[j], max)
 			case i < m:
-				c = len(x.TokenRunes(i)) // delete whole token into ε
+				c = len(xr[i]) // delete whole token into ε
 			case j < n:
-				c = len(y.TokenRunes(j)) // grow ε into the token
+				c = len(yr[j]) // grow ε into the token
 			default:
 				c = 0 // ε matched to ε
 			}

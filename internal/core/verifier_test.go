@@ -198,7 +198,7 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 						t.Fatalf("t=%.2f %v | %v: pre-pass dead at %d with budget %d, exact SLD %d",
 							th, x.Tokens, y.Tokens, lower, b, exact)
 					}
-					if _, _, ok := sv.buildCost(x, *y, b); ok {
+					if _, _, ok := sv.buildCost(xr, yr, b); ok {
 						t.Fatalf("t=%.2f %v | %v: pre-pass dead at %d but buildCost's row minima stay within %d",
 							th, x.Tokens, y.Tokens, lower, b)
 					}

@@ -310,7 +310,18 @@ func replayWAL(fs iofault.FS, path string, apply func(walRecord) error) (offset 
 	}
 	defer f.Close()
 
-	r := bufio.NewReaderSize(f, 1<<20)
+	// Measure the log once: no frame header may size an allocation beyond
+	// the bytes the file still holds. A torn tail announcing up to
+	// maxWALPayload would otherwise cost that much before ReadFull found
+	// the file short. The read buffer is bounded the same way.
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, 0, false, err
+	}
+	r := bufio.NewReaderSize(f, int(min(size, 1<<20)))
 	head := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
 		// Shorter than the header: a crash while creating the fresh log,
@@ -337,8 +348,8 @@ func replayWAL(fs iofault.FS, path string, apply func(walRecord) error) (offset 
 		}
 		n := binary.LittleEndian.Uint32(frame[:4])
 		want := binary.LittleEndian.Uint32(frame[4:])
-		if n > maxWALPayload {
-			return offset, records, false, nil
+		if n > maxWALPayload || int64(n) > size-offset-8 {
+			return offset, records, false, nil // torn: the frame runs past the end
 		}
 		if uint32(cap(payload)) < n {
 			payload = make([]byte, n)

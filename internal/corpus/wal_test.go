@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"repro/internal/iofault"
 	"repro/internal/namegen"
 	"repro/internal/token"
 )
@@ -259,6 +262,98 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !bytes.Equal(again, payload) {
 			t.Fatalf("accepted %x, which re-encodes as %x", payload, again)
+		}
+	})
+}
+
+// FuzzReplayWAL: the fuzzed input is a whole log file. Replay never
+// panics, never reports an offset past the end of the file, never
+// allocates beyond a constant factor of the bytes the file holds — a frame
+// header announcing more than remains is a torn frame, not an allocation
+// request — and the prefix it accepts, re-framed through walWriter, is
+// byte for byte the file up to that offset. The last seed is 20 bytes
+// whose one frame header announces 64 MiB−1: replay once allocated the
+// whole announcement before finding the file short.
+func FuzzReplayWAL(f *testing.F) {
+	dir := f.TempDir()
+	c, err := Open(dir, Options{DisableSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{"Barak Obama", "Obamma, Boraak H.", "bo bo", "Zoë Ángel"} {
+		if _, err := c.Add(s); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := c.Delete(1); err != nil {
+		f.Fatal(err)
+	}
+	c.Close()
+	log, err := os.ReadFile(walPath(dir, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3])                                                           // torn tail
+	f.Add(append(log[:len(log)-2:len(log)-2], log[len(log)-2]^0xff, log[len(log)-1])) // bad CRC
+	huge := binary.LittleEndian.AppendUint32([]byte(walMagic), maxWALPayload-1)
+	f.Add(append(huge, 0, 0, 0, 0, 'a', 'b', 'c', 'd'))
+
+	scratch := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(scratch, "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var recs []walRecord
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		offset, records, clean, err := replayWAL(iofault.OS, path, func(r walRecord) error {
+			recs = append(recs, r)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(data)+64<<10); grew > limit {
+			t.Fatalf("replaying %d bytes allocated %d, want at most %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		if offset > int64(len(data)) || records != int64(len(recs)) || clean && offset > 0 && offset != int64(len(data)) {
+			t.Fatalf("%d-byte log: offset %d, %d records (%d applied), clean %v", len(data), offset, records, len(recs), clean)
+		}
+		if offset == 0 {
+			if records != 0 {
+				t.Fatalf("%d records applied before the header", records)
+			}
+			return
+		}
+		again := filepath.Join(scratch, "again.wal")
+		os.Remove(again)
+		w, err := newWALWriter(iofault.OS, again, 0, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		for _, r := range recs {
+			if r.op == opAdd {
+				buf = encodeAdd(buf, token.TokenizedString{Tokens: r.tokens})
+			} else {
+				buf = encodeDelete(buf, r.sid)
+			}
+			if err := w.append(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[:offset]) {
+			t.Fatalf("accepted prefix %x re-frames as %x", data[:offset], got)
 		}
 	})
 }
