@@ -38,9 +38,10 @@ test-arm64:
 		CGO_ENABLED=0 GOOS=linux GOARCH=arm64 $(GO) test -exec /bin/true -count=1 ./... >/dev/null; \
 	fi
 
-# Bounded coverage-guided exploration of the distance-kernel fuzz targets
-# and of the WAL-record, WAL-replay and snapshot decoder ones; their seed
-# corpora also run in every plain `go test`.
+# Bounded coverage-guided exploration of the distance-kernel fuzz targets,
+# of the WAL-record, WAL-replay and snapshot decoder ones, and of the
+# standby-apply and worker-probe handlers; their seed corpora also run in
+# every plain `go test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLevenshteinSIMDEquivalence -fuzztime 30s ./internal/strdist/simd/
 	$(GO) test -fuzz FuzzLevenshteinBoundedU16 -fuzztime 30s ./internal/strdist/
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReplayWAL -fuzztime 30s ./internal/corpus/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/corpus/
 	$(GO) test -fuzz FuzzServeApply -fuzztime 30s ./internal/replica/
+	$(GO) test -fuzz FuzzServeProbe -fuzztime 30s ./internal/distrib/
 
 race:
 	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/...
@@ -99,13 +101,13 @@ bench-corpus:
 
 equivalence-guard:
 	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestOracleEquivalence TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestSIMDEquivalenceAllBatched TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence; do \
+	for pat in TestOracleEquivalence TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (naive-join oracle + bounded + prefix + segment-prefix + restart + simd + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + prefix order + stored signatures + shared-token cancellation): ok"
+	echo "equivalence guard (naive-join oracle + pair orientation + bounded + prefix + segment-prefix + restart + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + prefix order + stored signatures + shared-token cancellation): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

@@ -73,67 +73,6 @@ func BenchmarkVerifyBounded(b *testing.B) {
 	}
 }
 
-// benchVerifyGroups reshapes the surviving-candidate pairs into the form
-// the batched verify path consumes: one probe string against all of its
-// surviving partners — exactly what a grouping-on-one-string reducer or
-// a stream arrival stages.
-type benchGroup struct {
-	x  token.TokenizedString
-	ys []*token.TokenizedString
-}
-
-func benchVerifyGroups(n int, t float64) []benchGroup {
-	c, pairs := benchVerifyPairs(n, t)
-	byProbe := make(map[token.StringID][]*token.TokenizedString)
-	for _, p := range pairs {
-		byProbe[p[0]] = append(byProbe[p[0]], &c.Strings[p[1]])
-	}
-	groups := make([]benchGroup, 0, len(byProbe))
-	for i := 0; i < c.NumStrings(); i++ { // deterministic order
-		if ys := byProbe[token.StringID(i)]; len(ys) > 0 {
-			groups = append(groups, benchGroup{x: c.Strings[i], ys: ys})
-		}
-	}
-	return groups
-}
-
-// BenchmarkVerifyBatch drives the batched verification engine over the
-// probe-grouped surviving-candidate workload, vector kernel on (simd)
-// and off (scalar). The two sub-benchmarks verify identical pair
-// populations, so their ns/pair metric is directly comparable — the
-// kernel's speedup is scalar ns/pair over simd ns/pair. On non-AVX2
-// hardware (or -tags nosimd) the simd variant degenerates to scalar.
-func BenchmarkVerifyBatch(b *testing.B) {
-	for _, th := range []float64{0.1, 0.3} {
-		groups := benchVerifyGroups(300, th)
-		maxLen := 0
-		total := 0
-		for _, g := range groups {
-			total += len(g.ys)
-			if len(g.ys) > maxLen {
-				maxLen = len(g.ys)
-			}
-		}
-		for _, mode := range []string{"simd", "scalar"} {
-			b.Run(fmt.Sprintf("t=%.1f/%s", th, mode), func(b *testing.B) {
-				var v core.Verifier
-				v.DisableBatch = mode == "scalar"
-				out := make([]core.BatchResult, maxLen)
-				b.ReportAllocs()
-				b.ResetTimer()
-				pairs := 0
-				for i := 0; i < b.N; i++ {
-					g := groups[i%len(groups)]
-					v.StageBatch(g.x, g.ys, th, out[:len(g.ys)])
-					v.FlushBatch(nil)
-					pairs += len(g.ys)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
-			})
-		}
-	}
-}
-
 // BenchmarkSLD is the exact setwise distance on a fixed pair (allocating
 // cost matrix + Hungarian per call).
 func BenchmarkSLD(b *testing.B) {

@@ -41,7 +41,6 @@ func run() error {
 	shards := flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
 	greedy := flag.Bool("greedy", false, "greedy-token-aligning verification")
 	exactTokens := flag.Bool("exact-tokens", false, "exact-token matching only")
-	noSIMD := flag.Bool("nosimd", false, "disable the vectorized batched verification path")
 	dataDir := flag.String("data", "", "persistence directory (empty = in-memory only)")
 	syncEvery := flag.Int("sync-every", 1, "fsync the WAL every N records (1 = every add durable on return)")
 	snapshotEvery := flag.Duration("snapshot-every", 0, "checkpoint the corpus on this interval (0 = manual /snapshot only)")
@@ -87,7 +86,6 @@ func run() error {
 				MaxTokenFreq:    *maxFreq,
 				Greedy:          *greedy,
 				ExactTokensOnly: *exactTokens,
-				DisableSIMD:     *noSIMD,
 			},
 			Shards: *shards,
 		},

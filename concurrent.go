@@ -66,7 +66,6 @@ func streamOptions(opts MatcherOptions) stream.Options {
 		Greedy:                     opts.Greedy,
 		ExactTokensOnly:            opts.ExactTokensOnly,
 		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisableSIMD:                opts.DisableSIMD,
 		DisablePrefixFilter:        opts.DisablePrefixFilter,
 		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
 		Tokenizer:                  opts.Tokenizer,

@@ -13,8 +13,7 @@ import (
 // cancelPool draws 3-5 tokens for one round of
 // TestSharedTokenCancelEquivalence: mostly short words over "abc", so
 // tokens are near one another, plus now and then one with an astral rune
-// or one longer than 64 runes, which the batch path sends to the scalar
-// engine.
+// or one longer than 64 runes.
 func cancelPool(rng *rand.Rand) []string {
 	pool := make([]string, 3+rng.Intn(3))
 	for i := range pool {
@@ -32,6 +31,12 @@ func cancelPool(rng *rand.Rand) []string {
 		}
 	}
 	return pool
+}
+
+// verdict is one pair's (SLD, Within, Pruned) triple from Verify.
+type verdict struct {
+	sld            int
+	within, pruned bool
 }
 
 // overlap reports whether x and y share a token, and whether cancelling
@@ -62,11 +67,9 @@ func overlap(x, y token.TokenizedString) (shared, emptyResidue bool) {
 //     the full matrix, and every bounded SLDBounded around it agrees;
 //   - over a dense T grid, Within and an accepted SLD equal the nsldtest
 //     oracle's;
-//   - StageBatch + FlushBatch and the per-pair engine (DisableBatch)
-//     return the same BatchResult, pruned pairs and empty residues
-//     included;
 //   - BuildCorpus strings (stored signatures) and token.New strings give
-//     the same BatchResults.
+//     the same (SLD, Within, Pruned) triples, pruned pairs and empty
+//     residues included.
 func TestSharedTokenCancelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3030))
 	var grid []float64
@@ -74,7 +77,6 @@ func TestSharedTokenCancelEquivalence(t *testing.T) {
 		grid = append(grid, float64(i)/40)
 	}
 	var empty, partial, nothing int
-	var ctr core.BatchCounters
 	for iter := 0; iter < 120; iter++ {
 		pool := cancelPool(rng)
 		news := make([]token.TokenizedString, 1+rng.Intn(10))
@@ -101,15 +103,14 @@ func TestSharedTokenCancelEquivalence(t *testing.T) {
 			if greedy {
 				ref = core.SLDGreedy
 			}
-			var first [][]core.BatchResult // per threshold, from the New strings
+			var first [][]verdict // per threshold, from the New strings
 			for side, strs := range [][]token.TokenizedString{news, built} {
 				x := strs[0]
 				ys := make([]*token.TokenizedString, len(strs))
 				for c := range strs {
 					ys[c] = &strs[c]
 				}
-				sv := core.Verifier{Greedy: greedy, DisableBatch: true}
-				gv := core.Verifier{Greedy: greedy}
+				sv := core.Verifier{Greedy: greedy}
 				for _, y := range ys {
 					want := ref(x, *y)
 					if got, ok := sv.SLDBounded(x, *y, -1); !ok || got != want {
@@ -127,41 +128,29 @@ func TestSharedTokenCancelEquivalence(t *testing.T) {
 					for _, h := range nsldtest.Matches(x, strs, th, greedy) {
 						hits[h.ID] = h.SLD
 					}
-					scalar := make([]core.BatchResult, len(ys))
+					got := make([]verdict, len(ys))
 					for c, y := range ys {
 						sld, within, pruned := sv.Verify(x, *y, th)
-						scalar[c] = core.BatchResult{SLD: sld, Within: within, Pruned: pruned}
-					}
-					staged := make([]core.BatchResult, len(ys))
-					gv.StageBatch(x, ys, th, staged)
-					gv.FlushBatch(&ctr)
-					for c, y := range ys {
-						sld, in := hits[c]
-						if r := scalar[c]; r.Within != in || in && r.SLD != sld {
-							t.Fatalf("t=%.3f greedy=%v %v | %v: %+v, oracle within %v at SLD %d", th, greedy, x.Tokens, y.Tokens, r, in, sld)
-						}
-						if staged[c] != scalar[c] {
-							t.Fatalf("t=%.3f greedy=%v %v | %v: staged %+v, scalar %+v", th, greedy, x.Tokens, y.Tokens, staged[c], scalar[c])
+						got[c] = verdict{sld, within, pruned}
+						if want, in := hits[c]; within != in || in && sld != want {
+							t.Fatalf("t=%.3f greedy=%v %v | %v: %+v, oracle within %v at SLD %d", th, greedy, x.Tokens, y.Tokens, got[c], in, want)
 						}
 					}
 					if side == 0 {
-						first = append(first, scalar)
+						first = append(first, got)
 						continue
 					}
 					for c := range ys {
-						if scalar[c] != first[ti][c] {
-							t.Fatalf("t=%.3f greedy=%v %v | %v: BuildCorpus string %+v, token.New string %+v", th, greedy, x.Tokens, ys[c].Tokens, scalar[c], first[ti][c])
+						if got[c] != first[ti][c] {
+							t.Fatalf("t=%.3f greedy=%v %v | %v: BuildCorpus string %+v, token.New string %+v", th, greedy, x.Tokens, ys[c].Tokens, got[c], first[ti][c])
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d pairs with an empty residue, %d sharing a token with both residues left, %d sharing none; %d kernels", empty, partial, nothing, ctr.Kernels)
+	t.Logf("%d pairs with an empty residue, %d sharing a token with both residues left, %d sharing none", empty, partial, nothing)
 	if empty < 100 || partial < 100 || nothing < 20 {
 		t.Fatalf("input exercises too few shapes: %d empty residues, %d partial, %d disjoint", empty, partial, nothing)
-	}
-	if core.BatchKernelAvailable() && ctr.Kernels == 0 {
-		t.Fatal("kernel live but no staged residue reached a lane")
 	}
 }

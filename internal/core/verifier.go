@@ -65,18 +65,21 @@ func MaxSLDWithin(t float64, la, lb int) int {
 // loses columns, never gains one), so a pair it kills is one steps 2–3
 // report as pruned, and Within, Pruned and every counter built on them are
 // the same with and without it. Only the lower-bound value reported for a
-// pruned pair differs, and the scalar engine and the BatchStager run the
-// same functions, so they agree on it. Step 1 runs over the full token
-// lists, before step 2: it rejects almost every candidate, so merging
-// first would spend a merge on pairs the signatures alone decide.
-// Unbounded verification (max < 0) has no budget and skips it.
+// pruned pair differs. Step 1 runs over the full token lists, before
+// step 2: it rejects almost every candidate, so merging first would spend
+// a merge on pairs the signatures alone decide. Unbounded verification
+// (max < 0) has no budget and skips it.
+//
+// Each pair is verified on its own, where its engine admits it: after
+// step 2 a surviving pair leaves one to three residue rows, too little
+// work to be worth batching across pairs.
 //
 // All scratch (the flattened cost matrix, residue views, Levenshtein DP
 // row, Hungarian potentials and paths, greedy edge list) is owned by the
 // Verifier and reused across calls, so a long-lived per-worker Verifier
 // performs zero steady-state allocations. A Verifier is NOT safe for
-// concurrent use; give each worker its own (the batch and stream layers
-// keep theirs in sync.Pools; the zero value is ready to use).
+// concurrent use; give each worker its own (the batch join keeps an idle
+// list of them, the stream a sync.Pool; the zero value is ready to use).
 //
 // Exactness: for every pair, the bounded verdict equals the exact one
 // (accept iff SLD <= budget, or greedy-SLD <= budget under Greedy), and
@@ -88,24 +91,22 @@ type Verifier struct {
 	// Greedy switches the alignment to the greedy-token-aligning
 	// approximation (Sec. III-G.5) instead of the exact Hungarian.
 	Greedy bool
-	// DisableBatch forces StageBatch onto the per-pair scalar path even
-	// when the vector kernel is available; the verdicts are identical
-	// either way (see StageBatch).
-	DisableBatch bool
-	// Unbounded makes Verify and StageBatch run the
-	// unbudgeted reference, SLD (or SLDGreedy under Greedy) followed by
-	// WithinNSLD, pair by pair: no pair is ever Pruned and the batch
-	// kernel, which is budget-capped by construction, is never used. The
-	// verdicts equal the bounded engine's; this is the reference side of
-	// the bounded-verification equivalence tests.
+	// Unbounded makes Verify run the unbudgeted reference, SLD (or
+	// SLDGreedy under Greedy) followed by WithinNSLD: no pair is ever
+	// Pruned. The verdicts equal the bounded engine's; this is the
+	// reference side of the bounded-verification equivalence tests.
 	Unbounded bool
+	// SigPruned counts the pairs the signature pre-pass (step 1) decided,
+	// a subset of the pruned verdicts. The owning engine folds it into its
+	// stats and resets it.
+	SigPruned int64
 
 	cost       []int    // flattened k x k cost matrix
 	levRow     []uint16 // Levenshtein DP row (token lengths fit uint16)
 	xsig, ysig []int    // signature scratch for sides that store none (sigsOf)
 	resid      [][]rune // residue rune views of the pair in verify (cancelShared)
 	scratch    assignment.Scratch
-	stager     *BatchStager // batched-verification engine, lazily allocated
+	staged     int64 // pairs StageBatch decided since the last FlushBatch
 }
 
 // Verify decides NSLD(x, y) <= t with the threshold-derived budget.
@@ -154,6 +155,7 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 	if max >= 0 {
 		xs, ys := sigsOf(&v.xsig, &x), sigsOf(&v.ysig, &y)
 		if lower, dead := sigPrune(x.RuneSlices(), y.RuneSlices(), xs, ys, max); dead {
+			v.SigPruned++
 			return lower, false, true
 		}
 	}
@@ -257,19 +259,18 @@ func tokenSigs(buf []int, rs [][]rune) []int {
 	return buf
 }
 
-// sigPrune is the signature pre-pass both engines run before they touch a
-// DP cell. It walks the rows of the padded k x k matrix in buildCost's
+// sigPrune is the signature pre-pass verify runs before it touches a DP
+// cell. It walks the rows of the padded k x k matrix in buildCost's
 // order, sums a lower bound on each row's minimum capped cell — per cell
 // strdist.SigLowerBound <= LD, and the exact |token| for ε cells — and
 // reports the pair dead, with the partial sum, the moment that sum exceeds
-// the budget b. Its partial sums never exceed buildCost's (or the
-// stager's finishRow's) over the same rows of the full matrix, and
-// cancelling shared tokens only raises that row-minima sum, so dead here
-// implies the residues' pruned verdict. xs and ys are the sides'
-// signatures from sigsOf, which for BuildCorpus strings were computed once
-// per distinct token at build time, not per pair; uint64(uint(s))
-// recovers a signature without sign extension, so a platform whose int
-// truncates them only weakens the bound.
+// the budget b. Its partial sums never exceed buildCost's over the same
+// rows of the full matrix, and cancelling shared tokens only raises that
+// row-minima sum, so dead here implies the residues' pruned verdict. xs
+// and ys are the sides' signatures from sigsOf, which for BuildCorpus
+// strings were computed once per distinct token at build time, not per
+// pair; uint64(uint(s)) recovers a signature without sign extension, so a
+// platform whose int truncates them only weakens the bound.
 func sigPrune(xr, yr [][]rune, xs, ys []int, b int) (lower int, dead bool) {
 	m, n := len(xr), len(yr)
 	cap1 := b + 1

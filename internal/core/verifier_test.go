@@ -61,6 +61,57 @@ func TestBoundedEquivalenceVerify(t *testing.T) {
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
 	}
+	// Spiced strings: tokens over 64 runes, astral and multi-byte BMP
+	// runes, empty sides, and thresholds of 1 and past 2, where the budget
+	// stops binding.
+	rng := rand.New(rand.NewSource(1234))
+	for iter := 0; iter < 3000; iter++ {
+		a, b := spicedTS(rng), spicedTS(rng)
+		for _, th := range []float64{0, 0.1, 0.3, 1, 2.5} {
+			for _, v := range []*Verifier{&exactV, &greedyV} {
+				want := SLD(a, b)
+				if v.Greedy {
+					want = SLDGreedy(a, b)
+				}
+				wantIn := WithinNSLD(want, a.AggregateLen(), b.AggregateLen(), th)
+				if sld, within, _ := v.Verify(a, b, th); within != wantIn || within && sld != want {
+					t.Fatalf("greedy=%v t=%v %q | %q: Verify (%d, %v), reference SLD %d within %v",
+						v.Greedy, th, a.Tokens, b.Tokens, sld, within, want, wantIn)
+				}
+			}
+		}
+	}
+}
+
+// spicedTS draws a collision-heavy token multiset like genTS, plus now and
+// then a token longer than 64 runes, one with an astral rune or one with
+// multi-byte BMP runes.
+func spicedTS(rng *rand.Rand) token.TokenizedString {
+	n := rng.Intn(6)
+	toks := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(12) == 0 {
+			switch rng.Intn(3) {
+			case 0:
+				long := make([]rune, 65+rng.Intn(8))
+				for j := range long {
+					long[j] = rune('a' + rng.Intn(4))
+				}
+				toks = append(toks, string(long))
+			case 1:
+				toks = append(toks, "ab\U0001F600cd")
+			default:
+				toks = append(toks, "zürich✓")
+			}
+			continue
+		}
+		b := make([]rune, 1+rng.Intn(7))
+		for j := range b {
+			b[j] = rune('a' + rng.Intn(4))
+		}
+		toks = append(toks, string(b))
+	}
+	return token.New(toks)
 }
 
 // TestMaxSLDWithinBoundary: the budget is exactly the WithinNSLD
@@ -90,26 +141,6 @@ func TestMaxSLDWithinBoundary(t *testing.T) {
 	}
 }
 
-// TestBudgetMemoMatchesMaxSLDWithin: the stager's per-threshold budget
-// memo answers MaxSLDWithin for every length sum, in and beyond the memo,
-// while the threshold switches back and forth between lookups — a switch
-// must drop the old threshold's entries, not serve them.
-func TestBudgetMemoMatchesMaxSLDWithin(t *testing.T) {
-	var v Verifier
-	bs := v.stagerInit()
-	rng := rand.New(rand.NewSource(5))
-	ths := []float64{0.1, 0.3, 0.1, 1.0 / 3, 0.999, 0, 0.3}
-	for round := 0; round < 40; round++ {
-		th := ths[round%len(ths)]
-		for k := 0; k < 200; k++ {
-			la, lb := rng.Intn(batchBudgetCacheLen), rng.Intn(batchBudgetCacheLen/4)
-			if got, want := bs.budgetFor(th, la+lb), MaxSLDWithin(th, la, lb); got != want {
-				t.Fatalf("round %d t=%v la=%d lb=%d: memo %d, MaxSLDWithin %d", round, th, la, lb, got, want)
-			}
-		}
-	}
-}
-
 // sigBoundTS draws 0-12 tokens, with replacement, from a pool of a dozen
 // short words over a five-letter alphabet: duplicate tokens within a string
 // and shared tokens across strings are the norm, and two characters share a
@@ -127,9 +158,9 @@ func sigBoundTS(rng *rand.Rand, pool []string) token.TokenizedString {
 // (a) a pair the pre-pass kills is one buildCost's row-minima abort kills
 // on its own, so Pruned cannot move; (b) a pair whose exact SLD — or greedy
 // SLD — is within the budget is never killed, and Verify's verdict equals
-// the unbounded reference's; (c) Verify and StageBatch + FlushBatch
-// return the same (SLD, Within, Pruned) triple for every pair,
-// pruned ones included, under both aligners.
+// the unbounded reference's; (c) Verify returns the pre-pass's lower bound
+// for a pair it kills and counts exactly those pairs in SigPruned, under
+// both aligners.
 func TestBoundedEquivalenceSigBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2323))
 	const alpha = "abcdA"
@@ -142,7 +173,7 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 		pool[i] = string(b)
 	}
 	var dead, alive int
-	var ctr BatchCounters
+	var sigPruned int64
 	for iter := 0; iter < 300; iter++ {
 		x := sigBoundTS(rng, pool)
 		ys := make([]*token.TokenizedString, 1+rng.Intn(10))
@@ -159,20 +190,10 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 		}
 		for _, th := range []float64{0.05, 0.1, 0.3, 0.6} {
 			for _, greedy := range []bool{false, true} {
-				var sv, gv Verifier // scalar, staged
-				sv.Greedy, gv.Greedy = greedy, greedy
-				staged := make([]BatchResult, len(ys))
-				gv.StageBatch(x, ys, th, staged)
-				gv.StageBatch(x, ys[:1], th, make([]BatchResult, 1)) // a second probe in the same pools
-				gv.FlushBatch(&ctr)
-				for c, y := range ys {
+				sv := Verifier{Greedy: greedy}
+				for _, y := range ys {
 					b := MaxSLDWithin(th, x.AggregateLen(), y.AggregateLen())
 					sld, within, pruned := sv.Verify(x, *y, th)
-					want := BatchResult{sld, within, pruned}
-					if staged[c] != want {
-						t.Fatalf("t=%.2f greedy=%v %v | %v: Verify %+v, staged %+v",
-							th, greedy, x.Tokens, y.Tokens, want, staged[c])
-					}
 					exact := SLD(x, *y)
 					ref := exact
 					if greedy {
@@ -200,18 +221,73 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 						t.Fatalf("t=%.2f %v | %v: pre-pass dead at %d but buildCost's row minima stay within %d",
 							th, x.Tokens, y.Tokens, lower, b)
 					}
-					if want != (BatchResult{lower, false, true}) {
-						t.Fatalf("t=%.2f %v | %v: pre-pass dead at %d but Verify returned %+v",
-							th, x.Tokens, y.Tokens, lower, want)
+					if sld != lower || within || !pruned {
+						t.Fatalf("t=%.2f %v | %v: pre-pass dead at %d but Verify returned (%d, %v, %v)",
+							th, x.Tokens, y.Tokens, lower, sld, within, pruned)
 					}
 				}
+				sigPruned += sv.SigPruned
 			}
 		}
 	}
 	if dead < 1000 || alive < 1000 {
 		t.Fatalf("pre-pass killed %d pairs and passed %d: the input exercises one side only", dead, alive)
 	}
-	if BatchKernelAvailable() && (ctr.SigPruned == 0 || ctr.Kernels == 0) {
-		t.Fatalf("kernel live but the stager counted %d pre-pass kills and fired %d kernels", ctr.SigPruned, ctr.Kernels)
+	if sigPruned != int64(dead) {
+		t.Fatalf("Verify counted %d pre-pass kills, the pre-pass decided %d", sigPruned, dead)
+	}
+}
+
+// TestStoredSigEquivalence: the signature pre-pass reads the signatures
+// BuildCorpus stored where a string has them and computes them where it
+// has none, and the two are the same pass. The same pairs verify as
+// corpus strings (stored), as token.New strings (computed) and mixed
+// (stored probe, computed candidates): every verdict — the lower bound
+// reported for a pruned pair included — and the SigPruned count equal the
+// stored side's.
+func TestStoredSigEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	computed := make([]token.TokenizedString, 300)
+	for i := range computed {
+		computed[i] = spicedTS(rng)
+	}
+	stored := token.BuildCorpusFromTokenized(computed).Strings
+	for i := range stored {
+		if len(stored[i].Sigs()) != stored[i].Count() || computed[i].Sigs() != nil {
+			t.Fatalf("string %d: %d stored signatures for %d tokens, New stored %d",
+				i, len(stored[i].Sigs()), stored[i].Count(), len(computed[i].Sigs()))
+		}
+	}
+	sides := [3]struct{ xs, ys []token.TokenizedString }{
+		{stored, stored}, {computed, computed}, {stored, computed},
+	}
+	type verdict struct {
+		sld            int
+		within, pruned bool
+	}
+	for _, th := range []float64{0.1, 0.3, 0.5} {
+		var vs [3]Verifier
+		for p := range computed {
+			for _, i := range rng.Perm(len(computed))[:1+rng.Intn(20)] {
+				var want verdict
+				for s, side := range sides {
+					sld, within, pruned := vs[s].Verify(side.xs[p], side.ys[i], th)
+					if got := (verdict{sld, within, pruned}); s == 0 {
+						want = got
+					} else if got != want {
+						t.Fatalf("t=%.1f side %d %q | %q: %+v, stored signatures %+v",
+							th, s, computed[p].Tokens, computed[i].Tokens, got, want)
+					}
+				}
+			}
+		}
+		for s := range sides {
+			if vs[s].SigPruned != vs[0].SigPruned {
+				t.Fatalf("t=%.1f side %d: SigPruned %d, stored signatures %d", th, s, vs[s].SigPruned, vs[0].SigPruned)
+			}
+		}
+		if vs[0].SigPruned == 0 {
+			t.Fatalf("t=%.1f: the pre-pass decided no pair", th)
+		}
 	}
 }

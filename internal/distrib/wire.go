@@ -25,7 +25,6 @@ package distrib
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -167,48 +166,25 @@ type WorkerStats struct {
 	SegKeysProbed    int64 `json:"seg_keys_probed"`
 	SegTokensChecked int64 `json:"seg_tokens_checked"`
 	SegTokensSimilar int64 `json:"seg_tokens_similar"`
-	// Batched-verification funnel: pairs through the vector path, kernel
-	// invocations, occupied lanes, pairs the signature pre-pass rejected
-	// before any cell, scalar-fallback cells.
-	BatchedPairs     int64 `json:"batched_pairs"`
-	SIMDKernels      int64 `json:"simd_kernels"`
-	SIMDLanes        int64 `json:"simd_lanes"`
-	SigPruned        int64 `json:"sig_pruned"`
-	BatchScalarCells int64 `json:"batch_scalar_cells"`
-	// SIMDWidth is this node's kernel lane width (16 on AVX2, 8 on NEON,
-	// 0 without a live kernel); LaneFillPct is the mean occupied-lane
-	// percentage SIMDLanes/(SIMDKernels*SIMDWidth)*100 — the batching
-	// efficiency the cross-probe staging layer exists to maximize. Both
-	// are derived at snapshot time, never folded.
-	SIMDWidth   int     `json:"simd_width"`
-	LaneFillPct float64 `json:"lane_fill_pct"`
+	// SigPruned counts verifications the signature pre-pass rejected
+	// before any DP cell.
+	SigPruned int64 `json:"sig_pruned"`
 	// Wall times in milliseconds so dashboards need no duration parsing.
 	CandGenWallMs  float64 `json:"cand_gen_wall_ms"`
 	VerifyWallMs   float64 `json:"verify_wall_ms"`
 	TokensPerShard []int   `json:"tokens_per_shard"`
 }
 
-// FromShardedStats converts a matcher snapshot to the wire form,
-// deriving the lane-fill efficiency of the batched verify path.
+// FromShardedStats converts a matcher snapshot to the wire form.
 func FromShardedStats(st stream.ShardedStats) WorkerStats {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	width := 0
-	if core.BatchKernelAvailable() {
-		width = core.BatchKernelWidth()
-	}
-	fill := 0.0
-	if st.SIMDKernels > 0 && width > 0 {
-		fill = 100 * float64(st.SIMDLanes) / (float64(st.SIMDKernels) * float64(width))
-	}
 	return WorkerStats{
-		SIMDWidth: width, LaneFillPct: fill,
 		Strings: st.Strings, Shards: st.Shards,
 		Adds: st.Adds, Queries: st.Queries, Verified: st.Verified,
 		BudgetPruned: st.BudgetPruned, PrefixPruned: st.PrefixPruned,
 		SegPrefixPruned: st.SegPrefixPruned, SegKeysProbed: st.SegKeysProbed,
 		SegTokensChecked: st.SegTokensChecked, SegTokensSimilar: st.SegTokensSimilar,
-		BatchedPairs: st.BatchedPairs, SIMDKernels: st.SIMDKernels,
-		SIMDLanes: st.SIMDLanes, SigPruned: st.SigPruned, BatchScalarCells: st.BatchScalarCells,
+		SigPruned:     st.SigPruned,
 		CandGenWallMs: ms(st.CandGenWall), VerifyWallMs: ms(st.VerifyWall),
 		TokensPerShard: st.TokensPerShard,
 	}
@@ -224,8 +200,7 @@ func (ws WorkerStats) Sharded() stream.ShardedStats {
 		BudgetPruned: ws.BudgetPruned, PrefixPruned: ws.PrefixPruned,
 		SegPrefixPruned: ws.SegPrefixPruned, SegKeysProbed: ws.SegKeysProbed,
 		SegTokensChecked: ws.SegTokensChecked, SegTokensSimilar: ws.SegTokensSimilar,
-		BatchedPairs: ws.BatchedPairs, SIMDKernels: ws.SIMDKernels,
-		SIMDLanes: ws.SIMDLanes, SigPruned: ws.SigPruned, BatchScalarCells: ws.BatchScalarCells,
+		SigPruned:   ws.SigPruned,
 		CandGenWall: dur(ws.CandGenWallMs), VerifyWall: dur(ws.VerifyWallMs),
 		TokensPerShard: ws.TokensPerShard,
 	}

@@ -356,8 +356,7 @@ func Funnel(w Workload) *Table {
 		ID:    "funnel",
 		Title: "Candidate filter funnel vs NSLD threshold T (default join configuration)",
 		Header: []string{"T", "generated(no-prefix)", "generated(prefix)", "prefix-pruned",
-			"seg-pruned", "deduped", "len-pruned", "lb-pruned", "verified", "budget-pruned", "sig-pruned", "results",
-			"lane-fill%"},
+			"seg-pruned", "deduped", "len-pruned", "lb-pruned", "verified", "budget-pruned", "sig-pruned", "results"},
 	}
 	for _, T := range Thresholds {
 		opts := tsj.DefaultOptions()
@@ -376,23 +375,17 @@ func Funnel(w Workload) *Table {
 		if err != nil {
 			panic(err)
 		}
-		laneFill := "n/a"
-		if st.SIMDKernels > 0 {
-			laneFill = fmt.Sprintf("%.1f",
-				100*float64(st.SIMDLanes)/(float64(st.SIMDKernels)*float64(core.BatchKernelWidth())))
-		}
 		t.AddRow(T,
 			plain.SharedTokenCandidates+plain.SimilarTokenCandidates,
 			st.SharedTokenCandidates+st.SimilarTokenCandidates,
 			st.PrefixPruned, st.SegPrefixPruned, st.DedupedCandidates, st.LengthPruned, st.LBPruned,
-			st.Verified, st.BudgetPruned, st.SigPruned, st.Results, laneFill)
+			st.Verified, st.BudgetPruned, st.SigPruned, st.Results)
 	}
 	t.Notes = append(t.Notes,
 		"generated counts raw shared+similar candidate records before dedup; both runs return identical results",
 		"prefix-pruned counts pairs rejected by the positional/length filters at their first common prefix token",
 		"seg-pruned counts posting entries the segment prefix filter excluded from the similar-token expansion",
-		"sig-pruned is the part of budget-pruned the verifier's character-signature pre-pass decided before any DP cell (0 without a live kernel)",
-		"lane-fill% is occupied kernel lanes over capacity for the pairs that survive the pre-pass (n/a without a live kernel)",
+		"sig-pruned is the part of budget-pruned the verifier's character-signature pre-pass decided before any DP cell",
 	)
 	return t
 }

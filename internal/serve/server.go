@@ -85,8 +85,8 @@ import (
 // Config is a node's configuration: one field per tsjserve flag that
 // shapes the node (the listen address and HTTP timeouts go to Run).
 type Config struct {
-	// Matcher carries -threshold, -maxfreq, -shards, -greedy,
-	// -exact-tokens and -nosimd.
+	// Matcher carries -threshold, -maxfreq, -shards, -greedy and
+	// -exact-tokens.
 	Matcher tsjoin.ConcurrentMatcherOptions
 	// DataDir (-data) makes the index durable; empty is in-memory.
 	DataDir string
@@ -258,8 +258,8 @@ func (s *Server) Run(addr string, writeTimeout, idleTimeout time.Duration) error
 		// once the standby is sealed by promotion.
 		loops = append(loops, s.stby.Run)
 	}
-	log.Printf("listening on %s (threshold=%g shards=%d durable=%v simd=%v)",
-		addr, s.mopts.Threshold, s.m.Shards(), s.c != nil, tsjoin.SIMDAvailable() && !s.mopts.DisableSIMD)
+	log.Printf("listening on %s (threshold=%g shards=%d durable=%v)",
+		addr, s.mopts.Threshold, s.m.Shards(), s.c != nil)
 	return ListenAndServe(addr, s.Handler(), writeTimeout, idleTimeout, loops...)
 }
 

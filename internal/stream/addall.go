@@ -3,82 +3,29 @@ package stream
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/token"
 )
 
 // The op path: Add, Query and AddAll are one routine, run, at every
-// shard count.
-//
-// Verification never reads the index — it only needs the candidate ids
-// and the immutable tokenized strings behind them — so an insert does
-// not have to force an element's verdicts before indexing the element.
-// Instead, generation and indexing proceed element by element while
-// every filter-surviving (probe, candidate) pair is STAGED on a
-// verification engine: its token-pair DP cells pool in the engine's lane
-// pools alongside cells from every other element of the op, and one
-// flush at the end of the op drives all pending verdicts. Lanes that one
-// probe's survivors could only part-fill are topped up by the next
-// element's survivors. A single Add or Query is an op of one element.
-// Where the engine cannot use the kernel (none live, DisableSIMD,
-// DisableBoundedVerify, an ineligible probe) it decides each staged pair
-// at once, and the flush has nothing left to do.
+// shard count. Per element it generates candidates on every shard,
+// filters and verifies them in contiguous chunks through the worker pool
+// (verifyChunk), and, for inserts, indexes the element before the next
+// one is generated. A single Add or Query is an op of one element.
 //
 // Match semantics are those of per-element Add: element i's matches are
 // everything previously indexed plus earlier elements of the same batch
 // that pass the threshold, property-tested against the naive join by
 // TestOracleEquivalence.
 
-// stagedChunk is one contiguous candidate chunk of one element whose
-// verdicts are pending in a verification engine's stager until the
-// op's flush. ids and res are exact-size allocations: the stager retains
-// &res[i] verdict pointers, so the backing array must stay addressable
-// (and never regrow) until the flush.
-type stagedChunk struct {
-	ids []int32
-	res []core.BatchResult
-}
-
-// stagedElem collects one element's pending chunks plus the matches
-// resolved immediately (empty-probe elements match the token-less
-// strings with no verification at all).
-type stagedElem struct {
-	la      int
-	chunks  []stagedChunk
-	matches []Match
-}
-
-// stageChunk filters one ascending candidate chunk through survivors
-// and stages the survivors on the engine. Verdicts land in sc.res by the
-// time the engine's FlushBatch returns.
-func stageChunk(v *core.Verifier, ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32, t float64, sc *stagedChunk) {
-	ids, ys := survivors(ts, strs, dead, cands, t, make([]int32, 0, len(cands)), make([]*token.TokenizedString, 0, len(cands)))
-	if len(ids) == 0 {
-		return
-	}
-	res := make([]core.BatchResult, len(ids))
-	v.StageBatch(ts, ys, t, res)
-	sc.ids, sc.res = ids, res
-}
-
-// run is the op path. Per element it generates candidates, stages the
-// chunked survivors on per-slot verification engines through the worker
-// pool and, when index is set, indexes the element (the caller then
-// holds addMu); one parallel flush then drives every pending verdict,
-// and element i of the result holds its matches sorted by id. Chunk c of
-// every element lands on engine vers[c], and the per-element barrier
-// guarantees at most one in-flight job per engine — each engine is
-// single-threaded scratch shared across the op, which is exactly what
-// lets lanes pool cells from many elements.
+// run is the op path. When index is set the caller holds addMu. Element
+// i of the result holds its matches sorted by id.
 func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match {
-	var vers []*core.Verifier
-	elems := make([]stagedElem, len(toks))
-	var staged int64
+	out := make([][]Match, len(toks))
+	var verified, pruned, sigPruned int64
 	for ei, ts := range toks {
 		probe := distinctProbe(ts)
-		el := &elems[ei]
 		if ts.Count() == 0 {
-			el.matches = m.emptyMatches()
+			out[ei] = m.emptyMatches()
 		} else if cands := m.genCandidates(ts, probe); len(cands) > 0 {
 			// Snapshot after generation: every candidate id reached
 			// strings before any posting list, and dead is kept the
@@ -88,57 +35,30 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match
 			dead := m.dead
 			m.mu.RUnlock()
 			verifyStart := time.Now()
-			chunks := verifyChunkCount(len(cands), len(m.shards))
-			for len(vers) < chunks {
-				vers = append(vers, m.verPool.Get().(*core.Verifier))
-			}
-			el.la = ts.AggregateLen()
-			el.chunks = make([]stagedChunk, chunks)
-			m.pool.each(chunks, func(c int) {
-				lo := c * len(cands) / chunks
-				hi := (c + 1) * len(cands) / chunks
-				stageChunk(vers[c], ts, strs, dead, cands[lo:hi], m.opt.Threshold, &el.chunks[c])
+			chunks := make([]chunkResult, verifyChunkCount(len(cands), len(m.shards)))
+			m.pool.each(len(chunks), func(c int) {
+				lo := c * len(cands) / len(chunks)
+				hi := (c + 1) * len(cands) / len(chunks)
+				chunks[c] = m.verifyChunk(ts, strs, dead, cands[lo:hi])
 			})
-			for c := range el.chunks {
-				staged += int64(len(el.chunks[c].ids))
+			// Chunks are contiguous ascending id runs, so chunk order keeps
+			// the matches sorted by id.
+			ms := chunks[0].matches
+			for _, r := range chunks[1:] {
+				ms = append(ms, r.matches...)
 			}
+			for _, r := range chunks {
+				verified += r.verified
+				pruned += r.pruned
+				sigPruned += r.sigPruned
+			}
+			out[ei] = ms
 			m.verifyWall.Add(int64(time.Since(verifyStart)))
 		}
 		if index {
 			m.appendAndIndex(ts, probe)
 		}
 	}
-
-	// ---- Flush: one parallel sweep drives every pending verdict ---------
-	ctrs := make([]core.BatchCounters, len(vers))
-	if len(vers) > 0 {
-		flushStart := time.Now()
-		m.pool.each(len(vers), func(c int) { vers[c].FlushBatch(&ctrs[c]) })
-		m.verifyWall.Add(int64(time.Since(flushStart)))
-	}
-	var ctr core.BatchCounters
-	for c, v := range vers {
-		ctr.Add(ctrs[c])
-		m.verPool.Put(v)
-	}
-
-	// ---- Assemble: chunks are contiguous ascending id runs, so chunk
-	// order keeps each element's matches sorted by id. ------------------
-	m.mu.RLock()
-	strs := m.strings
-	m.mu.RUnlock()
-	out := make([][]Match, len(toks))
-	var pruned int64
-	for ei := range elems {
-		el := &elems[ei]
-		ms := el.matches
-		for c := range el.chunks {
-			var p int64
-			ms, p = appendMatches(ms, el.chunks[c].ids, el.chunks[c].res, el.la, strs)
-			pruned += p
-		}
-		out[ei] = ms
-	}
-	m.countVerify(staged, pruned, ctr)
+	m.countVerify(verified, pruned, sigPruned)
 	return out
 }

@@ -104,9 +104,10 @@ func pairsOf(stream [][]Match) map[[2]int]int {
 
 // TestOracleEquivalence: the exact and the greedy matcher return exactly
 // the naive join's matches through Add, AddAll and Query, at several
-// thresholds and shard counts, with token-less strings mixed in, on every
-// verify path: the kernel where one is live, DisableSIMD's scalar engine
-// and DisableBoundedVerify's unbounded reference.
+// thresholds and shard counts, with token-less strings mixed in, on the
+// bounded verifier and on DisableBoundedVerify's unbounded reference.
+// AddAll verifies every element as per-element Add does, so the two
+// report the same verify funnel.
 func TestOracleEquivalence(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 61, NumNames: 200})
 	names[17], names[101], names[102] = "...", "--", "?!"
@@ -116,11 +117,10 @@ func TestOracleEquivalence(t *testing.T) {
 		for _, th := range []float64{0.1, 0.2, 0.3} {
 			want := oracleStream(names, th, greedy)
 			for _, shards := range []int{1, 3, 8} {
-				for _, off := range [][2]bool{{false, false}, {true, false}, {false, true}} {
-					opt := Options{Threshold: th, Greedy: greedy, DisableSIMD: off[0], DisableBoundedVerify: off[1]}
-					label := fmt.Sprintf("greedy=%v T=%.2f shards=%d DisableSIMD=%v DisableBoundedVerify=%v",
-						greedy, th, shards, off[0], off[1])
-					got, _ := streamAll(t, names, opt, shards)
+				for _, unbounded := range []bool{false, true} {
+					opt := Options{Threshold: th, Greedy: greedy, DisableBoundedVerify: unbounded}
+					label := fmt.Sprintf("greedy=%v T=%.2f shards=%d DisableBoundedVerify=%v", greedy, th, shards, unbounded)
+					got, ast := streamAll(t, names, opt, shards)
 					checkStreams(t, label+" Add", want, got)
 					m := newMatcher(t, opt, shards)
 					first, batch := m.AddAll(names)
@@ -128,6 +128,10 @@ func TestOracleEquivalence(t *testing.T) {
 						t.Fatalf("%s: AddAll first = %d", label, first)
 					}
 					checkStreams(t, label+" AddAll", want, batch)
+					if bst := m.Stats(); bst.Verified != ast.Verified || bst.BudgetPruned != ast.BudgetPruned || bst.SigPruned != ast.SigPruned {
+						t.Fatalf("%s: AddAll funnel %d/%d/%d, Add %d/%d/%d (verified/budget-pruned/sig-pruned)",
+							label, bst.Verified, bst.BudgetPruned, bst.SigPruned, ast.Verified, ast.BudgetPruned, ast.SigPruned)
+					}
 					for _, p := range probes {
 						if w, g := oracleMatches(token.WhitespaceAndPunct(p), strs, th, greedy), m.Query(p); !matchesEqual(w, g) {
 							t.Fatalf("%s: Query %q: %v, want %v", label, p, g, w)

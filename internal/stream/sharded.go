@@ -16,10 +16,10 @@ import (
 // indexes are partitioned across N shards by token hash (the
 // MassJoin/PASS-JOIN partitioning carried over to the online path), and a
 // persistent worker pool fans each arrival's candidate generation out to
-// the shards and stages and flushes the merged candidates' verification
-// in parallel. Add, Query and AddAll run one op path (run, addall.go) at
-// every shard count; one shard is the single-threaded matcher, whose pool
-// starts no goroutine.
+// the shards and verifies the merged candidates in parallel chunks. Add,
+// Query and AddAll run one op path (run, addall.go) at every shard count;
+// one shard is the single-threaded matcher, whose pool starts no
+// goroutine.
 //
 // Driven serially, Add returns the same match set (sorted by id) for any
 // shard count; under the exact configuration it is the naive join's.
@@ -54,10 +54,10 @@ type ShardedMatcher struct {
 	emptyIDs []int32
 
 	// verPool lends one verification engine (a core.Verifier: scratch
-	// matrices, Hungarian state, the lane stager) to each chunk slot of an
-	// op, and scratchPool one segment-probe scratch (visited stamps,
-	// rolling hashes, partition memo) to each probing worker, so the hot
-	// path reuses its scratch without sharing it unsynchronized.
+	// matrices, Hungarian state) to each verified chunk, and scratchPool
+	// one segment-probe scratch (visited stamps, rolling hashes, partition
+	// memo) to each probing worker, so the hot path reuses its scratch
+	// without sharing it unsynchronized.
 	verPool     sync.Pool
 	scratchPool sync.Pool
 
@@ -66,11 +66,7 @@ type ShardedMatcher struct {
 	queries          atomic.Int64
 	verified         atomic.Int64
 	budgetPruned     atomic.Int64
-	batchedPairs     atomic.Int64
-	simdKernels      atomic.Int64
-	simdLanes        atomic.Int64
 	sigPruned        atomic.Int64
-	batchScalarCells atomic.Int64
 	prefixPruned     atomic.Int64
 	segPrefixPruned  atomic.Int64
 	segKeysProbed    atomic.Int64
@@ -119,22 +115,15 @@ type ShardedStats struct {
 	SegKeysProbed    int64
 	SegTokensChecked int64
 	SegTokensSimilar int64
-	// BatchedPairs counts candidate pairs the staging engine took: every
-	// verified pair of a kernel-eligible probe (BMP runes, tokens of at
-	// most 64 runes) while a kernel is live, so it equals Verified on
-	// such traffic. It is 0 with DisableSIMD, with DisableBoundedVerify,
-	// or when the kernel is unavailable on this hardware/build.
-	BatchedPairs int64
-	// SIMDKernels / SIMDLanes count vector-kernel invocations and the
-	// occupied lanes they carried; SIMDLanes/SIMDKernels (out of
-	// core.BatchKernelWidth()) is the lane-fill efficiency.
-	SIMDKernels int64
-	SIMDLanes   int64
-	// SigPruned counts batched pairs the verifier's character-signature
-	// pre-pass rejected before any DP cell (a subset of BudgetPruned).
+	// SigPruned counts verifications the verifier's character-signature
+	// pre-pass rejected before any DP cell (a subset of BudgetPruned; 0
+	// when DisableBoundedVerify).
 	SigPruned int64
-	// BatchScalarCells counts token-pair cells inside the batched path
-	// that fell back to the scalar DP (oversized or non-BMP tokens).
+	// BatchedPairs, SIMDKernels, SIMDLanes and BatchScalarCells are always
+	// 0: every pair is verified on its own, and no vector kernel runs.
+	BatchedPairs     int64
+	SIMDKernels      int64
+	SIMDLanes        int64
 	BatchScalarCells int64
 	// CandGenWall / VerifyWall accumulate the wall time spent generating
 	// candidates (shard fan-out, merge, dedup) and verifying them.
@@ -167,11 +156,7 @@ func (s *ShardedStats) Merge(o ShardedStats) {
 	s.SegKeysProbed += o.SegKeysProbed
 	s.SegTokensChecked += o.SegTokensChecked
 	s.SegTokensSimilar += o.SegTokensSimilar
-	s.BatchedPairs += o.BatchedPairs
-	s.SIMDKernels += o.SIMDKernels
-	s.SIMDLanes += o.SIMDLanes
 	s.SigPruned += o.SigPruned
-	s.BatchScalarCells += o.BatchScalarCells
 	s.CandGenWall += o.CandGenWall
 	s.VerifyWall += o.VerifyWall
 	s.TokensPerShard = append(s.TokensPerShard, o.TokensPerShard...)
@@ -195,11 +180,7 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 		pool:   newWorkerPool(shards),
 	}
 	m.verPool.New = func() any {
-		return &core.Verifier{
-			Greedy:       opt.Greedy,
-			DisableBatch: opt.DisableSIMD,
-			Unbounded:    opt.DisableBoundedVerify,
-		}
+		return &core.Verifier{Greedy: opt.Greedy, Unbounded: opt.DisableBoundedVerify}
 	}
 	m.scratchPool.New = func() any {
 		return newProbeScratch(opt.Threshold)
@@ -234,11 +215,7 @@ func (m *ShardedMatcher) Stats() ShardedStats {
 		SegKeysProbed:    m.segKeysProbed.Load(),
 		SegTokensChecked: m.segTokensChecked.Load(),
 		SegTokensSimilar: m.segTokensSimilar.Load(),
-		BatchedPairs:     m.batchedPairs.Load(),
-		SIMDKernels:      m.simdKernels.Load(),
-		SIMDLanes:        m.simdLanes.Load(),
 		SigPruned:        m.sigPruned.Load(),
-		BatchScalarCells: m.batchScalarCells.Load(),
 		CandGenWall:      time.Duration(m.candGenWall.Load()),
 		VerifyWall:       time.Duration(m.verifyWall.Load()),
 		TokensPerShard:   make([]int, len(m.shards)),
@@ -460,25 +437,15 @@ func (m *ShardedMatcher) markProbe(ts token.TokenizedString, probe []probeToken)
 
 // countVerify folds one verify pass's funnel into the stats, touching
 // only the atomics whose count moved.
-func (m *ShardedMatcher) countVerify(verified, budgetPruned int64, ctr core.BatchCounters) {
+func (m *ShardedMatcher) countVerify(verified, budgetPruned, sigPruned int64) {
 	if verified > 0 {
 		m.verified.Add(verified)
 	}
 	if budgetPruned > 0 {
 		m.budgetPruned.Add(budgetPruned)
 	}
-	if ctr.Batched > 0 {
-		m.batchedPairs.Add(ctr.Batched)
-	}
-	if ctr.Kernels > 0 {
-		m.simdKernels.Add(ctr.Kernels)
-		m.simdLanes.Add(ctr.Lanes)
-	}
-	if ctr.ScalarCells > 0 {
-		m.batchScalarCells.Add(ctr.ScalarCells)
-	}
-	if ctr.SigPruned > 0 {
-		m.sigPruned.Add(ctr.SigPruned)
+	if sigPruned > 0 {
+		m.sigPruned.Add(sigPruned)
 	}
 }
 

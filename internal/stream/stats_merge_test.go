@@ -7,14 +7,14 @@ import (
 )
 
 // TestShardedStatsMerge pins the aggregation used by the cluster
-// coordinator: every counter sums, wall times sum, and the per-shard
+// coordinator: every live counter sums, wall times sum, and the per-shard
 // token balance concatenates.
 func TestShardedStatsMerge(t *testing.T) {
 	a := ShardedStats{
 		Strings: 3, Shards: 2, Adds: 3, Applied: 1, Queries: 7, Verified: 11,
 		BudgetPruned: 2, PrefixPruned: 4, SegPrefixPruned: 1,
 		SegKeysProbed: 9, SegTokensChecked: 8, SegTokensSimilar: 5,
-		BatchedPairs: 6, SIMDKernels: 2, SIMDLanes: 30, SigPruned: 4, BatchScalarCells: 3,
+		SigPruned:   4,
 		CandGenWall: 2 * time.Millisecond, VerifyWall: 3 * time.Millisecond,
 		TokensPerShard: []int{4, 2}, Sweeps: 1, SweptEntries: 10,
 	}
@@ -22,7 +22,7 @@ func TestShardedStatsMerge(t *testing.T) {
 		Strings: 2, Shards: 2, Adds: 2, Applied: 2, Queries: 1, Verified: 4,
 		BudgetPruned: 1, PrefixPruned: 1, SegPrefixPruned: 2,
 		SegKeysProbed: 3, SegTokensChecked: 2, SegTokensSimilar: 1,
-		BatchedPairs: 2, SIMDKernels: 1, SIMDLanes: 12, SigPruned: 1, BatchScalarCells: 1,
+		SigPruned:   1,
 		CandGenWall: time.Millisecond, VerifyWall: time.Millisecond,
 		TokensPerShard: []int{1, 5}, Sweeps: 2, SweptEntries: 4,
 	}
@@ -30,7 +30,7 @@ func TestShardedStatsMerge(t *testing.T) {
 		Strings: 5, Shards: 4, Adds: 5, Applied: 3, Queries: 8, Verified: 15,
 		BudgetPruned: 3, PrefixPruned: 5, SegPrefixPruned: 3,
 		SegKeysProbed: 12, SegTokensChecked: 10, SegTokensSimilar: 6,
-		BatchedPairs: 8, SIMDKernels: 3, SIMDLanes: 42, SigPruned: 5, BatchScalarCells: 4,
+		SigPruned:   5,
 		CandGenWall: 3 * time.Millisecond, VerifyWall: 4 * time.Millisecond,
 		TokensPerShard: []int{4, 2, 1, 5}, Sweeps: 3, SweptEntries: 14,
 	}

@@ -55,13 +55,6 @@ type Options struct {
 	// which is lossless (see markPrefix). Matches are identical either
 	// way; disabling is for ablation and equivalence testing only.
 	DisablePrefixFilter bool
-	// DisableSIMD switches off the vectorized batched verification path:
-	// by default (on hardware and builds where core.BatchKernelAvailable)
-	// every op stages its filter-surviving candidates on the lane stager,
-	// whose token-distance cells run a vector-lane-width at a time.
-	// Matches are identical either way; disabling is for ablation,
-	// equivalence testing, and ruling out kernel issues in the field.
-	DisableSIMD bool
 	// DisableSegmentPrefixFilter switches off threshold-aware pruning of
 	// the similar-token path: by default the segment index is probed only
 	// with the arriving string's threshold-derived prefix tokens (plus,

@@ -157,12 +157,11 @@ func (b *corpusBuilder) finish() *Corpus {
 	}
 	slices.Sort(c.Tokens)
 	final := make([]TokenID, nTok) // provisional id -> final id
-	bmp := make([]bool, nTok)
 	sig := make([]int, nTok)
 	slab := make([]rune, 0, b.nRunes)
 	for id, t := range c.Tokens {
 		final[b.ids[t]] = TokenID(id)
-		slab, c.TokenRunes[id], bmp[id] = appendRunes(slab, t)
+		slab, c.TokenRunes[id] = appendRunes(slab, t)
 		sig[id] = int(strdist.Sig(c.TokenRunes[id]))
 	}
 
@@ -180,7 +179,6 @@ func (b *corpusBuilder) finish() *Corpus {
 			Tokens:  tokArena[lo:hi:hi],
 			runes:   viewArena[lo:hi:hi],
 			lenHist: histArena[2*lo : 2*hi : 2*hi],
-			bmpOnly: true,
 		}
 		sigs := ts.lenHist[hi-lo:]
 		distinct := 0
@@ -191,7 +189,6 @@ func (b *corpusBuilder) finish() *Corpus {
 			ts.lenHist[k] = len(r)
 			sigs[k] = sig[id]
 			ts.aggLen += len(r)
-			ts.bmpOnly = ts.bmpOnly && bmp[id]
 			if k == 0 || id != ids[k-1] {
 				ids[distinct] = id // distinct <= k: writes trail reads
 				distinct++

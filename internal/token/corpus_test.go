@@ -24,7 +24,6 @@ type refString struct {
 	runes   [][]rune
 	aggLen  int
 	lenHist []int
-	bmpOnly bool
 }
 
 func refNew(tokens []string) refString {
@@ -38,18 +37,11 @@ func refNew(tokens []string) refString {
 	ts := refString{Tokens: kept}
 	ts.runes = make([][]rune, len(ts.Tokens))
 	ts.lenHist = make([]int, len(ts.Tokens))
-	ts.bmpOnly = true
 	for i, t := range ts.Tokens {
 		r := []rune(t)
 		ts.runes[i] = r
 		ts.aggLen += len(r)
 		ts.lenHist[i] = len(r)
-		for _, c := range r {
-			if c < 0 || c >= 0x10000 {
-				ts.bmpOnly = false
-				break
-			}
-		}
 	}
 	sort.Ints(ts.lenHist)
 	return ts
@@ -205,9 +197,9 @@ func compareCorpus(t *testing.T, got *Corpus, want *refCorpus) {
 		if !slices.Equal(g.Tokens, w.Tokens) {
 			t.Fatalf("string %d: Tokens %q, want %q", s, g.Tokens, w.Tokens)
 		}
-		if g.Count() != len(w.Tokens) || g.AggregateLen() != w.aggLen || g.BMPOnly() != w.bmpOnly {
-			t.Fatalf("string %d %q: count/agglen/bmp %d/%d/%v, want %d/%d/%v", s, w.Tokens,
-				g.Count(), g.AggregateLen(), g.BMPOnly(), len(w.Tokens), w.aggLen, w.bmpOnly)
+		if g.Count() != len(w.Tokens) || g.AggregateLen() != w.aggLen {
+			t.Fatalf("string %d %q: count/agglen %d/%d, want %d/%d", s, w.Tokens,
+				g.Count(), g.AggregateLen(), len(w.Tokens), w.aggLen)
 		}
 		if !sameRuneViews(g.RuneSlices(), w.runes) {
 			t.Fatalf("string %d %q: rune views differ", s, w.Tokens)
@@ -261,7 +253,7 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 				one, w := tc.tok(in), want.Strings[s]
 				if !slices.Equal(one.Tokens, w.Tokens) || !sameRuneViews(one.RuneSlices(), w.runes) ||
 					!slices.Equal(one.LengthHistogram(), w.lenHist) ||
-					one.AggregateLen() != w.aggLen || one.BMPOnly() != w.bmpOnly || one.Sigs() != nil {
+					one.AggregateLen() != w.aggLen || one.Sigs() != nil {
 					t.Fatalf("%s(%q) = %q, reference %q", tc.name, in, one.Tokens, w.Tokens)
 				}
 				if !one.Equal(got.Strings[s]) {
@@ -273,9 +265,6 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 			wrapped := BuildCorpus(inputs, func(s string) TokenizedString { return tc.tok(s) })
 			compareCorpus(t, wrapped, want)
 		})
-	}
-	if astral := Whitespace("smile \U0001F600x"); astral.BMPOnly() {
-		t.Fatal("astral-plane token reported BMPOnly")
 	}
 }
 

@@ -46,10 +46,6 @@ type TokenizedString struct {
 	// order, as an int bit pattern (one slice header for both keeps the
 	// struct from growing).
 	lenHist []int
-	// bmpOnly caches whether every rune sits in the Basic Multilingual
-	// Plane — the precondition for the uint16-narrowed vector kernels,
-	// checked once here instead of per candidate visit.
-	bmpOnly bool
 }
 
 // New builds a TokenizedString from an arbitrary (unsorted) multiset of
@@ -71,31 +67,25 @@ func New(tokens []string) TokenizedString {
 		runes:   make([][]rune, len(kept)),
 		aggLen:  aggLen,
 		lenHist: make([]int, len(kept)),
-		bmpOnly: true,
 	}
 	slab := make([]rune, 0, aggLen)
 	for i, t := range kept {
-		var bmp bool
-		slab, ts.runes[i], bmp = appendRunes(slab, t)
+		slab, ts.runes[i] = appendRunes(slab, t)
 		ts.lenHist[i] = len(ts.runes[i])
-		ts.bmpOnly = ts.bmpOnly && bmp
 	}
 	slices.Sort(ts.lenHist)
 	return ts
 }
 
 // appendRunes decodes t onto the end of slab, which must have the
-// capacity for it, and returns the grown slab, the cap-limited view of
-// the decoded token, and whether every rune lies in the Basic
-// Multilingual Plane.
-func appendRunes(slab []rune, t string) (grown, view []rune, bmp bool) {
+// capacity for it, and returns the grown slab and the cap-limited view of
+// the decoded token.
+func appendRunes(slab []rune, t string) (grown, view []rune) {
 	start := len(slab)
-	bmp = true
 	for _, c := range t {
 		slab = append(slab, c)
-		bmp = bmp && c < 0x10000
 	}
-	return slab, slab[start:len(slab):len(slab)], bmp
+	return slab, slab[start:len(slab):len(slab)]
 }
 
 // Count returns T(x^t), the number of tokens.
@@ -113,12 +103,6 @@ func (ts TokenizedString) TokenRunes(i int) []rune { return ts.runes[i] }
 // this to avoid re-copying the TokenizedString header per TokenRunes
 // call.
 func (ts *TokenizedString) RuneSlices() [][]rune { return ts.runes }
-
-// BMPOnly reports whether every rune of every token lies in the Basic
-// Multilingual Plane (computed once at construction). Strings
-// assembled without New report false, which only costs them the
-// vector-kernel fast path.
-func (ts *TokenizedString) BMPOnly() bool { return ts.bmpOnly }
 
 // String renders the multiset as a space-joined string (tokens are sorted,
 // so this is a canonical form).

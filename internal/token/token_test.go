@@ -6,12 +6,12 @@ import (
 	"unsafe"
 )
 
-// TestTokenizedStringSize pins the struct at three slice headers, an int
-// and a flag: every served string and every candidate list copies it, so
+// TestTokenizedStringSize pins the struct at three slice headers and an
+// int: every served string and every candidate list copies it, so
 // new per-string data rides in an existing arena (the stored signatures
 // share lenHist) rather than in a new field.
 func TestTokenizedStringSize(t *testing.T) {
-	want := 3*unsafe.Sizeof([]int(nil)) + 2*unsafe.Sizeof(0)
+	want := 3*unsafe.Sizeof([]int(nil)) + unsafe.Sizeof(0)
 	if got := unsafe.Sizeof(TokenizedString{}); got != want {
 		t.Fatalf("unsafe.Sizeof(TokenizedString{}) = %d, want %d", got, want)
 	}

@@ -66,19 +66,19 @@ func longCorpus(seed int64, n int) *token.Corpus {
 
 // TestPipelineAccountingGolden pins the per-job accounting of a self-join
 // to the values recorded at commit c547589 (the map[K][]V shuffle), on a
-// names corpus and a long-string corpus, with the staged SIMD verify on
-// and off. The engine may change how it groups records; what it charges
-// may not move, or every simulated-cluster figure moves with it. The
-// Join, SelfJoinCorpus and JoinCorpus rows were recorded at commit c4cc012,
-// when each entry point still had its own pipeline; only their job-name
-// prefixes (tsj-join-, tsj-corpus-, tsj-joincorpus-) were rewritten to the
-// one set of names the single pipeline uses. Every result is emitted by
-// the verifier's drain on every build, so the dedup-verify job's per-key
-// costs lack the per-output unit its totals carry, and its maxTask is the
-// same with and without a live kernel. Work totals are compared to 1e-9
-// relative: per-task costs are not all integers (greedy's k^2 log k, the
-// 0.05 n^2 pair charge), so a total is only as exact as its summation
-// order.
+// names corpus and a long-string corpus. The engine may change how it
+// groups records; what it charges may not move, or every simulated-cluster
+// figure moves with it. The Join, SelfJoinCorpus and JoinCorpus rows were
+// recorded at commit c4cc012, when each entry point still had its own
+// pipeline; only their job-name prefixes (tsj-join-, tsj-corpus-,
+// tsj-joincorpus-) were rewritten to the one set of names the single
+// pipeline uses. The dedup-verify rows' maxTask was re-based when results
+// moved from an after-job drain back into the reducers: each key's task
+// now carries the per-output unit of the results it emits, which the
+// job's totals always carried. Every job's ReduceWork is the sum of its
+// ReduceTaskCosts. Work totals are compared to 1e-9 relative: per-task
+// costs are not all integers (greedy's k^2 log k, the 0.05 n^2 pair
+// charge), so a total is only as exact as its summation order.
 func TestPipelineAccountingGolden(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 17, NumNames: 2500})
 	namesCorpus := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -103,7 +103,7 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1286, 117190, 1286, 58383.2, 7600, 156603},
 				{"tsj-similar-token-candidates", 1286, 3222, 1766, 100, 1766, 25.6, 4508, 3471.9},
 				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
-				{"tsj-dedup-verify-onestring", 119425, 119425, 2173, 15724, 2173, 36769, 238850, 1.8572238e+07},
+				{"tsj-dedup-verify-onestring", 119425, 119425, 2173, 15724, 2173, 36845, 238850, 1.8572238e+07},
 			},
 		},
 		{
@@ -127,7 +127,7 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1286, 57180, 1286, 25840.85, 7600, 70548.95},
 				{"tsj-similar-token-candidates", 1472, 2099, 1822, 223, 1822, 11.5, 3571, 2344.3},
 				{"tsj-similar-token-verify", 223, 223, 212, 207, 212, 25, 446, 2263},
-				{"tsj-dedup-verify-onestring", 58423, 58423, 1959, 7373, 1959, 23813, 116846, 9.039942e+06},
+				{"tsj-dedup-verify-onestring", 58423, 58423, 1959, 7373, 1959, 23864, 116846, 9.039942e+06},
 			},
 		},
 		{
@@ -138,7 +138,7 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1257, 117742, 1257, 58863.8, 7600, 157887.2},
 				{"tsj-similar-token-candidates", 1257, 3142, 1718, 100, 1718, 25.6, 4399, 3388.7},
 				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
-				{"tsj-dedup-verify-onestring", 119992, 119992, 2188, 15724, 2188, 36769, 239984, 1.8612801e+07},
+				{"tsj-dedup-verify-onestring", 119992, 119992, 2188, 15724, 2188, 36845, 239984, 1.8612801e+07},
 			},
 		},
 		{
@@ -149,34 +149,39 @@ func TestPipelineAccountingGolden(t *testing.T) {
 				{"tsj-shared-token", 2500, 5100, 1208, 58103, 1208, 26160.55, 7600, 71990.75},
 				{"tsj-similar-token-candidates", 1395, 2003, 1725, 224, 1725, 11.5, 3398, 2249.4},
 				{"tsj-similar-token-verify", 224, 224, 213, 208, 213, 25, 448, 2270},
-				{"tsj-dedup-verify-onestring", 59358, 59358, 2013, 7373, 2013, 23825, 118716, 9.066341e+06},
+				{"tsj-dedup-verify-onestring", 59358, 59358, 2013, 7373, 2013, 23876, 118716, 9.066341e+06},
 			},
 		},
 	}
+	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
 	for _, tc := range cases {
-		for _, disableSIMD := range []bool{false, true} {
-			label := fmt.Sprintf("%s/disableSIMD=%v", tc.name, disableSIMD)
-			opts := DefaultOptions()
-			opts.Threshold, opts.MaxTokenFreq = tc.threshold, 0
-			opts.MapTasks, opts.Parallelism = 8, 2
-			opts.DisableSIMD = disableSIMD
-			_, st, err := tc.join(opts)
-			if err != nil {
-				t.Fatal(err)
+		opts := DefaultOptions()
+		opts.Threshold, opts.MaxTokenFreq = tc.threshold, 0
+		opts.MapTasks, opts.Parallelism = 8, 2
+		_, st, err := tc.join(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range st.Pipeline.Jobs {
+			var sum float64
+			for _, c := range j.ReduceTaskCosts {
+				sum += c
 			}
-			got := accountingOf(&st.Pipeline)
-			if len(got) != len(tc.want) {
-				t.Errorf("%s: %d jobs, want %d; got:\n%s", label, len(got), len(tc.want), formatAccounting(got))
-				continue
+			if !close(sum, j.ReduceWork) {
+				t.Errorf("%s: job %s: ReduceTaskCosts sum to %v, ReduceWork is %v", tc.name, j.Name, sum, j.ReduceWork)
 			}
-			for i, g := range got {
-				w := tc.want[i]
-				close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
-				if g.name != w.name || g.in != w.in || g.shuffled != w.shuffled || g.keys != w.keys ||
-					g.out != w.out || g.tasks != w.tasks || !close(g.maxTask, w.maxTask) ||
-					!close(g.mapWork, w.mapWork) || !close(g.reduceWork, w.reduceWork) {
-					t.Errorf("%s: job %d accounting moved:\n got  %+v\n want %+v\nall jobs:\n%s", label, i, g, w, formatAccounting(got))
-				}
+		}
+		got := accountingOf(&st.Pipeline)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d jobs, want %d; got:\n%s", tc.name, len(got), len(tc.want), formatAccounting(got))
+			continue
+		}
+		for i, g := range got {
+			w := tc.want[i]
+			if g.name != w.name || g.in != w.in || g.shuffled != w.shuffled || g.keys != w.keys ||
+				g.out != w.out || g.tasks != w.tasks || !close(g.maxTask, w.maxTask) ||
+				!close(g.mapWork, w.mapWork) || !close(g.reduceWork, w.reduceWork) {
+				t.Errorf("%s: job %d accounting moved:\n got  %+v\n want %+v\nall jobs:\n%s", tc.name, i, g, w, formatAccounting(got))
 			}
 		}
 	}

@@ -129,15 +129,6 @@ type Options struct {
 	// lower bound exceeds it. Results are byte-identical either way;
 	// disabling is for ablation and equivalence testing only.
 	DisableBoundedVerify bool
-	// DisableSIMD switches off the vectorized batched verification path
-	// (core.Verifier.DisableBatch): by default (when bounded verification
-	// is on and the kernel is live on this hardware/build —
-	// core.BatchKernelAvailable) every candidate that survives the
-	// filters is verified in lane-width kernel invocations on its reduce
-	// worker's batch engine. Results are byte-identical either way;
-	// disabling is for ablation, equivalence testing, and ruling out
-	// kernel issues in the field.
-	DisableSIMD bool
 	// DisablePrefixFilter switches off threshold-aware candidate pruning
 	// in the shared-token generator: by default only each string's
 	// threshold-derived prefix (its MaxErrors(T, L)+1 rarest tokens under

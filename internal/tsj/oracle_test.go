@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/nsldtest"
 	"repro/internal/token"
 )
@@ -45,9 +46,10 @@ func equalPairs(want, got map[[2]int]int) error {
 }
 
 // TestOracleEquivalence: SelfJoin and Join return exactly the naive join's
-// pairs and SLDs under both dedups and every verify path — staged on the
-// kernel where one is live, DisableSIMD's scalar engine, and the unbounded
-// reference — with both Sec. III-E filters firing on the way.
+// pairs and SLDs under both dedups, on the bounded verifier and on the
+// unbounded reference, with both Sec. III-E filters firing on the way. On
+// the bounded verifier the signature pre-pass decides some of the
+// budget-pruned pairs, and only those: 0 < SigPruned <= BudgetPruned.
 func TestOracleEquivalence(t *testing.T) {
 	c := nameCorpus(rand.New(rand.NewSource(75)), 160)
 	nr := c.NumStrings() / 2
@@ -55,20 +57,97 @@ func TestOracleEquivalence(t *testing.T) {
 	for _, th := range []float64{0.1, 0.2} {
 		self, cross := nsldtest.SelfJoin(c.Strings, th, false), nsldtest.Bipartite(c.Strings, nr, th, false)
 		for _, dedup := range []Dedup{GroupOnOneString, GroupOnBothStrings} {
-			for _, off := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+			for _, unbounded := range []bool{false, true} {
 				opts := DefaultOptions()
 				opts.Threshold, opts.MaxTokenFreq, opts.Dedup = th, 0, dedup
-				opts.DisableSIMD, opts.DisableBoundedVerify = off[0], off[1]
-				label := fmt.Sprintf("T=%v %v DisableSIMD=%v DisableBoundedVerify=%v", th, dedup, off[0], off[1])
+				opts.DisableBoundedVerify = unbounded
+				label := fmt.Sprintf("T=%v %v DisableBoundedVerify=%v", th, dedup, unbounded)
 				for _, st := range oracleJoins(t, label, c, nr, opts, self, cross, equalPairs) {
 					lengthPruned += st.LengthPruned
 					lbPruned += st.LBPruned
+					if unbounded && st.SigPruned != 0 || !unbounded && !(0 < st.SigPruned && st.SigPruned <= st.BudgetPruned) {
+						t.Fatalf("%s: SigPruned=%d BudgetPruned=%d", label, st.SigPruned, st.BudgetPruned)
+					}
 				}
 			}
 		}
 	}
 	if lengthPruned == 0 || lbPruned == 0 {
 		t.Fatalf("filters idle on this corpus: LengthPruned=%d LBPruned=%d", lengthPruned, lbPruned)
+	}
+}
+
+// denseCorpus builds n strings of 1-4 tokens of 1-4 letters over a
+// three-letter alphabet: nearly every pair is a candidate, cost matrices
+// are full of equal cells, and token counts differ within most pairs.
+func denseCorpus(rng *rand.Rand, n int) *token.Corpus {
+	const alpha = "abc"
+	strs := make([]token.TokenizedString, n)
+	for i := range strs {
+		toks := make([]string, 1+rng.Intn(4))
+		for j := range toks {
+			b := make([]byte, 1+rng.Intn(4))
+			for l := range b {
+				b[l] = alpha[rng.Intn(len(alpha))]
+			}
+			toks[j] = string(b)
+		}
+		strs[i] = token.New(toks)
+	}
+	return token.BuildCorpusFromTokenized(strs)
+}
+
+// TestOracleEquivalenceOrientation: on a corpus where a pair's Pruned flag
+// depends on which string is verified first (tied cost cells, unequal
+// token counts), both dedups return the oracle's pairs — greedy a subset
+// of the exact oracle's — and the same verify funnel, on four reduce
+// workers. Grouping on one string keys about half the pairs on their
+// larger id, so a reducer that verified with the key string first would
+// keep the pairs and move BudgetPruned.
+func TestOracleEquivalenceOrientation(t *testing.T) {
+	const threshold = 0.5
+	c := denseCorpus(rand.New(rand.NewSource(2718)), 320)
+	want := nsldtest.SelfJoin(c.Strings, threshold, false)
+	for _, align := range []Aligning{HungarianAligning, GreedyAligning} {
+		// The property under test must be present in the corpus.
+		v := core.Verifier{Greedy: align == GreedyAligning}
+		sensitive := 0
+		for a := 0; a < c.NumStrings(); a++ {
+			for b := a + 1; b < c.NumStrings(); b++ {
+				_, _, p1 := v.Verify(c.Strings[a], c.Strings[b], threshold)
+				_, _, p2 := v.Verify(c.Strings[b], c.Strings[a], threshold)
+				if p1 != p2 {
+					sensitive++
+				}
+			}
+		}
+		if sensitive == 0 {
+			t.Fatalf("%v: no pair's Pruned flag depends on the orientation; pick a better corpus", align)
+		}
+		check := equalPairs
+		if align == GreedyAligning {
+			check = nsldtest.Subset
+		}
+		var sts []*Stats
+		for _, dedup := range []Dedup{GroupOnOneString, GroupOnBothStrings} {
+			got, st, err := SelfJoin(c, Options{Threshold: threshold, Aligning: align, Dedup: dedup, Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := check(want, resultSet(got)); err != nil {
+				t.Fatalf("%v %v: %v", align, dedup, err)
+			}
+			if int64(len(got)) != st.Results {
+				t.Fatalf("%v %v: %d results returned, %d counted", align, dedup, len(got), st.Results)
+			}
+			sts = append(sts, st)
+		}
+		a, b := sts[0], sts[1]
+		if a.Verified != b.Verified || a.BudgetPruned != b.BudgetPruned || a.SigPruned != b.SigPruned ||
+			a.LengthPruned != b.LengthPruned || a.LBPruned != b.LBPruned || a.Results != b.Results {
+			t.Fatalf("%v: the dedups disagree on the verify funnel:\n one  %v\n both %v", align, a, b)
+		}
+		t.Logf("%v: %d orientation-sensitive pairs, %d verified", align, sensitive, a.Verified)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/massjoin"
@@ -401,20 +400,7 @@ func dedupVerify(candidates []uint64, ver *verifier, opts Options,
 			ver.verifyKey,
 		)
 	}
-	// Every result comes back from the drain, past the reducers' emit
-	// windows. The job is charged what it would have been had they been
-	// emitted inside: the drain's wall time is verify time, and the
-	// engine's one unit per output goes to the job's work and output
-	// count. Which key a result belongs to is not tracked, so
-	// ReduceTaskCosts lack that unit, on every build and configuration.
-	drainStart := time.Now()
-	staged := ver.drain(st)
-	drainWall := time.Since(drainStart)
-	verified = append(verified, staged...)
-	st3.WallTime += drainWall
-	st3.ReduceWall += drainWall
-	st3.OutRecords += int64(len(staged))
-	st3.ReduceWork += float64(len(staged))
+	ver.fold(st)
 	st.Pipeline.Add(st3)
 
 	st.DedupedCandidates = st.LengthPruned + st.LBPruned + st.Verified

@@ -52,31 +52,22 @@ type Stats struct {
 	// EmptyStringPairs counts pairs of token-less strings (NSLD = 0)
 	// emitted by the preamble.
 	EmptyStringPairs int64
-	// BatchedPairs counts verified pairs the verifier's batch stager took
-	// (core.BatchCounters.Batched). It is 0 with DisableSIMD,
-	// DisableBoundedVerify, or when the kernel is unavailable on this
-	// hardware/build: core.Verifier then decides every pair on its scalar
-	// engine as it is staged.
-	BatchedPairs int64
-	// SIMDKernels / SIMDLanes count vector-kernel invocations and the
-	// occupied lanes they carried; SIMDLanes/SIMDKernels (out of
-	// core.BatchKernelWidth()) is
-	// the lane-fill efficiency.
-	SIMDKernels int64
-	SIMDLanes   int64
-	// SigPruned counts staged pairs the verifier's character-signature
-	// pre-pass rejected before any DP cell — a subset of BudgetPruned,
-	// counted on the batched path only (0 wherever BatchedPairs is).
+	// SigPruned counts verifications the verifier's character-signature
+	// pre-pass rejected before any DP cell — a subset of BudgetPruned
+	// (always 0 with DisableBoundedVerify).
 	SigPruned int64
-	// BatchScalarCells counts token-pair cells inside the batched path
-	// that fell back to the scalar DP (oversized or non-BMP tokens).
+	// BatchedPairs, SIMDKernels, SIMDLanes and BatchScalarCells are always
+	// 0: every pair is verified on its own, and no vector kernel runs.
+	BatchedPairs     int64
+	SIMDKernels      int64
+	SIMDLanes        int64
 	BatchScalarCells int64
 }
 
 // String renders a multi-line summary.
 func (s *Stats) String() string {
 	return fmt.Sprintf(
-		"tokens kept=%d dropped=%d | candidates shared=%d similar=%d (token pairs=%d) deduped=%d | pruned prefix=%d seg-prefix=%d len=%d lb=%d budget=%d | verified=%d (batched=%d sig-pruned=%d kernels=%d lanes=%d) results=%d",
+		"tokens kept=%d dropped=%d | candidates shared=%d similar=%d (token pairs=%d) deduped=%d | pruned prefix=%d seg-prefix=%d len=%d lb=%d budget=%d | verified=%d (sig-pruned=%d) results=%d",
 		s.KeptTokens, s.DroppedTokens, s.SharedTokenCandidates, s.SimilarTokenCandidates,
-		s.SimilarTokenPairs, s.DedupedCandidates, s.PrefixPruned, s.SegPrefixPruned, s.LengthPruned, s.LBPruned, s.BudgetPruned, s.Verified, s.BatchedPairs, s.SigPruned, s.SIMDKernels, s.SIMDLanes, s.Results)
+		s.SimilarTokenPairs, s.DedupedCandidates, s.PrefixPruned, s.SegPrefixPruned, s.LengthPruned, s.LBPruned, s.BudgetPruned, s.Verified, s.SigPruned, s.Results)
 }

@@ -32,10 +32,10 @@ type MatcherOptions struct {
 	// SLD budget the threshold implies and abandoned as soon as any
 	// lower bound exceeds it). Matches are identical either way.
 	DisableBoundedVerification bool
-	// DisableSIMD switches off the vectorized batched verification path
-	// (on by default where the kernel is live — see SIMDAvailable: each
-	// arrival's filter-surviving candidates verify in lane-width batches).
-	// Matches are identical either way.
+	// DisableSIMD is ignored: every candidate that survives the filters
+	// is verified on its own, and no vector kernel runs.
+	//
+	// Deprecated: there is no batched verification path to disable.
 	DisableSIMD bool
 	// DisablePrefixFilter switches off threshold-aware candidate
 	// pruning (on by default: the shared-token index is probed only

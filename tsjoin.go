@@ -71,11 +71,10 @@ func NSLD(a, b string) float64 { return core.NSLD(Tokenize(a), Tokenize(b)) }
 func SLDTokens(x, y TokenizedString) int      { return core.SLD(x, y) }
 func NSLDTokens(x, y TokenizedString) float64 { return core.NSLD(x, y) }
 
-// SIMDAvailable reports whether the vectorized batched verification
-// kernel is live on this build and CPU (amd64 with AVX2 or arm64 with
-// NEON, not built with -tags nosimd). When false, the batched paths
-// transparently verify with the scalar engine — results are identical
-// either way.
+// SIMDAvailable reports whether the vectorized Levenshtein kernels of
+// internal/strdist/simd are live on this build and CPU (amd64 with AVX2
+// or arm64 with NEON, not built with -tags nosimd). Verification does not
+// use them; results are identical either way.
 func SIMDAvailable() bool { return core.BatchKernelAvailable() }
 
 // Matching selects the TSJ candidate-generation strategy.
@@ -132,13 +131,10 @@ type Options struct {
 	// is the hot-path optimization behind the join's verify speed.
 	// Results are identical either way; disable only for ablation.
 	DisableBoundedVerification bool
-	// DisableSIMD switches off the vectorized batched verification path.
-	// By default, on hardware and builds where the kernel is live (see
-	// SIMDAvailable), every candidate that survives the filters is staged
-	// on its reduce worker's batch engine and verified in lane-width
-	// kernel invocations.
-	// Results are identical either way; disable only for ablation or to
-	// rule out kernel issues in the field.
+	// DisableSIMD is ignored: every candidate that survives the filters
+	// is verified on its own, and no vector kernel runs.
+	//
+	// Deprecated: there is no batched verification path to disable.
 	DisableSIMD bool
 	// DisablePrefixFilter switches off threshold-aware candidate pruning
 	// in the shared-token generator. By default only each string's
@@ -168,7 +164,6 @@ func (o Options) tsj() tsj.Options {
 		Dedup:                      o.Dedup,
 		Parallelism:                o.Parallelism,
 		DisableBoundedVerify:       o.DisableBoundedVerification,
-		DisableSIMD:                o.DisableSIMD,
 		DisablePrefixFilter:        o.DisablePrefixFilter,
 		DisableSegmentPrefixFilter: o.DisableSegmentPrefixFilter,
 	}
