@@ -2,12 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build test test-nosimd test-arm64 race torture replication-torture cluster-e2e bench bench-verify bench-candidates bench-segment bench-corpus fuzz-smoke equivalence-guard lint ci
+.PHONY: all build bench-build test test-nosimd test-arm64 race torture replication-torture cluster-e2e bench bench-verify bench-candidates bench-segment bench-corpus fuzz-smoke equivalence-guard lint ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own module over this one (replace repro => ../): it must
+# keep compiling against the packages it calls. Builds and vets only; it
+# does not run the benchmark's smoke test.
+bench-build:
+	$(GO) -C bench build ./... && $(GO) -C bench vet ./...
 
 test:
 	$(GO) test ./...
@@ -122,4 +128,4 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck not installed; skipping (CI runs it)"; fi
 
-ci: build lint test test-nosimd race torture replication-torture cluster-e2e equivalence-guard bench bench-verify bench-candidates bench-segment bench-corpus
+ci: build bench-build lint test test-nosimd race torture replication-torture cluster-e2e equivalence-guard bench bench-verify bench-candidates bench-segment bench-corpus

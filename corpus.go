@@ -30,14 +30,11 @@ var (
 
 // Corpus is a durable, mutable corpus of tokenized strings: adds and
 // deletes are persisted through a CRC-framed write-ahead log, state is
-// checkpointed into versioned binary snapshots, and the corpus-global
-// filter assets the joiner needs — the rarest-first token-frequency
-// order and every string's rank-sorted token list, from which each
-// threshold's prefixes are sliced — are maintained incrementally across
-// mutations. One opened corpus therefore serves repeated SelfJoin calls
-// at any mix of thresholds with zero frequency-order rebuilds, and a
-// process restart (OpenCorpus on the same directory) recovers the exact
-// corpus from snapshot + WAL replay.
+// checkpointed into versioned binary snapshots, and a process restart
+// (OpenCorpus on the same directory) recovers the exact corpus from
+// snapshot + WAL replay. The corpus keeps its live token document
+// frequencies, so its joins skip the token-frequency job; each join
+// derives its own prefix order from them, as the package-level joins do.
 //
 // All methods are safe for concurrent use. To serve live traffic over a
 // corpus, attach it to a matcher with NewConcurrentMatcherFromCorpus —
@@ -58,10 +55,10 @@ type CorpusOptions struct {
 	SyncEvery int
 	// DisableSync skips fsync entirely (benchmarks and throwaway data).
 	DisableSync bool
-	// RerankSlack tunes how far token frequencies may drift before the
-	// stored order is re-ranked (0 = default policy, negative = never;
-	// purely a pruning-power knob — join results are identical under any
-	// setting).
+	// RerankSlack is ignored.
+	//
+	// Deprecated: the corpus no longer keeps a frequency order to
+	// re-rank; every join derives its order from the live frequencies.
 	RerankSlack float64
 	// FS overrides the filesystem the durability layer runs over; nil
 	// means the real OS filesystem. It exists for fault-injection tests
@@ -88,7 +85,6 @@ func OpenCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 		Tokenizer:         opts.Tokenizer,
 		SyncEvery:         opts.SyncEvery,
 		DisableSync:       opts.DisableSync,
-		RerankSlack:       opts.RerankSlack,
 		FS:                opts.FS,
 		ShipBufferRecords: opts.ShipBufferRecords,
 	})
@@ -132,9 +128,9 @@ func (c *Corpus) Len() int  { return c.c.Len() }
 func (c *Corpus) Live() int { return c.c.Live() }
 
 // SelfJoin joins the live strings of the corpus under opts.Threshold,
-// reusing the stored frequency order and prefixes (no per-call filter
-// state is rebuilt — see CorpusStats.OrderRebuilds). Results use corpus
-// ids and are exactly what SelfJoin on the same live strings returns.
+// reading the corpus's live token frequencies instead of counting them.
+// Results use corpus ids and are exactly what SelfJoin on the same live
+// strings returns.
 func (c *Corpus) SelfJoin(opts Options) ([]Pair, error) {
 	pairs, _, err := c.SelfJoinStats(opts)
 	return pairs, err
@@ -156,9 +152,9 @@ func (c *Corpus) SelfJoinStats(opts Options) ([]Pair, *Stats, error) {
 // Join performs a bipartite join of names against the corpus's live
 // strings: every returned Pair has A = a corpus id and B = an index
 // into names with NSLD(corpus[A], names[B]) <= opts.Threshold. The
-// corpus side reuses the stored frequency order, prefixes and postings
-// (no per-call rebuild of corpus filter state); results are exactly
-// what the package-level Join on (live corpus strings, names) returns.
+// corpus side's token frequencies are read from the corpus instead of
+// counted; results are exactly what the package-level Join on (live
+// corpus strings, names) returns.
 func (c *Corpus) Join(names []string, opts Options) ([]Pair, error) {
 	pairs, _, err := c.JoinStats(names, opts)
 	return pairs, err

@@ -6,8 +6,8 @@ import (
 )
 
 // TestOpenCorpusJoinAndRestart drives the public persistent-corpus API
-// end to end: add, delete, self-join at two thresholds with zero order
-// rebuilds, snapshot, reopen, identical join.
+// end to end: add, delete, self-join at two thresholds, snapshot,
+// reopen, identical join.
 func TestOpenCorpusJoinAndRestart(t *testing.T) {
 	names := []string{
 		"barak obama", "barack obama", "barak h obama",
@@ -36,7 +36,6 @@ func TestOpenCorpusJoinAndRestart(t *testing.T) {
 		t.Fatalf("Len=%d Live=%d", c.Len(), c.Live())
 	}
 
-	rebuilds := c.Stats().OrderRebuilds
 	loose, err := c.SelfJoin(Options{Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +43,6 @@ func TestOpenCorpusJoinAndRestart(t *testing.T) {
 	tight, err := c.SelfJoin(Options{Threshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := c.Stats().OrderRebuilds; got != rebuilds {
-		t.Fatalf("joins rebuilt the order: %d -> %d", rebuilds, got)
 	}
 	if len(loose) == 0 || len(tight) >= len(loose) {
 		t.Fatalf("threshold sweep implausible: %d pairs at 0.3, %d at 0.05", len(loose), len(tight))

@@ -1,68 +1,27 @@
 // Package corpus implements the durable, mutable corpus behind the
-// persistent join and serving paths: it owns the tokenized strings, the
-// global rarest-first token-frequency order, the per-string rank-sorted
-// member lists from which threshold-aware prefixes are sliced, and the
-// inverted postings — and it persists all logical state through a
-// versioned binary snapshot plus a CRC-framed, fsync-batched write-ahead
-// log, so a process restart recovers the exact corpus (and any index
-// derived from it) without re-ingesting anything.
+// persistent join and serving paths: it owns the tokenized strings, their
+// live token document frequencies and distinct-member lists, and it
+// persists all logical state through a versioned binary snapshot plus a
+// CRC-framed, fsync-batched write-ahead log, so a process restart
+// recovers the exact corpus (and any index derived from it) without
+// re-ingesting anything.
 //
-// # Incremental prefix maintenance
-//
-// The batch prefix filter (internal/prefilter) needs one fixed total
-// order over the token space and, per string, the head of its distinct
-// tokens under that order. Rebuilding that order per join is what
-// prefilter.NewIndex does; this package maintains it incrementally
-// instead, with epoch-stamped orders:
-//
-//   - Within an epoch the order is frozen. New tokens are appended at the
-//     tail (treated as most common), so the order stays a fixed total
-//     order no matter how frequencies drift. Every string added during
-//     the epoch stores its distinct tokens sorted by the frozen order, so
-//     a join at any threshold T just slices the first PrefixLen(T, L, d)
-//     entries — no global sort, no per-string sort, zero order rebuilds.
-//   - Frequencies drift as strings arrive. Drift never breaks
-//     correctness: the prefilter's losslessness argument needs only some
-//     fixed total order shared by all strings, not a frequency-sorted
-//     one (the stored lists are "stale-but-wider" in the sense that any
-//     threshold's prefix is a slice of the full stored list — see
-//     TestPrefixEquivalenceStaleCorpusOrder for the property test).
-//     Drift only erodes pruning power: a once-rare token that became hot
-//     keeps its early rank and drags long posting lists into prefixes.
-//   - A slack bound decides when eroded is too eroded: a token counts as
-//     drifted once its live document frequency exceeds twice its
-//     frequency at the last re-rank (plus a small base), and newborn
-//     tokens count immediately (they sit mis-ranked at the tail). When
-//     drifted tokens exceed RerankSlack of the token space, one re-rank
-//     re-sorts the order and every live string's member list, stamps a
-//     new epoch, and resets the drift accounting. The policy is
-//     performance-only; any schedule (including never) preserves exact
-//     join results.
-//
-// All order-bearing state is replaced copy-on-write at a re-rank, so
-// views captured by concurrent joins stay internally consistent.
+// The corpus keeps no prefix order of its own. A join over it derives the
+// rarest-first order from the live frequencies, exactly as a join over an
+// in-memory corpus does (prefilter.NewIndex), and a warm-loaded matcher
+// prices each string against the same frequencies.
 package corpus
 
 import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/iofault"
 	"repro/internal/token"
 )
-
-// driftSlackBase keeps low-frequency tokens from counting as drifted on
-// their first few occurrences: a token drifts when
-// freq > 2*frozenFreq + driftSlackBase.
-const driftSlackBase = 8
-
-// defaultRerankSlack is the drifted-token fraction that triggers a
-// re-rank when Options.RerankSlack is zero.
-const defaultRerankSlack = 0.125
 
 // Options configures a persistent corpus.
 type Options struct {
@@ -79,12 +38,6 @@ type Options struct {
 	// DisableSync skips fsync entirely (tests and benchmarks on throwaway
 	// data; a crash may lose anything after the last OS writeback).
 	DisableSync bool
-	// RerankSlack is the fraction of the token space that may drift
-	// before the frequency order is re-ranked (see the package comment).
-	// 0 means the default (0.125); negative disables re-ranking, freezing
-	// the order of the first epoch forever (results are unaffected;
-	// pruning power degrades).
-	RerankSlack float64
 	// FS is the filesystem seam every durability path runs over; nil
 	// means the real OS filesystem. Fault-injection tests install an
 	// iofault.Injector here to fail a chosen write, fsync, rename or
@@ -115,30 +68,12 @@ type Corpus struct {
 	tokenRunes [][]rune
 	tokenID    map[string]token.TokenID
 	// freq is the live document frequency over alive strings (deletes
-	// decrement). postings may retain tombstoned StringIDs until the next
-	// process restart from a compacted snapshot; readers filter by alive.
-	freq     []int32
-	postings [][]token.StringID
+	// decrement).
+	freq []int32
 
 	// lexMembers[s] holds s's distinct TokenIDs in lexicographic token
 	// order (the Members invariant of token.NewCorpusView).
 	lexMembers [][]token.TokenID
-
-	// ---- epoch-stamped frequency order ----------------------------------
-	// rank maps token -> position in the frozen rarest-first order; the
-	// array is replaced wholesale at a re-rank (copy-on-write), and new
-	// tokens append nextRank at the tail. ranked[s] is s's distinct
-	// tokens sorted by frozen rank ascending — the full "widest prefix"
-	// from which every threshold's prefix is sliced; entries are replaced
-	// copy-on-write at a re-rank.
-	rank       []int32
-	nextRank   int32
-	ranked     [][]token.TokenID
-	frozenFreq []int32
-	drifted    []bool
-	driftCount int
-	epoch      uint64
-	reranks    int64
 
 	// ---- persistence ----------------------------------------------------
 	gen         uint64
@@ -177,14 +112,18 @@ type Stats struct {
 	// Strings is the total id space (including tombstones); Live counts
 	// non-deleted strings; Tokens the distinct token space.
 	Strings, Live, Tombstones, Tokens int
-	// Epoch identifies the current frozen frequency order;
-	// OrderRebuilds counts lifetime re-ranks (persisted across
-	// restarts). Joins never bump either — that is the reusable-asset
-	// guarantee the acceptance test asserts.
-	Epoch         uint64
+	// Epoch is always 0.
+	//
+	// Deprecated: the corpus no longer keeps a frequency order of its
+	// own; every join derives one from the live frequencies.
+	Epoch uint64
+	// OrderRebuilds is always 0.
+	//
+	// Deprecated: there is no stored order to rebuild (see Epoch).
 	OrderRebuilds int64
-	// DriftedTokens is the current drift-accounting level (re-rank fires
-	// when it passes the slack bound).
+	// DriftedTokens is always 0.
+	//
+	// Deprecated: there is no stored order to drift from (see Epoch).
 	DriftedTokens int
 	// Generation is the current snapshot/WAL generation. WALReplayed
 	// counts records recovered at Open; WALRecords/WALBytes count appends
@@ -202,8 +141,8 @@ type Stats struct {
 	// Degraded reports whether the write path is sealed after a storage
 	// failure (see Corpus.Degraded).
 	Degraded bool
-	// JoinsServed counts SelfJoinCorpus calls answered from the stored
-	// order.
+	// JoinsServed counts the corpus joins answered over this corpus,
+	// SelfJoinCorpus and JoinCorpus alike.
 	JoinsServed int64
 }
 
@@ -217,9 +156,6 @@ func Open(dir string, opt Options) (*Corpus, error) {
 	}
 	if opt.SyncEvery <= 0 {
 		opt.SyncEvery = 1
-	}
-	if opt.RerankSlack == 0 {
-		opt.RerankSlack = defaultRerankSlack
 	}
 	fs := opt.FS
 	if fs == nil {
@@ -351,20 +287,10 @@ func removeStaleTemp(fs iofault.FS, dir string) {
 
 // applySnapshot installs a decoded snapshot as the corpus state and
 // rebuilds the derived structures (intern map, rune cache, live
-// frequencies, postings, member lists) in one linear pass.
+// frequencies, member lists) in one linear pass.
 func (c *Corpus) applySnapshot(st *snapState) {
 	c.gen = st.gen
-	c.epoch = st.epoch
-	c.reranks = st.reranks
 	c.tokens = st.tokens
-	c.rank = st.rank
-	c.frozenFreq = st.frozen
-	c.nextRank = 0
-	for _, r := range c.rank {
-		if r >= c.nextRank {
-			c.nextRank = r + 1
-		}
-	}
 	n := len(c.tokens)
 	c.tokenRunes = make([][]rune, n)
 	c.tokenID = st.tokenID
@@ -372,13 +298,10 @@ func (c *Corpus) applySnapshot(st *snapState) {
 		c.tokenRunes[id] = []rune(t)
 	}
 	c.freq = make([]int32, n)
-	c.postings = make([][]token.StringID, n)
-	c.drifted = make([]bool, n)
 
 	c.strings = make([]token.TokenizedString, len(st.strs))
 	c.alive = st.alive
 	c.lexMembers = make([][]token.TokenID, len(st.strs))
-	c.ranked = make([][]token.TokenID, len(st.strs))
 	var toks []string
 	for sid, ids := range st.strs {
 		if !st.alive[sid] {
@@ -394,15 +317,6 @@ func (c *Corpus) applySnapshot(st *snapState) {
 		c.lexMembers[sid] = lex
 		for _, tid := range lex {
 			c.freq[tid]++
-			c.postings[tid] = append(c.postings[tid], token.StringID(sid))
-		}
-		c.ranked[sid] = c.rankSort(lex)
-	}
-	// Drift restarts from the loaded frozen frequencies.
-	for tid := range c.freq {
-		if c.freq[tid] > 2*c.frozenFreq[tid]+driftSlackBase {
-			c.drifted[tid] = true
-			c.driftCount++
 		}
 	}
 }
@@ -421,15 +335,7 @@ func distinctIDs(ids []token.TokenID) []token.TokenID {
 	return out
 }
 
-// rankSort returns a fresh copy of ids sorted by the current frozen rank.
-func (c *Corpus) rankSort(ids []token.TokenID) []token.TokenID {
-	out := append([]token.TokenID(nil), ids...)
-	token.SortByRank(out, c.rank)
-	return out
-}
-
-// intern returns the TokenID for t, interning it (with a tail rank in the
-// frozen order) on first sight.
+// intern returns the TokenID for t, interning it on first sight.
 func (c *Corpus) intern(t string) token.TokenID {
 	if tid, ok := c.tokenID[t]; ok {
 		return tid
@@ -439,15 +345,6 @@ func (c *Corpus) intern(t string) token.TokenID {
 	c.tokens = append(c.tokens, t)
 	c.tokenRunes = append(c.tokenRunes, []rune(t))
 	c.freq = append(c.freq, 0)
-	c.postings = append(c.postings, nil)
-	c.frozenFreq = append(c.frozenFreq, 0)
-	c.rank = append(c.rank, c.nextRank)
-	c.nextRank++
-	// Newborn tokens sit mis-ranked at the tail (they are rare, the tail
-	// is the common end), so they count toward the re-rank slack
-	// immediately.
-	c.drifted = append(c.drifted, true)
-	c.driftCount++
 	return tid
 }
 
@@ -468,16 +365,9 @@ func (c *Corpus) applyAdd(ts token.TokenizedString) token.StringID {
 	}
 	c.lexMembers = append(c.lexMembers, lex)
 	for _, tid := range lex {
-		c.postings[tid] = append(c.postings[tid], sid)
 		c.freq[tid]++
-		if !c.drifted[tid] && c.freq[tid] > 2*c.frozenFreq[tid]+driftSlackBase {
-			c.drifted[tid] = true
-			c.driftCount++
-		}
 	}
-	c.ranked = append(c.ranked, c.rankSort(lex))
 	c.dirty = true
-	c.maybeRerank()
 	return sid
 }
 
@@ -513,9 +403,9 @@ func (c *Corpus) noteWAL(err error) error {
 	return err
 }
 
-// applyDelete tombstones a string. Its content, member lists and posting
-// entries are retained (point-in-time views may still hold them; readers
-// filter by alive) — a restart from a compacted snapshot sheds them.
+// applyDelete tombstones a string. Its content and member list are
+// retained (point-in-time views may still hold them; readers filter by
+// alive) — a restart from a snapshot sheds them.
 func (c *Corpus) applyDelete(sid token.StringID) error {
 	if int(sid) >= len(c.strings) || sid < 0 {
 		return fmt.Errorf("corpus: delete of id %d: %w", sid, ErrNotFound)
@@ -530,56 +420,6 @@ func (c *Corpus) applyDelete(sid token.StringID) error {
 	}
 	c.dirty = true
 	return nil
-}
-
-// maybeRerank applies the slack policy (see the package comment).
-func (c *Corpus) maybeRerank() {
-	if c.opt.RerankSlack < 0 {
-		return
-	}
-	threshold := int(c.opt.RerankSlack * float64(len(c.tokens)))
-	if threshold < 64 {
-		threshold = 64
-	}
-	if c.driftCount <= threshold {
-		return
-	}
-	c.rerank()
-}
-
-// rerank rebuilds the rarest-first order from the live frequencies and
-// re-sorts every live string's member list under it, stamping a new
-// epoch. Everything it touches is replaced copy-on-write so concurrent
-// views stay consistent.
-func (c *Corpus) rerank() {
-	order := make([]token.TokenID, len(c.tokens))
-	for i := range order {
-		order[i] = token.TokenID(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		fi, fj := c.freq[order[i]], c.freq[order[j]]
-		if fi != fj {
-			return fi < fj
-		}
-		return order[i] < order[j]
-	})
-	rank := make([]int32, len(c.tokens))
-	for r, tid := range order {
-		rank[tid] = int32(r)
-	}
-	c.rank = rank
-	c.nextRank = int32(len(order))
-	for sid := range c.ranked {
-		if !c.alive[sid] {
-			continue
-		}
-		c.ranked[sid] = c.rankSort(c.lexMembers[sid])
-	}
-	c.frozenFreq = append([]int32(nil), c.freq...)
-	c.drifted = make([]bool, len(c.tokens))
-	c.driftCount = 0
-	c.epoch++
-	c.reranks++
 }
 
 // Add tokenizes s, appends it to the WAL and installs it, returning its
@@ -881,8 +721,7 @@ func (c *Corpus) Live() int {
 // Tokenizer returns the tokenizer Add uses.
 func (c *Corpus) Tokenizer() token.Tokenizer { return c.opt.Tokenizer }
 
-// NoteJoin records one join served from the stored order (called by the
-// batch joiner).
+// NoteJoin records one corpus join (called by the batch joiner).
 func (c *Corpus) NoteJoin() { c.joinsServed.Add(1) }
 
 // Stats snapshots the corpus counters.
@@ -890,19 +729,16 @@ func (c *Corpus) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := Stats{
-		Strings:       len(c.strings),
-		Live:          c.live,
-		Tombstones:    len(c.strings) - c.live,
-		Tokens:        len(c.tokens),
-		Epoch:         c.epoch,
-		OrderRebuilds: c.reranks,
-		DriftedTokens: c.driftCount,
-		Generation:    c.gen,
-		WALReplayed:   c.walReplayed,
-		Snapshots:     c.snapshots,
-		Dirty:         c.dirty,
-		Degraded:      c.degraded != nil,
-		JoinsServed:   c.joinsServed.Load(),
+		Strings:     len(c.strings),
+		Live:        c.live,
+		Tombstones:  len(c.strings) - c.live,
+		Tokens:      len(c.tokens),
+		Generation:  c.gen,
+		WALReplayed: c.walReplayed,
+		Snapshots:   c.snapshots,
+		Dirty:       c.dirty,
+		Degraded:    c.degraded != nil,
+		JoinsServed: c.joinsServed.Load(),
 	}
 	if c.wal != nil {
 		st.WALRecords = c.wal.records
@@ -912,25 +748,14 @@ func (c *Corpus) Stats() Stats {
 }
 
 // View is a consistent point-in-time read view of the corpus: the token
-// space as a token.Corpus, the alive mask, the frozen order and the
-// rank-sorted member lists it stamps, and the inverted postings. Later
-// Adds, Deletes and re-ranks never disturb a captured view (order-bearing
-// state is replaced copy-on-write; everything else is append-only), so
-// long-running joins read it lock-free.
+// space as a token.Corpus (whose Freq holds the live document
+// frequencies) and the alive mask. Later Adds and Deletes never disturb a
+// captured view (the frequencies and the mask are copied; everything else
+// is append-only), so long-running joins read it lock-free.
 type View struct {
 	TC    *token.Corpus
 	Alive []bool
 	Live  int
-	// Rank, Ranked are the epoch-stamped order: Rank maps token -> frozen
-	// rarest-first rank; Ranked[s] is s's distinct tokens sorted by it
-	// (nil for tombstones added before the capture's epoch re-ranks).
-	Rank   []int32
-	Ranked [][]token.TokenID
-	// Postings maps token -> StringIDs; entries may reference tombstoned
-	// or post-capture ids, so readers must filter by the Alive mask (and
-	// bound ids to its length).
-	Postings [][]token.StringID
-	Epoch    uint64
 }
 
 // View captures a read view.
@@ -939,26 +764,12 @@ func (c *Corpus) View() *View {
 	defer c.mu.RUnlock()
 	n := len(c.strings)
 	nt := len(c.tokens)
-	alive := append([]bool(nil), c.alive...)
-	freq := append([]int32(nil), c.freq...)
-	posts := make([][]token.StringID, nt)
-	copy(posts, c.postings)
-	ranked := make([][]token.TokenID, n)
-	copy(ranked, c.ranked)
 	tc := token.NewCorpusView(
 		c.strings[:n:n],
 		c.tokens[:nt:nt],
 		c.tokenRunes[:nt:nt],
-		freq,
+		append([]int32(nil), c.freq...),
 		c.lexMembers[:n:n],
 	)
-	return &View{
-		TC:       tc,
-		Alive:    alive,
-		Live:     c.live,
-		Rank:     c.rank,
-		Ranked:   ranked,
-		Postings: posts,
-		Epoch:    c.epoch,
-	}
+	return &View{TC: tc, Alive: append([]bool(nil), c.alive...), Live: c.live}
 }

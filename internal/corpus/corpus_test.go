@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/iofault"
 	"repro/internal/namegen"
-	"repro/internal/token"
 )
 
 // mustOpen opens a corpus or fails the test.
@@ -380,61 +379,8 @@ func TestAllSnapshotsCorruptFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestRerankPolicy: the slack policy re-ranks as the corpus grows, every
-// re-rank leaves the order consistent (rank is a permutation; every live
-// string's ranked list is sorted by it), and joins of any kind never
-// happen here — only Add drives rebuilds.
-func TestRerankPolicy(t *testing.T) {
-	names := namegen.Generate(namegen.Config{Seed: 10, NumNames: 600})
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{DisableSync: true})
-	defer c.Close()
-	for _, n := range names {
-		if _, err := c.Add(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.OrderRebuilds == 0 {
-		t.Fatal("600 adds should have triggered at least one re-rank")
-	}
-	if st.Epoch == 0 {
-		t.Fatal("epoch must advance with re-ranks")
-	}
-	v := c.View()
-	seen := make(map[int32]bool, len(v.Rank))
-	for _, r := range v.Rank {
-		if r < 0 || int(r) >= len(v.Rank) || seen[r] {
-			t.Fatalf("rank is not a permutation: %v", r)
-		}
-		seen[r] = true
-	}
-	for sid, list := range v.Ranked {
-		if !v.Alive[sid] {
-			continue
-		}
-		for i := 1; i < len(list); i++ {
-			if v.Rank[list[i-1]] >= v.Rank[list[i]] {
-				t.Fatalf("ranked[%d] not sorted by rank", sid)
-			}
-		}
-	}
-
-	// Disabled slack: no rebuild ever, order still a valid total order.
-	c2 := mustOpen(t, t.TempDir(), Options{DisableSync: true, RerankSlack: -1})
-	defer c2.Close()
-	for _, n := range names {
-		if _, err := c2.Add(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c2.Stats().OrderRebuilds; got != 0 {
-		t.Fatalf("RerankSlack<0 rebuilt %d times", got)
-	}
-}
-
-// TestViewIsolation: a captured view is untouched by later adds, deletes
-// and re-ranks.
+// TestViewIsolation: a captured view is untouched by later adds and
+// deletes.
 func TestViewIsolation(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 11, NumNames: 120})
 	c := mustOpen(t, t.TempDir(), Options{DisableSync: true})
@@ -446,35 +392,24 @@ func TestViewIsolation(t *testing.T) {
 	}
 	v := c.View()
 	nStr, nTok := len(v.Alive), len(v.TC.Tokens)
-	rank0 := v.Rank
-	ranked0 := append([]token.TokenID(nil), v.Ranked[5]...)
+	freq0 := append([]int32(nil), v.TC.Freq...)
 	if err := c.Delete(5); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range names[40:] { // enough churn to force re-ranks
+	for _, n := range names[40:] {
 		if _, err := c.Add(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(v.Alive) != nStr || len(v.TC.Tokens) != nTok {
+	if len(v.Alive) != nStr || len(v.TC.Tokens) != nTok || len(v.TC.Strings) != nStr {
 		t.Fatal("view grew after capture")
 	}
-	if !v.Alive[5] {
+	if !v.Alive[5] || v.Live != nStr {
 		t.Fatal("later delete leaked into the view")
 	}
-	for i := range ranked0 {
-		if v.Ranked[5][i] != ranked0[i] {
-			t.Fatal("later re-rank disturbed the view's ranked list")
-		}
-	}
-	// The view's rank array and ranked lists agree with each other even
-	// though the corpus has re-ranked since.
-	for sid := 0; sid < nStr; sid++ {
-		list := v.Ranked[sid]
-		for i := 1; i < len(list); i++ {
-			if rank0[list[i-1]] >= rank0[list[i]] {
-				t.Fatalf("view ranked[%d] inconsistent with view rank", sid)
-			}
+	for tid, f := range freq0 {
+		if v.TC.Freq[tid] != f {
+			t.Fatalf("later mutations moved the view's frequency of token %d: %d -> %d", tid, f, v.TC.Freq[tid])
 		}
 	}
 }

@@ -17,38 +17,47 @@ import (
 	"repro/internal/token"
 )
 
-// Snapshot format (version 1). All integers little-endian; varints are
+// Snapshot format (version 2). All integers little-endian; varints are
 // unsigned LEB128 (encoding/binary Uvarint). The whole file is covered by
 // a trailing CRC-32C, so a half-written snapshot is never loaded — Open
 // falls back to the previous generation.
 //
 //	magic   "TSJSNAP1"                      8 bytes
-//	version uint32                          = 1
+//	version uint32                          = 2
 //	gen     uint64                          generation number (matches file name)
-//	epoch   uint64                          frequency-order epoch
-//	reranks uint64                          lifetime order-rebuild count
 //	tokens  varint count, then per token:   varint len, bytes   (TokenID order)
-//	rank    per token: varint               frozen rarest-first rank
-//	frozen  per token: varint               document frequency at the last re-rank
 //	strings varint count, then per string:
 //	        flag byte (1 = alive, 0 = tombstone)
 //	        if alive: varint tokenCount, then tokenCount × varint TokenID
 //	        (the multiset in TokenizedString order; tombstones store nothing)
 //	crc32c  uint32 over everything above
 //
-// Tokens are distinct, no string lists an empty token, ranks and
-// frequencies are non-negative int32s, and every varint is in its
+// Version 1, written before the corpus stopped keeping a frequency order
+// of its own, is still read. It carries three more fields, which the
+// decoder range-checks and discards:
+//
+//	magic, version = 1, gen             as above
+//	epoch   uint64                          frequency-order epoch
+//	reranks uint64                          lifetime order-rebuild count
+//	tokens                                  as above
+//	rank    per token: varint               frozen rarest-first rank
+//	frozen  per token: varint               document frequency at the last re-rank
+//	strings, crc32c                         as above
+//
+// Tokens are distinct, no string lists an empty token, a version-1 rank
+// or frequency is a non-negative int32, and every varint is in its
 // shortest form; decodeSnapshot refuses a file that breaks any of these.
 //
-// Derived state — distinct-member lists, rank-sorted member lists, the
-// inverted postings, live frequencies — is rebuilt at load time from the
-// logical state above. It is cheap (one linear pass) and rebuilding it
-// keeps the on-disk format small and free of redundancy that could
-// disagree with itself.
+// Derived state — distinct-member lists and live frequencies — is rebuilt
+// at load time from the logical state above. It is cheap (one linear
+// pass) and rebuilding it keeps the on-disk format small and free of
+// redundancy that could disagree with itself.
 
 const (
 	snapMagic   = "TSJSNAP1"
-	snapVersion = 1
+	snapVersion = 2
+	// snapVersion1 is the older layout decodeSnapshot still reads.
+	snapVersion1 = 1
 )
 
 // snapPrefix/walPrefix name generation files: snap-%016x.tsj pairs with
@@ -158,10 +167,8 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 	if err = cw.u32(snapVersion); err != nil {
 		return "", err
 	}
-	for _, v := range []uint64{gen, c.epoch, uint64(c.reranks)} {
-		if err = cw.u64(v); err != nil {
-			return "", err
-		}
+	if err = cw.u64(gen); err != nil {
+		return "", err
 	}
 	if err = cw.uvarint(uint64(len(c.tokens))); err != nil {
 		return "", err
@@ -171,16 +178,6 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 			return "", err
 		}
 		if _, err = io.WriteString(cw, t); err != nil {
-			return "", err
-		}
-	}
-	for _, r := range c.rank {
-		if err = cw.uvarint(uint64(r)); err != nil {
-			return "", err
-		}
-	}
-	for _, f := range c.frozenFreq {
-		if err = cw.uvarint(uint64(f)); err != nil {
 			return "", err
 		}
 	}
@@ -255,15 +252,11 @@ func (c *Corpus) syncDir() error {
 
 // snapState is the decoded logical content of a snapshot file.
 type snapState struct {
-	gen     uint64
-	epoch   uint64
-	reranks int64
-	tokens  []string
+	gen    uint64
+	tokens []string
 	// tokenID is the intern map of tokens, built while decoding (where
 	// it catches duplicate tokens) and adopted by applySnapshot.
 	tokenID map[string]token.TokenID
-	rank    []int32
-	frozen  []int32
 	// strs[i] is nil for tombstones, else the multiset of TokenIDs.
 	strs  [][]token.TokenID
 	alive []bool
@@ -279,12 +272,13 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 }
 
 // decodeSnapshot CRC-verifies and parses a snapshot. It accepts exactly
-// what writeSnapshotTemp writes (the format comment above), with string
-// flags 0 and 1 and each alive string's ids sorted by token. Anything
-// else is corruption that slipped past the CRC, or a writer bug, and is
-// refused rather than loaded into a corpus that disagrees with itself.
+// what writeSnapshotTemp writes, or wrote as version 1 (the format comment
+// above), with string flags 0 and 1 and each alive string's ids sorted by
+// token. Anything else is corruption that slipped past the CRC, or a
+// writer bug, and is refused rather than loaded into a corpus that
+// disagrees with itself.
 func decodeSnapshot(raw []byte) (*snapState, error) {
-	if len(raw) < len(snapMagic)+4+3*8+4 || string(raw[:len(snapMagic)]) != snapMagic {
+	if len(raw) < len(snapMagic)+4+8+4 || string(raw[:len(snapMagic)]) != snapMagic {
 		return nil, errors.New("corpus: bad snapshot header")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
@@ -292,15 +286,20 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 		return nil, errors.New("corpus: snapshot crc mismatch")
 	}
 	p := body[len(snapMagic):]
-	if v := binary.LittleEndian.Uint32(p); v != snapVersion {
-		return nil, fmt.Errorf("corpus: unsupported snapshot version %d", v)
+	version := binary.LittleEndian.Uint32(p)
+	if version != snapVersion && version != snapVersion1 {
+		return nil, fmt.Errorf("corpus: unsupported snapshot version %d", version)
 	}
 	p = p[4:]
-	st := &snapState{}
-	st.gen = binary.LittleEndian.Uint64(p)
-	st.epoch = binary.LittleEndian.Uint64(p[8:])
-	st.reranks = int64(binary.LittleEndian.Uint64(p[16:]))
-	p = p[24:]
+	st := &snapState{gen: binary.LittleEndian.Uint64(p)}
+	p = p[8:]
+	if version == snapVersion1 {
+		// The order's epoch and re-rank count: any value is well-formed.
+		if len(p) < 16 {
+			return nil, errors.New("corpus: bad snapshot header")
+		}
+		p = p[16:]
+	}
 
 	uv := func() (uint64, error) {
 		v, k := uvarint(p)
@@ -309,15 +308,6 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 		}
 		p = p[k:]
 		return v, nil
-	}
-	// i32 reads a rank or frequency: an int32 the writer stored as a
-	// non-negative uvarint. A wider value would wrap on conversion.
-	i32 := func() (int32, error) {
-		v, err := uv()
-		if err == nil && v > math.MaxInt32 {
-			err = fmt.Errorf("corpus: snapshot value %d beyond int32", v)
-		}
-		return int32(v), err
 	}
 
 	// Counts are bounded by the remaining bytes (every element costs at
@@ -349,20 +339,17 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 		st.tokens[i] = t
 		st.tokenID[t] = token.TokenID(i)
 	}
-	// A rank and a frequency per token, at least a byte each.
-	if 2*nTok > uint64(len(p)) {
-		return nil, errors.New("corpus: snapshot ranks exceed payload")
-	}
-	st.rank = make([]int32, nTok)
-	for i := range st.rank {
-		if st.rank[i], err = i32(); err != nil {
-			return nil, err
-		}
-	}
-	st.frozen = make([]int32, nTok)
-	for i := range st.frozen {
-		if st.frozen[i], err = i32(); err != nil {
-			return nil, err
+	if version == snapVersion1 {
+		// A version-1 rank and frozen frequency per token: non-negative
+		// int32s the writer stored as uvarints. Nothing reads them now.
+		for i := uint64(0); i < 2*nTok; i++ {
+			v, err := uv()
+			if err != nil {
+				return nil, err
+			}
+			if v > math.MaxInt32 {
+				return nil, fmt.Errorf("corpus: snapshot value %d beyond int32", v)
+			}
 		}
 	}
 	nStr, err := uv()

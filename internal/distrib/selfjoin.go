@@ -65,8 +65,8 @@ type sjTask struct {
 //     map task per (i, j) pair executes the join RPC on the worker —
 //     the local self-join for i == j (POST /cluster/selfjoin) and the
 //     bipartite probe join for i < j (shard i's strings POSTed to shard
-//     j's /cluster/probe, which runs tsj.JoinCorpus against its stored
-//     filter state) — then translates worker-local pair ids to global
+//     j's /cluster/probe, which runs tsj.JoinCorpus against its durable
+//     corpus) — then translates worker-local pair ids to global
 //     ids through the coordinator's tables and emits each pair keyed by
 //     its normalized (A, B) so the reduce phase deduplicates.
 //

@@ -114,7 +114,7 @@ type SelfJoinRequest struct {
 
 // ProbeJoinRequest is POST /cluster/probe on a worker: a bipartite join
 // of the posted probe token multisets against the worker's live corpus
-// (tsj.JoinCorpus — the corpus side reuses stored filter state). Tokens
+// (tsj.JoinCorpus — the corpus side reads its stored frequencies). Tokens
 // travel the wire already tokenized so no per-node tokenizer drift can
 // split the cluster's notion of a string.
 type ProbeJoinRequest struct {

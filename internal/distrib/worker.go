@@ -11,9 +11,9 @@ import (
 // WorkerExt serves the worker-side endpoints of the distributed join —
 // the executor surface the coordinator drives through the mapreduce
 // seam. internal/serve mounts it when running durable; the endpoints
-// are corpus-backed because the distributed join reuses each shard's
-// stored filter state (tsj.SelfJoinCorpus / tsj.JoinCorpus) rather than
-// rebuilding per call.
+// are corpus-backed because the distributed join runs over each shard's
+// durable corpus (tsj.SelfJoinCorpus / tsj.JoinCorpus), reading its live
+// token frequencies rather than counting them per call.
 type WorkerExt struct {
 	C *tsjoin.Corpus
 }
@@ -61,7 +61,7 @@ func (we WorkerExt) ServeStrings(w http.ResponseWriter, r *http.Request) {
 
 // ServeProbe is POST /cluster/probe: the bipartite join of the posted
 // probe token multisets against the live corpus (Job 1/Job 2 run here,
-// on the worker, over its stored order and postings).
+// on the worker, over its corpus's stored frequencies).
 func (we WorkerExt) ServeProbe(w http.ResponseWriter, r *http.Request) {
 	var req ProbeJoinRequest
 	if !httpx.DecodeJSON(w, r, &req) {
@@ -83,7 +83,7 @@ func (we WorkerExt) ServeProbe(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeSelfJoin is POST /cluster/selfjoin: this shard's local
-// self-join over its stored filter state.
+// self-join over its durable corpus.
 func (we WorkerExt) ServeSelfJoin(w http.ResponseWriter, r *http.Request) {
 	var req SelfJoinRequest
 	if !httpx.DecodeJSON(w, r, &req) {

@@ -23,12 +23,10 @@
 // NSLD <= T has L(y) <= L(x)/(1-T), and MaxSLDWithin is monotone in the
 // aggregate-length sum, so B <= MaxErrors(T, L(x)) for every admissible
 // partner.
-//
-// Every Index slices its prefixes in NewIndexFromRanked; NewIndex only
-// derives the rank and the rank-sorted member lists it takes.
 package prefilter
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/core"
@@ -157,15 +155,21 @@ type Index struct {
 // tie-break is load-bearing: prefix sets must agree across workers,
 // shards, and the batch/stream engines, and document frequencies tie
 // constantly in real corpora.
+//
+// Losslessness does not require the order to be frequency-sorted: every
+// argument in this package (FirstCommon's prefix-intersection theorem and
+// Admit's positional filter) assumes only some fixed total order shared
+// by all strings. The frequencies only make it prune well.
 func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	maxFreq := int32(0)
 	for _, f := range c.Freq {
 		maxFreq = max(maxFreq, f)
 	}
 	// Dropped tokens sort as frequency maxFreq+1, after every kept one, so
-	// NewIndexFromRanked cuts them off each list's tail in place.
+	// they trail each rank-sorted list and are cut off its tail in place.
+	isDropped := func(tid token.TokenID) bool { return dropped != nil && dropped[tid] }
 	key := func(tid token.TokenID) int32 {
-		if dropped != nil && dropped[tid] {
+		if isDropped(tid) {
 			return maxFreq + 1
 		}
 		return c.Freq[tid]
@@ -177,49 +181,6 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	for k := 1; k < len(next); k++ {
 		next[k] += next[k-1]
 	}
-	rank := make([]int32, len(c.Freq))
-	for tid := range rank {
-		k := key(token.TokenID(tid))
-		rank[tid] = next[k]
-		next[k]++
-	}
-	// Each string's members, rank-sorted, in one arena.
-	size := 0
-	for _, m := range c.Members {
-		size += len(m)
-	}
-	arena := make([]token.TokenID, 0, size)
-	ranked := make([][]token.TokenID, c.NumStrings())
-	for sid, m := range c.Members {
-		from := len(arena)
-		arena = append(arena, m...)
-		ranked[sid] = arena[from:len(arena):len(arena)]
-		token.SortByRank(ranked[sid], rank)
-	}
-	return NewIndexFromRanked(c, dropped, rank, ranked, nil, t)
-}
-
-// NewIndexFromRanked builds the pruning index from externally maintained
-// order state instead of computing it: rank maps every token to its
-// position in a fixed total order (all values >= 0; the persistent
-// corpus's epoch-stamped frozen order), and ranked[sid] holds each
-// string's distinct tokens already sorted by that order. Each string's
-// prefix is then just a slice of its ranked list — no global sort and no
-// per-string sort, which is what lets one stored order serve joins at
-// many thresholds with zero rebuilds.
-//
-// Losslessness does not require the order to be frequency-sorted: every
-// argument in this package (FirstCommon's prefix-intersection theorem and
-// Admit's positional filter) assumes only some fixed total order shared
-// by all strings. A stale order — frozen while frequencies kept drifting
-// — therefore prunes exactly as correctly as a fresh one; it may merely
-// prune less effectively. alive masks tombstoned strings (nil = all
-// alive): they get empty prefixes and zero distinct counts, so they can
-// neither emit nor admit. dropped marks tokens excluded by the
-// max-frequency cutoff, exactly as in NewIndex; dropped tokens are
-// stripped from the ranked lists before slicing, which preserves the
-// kept-token prefix semantics.
-func NewIndexFromRanked(c *token.Corpus, dropped []bool, rank []int32, ranked [][]token.TokenID, alive []bool, t float64) *Index {
 	ix := &Index{
 		c:        c,
 		t:        t,
@@ -228,25 +189,16 @@ func NewIndexFromRanked(c *token.Corpus, dropped []bool, rank []int32, ranked []
 		distinct: make([]int32, c.NumStrings()),
 		aggLen:   make([]int32, c.NumStrings()),
 	}
-	anyDropped := false
-	for tid := 0; tid < c.NumTokens(); tid++ {
-		if dropped != nil && dropped[tid] {
-			ix.rank[tid] = -1
-			anyDropped = true
-		} else {
-			ix.rank[tid] = rank[tid]
-		}
+	for tid := range ix.rank {
+		k := key(token.TokenID(tid))
+		ix.rank[tid] = next[k]
+		next[k]++
 	}
 	maxLen := 0
 	for sid := range c.Strings {
-		if alive != nil && !alive[sid] {
-			continue
-		}
 		l := c.Strings[sid].AggregateLen()
 		ix.aggLen[sid] = int32(l)
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen = max(maxLen, l)
 	}
 	ix.budgetBySum = make([]int, 2*maxLen+1)
 	for sum := range ix.budgetBySum {
@@ -258,32 +210,32 @@ func NewIndexFromRanked(c *token.Corpus, dropped []bool, rank []int32, ranked []
 	for l := range maxPrefix {
 		maxPrefix[l] = MaxErrors(t, l) + 1
 	}
-	isDropped := func(tid token.TokenID) bool { return ix.rank[tid] < 0 }
-	for sid := range ranked {
-		if alive != nil && !alive[sid] {
-			continue
-		}
-		list := ranked[sid]
-		if anyDropped {
-			// Strip dropped tokens; the rest keeps its rank order. Those
-			// trailing the list (NewIndex ranks every dropped token last)
-			// are cut off in place; only one amid the kept tokens forces a
-			// filtered copy.
-			for len(list) > 0 && isDropped(list[len(list)-1]) {
-				list = list[:len(list)-1]
-			}
-			if slices.ContainsFunc(list, isDropped) {
-				list = slices.DeleteFunc(slices.Clone(list), isDropped)
-			}
+	// Each string's members, rank-sorted, in one arena; the prefix is the
+	// head of the kept part.
+	size := 0
+	for _, m := range c.Members {
+		size += len(m)
+	}
+	arena := make([]token.TokenID, 0, size)
+	for sid, m := range c.Members {
+		from := len(arena)
+		arena = append(arena, m...)
+		list := arena[from:len(arena):len(arena)]
+		slices.SortFunc(list, func(a, b token.TokenID) int { return cmp.Compare(ix.rank[a], ix.rank[b]) })
+		for len(list) > 0 && isDropped(list[len(list)-1]) {
+			list = list[:len(list)-1]
 		}
 		ix.distinct[sid] = int32(len(list))
-		p := min(len(list), maxPrefix[ix.aggLen[sid]])
-		if p == 0 {
-			continue
+		if p := min(len(list), maxPrefix[ix.aggLen[sid]]); p > 0 {
+			ix.prefix[sid] = list[:p:p]
 		}
-		// The prefix shares the list: the caller guarantees a stored list
-		// is never mutated after capture.
-		ix.prefix[sid] = list[:p:p]
+	}
+	// Dropped tokens never appear in a prefix; FirstCommon reads only the
+	// kept ranks.
+	for tid := range ix.rank {
+		if isDropped(token.TokenID(tid)) {
+			ix.rank[tid] = -1
+		}
 	}
 	return ix
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/corpus"
-	"repro/internal/prefilter"
 	"repro/internal/token"
 )
 
@@ -34,27 +33,6 @@ func NewShardedFromCorpus(opt Options, shards int, pc *corpus.Corpus) (*ShardedM
 	return m, nil
 }
 
-// markStorageProbe applies the storage-side segment-prefix marks to one
-// string's probe. The warm path reuses the corpus's epoch-stamped
-// frequency order instead of live probe-time frequencies: each string's
-// prefix is the head of its stored rank-sorted member list, exactly as
-// the persistent batch join slices it. Any fixed order is lossless here
-// (the argument in tokenIndex.insert never consults the order), so
-// staleness against the live-ingest order costs nothing but pruning
-// power. prefixSet is caller-owned scratch.
-func markStorageProbe(opt Options, v *corpus.View, sid int, probe []probeToken, prefixSet map[string]struct{}) {
-	ranked := v.Ranked[sid]
-	p := prefilter.SegmentPrefixLen(opt.Threshold, v.TC.Strings[sid].AggregateLen(), len(ranked))
-	clear(prefixSet)
-	for _, tid := range ranked[:p] {
-		prefixSet[v.TC.Tokens[tid]] = struct{}{}
-	}
-	for i := range probe {
-		_, in := prefixSet[probe[i].s]
-		probe[i].nonPrefix = !in
-	}
-}
-
 // warmLoad is the one warm load. The per-string work (rune decoding,
 // probe extraction, prefix marking) runs chunked across GOMAXPROCS
 // workers, and the index insertion runs one goroutine per shard — each
@@ -64,6 +42,12 @@ func markStorageProbe(opt Options, v *corpus.View, sid int, probe []probeToken, 
 // matcher is still private to its constructor, each slice header is
 // written before the fan-out, and each shard is touched by exactly one
 // goroutine. An empty corpus (every fresh data directory) loads nothing.
+//
+// With markStorage, each string's probe is prefix-marked by markPrefix
+// against the view's live document frequencies, so tokens that sit in no
+// string's prefix are never segment-indexed. That order is not the one
+// the live-ingest path saw, which costs nothing: the storage-pruning
+// argument (tokenIndex.insert) never consults the order.
 func (m *ShardedMatcher) warmLoad(v *corpus.View, markStorage bool) {
 	n := len(v.TC.Strings)
 	// Phase 1 (serial, cheap): id-space headers. Appending one slot per
@@ -102,17 +86,21 @@ func (m *ShardedMatcher) warmLoad(v *corpus.View, markStorage bool) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var prefixSet map[string]struct{}
-			if markStorage {
-				prefixSet = make(map[string]struct{})
-			}
+			var freqs []int32
+			var keys []int64
 			for sid := lo; sid < hi; sid++ {
-				if !v.Alive[sid] || v.TC.Strings[sid].Count() == 0 {
+				ts := v.TC.Strings[sid]
+				if !v.Alive[sid] || ts.Count() == 0 {
 					continue
 				}
-				probe := distinctProbe(v.TC.Strings[sid])
+				probe := distinctProbe(ts)
 				if markStorage {
-					markStorageProbe(m.opt, v, sid, probe, prefixSet)
+					// Members[sid] lists the distinct tokens in probe order.
+					freqs = freqs[:0]
+					for _, tid := range v.TC.Members[sid] {
+						freqs = append(freqs, v.TC.Freq[tid])
+					}
+					markPrefix(probe, freqs, m.opt.Threshold, ts, &keys)
 				}
 				sids := make([]int32, len(probe))
 				for i := range probe {

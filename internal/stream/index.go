@@ -132,8 +132,8 @@ func (ix *tokenIndex) freqOf(s string) int32 {
 // (prefilter.SegmentPrefixLen); any pair that does share a token is the
 // exact path's responsibility, and the inverted index stores every token.
 // The argument never uses the frequency order itself, so insert-time
-// orders may drift arbitrarily (and the warm-load path may use the
-// corpus's stored epoch-stamped order) without losing a pair. Under a
+// orders may drift arbitrarily (and the warm load may price every string
+// against the corpus's final frequencies) without losing a pair. Under a
 // finite max-frequency cutoff M storage pruning is disabled: a token
 // shared by a qualifying pair can cross the cutoff between the index-side
 // insert and the probe, stranding a pair whose segment witness was pruned

@@ -155,10 +155,12 @@ func TestSegmentPrefixEquivalenceTies(t *testing.T) {
 }
 
 // TestSegmentPrefixEquivalenceWarmLoad: a matcher warm-loaded from a
-// persistent corpus prunes segment storage using the corpus's stored
-// epoch-stamped order — a different (and possibly stale) order than the
-// live-ingest path uses — and must still serve exactly the oracle's
-// queries.
+// persistent corpus prunes segment storage by prefix marks priced against
+// the corpus's final frequencies — a different order than the live-ingest
+// path used — and must still serve exactly the oracle's queries. The
+// pruning must be real: at T = 0.1 the warm-loaded index segment-indexes
+// strictly fewer tokens than a warm load with the segment prefix filter
+// off, so a marking that marks nothing fails.
 func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 58, NumNames: 180})
 	strs := tokenizeAll(names)
@@ -173,6 +175,17 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	segIndexed := func(m *ShardedMatcher) int {
+		n := 0
+		for _, sh := range m.shards {
+			for _, in := range sh.ix.segIndexed {
+				if in {
+					n++
+				}
+			}
+		}
+		return n
+	}
 	for _, th := range []float64{0.1, 0.2, 0.3} {
 		m, err := NewShardedFromCorpus(Options{Threshold: th}, 3, pc)
 		if err != nil {
@@ -183,7 +196,18 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 				t.Fatalf("t=%.2f: warm-loaded segment-filtered query %q: %v, want %v", th, n, got, want)
 			}
 		}
+		unpruned, err := NewShardedFromCorpus(Options{Threshold: th, DisableSegmentPrefixFilter: true}, 3, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// At T = 0.1 some tokens sit in no string's prefix; at the looser
+		// thresholds every token does.
+		got, all := segIndexed(m), segIndexed(unpruned)
+		if got > all || th == 0.1 && got == all {
+			t.Fatalf("t=%.2f: warm load segment-indexed %d tokens, %d without the filter; want fewer", th, got, all)
+		}
 		m.Close()
+		unpruned.Close()
 	}
 }
 

@@ -1,7 +1,6 @@
 package token
 
 import (
-	"cmp"
 	"reflect"
 	"slices"
 	"sync"
@@ -200,13 +199,6 @@ func (b *corpusBuilder) finish() *Corpus {
 		c.Members[s] = ids[:distinct:distinct]
 	}
 	return c
-}
-
-// SortByRank sorts ids in place by ascending rank[id]. Ranks are distinct
-// across a total order's tokens, so the result does not depend on the
-// input order.
-func SortByRank(ids []TokenID, rank []int32) {
-	slices.SortFunc(ids, func(a, b TokenID) int { return cmp.Compare(rank[a], rank[b]) })
 }
 
 // NewCorpusView assembles a Corpus from externally maintained state (the

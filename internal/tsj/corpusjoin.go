@@ -5,35 +5,18 @@ import (
 	"repro/internal/token"
 )
 
-// SelfJoinCorpus performs the NSLD self-join of a persistent corpus,
-// reusing its stored filter state instead of rebuilding any of it:
-//
-//   - token document frequencies are read from the corpus (no
-//     token-frequency job);
-//   - the global rarest-first order and the per-string rank-sorted member
-//     lists come from the corpus's epoch-stamped incremental maintenance,
-//     and the threshold's prefixes are sliced from them
-//     (prefilter.NewIndexFromRanked) — no global sort, no per-string
-//     sort;
-//   - the similar-token expansion walks the corpus's inverted postings.
-//
-// Consequently repeated joins at different thresholds on one opened
-// corpus perform zero frequency-order rebuilds (corpus
-// Stats.OrderRebuilds is untouched by joins — only Adds can re-rank),
-// which is the property TestSelfJoinCorpusZeroRebuilds asserts.
+// SelfJoinCorpus performs the NSLD self-join of a persistent corpus's
+// live strings. It runs the SelfJoin pipeline over a point-in-time view of
+// the corpus, with one difference: the token document frequencies are
+// read from the corpus, so the token-frequency job does not run. The
+// prefix index derives its rarest-first order from those frequencies per
+// join, exactly as SelfJoin's does.
 //
 // Results are exactly SelfJoin's over the live (non-deleted) strings,
-// with the corpus's StringIDs: the prefix filter is lossless under any
-// fixed total order (see prefilter.NewIndexFromRanked), so even a
-// maximally stale stored order — frequencies drifted arbitrarily far
-// since the last re-rank — changes nothing but pruning power
-// (TestPrefixEquivalenceStaleCorpusOrder is the property test).
+// with the corpus's StringIDs.
 func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 	v := pc.View()
-	results, st, err := run(&source{
-		c: v.TC, alive: v.Alive, split: -1, storedFreq: true,
-		rank: v.Rank, ranked: v.Ranked, postings: v.Postings,
-	}, opts)
+	results, st, err := run(&source{c: v.TC, alive: v.Alive, split: -1, storedFreq: true}, opts)
 	if err == nil {
 		pc.NoteJoin()
 	}
@@ -41,23 +24,11 @@ func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 }
 
 // JoinCorpus performs the bipartite NSLD join of a probe set against the
-// live strings of a persistent corpus, reusing the corpus's stored
-// filter state for its side of the join instead of rebuilding any of it
-// (the bipartite counterpart of SelfJoinCorpus):
-//
-//   - the corpus side's token document frequencies are read from the
-//     corpus; the probe side's are counted in one pass over the probes
-//     (so the MaxTokenFreq cutoff sees exactly the combined frequencies
-//     a from-scratch Join would compute);
-//   - the combined prefix order extends the corpus's epoch-stamped
-//     rarest-first order with probe-only tokens at its tail — any fixed
-//     total order is lossless (prefilter.NewIndexFromRanked), so the
-//     stored order serves unchanged and only the probes' member lists
-//     are rank-sorted;
-//   - the similar-token expansion walks the corpus's stored inverted
-//     postings for the corpus side and inverts only the probes'
-//     (prefix-restricted postings are re-derived only when the segment
-//     prefix filter is on, as in SelfJoinCorpus).
+// live strings of a persistent corpus (the bipartite counterpart of
+// SelfJoinCorpus). The corpus side's token document frequencies are read
+// from the corpus and the probe side's are counted in one pass over the
+// probes, so the MaxTokenFreq cutoff and the prefix order see exactly the
+// combined frequencies a from-scratch Join would compute.
 //
 // Results are exactly Join's over (live corpus strings, probes):
 // Result.A is a corpus StringID, Result.B indexes probes. Tombstoned
@@ -113,33 +84,9 @@ func JoinCorpus(pc *corpus.Corpus, probes []token.TokenizedString, opts Options)
 		alive[i] = true
 	}
 
-	// Extend the stored rank with tail ranks for probe-only tokens
-	// (first-appearance order — deterministic for a given probe set), and
-	// rank-sort the probes' member lists.
-	rank := make([]int32, len(tokens))
-	next := int32(0)
-	for tid, r := range v.Rank {
-		rank[tid] = r
-		if r >= next {
-			next = r + 1
-		}
-	}
-	for tid := nt; tid < len(tokens); tid++ {
-		rank[tid] = next
-		next++
-	}
-	ranked := make([][]token.TokenID, n+m)
-	copy(ranked, v.Ranked)
-	for i := n; i < n+m; i++ {
-		rl := append([]token.TokenID(nil), members[i]...)
-		token.SortByRank(rl, rank)
-		ranked[i] = rl
-	}
-
 	results, st, err := run(&source{
 		c:     token.NewCorpusView(strs, tokens, tokenRunes, freq, members),
 		alive: alive, split: n, storedFreq: true,
-		rank: rank, ranked: ranked, postings: v.Postings,
 	}, opts)
 	if err != nil {
 		return nil, nil, err

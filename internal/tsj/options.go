@@ -26,12 +26,10 @@
 // enumeration (Sec. II-B), so Join and JoinCorpus run the same jobs with
 // Job 1's reducers and the expansion pairing R ids with P ids only.
 // SelfJoin and Join run every job on an in-memory corpus. SelfJoinCorpus
-// and JoinCorpus read a persistent corpus's stored state in place of the
-// work that would rebuild it: its live document frequencies replace job 1,
-// its epoch-stamped rarest-first order replaces the prefix index's global
-// and per-string sorts, and its inverted postings replace the postings
-// inversion of job 3's expansion (for the corpus side; JoinCorpus inverts
-// only the probes).
+// and JoinCorpus run over a persistent corpus's point-in-time view and read
+// its live document frequencies in place of job 1; everything after that,
+// the prefix index's rarest-first order included, is derived per join
+// exactly as for an in-memory corpus.
 //
 // Every job reports task-cost statistics so the simulated cluster can
 // reproduce the paper's scalability figures.

@@ -28,17 +28,6 @@ type source struct {
 	// storedFreq: c.Freq already holds the live document frequencies, so
 	// the token cutoff reads them and the token-frequency job is skipped.
 	storedFreq bool
-	// rank and ranked, when ranked is non-nil, are a stored global token
-	// order and every string's distinct tokens sorted by it; prefixes are
-	// sliced from them (prefilter.NewIndexFromRanked) instead of sorting
-	// (prefilter.NewIndex).
-	rank   []int32
-	ranked [][]token.TokenID
-	// postings, when non-nil, are stored token -> string id lists covering
-	// the R side of a bipartite join or all of a self-join; the
-	// similar-token expansion walks them instead of inverting c.Members.
-	// They may hold tombstoned ids and ids minted after c was captured.
-	postings [][]token.StringID
 }
 
 // live reports whether sid is inside the captured id space and not
@@ -142,12 +131,7 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	wantSeg := !opts.DisableSegmentPrefixFilter && opts.Matching == FuzzyTokenMatching
 	var pf, pfSeg *prefilter.Index
 	if wantShared || wantSeg {
-		var ix *prefilter.Index
-		if src.ranked != nil {
-			ix = prefilter.NewIndexFromRanked(c, dropped, src.rank, src.ranked, src.alive, opts.Threshold)
-		} else {
-			ix = prefilter.NewIndex(c, dropped, opts.Threshold)
-		}
+		ix := prefilter.NewIndex(c, dropped, opts.Threshold)
 		if wantShared {
 			pf = ix
 		}
@@ -260,19 +244,10 @@ func similarTokenCandidates(src *source, dropped []bool, pfSeg *prefilter.Index,
 	if bipartite {
 		post[1] = make([][]token.StringID, nt)
 	}
-	// Stored postings serve the ids they cover; the rest (and, under the
-	// segment prefix filter, every id) are inverted from the live strings'
-	// member or prefix lists.
-	derived := 0
-	if pfSeg == nil && src.postings != nil {
-		copy(post[0], src.postings)
-		derived = n
-		if bipartite {
-			derived = src.split
-		}
-	}
+	// The postings are inverted from the live strings' member lists, or
+	// their prefixes under the segment prefix filter.
 	var segPruned int64
-	for sid := derived; sid < n; sid++ {
+	for sid := 0; sid < n; sid++ {
 		s := token.StringID(sid)
 		if !src.live(s) {
 			continue
@@ -344,13 +319,8 @@ func similarTokenCandidates(src *source, dropped []bool, pfSeg *prefilter.Index,
 			continue // the identical token on both sides: covered by Job 1
 		}
 		for _, sa := range post[0][ta] {
-			// A stored R-side entry at or past the split is a post-capture
-			// corpus id, not the P-side string that now has that id.
-			if !src.live(sa) || (bipartite && sa >= split) {
-				continue
-			}
 			for _, sb := range post[1][tb] {
-				if sa == sb || !src.live(sb) {
+				if sa == sb {
 					continue
 				}
 				a, b := normPair(sa, sb)

@@ -178,9 +178,9 @@ func TestSegmentPrefixEquivalenceFrequencyTies(t *testing.T) {
 }
 
 // TestSegmentPrefixEquivalenceCorpus: the persistent-corpus join — whose
-// prefixes are sliced from the stored epoch-stamped order, arbitrarily
-// stale relative to live frequencies, with deletes in play — returns
-// identical results with the segment prefix filter on and off.
+// prefix order comes from the corpus's stored live frequencies and
+// insertion-order token ids, with deletes in play — returns identical
+// results with the segment prefix filter on and off.
 func TestSegmentPrefixEquivalenceCorpus(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 44, NumNames: 260})
 	dir := t.TempDir()
