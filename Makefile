@@ -59,7 +59,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzServeProbe -fuzztime 30s ./internal/distrib/
 
 race:
-	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/...
+	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/...
 
 # Storage fault-injection suite under the race detector: the op-sweep
 # torture test (every WAL/snapshot/compact I/O operation failed in turn,

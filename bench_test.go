@@ -1,11 +1,12 @@
 package tsjoin
 
 // Benchmark harness: one benchmark per figure of the paper's evaluation
-// (Sec. V) plus ablations for the design choices DESIGN.md calls out.
+// (Sec. V) plus ablations that time each design choice against the
+// alternative it replaced.
 //
 // The figure benchmarks run the corresponding experiment end-to-end on a
 // bench-sized workload; `go run ./cmd/tsjexp -fig all` runs them at the
-// full default workload and prints the tables recorded in EXPERIMENTS.md.
+// full default workload and prints each as a table.
 
 import (
 	"fmt"
@@ -17,8 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hmj"
+	"repro/internal/massjoin"
 	"repro/internal/namegen"
-	"repro/internal/passjoin"
 	"repro/internal/strdist"
 	"repro/internal/token"
 	"repro/internal/tsj"
@@ -266,7 +267,8 @@ func BenchmarkAblationVerify(b *testing.B) {
 }
 
 // BenchmarkAblationSubstringSelection contrasts Pass-Join's
-// multi-match-aware substring window against the naive shift window.
+// multi-match-aware substring window (Lemma 4) against the naive shift
+// window, on MassJoin's token-space self-join.
 func BenchmarkAblationSubstringSelection(b *testing.B) {
 	c := benchCorpus(4000)
 	toks := c.TokenRunes
@@ -276,7 +278,7 @@ func BenchmarkAblationSubstringSelection(b *testing.B) {
 	}{{"multi-match-aware", true}, {"shift-window", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				passjoin.SelfJoinNLD(toks, 0.15, passjoin.Options{MultiMatchAware: cfg.mm})
+				massjoin.SelfJoinNLD(toks, 0.15, massjoin.Config{MultiMatchAware: cfg.mm})
 			}
 		})
 	}

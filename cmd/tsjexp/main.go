@@ -1,6 +1,5 @@
 // Command tsjexp regenerates the paper's evaluation figures (Sec. V) on
-// the synthetic workload and prints each as an aligned table. See
-// EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// the synthetic workload and prints each as an aligned table.
 //
 // Usage:
 //
@@ -20,13 +19,6 @@
 // routing, scatter/merge, and the network):
 //
 //	tsjexp -load -cluster http://localhost:8080 -n 2000 -qpa 2
-//
-// Verify-bench mode times the verify stage (threshold-aware bounded
-// verifier vs the exact unbounded one) so BENCH trajectories can track
-// the hottest path directly:
-//
-//	tsjexp -verify                        # T in {0.1, 0.2, 0.3}
-//	tsjexp -verify -n 20000 -ts 0.05,0.25
 package main
 
 import (
@@ -49,23 +41,11 @@ func main() {
 	hmjN := flag.Int("hmj", 0, "corpus size for the HMJ comparison in fig 7 (default 4000)")
 	seed := flag.Int64("seed", 42, "workload seed")
 	load := flag.Bool("load", false, "load-generator mode: ShardedMatcher throughput vs shard count")
-	verify := flag.Bool("verify", false, "verify-bench mode: verify-stage wall time, bounded vs exact")
-	tsList := flag.String("ts", "", "verify mode: comma-separated NSLD thresholds (default 0.1,0.2,0.3)")
 	clients := flag.Int("clients", 0, "load mode: concurrent clients (default 2*GOMAXPROCS)")
 	shardList := flag.String("shards", "", "load mode: comma-separated shard counts (default 1,2,4,GOMAXPROCS)")
 	queriesPerAdd := flag.Int("qpa", 1, "load mode: queries issued per add (0 for a write-only stream)")
 	cluster := flag.String("cluster", "", "load mode: drive a tsjserve coordinator at this URL instead of the in-process matcher")
 	flag.Parse()
-
-	if *verify {
-		cfg := experiments.VerifyBenchConfig{Seed: *seed, NumNames: *n}
-		var err error
-		if cfg.Ts, err = parseThresholdList(*tsList); err != nil {
-			log.Fatal(err)
-		}
-		experiments.VerifyBench(cfg).Render(os.Stdout)
-		return
-	}
 
 	if *load && *cluster != "" {
 		t, err := experiments.ClusterLoad(experiments.ClusterLoadConfig{
@@ -135,22 +115,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown figure %q (want 1..7, funnel, or all)\n", *fig)
 		os.Exit(2)
 	}
-}
-
-// parseThresholdList parses "0.1,0.3" into thresholds ("" means defaults).
-func parseThresholdList(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		t, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || t < 0 || t >= 1 {
-			return nil, fmt.Errorf("bad threshold %q (want values in [0, 1), e.g. -ts 0.1,0.3)", f)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // parseShardList parses "1,4,8" into shard counts ("" means defaults).

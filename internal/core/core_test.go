@@ -170,7 +170,7 @@ func TestNSLDIdentityOfIndiscernibles(t *testing.T) {
 // edges), so NSLD = 0.8 > 2/3. Tokens cannot merge or split under
 // Definition 3, so the "at most L(y) edits" intuition from plain strings
 // (Lemma 3) fails. No algorithm in the paper (or here) uses the upper bound
-// for pruning, so correctness is unaffected; see DESIGN.md "Errata".
+// for pruning, so correctness is unaffected.
 func TestLemma6LowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 1000; i++ {

@@ -9,8 +9,7 @@
 // figure from the reference configuration (see calibrate) so that the
 // reference speedup saturates the way the paper's does; all series within
 // a figure share the same cluster constants, so every comparison between
-// algorithms is measurement-driven. EXPERIMENTS.md records the
-// paper-vs-measured shapes.
+// algorithms is measurement-driven.
 package experiments
 
 import (

@@ -44,8 +44,7 @@ func TestFig1Shape(t *testing.T) {
 	}
 	// Speedup is sublinear: 10x machines gives < 10x speedup. At this
 	// tiny test scale the hot-key skew caps the speedup well below the
-	// calibration target of 3.8; the default workload reaches ~3.8 (see
-	// EXPERIMENTS.md).
+	// calibration target of 3.8, which the default workload reaches.
 	first := parseF(t, tbl.Rows[0][1])
 	last := parseF(t, tbl.Rows[len(tbl.Rows)-1][1])
 	if sp := first / last; sp >= 10 || sp < 1.2 {

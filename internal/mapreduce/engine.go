@@ -20,7 +20,9 @@
 // The paper ran on 1,000 physical machines; we cannot. Every job therefore
 // records fine-grained task costs (map work per split, reduce work per key,
 // records shuffled), and the Cluster model schedules those tasks onto m
-// simulated machines. See DESIGN.md §3 for the substitution argument.
+// simulated machines. The paper's scaling figures turn on per-job overhead
+// and task skew; the model charges the first as a calibrated constant, and
+// the second comes from task costs measured in the real execution.
 package mapreduce
 
 import (

@@ -44,70 +44,35 @@ func corpusWithNearDuplicates(rng *rand.Rand, n int) [][]rune {
 	return out
 }
 
-func normKey(p passjoin.Pair) [2]int {
-	if p.A < p.B {
-		return [2]int{p.A, p.B}
-	}
-	return [2]int{p.B, p.A}
-}
-
+// TestSelfJoinMatchesBruteForce runs the self-join under both substring
+// windows on random corpora and on the edge cases: identical strings at
+// T = 0, a single string, and edit thresholds at or above the token length.
 func TestSelfJoinMatchesBruteForce(t *testing.T) {
+	type input struct {
+		toks      [][]rune
+		threshold float64
+	}
+	ins := []input{
+		{[][]rune{[]rune("anna"), []rune("anna"), []rune("anna")}, 0},
+		{[][]rune{[]rune("a")}, 0.5},
+		{[][]rune{[]rune("ab"), []rune("cd"), []rune("ab")}, 0.7},
+	}
 	rng := rand.New(rand.NewSource(61))
 	for _, threshold := range []float64{0.05, 0.1, 0.225} {
 		for iter := 0; iter < 6; iter++ {
-			toks := corpusWithNearDuplicates(rng, 60)
-			want := make(map[[2]int]int)
-			for i := 0; i < len(toks); i++ {
-				for j := i + 1; j < len(toks); j++ {
-					d := strdist.LevenshteinRunes(toks[i], toks[j])
-					if strdist.WithinNLD(d, len(toks[i]), len(toks[j]), threshold) {
-						want[[2]int{i, j}] = d
-					}
-				}
-			}
-			got, pipe := SelfJoinNLD(toks, threshold, DefaultConfig())
-			gotSet := make(map[[2]int]int)
-			for _, p := range got {
-				if _, dup := gotSet[normKey(p)]; dup {
-					t.Fatalf("duplicate result pair %+v", p)
-				}
-				gotSet[normKey(p)] = p.LD
-			}
-			if len(gotSet) != len(want) {
-				t.Fatalf("T=%v: got %d pairs, want %d", threshold, len(gotSet), len(want))
-			}
-			for k, d := range want {
-				if gd, ok := gotSet[k]; !ok || gd != d {
-					t.Fatalf("T=%v: pair %v got (%d, %v), want %d", threshold, k, gd, ok, d)
-				}
+			ins = append(ins, input{corpusWithNearDuplicates(rng, 60), threshold})
+		}
+	}
+	for _, in := range ins {
+		want := bruteJoin(in.toks, nil, in.threshold)
+		for _, mm := range []bool{true, false} {
+			got, pipe := SelfJoinNLD(in.toks, in.threshold, Config{MultiMatchAware: mm})
+			if !slices.Equal(got, want) {
+				t.Fatalf("T=%v mm=%v: got %d pairs, brute force %d:\n got  %v\n want %v",
+					in.threshold, mm, len(got), len(want), got, want)
 			}
 			if len(pipe.Jobs) != 2 {
 				t.Fatalf("pipeline must have 2 jobs, got %d", len(pipe.Jobs))
-			}
-		}
-	}
-}
-
-func TestSelfJoinMatchesSerialPassJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	toks := corpusWithNearDuplicates(rng, 150)
-	for _, threshold := range []float64{0.1, 0.3} {
-		serial := passjoin.SelfJoinNLD(toks, threshold, passjoin.DefaultOptions())
-		dist, _ := SelfJoinNLD(toks, threshold, DefaultConfig())
-		sSet := make(map[[2]int]int)
-		for _, p := range serial {
-			sSet[normKey(p)] = p.LD
-		}
-		dSet := make(map[[2]int]int)
-		for _, p := range dist {
-			dSet[normKey(p)] = p.LD
-		}
-		if len(sSet) != len(dSet) {
-			t.Fatalf("T=%v: serial %d vs distributed %d pairs", threshold, len(sSet), len(dSet))
-		}
-		for k, d := range sSet {
-			if dd, ok := dSet[k]; !ok || dd != d {
-				t.Fatalf("T=%v: mismatch on %v: serial %d, distributed (%d,%v)", threshold, k, d, dd, ok)
 			}
 		}
 	}
@@ -118,28 +83,30 @@ func TestBipartiteJoinMatchesBruteForce(t *testing.T) {
 	for _, threshold := range []float64{0.1, 0.25} {
 		r := corpusWithNearDuplicates(rng, 40)
 		p := corpusWithNearDuplicates(rng, 40)
-		want := make(map[[2]int]int)
-		for i := range r {
-			for j := range p {
-				d := strdist.LevenshteinRunes(r[i], p[j])
-				if strdist.WithinNLD(d, len(r[i]), len(p[j]), threshold) {
-					want[[2]int{i, j}] = d
-				}
+		want := bruteJoin(r, p, threshold)
+		for _, mm := range []bool{true, false} {
+			got, _ := JoinNLD(r, p, threshold, Config{MultiMatchAware: mm})
+			if !slices.Equal(got, want) {
+				t.Fatalf("T=%v mm=%v: got %d pairs, brute force %d:\n got  %v\n want %v",
+					threshold, mm, len(got), len(want), got, want)
 			}
 		}
-		got, _ := JoinNLD(r, p, threshold, DefaultConfig())
-		gotSet := make(map[[2]int]int)
-		for _, pr := range got {
-			gotSet[[2]int{pr.A, pr.B}] = pr.LD
-		}
-		if len(gotSet) != len(want) {
-			t.Fatalf("T=%v: got %d pairs, want %d", threshold, len(gotSet), len(want))
-		}
-		for k, d := range want {
-			if gd, ok := gotSet[k]; !ok || gd != d {
-				t.Fatalf("T=%v: pair %v wrong: (%d,%v) want %d", threshold, k, gd, ok, d)
-			}
-		}
+	}
+}
+
+// TestMultiMatchAwareGeneratesFewerCandidates: both substring windows are
+// lossless, and the multi-match-aware one (Pass-Join Lemma 4) shuffles no
+// more Job-1 records than the shift window.
+func TestMultiMatchAwareGeneratesFewerCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	toks := corpusWithNearDuplicates(rng, 400)
+	mm, mmPipe := SelfJoinNLD(toks, 0.2, Config{MultiMatchAware: true})
+	shift, shiftPipe := SelfJoinNLD(toks, 0.2, Config{MultiMatchAware: false})
+	if !slices.Equal(mm, shift) {
+		t.Fatalf("the windows disagree: %d pairs vs %d", len(mm), len(shift))
+	}
+	if m, s := mmPipe.Jobs[0].ShuffleRecords, shiftPipe.Jobs[0].ShuffleRecords; m > s {
+		t.Errorf("multi-match-aware window shuffles %d records, shift window %d", m, s)
 	}
 }
 
@@ -191,10 +158,10 @@ func bruteJoin(r, p [][]rune, t float64) []passjoin.Pair {
 // TestFingerprintCollisionsAreHarmless narrows the Job-1 fingerprint to 4
 // bits, so that every reduce group is a merger of hundreds of unrelated
 // (indexLen, probeLen, seg, chunk) keys, tokens of equal and of different
-// lengths among them, and requires both joins to still equal Pass-Join and
-// brute force. Only the number of reduce keys and of candidates may move:
-// a collision adds candidates, Job 2 verifies each exactly, and the
-// reducer's orientation rule reads token lengths, not the key.
+// lengths among them, and requires both joins to still equal brute force.
+// Only the number of reduce keys and of candidates may move: a collision
+// adds candidates, Job 2 verifies each exactly, and the reducer's
+// orientation rule reads token lengths, not the key.
 func TestFingerprintCollisionsAreHarmless(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	for _, threshold := range []float64{0.1, 0.2, 0.3} {
@@ -212,16 +179,15 @@ func TestFingerprintCollisionsAreHarmless(t *testing.T) {
 			narrow, narrowPipe := join()
 			fpMask = ^uint64(0)
 
-			var brute, serial []passjoin.Pair
-			if self {
-				brute, serial = bruteJoin(r, nil, threshold), passjoin.SelfJoinNLD(r, threshold, passjoin.DefaultOptions())
-			} else {
-				brute, serial = bruteJoin(r, p, threshold), passjoin.JoinNLD(r, p, threshold, passjoin.DefaultOptions())
+			var probe [][]rune // nil: the self-join
+			if !self {
+				probe = p
 			}
+			brute := bruteJoin(r, probe, threshold)
 			if len(brute) == 0 {
 				t.Fatalf("T=%v self=%v: no similar pairs, the corpus tests nothing", threshold, self)
 			}
-			for name, got := range map[string][]passjoin.Pair{"full": full, "narrow": narrow, "passjoin": serial} {
+			for name, got := range map[string][]passjoin.Pair{"full": full, "narrow": narrow} {
 				if !slices.Equal(got, brute) {
 					t.Fatalf("T=%v self=%v: %s fingerprints give %d pairs, brute force %d:\n got  %v\n want %v",
 						threshold, self, name, len(got), len(brute), got, brute)

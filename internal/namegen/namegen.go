@@ -1,9 +1,7 @@
 // Package namegen generates the synthetic workloads that substitute for
 // the paper's proprietary datasets (44M Google-account names; 10k labeled
-// name-change pairs). See DESIGN.md §2 for the substitution argument.
-//
-// The generator reproduces the distributional properties the paper's
-// algorithms are sensitive to:
+// name-change pairs). The substitution rests on reproducing the
+// distributional properties the paper's algorithms are sensitive to:
 //
 //   - token popularity is Zipf-distributed, so some tokens ("John",
 //     "Mary") are shared by many strings — the load-imbalance and

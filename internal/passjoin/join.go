@@ -1,312 +1,8 @@
 package passjoin
 
-import (
-	"sort"
-
-	"repro/internal/strdist"
-)
-
 // Pair is one joined string pair: indices into the input slice(s) plus the
 // exact Levenshtein distance established during verification.
 type Pair struct {
 	A, B int
 	LD   int
-}
-
-// Options tunes the join.
-type Options struct {
-	// MultiMatchAware selects the tight substring window (Pass-Join
-	// Lemma 4); when false the shift-based window is used. Both are
-	// lossless; multi-match-aware generates fewer candidates.
-	MultiMatchAware bool
-	// Stats, when non-nil, accumulates candidate-generation counters.
-	Stats *Stats
-}
-
-// Stats reports how much work candidate generation and verification did.
-type Stats struct {
-	Candidates int // candidate pairs before verification (after dedup)
-	Verified   int // pairs that passed verification
-	Lookups    int // segment-index probes
-}
-
-// DefaultOptions enables the multi-match-aware selection.
-func DefaultOptions() Options { return Options{MultiMatchAware: true} }
-
-// segIndex is an inverted index over the segments of a group of
-// equal-length strings under one specific segment count.
-type segIndex struct {
-	segs []Segment
-	// post[i] maps the chunk content of segment i to the ids holding it.
-	post []map[string][]int32
-}
-
-func buildSegIndex(strs [][]rune, ids []int32, l, m int) *segIndex {
-	idx := &segIndex{segs: EvenPartition(l, m), post: make([]map[string][]int32, m)}
-	for i := range idx.post {
-		idx.post[i] = make(map[string][]int32)
-	}
-	for k, id := range ids {
-		s := strs[k]
-		for i, sg := range idx.segs {
-			chunk := string(s[sg.Start : sg.Start+sg.Len])
-			idx.post[i][chunk] = append(idx.post[i][chunk], id)
-		}
-	}
-	return idx
-}
-
-// lenGroups buckets string ids by rune length, ascending.
-func lenGroups(strs [][]rune) (lens []int, groups map[int][]int32) {
-	groups = make(map[int][]int32)
-	for i, s := range strs {
-		groups[len(s)] = append(groups[len(s)], int32(i))
-	}
-	for l := range groups {
-		lens = append(lens, l)
-	}
-	sort.Ints(lens)
-	return lens, groups
-}
-
-// SelfJoinNLD returns all unordered pairs (A < B) of strs with
-// NLD(strs[A], strs[B]) <= t. It implements the self-join optimization of
-// Sec. III-G.1: only the |x| <= |y| direction is indexed and probed, and
-// per-(length, length) edit thresholds follow Lemma 8 with the length
-// condition of Lemma 9.
-func SelfJoinNLD(strs [][]rune, t float64, opt Options) []Pair {
-	lens, groups := lenGroups(strs)
-	// Cache of segment indexes keyed by (length, segment count).
-	type key struct{ l, m int }
-	cache := make(map[key]*segIndex)
-	getIndex := func(l, m int) *segIndex {
-		k := key{l, m}
-		if idx, ok := cache[k]; ok {
-			return idx
-		}
-		ids := groups[l]
-		sub := make([][]rune, len(ids))
-		for i, id := range ids {
-			sub[i] = strs[id]
-		}
-		idx := buildSegIndex(sub, ids, l, m)
-		cache[k] = idx
-		return idx
-	}
-
-	var out []Pair
-	seen := newDeduper(len(strs))
-	for _, lr := range lens {
-		minLs := strdist.MinLenWithin(t, lr)
-		for _, y := range groups[lr] {
-			ys := strs[y]
-			seen.reset()
-			for ls := minLs; ls <= lr; ls++ {
-				if _, ok := groups[ls]; !ok {
-					continue
-				}
-				tau := strdist.MaxLDWithin(t, ls, lr)
-				if tau < 0 {
-					continue
-				}
-				// m must be exactly tau+1 for Lemma 7's pigeonhole to
-				// hold; zero-length segments (when tau+1 > ls) match the
-				// empty substring and keep the guarantee.
-				m := tau + 1
-				idx := getIndex(ls, m)
-				probeOne(ys, lr, ls, tau, idx, y, true, seen, strs, t, opt, &out)
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-// JoinNLD returns all pairs (A indexes r, B indexes p) with
-// NLD(r[A], p[B]) <= t. r is indexed; p probes.
-func JoinNLD(r, p [][]rune, t float64, opt Options) []Pair {
-	lens, groups := lenGroups(r)
-	type key struct{ l, m int }
-	cache := make(map[key]*segIndex)
-	getIndex := func(l, m int) *segIndex {
-		k := key{l, m}
-		if idx, ok := cache[k]; ok {
-			return idx
-		}
-		ids := groups[l]
-		sub := make([][]rune, len(ids))
-		for i, id := range ids {
-			sub[i] = r[id]
-		}
-		idx := buildSegIndex(sub, ids, l, m)
-		cache[k] = idx
-		return idx
-	}
-	_ = lens
-
-	var out []Pair
-	seen := newDeduper(len(r))
-	for y, ys := range p {
-		lr := len(ys)
-		minLs := strdist.MinLenWithin(t, lr)
-		maxLs := strdist.MaxLenWithin(t, lr)
-		seen.reset()
-		for ls := minLs; ls <= maxLs; ls++ {
-			if _, ok := groups[ls]; !ok {
-				continue
-			}
-			tau := strdist.MaxLDWithin(t, ls, lr)
-			if tau < 0 {
-				continue
-			}
-			idx := getIndex(ls, tau+1)
-			probeOne(ys, lr, ls, tau, idx, int32(y), false, seen, r, t, opt, &out)
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-// probeOne probes the segment index of indexed length ls with probe string
-// ys, verifying and appending result pairs. In selfJoin mode, pairs of
-// different lengths are generated exactly once (only the shorter side is
-// indexed), so the id-order dedup applies only within equal-length groups.
-func probeOne(ys []rune, lr, ls, tau int, idx *segIndex, probeID int32, selfJoin bool,
-	seen *deduper, indexed [][]rune, t float64, opt Options, out *[]Pair) {
-	for i, sg := range idx.segs {
-		lo, hi := SubstringWindow(ls, lr, tau, i, sg, opt.MultiMatchAware)
-		for q := lo; q <= hi; q++ {
-			if opt.Stats != nil {
-				opt.Stats.Lookups++
-			}
-			chunk := string(ys[q : q+sg.Len])
-			for _, cand := range idx.post[i][chunk] {
-				if selfJoin && ls == lr && cand >= probeID {
-					continue
-				}
-				if !seen.mark(cand) {
-					continue
-				}
-				if opt.Stats != nil {
-					opt.Stats.Candidates++
-				}
-				d, ok := strdist.LevenshteinBounded(indexed[cand], ys, tau)
-				if !ok || !strdist.WithinNLD(d, ls, lr, t) {
-					continue
-				}
-				if opt.Stats != nil {
-					opt.Stats.Verified++
-				}
-				*out = append(*out, Pair{A: int(cand), B: int(probeID), LD: d})
-			}
-		}
-	}
-}
-
-// SelfJoinLD returns all unordered pairs with LD <= tau (the fixed-
-// threshold Pass-Join; building block for LD-MassJoin).
-func SelfJoinLD(strs [][]rune, tau int, opt Options) []Pair {
-	if tau < 0 {
-		return nil
-	}
-	lens, groups := lenGroups(strs)
-	type key struct{ l, m int }
-	cache := make(map[key]*segIndex)
-	getIndex := func(l int) *segIndex {
-		m := tau + 1
-		k := key{l, m}
-		if idx, ok := cache[k]; ok {
-			return idx
-		}
-		ids := groups[l]
-		sub := make([][]rune, len(ids))
-		for i, id := range ids {
-			sub[i] = strs[id]
-		}
-		idx := buildSegIndex(sub, ids, l, m)
-		cache[k] = idx
-		return idx
-	}
-
-	var out []Pair
-	seen := newDeduper(len(strs))
-	for _, lr := range lens {
-		for _, y := range groups[lr] {
-			ys := strs[y]
-			seen.reset()
-			for ls := lr - tau; ls <= lr; ls++ {
-				if ls < 0 {
-					continue
-				}
-				if _, ok := groups[ls]; !ok {
-					continue
-				}
-				idx := getIndex(ls)
-				probeOneLD(ys, lr, ls, tau, idx, y, true, seen, strs, opt, &out)
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func probeOneLD(ys []rune, lr, ls, tau int, idx *segIndex, probeID int32, selfJoin bool,
-	seen *deduper, indexed [][]rune, opt Options, out *[]Pair) {
-	for i, sg := range idx.segs {
-		lo, hi := SubstringWindow(ls, lr, tau, i, sg, opt.MultiMatchAware)
-		for q := lo; q <= hi; q++ {
-			if opt.Stats != nil {
-				opt.Stats.Lookups++
-			}
-			chunk := string(ys[q : q+sg.Len])
-			for _, cand := range idx.post[i][chunk] {
-				if selfJoin && ls == lr && cand >= probeID {
-					continue
-				}
-				if !seen.mark(cand) {
-					continue
-				}
-				if opt.Stats != nil {
-					opt.Stats.Candidates++
-				}
-				d, ok := strdist.LevenshteinBounded(indexed[cand], ys, tau)
-				if !ok {
-					continue
-				}
-				if opt.Stats != nil {
-					opt.Stats.Verified++
-				}
-				*out = append(*out, Pair{A: int(cand), B: int(probeID), LD: d})
-			}
-		}
-	}
-}
-
-// deduper marks candidate ids once per probe using generation stamps, so
-// resets are O(1).
-type deduper struct {
-	stamp []uint32
-	gen   uint32
-}
-
-func newDeduper(n int) *deduper { return &deduper{stamp: make([]uint32, n), gen: 0} }
-
-func (d *deduper) reset() { d.gen++ }
-
-// mark returns true the first time id is seen in the current generation.
-func (d *deduper) mark(id int32) bool {
-	if d.stamp[id] == d.gen {
-		return false
-	}
-	d.stamp[id] = d.gen
-	return true
-}
-
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		return ps[i].B < ps[j].B
-	})
 }

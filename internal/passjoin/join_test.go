@@ -1,103 +1,16 @@
-package passjoin
+package passjoin_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/massjoin"
 	"repro/internal/strdist"
 )
 
-func TestEvenPartition(t *testing.T) {
-	cases := []struct {
-		l, m int
-		want []Segment
-	}{
-		{10, 1, []Segment{{0, 10}}},
-		{10, 3, []Segment{{0, 3}, {3, 3}, {6, 4}}},
-		{7, 4, []Segment{{0, 1}, {1, 2}, {3, 2}, {5, 2}}},
-		{3, 5, []Segment{{0, 0}, {0, 0}, {0, 1}, {1, 1}, {2, 1}}},
-		{0, 2, []Segment{{0, 0}, {0, 0}}},
-	}
-	for _, c := range cases {
-		got := EvenPartition(c.l, c.m)
-		if len(got) != len(c.want) {
-			t.Fatalf("EvenPartition(%d,%d) = %v, want %v", c.l, c.m, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("EvenPartition(%d,%d)[%d] = %v, want %v", c.l, c.m, i, got[i], c.want[i])
-			}
-		}
-	}
-	// Invariants: segments tile [0, l); lengths differ by at most 1.
-	for l := 0; l <= 25; l++ {
-		for m := 1; m <= 8; m++ {
-			segs := EvenPartition(l, m)
-			pos, minL, maxL := 0, 1<<30, 0
-			for _, sg := range segs {
-				if sg.Start != pos {
-					t.Fatalf("gap in partition l=%d m=%d: %v", l, m, segs)
-				}
-				pos += sg.Len
-				if sg.Len < minL {
-					minL = sg.Len
-				}
-				if sg.Len > maxL {
-					maxL = sg.Len
-				}
-			}
-			if pos != l {
-				t.Fatalf("partition does not cover string: l=%d m=%d %v", l, m, segs)
-			}
-			if maxL-minL > 1 {
-				t.Fatalf("not even: l=%d m=%d %v", l, m, segs)
-			}
-		}
-	}
-}
-
-// TestLemma7Pigeonhole: if LD(x,y) <= U, some segment of x (partitioned
-// into U+1 segments) is a substring of y, found within the selection
-// window.
-func TestLemma7Pigeonhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, multiMatch := range []bool{true, false} {
-		for iter := 0; iter < 4000; iter++ {
-			x := randStr(rng, 1, 12)
-			y := randStr(rng, 1, 12)
-			d := strdist.LevenshteinRunes(x, y)
-			for _, tau := range []int{d, d + 1, d + 3} {
-				segs := EvenPartition(len(x), tau+1)
-				found := false
-				for i, sg := range segs {
-					lo, hi := SubstringWindow(len(x), len(y), tau, i, sg, multiMatch)
-					for q := lo; q <= hi && !found; q++ {
-						if string(y[q:q+sg.Len]) == string(x[sg.Start:sg.Start+sg.Len]) {
-							found = true
-						}
-					}
-					if found {
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("Lemma 7 window (multiMatch=%v) missed pair %q/%q LD=%d tau=%d",
-						multiMatch, string(x), string(y), d, tau)
-				}
-			}
-		}
-	}
-}
-
-func randStr(rng *rand.Rand, minLen, maxLen int) []rune {
-	n := minLen + rng.Intn(maxLen-minLen+1)
-	s := make([]rune, n)
-	for i := range s {
-		s[i] = rune('a' + rng.Intn(4))
-	}
-	return s
-}
+// The joins below run PASS-JOIN as massjoin distributes it, over this
+// package's partition and substring windows, and require the exact NLD join
+// under both windows.
 
 // corpusWithNearDuplicates builds a random corpus seeded with clusters of
 // slightly-edited strings so joins have real matches.
@@ -126,12 +39,21 @@ func corpusWithNearDuplicates(rng *rand.Rand, n int) [][]rune {
 	return out
 }
 
-func bruteSelfJoinNLD(strs [][]rune, t float64) map[[2]int]int {
+// bruteJoinNLD is the quadratic NLD join of r against p (p == nil: the
+// self-join of r), keyed by (A, B) with A < B for the self-join.
+func bruteJoinNLD(r, p [][]rune, t float64) map[[2]int]int {
+	self := p == nil
+	if self {
+		p = r
+	}
 	want := make(map[[2]int]int)
-	for i := 0; i < len(strs); i++ {
-		for j := i + 1; j < len(strs); j++ {
-			d := strdist.LevenshteinRunes(strs[i], strs[j])
-			if strdist.WithinNLD(d, len(strs[i]), len(strs[j]), t) {
+	for i := range r {
+		for j := range p {
+			if self && j <= i {
+				continue
+			}
+			d := strdist.LevenshteinRunes(r[i], p[j])
+			if strdist.WithinNLD(d, len(r[i]), len(p[j]), t) {
 				want[[2]int{i, j}] = d
 			}
 		}
@@ -139,80 +61,37 @@ func bruteSelfJoinNLD(strs [][]rune, t float64) map[[2]int]int {
 	return want
 }
 
-func pairKey(p Pair) [2]int {
-	if p.A < p.B {
-		return [2]int{p.A, p.B}
+// checkSelfJoin runs the self-join under both windows and compares it with
+// brute force, pair by pair and distance by distance.
+func checkSelfJoin(t *testing.T, strs [][]rune, threshold float64) {
+	t.Helper()
+	want := bruteJoinNLD(strs, nil, threshold)
+	for _, mm := range []bool{true, false} {
+		got, _ := massjoin.SelfJoinNLD(strs, threshold, massjoin.Config{MultiMatchAware: mm})
+		gotSet := make(map[[2]int]int, len(got))
+		for _, p := range got {
+			k := [2]int{min(p.A, p.B), max(p.A, p.B)}
+			if _, dup := gotSet[k]; dup {
+				t.Fatalf("T=%v mm=%v: duplicate pair %v", threshold, mm, p)
+			}
+			gotSet[k] = p.LD
+		}
+		if len(gotSet) != len(want) {
+			t.Fatalf("T=%v mm=%v: got %d pairs, want %d", threshold, mm, len(gotSet), len(want))
+		}
+		for k, d := range want {
+			if gd, ok := gotSet[k]; !ok || gd != d {
+				t.Fatalf("T=%v mm=%v: pair %v: got (%d,%v), want %d", threshold, mm, k, gd, ok, d)
+			}
+		}
 	}
-	return [2]int{p.B, p.A}
 }
 
 func TestSelfJoinNLDMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	for _, multiMatch := range []bool{true, false} {
-		for _, threshold := range []float64{0.025, 0.1, 0.225, 0.35} {
-			for iter := 0; iter < 12; iter++ {
-				strs := corpusWithNearDuplicates(rng, 60)
-				want := bruteSelfJoinNLD(strs, threshold)
-				got := SelfJoinNLD(strs, threshold, Options{MultiMatchAware: multiMatch})
-				gotSet := make(map[[2]int]int, len(got))
-				for _, p := range got {
-					if _, dup := gotSet[pairKey(p)]; dup {
-						t.Fatalf("duplicate pair %v", p)
-					}
-					gotSet[pairKey(p)] = p.LD
-				}
-				if len(gotSet) != len(want) {
-					t.Fatalf("T=%v mm=%v: got %d pairs, want %d\nmissing/extra: %v",
-						threshold, multiMatch, len(gotSet), len(want),
-						diffPairs(want, gotSet, strs))
-				}
-				for k, d := range want {
-					if gd, ok := gotSet[k]; !ok || gd != d {
-						t.Fatalf("pair %v: got (%d,%v), want %d", k, gd, ok, d)
-					}
-				}
-			}
-		}
-	}
-}
-
-func diffPairs(want, got map[[2]int]int, strs [][]rune) string {
-	s := ""
-	for k := range want {
-		if _, ok := got[k]; !ok {
-			s += fmt.Sprintf("missing %v (%q,%q) ", k, string(strs[k[0]]), string(strs[k[1]]))
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			s += fmt.Sprintf("extra %v ", k)
-		}
-	}
-	return s
-}
-
-func TestSelfJoinLDMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, tau := range []int{0, 1, 2, 3} {
-		for iter := 0; iter < 10; iter++ {
-			strs := corpusWithNearDuplicates(rng, 50)
-			want := make(map[[2]int]int)
-			for i := 0; i < len(strs); i++ {
-				for j := i + 1; j < len(strs); j++ {
-					if d := strdist.LevenshteinRunes(strs[i], strs[j]); d <= tau {
-						want[[2]int{i, j}] = d
-					}
-				}
-			}
-			got := SelfJoinLD(strs, tau, DefaultOptions())
-			if len(got) != len(want) {
-				t.Fatalf("tau=%d: got %d pairs, want %d", tau, len(got), len(want))
-			}
-			for _, p := range got {
-				if d, ok := want[pairKey(p)]; !ok || d != p.LD {
-					t.Fatalf("tau=%d: wrong pair %v", tau, p)
-				}
-			}
+	for _, threshold := range []float64{0.025, 0.1, 0.225, 0.35} {
+		for iter := 0; iter < 6; iter++ {
+			checkSelfJoin(t, corpusWithNearDuplicates(rng, 60), threshold)
 		}
 	}
 }
@@ -220,50 +99,28 @@ func TestSelfJoinLDMatchesBruteForce(t *testing.T) {
 func TestJoinNLDBipartiteMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, threshold := range []float64{0.1, 0.25} {
-		for iter := 0; iter < 10; iter++ {
+		for iter := 0; iter < 5; iter++ {
 			r := corpusWithNearDuplicates(rng, 40)
 			p := corpusWithNearDuplicates(rng, 40)
-			want := make(map[[2]int]int)
-			for i := range r {
-				for j := range p {
-					d := strdist.LevenshteinRunes(r[i], p[j])
-					if strdist.WithinNLD(d, len(r[i]), len(p[j]), threshold) {
-						want[[2]int{i, j}] = d
-					}
+			want := bruteJoinNLD(r, p, threshold)
+			for _, mm := range []bool{true, false} {
+				got, _ := massjoin.JoinNLD(r, p, threshold, massjoin.Config{MultiMatchAware: mm})
+				if len(got) != len(want) {
+					t.Fatalf("T=%v mm=%v: got %d pairs, want %d", threshold, mm, len(got), len(want))
 				}
-			}
-			got := JoinNLD(r, p, threshold, DefaultOptions())
-			if len(got) != len(want) {
-				t.Fatalf("T=%v: got %d pairs, want %d", threshold, len(got), len(want))
-			}
-			for _, pr := range got {
-				if d, ok := want[[2]int{pr.A, pr.B}]; !ok || d != pr.LD {
-					t.Fatalf("T=%v: wrong pair %+v", threshold, pr)
+				for _, pr := range got {
+					if d, ok := want[[2]int{pr.A, pr.B}]; !ok || d != pr.LD {
+						t.Fatalf("T=%v mm=%v: wrong pair %+v", threshold, mm, pr)
+					}
 				}
 			}
 		}
 	}
 }
 
-func TestMultiMatchAwareGeneratesFewerCandidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	strs := corpusWithNearDuplicates(rng, 400)
-	var mmStats, shiftStats Stats
-	SelfJoinNLD(strs, 0.2, Options{MultiMatchAware: true, Stats: &mmStats})
-	SelfJoinNLD(strs, 0.2, Options{MultiMatchAware: false, Stats: &shiftStats})
-	if mmStats.Verified != shiftStats.Verified {
-		t.Fatalf("both selections must verify the same pairs: %d vs %d",
-			mmStats.Verified, shiftStats.Verified)
-	}
-	if mmStats.Lookups > shiftStats.Lookups {
-		t.Errorf("multi-match-aware should probe no more than shift window: %d vs %d",
-			mmStats.Lookups, shiftStats.Lookups)
-	}
-}
-
 func TestSelfJoinNLDIdenticalStrings(t *testing.T) {
 	strs := [][]rune{[]rune("anna"), []rune("anna"), []rune("anna")}
-	got := SelfJoinNLD(strs, 0.0, DefaultOptions())
+	got, _ := massjoin.SelfJoinNLD(strs, 0.0, massjoin.DefaultConfig())
 	if len(got) != 3 {
 		t.Fatalf("three identical strings must yield 3 pairs, got %d", len(got))
 	}
@@ -272,21 +129,16 @@ func TestSelfJoinNLDIdenticalStrings(t *testing.T) {
 			t.Fatalf("identical strings with LD %d", p.LD)
 		}
 	}
+	checkSelfJoin(t, strs, 0.0)
 }
 
 func TestSelfJoinNLDEmptyAndTiny(t *testing.T) {
-	if got := SelfJoinNLD(nil, 0.1, DefaultOptions()); len(got) != 0 {
+	if got, _ := massjoin.SelfJoinNLD(nil, 0.1, massjoin.DefaultConfig()); len(got) != 0 {
 		t.Fatal("nil input must join to nothing")
 	}
-	strs := [][]rune{[]rune("a")}
-	if got := SelfJoinNLD(strs, 0.5, DefaultOptions()); len(got) != 0 {
+	if got, _ := massjoin.SelfJoinNLD([][]rune{[]rune("a")}, 0.5, massjoin.DefaultConfig()); len(got) != 0 {
 		t.Fatal("single string joins to nothing")
 	}
 	// Large threshold with very short strings exercises tau >= len.
-	strs = [][]rune{[]rune("ab"), []rune("cd"), []rune("ab")}
-	got := SelfJoinNLD(strs, 0.7, DefaultOptions())
-	want := bruteSelfJoinNLD(strs, 0.7)
-	if len(got) != len(want) {
-		t.Fatalf("short-string join: got %d, want %d", len(got), len(want))
-	}
+	checkSelfJoin(t, [][]rune{[]rune("ab"), []rune("cd"), []rune("ab")}, 0.7)
 }

@@ -1,17 +1,19 @@
-// Package passjoin implements Pass-Join (Li, Deng, Wang, Feng; PVLDB 2011),
-// the partition-based string similarity join the paper adopts — via its
-// distributed version MassJoin — for the similar-token candidate
-// generation of Sec. III-D.
+// Package passjoin holds the partition geometry of Pass-Join (Li, Deng,
+// Wang, Feng; PVLDB 2011), the partition-based string similarity join the
+// paper adopts — via its distributed version MassJoin — for the
+// similar-token candidate generation of Sec. III-D.
 //
 // The core insight is Lemma 7: if LD(x, y) <= U, partitioning x into U+1
-// segments guarantees at least one segment is a substring of y. Pass-Join
+// segments guarantees at least one segment is a substring of y. The join
 // indexes the segments of one side and probes with selected substrings of
 // the other, then verifies surviving candidates with a banded Levenshtein
 // computation.
 //
-// Both a fixed-threshold LD join and the normalized NLD join required by
-// TSJ are provided; the NLD join derives per-length-pair edit thresholds
-// from Lemma 8 and restricts compatible lengths via Lemma 9.
+// The join itself is internal/massjoin; the streaming matcher's segment
+// index (internal/stream) probes the same geometry. This package provides
+// what both share: the even partition (EvenPartition, EvenSegment), the
+// substring selection windows (SubstringWindow), and the Pair a join
+// emits.
 package passjoin
 
 // Segment describes one segment of an even partition: the start offset and

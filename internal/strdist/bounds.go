@@ -44,20 +44,6 @@ func MaxLDWithin(t float64, lenA, lenB int) int {
 	return floorBound(t * float64(lenA+lenB) / (2 - t))
 }
 
-// MaxLDWithinLonger is the literal first case of Lemma 8: assuming
-// |x| <= |y| = lenLonger, any pair with NLD <= t has
-// LD <= floor(2*t*|y|/(2-t)). The TSJ candidate generator uses it when only
-// the longer length is known.
-func MaxLDWithinLonger(t float64, lenLonger int) int {
-	if t >= 2 {
-		return lenLonger
-	}
-	if t < 0 {
-		return -1
-	}
-	return floorBound(2 * t * float64(lenLonger) / (2 - t))
-}
-
 // MinLenWithin is Lemma 9: for a pair with NLD <= t and |x| <= |y|, the
 // shorter length satisfies |x| >= ceil((1-t)*|y|). Pairs whose shorter
 // string is below this bound can be pruned without verification (the
@@ -75,52 +61,11 @@ func MinLenWithin(t float64, lenLonger int) int {
 
 // MaxLenWithin is the dual of Lemma 9: for a pair with NLD <= t and
 // |x| <= |y|, the longer length satisfies |y| <= floor(|x|/(1-t)). The
-// PassJoin probe enumeration uses it to bound the compatible length range.
+// MassJoin length plans and the streaming segment index use it to bound
+// the compatible length range.
 func MaxLenWithin(t float64, lenShorter int) int {
 	if t >= 1 {
 		return math.MaxInt32
 	}
 	return floorBound(float64(lenShorter) / (1 - t))
-}
-
-// MinLDExceed is Lemma 10: for a pair with NLD > t, a lower bound on the
-// Levenshtein distance. With lenOther = |y| and |x| <= |y| the bound is
-// LD > floor(t*|y|/(2-t)); with |x| > |y| it is LD > floor(2*t*|y|/(2-t)).
-// The TSJ distance-lower-bound filter charges at least MinLDExceed+1 edits
-// to every unmatched token pair known to have NLD > t.
-func MinLDExceed(t float64, lenY int, xLongerThanY bool) int {
-	if t <= 0 {
-		return 0
-	}
-	if t >= 2 {
-		return math.MaxInt32
-	}
-	if xLongerThanY {
-		return floorBound(2*t*float64(lenY)/(2-t)) + 1
-	}
-	return floorBound(t*float64(lenY)/(2-t)) + 1
-}
-
-// NLDLowerBound is the left half of Lemma 3: for |x| <= |y|,
-// NLD(x, y) >= 1 - |x|/|y|. It lets callers prune on lengths alone.
-func NLDLowerBound(lenA, lenB int) float64 {
-	if lenA > lenB {
-		lenA, lenB = lenB, lenA
-	}
-	if lenB == 0 {
-		return 0
-	}
-	return 1 - float64(lenA)/float64(lenB)
-}
-
-// NLDUpperBound is the right half of Lemma 3: for |x| <= |y|,
-// NLD(x, y) <= 2 / (|x|/|y| + 2).
-func NLDUpperBound(lenA, lenB int) float64 {
-	if lenA > lenB {
-		lenA, lenB = lenB, lenA
-	}
-	if lenB == 0 {
-		return 0
-	}
-	return 2 / (float64(lenA)/float64(lenB) + 2)
 }

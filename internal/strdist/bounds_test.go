@@ -35,15 +35,16 @@ func TestNLDRangeAndLemma3(t *testing.T) {
 		if d < 0 || d > 1 {
 			t.Fatalf("NLD(%q,%q) = %v out of [0,1]", string(a), string(b), d)
 		}
-		lo := NLDLowerBound(len(a), len(b))
-		if d < lo-1e-12 {
+		// Lemma 3: for |x| <= |y|, 1 - |x|/|y| <= NLD(x, y) <= 2/(|x|/|y| + 2).
+		x, y := float64(min(len(a), len(b))), float64(max(len(a), len(b)))
+		if y == 0 {
+			continue
+		}
+		if lo := 1 - x/y; d < lo-1e-12 {
 			t.Fatalf("Lemma 3 lower bound violated: NLD(%q,%q)=%v < %v", string(a), string(b), d, lo)
 		}
-		if len(a) > 0 && len(b) > 0 {
-			hi := NLDUpperBound(len(a), len(b))
-			if d > hi+1e-12 {
-				t.Fatalf("Lemma 3 upper bound violated: NLD(%q,%q)=%v > %v", string(a), string(b), d, hi)
-			}
+		if hi := 2 / (x/y + 2); x > 0 && d > hi+1e-12 {
+			t.Fatalf("Lemma 3 upper bound violated: NLD(%q,%q)=%v > %v", string(a), string(b), d, hi)
 		}
 	}
 }
@@ -75,20 +76,12 @@ func TestMaxLDWithinIsTightAndSound(t *testing.T) {
 					t.Fatalf("MaxLDWithin(%v, %d, %d) = %d but admissible pair has LD %d",
 						th, len(a), len(b), max, d)
 				}
-				if max := MaxLDWithinLonger(th, maxInt(len(a), len(b))); d > max {
-					t.Fatalf("MaxLDWithinLonger(%v, %d) = %d but admissible pair has LD %d",
-						th, maxInt(len(a), len(b)), max, d)
-				}
 			}
 		}
 	}
 	// Exact rational boundary: T = 0.1, |x| = |y| = 19: LD <= 0.1*38/1.9 = 2.
 	if got := MaxLDWithin(0.1, 19, 19); got != 2 {
 		t.Errorf("MaxLDWithin(0.1,19,19) = %d, want 2", got)
-	}
-	// Paper's Lemma 8 first case: floor(2*T*|y|/(2-T)).
-	if got := MaxLDWithinLonger(0.1, 19); got != 2 {
-		t.Errorf("MaxLDWithinLonger(0.1,19) = %d, want 2", got)
 	}
 }
 
@@ -119,46 +112,21 @@ func TestMinLenWithinLemma9(t *testing.T) {
 	}
 }
 
-func TestMinLDExceedLemma10(t *testing.T) {
-	thresholds := []float64{0.025, 0.1, 0.225, 0.4}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 3000; i++ {
-		x, y := randomRunes(rng, 12), randomRunes(rng, 12)
-		d := LevenshteinRunes(x, y)
-		for _, th := range thresholds {
-			if !WithinNLD(d, len(x), len(y), th) {
-				// Lemma 10: LD must be at least MinLDExceed.
-				if lb := MinLDExceed(th, len(y), len(x) > len(y)); d < lb {
-					t.Fatalf("Lemma 10 violated: LD(%q,%q)=%d < %d (t=%v)",
-						string(x), string(y), d, lb, th)
-				}
-			}
-		}
-	}
-}
-
+// TestWithinNLDConsistency: the banded form the verifiers run — a DP
+// bounded by MaxLDWithin, then WithinNLD on the distance it returns —
+// decides every pair exactly as the unbanded distance does.
 func TestWithinNLDConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 2000; i++ {
 		a, b := randomRunes(rng, 12), randomRunes(rng, 12)
+		d := LevenshteinRunes(a, b)
 		for _, th := range []float64{0.05, 0.1, 0.2} {
-			want := NLDRunes(a, b) <= th+1e-12
-			got := WithinNLDRunes(a, b, th)
-			// The two predicates may only disagree within float wobble of
-			// the threshold itself; verify via the exact integer form.
-			d := LevenshteinRunes(a, b)
 			exact := WithinNLD(d, len(a), len(b), th)
-			if got != exact {
-				t.Fatalf("WithinNLDRunes(%q,%q,%v)=%v disagrees with exact form %v (NLD=%v, want~%v)",
-					string(a), string(b), th, got, exact, NLDRunes(a, b), want)
+			ld, ok := LevenshteinBounded(a, b, MaxLDWithin(th, len(a), len(b)))
+			if got := ok && WithinNLD(ld, len(a), len(b), th); got != exact {
+				t.Fatalf("banded check (%q,%q,%v)=%v disagrees with exact form %v (NLD=%v)",
+					string(a), string(b), th, got, exact, NLDRunes(a, b))
 			}
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,8 +1,8 @@
 // Package strdist implements the character-level string distances the paper
 // builds on: the Levenshtein Distance (LD, Definition 1) and the Normalized
 // Levenshtein Distance (NLD, Definition 2, after Li & Liu 2007), together
-// with the length/threshold bounds of Lemmas 3, 8, 9 and 10 that drive the
-// PassJoin/MassJoin candidate generation and the TSJ filters, and the
+// with the length/threshold bounds of Lemmas 8 and 9 that drive MassJoin's
+// candidate generation and the streaming segment index, and the
 // character-signature lower bound on LD (Sig, SigLowerBound) that the
 // verifier and MassJoin's verify reducer test before running a DP.
 //

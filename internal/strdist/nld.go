@@ -33,15 +33,3 @@ func NLDFromLD(ld, lenA, lenB int) float64 {
 func WithinNLD(ld, lenA, lenB int, t float64) bool {
 	return 2*float64(ld) <= t*float64(lenA+lenB+ld)
 }
-
-// WithinNLDRunes reports whether NLD(a, b) <= t, computing the Levenshtein
-// distance with a band bounded by MaxLDWithin so dissimilar pairs exit
-// early.
-func WithinNLDRunes(a, b []rune, t float64) bool {
-	max := MaxLDWithin(t, len(a), len(b))
-	ld, ok := LevenshteinBounded(a, b, max)
-	if !ok {
-		return false
-	}
-	return WithinNLD(ld, len(a), len(b), t)
-}
