@@ -91,7 +91,7 @@ cluster-e2e:
 	echo "cluster e2e (kill-worker failover + single-node equivalence): ok"
 
 bench:
-	$(GO) test -run='^$$' -bench=BenchmarkShardedAdd -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkSharded(Add|Query)$$' -benchtime=1x .
 
 bench-verify:
 	$(GO) test -run='^$$' -bench='SLD|Verify' -benchtime=1x -benchmem .

@@ -35,10 +35,6 @@ type Options struct {
 	// worker dead and promotes a standby. Defaults 1s / 3.
 	Heartbeat time.Duration
 	FailAfter int
-	// MapTasks / Parallelism tune the mapreduce jobs that drive the
-	// distributed join phases (0 = engine defaults).
-	MapTasks    int
-	Parallelism int
 	// Client overrides the HTTP client (tests inject httptest clients).
 	Client *http.Client
 	// Logf sinks coordinator logs; nil discards.

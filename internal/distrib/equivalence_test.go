@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/distrib"
 	"repro/internal/namegen"
+	"repro/internal/nsldtest"
 	"repro/internal/serve"
 	"repro/internal/token"
 )
@@ -343,5 +345,113 @@ func TestClusterEquivalenceAfterFailover(t *testing.T) {
 	}
 	if !anyMatch {
 		t.Fatalf("degenerate workload: no query matched, failover equivalence not exercised")
+	}
+}
+
+// TestCoordinatorConcurrentAddQuery drives the coordinator from
+// concurrent clients, each interleaving /add with /query of a name it
+// already added. The coordinator must hand out every global id in
+// 0..N-1 exactly once, /stats must count N strings, and once traffic
+// settles each name's /query must be the naive join over the names in
+// global-id order.
+func TestCoordinatorConcurrentAddQuery(t *testing.T) {
+	const th, clients = 0.3, 4
+	names := namegen.Generate(namegen.Config{Seed: 11, NumNames: 60})
+	_, cs, _ := newTestCluster(t, 2, tsjoin.MatcherOptions{Threshold: th}, distrib.Options{
+		QueryTimeout: 5 * time.Second,
+		WriteTimeout: 10 * time.Second,
+		Retry:        backoff.Policy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
+	})
+
+	post := func(path string, in, out any) error {
+		body, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(cs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, msg)
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+
+	// Client c adds names[c*N/C : (c+1)*N/C]; ids[i] is the global id
+	// /add returned for names[i].
+	ids := make([]int, len(names))
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		lo, hi := c*len(names)/clients, (c+1)*len(names)/clients
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				var add distrib.AddResponse
+				if err := post("/add", distrib.AddRequest{Name: names[i]}, &add); err != nil {
+					t.Errorf("add %q: %v", names[i], err)
+					return
+				}
+				ids[i] = add.ID
+				var q distrib.QueryResponse
+				probe := names[lo+(i-lo)*7%(i-lo+1)]
+				if err := post("/query", distrib.QueryRequest{Name: probe}, &q); err != nil {
+					t.Errorf("query %q: %v", probe, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	byID := make([]string, len(names))
+	seen := make([]bool, len(names))
+	for i, id := range ids {
+		if id < 0 || id >= len(names) || seen[id] {
+			t.Fatalf("name %d got global id %d: ids = %v, want a permutation of 0..%d", i, id, ids, len(names)-1)
+		}
+		seen[id] = true
+		byID[id] = names[i]
+	}
+
+	resp, err := http.Get(cs.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st distrib.ClusterStats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Strings != len(names) {
+		t.Fatalf("/stats strings = %d, want %d", st.Strings, len(names))
+	}
+
+	strs := make([]token.TokenizedString, len(byID))
+	for id, n := range byID {
+		strs[id] = token.WhitespaceAndPunct(n)
+	}
+	anyMatch := false
+	for id, n := range byID {
+		want := distrib.QueryResponse{Matches: []distrib.Match{}}
+		for _, h := range nsldtest.Matches(strs[id], strs, th, false) {
+			want.Matches = append(want.Matches, distrib.Match(h))
+		}
+		anyMatch = anyMatch || len(want.Matches) > 1
+		code, body := postRaw(t, cs.URL+"/query", distrib.QueryRequest{Name: n})
+		if code != http.StatusOK {
+			t.Fatalf("query %q: status %d: %s", n, code, body)
+		}
+		assertSameJSON(t, fmt.Sprintf("query %q", n), body, want)
+	}
+	if !anyMatch {
+		t.Fatalf("degenerate workload: no name matched another, equivalence not exercised")
 	}
 }

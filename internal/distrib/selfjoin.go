@@ -104,9 +104,6 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 		return firstErr != nil
 	}
 
-	mrcfg := func(name string) mapreduce.Config {
-		return mapreduce.Config{Name: name, MapTasks: co.opt.MapTasks, Parallelism: co.opt.Parallelism}
-	}
 	// call is one phase RPC: hedged across the shard's chain and bounded
 	// by WriteTimeout, per leg and overall.
 	call := func(shard int, path string, in, out any) error {
@@ -120,7 +117,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 	for i := range shards {
 		shards[i] = i
 	}
-	gathered, _ := mapreduce.Run(mrcfg("distrib-selfjoin-gather"), shards,
+	gathered, _ := mapreduce.Run(mapreduce.Config{Name: "distrib-selfjoin-gather"}, shards,
 		func(shard int, mc *mapreduce.MapCtx[int, StringsResponse]) {
 			if failed() {
 				return
@@ -178,7 +175,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 			tasks = append(tasks, sjTask{i: i, j: j})
 		}
 	}
-	pairs, _ := mapreduce.Run(mrcfg("distrib-selfjoin-join"), tasks,
+	pairs, _ := mapreduce.Run(mapreduce.Config{Name: "distrib-selfjoin-join"}, tasks,
 		func(t sjTask, mc *mapreduce.MapCtx[uint64, Pair]) {
 			if failed() {
 				return

@@ -196,8 +196,7 @@ func (p *Primary) ServeRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(registerResponse{OK: true, LSN: p.src.LSN()})
+	httpx.WriteJSON(w, registerResponse{OK: true, LSN: p.src.LSN()})
 }
 
 // Status snapshots the shipper and every follower, sorted by URL.

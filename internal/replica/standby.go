@@ -257,7 +257,7 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 	s.lastContact = time.Now()
 	s.registered = true
 	if s.sealed {
-		writeJSON(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Sealed: true})
+		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Sealed: true})
 		return
 	}
 	switch {
@@ -265,7 +265,7 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		eng, err := s.reset()
 		if err != nil {
 			s.lastErr = err.Error()
-			writeJSON(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: err.Error()})
+			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: err.Error()})
 			return
 		}
 		s.eng = eng
@@ -277,7 +277,7 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 			// and fail the chunk so the primary's retry re-orders the
 			// resync (re-wipe and marker retry).
 			s.lastErr = err.Error()
-			writeJSON(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: true, Error: err.Error()})
+			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: true, Error: err.Error()})
 			return
 		}
 		s.opt.Logf("replica: resync ordered by primary (target lsn %d)", req.SyncTo)
@@ -287,13 +287,13 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		// interleave the two histories. Refuse and report Syncing so
 		// the shipper re-seeds instead.
 		s.gapRejects++
-		writeJSON(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Syncing: true})
+		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Syncing: true})
 		return
 	case !s.syncing && req.SyncTo != 0:
 		// A stale bootstrap chunk from a superseded resync: our LSN is
 		// real-space now. Refuse; the shipper re-classifies.
 		s.gapRejects++
-		writeJSON(w, http.StatusOK, applyResponse{LSN: s.eng.LSN()})
+		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN()})
 		return
 	}
 	lsn := s.eng.LSN()
@@ -301,7 +301,7 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		// Gap: records between our LSN and the batch are missing. Reject
 		// and report where we actually are.
 		s.gapRejects++
-		writeJSON(w, http.StatusOK, applyResponse{LSN: lsn, Syncing: s.syncing})
+		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: lsn, Syncing: s.syncing})
 		return
 	}
 	skip := lsn - req.From // duplicate prefix of a retried batch
@@ -311,14 +311,14 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		}
 		if crc32.Checksum(fr.Payload, castagnoli) != fr.CRC {
 			s.lastErr = "frame crc mismatch"
-			writeJSON(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: "frame crc mismatch"})
+			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: "frame crc mismatch"})
 			return
 		}
 		if err := s.eng.Apply(fr.Payload); err != nil {
 			// A partial apply is fine: the applied prefix advanced our
 			// LSN, and the primary resumes from it after the error.
 			s.lastErr = err.Error()
-			writeJSON(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: err.Error()})
+			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: err.Error()})
 			return
 		}
 		s.applied++
@@ -331,7 +331,7 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		s.clearMarker()
 		s.opt.Logf("replica: resync complete at lsn %d", s.eng.LSN())
 	}
-	writeJSON(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing})
+	httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing})
 }
 
 // Promote seals the standby: replication traffic is rejected from here
@@ -408,11 +408,4 @@ func (s *Standby) Status() StandbyStatus {
 		st.SyncTarget = s.syncTarget
 	}
 	return st
-}
-
-// writeJSON renders one JSON response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }
