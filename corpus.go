@@ -33,8 +33,8 @@ var (
 // checkpointed into versioned binary snapshots, and a process restart
 // (OpenCorpus on the same directory) recovers the exact corpus from
 // snapshot + WAL replay. The corpus keeps its live token document
-// frequencies, so its joins skip the token-frequency job; each join
-// derives its own prefix order from them, as the package-level joins do.
+// frequencies, and its joins read them; each join derives its own prefix
+// order from them, as the package-level joins do.
 //
 // All methods are safe for concurrent use. To serve live traffic over a
 // corpus, attach it to a matcher with NewConcurrentMatcherFromCorpus —

@@ -121,9 +121,10 @@ func SegmentPrefixLen(t float64, aggLen, distinct int) int {
 }
 
 // Index is the batch-side pruning state for one join: the global token
-// order and every string's prefix under it. Build it once after the
-// token-frequency job; it is immutable afterwards and safe for concurrent
-// readers (the reduce workers).
+// order and every string's prefix under it. Build it once per join from
+// the corpus's document frequencies; it is immutable afterwards and safe
+// for concurrent readers (the reduce workers of both candidate
+// generators, which run side by side).
 type Index struct {
 	c *token.Corpus
 	t float64

@@ -79,8 +79,8 @@ func longCorpus(seed int64, n int) *token.Corpus {
 // ReduceTaskCosts. The SelfJoinCorpus and JoinCorpus rows were re-based
 // when corpus joins stopped slicing the corpus's stored, epoch-stamped
 // order and began deriving their prefix order per join, as SelfJoin and
-// Join do. In the four jobs they run (reading stored frequencies, they
-// skip the token-frequency job) they now charge what the from-scratch
+// Join do. In the four jobs they ran (reading stored frequencies, they
+// skipped the token-frequency job) they now charge what the from-scratch
 // joins charge: the joincorpus row equals the join row (it was shared-token 1208 keys /
 // 58103 out, similar-token 1395 in / 224 out, dedup 59358 in / 2013
 // keys), and the selfjoincorpus row equals the names row (it was
@@ -89,9 +89,13 @@ func longCorpus(seed int64, n int) *token.Corpus {
 // names has 2173 — the corpus's token ids follow insertion order, not
 // lexicographic order, so frequency ties break differently and a few
 // prefixes, and with them a few of the equally many candidate pairs,
-// differ. Work totals are compared to 1e-9 relative: per-task costs are
-// not all integers (greedy's k^2 log k, the 0.05 n^2 pair charge), so a
-// total is only as exact as its summation order.
+// differ. The names, long and join rows lost their first job,
+// tsj-token-freq, when the pipeline stopped running it: every source's
+// Corpus.Freq already holds the document frequencies the job recounted,
+// so the cutoff reads them; every other row stayed as it was. Work totals
+// are compared to 1e-9 relative: per-task costs are not all integers
+// (greedy's k^2 log k, the 0.05 n^2 pair charge), so a total is only as
+// exact as its summation order.
 func TestPipelineAccountingGolden(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 17, NumNames: 2500})
 	namesCorpus := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -112,7 +116,6 @@ func TestPipelineAccountingGolden(t *testing.T) {
 			join:      selfJoin(namesCorpus),
 			threshold: 0.1,
 			want: []jobAccounting{
-				{"tsj-token-freq", 2500, 5751, 1290, 1290, 1290, 685, 8251, 7041},
 				{"tsj-shared-token", 2500, 5100, 1286, 117190, 1286, 58383.2, 7600, 156603},
 				{"tsj-similar-token-candidates", 1286, 3222, 1766, 100, 1766, 25.6, 4508, 3471.9},
 				{"tsj-similar-token-verify", 100, 100, 99, 31, 99, 25, 200, 2271},
@@ -124,7 +127,6 @@ func TestPipelineAccountingGolden(t *testing.T) {
 			join:      selfJoin(longCorpus(23, 200)),
 			threshold: 0.3,
 			want: []jobAccounting{
-				{"tsj-token-freq", 200, 1947, 378, 378, 378, 20, 2147, 2325},
 				{"tsj-shared-token", 200, 1947, 378, 4343, 378, 154.05, 2147, 7037.15},
 				{"tsj-similar-token-candidates", 378, 7842, 5798, 659, 5798, 44, 8220, 8686},
 				{"tsj-similar-token-verify", 659, 659, 559, 94, 559, 49, 1318, 11879},
@@ -136,7 +138,6 @@ func TestPipelineAccountingGolden(t *testing.T) {
 			join:      func(o Options) ([]Result, *Stats, error) { return Join(namesCorpus, 1250, o) },
 			threshold: 0.1,
 			want: []jobAccounting{
-				{"tsj-token-freq", 2500, 5751, 1290, 1290, 1290, 685, 8251, 7041},
 				{"tsj-shared-token", 2500, 5100, 1286, 57180, 1286, 25840.85, 7600, 70548.95},
 				{"tsj-similar-token-candidates", 1472, 2099, 1822, 223, 1822, 11.5, 3571, 2344.3},
 				{"tsj-similar-token-verify", 223, 223, 212, 207, 212, 25, 446, 2263},

@@ -7,16 +7,15 @@ import (
 
 // SelfJoinCorpus performs the NSLD self-join of a persistent corpus's
 // live strings. It runs the SelfJoin pipeline over a point-in-time view of
-// the corpus, with one difference: the token document frequencies are
-// read from the corpus, so the token-frequency job does not run. The
-// prefix index derives its rarest-first order from those frequencies per
-// join, exactly as SelfJoin's does.
+// the corpus, whose token document frequencies are the live strings'. The
+// token cutoff reads them, and the prefix index derives its rarest-first
+// order from them per join, exactly as SelfJoin's does.
 //
 // Results are exactly SelfJoin's over the live (non-deleted) strings,
 // with the corpus's StringIDs.
 func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 	v := pc.View()
-	results, st, err := run(&source{c: v.TC, alive: v.Alive, split: -1, storedFreq: true}, opts)
+	results, st, err := run(&source{c: v.TC, alive: v.Alive, split: -1}, opts)
 	if err == nil {
 		pc.NoteJoin()
 	}
@@ -28,7 +27,7 @@ func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 // SelfJoinCorpus). The corpus side's token document frequencies are read
 // from the corpus and the probe side's are counted in one pass over the
 // probes, so the MaxTokenFreq cutoff and the prefix order see exactly the
-// combined frequencies a from-scratch Join would compute.
+// combined frequencies a from-scratch Join reads from BuildCorpus.
 //
 // Results are exactly Join's over (live corpus strings, probes):
 // Result.A is a corpus StringID, Result.B indexes probes. Tombstoned
@@ -86,7 +85,7 @@ func JoinCorpus(pc *corpus.Corpus, probes []token.TokenizedString, opts Options)
 
 	results, st, err := run(&source{
 		c:     token.NewCorpusView(strs, tokens, tokenRunes, freq, members),
-		alive: alive, split: n, storedFreq: true,
+		alive: alive, split: n,
 	}, opts)
 	if err != nil {
 		return nil, nil, err

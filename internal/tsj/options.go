@@ -5,31 +5,35 @@
 // The pipeline is one function, run (pipeline.go), and its jobs map
 // one-to-one onto the paper's stages:
 //
-//  1. tsj-token-freq — computes document frequencies and drops
-//     high-frequency tokens (Sec. III-G.2, parameter M);
-//  2. tsj-shared-token — shared-token candidate generation (Sec. III-C);
-//  3. tsj-similar-token-candidates / -verify — similar-token candidate
+//  1. tsj-shared-token — shared-token candidate generation (Sec. III-C);
+//  2. tsj-similar-token-candidates / -verify — similar-token candidate
 //     generation (Sec. III-D): an NLD-join of the token space via
 //     MassJoin, then a postings expansion from similar token pairs to
 //     candidate string pairs (skipped entirely under the
-//     exact-token-matching approximation of Sec. III-G.4);
-//  4. tsj-dedup-verify-onestring / -bothstrings — de-duplication using
+//     exact-token-matching approximation of Sec. III-G.4). It reads only
+//     the corpus and the prefix index, so it runs beside job 1; its jobs
+//     and candidates are reported after job 1's;
+//  3. tsj-dedup-verify-onestring / -bothstrings — de-duplication using
 //     either grouping strategy of Sec. III-G.3, fused with filtering
 //     (Sec. III-E: length filter and histogram distance-lower-bound
 //     filter) and final verification (Sec. III-F: exact SLD by Hungarian
 //     matching, or the greedy-token-aligning approximation of
 //     Sec. III-G.5).
 //
+// The paper's token-frequency job (Sec. III-G.2) neither runs nor is
+// charged, at any cutoff M: the cutoff reads the document frequencies
+// every source's Corpus.Freq already holds.
+//
 // The four entry points differ only in the source they hand to run: the
 // corpus view, a mask of tombstoned strings, and the R/P split of a
 // bipartite join — the paper's join is the self-join with cross-side pair
 // enumeration (Sec. II-B), so Join and JoinCorpus run the same jobs with
 // Job 1's reducers and the expansion pairing R ids with P ids only.
-// SelfJoin and Join run every job on an in-memory corpus. SelfJoinCorpus
-// and JoinCorpus run over a persistent corpus's point-in-time view and read
-// its live document frequencies in place of job 1; everything after that,
-// the prefix index's rarest-first order included, is derived per join
-// exactly as for an in-memory corpus.
+// SelfJoin and Join run over an in-memory corpus and read the frequencies
+// token.BuildCorpus counted. SelfJoinCorpus and JoinCorpus run over a
+// persistent corpus's point-in-time view and read its live document
+// frequencies; everything after that, the prefix index's rarest-first
+// order included, is derived per join exactly as for an in-memory corpus.
 //
 // Every job reports task-cost statistics so the simulated cluster can
 // reproduce the paper's scalability figures.
@@ -146,7 +150,9 @@ type Options struct {
 	// byte-identical either way, including under MaxTokenFreq; disabling
 	// is for ablation and equivalence testing only.
 	DisableSegmentPrefixFilter bool
-	// MapTasks / Parallelism forward to the MapReduce engine.
+	// MapTasks / Parallelism forward to the MapReduce engine and apply to
+	// each job. The two candidate generators run side by side, so a join
+	// may run up to twice Parallelism workers at once.
 	MapTasks    int
 	Parallelism int
 }

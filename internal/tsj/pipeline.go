@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/mapreduce"
@@ -25,9 +26,6 @@ type source struct {
 	// split < 0 is a self-join. Otherwise ids below split are R, the rest
 	// are P, and only cross-side pairs are candidates.
 	split int
-	// storedFreq: c.Freq already holds the live document frequencies, so
-	// the token cutoff reads them and the token-frequency job is skipped.
-	storedFreq bool
 }
 
 // live reports whether sid is inside the captured id space and not
@@ -60,38 +58,13 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 		}
 	}
 
-	// ---- Job 0: token document frequencies (Sec. III-G.2) ---------------
-	// freq(token) = #strings containing it; tokens above the cutoff M are
-	// dropped. A source with stored frequencies skips the job.
+	// Token cutoff (Sec. III-G.2): freq(token) = #strings containing it,
+	// which every source's c.Freq already holds; tokens above M are dropped.
 	dropped := make([]bool, c.NumTokens())
-	cut := func(tid token.TokenID, freq int) {
-		if opts.MaxTokenFreq > 0 && freq > opts.MaxTokenFreq {
+	for tid, f := range c.Freq {
+		if opts.MaxTokenFreq > 0 && int(f) > opts.MaxTokenFreq {
 			dropped[tid] = true
 			st.DroppedTokens++
-		}
-	}
-	if src.storedFreq {
-		for tid, f := range c.Freq {
-			cut(token.TokenID(tid), int(f))
-		}
-	} else {
-		type tokenFreq struct {
-			id   token.TokenID
-			freq int
-		}
-		freqs, st0 := mapreduce.Run(engCfg("tsj-token-freq"), sids,
-			func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, struct{}]) {
-				for _, tid := range c.Members[sid] {
-					ctx.Emit(tid, struct{}{})
-				}
-			},
-			func(tid token.TokenID, vals []struct{}, ctx *mapreduce.ReduceCtx[tokenFreq]) {
-				ctx.Emit(tokenFreq{tid, len(vals)})
-			},
-		)
-		st.Pipeline.Add(st0)
-		for _, tf := range freqs {
-			cut(tf.id, tf.freq)
 		}
 	}
 	st.KeptTokens = c.NumTokens() - st.DroppedTokens
@@ -139,6 +112,24 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 			pfSeg = ix
 		}
 	}
+
+	// ---- Jobs 2a+2b: similar-token candidates (Sec. III-D) --------------
+	// The stage reads only the corpus and the prefix index (safe for
+	// concurrent readers), so it runs beside Job 1 into a private Stats.
+	// Its jobs, counters and candidates are appended after Job 1's once
+	// both are done, so every output order is as if they ran in turn. A
+	// panic there ends the process, as one in any mapreduce worker does.
+	var sim Stats
+	var simCands []uint64
+	var simWG sync.WaitGroup
+	if opts.Matching == FuzzyTokenMatching {
+		simWG.Add(1)
+		go func() {
+			defer simWG.Done()
+			simCands = similarTokenCandidates(src, dropped, pfSeg, opts, &sim)
+		}()
+	}
+
 	var prefixPruned atomic.Int64
 	sharedCands, st1 := mapreduce.Run(engCfg("tsj-shared-token"), sids,
 		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, token.StringID]) {
@@ -195,12 +186,11 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	st.Pipeline.Add(st1)
 	st.SharedTokenCandidates = int64(len(sharedCands))
 	st.PrefixPruned = prefixPruned.Load()
-	candidates := sharedCands
-
-	// ---- Jobs 2a+2b: similar-token candidates (Sec. III-D) --------------
-	if opts.Matching == FuzzyTokenMatching {
-		candidates = append(candidates, similarTokenCandidates(src, dropped, pfSeg, opts, st)...)
-	}
+	simWG.Wait()
+	st.Pipeline.Merge(&sim.Pipeline)
+	st.SegPrefixPruned, st.SimilarTokenPairs = sim.SegPrefixPruned, sim.SimilarTokenPairs
+	st.SimilarTokenCandidates = sim.SimilarTokenCandidates
+	candidates := append(sharedCands, simCands...)
 
 	// ---- Job 3: de-duplicate + filter + verify (Sec. III-E/F/G.3) -------
 	// Every candidate is packed id-ascending, so a bipartite pair verifies

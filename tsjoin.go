@@ -122,7 +122,9 @@ type Options struct {
 	Dedup    Dedup
 	// Tokenizer overrides the default whitespace+punctuation tokenizer.
 	Tokenizer Tokenizer
-	// Parallelism caps worker goroutines (0 = GOMAXPROCS).
+	// Parallelism caps the worker goroutines of each MapReduce job (0 =
+	// GOMAXPROCS). The two candidate generators run side by side, so a
+	// join may run up to twice as many.
 	Parallelism int
 	// DisableBoundedVerification switches off threshold-aware
 	// verification. By default the verify stage derives an SLD budget
