@@ -12,12 +12,8 @@ import (
 // lane fills; FlushBatch only reports how many pairs were decided. The
 // shim goes in the benchmark-only change that moves bench/ off it.
 
-// BatchKernelAvailable reports whether the strdist/simd Levenshtein
-// kernels are live on this build and CPU (amd64 with AVX2 or arm64 NEON,
-// not built with -tags nosimd). The verifier does not use them.
-func BatchKernelAvailable() bool { return simd.Available() }
-
-// BatchKernelWidth is the lane count of one strdist/simd kernel call.
+// BatchKernelWidth is the lane count of one strdist/simd kernel call,
+// which bench/ reports; the verifier calls no such kernel.
 func BatchKernelWidth() int { return simd.Width }
 
 // BatchResult is one pair's verdict: the triple Verify returns.

@@ -5,15 +5,11 @@ package simd
 // grow past it by the token length without wrapping uint16.
 const u16Inf = 1 << 15
 
-// levBatchGeneric is the portable reference kernel: the exact
-// lane-for-lane computation of the assembly kernels, including the
-// all-lanes row-minima abort and the caps[l]+1 clamp, so the assembly
-// and every fallback configuration produce identical bytes. It is the
-// dispatch target on architectures without an assembly kernel and
-// under -tags nosimd, and the oracle the equivalence tests and fuzzers
-// compare against. Both sides are lane-major: a[i*Width+l] is rune i
-// of lane l's probe token, b[j*Width+l] rune j of its candidate.
-func levBatchGeneric(a []uint16, la int, b []uint16, lb int, caps *[Width]uint16, row []uint16, out *[Width]uint16) {
+// levBatch is the full kernel behind LevBatch, including the
+// all-lanes row-minima abort and the caps[l]+1 clamp. Both sides are
+// lane-major: a[i*Width+l] is rune i of lane l's probe token,
+// b[j*Width+l] rune j of its candidate.
+func levBatch(a []uint16, la int, b []uint16, lb int, caps *[Width]uint16, row []uint16, out *[Width]uint16) {
 	// row[j*Width+l] = D[i-1][j] for lane l.
 	for j := 0; j <= lb; j++ {
 		v := satU16(j)
@@ -68,7 +64,7 @@ func levBatchGeneric(a []uint16, la int, b []uint16, lb int, caps *[Width]uint16
 	}
 }
 
-// levBandedBatchGeneric is the portable banded kernel: per row i only
+// levBandedBatch is the banded kernel behind LevBandedBatch: per row i only
 // the band lo..hi (|i-j| <= band) is computed, with the out-of-band
 // boundary discipline of strdist.LevenshteinBoundedScratchU16 — cells
 // beyond column band initialize to u16Inf, the cell left of the band
@@ -76,7 +72,7 @@ func levBatchGeneric(a []uint16, la int, b []uint16, lb int, caps *[Width]uint16
 // and the stale cell at the band's right edge is the previous row's
 // sentinel by construction. See LevBandedBatch for the contract and
 // its preconditions (band >= caps[l], |la-lb| <= band per lane).
-func levBandedBatchGeneric(a []uint16, la int, b []uint16, lb int, band int, caps *[Width]uint16, row []uint16, out *[Width]uint16) {
+func levBandedBatch(a []uint16, la int, b []uint16, lb int, band int, caps *[Width]uint16, row []uint16, out *[Width]uint16) {
 	for j := 0; j <= lb; j++ {
 		v := uint16(u16Inf)
 		if j <= band {
@@ -168,10 +164,8 @@ func allLanesDead(rowMin, caps *[Width]uint16) bool {
 	return true
 }
 
-// addSat is the saturating uint16 addition the vector kernels perform
-// with VPADDUSW; under the documented preconditions saturation is
-// unreachable, so architectures whose assembly uses plain adds (NEON)
-// stay bit-identical.
+// addSat is saturating uint16 addition; under the documented
+// preconditions saturation is unreachable.
 func addSat(a, b uint16) uint16 {
 	s := uint32(a) + uint32(b)
 	if s > 0xFFFF {

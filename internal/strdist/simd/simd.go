@@ -1,34 +1,26 @@
-// Package simd provides vectorized batched inner loops for the banded
-// Levenshtein verification stage. One kernel invocation sweeps Width
-// independent dynamic programs — Width (probe token, candidate token)
-// PAIRS whose sides all share the rune lengths (la, lb) — through
-// uint16 DP rows laid out lane-major, the layout the uint16 scratch
-// rows of internal/strdist were shaped for. Both sides are lane-major
-// (a[i*Width+l] is rune i of lane l's probe-side token), so the lanes
-// of one invocation are free to mix tokens from different probes:
-// that is what lets internal/core pool surviving cells across
-// candidates AND probes until a full lane group accumulates.
+// Package simd holds the lane-batched Levenshtein kernels that bench/
+// probes for its simd.levbatch_ns_per_lane row. One kernel invocation
+// sweeps Width independent dynamic programs — Width (probe token,
+// candidate token) PAIRS whose sides all share the rune lengths
+// (la, lb) — through uint16 DP rows laid out lane-major (a[i*Width+l]
+// is rune i of lane l's probe-side token).
 //
 // Two kernels share the layout:
 //
-//   - LevBatch sweeps the full la x lb matrix per lane — the right
-//     shape when the per-lane cap is of the same order as the token
-//     lengths, where the band would cover most of the matrix anyway.
+//   - LevBatch sweeps the full la x lb matrix per lane.
 //   - LevBandedBatch sweeps only the 2*band+1 diagonal band per row,
 //     with the out-of-band sentinel discipline of
-//     strdist.LevenshteinBoundedScratchU16; under a tight cap
-//     (band << lb) it touches a small fraction of the cells and makes
-//     tight thresholds profitable on the vector path too.
+//     strdist.LevenshteinBoundedScratchU16.
 //
-// Per architecture: amd64 runs AVX2 assembly for both kernels (16
-// lanes), selected at init via CPUID feature detection; arm64 runs a
-// NEON LevBatch (8 lanes) with the banded variant on the portable
-// kernel; every other configuration — other architectures, or any
-// build with `-tags nosimd` — runs the portable generic kernels, which
-// are bit-identical by construction and property-tested against both
-// the assembly and the scalar DP (TestSIMDEquivalenceKernel,
-// TestSIMDEquivalenceBandedKernel, FuzzLevenshteinSIMDEquivalence).
+// Both are portable Go, property-tested against the scalar DP
+// (TestSIMDEquivalenceKernel, TestSIMDEquivalenceBandedKernel,
+// FuzzLevenshteinSIMDEquivalence). No join, matcher or server calls
+// them: every pair is verified on its own by core.Verifier.Verify. The
+// package stays only until bench/ stops probing it.
 package simd
+
+// Width is the number of DP lanes one kernel invocation sweeps.
+const Width = 16
 
 // LevBatch computes, for every lane l in [0, Width),
 //
@@ -46,8 +38,7 @@ package simd
 // row is caller-owned scratch, grown as needed and retained across
 // calls so steady-state invocations allocate nothing.
 //
-// Preconditions (the caller enforces them; internal/core routes
-// violating cells to the scalar DP): la >= 1, lb >= 1, every rune
+// Preconditions (the caller enforces them): la >= 1, lb >= 1, every rune
 // narrowed injectively from the BMP, la+lb < 32768 and every cap below
 // 1<<15-1 so no DP cell or cap+1 saturates uint16 arithmetic. Unused
 // lanes may carry arbitrary rune data — lanes are fully independent
@@ -74,8 +65,7 @@ func LevBatch(a []uint16, la int, b []uint16, lb int, caps *[Width]uint16, row *
 // min(LD, caps[l]+1) bit for bit (any edit path of cost <= caps[l] <=
 // band stays within the band, so in-band values are exact wherever the
 // verdict can depend on them). Per row it touches at most 2*band+1
-// cells per lane instead of lb, which is what makes tight budgets
-// (band << lb) profitable on the vector path.
+// cells per lane instead of lb.
 func LevBandedBatch(a []uint16, la int, b []uint16, lb int, band int, caps *[Width]uint16, row *[]uint16, out *[Width]uint16) {
 	growKernelRow(row, lb)
 	levBandedBatch(a, la, b, lb, band, caps, *row, out)

@@ -2,7 +2,6 @@ package simd
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/strdist"
@@ -58,15 +57,6 @@ func expect(probe, cand []rune, cap int) int {
 	return d
 }
 
-func growTestRow(row *[]uint16, lb int) []uint16 {
-	need := Width * (lb + 1)
-	if cap(*row) < need {
-		*row = make([]uint16, need)
-	}
-	*row = (*row)[:need]
-	return *row
-}
-
 // randPairs draws nc lane pairs with per-lane distinct probes of rune
 // length la and candidates of length lb.
 func randPairs(rng *rand.Rand, nc, la, lb, maxCap int, alphabet []rune) []lanePair {
@@ -81,34 +71,27 @@ func randPairs(rng *rand.Rand, nc, la, lb, maxCap int, alphabet []rune) []lanePa
 	return pairs
 }
 
-// TestSIMDEquivalenceKernel drives the dispatched full kernel (the
-// assembly when available, the portable kernel otherwise) and the
-// generic reference across random lane groups — every lane its own
-// (probe, candidate) pair — and asserts both agree with the scalar DP
-// on every lane. This is the family the CI equivalence guard requires
-// to run un-skipped.
+// TestSIMDEquivalenceKernel drives the full kernel across random lane
+// groups — every lane its own (probe, candidate) pair — and asserts it
+// agrees with the scalar DP on every lane. This is the family the CI
+// equivalence guard requires to run un-skipped.
 func TestSIMDEquivalenceKernel(t *testing.T) {
-	t.Logf("assembly kernel available: %v (width %d)", Available(), Width)
 	rng := rand.New(rand.NewSource(42))
 	alphabet := []rune("abcdeé✓") // multi-byte but BMP runes included
-	var row, row2 []uint16
+	var row []uint16
 	for iter := 0; iter < 2000; iter++ {
 		la := 1 + rng.Intn(16)
 		lb := 1 + rng.Intn(16)
 		nc := 1 + rng.Intn(Width)
 		pairs := randPairs(rng, nc, la, lb, 20, alphabet)
 		a, b, capv := buildPairLanes(pairs, la, lb)
-		var out, out2 [Width]uint16
+		var out [Width]uint16
 		LevBatch(a, la, b, lb, &capv, &row, &out)
-		levBatchGeneric(a, la, b, lb, &capv, growTestRow(&row2, lb), &out2)
 		for l := 0; l < nc; l++ {
 			want := expect(pairs[l].probe, pairs[l].cand, pairs[l].cap)
 			if int(out[l]) != want {
-				t.Fatalf("iter %d lane %d: dispatched kernel %d, want %d (cap %d, probe %q, cand %q)",
+				t.Fatalf("iter %d lane %d: kernel %d, want %d (cap %d, probe %q, cand %q)",
 					iter, l, out[l], want, pairs[l].cap, string(pairs[l].probe), string(pairs[l].cand))
-			}
-			if out2[l] != out[l] {
-				t.Fatalf("iter %d lane %d: generic %d != dispatched %d", iter, l, out2[l], out[l])
 			}
 		}
 	}
@@ -122,7 +105,7 @@ func TestSIMDEquivalenceKernel(t *testing.T) {
 func TestSIMDEquivalenceBandedKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	alphabet := []rune("abcdeé✓")
-	var row, row2, row3 []uint16
+	var row []uint16
 	for iter := 0; iter < 2000; iter++ {
 		band := 1 + rng.Intn(6)
 		la := 1 + rng.Intn(16)
@@ -136,18 +119,14 @@ func TestSIMDEquivalenceBandedKernel(t *testing.T) {
 		nc := 1 + rng.Intn(Width)
 		pairs := randPairs(rng, nc, la, lb, band+1, alphabet)
 		a, b, capv := buildPairLanes(pairs, la, lb)
-		var out, out2, outFull [Width]uint16
+		var out, outFull [Width]uint16
 		LevBandedBatch(a, la, b, lb, band, &capv, &row, &out)
-		levBandedBatchGeneric(a, la, b, lb, band, &capv, growTestRow(&row2, lb), &out2)
-		LevBatch(a, la, b, lb, &capv, &row3, &outFull)
+		LevBatch(a, la, b, lb, &capv, &row, &outFull)
 		for l := 0; l < nc; l++ {
 			want := expect(pairs[l].probe, pairs[l].cand, pairs[l].cap)
 			if int(out[l]) != want {
 				t.Fatalf("iter %d lane %d: banded kernel %d, want %d (band %d, cap %d, probe %q, cand %q)",
 					iter, l, out[l], want, band, pairs[l].cap, string(pairs[l].probe), string(pairs[l].cand))
-			}
-			if out2[l] != out[l] {
-				t.Fatalf("iter %d lane %d: banded generic %d != dispatched %d", iter, l, out2[l], out[l])
 			}
 			if outFull[l] != out[l] {
 				t.Fatalf("iter %d lane %d: full kernel %d != banded %d", iter, l, outFull[l], out[l])
@@ -157,13 +136,13 @@ func TestSIMDEquivalenceBandedKernel(t *testing.T) {
 }
 
 // TestSIMDEquivalenceAbortParity forces the early-abort path (tiny
-// caps, distant strings) on the dispatched and generic kernels — full
-// and banded — and checks they agree lane-for-lane.
+// caps, distant strings) on both kernels and checks they agree with
+// each other and with the scalar DP lane for lane.
 func TestSIMDEquivalenceAbortParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []rune("xy")
 	distant := []rune("qrstuvwz")
-	var row, row2 []uint16
+	var row []uint16
 	for iter := 0; iter < 500; iter++ {
 		la := 4 + rng.Intn(12)
 		lb := 4 + rng.Intn(12)
@@ -177,12 +156,8 @@ func TestSIMDEquivalenceAbortParity(t *testing.T) {
 			}
 		}
 		a, b, capv := buildPairLanes(pairs, la, lb)
-		var out, out2 [Width]uint16
+		var out [Width]uint16
 		LevBatch(a, la, b, lb, &capv, &row, &out)
-		levBatchGeneric(a, la, b, lb, &capv, growTestRow(&row2, lb), &out2)
-		if out != out2 {
-			t.Fatalf("iter %d: dispatched %v != generic %v", iter, out, out2)
-		}
 		for l := 0; l < nc; l++ {
 			want := expect(pairs[l].probe, pairs[l].cand, pairs[l].cap)
 			if int(out[l]) != want {
@@ -197,47 +172,11 @@ func TestSIMDEquivalenceAbortParity(t *testing.T) {
 			}
 		}
 		if la-lb <= band && lb-la <= band {
-			var outB, outB2 [Width]uint16
+			var outB [Width]uint16
 			LevBandedBatch(a, la, b, lb, band, &capv, &row, &outB)
-			levBandedBatchGeneric(a, la, b, lb, band, &capv, growTestRow(&row2, lb), &outB2)
-			if outB != outB2 || outB != out {
-				t.Fatalf("iter %d: banded dispatched %v, banded generic %v, full %v — all must agree",
-					iter, outB, outB2, out)
+			if outB != out {
+				t.Fatalf("iter %d: banded %v != full %v", iter, outB, out)
 			}
-		}
-	}
-}
-
-// TestNEONKernelLive proves the NEON assembly actually executes — the
-// arm64 CI leg greps its PASS line, so a qemu setup that silently
-// degrades to compile-only fails the build. On arm64 without -tags
-// nosimd the dispatched path must be the assembly (Available() is
-// unconditional there), and it must agree with the generic reference
-// on a fixed group; on other architectures the test skips.
-func TestNEONKernelLive(t *testing.T) {
-	if runtime.GOARCH != "arm64" {
-		t.Skipf("GOARCH %s: NEON kernel not applicable", runtime.GOARCH)
-	}
-	if !Available() {
-		t.Fatal("arm64 build without nosimd must report the NEON kernel available")
-	}
-	pairs := []lanePair{
-		{probe: []rune("kernel"), cand: []rune("colonel"), cap: 5},
-		{probe: []rune("neonzz"), cand: []rune("xeonzzz"), cap: 2},
-		{probe: []rune("vector"), cand: []rune("victors"), cap: 1},
-		{probe: []rune("abcdef"), cand: []rune("ghijklm"), cap: 2},
-	}
-	a, b, capv := buildPairLanes(pairs, 6, 7)
-	var row, row2 []uint16
-	var out, out2 [Width]uint16
-	LevBatch(a, 6, b, 7, &capv, &row, &out)
-	levBatchGeneric(a, 6, b, 7, &capv, growTestRow(&row2, 7), &out2)
-	if out != out2 {
-		t.Fatalf("NEON kernel %v != generic %v", out, out2)
-	}
-	for l, p := range pairs {
-		if want := expect(p.probe, p.cand, p.cap); int(out[l]) != want {
-			t.Fatalf("lane %d: NEON kernel %d, want %d", l, out[l], want)
 		}
 	}
 }

@@ -71,11 +71,13 @@ func NSLD(a, b string) float64 { return core.NSLD(Tokenize(a), Tokenize(b)) }
 func SLDTokens(x, y TokenizedString) int      { return core.SLD(x, y) }
 func NSLDTokens(x, y TokenizedString) float64 { return core.NSLD(x, y) }
 
-// SIMDAvailable reports whether the vectorized Levenshtein kernels of
-// internal/strdist/simd are live on this build and CPU (amd64 with AVX2
-// or arm64 with NEON, not built with -tags nosimd). Verification does not
-// use them; results are identical either way.
-func SIMDAvailable() bool { return core.BatchKernelAvailable() }
+// SIMDAvailable returns false. The library carries no vectorized
+// Levenshtein kernel: every candidate pair is verified on its own by the
+// scalar bounded DP.
+//
+// Deprecated: there is nothing to detect; the function is kept only so
+// existing callers compile.
+func SIMDAvailable() bool { return false }
 
 // Matching selects the TSJ candidate-generation strategy.
 type Matching = tsj.Matching
