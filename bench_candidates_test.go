@@ -1,10 +1,10 @@
 package tsjoin
 
-// Candidate-generation benchmarks: the prefix filter's effect on the
-// batch shared-token generator (candidate count and candidate-generation
-// wall time, reported as custom metrics) and on the sharded matcher's
-// query path. CI runs these with -benchtime=1x as a smoke test; real
-// contrasts come from longer -benchtime runs.
+// Candidate-generation benchmarks: the batch join's candidate stream
+// (candidate count and candidate-generation wall time, reported as
+// custom metrics) and the sharded matcher's query path, both behind the
+// prefix filters. CI runs these with -benchtime=1x as a smoke test; real
+// measurements come from longer -benchtime runs.
 
 import (
 	"sync/atomic"
@@ -18,10 +18,9 @@ import (
 // benchmarkCandidates runs the batch self-join at the paper's default
 // threshold and reports the raw candidate stream and the wall time of
 // candidate generation.
-func benchmarkCandidates(b *testing.B, disablePrefix bool) {
+func benchmarkCandidates(b *testing.B) {
 	c := benchCorpus(1500)
 	opts := tsj.DefaultOptions()
-	opts.DisablePrefixFilter = disablePrefix
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cands, prefixPruned, genMs, verifyMs float64
@@ -48,44 +47,32 @@ func benchmarkCandidates(b *testing.B, disablePrefix bool) {
 	b.ReportMetric(verifyMs/n, "verify-ms/op")
 }
 
-// BenchmarkCandidatesPrefix measures candidate generation with the
-// threshold-aware prefix filter (the default configuration).
-func BenchmarkCandidatesPrefix(b *testing.B) { benchmarkCandidates(b, false) }
-
-// BenchmarkCandidatesNoPrefix is the ablation: every kept token feeds the
-// posting lists, every co-occurring pair is emitted.
-func BenchmarkCandidatesNoPrefix(b *testing.B) { benchmarkCandidates(b, true) }
+// BenchmarkCandidatesPrefix measures candidate generation behind the
+// threshold-aware prefix filter.
+func BenchmarkCandidatesPrefix(b *testing.B) { benchmarkCandidates(b) }
 
 // BenchmarkShardedQueryPrefix measures concurrent Query throughput on the
-// sharded matcher with the prefix filter on (default) and off; the
-// prefix-pruned metric shows how many posting entries each configuration
-// skipped.
+// sharded matcher; the prefix-pruned metric shows how many posting
+// entries the prefix filter skipped per query.
 func BenchmarkShardedQueryPrefix(b *testing.B) {
 	names := namegen.Generate(namegen.Config{Seed: 3, NumNames: 2000})
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"prefix", false}, {"noprefix", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			m, err := NewConcurrentMatcher(ConcurrentMatcherOptions{
-				MatcherOptions: MatcherOptions{Threshold: 0.1, DisablePrefixFilter: cfg.disable},
-				Shards:         4,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			m.AddAll(names)
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(next.Add(1)) % len(names)
-					m.Query(names[i])
-				}
-			})
-			b.ReportMetric(float64(m.Stats().PrefixPruned)/float64(b.N), "prefix-pruned/op")
-		})
+	m, err := NewConcurrentMatcher(ConcurrentMatcherOptions{
+		MatcherOptions: MatcherOptions{Threshold: 0.1},
+		Shards:         4,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer m.Close()
+	m.AddAll(names)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := int(next.Add(1)) % len(names)
+			m.Query(names[i])
+		}
+	})
+	b.ReportMetric(float64(m.Stats().PrefixPruned)/float64(b.N), "prefix-pruned/op")
 }

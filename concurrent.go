@@ -61,14 +61,11 @@ func NewConcurrentMatcherFromCorpus(c *Corpus, opts ConcurrentMatcherOptions) (*
 
 func streamOptions(opts MatcherOptions) stream.Options {
 	return stream.Options{
-		Threshold:                  opts.Threshold,
-		MaxTokenFreq:               opts.MaxTokenFreq,
-		Greedy:                     opts.Greedy,
-		ExactTokensOnly:            opts.ExactTokensOnly,
-		DisableBoundedVerify:       opts.DisableBoundedVerification,
-		DisablePrefixFilter:        opts.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: opts.DisableSegmentPrefixFilter,
-		Tokenizer:                  opts.Tokenizer,
+		Threshold:       opts.Threshold,
+		MaxTokenFreq:    opts.MaxTokenFreq,
+		Greedy:          opts.Greedy,
+		ExactTokensOnly: opts.ExactTokensOnly,
+		Tokenizer:       opts.Tokenizer,
 	}
 }
 

@@ -55,11 +55,6 @@ type CorpusOptions struct {
 	SyncEvery int
 	// DisableSync skips fsync entirely (benchmarks and throwaway data).
 	DisableSync bool
-	// RerankSlack is ignored.
-	//
-	// Deprecated: the corpus no longer keeps a frequency order to
-	// re-rank; every join derives its order from the live frequencies.
-	RerankSlack float64
 	// FS overrides the filesystem the durability layer runs over; nil
 	// means the real OS filesystem. It exists for fault-injection tests
 	// (see internal/iofault), which is why its type is internal: an

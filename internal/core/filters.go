@@ -4,9 +4,10 @@ import "repro/internal/token"
 
 // The pipeline's lossless lower bounds and where each lives: aggregate
 // lengths — LengthPrune (Sec. III-E.1); token-length histograms —
-// HistogramLowerBound / LowerBoundPrune (Sec. III-E.2), both here, ahead
-// of verification; per-token character signatures — the Verifier's
-// pre-pass (sigPrune, verifier.go), ahead of the first DP cell.
+// HistogramLowerBound / LowerBoundPrune (Sec. III-E.2), both here and
+// chained by FilterPair ahead of verification; per-token character
+// signatures — the Verifier's pre-pass (sigPrune, verifier.go), ahead of
+// the first DP cell.
 
 // LengthPrune implements the Sec. III-E.1 filter: by Lemma 6,
 // NSLD(x, y) >= 1 - L(x)/L(y) for L(x) <= L(y), so a candidate pair whose
@@ -75,4 +76,25 @@ func HistogramLowerBound(histA, histB []int) int {
 func LowerBoundPrune(x, y token.TokenizedString, t float64) bool {
 	lb := HistogramLowerBound(x.LengthHistogram(), y.LengthHistogram())
 	return !WithinNSLD(lb, x.AggregateLen(), y.AggregateLen(), t)
+}
+
+// Filter names the Sec. III-E filter that rejected a candidate pair.
+type Filter uint8
+
+const (
+	Admitted          Filter = iota // neither filter fired
+	LengthFiltered                  // LengthPrune fired
+	HistogramFiltered               // the length filter passed, LowerBoundPrune fired
+)
+
+// FilterPair runs the Sec. III-E filter chain on candidate (x, y) — the
+// length filter, then the histogram bound — and reports which fired.
+func FilterPair(x, y *token.TokenizedString, t float64) Filter {
+	if LengthPrune(x.AggregateLen(), y.AggregateLen(), t) {
+		return LengthFiltered
+	}
+	if LowerBoundPrune(*x, *y, t) {
+		return HistogramFiltered
+	}
+	return Admitted
 }

@@ -91,11 +91,6 @@ type Verifier struct {
 	// Greedy switches the alignment to the greedy-token-aligning
 	// approximation (Sec. III-G.5) instead of the exact Hungarian.
 	Greedy bool
-	// Unbounded makes Verify run the unbudgeted reference, SLD (or
-	// SLDGreedy under Greedy) followed by WithinNSLD: no pair is ever
-	// Pruned. The verdicts equal the bounded engine's; this is the
-	// reference side of the bounded-verification equivalence tests.
-	Unbounded bool
 	// SigPruned counts the pairs the signature pre-pass (step 1) decided,
 	// a subset of the pruned verdicts. The owning engine folds it into its
 	// stats and resets it.
@@ -115,14 +110,6 @@ type Verifier struct {
 // threshold, and whether it was rejected early (before the alignment
 // completed) by the budget.
 func (v *Verifier) Verify(x, y token.TokenizedString, t float64) (sld int, within, pruned bool) {
-	if v.Unbounded {
-		if v.Greedy {
-			sld = SLDGreedy(x, y)
-		} else {
-			sld = SLD(x, y)
-		}
-		return sld, WithinNSLD(sld, x.AggregateLen(), y.AggregateLen(), t), false
-	}
 	if t < 0 {
 		// No sld satisfies WithinNSLD; don't let MaxSLDWithin's -1 read
 		// as "unbounded" in verify.

@@ -112,19 +112,6 @@ type Stats struct {
 	// Strings is the total id space (including tombstones); Live counts
 	// non-deleted strings; Tokens the distinct token space.
 	Strings, Live, Tombstones, Tokens int
-	// Epoch is always 0.
-	//
-	// Deprecated: the corpus no longer keeps a frequency order of its
-	// own; every join derives one from the live frequencies.
-	Epoch uint64
-	// OrderRebuilds is always 0.
-	//
-	// Deprecated: there is no stored order to rebuild (see Epoch).
-	OrderRebuilds int64
-	// DriftedTokens is always 0.
-	//
-	// Deprecated: there is no stored order to drift from (see Epoch).
-	DriftedTokens int
 	// Generation is the current snapshot/WAL generation. WALReplayed
 	// counts records recovered at Open; WALRecords/WALBytes count appends
 	// by this process; Snapshots counts snapshots written by this

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fuzzyset"
@@ -346,43 +345,33 @@ func Fig7(w Workload) *Table {
 }
 
 // Funnel renders the candidate-filter funnel across the T sweep: raw
-// candidates generated with and without the prefix filter, then each
-// pruning stage — prefix (positional/length at probe time), the Sec.
-// III-E filters, the verify-stage SLD budget — down to verified pairs and
-// results. It is the end-to-end view of where candidate work dies.
+// candidates generated, then each pruning stage — prefix
+// (positional/length at probe time), the Sec. III-E filters, the
+// verify-stage SLD budget — down to verified pairs and results. It is the
+// end-to-end view of where candidate work dies.
 func Funnel(w Workload) *Table {
 	c := w.Corpus()
 	t := &Table{
 		ID:    "funnel",
 		Title: "Candidate filter funnel vs NSLD threshold T (default join configuration)",
-		Header: []string{"T", "generated(no-prefix)", "generated(prefix)", "prefix-pruned",
+		Header: []string{"T", "generated(prefix)", "prefix-pruned",
 			"seg-pruned", "deduped", "len-pruned", "lb-pruned", "verified", "budget-pruned", "sig-pruned", "results"},
 	}
 	for _, T := range Thresholds {
 		opts := tsj.DefaultOptions()
 		opts.MapTasks = simMapTasks
 		opts.Threshold = T
-
-		opts.DisablePrefixFilter = true
-		opts.DisableSegmentPrefixFilter = true
-		_, plain, err := tsj.SelfJoin(c, opts)
-		if err != nil {
-			panic(err)
-		}
-		opts.DisablePrefixFilter = false
-		opts.DisableSegmentPrefixFilter = false
 		_, st, err := tsj.SelfJoin(c, opts)
 		if err != nil {
 			panic(err)
 		}
 		t.AddRow(T,
-			plain.SharedTokenCandidates+plain.SimilarTokenCandidates,
 			st.SharedTokenCandidates+st.SimilarTokenCandidates,
 			st.PrefixPruned, st.SegPrefixPruned, st.DedupedCandidates, st.LengthPruned, st.LBPruned,
 			st.Verified, st.BudgetPruned, st.SigPruned, st.Results)
 	}
 	t.Notes = append(t.Notes,
-		"generated counts raw shared+similar candidate records before dedup; both runs return identical results",
+		"generated counts raw shared+similar candidate records before dedup",
 		"prefix-pruned counts pairs rejected by the positional/length filters at their first common prefix token",
 		"seg-pruned counts posting entries the segment prefix filter excluded from the similar-token expansion",
 		"sig-pruned is the part of budget-pruned the verifier's character-signature pre-pass decided before any DP cell",
@@ -391,42 +380,34 @@ func Funnel(w Workload) *Table {
 }
 
 // SegmentFunnel renders the streaming similar-token probe funnel across a
-// T sweep: every workload name is streamed through a one-shard matcher
-// with and without the segment prefix filter, and the per-stage counters
-// — probe tokens pruned, window fingerprints probed, tokens reaching the
-// token-NLD check, tokens similar — show where segment-probe work dies,
-// next to the candidate-generation wall clock of both configurations.
+// T sweep: every workload name is streamed through a one-shard matcher,
+// and the per-stage counters — probe tokens pruned, window fingerprints
+// probed, tokens reaching the token-NLD check, tokens similar — show
+// where segment-probe work dies, next to the candidate-generation wall
+// clock.
 func SegmentFunnel(w Workload) *Table {
 	names := namegen.Generate(namegen.Config{Seed: w.Seed, NumNames: w.NumNames})
 	t := &Table{
 		ID:    "segfunnel",
 		Title: "Streaming segment-probe funnel vs NSLD threshold T (one-shard matcher)",
-		Header: []string{"T", "seg-pruned", "keys-probed(no-filter)", "keys-probed", "tokens-checked",
-			"tokens-similar", "candgen-ms(no-filter)", "candgen-ms"},
+		Header: []string{"T", "seg-pruned", "keys-probed", "tokens-checked",
+			"tokens-similar", "candgen-ms"},
 	}
 	for _, T := range []float64{0.05, 0.1, 0.2} {
-		run := func(disable bool) stream.ShardedStats {
-			m, err := stream.NewShardedMatcher(stream.Options{Threshold: T, DisableSegmentPrefixFilter: disable}, 1)
-			if err != nil {
-				panic(err)
-			}
-			defer m.Close()
-			for _, n := range names {
-				m.Add(n)
-			}
-			return m.Stats()
+		m, err := stream.NewShardedMatcher(stream.Options{Threshold: T}, 1)
+		if err != nil {
+			panic(err)
 		}
-		plain := run(true)
-		st := run(false)
-		ms := func(d time.Duration) string {
-			return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
+		for _, n := range names {
+			m.Add(n)
 		}
-		t.AddRow(T, st.SegPrefixPruned, plain.SegKeysProbed, st.SegKeysProbed,
+		st := m.Stats()
+		m.Close()
+		t.AddRow(T, st.SegPrefixPruned, st.SegKeysProbed,
 			st.SegTokensChecked, st.SegTokensSimilar,
-			ms(plain.CandGenWall), ms(st.CandGenWall))
+			fmt.Sprintf("%.2f", float64(st.CandGenWall.Microseconds())/1000))
 	}
 	t.Notes = append(t.Notes,
-		"both configurations return identical match streams; the filter only sheds probe work",
 		"seg-pruned counts probe tokens whose segment probe was skipped (storage-side pruning additionally shrinks the index)",
 	)
 	return t

@@ -3,7 +3,9 @@
 // aligner) on every pair and keeps the pairs core.WithinNSLD accepts. It
 // has no index, no filter and no bounded verifier, so a bug in the
 // pipelines' shared candidate, filter or verify code cannot also hide in
-// the reference they are checked against.
+// the reference they are checked against. Cutoff is the same naive join
+// restricted by the candidate rule of a finite token cutoff M and of
+// exact-token matching, the reference for those configurations.
 package nsldtest
 
 import (

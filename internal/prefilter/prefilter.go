@@ -67,23 +67,10 @@ func MaxErrors(t float64, aggLen int) int {
 }
 
 // PrefixLen returns the number of rarest-first distinct tokens of a string
-// with the given aggregate length and distinct-token count that the
-// shared-token generator must index/probe: min(distinct, MaxErrors + 1).
-func PrefixLen(t float64, aggLen, distinct int) int {
-	p := MaxErrors(t, aggLen) + 1
-	if p > distinct {
-		p = distinct
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p
-}
-
-// SegmentPrefixLen returns the number of rarest-first distinct tokens of
-// a string whose segments the similar-token generator must index/probe.
-// The bound is the same min(distinct, MaxErrors + 1) as the shared-token
-// prefix, but the argument differs, because a similar-token witness need
+// with the given aggregate length and distinct-token count that both
+// candidate generators index/probe: min(distinct, MaxErrors + 1). For the
+// shared-token generator see the package comment. For the similar-token
+// generator the argument differs, because a similar-token witness need
 // not be a shared token:
 //
 // Let (x, y) satisfy NSLD <= t and suppose the similar-token path is the
@@ -95,13 +82,12 @@ func PrefixLen(t float64, aggLen, distinct int) int {
 //	|distinct(x)| <= SLD(x, y) <= MaxSLDWithin(t, L(x), L(y)) <= MaxErrors(t, L(x))
 //
 // (the last step by Lemma 6 monotonicity, exactly as in MaxErrors). The
-// prefix length min(distinct, MaxErrors+1) then equals distinct: the
-// threshold-derived prefix is *untruncated*, and every token — in
-// particular every similar-witness carrier — is a prefix token. A pair
-// that does share a token is the shared-token path's responsibility (its
-// prefixes intersect; see FirstCommon / markPrefix), so restricting the
-// segment index to prefix tokens on both the probe and the storage side
-// loses no pair.
+// prefix is then *untruncated*, and every token — in particular every
+// similar-witness carrier — is a prefix token. A pair that does share a
+// token is the shared-token path's responsibility (its prefixes
+// intersect; see FirstCommon / markPrefix), so restricting the segment
+// index to prefix tokens on both the probe and the storage side loses no
+// pair.
 //
 // Two boundary notes. First, nothing above consults the order itself —
 // only the prefix length, which depends on L and the distinct count
@@ -116,8 +102,15 @@ func PrefixLen(t float64, aggLen, distinct int) int {
 // sides cannot (the index side's frequencies at insert time may lie
 // below a cutoff the token crosses later), so storage pruning is only
 // performed when M is unlimited.
-func SegmentPrefixLen(t float64, aggLen, distinct int) int {
-	return PrefixLen(t, aggLen, distinct)
+func PrefixLen(t float64, aggLen, distinct int) int {
+	p := MaxErrors(t, aggLen) + 1
+	if p > distinct {
+		p = distinct
+	}
+	if p < 0 {
+		p = 0
+	}
+	return p
 }
 
 // Index is the batch-side pruning state for one join: the global token

@@ -1,8 +1,8 @@
 package stream
 
 // Segment-probe benchmarks: the similar-token candidate-generation path
-// in isolation — steady-state probes of a fully built index, with the
-// segment prefix filter on (the default) and off. CI runs these with
+// in isolation — steady-state probes of a fully built index behind the
+// segment prefix filter. CI runs these with
 // -benchtime=1x as a smoke test; -benchmem documents the 0 allocs/op
 // steady state of the fingerprinted probe loop.
 
@@ -17,9 +17,9 @@ import (
 // pre-computes marked probes for a sample of its names, so the benchmark
 // loop exercises exactly the candidates() probe path (exact lookups +
 // segment probing) with warm per-worker scratch.
-func segmentProbeBench(b *testing.B, th float64, disable bool) {
+func segmentProbeBench(b *testing.B, th float64) {
 	names := namegen.Generate(namegen.Config{Seed: 3, NumNames: 2000})
-	m, err := NewShardedMatcher(Options{Threshold: th, DisableSegmentPrefixFilter: disable}, 1)
+	m, err := NewShardedMatcher(Options{Threshold: th}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,23 +50,13 @@ func segmentProbeBench(b *testing.B, th float64, disable bool) {
 	b.ReportMetric(float64(emitted)/float64(b.N), "emitted/op")
 }
 
-// BenchmarkSegmentProbePrefix measures the candidate probe with the
-// segment prefix filter on (the default configuration). The acceptance
-// contract: 0 allocs/op at steady state.
+// BenchmarkSegmentProbePrefix measures the candidate probe behind the
+// segment prefix filter. The acceptance contract: 0 allocs/op at steady
+// state.
 func BenchmarkSegmentProbePrefix(b *testing.B) {
 	for _, th := range []float64{0.05, 0.1, 0.2} {
 		b.Run(fmt.Sprintf("T=%.2f", th), func(b *testing.B) {
-			segmentProbeBench(b, th, false)
-		})
-	}
-}
-
-// BenchmarkSegmentProbeNoPrefix is the ablation: every probe token
-// probes the segment index and every token is segment-indexed.
-func BenchmarkSegmentProbeNoPrefix(b *testing.B) {
-	for _, th := range []float64{0.05, 0.1, 0.2} {
-		b.Run(fmt.Sprintf("T=%.2f", th), func(b *testing.B) {
-			segmentProbeBench(b, th, true)
+			segmentProbeBench(b, th)
 		})
 	}
 }

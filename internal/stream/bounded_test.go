@@ -7,33 +7,19 @@ import (
 	"repro/internal/namegen"
 )
 
-// TestBoundedEquivalenceStream: at one shard, match sets equal the
-// oracle's with bounded verification on and off, for both aligners;
-// BudgetPruned is populated only when on, and bounding never changes
-// Verified.
+// TestBoundedEquivalenceStream: at one shard, the bounded verifier's
+// match sets equal the oracle's for both aligners, and BudgetPruned is
+// populated and inside Verified.
 func TestBoundedEquivalenceStream(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 41, NumNames: 220})
 	for _, greedy := range []bool{false, true} {
 		for _, th := range []float64{0.15, 0.3} {
 			label := fmt.Sprintf("t=%.2f greedy=%v", th, greedy)
-			want := oracleStream(names, th, greedy)
-			exact, est := streamAll(t, names, Options{
-				Threshold: th, Greedy: greedy, DisableBoundedVerify: true,
-			}, 1)
-			bounded, bst := streamAll(t, names, Options{
-				Threshold: th, Greedy: greedy,
-			}, 1)
-			checkStreams(t, label+" unbounded", want, exact)
-			checkStreams(t, label+" bounded", want, bounded)
-			if est.BudgetPruned != 0 {
-				t.Fatalf("%s: BudgetPruned=%d with bounding disabled", label, est.BudgetPruned)
-			}
-			if bst.BudgetPruned == 0 || bst.BudgetPruned > bst.Verified {
+			got, st := streamAll(t, names, Options{Threshold: th, Greedy: greedy}, 1)
+			checkStreams(t, label, oracleStream(names, th, greedy), got)
+			if st.BudgetPruned == 0 || st.BudgetPruned > st.Verified {
 				t.Fatalf("%s: BudgetPruned=%d out of range (Verified=%d)",
-					label, bst.BudgetPruned, bst.Verified)
-			}
-			if bst.Verified != est.Verified {
-				t.Fatalf("%s: bounding changed Verified (%d vs %d)", label, bst.Verified, est.Verified)
+					label, st.BudgetPruned, st.Verified)
 			}
 		}
 	}

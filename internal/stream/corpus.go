@@ -27,7 +27,7 @@ func NewShardedFromCorpus(opt Options, shards int, pc *corpus.Corpus) (*ShardedM
 	if err != nil {
 		return nil, err
 	}
-	markStorage := !opt.DisableSegmentPrefixFilter && opt.MaxTokenFreq <= 0 && !opt.ExactTokensOnly
+	markStorage := opt.MaxTokenFreq <= 0 && !opt.ExactTokensOnly
 	m.warmLoad(pc.View(), markStorage)
 	m.corpus = pc
 	return m, nil

@@ -13,14 +13,13 @@ type probeToken struct {
 	// nonPrefix marks a token outside the string's threshold-derived
 	// prefix (its MaxErrors(T, L)+1 rarest distinct tokens under the
 	// frequency order — see markPrefix). The shared-token inverted-index
-	// lookup skips such tokens when the prefix filter is on, the
-	// segment-index probe skips them when the segment prefix filter is on
+	// lookup skips such tokens, the segment-index probe skips them
 	// (subject to the freq > M carve-out below), and segment *storage*
-	// skips them under the conditions in tokenIndex.insert. Always false
-	// with both filters disabled.
+	// skips them under the conditions in tokenIndex.insert.
 	nonPrefix bool
-	// freq (valid when hasFreq) is the document frequency observed by the
-	// prefix-selection pre-pass. The exact lookup's max-frequency gate
+	// freq is the document frequency observed by the prefix-selection
+	// pre-pass (markPrefix), which every probe passes before it reaches
+	// the index. The exact lookup's max-frequency gate
 	// uses this snapshot rather than re-reading the live counter: the
 	// losslessness argument needs the ordering and the gate to agree on
 	// one observation, and under concurrent writers a token could cross
@@ -28,8 +27,7 @@ type probeToken struct {
 	// on the snapshot is never stricter than the live gate. The segment
 	// probe's freq > M carve-out judges the same snapshot for the same
 	// reason.
-	freq    int32
-	hasFreq bool
+	freq int32
 }
 
 // distinctProbe extracts the distinct tokens of ts. Tokens are stored
@@ -53,11 +51,9 @@ func distinctProbe(ts token.TokenizedString) []probeToken {
 // is not goroutine-safe: the ShardedMatcher guards each partition with a
 // RWMutex.
 type tokenIndex struct {
-	threshold    float64
-	maxFreq      int
-	exactOnly    bool
-	prefixFilter bool // exact-path prefix pruning (DisablePrefixFilter off)
-	segFilter    bool // fuzzy-path prefix pruning (DisableSegmentPrefixFilter off)
+	threshold float64
+	maxFreq   int
+	exactOnly bool
 
 	// tokenIDs interns distinct token strings to partition-local ids.
 	tokenIDs   map[string]int32
@@ -92,14 +88,12 @@ type tokenIndex struct {
 
 func newTokenIndex(opt Options) *tokenIndex {
 	return &tokenIndex{
-		threshold:    opt.Threshold,
-		maxFreq:      opt.MaxTokenFreq,
-		exactOnly:    opt.ExactTokensOnly,
-		prefixFilter: !opt.DisablePrefixFilter,
-		segFilter:    !opt.DisableSegmentPrefixFilter,
-		tokenIDs:     make(map[string]int32),
-		segBuckets:   make(map[uint32]map[uint64][]int32),
-		plans:        planCache{t: opt.Threshold},
+		threshold:  opt.Threshold,
+		maxFreq:    opt.MaxTokenFreq,
+		exactOnly:  opt.ExactTokensOnly,
+		tokenIDs:   make(map[string]int32),
+		segBuckets: make(map[uint32]map[uint64][]int32),
+		plans:      planCache{t: opt.Threshold},
 	}
 }
 
@@ -120,26 +114,18 @@ func (ix *tokenIndex) freqOf(s string) int32 {
 // insert registers string id under every probe token, interning tokens on
 // first sight.
 //
-// Storage-side segment pruning: with the segment prefix filter on and no
-// max-frequency cutoff, a token's segments enter segBuckets only once the
-// token appears inside some string's threshold-derived prefix
-// (p.nonPrefix false) — tokens that only ever occur outside prefixes are
-// never segment-indexed, which shrinks the segment index and the insert
-// cost by exactly the non-prefix share of the token space. Lossless: a
-// pair whose only witness is a similar (non-identical) token pair shares
-// no token at all, so both strings' kept-distinct counts are within their
-// SLD budgets and their prefixes are their entire distinct sets
-// (prefilter.SegmentPrefixLen); any pair that does share a token is the
-// exact path's responsibility, and the inverted index stores every token.
-// The argument never uses the frequency order itself, so insert-time
-// orders may drift arbitrarily (and the warm load may price every string
-// against the corpus's final frequencies) without losing a pair. Under a
-// finite max-frequency cutoff M storage pruning is disabled: a token
-// shared by a qualifying pair can cross the cutoff between the index-side
-// insert and the probe, stranding a pair whose segment witness was pruned
-// at insert time.
+// Storage-side segment pruning: with no max-frequency cutoff, a token's
+// segments enter segBuckets only once the token appears inside some
+// string's threshold-derived prefix (p.nonPrefix false), which shrinks
+// the segment index and the insert cost by the non-prefix share of the
+// token space. Lossless, whatever order priced the prefix (the warm load
+// prices every string against the corpus's final frequencies): see
+// prefilter.PrefixLen; the inverted index stores every token. Under a
+// finite cutoff M storage pruning is off: a token shared by a qualifying
+// pair can cross the cutoff between the insert and the probe, stranding
+// a pair whose segment witness was pruned at insert time.
 func (ix *tokenIndex) insert(probe []probeToken, id int32) {
-	storagePrune := ix.segFilter && ix.maxFreq <= 0 && !ix.exactOnly
+	storagePrune := ix.maxFreq <= 0 && !ix.exactOnly
 	for pi := range probe {
 		p := &probe[pi]
 		tid, ok := ix.tokenIDs[p.s]
@@ -302,12 +288,8 @@ func (ix *tokenIndex) candidates(probe []probeToken, sc *probeScratch, pc *probe
 		selfTid := int32(-1)
 		if tid, ok := ix.tokenIDs[p.s]; ok {
 			selfTid = tid
-			f := ix.freq[tid]
-			if p.hasFreq {
-				f = p.freq
-			}
-			if ix.maxFreq <= 0 || int(f) <= ix.maxFreq {
-				if p.nonPrefix && ix.prefixFilter {
+			if ix.maxFreq <= 0 || int(p.freq) <= ix.maxFreq {
+				if p.nonPrefix {
 					pc.prefixPruned += int64(len(ix.postings[tid]))
 				} else {
 					for _, cand := range ix.postings[tid] {
@@ -320,16 +302,9 @@ func (ix *tokenIndex) candidates(probe []probeToken, sc *probeScratch, pc *probe
 			continue
 		}
 		// Similar-token candidates: probe the segment index with prefix
-		// tokens only. Lossless (prefilter.SegmentPrefixLen): a qualifying
-		// pair sharing any token is emitted by the exact path above, and a
-		// qualifying pair sharing none has every distinct token inside its
-		// prefix — except that under a finite max-frequency cutoff M a
-		// pair whose shared tokens all exceed M is invisible to the exact
-		// path, and its witness-carrying probe token is then at least as
-		// frequent as a shared prefix token above M; the carve-out keeps
-		// probing tokens beyond the cutoff so those pairs survive.
-		if p.nonPrefix && ix.segFilter &&
-			!(ix.maxFreq > 0 && p.hasFreq && int(p.freq) > ix.maxFreq) {
+		// tokens only, and under a finite cutoff M with tokens beyond it
+		// (the carve-out; see markPrefix and prefilter.PrefixLen).
+		if p.nonPrefix && !(ix.maxFreq > 0 && int(p.freq) > ix.maxFreq) {
 			pc.segPrefixPruned++
 			continue
 		}

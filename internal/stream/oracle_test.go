@@ -63,6 +63,22 @@ func oracleStream(names []string, th float64, greedy bool) [][]Match {
 	return out
 }
 
+// cutoffStream is the cutoff oracle's answer to adding names in order
+// under opt: element i holds nsldtest.Cutoff's matches of names[i]
+// against names[:i], which the matcher must reproduce exactly at any
+// MaxTokenFreq, matching mode and aligner.
+func cutoffStream(names []string, opt Options) [][]Match {
+	o := nsldtest.Cutoff{T: opt.Threshold, M: opt.MaxTokenFreq, Exact: opt.ExactTokensOnly, Greedy: opt.Greedy}
+	strs := tokenizeAll(names)
+	out := make([][]Match, len(strs))
+	for i := range strs {
+		for _, h := range o.Matches(strs[i], strs[:i]) {
+			out[i] = append(out[i], Match(h))
+		}
+	}
+	return out
+}
+
 // matchesEqual compares two id-sorted match lists element-wise (nil and
 // empty are equal).
 func matchesEqual(a, b []Match) bool {
@@ -104,9 +120,8 @@ func pairsOf(stream [][]Match) map[[2]int]int {
 
 // TestOracleEquivalence: the exact and the greedy matcher return exactly
 // the naive join's matches through Add, AddAll and Query, at several
-// thresholds and shard counts, with token-less strings mixed in, on the
-// bounded verifier and on DisableBoundedVerify's unbounded reference.
-// AddAll verifies every element as per-element Add does, so the two
+// thresholds and shard counts, with token-less strings mixed in. AddAll
+// verifies every element as per-element Add does, so the two
 // report the same verify funnel.
 func TestOracleEquivalence(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 61, NumNames: 200})
@@ -117,25 +132,23 @@ func TestOracleEquivalence(t *testing.T) {
 		for _, th := range []float64{0.1, 0.2, 0.3} {
 			want := oracleStream(names, th, greedy)
 			for _, shards := range []int{1, 3, 8} {
-				for _, unbounded := range []bool{false, true} {
-					opt := Options{Threshold: th, Greedy: greedy, DisableBoundedVerify: unbounded}
-					label := fmt.Sprintf("greedy=%v T=%.2f shards=%d DisableBoundedVerify=%v", greedy, th, shards, unbounded)
-					got, ast := streamAll(t, names, opt, shards)
-					checkStreams(t, label+" Add", want, got)
-					m := newMatcher(t, opt, shards)
-					first, batch := m.AddAll(names)
-					if first != 0 {
-						t.Fatalf("%s: AddAll first = %d", label, first)
-					}
-					checkStreams(t, label+" AddAll", want, batch)
-					if bst := m.Stats(); bst.Verified != ast.Verified || bst.BudgetPruned != ast.BudgetPruned || bst.SigPruned != ast.SigPruned {
-						t.Fatalf("%s: AddAll funnel %d/%d/%d, Add %d/%d/%d (verified/budget-pruned/sig-pruned)",
-							label, bst.Verified, bst.BudgetPruned, bst.SigPruned, ast.Verified, ast.BudgetPruned, ast.SigPruned)
-					}
-					for _, p := range probes {
-						if w, g := oracleMatches(token.WhitespaceAndPunct(p), strs, th, greedy), m.Query(p); !matchesEqual(w, g) {
-							t.Fatalf("%s: Query %q: %v, want %v", label, p, g, w)
-						}
+				opt := Options{Threshold: th, Greedy: greedy}
+				label := fmt.Sprintf("greedy=%v T=%.2f shards=%d", greedy, th, shards)
+				got, ast := streamAll(t, names, opt, shards)
+				checkStreams(t, label+" Add", want, got)
+				m := newMatcher(t, opt, shards)
+				first, batch := m.AddAll(names)
+				if first != 0 {
+					t.Fatalf("%s: AddAll first = %d", label, first)
+				}
+				checkStreams(t, label+" AddAll", want, batch)
+				if bst := m.Stats(); bst.Verified != ast.Verified || bst.BudgetPruned != ast.BudgetPruned || bst.SigPruned != ast.SigPruned {
+					t.Fatalf("%s: AddAll funnel %d/%d/%d, Add %d/%d/%d (verified/budget-pruned/sig-pruned)",
+						label, bst.Verified, bst.BudgetPruned, bst.SigPruned, ast.Verified, ast.BudgetPruned, ast.SigPruned)
+				}
+				for _, p := range probes {
+					if w, g := oracleMatches(token.WhitespaceAndPunct(p), strs, th, greedy), m.Query(p); !matchesEqual(w, g) {
+						t.Fatalf("%s: Query %q: %v, want %v", label, p, g, w)
 					}
 				}
 			}

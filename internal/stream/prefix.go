@@ -41,25 +41,19 @@ import (
 // argument holds for the snapshot frequencies, whatever earlier inserts
 // saw.
 //
-// Why the same marks also bound the similar-token (segment) probe: a
-// qualifying pair that shares any token is already emitted by the
-// shared-token path above, and a qualifying pair that shares none has
-// |distinct(q) \ distinct(x)| = |distinct(q)| <= SLD <= MaxErrors, so
-// its prefix is untruncated — every distinct token, in particular every
-// similar-witness carrier, is a prefix token (the exact bound is worked
-// out in prefilter.SegmentPrefixLen). The one M-shaped corner: a pair
-// whose every shared token sits beyond the cutoff is invisible to the
-// exact path, and its fuzzy witness carrier u can then sit outside the
-// prefix — but only with snapshot freq(u) >= freq(t*) > M for some
-// shared prefix token t* (non-prefix tokens are at least as frequent as
-// prefix ones). The segment probe therefore carves out tokens beyond the
-// cutoff (see tokenIndex.candidates) and stays lossless under finite M.
+// The same marks bound the similar-token (segment) probe: a qualifying
+// pair that shares no token has an untruncated prefix, so every
+// similar-witness carrier is a prefix token (prefilter.PrefixLen). The
+// one M-shaped corner — a pair whose every shared token sits beyond the
+// cutoff, with its witness carrier outside the prefix and so above the
+// cutoff too — is why the segment probe carves out tokens beyond the
+// cutoff (see tokenIndex.candidates).
 func markPrefix(probe []probeToken, freqs []int32, t float64, ts token.TokenizedString, keys *[]int64) {
 	// Stamp the snapshot onto the probe so the exact lookup's
 	// max-frequency gate judges the same observation the ordering used
 	// (see probeToken.freq).
 	for i := range probe {
-		probe[i].freq, probe[i].hasFreq = freqs[i], true
+		probe[i].freq = freqs[i]
 	}
 	p := prefilter.PrefixLen(t, ts.AggregateLen(), len(probe))
 	if p >= len(probe) {

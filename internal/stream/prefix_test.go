@@ -7,36 +7,19 @@ import (
 	"repro/internal/namegen"
 )
 
-// TestPrefixEquivalenceStream: at one shard, match sets are identical with
-// the prefix filter on and off, at several thresholds, under both
-// token-matching modes (equal to the oracle's under fuzzy matching), and
-// the filter actually skips posting entries.
+// TestPrefixEquivalenceStream: at one shard, the prefix-filtered match
+// sets equal the cutoff oracle's at several thresholds, under both
+// token-matching modes, and the filter actually skips posting entries.
 func TestPrefixEquivalenceStream(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 51, NumNames: 220})
 	prunedSomewhere := false
 	for _, exactOnly := range []bool{false, true} {
 		for _, th := range []float64{0.1, 0.2, 0.35} {
-			label := fmt.Sprintf("t=%.2f exactOnly=%v", th, exactOnly)
-			plain, pst := streamAll(t, names, Options{
-				Threshold: th, ExactTokensOnly: exactOnly, DisablePrefixFilter: true,
-			}, 1)
-			filtered, fst := streamAll(t, names, Options{
-				Threshold: th, ExactTokensOnly: exactOnly,
-			}, 1)
-			want := plain // exact-token matching is lossy: no oracle
-			if !exactOnly {
-				want = oracleStream(names, th, false)
-				checkStreams(t, label+" unfiltered", want, plain)
-			}
-			checkStreams(t, label, want, filtered)
-			if pst.PrefixPruned != 0 {
-				t.Fatalf("%s: PrefixPruned=%d with the filter disabled", label, pst.PrefixPruned)
-			}
-			if fst.PrefixPruned > 0 {
+			opt := Options{Threshold: th, ExactTokensOnly: exactOnly}
+			got, st := streamAll(t, names, opt, 1)
+			checkStreams(t, fmt.Sprintf("t=%.2f exactOnly=%v", th, exactOnly), cutoffStream(names, opt), got)
+			if st.PrefixPruned > 0 {
 				prunedSomewhere = true
-			}
-			if fst.Verified > pst.Verified {
-				t.Fatalf("%s: filtering increased verifications (%d vs %d)", label, fst.Verified, pst.Verified)
 			}
 		}
 	}
@@ -49,21 +32,17 @@ func TestPrefixEquivalenceStream(t *testing.T) {
 
 // TestPrefixEquivalenceStreamMaxFreq: the filter composes with the
 // max-token-frequency cutoff — prefix selection over the live frequencies
-// never hides a pair the unfiltered cutoff matcher would report.
+// never hides a pair the cutoff oracle reports.
 func TestPrefixEquivalenceStreamMaxFreq(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 52, NumNames: 220})
 	for _, maxFreq := range []int{2, 5, 20} {
-		plain, _ := streamAll(t, names, Options{
-			Threshold: 0.25, MaxTokenFreq: maxFreq, DisablePrefixFilter: true,
-		}, 1)
-		filtered, _ := streamAll(t, names, Options{
-			Threshold: 0.25, MaxTokenFreq: maxFreq,
-		}, 1)
-		checkStreams(t, fmt.Sprintf("M=%d", maxFreq), plain, filtered)
+		opt := Options{Threshold: 0.25, MaxTokenFreq: maxFreq}
+		got, _ := streamAll(t, names, opt, 1)
+		checkStreams(t, fmt.Sprintf("M=%d", maxFreq), cutoffStream(names, opt), got)
 	}
 }
 
-// TestPrefixEquivalenceSharded: with the prefix filter on, the matcher
+// TestPrefixEquivalenceSharded: behind the prefix filter, the matcher
 // equals the oracle at several shard counts — the per-shard frequency
 // stripes must fold into one global order.
 func TestPrefixEquivalenceSharded(t *testing.T) {

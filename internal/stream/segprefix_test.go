@@ -10,35 +10,17 @@ import (
 	"repro/internal/token"
 )
 
-// TestSegmentPrefixEquivalenceStream: at one shard, match sets equal the
-// oracle's with the segment prefix filter on and off, at several
-// thresholds, with the shared-token prefix filter both on and off — and
-// the filter actually skips segment probes somewhere in the sweep.
+// TestSegmentPrefixEquivalenceStream: at one shard, the segment-filtered
+// match sets equal the oracle's at several thresholds, and the filter
+// actually skips segment probes somewhere in the sweep.
 func TestSegmentPrefixEquivalenceStream(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 55, NumNames: 220})
 	prunedSomewhere := false
 	for _, th := range []float64{0.1, 0.2, 0.35} {
-		want := oracleStream(names, th, false)
-		for _, sharedOff := range []bool{false, true} {
-			label := fmt.Sprintf("t=%.2f sharedOff=%v", th, sharedOff)
-			plain, pst := streamAll(t, names, Options{
-				Threshold: th, DisablePrefixFilter: sharedOff, DisableSegmentPrefixFilter: true,
-			}, 1)
-			filtered, fst := streamAll(t, names, Options{
-				Threshold: th, DisablePrefixFilter: sharedOff,
-			}, 1)
-			checkStreams(t, label+" unfiltered", want, plain)
-			checkStreams(t, label, want, filtered)
-			if pst.SegPrefixPruned != 0 {
-				t.Fatalf("%s: SegPrefixPruned=%d with the filter disabled", label, pst.SegPrefixPruned)
-			}
-			if fst.SegPrefixPruned > 0 {
-				prunedSomewhere = true
-			}
-			if fst.SegKeysProbed > pst.SegKeysProbed {
-				t.Fatalf("%s: filtering increased segment probes (%d vs %d)",
-					label, fst.SegKeysProbed, pst.SegKeysProbed)
-			}
+		got, st := streamAll(t, names, Options{Threshold: th}, 1)
+		checkStreams(t, fmt.Sprintf("t=%.2f", th), oracleStream(names, th, false), got)
+		if st.SegPrefixPruned > 0 {
+			prunedSomewhere = true
 		}
 	}
 	if !prunedSomewhere {
@@ -49,18 +31,14 @@ func TestSegmentPrefixEquivalenceStream(t *testing.T) {
 // TestSegmentPrefixEquivalenceStreamMaxFreq: the filter composes with the
 // max-token-frequency cutoff — the probe-side carve-out keeps probing
 // tokens beyond the cutoff, and storage-side pruning is disabled, so the
-// cutoff matcher's (approximate) match stream is unchanged.
+// cutoff matcher's match stream is exactly the cutoff oracle's.
 func TestSegmentPrefixEquivalenceStreamMaxFreq(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 56, NumNames: 220})
 	for _, maxFreq := range []int{2, 5, 20} {
 		for _, th := range []float64{0.15, 0.25} {
-			plain, _ := streamAll(t, names, Options{
-				Threshold: th, MaxTokenFreq: maxFreq, DisableSegmentPrefixFilter: true,
-			}, 1)
-			filtered, _ := streamAll(t, names, Options{
-				Threshold: th, MaxTokenFreq: maxFreq,
-			}, 1)
-			checkStreams(t, fmt.Sprintf("M=%d t=%.2f", maxFreq, th), plain, filtered)
+			opt := Options{Threshold: th, MaxTokenFreq: maxFreq}
+			got, _ := streamAll(t, names, opt, 1)
+			checkStreams(t, fmt.Sprintf("M=%d t=%.2f", maxFreq, th), cutoffStream(names, opt), got)
 		}
 	}
 }
@@ -88,26 +66,26 @@ func TestSegmentPrefixEquivalenceStreamMaxFreqCarveOut(t *testing.T) {
 	xID := len(names) - 1
 	names = append(names, q) // q arrives last and must match x
 
-	const th = 0.06
-	plain, _ := streamAll(t, names, Options{Threshold: th, MaxTokenFreq: 1, DisableSegmentPrefixFilter: true}, 1)
-	filtered, _ := streamAll(t, names, Options{Threshold: th, MaxTokenFreq: 1}, 1)
-	checkStreams(t, "carve-out corner", plain, filtered)
-	// The corner must actually have triggered: the unfiltered matcher
-	// finds (x, q) through the u~v similar pair despite every shared
-	// token sitting beyond the cutoff.
+	opt := Options{Threshold: 0.06, MaxTokenFreq: 1}
+	want := cutoffStream(names, opt)
+	got, _ := streamAll(t, names, opt, 1)
+	checkStreams(t, "carve-out corner", want, got)
+	// The corner must actually have triggered: the cutoff oracle finds
+	// (x, q) through the u~v similar pair despite every shared token
+	// sitting beyond the cutoff.
 	found := false
-	for _, mt := range plain[len(plain)-1] {
+	for _, mt := range want[len(want)-1] {
 		if mt.ID == xID {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("corner not exercised: %q did not match %q under the cutoff (matches %v)",
-			q, x, plain[len(plain)-1])
+			q, x, want[len(want)-1])
 	}
 }
 
-// TestSegmentPrefixEquivalenceSharded: with the segment prefix filter on,
+// TestSegmentPrefixEquivalenceSharded: behind the segment prefix filter,
 // the matcher equals the oracle at several shard counts and thresholds —
 // per-shard segment storage and the globally-folded frequency order must
 // lose nothing.
@@ -175,16 +153,16 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segIndexed := func(m *ShardedMatcher) int {
-		n := 0
+	segIndexed := func(m *ShardedMatcher) (indexed, interned int) {
 		for _, sh := range m.shards {
 			for _, in := range sh.ix.segIndexed {
 				if in {
-					n++
+					indexed++
 				}
 			}
+			interned += sh.ix.tokens()
 		}
-		return n
+		return indexed, interned
 	}
 	for _, th := range []float64{0.1, 0.2, 0.3} {
 		m, err := NewShardedFromCorpus(Options{Threshold: th}, 3, pc)
@@ -196,18 +174,13 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 				t.Fatalf("t=%.2f: warm-loaded segment-filtered query %q: %v, want %v", th, n, got, want)
 			}
 		}
-		unpruned, err := NewShardedFromCorpus(Options{Threshold: th, DisableSegmentPrefixFilter: true}, 3, pc)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// At T = 0.1 some tokens sit in no string's prefix; at the looser
 		// thresholds every token does.
-		got, all := segIndexed(m), segIndexed(unpruned)
+		got, all := segIndexed(m)
 		if got > all || th == 0.1 && got == all {
-			t.Fatalf("t=%.2f: warm load segment-indexed %d tokens, %d without the filter; want fewer", th, got, all)
+			t.Fatalf("t=%.2f: warm load segment-indexed %d of %d tokens; want fewer", th, got, all)
 		}
 		m.Close()
-		unpruned.Close()
 	}
 }
 

@@ -98,15 +98,14 @@ type ShardedStats struct {
 	// Verified counts candidate pairs that reached verification.
 	Verified int64
 	// BudgetPruned counts verifications rejected early by the
-	// threshold-derived SLD budget (0 when DisableBoundedVerify).
+	// threshold-derived SLD budget.
 	BudgetPruned int64
 	// PrefixPruned counts posting entries the prefix filter skipped at
 	// probe time — shared-token candidates the unfiltered probe would
-	// have generated (0 when DisablePrefixFilter).
+	// have generated.
 	PrefixPruned int64
 	// SegPrefixPruned counts probe tokens whose segment-index probe was
-	// skipped by the segment prefix filter (0 when
-	// DisableSegmentPrefixFilter).
+	// skipped by the segment prefix filter.
 	SegPrefixPruned int64
 	// SegKeysProbed / SegTokensChecked / SegTokensSimilar are the
 	// similar-token probe funnel: segment-window fingerprint lookups,
@@ -116,15 +115,8 @@ type ShardedStats struct {
 	SegTokensChecked int64
 	SegTokensSimilar int64
 	// SigPruned counts verifications the verifier's character-signature
-	// pre-pass rejected before any DP cell (a subset of BudgetPruned; 0
-	// when DisableBoundedVerify).
+	// pre-pass rejected before any DP cell (a subset of BudgetPruned).
 	SigPruned int64
-	// BatchedPairs, SIMDKernels, SIMDLanes and BatchScalarCells are always
-	// 0: every pair is verified on its own, and no vector kernel runs.
-	BatchedPairs     int64
-	SIMDKernels      int64
-	SIMDLanes        int64
-	BatchScalarCells int64
 	// CandGenWall / VerifyWall accumulate the wall time spent generating
 	// candidates (shard fan-out, merge, dedup) and verifying them.
 	CandGenWall time.Duration
@@ -180,7 +172,7 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 		pool:   newWorkerPool(shards),
 	}
 	m.verPool.New = func() any {
-		return &core.Verifier{Greedy: opt.Greedy, Unbounded: opt.DisableBoundedVerify}
+		return &core.Verifier{Greedy: opt.Greedy}
 	}
 	m.scratchPool.New = func() any {
 		return newProbeScratch(opt.Threshold)
@@ -407,11 +399,7 @@ func (m *ShardedMatcher) genCandidates(ts token.TokenizedString, probe []probeTo
 // frequency lives on its owning shard (tokens intern only where they
 // hash), so one read-locked visit per owning shard prices the whole
 // probe, and markPrefix flags the tokens the exact lookup may skip.
-// No-op when both filters are disabled.
 func (m *ShardedMatcher) markProbe(ts token.TokenizedString, probe []probeToken) {
-	if m.opt.DisablePrefixFilter && m.opt.DisableSegmentPrefixFilter {
-		return
-	}
 	freqs := make([]int32, len(probe))
 	byShard := make([][]int, len(m.shards))
 	for i, p := range probe {

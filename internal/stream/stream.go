@@ -9,13 +9,18 @@
 //   - a Pass-Join style segment index over the token space generates
 //     similar-token candidates (Theorem 3 carries the NSLD threshold down
 //     to token NLD, exactly as in the batch join);
-//   - candidates pass the Sec. III-E filters and are verified with exact
-//     or greedy SLD.
+//   - candidates pass the Sec. III-E filters (core.FilterPair) and are
+//     verified with exact or greedy SLD under the threshold's budget.
+//
+// Both indexes are probed with the arriving string's prefix only
+// (markPrefix). The prefix filters and the budget are lossless and not
+// options.
 //
 // The matcher is exact under fuzzy matching + Hungarian alignment with
 // unlimited token frequency: Add(i) returns precisely the earlier strings
 // within the threshold of string i, which the tests check against the
-// naive all-pairs join in internal/nsldtest.
+// naive all-pairs join in internal/nsldtest; in every configuration it
+// returns exactly nsldtest.Cutoff's stream rule.
 //
 // There is one implementation, ShardedMatcher (sharded.go): it
 // partitions the index (tokenIndex in index.go) by token hash across N
@@ -42,28 +47,6 @@ type Options struct {
 	// ExactTokensOnly disables the similar-token path (the
 	// exact-token-matching approximation).
 	ExactTokensOnly bool
-	// DisableBoundedVerify switches off threshold-aware verification:
-	// by default each surviving candidate is verified under the SLD
-	// budget the threshold implies (core.Verifier) and abandoned as soon
-	// as any lower bound exceeds it. Matches are identical either way;
-	// disabling is for ablation and equivalence testing only.
-	DisableBoundedVerify bool
-	// DisablePrefixFilter switches off threshold-aware candidate pruning:
-	// by default the shared-token inverted index is probed only with the
-	// arriving string's threshold-derived prefix — its MaxErrors(T, L)+1
-	// rarest distinct tokens under the current document frequencies —
-	// which is lossless (see markPrefix). Matches are identical either
-	// way; disabling is for ablation and equivalence testing only.
-	DisablePrefixFilter bool
-	// DisableSegmentPrefixFilter switches off threshold-aware pruning of
-	// the similar-token path: by default the segment index is probed only
-	// with the arriving string's threshold-derived prefix tokens (plus,
-	// under a finite MaxTokenFreq, tokens beyond the cutoff), and — when
-	// MaxTokenFreq is unlimited — only prefix tokens are segment-indexed
-	// at all. Lossless (see markPrefix and prefilter.SegmentPrefixLen);
-	// matches are identical either way, and disabling is for ablation
-	// and equivalence testing only.
-	DisableSegmentPrefixFilter bool
 	// Tokenizer defaults to whitespace+punctuation.
 	Tokenizer token.Tokenizer
 }

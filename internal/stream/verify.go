@@ -14,7 +14,7 @@ type chunkResult struct {
 
 // verifyChunk is the stream's one filter-and-verify routine. Every
 // candidate of the ascending chunk cands that is not tombstoned (dead is
-// optional) and passes the Sec. III-E length and lower-bound prunes
+// optional) and passes the Sec. III-E filter chain (core.FilterPair)
 // against ts is verified, where it passes, on an engine borrowed from
 // verPool.
 func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.TokenizedString, dead []bool, cands []int32) chunkResult {
@@ -27,8 +27,7 @@ func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.Toke
 			continue
 		}
 		y := &strs[cand]
-		lb := y.AggregateLen()
-		if core.LengthPrune(la, lb, t) || core.LowerBoundPrune(ts, *y, t) {
+		if core.FilterPair(&ts, y, t) != core.Admitted {
 			continue
 		}
 		r.verified++
@@ -37,7 +36,7 @@ func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.Toke
 			r.pruned++
 		}
 		if within {
-			r.matches = append(r.matches, Match{ID: int(cand), SLD: sld, NSLD: core.NSLDFromSLD(sld, la, lb)})
+			r.matches = append(r.matches, Match{ID: int(cand), SLD: sld, NSLD: core.NSLDFromSLD(sld, la, y.AggregateLen())})
 		}
 	}
 	r.sigPruned, v.SigPruned = v.SigPruned, 0

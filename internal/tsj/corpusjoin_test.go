@@ -1,6 +1,8 @@
 package tsj
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -28,16 +30,16 @@ func openSeeded(t *testing.T, names []string, opt corpus.Options) *corpus.Corpus
 
 // TestPrefixEquivalenceStaleCorpusOrder: a corpus whose token
 // frequencies drift between joins — adds and deletes interleaved after
-// the first join — joins exactly like the unfiltered pipeline over its
-// live strings, at every threshold and under both matching modes. Each
-// corpus join derives its prefix order from the frequencies it captures,
-// so an order an earlier join used never carries over. JoinsServed
-// counts every corpus join.
+// the first join — joins exactly like the naive join over its live
+// strings, at every threshold and under both matching modes. Each corpus
+// join derives its prefix order from the frequencies it captures, so an
+// order an earlier join used never carries over. JoinsServed counts every
+// corpus join.
 func TestPrefixEquivalenceStaleCorpusOrder(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 61, NumNames: 300})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
 	pc := openSeeded(t, names[:150], corpus.Options{})
-	deleted := map[token.StringID]bool{}
+	deleted := map[int]bool{}
 	joins := int64(0)
 	check := func(round string) {
 		for _, th := range []float64{0.1, 0.25, 0.4} {
@@ -47,26 +49,17 @@ func TestPrefixEquivalenceStaleCorpusOrder(t *testing.T) {
 				opts.Matching = mt
 				opts.MaxTokenFreq = 0 // unlimited, so restricting to live ids is exact
 
-				opts.DisablePrefixFilter = true
-				full, _, err := SelfJoin(c, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []Result
-				for _, r := range full {
-					if int(r.B) < pc.Len() && !deleted[r.A] && !deleted[r.B] {
-						want = append(want, r)
-					}
-				}
-				opts.DisablePrefixFilter = false
+				want := cutoffOracle(c.Strings, -1, opts)
+				maps.DeleteFunc(want, func(p [2]int, _ int) bool {
+					return p[1] >= pc.Len() || deleted[p[0]] || deleted[p[1]]
+				})
 				got, gst, err := SelfJoinCorpus(pc, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				joins++
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s, t=%.2f %v: corpus join differs (%d vs %d pairs)",
-						round, th, mt, len(got), len(want))
+				if err := equalPairs(want, resultSet(got)); err != nil {
+					t.Fatalf("%s, t=%.2f %v: corpus join: %v", round, th, mt, err)
 				}
 				if gst.SharedTokenCandidates == 0 && len(want) > 0 {
 					t.Fatalf("%s, t=%.2f: no shared-token candidates generated", round, th)
@@ -80,8 +73,8 @@ func TestPrefixEquivalenceStaleCorpusOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%4 == 0 {
-			sid := token.StringID(i - 100)
-			if err := pc.Delete(sid); err != nil {
+			sid := i - 100
+			if err := pc.Delete(token.StringID(sid)); err != nil {
 				t.Fatal(err)
 			}
 			deleted[sid] = true
@@ -96,7 +89,7 @@ func TestPrefixEquivalenceStaleCorpusOrder(t *testing.T) {
 // TestPrefixEquivalenceCorpusMaxFreqCutoff: the corpus join's prefixes,
 // ordered by the corpus's stored frequencies, compose with the
 // high-frequency cutoff M exactly like the per-call pipeline (prefixes
-// over kept tokens only).
+// over kept tokens only), and both return the cutoff oracle's pairs.
 func TestPrefixEquivalenceCorpusMaxFreqCutoff(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 62, NumNames: 300})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -105,10 +98,7 @@ func TestPrefixEquivalenceCorpusMaxFreqCutoff(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Threshold = 0.25
 		opts.MaxTokenFreq = maxFreq
-		want, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := joinOracle(t, fmt.Sprintf("M=%d", maxFreq), c, -1, opts)
 		got, _, err := SelfJoinCorpus(pc, opts)
 		if err != nil {
 			t.Fatal(err)

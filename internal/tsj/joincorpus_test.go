@@ -1,19 +1,21 @@
 package tsj
 
 import (
+	"cmp"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/namegen"
 	"repro/internal/token"
 )
 
 // joinCorpusReference computes the expected JoinCorpus result the slow
-// way: a from-scratch combined corpus of (live corpus strings, probes)
-// run through the per-call bipartite Join, with reference ids mapped
-// back into corpus StringIDs / probe indices.
+// way: the cutoff oracle's bipartite join of (live corpus strings,
+// probes), with reference ids mapped back into corpus StringIDs / probe
+// indices.
 func joinCorpusReference(t *testing.T, pc *corpus.Corpus, probes []token.TokenizedString, opts Options) []Result {
 	t.Helper()
 	v := pc.View()
@@ -25,28 +27,18 @@ func joinCorpusReference(t *testing.T, pc *corpus.Corpus, probes []token.Tokeniz
 			liveIDs = append(liveIDs, token.StringID(sid))
 		}
 	}
-	combined := token.BuildCorpusFromTokenized(append(append([]token.TokenizedString(nil), live...), probes...))
-	want, _, err := Join(combined, len(live), opts)
-	if err != nil {
-		t.Fatal(err)
+	strs := append(append([]token.TokenizedString(nil), live...), probes...)
+	var mapped []Result
+	for p, sld := range cutoffOracle(strs, len(live), opts) {
+		mapped = append(mapped, Result{
+			A:    liveIDs[p[0]],
+			B:    token.StringID(p[1] - len(live)),
+			SLD:  sld,
+			NSLD: core.NSLDFromSLD(sld, strs[p[0]].AggregateLen(), strs[p[1]].AggregateLen()),
+		})
 	}
-	if len(want) == 0 {
-		return nil
-	}
-	mapped := make([]Result, len(want))
-	for i, r := range want {
-		mapped[i] = Result{
-			A:    liveIDs[r.A],
-			B:    r.B - token.StringID(len(live)),
-			SLD:  r.SLD,
-			NSLD: r.NSLD,
-		}
-	}
-	sort.Slice(mapped, func(i, j int) bool {
-		if mapped[i].A != mapped[j].A {
-			return mapped[i].A < mapped[j].A
-		}
-		return mapped[i].B < mapped[j].B
+	slices.SortFunc(mapped, func(x, y Result) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return mapped
 }
@@ -100,11 +92,9 @@ func TestJoinCorpusEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinCorpusEquivalenceAblations: the filter ablation grid (prefix
-// off, segment prefix off, both off) and both de-duplication strategies
-// all reproduce the reference result — reading the corpus's stored
-// frequencies composes with every pipeline configuration, not just the
-// default.
+// TestJoinCorpusEquivalenceAblations: both de-duplication strategies
+// reproduce the reference result — reading the corpus's stored
+// frequencies composes with either grouping rule, not just the default.
 func TestJoinCorpusEquivalenceAblations(t *testing.T) {
 	all := namegen.Generate(namegen.Config{Seed: 73, NumNames: 310})
 	names, probeNames := all[:220], all[220:] // one pool, so cross-set similarity exists
@@ -119,33 +109,20 @@ func TestJoinCorpusEquivalenceAblations(t *testing.T) {
 		}
 	}
 
-	base := DefaultOptions()
-	base.Threshold = 0.25
-	want := joinCorpusReference(t, pc, probes, base)
+	opts := DefaultOptions()
+	opts.Threshold = 0.25
+	want := joinCorpusReference(t, pc, probes, opts)
 	if len(want) == 0 {
 		t.Fatal("reference join produced no pairs; pick better seeds")
 	}
-	for _, cfg := range []struct {
-		name            string
-		noPrefix, noSeg bool
-		dedup           Dedup
-	}{
-		{"default", false, false, GroupOnOneString},
-		{"group-both", false, false, GroupOnBothStrings},
-		{"no-prefix", true, false, GroupOnOneString},
-		{"no-segment", false, true, GroupOnOneString},
-		{"no-filters", true, true, GroupOnBothStrings},
-	} {
-		opts := base
-		opts.DisablePrefixFilter = cfg.noPrefix
-		opts.DisableSegmentPrefixFilter = cfg.noSeg
-		opts.Dedup = cfg.dedup
+	for _, dedup := range []Dedup{GroupOnOneString, GroupOnBothStrings} {
+		opts.Dedup = dedup
 		got, _, err := JoinCorpus(pc, probes, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: corpus-backed join differs (%d vs %d pairs)", cfg.name, len(got), len(want))
+			t.Fatalf("%v: corpus-backed join differs (%d vs %d pairs)", dedup, len(got), len(want))
 		}
 	}
 }

@@ -5,9 +5,10 @@
 // The pipeline is one function, run (pipeline.go), and its jobs map
 // one-to-one onto the paper's stages:
 //
-//  1. tsj-shared-token — shared-token candidate generation (Sec. III-C);
+//  1. tsj-shared-token — shared-token candidate generation (Sec. III-C)
+//     over each string's prefix (internal/prefilter);
 //  2. tsj-similar-token-candidates / -verify — similar-token candidate
-//     generation (Sec. III-D): an NLD-join of the token space via
+//     generation (Sec. III-D): an NLD-join of the prefix tokens via
 //     MassJoin, then a postings expansion from similar token pairs to
 //     candidate string pairs (skipped entirely under the
 //     exact-token-matching approximation of Sec. III-G.4). It reads only
@@ -18,7 +19,11 @@
 //     (Sec. III-E: length filter and histogram distance-lower-bound
 //     filter) and final verification (Sec. III-F: exact SLD by Hungarian
 //     matching, or the greedy-token-aligning approximation of
-//     Sec. III-G.5).
+//     Sec. III-G.5) under the threshold-derived SLD budget.
+//
+// The prefix filters and the budget are lossless and not options: the
+// answer is exactly nsldtest.Cutoff's batch rule, the exact NSLD join at
+// an unlimited M under fuzzy matching.
 //
 // The paper's token-frequency job (Sec. III-G.2) neither runs nor is
 // charged, at any cutoff M: the cutoff reads the document frequencies
@@ -125,31 +130,6 @@ type Options struct {
 	Aligning Aligning
 	// Dedup selects the grouping strategy (default: one string).
 	Dedup Dedup
-	// DisableBoundedVerify switches off threshold-aware verification
-	// (core.Verifier.Unbounded): by default the verify stage derives an
-	// SLD budget from the threshold and abandons a pair as soon as any
-	// lower bound exceeds it. Results are byte-identical either way;
-	// disabling is for ablation and equivalence testing only.
-	DisableBoundedVerify bool
-	// DisablePrefixFilter switches off threshold-aware candidate pruning
-	// in the shared-token generator: by default only each string's
-	// threshold-derived prefix (its MaxErrors(T, L)+1 rarest tokens under
-	// the global frequency order) feeds the posting lists, each pair is
-	// emitted by exactly one reducer, and positional + length filters
-	// discard pairs that provably cannot satisfy NSLD <= T. Results are
-	// byte-identical either way (the pruning is lossless under every
-	// Matching mode); disabling is for ablation and equivalence testing.
-	DisablePrefixFilter bool
-	// DisableSegmentPrefixFilter switches off threshold-aware candidate
-	// pruning in the similar-token generator: by default the token-space
-	// NLD join and the postings expansion see only tokens inside some
-	// string's threshold-derived prefix — lossless because a pair whose
-	// only witness is a similar (non-identical) token pair shares no
-	// token, which forces both prefixes to cover the strings' entire
-	// kept-distinct sets (prefilter.SegmentPrefixLen). Results are
-	// byte-identical either way, including under MaxTokenFreq; disabling
-	// is for ablation and equivalence testing only.
-	DisableSegmentPrefixFilter bool
 	// MapTasks / Parallelism forward to the MapReduce engine and apply to
 	// each job. The two candidate generators run side by side, so a join
 	// may run up to twice Parallelism workers at once.

@@ -35,6 +35,40 @@ func oracleJoins(t *testing.T, label string, c *token.Corpus, nr int, opts Optio
 	return sts
 }
 
+// cutoffOracle is nsldtest's reference for a join of strs under opts:
+// the naive join with the cutoff's candidate rule, which every engine
+// must reproduce exactly at any MaxTokenFreq, matching mode and aligner.
+// nr < 0 is the self-join, otherwise the cross pairs of the cut at nr.
+func cutoffOracle(strs []token.TokenizedString, nr int, opts Options) map[[2]int]int {
+	o := nsldtest.Cutoff{
+		T: opts.Threshold, M: opts.MaxTokenFreq,
+		Exact: opts.Matching == ExactTokenMatching, Greedy: opts.Aligning == GreedyAligning,
+	}
+	return o.Join(strs, nr)
+}
+
+// joinOracle runs SelfJoin (nr < 0) or Join cut at nr on c under opts,
+// fails unless it returns exactly cutoffOracle's pairs and SLDs, and
+// returns the join's results and stats.
+func joinOracle(t *testing.T, label string, c *token.Corpus, nr int, opts Options) ([]Result, *Stats) {
+	t.Helper()
+	var got []Result
+	var st *Stats
+	var err error
+	if nr < 0 {
+		got, st, err = SelfJoin(c, opts)
+	} else {
+		got, st, err = Join(c, nr, opts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := equalPairs(cutoffOracle(c.Strings, nr, opts), resultSet(got)); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return got, st
+}
+
 // equalPairs is the exact joins' relation to the oracle: the same pairs at
 // the same SLDs.
 func equalPairs(want, got map[[2]int]int) error {
@@ -46,10 +80,9 @@ func equalPairs(want, got map[[2]int]int) error {
 }
 
 // TestOracleEquivalence: SelfJoin and Join return exactly the naive join's
-// pairs and SLDs under both dedups, on the bounded verifier and on the
-// unbounded reference, with both Sec. III-E filters firing on the way. On
-// the bounded verifier the signature pre-pass decides some of the
-// budget-pruned pairs, and only those: 0 < SigPruned <= BudgetPruned.
+// pairs and SLDs under both dedups, with both Sec. III-E filters firing on
+// the way. The signature pre-pass decides some of the budget-pruned
+// pairs, and only those: 0 < SigPruned <= BudgetPruned.
 func TestOracleEquivalence(t *testing.T) {
 	c := nameCorpus(rand.New(rand.NewSource(75)), 160)
 	nr := c.NumStrings() / 2
@@ -57,17 +90,14 @@ func TestOracleEquivalence(t *testing.T) {
 	for _, th := range []float64{0.1, 0.2} {
 		self, cross := nsldtest.SelfJoin(c.Strings, th, false), nsldtest.Bipartite(c.Strings, nr, th, false)
 		for _, dedup := range []Dedup{GroupOnOneString, GroupOnBothStrings} {
-			for _, unbounded := range []bool{false, true} {
-				opts := DefaultOptions()
-				opts.Threshold, opts.MaxTokenFreq, opts.Dedup = th, 0, dedup
-				opts.DisableBoundedVerify = unbounded
-				label := fmt.Sprintf("T=%v %v DisableBoundedVerify=%v", th, dedup, unbounded)
-				for _, st := range oracleJoins(t, label, c, nr, opts, self, cross, equalPairs) {
-					lengthPruned += st.LengthPruned
-					lbPruned += st.LBPruned
-					if unbounded && st.SigPruned != 0 || !unbounded && !(0 < st.SigPruned && st.SigPruned <= st.BudgetPruned) {
-						t.Fatalf("%s: SigPruned=%d BudgetPruned=%d", label, st.SigPruned, st.BudgetPruned)
-					}
+			opts := DefaultOptions()
+			opts.Threshold, opts.MaxTokenFreq, opts.Dedup = th, 0, dedup
+			label := fmt.Sprintf("T=%v %v", th, dedup)
+			for _, st := range oracleJoins(t, label, c, nr, opts, self, cross, equalPairs) {
+				lengthPruned += st.LengthPruned
+				lbPruned += st.LBPruned
+				if !(0 < st.SigPruned && st.SigPruned <= st.BudgetPruned) {
+					t.Fatalf("%s: SigPruned=%d BudgetPruned=%d", label, st.SigPruned, st.BudgetPruned)
 				}
 			}
 		}

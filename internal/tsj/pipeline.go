@@ -91,27 +91,15 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	// ---- Job 1: shared-token candidate generation (Sec. III-C) ----------
 	// map: r^t_s -> [<r^ti_s, r^t_s>]; reduce on token z: all pairs.
 	//
-	// With the prefix filter (default), the map ships only each string's
-	// threshold-derived prefix — its MaxErrors(T, L)+1 rarest kept tokens
-	// under the global frequency order — and the reducer emits a pair only
-	// from its first common prefix token, after the positional and length
-	// filters prove the pair can still satisfy NSLD <= T. Lossless under
-	// any fixed total order: see the prefilter package for the argument.
-	// One prefix index serves both filters: Job 1's first-common-token
-	// rule and Job 2's segment prefix restriction, which only exists under
-	// fuzzy matching.
-	wantShared := !opts.DisablePrefixFilter
-	wantSeg := !opts.DisableSegmentPrefixFilter && opts.Matching == FuzzyTokenMatching
-	var pf, pfSeg *prefilter.Index
-	if wantShared || wantSeg {
-		ix := prefilter.NewIndex(c, dropped, opts.Threshold)
-		if wantShared {
-			pf = ix
-		}
-		if wantSeg {
-			pfSeg = ix
-		}
-	}
+	// The map ships only each string's threshold-derived prefix — its
+	// MaxErrors(T, L)+1 rarest kept tokens under the global frequency
+	// order — and the reducer emits a pair only from its first common
+	// prefix token, after the positional and length filters prove the pair
+	// can still satisfy NSLD <= T. Lossless under any fixed total order:
+	// see the prefilter package for the argument. One prefix index serves
+	// both filters: Job 1's first-common-token rule and Job 2's segment
+	// prefix restriction.
+	pf := prefilter.NewIndex(c, dropped, opts.Threshold)
 
 	// ---- Jobs 2a+2b: similar-token candidates (Sec. III-D) --------------
 	// The stage reads only the corpus and the prefix index (safe for
@@ -126,23 +114,15 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 		simWG.Add(1)
 		go func() {
 			defer simWG.Done()
-			simCands = similarTokenCandidates(src, dropped, pfSeg, opts, &sim)
+			simCands = similarTokenCandidates(src, pf, opts, &sim)
 		}()
 	}
 
 	var prefixPruned atomic.Int64
 	sharedCands, st1 := mapreduce.Run(engCfg("tsj-shared-token"), sids,
 		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, token.StringID]) {
-			if pf != nil {
-				for _, tid := range pf.Prefix(sid) {
-					ctx.Emit(tid, sid)
-				}
-				return
-			}
-			for _, tid := range c.Members[sid] {
-				if !dropped[tid] {
-					ctx.Emit(tid, sid)
-				}
+			for _, tid := range pf.Prefix(sid) {
+				ctx.Emit(tid, sid)
 			}
 		},
 		func(tid token.TokenID, vals []token.StringID, ctx *mapreduce.ReduceCtx[uint64]) {
@@ -160,14 +140,12 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 					partners = vals[i+1:]
 				}
 				for _, b := range partners {
-					if pf != nil {
-						emit, prn := pf.Admit(tid, a, b)
-						if !emit {
-							if prn {
-								pruned++
-							}
-							continue
+					emit, prn := pf.Admit(tid, a, b)
+					if !emit {
+						if prn {
+							pruned++
 						}
+						continue
 					}
 					ctx.Emit(pairKey(a, b))
 				}
@@ -212,17 +190,15 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 // they are one table, and the token space is joined with itself under
 // the symmetry optimization of Sec. III-G.1 instead of bipartite.
 //
-// pfSeg, when non-nil, applies the segment prefix filter: the postings
-// are rebuilt over prefix membership only — post[s][t] lists the side-s
-// strings whose threshold-derived prefix contains t — which restricts
-// both the token-space NLD join (tokens in no prefix drop out of the
-// joined space) and the expansion. Lossless: a qualifying pair whose
-// only witness is a similar token pair shares no kept token, so both
-// strings' kept-distinct counts are within their SLD budgets and their
-// prefixes are their entire kept-distinct sets
-// (prefilter.SegmentPrefixLen) — both witness carriers are prefix
-// members. Pairs that do share a kept token are Job 1's responsibility.
-func similarTokenCandidates(src *source, dropped []bool, pfSeg *prefilter.Index, opts Options, st *Stats) []uint64 {
+// pf applies the segment prefix filter: the postings are built over
+// prefix membership only — post[s][t] lists the side-s strings whose
+// threshold-derived prefix contains t — which restricts both the
+// token-space NLD join (tokens in no prefix drop out of the joined
+// space) and the expansion. Lossless: a qualifying pair whose only
+// witness is a similar token pair shares no kept token, so its prefixes
+// are untruncated and hold both witness carriers (prefilter.PrefixLen).
+// Pairs that do share a kept token are Job 1's responsibility.
+func similarTokenCandidates(src *source, pf *prefilter.Index, opts Options, st *Stats) []uint64 {
 	c := src.c
 	n, nt := c.NumStrings(), c.NumTokens()
 	bipartite := src.split >= 0
@@ -234,19 +210,15 @@ func similarTokenCandidates(src *source, dropped []bool, pfSeg *prefilter.Index,
 	if bipartite {
 		post[1] = make([][]token.StringID, nt)
 	}
-	// The postings are inverted from the live strings' member lists, or
-	// their prefixes under the segment prefix filter.
+	// The postings are inverted from the live strings' prefixes.
 	var segPruned int64
 	for sid := 0; sid < n; sid++ {
 		s := token.StringID(sid)
 		if !src.live(s) {
 			continue
 		}
-		list, side := c.Members[sid], post[0]
-		if pfSeg != nil {
-			list = pfSeg.Prefix(s)
-			segPruned += int64(pfSeg.Distinct(s) - len(list))
-		}
+		list, side := pf.Prefix(s), post[0]
+		segPruned += int64(pf.Distinct(s) - len(list))
 		if bipartite && s >= split {
 			side = post[1]
 		}
@@ -256,16 +228,16 @@ func similarTokenCandidates(src *source, dropped []bool, pfSeg *prefilter.Index,
 	}
 	st.SegPrefixPruned = segPruned
 
-	// Compact each side's kept token space for the join. Tokens whose live
-	// document frequency reached zero (every containing string deleted)
-	// and tokens with no posting on the side — under the segment prefix
-	// filter, tokens in no prefix — cannot produce candidates; skipping
-	// them keeps the NLD join off dead token space.
+	// Compact each side's token space for the join to the tokens with a
+	// posting on the side: prefixes hold only kept tokens of live strings,
+	// so dropped tokens, tokens whose every containing string is deleted
+	// and tokens in no prefix — which cannot produce candidates — stay out
+	// of the NLD join.
 	compact := func(post [][]token.StringID) (idx []token.TokenID, runes [][]rune) {
 		idx = make([]token.TokenID, 0, nt)
 		runes = make([][]rune, 0, nt)
 		for tid := 0; tid < nt; tid++ {
-			if !dropped[tid] && c.Freq[tid] > 0 && len(post[tid]) > 0 {
+			if len(post[tid]) > 0 {
 				idx = append(idx, token.TokenID(tid))
 				runes = append(runes, c.TokenRunes[tid])
 			}

@@ -1,6 +1,7 @@
 package tsj
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,10 +9,40 @@ import (
 	"repro/internal/token"
 )
 
-// TestPrefixEquivalenceSelfJoin: the batch self-join returns identical
-// result sets (same pairs, same SLDs) with the prefix filter on and off,
-// at several thresholds, under both matching modes and both aligners —
-// and the filter actually shrinks the candidate stream.
+// sharedTokenPairs is the raw candidate count of a shared-token generator
+// without the prefix filter: every pair of strings co-occurring on a token
+// that survives the cutoff maxFreq, once per such token — the cross pairs
+// only when nr >= 0.
+func sharedTokenPairs(c *token.Corpus, nr, maxFreq int) int64 {
+	var side [2][]int64
+	side[0], side[1] = make([]int64, c.NumTokens()), make([]int64, c.NumTokens())
+	for sid, members := range c.Members {
+		s := 0
+		if nr >= 0 && sid >= nr {
+			s = 1
+		}
+		for _, tid := range members {
+			side[s][tid]++
+		}
+	}
+	var n int64
+	for tid, f := range c.Freq {
+		if maxFreq > 0 && int(f) > maxFreq {
+			continue
+		}
+		if nr < 0 {
+			n += side[0][tid] * (side[0][tid] - 1) / 2
+		} else {
+			n += side[0][tid] * side[1][tid]
+		}
+	}
+	return n
+}
+
+// TestPrefixEquivalenceSelfJoin: the prefix-filtered batch self-join
+// returns exactly the naive join's pairs, at several thresholds, under
+// both matching modes and both aligners — and the filter actually
+// shrinks the candidate stream below the unfiltered generator's.
 func TestPrefixEquivalenceSelfJoin(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 31, NumNames: 300})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -23,29 +54,13 @@ func TestPrefixEquivalenceSelfJoin(t *testing.T) {
 				opts.Threshold = th
 				opts.Matching = mt
 				opts.Aligning = al
-
-				opts.DisablePrefixFilter = true
-				plain, pst, err := SelfJoin(c, opts)
-				if err != nil {
-					t.Fatal(err)
+				label := fmt.Sprintf("t=%.2f %v %v", th, mt, al)
+				_, st := joinOracle(t, label, c, -1, opts)
+				if plain := sharedTokenPairs(c, -1, opts.MaxTokenFreq); st.SharedTokenCandidates >= plain {
+					t.Fatalf("%s: filter did not shrink shared-token candidates (%d vs %d)",
+						label, st.SharedTokenCandidates, plain)
 				}
-				opts.DisablePrefixFilter = false
-				filtered, fst, err := SelfJoin(c, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(plain, filtered) {
-					t.Fatalf("t=%.2f %v %v: prefix-filtered results differ (%d vs %d pairs)",
-						th, mt, al, len(filtered), len(plain))
-				}
-				if pst.PrefixPruned != 0 {
-					t.Fatalf("t=%.2f: PrefixPruned=%d with the filter disabled", th, pst.PrefixPruned)
-				}
-				if fst.SharedTokenCandidates >= pst.SharedTokenCandidates {
-					t.Fatalf("t=%.2f %v %v: filter did not shrink shared-token candidates (%d vs %d)",
-						th, mt, al, fst.SharedTokenCandidates, pst.SharedTokenCandidates)
-				}
-				if fst.PrefixPruned > 0 {
+				if st.PrefixPruned > 0 {
 					prunedSomewhere = true
 				}
 			}
@@ -67,24 +82,10 @@ func TestPrefixEquivalenceBipartiteJoin(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Threshold = th
 			opts.Dedup = dd
-
-			opts.DisablePrefixFilter = true
-			plain, pst, err := Join(c, boundary, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.DisablePrefixFilter = false
-			filtered, fst, err := Join(c, boundary, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, filtered) {
-				t.Fatalf("t=%.2f %v: prefix-filtered bipartite results differ (%d vs %d pairs)",
-					th, dd, len(filtered), len(plain))
-			}
-			if fst.SharedTokenCandidates >= pst.SharedTokenCandidates {
-				t.Fatalf("t=%.2f %v: filter did not shrink candidates (%d vs %d)",
-					th, dd, fst.SharedTokenCandidates, pst.SharedTokenCandidates)
+			label := fmt.Sprintf("t=%.2f %v", th, dd)
+			_, st := joinOracle(t, label, c, boundary, opts)
+			if plain := sharedTokenPairs(c, boundary, opts.MaxTokenFreq); st.SharedTokenCandidates >= plain {
+				t.Fatalf("%s: filter did not shrink candidates (%d vs %d)", label, st.SharedTokenCandidates, plain)
 			}
 		}
 	}
@@ -92,7 +93,8 @@ func TestPrefixEquivalenceBipartiteJoin(t *testing.T) {
 
 // TestPrefixEquivalenceMaxFreqCutoff: the filter composes with the
 // high-frequency-token cutoff M — prefixes are computed over kept tokens
-// only, so the (approximate) result set under a finite M is unchanged.
+// only, so the result set under a finite M is exactly the cutoff
+// oracle's.
 func TestPrefixEquivalenceMaxFreqCutoff(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 33, NumNames: 300})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -100,21 +102,7 @@ func TestPrefixEquivalenceMaxFreqCutoff(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Threshold = 0.25
 		opts.MaxTokenFreq = maxFreq
-
-		opts.DisablePrefixFilter = true
-		plain, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.DisablePrefixFilter = false
-		filtered, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, filtered) {
-			t.Fatalf("M=%d: prefix-filtered results differ under the cutoff (%d vs %d pairs)",
-				maxFreq, len(filtered), len(plain))
-		}
+		joinOracle(t, fmt.Sprintf("M=%d", maxFreq), c, -1, opts)
 	}
 }
 
@@ -141,23 +129,10 @@ func TestPrefixEquivalenceFrequencyTies(t *testing.T) {
 	for _, th := range []float64{0.15, 0.3, 0.45} {
 		opts := DefaultOptions()
 		opts.Threshold = th
-
-		opts.DisablePrefixFilter = true
-		plain, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.DisablePrefixFilter = false
-		a, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, _ := joinOracle(t, fmt.Sprintf("t=%.2f", th), c, -1, opts)
 		b, _, err := SelfJoin(c, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, a) {
-			t.Fatalf("t=%.2f: tie-broken prefix join differs from unfiltered", th)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("t=%.2f: tie-broken prefix join not reproducible", th)

@@ -1,6 +1,8 @@
 package tsj
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -9,59 +11,28 @@ import (
 	"repro/internal/token"
 )
 
-// TestSegmentPrefixEquivalenceSelfJoin: the batch self-join returns
-// identical result sets with the segment prefix filter on and off, at
-// several thresholds, under both aligners and with the shared-token
-// prefix filter both on and off — and the filter actually shrinks the
-// similar-token candidate stream.
+// TestSegmentPrefixEquivalenceSelfJoin: the batch self-join, its
+// similar-token generator behind the segment prefix filter, returns
+// exactly the naive join's pairs at several thresholds under both
+// aligners — and the filter actually excludes posting entries from the
+// similar-token expansion.
 func TestSegmentPrefixEquivalenceSelfJoin(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 41, NumNames: 300})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
 	prunedSomewhere := false
-	shrankSomewhere := false
 	for _, th := range []float64{0.1, 0.25, 0.4} {
 		for _, al := range []Aligning{HungarianAligning, GreedyAligning} {
-			for _, sharedOff := range []bool{false, true} {
-				opts := DefaultOptions()
-				opts.Threshold = th
-				opts.Aligning = al
-				opts.DisablePrefixFilter = sharedOff
-
-				opts.DisableSegmentPrefixFilter = true
-				plain, pst, err := SelfJoin(c, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.DisableSegmentPrefixFilter = false
-				filtered, fst, err := SelfJoin(c, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(plain, filtered) {
-					t.Fatalf("t=%.2f %v sharedOff=%v: segment-filtered results differ (%d vs %d pairs)",
-						th, al, sharedOff, len(filtered), len(plain))
-				}
-				if pst.SegPrefixPruned != 0 {
-					t.Fatalf("t=%.2f: SegPrefixPruned=%d with the filter disabled", th, pst.SegPrefixPruned)
-				}
-				if fst.SegPrefixPruned > 0 {
-					prunedSomewhere = true
-				}
-				if fst.SimilarTokenCandidates < pst.SimilarTokenCandidates {
-					shrankSomewhere = true
-				}
-				if fst.SimilarTokenCandidates > pst.SimilarTokenCandidates {
-					t.Fatalf("t=%.2f %v: filtering grew similar-token candidates (%d vs %d)",
-						th, al, fst.SimilarTokenCandidates, pst.SimilarTokenCandidates)
-				}
+			opts := DefaultOptions()
+			opts.Threshold = th
+			opts.Aligning = al
+			_, st := joinOracle(t, fmt.Sprintf("t=%.2f %v", th, al), c, -1, opts)
+			if st.SegPrefixPruned > 0 {
+				prunedSomewhere = true
 			}
 		}
 	}
 	if !prunedSomewhere {
 		t.Fatal("SegPrefixPruned never populated across the sweep")
-	}
-	if !shrankSomewhere {
-		t.Fatal("the segment prefix filter never shrank the similar-token candidate stream")
 	}
 }
 
@@ -77,25 +48,7 @@ func TestSegmentPrefixEquivalenceBipartite(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Threshold = th
 			opts.Dedup = dd
-
-			opts.DisableSegmentPrefixFilter = true
-			plain, pst, err := Join(c, boundary, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.DisableSegmentPrefixFilter = false
-			filtered, fst, err := Join(c, boundary, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, filtered) {
-				t.Fatalf("t=%.2f %v: segment-filtered bipartite results differ (%d vs %d pairs)",
-					th, dd, len(filtered), len(plain))
-			}
-			if fst.SimilarTokenCandidates > pst.SimilarTokenCandidates {
-				t.Fatalf("t=%.2f %v: filtering grew similar-token candidates (%d vs %d)",
-					th, dd, fst.SimilarTokenCandidates, pst.SimilarTokenCandidates)
-			}
+			joinOracle(t, fmt.Sprintf("t=%.2f %v", th, dd), c, boundary, opts)
 		}
 	}
 }
@@ -103,8 +56,8 @@ func TestSegmentPrefixEquivalenceBipartite(t *testing.T) {
 // TestSegmentPrefixEquivalenceMaxFreqCutoff: the filter composes with the
 // high-frequency-token cutoff M — the similar-token join requires both
 // witness tokens kept, and a pair with no shared kept token has both
-// prefixes untruncated over kept tokens, so the (approximate) result set
-// under a finite M is unchanged.
+// prefixes untruncated over kept tokens, so the result set under a finite
+// M is exactly the cutoff oracle's.
 func TestSegmentPrefixEquivalenceMaxFreqCutoff(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 43, NumNames: 300})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
@@ -113,21 +66,7 @@ func TestSegmentPrefixEquivalenceMaxFreqCutoff(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Threshold = th
 			opts.MaxTokenFreq = maxFreq
-
-			opts.DisableSegmentPrefixFilter = true
-			plain, _, err := SelfJoin(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.DisableSegmentPrefixFilter = false
-			filtered, _, err := SelfJoin(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, filtered) {
-				t.Fatalf("M=%d t=%.2f: segment-filtered results differ under the cutoff (%d vs %d pairs)",
-					maxFreq, th, len(filtered), len(plain))
-			}
+			joinOracle(t, fmt.Sprintf("M=%d t=%.2f", maxFreq, th), c, -1, opts)
 		}
 	}
 }
@@ -153,23 +92,10 @@ func TestSegmentPrefixEquivalenceFrequencyTies(t *testing.T) {
 	for _, th := range []float64{0.15, 0.3, 0.45} {
 		opts := DefaultOptions()
 		opts.Threshold = th
-
-		opts.DisableSegmentPrefixFilter = true
-		plain, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.DisableSegmentPrefixFilter = false
-		a, _, err := SelfJoin(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, _ := joinOracle(t, fmt.Sprintf("t=%.2f", th), c, -1, opts)
 		b, _, err := SelfJoin(c, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, a) {
-			t.Fatalf("t=%.2f: tie-broken segment-filtered join differs from unfiltered", th)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("t=%.2f: tie-broken segment-filtered join not reproducible", th)
@@ -179,8 +105,9 @@ func TestSegmentPrefixEquivalenceFrequencyTies(t *testing.T) {
 
 // TestSegmentPrefixEquivalenceCorpus: the persistent-corpus join — whose
 // prefix order comes from the corpus's stored live frequencies and
-// insertion-order token ids, with deletes in play — returns identical
-// results with the segment prefix filter on and off.
+// insertion-order token ids, with deletes in play — returns exactly the
+// naive join's live pairs. M = 1000 exceeds every frequency here, so the
+// cutoff keeps every token with or without the deleted strings.
 func TestSegmentPrefixEquivalenceCorpus(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 44, NumNames: 260})
 	dir := t.TempDir()
@@ -194,28 +121,25 @@ func TestSegmentPrefixEquivalenceCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	deleted := map[int]bool{}
 	for _, id := range []token.StringID{3, 77, 130} {
 		if err := pc.Delete(id); err != nil {
 			t.Fatal(err)
 		}
+		deleted[int(id)] = true
 	}
+	c := token.BuildCorpus(names, token.WhitespaceAndPunct)
 	for _, th := range []float64{0.1, 0.2, 0.35} {
 		opts := DefaultOptions()
 		opts.Threshold = th
-
-		opts.DisableSegmentPrefixFilter = true
-		plain, _, err := SelfJoinCorpus(pc, opts)
+		want := cutoffOracle(c.Strings, -1, opts)
+		maps.DeleteFunc(want, func(p [2]int, _ int) bool { return deleted[p[0]] || deleted[p[1]] })
+		got, _, err := SelfJoinCorpus(pc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.DisableSegmentPrefixFilter = false
-		filtered, _, err := SelfJoinCorpus(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, filtered) {
-			t.Fatalf("t=%.2f: segment-filtered corpus join differs (%d vs %d pairs)",
-				th, len(filtered), len(plain))
+		if err := equalPairs(want, resultSet(got)); err != nil {
+			t.Fatalf("t=%.2f: segment-filtered corpus join: %v", th, err)
 		}
 	}
 }

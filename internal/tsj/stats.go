@@ -24,12 +24,12 @@ type Stats struct {
 	// PrefixPruned counts candidate pairs the prefix filter discarded at
 	// posting-list probe time: pairs whose first common prefix token's
 	// reducer proved — from positions and aggregate lengths alone — that
-	// NSLD must exceed the threshold (always 0 with DisablePrefixFilter).
+	// NSLD must exceed the threshold.
 	PrefixPruned int64
 	// SegPrefixPruned counts posting entries (token, string) the segment
 	// prefix filter excluded from the similar-token expansion — non-prefix
 	// tokens that neither entered the token-space NLD join nor expanded
-	// into candidates (always 0 with DisableSegmentPrefixFilter).
+	// into candidates.
 	SegPrefixPruned int64
 	// SimilarTokenPairs is the number of similar (non-identical) token
 	// pairs found by the token-space NLD join.
@@ -45,7 +45,7 @@ type Stats struct {
 	Verified int64
 	// BudgetPruned counts verifications the threshold-derived SLD budget
 	// rejected early — before or inside the alignment — rather than by a
-	// completed SLD computation (always 0 with DisableBoundedVerify).
+	// completed SLD computation.
 	BudgetPruned int64
 	// Results counts emitted similar pairs.
 	Results int64
@@ -53,15 +53,8 @@ type Stats struct {
 	// emitted by the preamble.
 	EmptyStringPairs int64
 	// SigPruned counts verifications the verifier's character-signature
-	// pre-pass rejected before any DP cell — a subset of BudgetPruned
-	// (always 0 with DisableBoundedVerify).
+	// pre-pass rejected before any DP cell — a subset of BudgetPruned.
 	SigPruned int64
-	// BatchedPairs, SIMDKernels, SIMDLanes and BatchScalarCells are always
-	// 0: every pair is verified on its own, and no vector kernel runs.
-	BatchedPairs     int64
-	SIMDKernels      int64
-	SIMDLanes        int64
-	BatchScalarCells int64
 }
 
 // String renders a multi-line summary.

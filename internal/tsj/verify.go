@@ -51,10 +51,7 @@ func (v *verifier) get() *pairVerifier {
 		v.idle = v.idle[:n-1]
 		return pv
 	}
-	return &pairVerifier{v: core.Verifier{
-		Greedy:    v.opts.Aligning == GreedyAligning,
-		Unbounded: v.opts.DisableBoundedVerify,
-	}}
+	return &pairVerifier{v: core.Verifier{Greedy: v.opts.Aligning == GreedyAligning}}
 }
 
 // put returns an engine borrowed with get.
@@ -99,16 +96,16 @@ func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *m
 // survives, charges the verification the paper's stated complexity.
 func (v *verifier) admit(x, y *token.TokenizedString, pv *pairVerifier, ctx *mapreduce.ReduceCtx[Result]) bool {
 	la, lb := x.AggregateLen(), y.AggregateLen()
-	t := v.opts.Threshold
-	// Filter 1: aggregate-length pruning (Lemma 6 lower bound). Costs one
-	// comparison on id-attached metadata.
-	if core.LengthPrune(la, lb, t) {
+	// Filter 1, aggregate-length pruning (Lemma 6 lower bound), costs one
+	// comparison on id-attached metadata. Filter 2, the token-length
+	// histogram lower bound on SLD, is charged whenever it runs.
+	f := core.FilterPair(x, y, v.opts.Threshold)
+	if f == core.LengthFiltered {
 		pv.lengthPruned++
 		return false
 	}
-	// Filter 2: token-length-histogram lower bound on SLD.
 	ctx.AddCost(float64(x.Count() + y.Count()))
-	if core.LowerBoundPrune(*x, *y, t) {
+	if f == core.HistogramFiltered {
 		pv.lbPruned++
 		return false
 	}

@@ -35,39 +35,6 @@ func TestJoinBipartiteAPI(t *testing.T) {
 	}
 }
 
-// TestJoinForwardsPrefixFilterKnob: the public bipartite API honors
-// Options.DisablePrefixFilter — disabling it zeroes Stats.PrefixPruned
-// and returns the identical pair set.
-func TestJoinForwardsPrefixFilterKnob(t *testing.T) {
-	r := []string{"maria del carmen", "jose luis garcia", "wei chen"}
-	p := []string{"maria del karmen", "jose luis garzia", "brand new"}
-	opts := Options{Threshold: 0.15}
-	filtered, fst, err := JoinStats(r, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.DisablePrefixFilter = true
-	plain, pst, err := JoinStats(r, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pst.PrefixPruned != 0 {
-		t.Fatalf("PrefixPruned=%d with the filter disabled: knob not forwarded", pst.PrefixPruned)
-	}
-	if len(filtered) != len(plain) || len(filtered) != 2 {
-		t.Fatalf("pair sets differ across the knob: %d filtered vs %d plain", len(filtered), len(plain))
-	}
-	for i := range filtered {
-		if filtered[i] != plain[i] {
-			t.Fatalf("pair %d differs: %+v vs %+v", i, filtered[i], plain[i])
-		}
-	}
-	if fst.SharedTokenCandidates > pst.SharedTokenCandidates {
-		t.Fatalf("filter grew the candidate stream (%d vs %d)",
-			fst.SharedTokenCandidates, pst.SharedTokenCandidates)
-	}
-}
-
 func TestJoinMatchesSelfJoinOnMirror(t *testing.T) {
 	// Joining a list against itself must contain the self-join pairs plus
 	// the diagonal.

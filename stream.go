@@ -27,27 +27,6 @@ type MatcherOptions struct {
 	// ExactTokensOnly disables the similar-token candidate path (the
 	// exact-token-matching approximation).
 	ExactTokensOnly bool
-	// DisableBoundedVerification switches off threshold-aware
-	// verification (on by default: candidates are verified under the
-	// SLD budget the threshold implies and abandoned as soon as any
-	// lower bound exceeds it). Matches are identical either way.
-	DisableBoundedVerification bool
-	// DisableSIMD is ignored: every candidate that survives the filters
-	// is verified on its own, and no vector kernel runs.
-	//
-	// Deprecated: there is no batched verification path to disable.
-	DisableSIMD bool
-	// DisablePrefixFilter switches off threshold-aware candidate
-	// pruning (on by default: the shared-token index is probed only
-	// with the arriving string's maxErrors(T, L)+1 rarest tokens, which
-	// is lossless). Matches are identical either way.
-	DisablePrefixFilter bool
-	// DisableSegmentPrefixFilter switches off threshold-aware pruning of
-	// the similar-token (segment index) path: on by default, the segment
-	// index is probed only with prefix tokens, and — when MaxTokenFreq
-	// is unlimited — only prefix tokens are segment-indexed at all.
-	// Matches are identical either way.
-	DisableSegmentPrefixFilter bool
 	// Tokenizer overrides the default whitespace+punctuation tokenizer.
 	Tokenizer Tokenizer
 }

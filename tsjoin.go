@@ -19,6 +19,10 @@
 //   - the evaluation harness reproducing every figure of the paper
 //     (internal/experiments, surfaced through cmd/tsjexp).
 //
+// Every filter is lossless — length, histogram, prefix and the verify
+// budget — so none is an option: options choose the threshold, the
+// paper's approximations and the dedup strategy.
+//
 // Quick start:
 //
 //	pairs, err := tsjoin.SelfJoin([]string{
@@ -128,48 +132,17 @@ type Options struct {
 	// GOMAXPROCS). The two candidate generators run side by side, so a
 	// join may run up to twice as many.
 	Parallelism int
-	// DisableBoundedVerification switches off threshold-aware
-	// verification. By default the verify stage derives an SLD budget
-	// from the threshold — maxSLD = floor(T*(L(x)+L(y))/(2-T)) — and
-	// abandons a candidate as soon as any lower bound exceeds it, which
-	// is the hot-path optimization behind the join's verify speed.
-	// Results are identical either way; disable only for ablation.
-	DisableBoundedVerification bool
-	// DisableSIMD is ignored: every candidate that survives the filters
-	// is verified on its own, and no vector kernel runs.
-	//
-	// Deprecated: there is no batched verification path to disable.
-	DisableSIMD bool
-	// DisablePrefixFilter switches off threshold-aware candidate pruning
-	// in the shared-token generator. By default only each string's
-	// threshold-derived prefix — its maxErrors(T, L)+1 rarest tokens
-	// under the global frequency order — feeds the posting lists, and
-	// positional + length filters discard pairs that provably cannot
-	// satisfy NSLD <= T before they are shuffled. Results are identical
-	// either way; disable only for ablation.
-	DisablePrefixFilter bool
-	// DisableSegmentPrefixFilter switches off threshold-aware candidate
-	// pruning in the similar-token generator. By default only prefix
-	// tokens enter the token-space NLD join and the postings expansion —
-	// lossless because a pair discoverable only through a similar token
-	// pair shares no token, which forces both prefixes to cover the
-	// strings' entire distinct sets. Results are identical either way;
-	// disable only for ablation.
-	DisableSegmentPrefixFilter bool
 }
 
 // tsj maps the public options onto the pipeline's.
 func (o Options) tsj() tsj.Options {
 	return tsj.Options{
-		Threshold:                  o.Threshold,
-		MaxTokenFreq:               o.MaxTokenFreq,
-		Matching:                   o.Matching,
-		Aligning:                   o.Aligning,
-		Dedup:                      o.Dedup,
-		Parallelism:                o.Parallelism,
-		DisableBoundedVerify:       o.DisableBoundedVerification,
-		DisablePrefixFilter:        o.DisablePrefixFilter,
-		DisableSegmentPrefixFilter: o.DisableSegmentPrefixFilter,
+		Threshold:    o.Threshold,
+		MaxTokenFreq: o.MaxTokenFreq,
+		Matching:     o.Matching,
+		Aligning:     o.Aligning,
+		Dedup:        o.Dedup,
+		Parallelism:  o.Parallelism,
 	}
 }
 
