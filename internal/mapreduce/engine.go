@@ -17,6 +17,15 @@
 // Stats.MapWall covers the map functions plus this shuffle; ReduceWall is
 // the reduce functions.
 //
+// A job's slabs are recycled, across the jobs of a pipeline and across
+// pipelines: the map tasks' key and value buffers, the gathered value
+// slab, the sort's entry buffers and the reduce workers' output buffers
+// come from one pool per element type and go back to it when Run
+// returns (slab.go). A reducer's values therefore live only for the
+// duration of its call, and a pipeline allocates a bounded number of
+// objects once its slabs have grown to size. The []O Run returns is the
+// caller's, freshly allocated.
+//
 // The paper ran on 1,000 physical machines; we cannot. Every job therefore
 // records fine-grained task costs (map work per split, reduce work per key,
 // records shuffled), and the Cluster model schedules those tasks onto m
@@ -66,11 +75,15 @@ type Key interface {
 // MapCtx is handed to map functions: Emit produces an intermediate
 // <key2, value2> record; AddCost charges extra work units beyond the
 // default per-record accounting (used by CPU-heavy mappers such as HMJ's
-// centroid assignment). One MapCtx is the output buffer of one map task.
+// centroid assignment). One MapCtx is the output buffer of one map task;
+// its buffers are recycled slabs, reused by later jobs once Run returns.
 type MapCtx[K Key, V any] struct {
 	keys []K
 	vals []V
 	cost float64
+
+	kbox *[]K // the pool's handles on keys and vals
+	vbox *[]V
 }
 
 // Emit outputs an intermediate key/value pair.
@@ -86,10 +99,13 @@ func (c *MapCtx[K, V]) AddCost(units float64) { c.cost += units }
 // AddCost charges extra work units to the current key's task (used by
 // verification reducers whose cost is dominated by distance computations,
 // not record counts). One ReduceCtx is the output buffer of one reduce
-// worker.
+// worker, a recycled slab; Run copies the outputs out of it before it
+// returns.
 type ReduceCtx[O any] struct {
 	out  []O
 	cost float64
+
+	box *[]O // the pool's handle on out; nil until the worker's first key
 }
 
 // Emit outputs a final record.
@@ -104,6 +120,9 @@ type Mapper[I any, K Key, V any] func(item I, ctx *MapCtx[K, V])
 // Reducer folds all values that share a key into output records. values
 // holds them in emission order (input order, then Emit order); it is the
 // reducer's to reorder, and appending to it cannot reach a neighbour.
+// values is valid only for the duration of the call: it is a run of the
+// job's gathered slab, which later jobs reuse, so a reducer that keeps
+// values past its return must copy them.
 type Reducer[K Key, V any, O any] func(key K, values []V, ctx *ReduceCtx[O])
 
 // entry is the sort handle of one intermediate record: the key's image
@@ -114,13 +133,6 @@ type entry struct{ key, pos uint64 }
 
 // reduceBatch is how many consecutive keys a reduce worker claims at once.
 const reduceBatch = 64
-
-// sortScratch is the shuffle's pair of entry buffers. It is not generic,
-// so the jobs of a pipeline — whatever their key and value types — hand
-// one allocation down the line instead of each growing its own.
-type sortScratch struct{ a, b []entry }
-
-var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // Run executes one MapReduce job over the input and returns the outputs
 // together with the job's task-cost statistics. Keys are reduced in
@@ -153,6 +165,8 @@ func Run[I any, K Key, V any, O any](
 
 	each(cfg.Parallelism, len(splits), func(_, si int) {
 		ctx := &tasks[si]
+		ctx.keys, ctx.kbox = getSlab[K]()
+		ctx.vals, ctx.vbox = getSlab[V]()
 		cost := 0.0
 		for i := splits[si][0]; i < splits[si][1]; i++ {
 			ctx.cost = 0
@@ -176,35 +190,45 @@ func Run[I any, K Key, V any, O any](
 	// A group is a run of equal keys in the sorted entries; its values are
 	// the matching run of the slab. The sort is stable and entries start in
 	// emission order, so values keep it within a key.
-	sc := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(sc)
-	if cap(sc.a) < n {
-		sc.a, sc.b = make([]entry, n), make([]entry, n)
-	}
+	ents, ebox := getSlab[entry]()
+	tmp, tbox := getSlab[entry]()
+	ents, tmp = slices.Grow(ents, n), slices.Grow(tmp, n)[:n]
 	// Signed keys sort as unsigned once their sign bit is flipped.
 	var zero K
 	var flip uint64
 	if zero-1 < zero {
 		flip = 1 << 63
 	}
-	ents := sc.a[:0]
 	for ti := range tasks {
 		for i, k := range tasks[ti].keys {
 			ents = append(ents, entry{uint64(k) ^ flip, uint64(ti)<<32 | uint64(i)})
 		}
 	}
-	ents = radixSort(ents, sc.b[:n])
-	vals := make([]V, n)
-	var starts []int // starts[g] is where group g begins; one sentinel at n
+	ents, idle := radixSort(ents, tmp)
+	vals, vbox := getSlab[V]()
+	vals = slices.Grow(vals, n)[:n]
+	// Group g is ents[lo:hi] with lo, hi = bounds[g].key, bounds[g].pos:
+	// the group index lives in the sort's idle buffer, which holds n
+	// entries and so room for every group.
+	bounds := idle[:0]
 	for i, e := range ents {
 		vals[i] = tasks[e.pos>>32].vals[uint32(e.pos)]
 		if i == 0 || e.key != ents[i-1].key {
-			starts = append(starts, i)
+			if g := len(bounds); g > 0 {
+				bounds[g-1].pos = uint64(i)
+			}
+			bounds = append(bounds, entry{key: uint64(i)})
 		}
 	}
-	starts = append(starts, n)
-	tasks = nil // the map output is dead; let the reduce phase have the memory
-	groups := len(starts) - 1
+	if g := len(bounds); g > 0 {
+		bounds[g-1].pos = uint64(n)
+	}
+	// The map output is dead; its slabs can serve the reduce phase.
+	for i := range tasks {
+		putSlab(tasks[i].kbox, tasks[i].keys)
+		putSlab(tasks[i].vbox, tasks[i].vals)
+	}
+	groups := len(bounds)
 	st.ReduceKeys = int64(groups)
 	// The map-side wall covers mapping plus the shuffle — the
 	// record-stream handling; what remains of the job is reduce compute.
@@ -219,9 +243,12 @@ func Run[I any, K Key, V any, O any](
 	costs := make([]float64, groups)
 	each(cfg.Parallelism, len(spans), func(w, b int) {
 		ctx := &outs[w]
+		if ctx.box == nil {
+			ctx.out, ctx.box = getSlab[O]()
+		}
 		lo := len(ctx.out)
 		for g := b * reduceBatch; g < min(groups, (b+1)*reduceBatch); g++ {
-			s, e := starts[g], starts[g+1]
+			s, e := bounds[g].key, bounds[g].pos
 			ctx.cost = 0
 			before := len(ctx.out)
 			reduceFn(K(ents[s].key^flip), vals[s:e:e], ctx)
@@ -237,6 +264,14 @@ func Run[I any, K Key, V any, O any](
 	for _, sp := range spans {
 		result = append(result, outs[sp.worker].out[sp.lo:sp.hi]...)
 	}
+	for i := range outs {
+		if outs[i].box != nil {
+			putSlab(outs[i].box, outs[i].out)
+		}
+	}
+	putSlab(vbox, vals)
+	putSlab(ebox, ents)
+	putSlab(tbox, idle)
 	// Sorted costs and a total summed over them: per-key costs need not be
 	// integers, and a float sum is only reproducible in a fixed order.
 	slices.Sort(costs)
@@ -265,11 +300,12 @@ func each(workers, n int, fn func(w, i int)) {
 }
 
 // radixSort sorts ents by key with a stable LSD byte radix, skipping the
-// bytes every key agrees on (dense ids vary in two or three of eight),
-// and returns the sorted slice: ents or tmp, which must be as long.
-func radixSort(ents, tmp []entry) []entry {
+// bytes every key agrees on (dense ids vary in two or three of eight).
+// tmp must be as long as ents. It returns the sorted slice and the idle
+// one: ents and tmp, in one order or the other.
+func radixSort(ents, tmp []entry) (sorted, idle []entry) {
 	if len(ents) < 2 {
-		return ents
+		return ents, tmp
 	}
 	var hist [8][256]int
 	for _, e := range ents {
@@ -293,7 +329,7 @@ func radixSort(ents, tmp []entry) []entry {
 		}
 		ents, tmp = tmp, ents
 	}
-	return ents
+	return ents, tmp
 }
 
 // splitRanges partitions [0, n) into at most k contiguous ranges of

@@ -76,25 +76,28 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossParallelism(t *testing.T) {
+// modSumJob sums 0..999 by residue mod 13 over 7 map tasks: outputs in
+// key order, whatever the parallelism.
+func modSumJob(par int) ([]int, *Stats) {
 	input := make([]int, 1000)
 	for i := range input {
 		input[i] = i
 	}
-	run := func(par int) []int {
-		out, _ := Run(Config{Parallelism: par, MapTasks: 7}, input,
-			func(x int, ctx *MapCtx[int, int]) { ctx.Emit(x%13, x) },
-			func(k int, vs []int, ctx *ReduceCtx[int]) {
-				sum := 0
-				for _, v := range vs {
-					sum += v
-				}
-				ctx.Emit(sum)
-			},
-		)
-		return out // in key order, whatever the parallelism
-	}
-	a, b := run(1), run(8)
+	return Run(Config{Parallelism: par, MapTasks: 7}, input,
+		func(x int, ctx *MapCtx[int, int]) { ctx.Emit(x%13, x) },
+		func(k int, vs []int, ctx *ReduceCtx[int]) {
+			sum := 0
+			for _, v := range vs {
+				sum += v
+			}
+			ctx.Emit(sum)
+		},
+	)
+}
+
+func TestDeterministicAcrossParallelism(t *testing.T) {
+	a, _ := modSumJob(1)
+	b, _ := modSumJob(8)
 	if len(a) != len(b) {
 		t.Fatalf("different sizes: %d vs %d", len(a), len(b))
 	}

@@ -74,13 +74,18 @@ func runJob[K Key](input [][]K, mapTasks, parallelism int) ([]group[K], *Stats) 
 	return out, st
 }
 
-// checkShuffle draws records that each emit 0-3 keys from pool, and
-// requires the engine to agree with the reference on the groups (keys
-// ascending, values in emission order) and on every Stats field, and with
-// itself — output order included — across Parallelism 1 and 8.
-func checkShuffle[K Key](t *testing.T, pool []K) {
-	t.Helper()
+// shuffleCase is one job of the shuffle property tests: records that
+// each emit 0-3 keys.
+type shuffleCase[K Key] struct {
+	label    string
+	input    [][]K
+	mapTasks int
+}
+
+// shuffleCases draws the property tests' jobs, keys from pool.
+func shuffleCases[K Key](pool []K) []shuffleCase[K] {
 	rng := rand.New(rand.NewSource(int64(len(pool))))
+	var cases []shuffleCase[K]
 	for _, shape := range []struct{ records, mapTasks int }{
 		{0, 4}, {1, 1}, {3, 16}, {40, 7}, {700, 8}, {700, 1},
 	} {
@@ -91,15 +96,28 @@ func checkShuffle[K Key](t *testing.T, pool []K) {
 			}
 		}
 		label := fmt.Sprintf("%T keys, %d records, %d map tasks", pool[0], shape.records, shape.mapTasks)
-		want, wantSt := refJob(input, shape.mapTasks)
-		got, gotSt := runJob(input, shape.mapTasks, 1)
+		cases = append(cases, shuffleCase[K]{label, input, shape.mapTasks})
+	}
+	return cases
+}
+
+// checkShuffle requires the engine to agree with the reference on the
+// groups (keys ascending, values in emission order) and on every Stats
+// field, and with itself — output order included — across Parallelism 1
+// and 8.
+func checkShuffle[K Key](t *testing.T, pool []K) {
+	t.Helper()
+	for _, sc := range shuffleCases(pool) {
+		input, label := sc.input, sc.label
+		want, wantSt := refJob(input, sc.mapTasks)
+		got, gotSt := runJob(input, sc.mapTasks, 1)
 		if !sameGroups(got, want) {
 			t.Fatalf("%s: groups differ from the reference\n got  %v\n want %v", label, got, want)
 		}
 		if !sameStats(gotSt, wantSt) {
 			t.Fatalf("%s: stats differ from the reference\n got  %+v\n want %+v", label, gotSt, wantSt)
 		}
-		got8, st8 := runJob(input, shape.mapTasks, 8)
+		got8, st8 := runJob(input, sc.mapTasks, 8)
 		if !sameGroups(got8, got) || !sameStats(st8, gotSt) {
 			t.Fatalf("%s: Parallelism 8 changed the output order or the stats", label)
 		}

@@ -25,6 +25,8 @@
 package massjoin
 
 import (
+	"sync"
+
 	"repro/internal/mapreduce"
 	"repro/internal/passjoin"
 	"repro/internal/strdist"
@@ -65,6 +67,10 @@ func fingerprint(indexLen, probeLen, seg int, chunk []rune) uint64 {
 	h ^= h >> 32
 	return h & fpMask
 }
+
+// rows recycles Job 2's Levenshtein DP rows: the job's reducers run
+// concurrently, one verified token pair per call.
+var rows = sync.Pool{New: func() any { return new([]int) }}
 
 // A Job-1 intermediate value is a token id on one side, packed as
 // id<<1 | side.
@@ -205,7 +211,9 @@ func run(r, p [][]rune, t float64, cfg Config, selfJoin bool) ([]passjoin.Pair, 
 			if strdist.SigLowerBound(sigs[a], sigs[b], len(x), len(y)) > tau {
 				return
 			}
-			d, ok := strdist.LevenshteinBounded(x, y, tau)
+			row := rows.Get().(*[]int)
+			d, ok := strdist.LevenshteinBoundedScratch(x, y, tau, row)
+			rows.Put(row)
 			if !ok || !strdist.WithinNLD(d, len(x), len(y), t) {
 				return
 			}

@@ -168,7 +168,8 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	st.Pipeline.Merge(&sim.Pipeline)
 	st.SegPrefixPruned, st.SimilarTokenPairs = sim.SegPrefixPruned, sim.SimilarTokenPairs
 	st.SimilarTokenCandidates = sim.SimilarTokenCandidates
-	candidates := append(sharedCands, simCands...)
+	candidates := make([]uint64, 0, len(sharedCands)+len(simCands))
+	candidates = append(append(candidates, sharedCands...), simCands...)
 
 	// ---- Job 3: de-duplicate + filter + verify (Sec. III-E/F/G.3) -------
 	// Every candidate is packed id-ascending, so a bipartite pair verifies
@@ -186,12 +187,13 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 // next job's map phase: its cost is exactly the number of candidate
 // records produced, which the dedup job's map accounting charges.
 //
-// post[0] and post[1] are the R-side and P-side postings; in a self-join
-// they are one table, and the token space is joined with itself under
-// the symmetry optimization of Sec. III-G.1 instead of bipartite.
+// post[0] and post[1] are the R-side and P-side postings, each in CSR
+// form (one offsets array and one id array); in a self-join they are one
+// table, and the token space is joined with itself under the symmetry
+// optimization of Sec. III-G.1 instead of bipartite.
 //
 // pf applies the segment prefix filter: the postings are built over
-// prefix membership only — post[s][t] lists the side-s strings whose
+// prefix membership only — post[s].list(t) lists the side-s strings whose
 // threshold-derived prefix contains t — which restricts both the
 // token-space NLD join (tokens in no prefix drop out of the joined
 // space) and the expansion. Lossless: a qualifying pair whose only
@@ -202,45 +204,37 @@ func similarTokenCandidates(src *source, pf *prefilter.Index, opts Options, st *
 	c := src.c
 	n, nt := c.NumStrings(), c.NumTokens()
 	bipartite := src.split >= 0
-	split := token.StringID(src.split)
 
-	var post [2][][]token.StringID
-	post[0] = make([][]token.StringID, nt)
-	post[1] = post[0]
-	if bipartite {
-		post[1] = make([][]token.StringID, nt)
-	}
-	// The postings are inverted from the live strings' prefixes.
 	var segPruned int64
 	for sid := 0; sid < n; sid++ {
-		s := token.StringID(sid)
-		if !src.live(s) {
-			continue
-		}
-		list, side := pf.Prefix(s), post[0]
-		segPruned += int64(pf.Distinct(s) - len(list))
-		if bipartite && s >= split {
-			side = post[1]
-		}
-		for _, tid := range list {
-			side[tid] = append(side[tid], s)
+		if s := token.StringID(sid); src.live(s) {
+			segPruned += int64(pf.Distinct(s) - len(pf.Prefix(s)))
 		}
 	}
 	st.SegPrefixPruned = segPruned
+	var post [2]postings
+	if bipartite {
+		post[0], post[1] = newPostings(src, pf, 0, src.split), newPostings(src, pf, src.split, n)
+	} else {
+		post[0] = newPostings(src, pf, 0, n)
+		post[1] = post[0]
+	}
 
 	// Compact each side's token space for the join to the tokens with a
 	// posting on the side: prefixes hold only kept tokens of live strings,
 	// so dropped tokens, tokens whose every containing string is deleted
 	// and tokens in no prefix — which cannot produce candidates — stay out
 	// of the NLD join.
-	compact := func(post [][]token.StringID) (idx []token.TokenID, runes [][]rune) {
+	compact := func(p postings) (idx []token.TokenID, runes [][]rune) {
 		idx = make([]token.TokenID, 0, nt)
-		runes = make([][]rune, 0, nt)
 		for tid := 0; tid < nt; tid++ {
-			if len(post[tid]) > 0 {
+			if len(p.list(token.TokenID(tid))) > 0 {
 				idx = append(idx, token.TokenID(tid))
-				runes = append(runes, c.TokenRunes[tid])
 			}
+		}
+		runes = make([][]rune, len(idx))
+		for i, tid := range idx {
+			runes[i] = c.TokenRunes[tid]
 		}
 		return idx, runes
 	}
@@ -271,33 +265,77 @@ func similarTokenCandidates(src *source, pf *prefilter.Index, opts Options, st *
 	// Combiner: collapse duplicate candidates at expansion time (the
 	// standard MapReduce combiner optimization). The dedup job still runs
 	// — hot postings overlap heavily, and pre-collapsing keeps the
-	// shuffled record count proportional to the distinct pair count.
-	seen := make(map[uint64]struct{})
-	var cands []uint64
-	var raw int64
+	// shuffled record count proportional to the distinct pair count. The
+	// expansion is collected into one slice, sized by the product of the
+	// posting lengths, then sorted and compacted; SimilarTokenCandidates
+	// counts it before the collapse.
+	size := 0
+	for _, p := range pairs {
+		if ta, tb := idx[0][p.A], idx[1][p.B]; ta != tb {
+			size += len(post[0].list(ta)) * len(post[1].list(tb))
+		}
+	}
+	cands := make([]uint64, 0, size)
 	for _, p := range pairs {
 		ta, tb := idx[0][p.A], idx[1][p.B]
 		if ta == tb {
 			continue // the identical token on both sides: covered by Job 1
 		}
-		for _, sa := range post[0][ta] {
-			for _, sb := range post[1][tb] {
-				if sa == sb {
-					continue
+		for _, sa := range post[0].list(ta) {
+			for _, sb := range post[1].list(tb) {
+				if sa != sb {
+					cands = append(cands, pairKey(normPair(sa, sb)))
 				}
-				a, b := normPair(sa, sb)
-				raw++
-				k := pairKey(a, b)
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				cands = append(cands, k)
 			}
 		}
 	}
-	st.SimilarTokenCandidates = raw
-	return cands
+	st.SimilarTokenCandidates = int64(len(cands))
+	slices.Sort(cands)
+	return slices.Compact(cands)
+}
+
+// postings is one side's prefix postings in CSR form: the strings whose
+// threshold-derived prefix holds token t are ids[off[t]:off[t+1]], in
+// ascending id order.
+type postings struct {
+	off []int32
+	ids []token.StringID
+}
+
+// newPostings inverts the prefixes of the live strings with ids in
+// [lo, hi): a pass counting each token's postings, a prefix sum, and a
+// pass filling them in.
+func newPostings(src *source, pf *prefilter.Index, lo, hi int) postings {
+	nt := src.c.NumTokens()
+	p := postings{off: make([]int32, nt+1)}
+	for sid := lo; sid < hi; sid++ {
+		if s := token.StringID(sid); src.live(s) {
+			for _, tid := range pf.Prefix(s) {
+				p.off[tid+1]++
+			}
+		}
+	}
+	for t := 1; t <= nt; t++ {
+		p.off[t] += p.off[t-1]
+	}
+	p.ids = make([]token.StringID, p.off[nt])
+	// off[t] is token t's fill cursor: once every posting is placed it
+	// has advanced to where token t+1 starts, and one shift restores it.
+	for sid := lo; sid < hi; sid++ {
+		if s := token.StringID(sid); src.live(s) {
+			for _, tid := range pf.Prefix(s) {
+				p.ids[p.off[tid]] = s
+				p.off[tid]++
+			}
+		}
+	}
+	copy(p.off[1:], p.off[:nt])
+	p.off[0] = 0
+	return p
+}
+
+func (p *postings) list(t token.TokenID) []token.StringID {
+	return p.ids[p.off[t]:p.off[t+1]]
 }
 
 // dedupVerify runs the final de-duplicate + filter + verify job on a raw
