@@ -129,7 +129,7 @@ func BenchmarkNSLDExact(b *testing.B) {
 	}
 }
 
-func BenchmarkNSLDGreedy(b *testing.B) {
+func BenchmarkSLDGreedy(b *testing.B) {
 	x := Tokenize("barak hussein obama jr")
 	y := Tokenize("obamma boraak h jr")
 	b.ReportAllocs()
@@ -241,7 +241,8 @@ func BenchmarkAblationBandedLD(b *testing.B) {
 	})
 	b.Run("banded-tau2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			strdist.LevenshteinBounded(x, y, 2)
+			var row []uint16 // allocate per call, as the full leg does
+			strdist.LevenshteinBoundedScratchU16(x, y, 2, &row)
 		}
 	})
 }

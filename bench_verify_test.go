@@ -84,16 +84,16 @@ func BenchmarkSLD(b *testing.B) {
 	}
 }
 
-// BenchmarkSLDBounded is the same pair under the budget a T=0.1 join
-// would impose: the row-minima bound rejects it long before the
+// BenchmarkSLDBudget is the same pair under the budget a T=0.1 join
+// imposes: the signature pre-pass rejects it before any DP cell or the
 // Hungarian runs, with zero allocations.
-func BenchmarkSLDBounded(b *testing.B) {
+func BenchmarkSLDBudget(b *testing.B) {
 	x := Tokenize("barak hussein obama jr")
 	y := Tokenize("vladimir vladimirovich putin sr")
-	max := core.MaxSLDWithin(0.1, x.AggregateLen(), y.AggregateLen())
 	var v core.Verifier
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.SLDBounded(x, y, max)
+		v.Verify(x, y, 0.1)
 	}
 }

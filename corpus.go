@@ -146,10 +146,13 @@ func (c *Corpus) SelfJoinStats(opts Options) ([]Pair, *Stats, error) {
 
 // Join performs a bipartite join of names against the corpus's live
 // strings: every returned Pair has A = a corpus id and B = an index
-// into names with NSLD(corpus[A], names[B]) <= opts.Threshold. The
-// corpus side's token frequencies are read from the corpus instead of
-// counted; results are exactly what the package-level Join on (live
-// corpus strings, names) returns.
+// into names with NSLD(corpus[A], names[B]) <= opts.Threshold. Names
+// are tokenized with opts.Tokenizer, or, when it is nil, with the
+// corpus's own (CorpusOptions.Tokenizer), so a probe tokenizes as Add
+// would have stored it. The corpus side's token frequencies are read
+// from the corpus instead of counted; results are exactly what the
+// package-level Join on (live corpus strings, names) returns with
+// Options.Tokenizer set to the corpus's tokenizer.
 func (c *Corpus) Join(names []string, opts Options) ([]Pair, error) {
 	pairs, _, err := c.JoinStats(names, opts)
 	return pairs, err
@@ -159,7 +162,7 @@ func (c *Corpus) Join(names []string, opts Options) ([]Pair, error) {
 func (c *Corpus) JoinStats(names []string, opts Options) ([]Pair, *Stats, error) {
 	tok := opts.Tokenizer
 	if tok == nil {
-		tok = token.WhitespaceAndPunct
+		tok = c.c.Tokenizer()
 	}
 	probes := make([]TokenizedString, len(names))
 	for i, s := range names {

@@ -3,6 +3,8 @@ package tsjoin
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/token"
 )
 
 // TestOpenCorpusJoinAndRestart drives the public persistent-corpus API
@@ -86,6 +88,39 @@ func TestOpenCorpusJoinAndRestart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(loose, again) {
 		t.Fatal("reopened corpus joins differently")
+	}
+}
+
+// TestCorpusJoinUsesCorpusTokenizer: with Options.Tokenizer nil, Join
+// tokenizes its probes with the corpus's tokenizer, as Add tokenized the
+// stored strings. Under a case-sensitive tokenizer a probe folded to
+// lower case would miss its own stored copy at T = 0.
+func TestCorpusJoinUsesCorpusTokenizer(t *testing.T) {
+	c, err := OpenCorpus(t.TempDir(), CorpusOptions{Tokenizer: token.CaseSensitivePunct, DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, n := range []string{"Barak Obama", "barak obama"} {
+		if _, err := c.Add(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.Join([]string{"Barak Obama"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Pair{{A: 0, B: 0}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Join at T=0 = %+v, want %+v", got, want)
+	}
+	// An explicit tokenizer still wins: folded, the probe is the second
+	// stored string.
+	got, err = c.Join([]string{"Barak Obama"}, Options{Tokenizer: Tokenize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Pair{{A: 1, B: 0}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Join with Tokenize at T=0 = %+v, want %+v", got, want)
 	}
 }
 

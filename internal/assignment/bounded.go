@@ -1,7 +1,7 @@
 // Budget-aware flat solvers: the same Hungarian and greedy matchings as
 // hungarian.go, but over caller-flattened row-major matrices, with every
-// working array owned by a reusable Scratch and an optional cost budget
-// that aborts the solve as soon as the answer is provably "too expensive".
+// working array owned by a reusable Scratch and a cost budget that aborts
+// the solve as soon as the answer is provably "too expensive".
 //
 // The budget soundness argument: after the Hungarian algorithm augments
 // row i, the current partial matching is a minimum-cost matching of rows
@@ -56,10 +56,10 @@ func (s *Scratch) grow(n int) {
 }
 
 // HungarianFlat returns the minimum-cost perfect matching total of the
-// n x n row-major matrix cost, bounded by budget max: if max >= 0 and the
-// optimum exceeds max, it returns (lower bound > max, false, early) where
-// early reports whether the solve was abandoned before all rows were
-// assigned. max < 0 solves unbounded (ok is always true).
+// n x n row-major matrix cost, bounded by budget max: if the optimum
+// exceeds max, it returns (lower bound > max, false, early) where early
+// reports whether the solve was abandoned before all rows were assigned.
+// A budget no smaller than the sum of all cells cannot bind.
 //
 // The solver is the same potential-based shortest-augmenting-path
 // formulation as Hungarian, made allocation-free by the Scratch and
@@ -68,7 +68,7 @@ func (s *Scratch) grow(n int) {
 // comment above).
 func (s *Scratch) HungarianFlat(cost []int, n, max int) (total int, ok, early bool) {
 	if n == 0 {
-		return 0, max < 0 || 0 <= max, false
+		return 0, 0 <= max, false
 	}
 	s.grow(n)
 	u, v, p, way, minv, used := s.u, s.v, s.p, s.way, s.minv, s.used
@@ -120,25 +120,19 @@ func (s *Scratch) HungarianFlat(cost []int, n, max int) (total int, ok, early bo
 				break
 			}
 		}
-		if max >= 0 {
-			// Partial-matching cost after augmenting i rows: a lower
-			// bound on the full optimum, monotone in i.
-			partial := 0
-			for j := 1; j <= n; j++ {
-				if p[j] > 0 {
-					partial += cost[(p[j]-1)*n+(j-1)]
-				}
-			}
-			if partial > max {
-				return partial, false, i < n
+		// Partial-matching cost after augmenting i rows: a lower bound
+		// on the full optimum, monotone in i, and the optimum at i = n.
+		total = 0
+		for j := 1; j <= n; j++ {
+			if p[j] > 0 {
+				total += cost[(p[j]-1)*n+(j-1)]
 			}
 		}
+		if total > max {
+			return total, false, i < n
+		}
 	}
-	total = 0
-	for j := 1; j <= n; j++ {
-		total += cost[(p[j]-1)*n+(j-1)]
-	}
-	return total, max < 0 || total <= max, false
+	return total, true, false
 }
 
 // GreedyFlat returns the greedy matching total of the n x n row-major
@@ -155,10 +149,10 @@ func (s *Scratch) HungarianFlat(cost []int, n, max int) (total int, ok, early bo
 //
 // Note the budget compares against the greedy total, an upper bound on
 // the true SLD, preserving the greedy aligner's one-sided error: bounded
-// greedy accepts exactly the pairs unbounded greedy accepts.
+// greedy accepts exactly the pairs whose greedy total is within max.
 func (s *Scratch) GreedyFlat(cost []int, n, max int) (total int, ok, early bool) {
 	if n == 0 {
-		return 0, max < 0 || 0 <= max, false
+		return 0, 0 <= max, false
 	}
 	if cap(s.edges) < n*n {
 		s.edges = make([]uint64, 0, 2*n*n)
@@ -190,7 +184,7 @@ func (s *Scratch) GreedyFlat(cost []int, n, max int) (total int, ok, early bool)
 		s.colTaken[c] = true
 		total += int(e >> 32)
 		matched++
-		if max >= 0 && total > max {
+		if total > max {
 			return total, false, matched < n
 		}
 		if matched == n {

@@ -14,8 +14,8 @@ func flatten(cost [][]int) []int {
 	return flat
 }
 
-// TestBoundedEquivalenceHungarian: for random matrices and every budget,
-// HungarianFlat agrees with Hungarian whenever the optimum is within
+// TestBoundedEquivalenceHungarian: for random matrices and every budget
+// (a negative one included), HungarianFlat agrees with Hungarian whenever the optimum is within
 // budget — same total — and correctly reports exceeded otherwise.
 func TestBoundedEquivalenceHungarian(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -26,7 +26,7 @@ func TestBoundedEquivalenceHungarian(t *testing.T) {
 		_, want := Hungarian(cost)
 		for max := -1; max <= want+3; max++ {
 			got, ok, _ := s.HungarianFlat(flatten(cost), n, max)
-			if max < 0 || want <= max {
+			if want <= max {
 				if !ok || got != want {
 					t.Fatalf("n=%d max=%d: got (%d,%v), want (%d,true)", n, max, got, ok, want)
 				}
@@ -50,7 +50,7 @@ func TestBoundedEquivalenceGreedy(t *testing.T) {
 		_, want := Greedy(cost)
 		for max := -1; max <= want+3; max++ {
 			got, ok, _ := s.GreedyFlat(flatten(cost), n, max)
-			if max < 0 || want <= max {
+			if want <= max {
 				if !ok || got != want {
 					t.Fatalf("n=%d max=%d: got (%d,%v), want (%d,true)", n, max, got, ok, want)
 				}
@@ -72,13 +72,17 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		n := 1 + r.Intn(9)
 		cost := randMatrix(r, n, 12)
 		flat := flatten(cost)
+		unbound := 0 // no matching costs more than every cell together
+		for _, c := range flat {
+			unbound += c
+		}
 		_, want := Hungarian(cost)
-		got, ok, _ := s.HungarianFlat(flat, n, -1)
+		got, ok, _ := s.HungarianFlat(flat, n, unbound)
 		if !ok || got != want {
 			t.Fatalf("iter=%d n=%d: HungarianFlat got (%d,%v), want (%d,true)", iter, n, got, ok, want)
 		}
 		_, wantG := Greedy(cost)
-		gotG, okG, _ := s.GreedyFlat(flat, n, -1)
+		gotG, okG, _ := s.GreedyFlat(flat, n, unbound)
 		if !okG || gotG != wantG {
 			t.Fatalf("iter=%d n=%d: GreedyFlat got (%d,%v), want (%d,true)", iter, n, gotG, okG, wantG)
 		}

@@ -63,8 +63,10 @@ func overlap(x, y token.TokenizedString) (shared, emptyResidue bool) {
 // uncancelled one. Strings are multisets over a pool of 3-5 tokens, so
 // most pairs share most of their tokens and many leave an empty residue.
 // Under Hungarian and greedy alignment:
-//   - unbounded SLDBounded equals core.SLD / core.SLDGreedy, which build
-//     the full matrix, and every bounded SLDBounded around it agrees;
+//   - under a budget that cannot bind (T = 2 gives L(x)+L(y)), Verify's
+//     SLD equals core.SLD / core.SLDGreedy, which build the full matrix,
+//     and every integer budget 0..SLD+1 agrees with it: an accepted pair
+//     reports the exact SLD, a rejected one a value above the budget;
 //   - over a dense T grid, Within and an accepted SLD equal the nsldtest
 //     oracle's;
 //   - BuildCorpus strings (stored signatures) and token.New strings give
@@ -113,13 +115,13 @@ func TestSharedTokenCancelEquivalence(t *testing.T) {
 				sv := core.Verifier{Greedy: greedy}
 				for _, y := range ys {
 					want := ref(x, *y)
-					if got, ok := sv.SLDBounded(x, *y, -1); !ok || got != want {
-						t.Fatalf("greedy=%v %v | %v: unbounded SLD %d (ok %v), full matrix %d", greedy, x.Tokens, y.Tokens, got, ok, want)
+					if got, ok, _ := sv.Verify(x, *y, 2); !ok || got != want {
+						t.Fatalf("greedy=%v %v | %v: SLD %d (ok %v) under a budget that cannot bind, full matrix %d", greedy, x.Tokens, y.Tokens, got, ok, want)
 					}
 					for max := 0; max <= want+1; max++ {
-						got, ok := sv.SLDBounded(x, *y, max)
+						got, ok, _ := sv.VerifyBudget(x, *y, max)
 						if ok != (want <= max) || ok && got != want || !ok && got <= max {
-							t.Fatalf("greedy=%v %v | %v: SLDBounded(%d) = (%d, %v), full matrix %d", greedy, x.Tokens, y.Tokens, max, got, ok, want)
+							t.Fatalf("greedy=%v %v | %v: budget %d gives (%d, %v), full matrix %d", greedy, x.Tokens, y.Tokens, max, got, ok, want)
 						}
 					}
 				}

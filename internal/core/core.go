@@ -93,7 +93,8 @@ func SLD(x, y token.TokenizedString) int {
 // (Sec. III-G.5): edge weights are exact token LDs, but the matching picks
 // the globally cheapest edge repeatedly instead of solving the assignment
 // problem. SLDGreedy(x, y) >= SLD(x, y) always; equality holds whenever the
-// greedy matching happens to be optimal.
+// greedy matching happens to be optimal. Thresholded joins on it can
+// therefore only produce false negatives (precision stays 1.0, Sec. V-B.2).
 func SLDGreedy(x, y token.TokenizedString) int {
 	if x.Count() == 0 {
 		return y.AggregateLen()
@@ -116,13 +117,6 @@ func NSLDFromSLD(sld, aggLenX, aggLenY int) float64 {
 // NSLD returns the exact Normalized Setwise Levenshtein Distance.
 func NSLD(x, y token.TokenizedString) float64 {
 	return NSLDFromSLD(SLD(x, y), x.AggregateLen(), y.AggregateLen())
-}
-
-// NSLDGreedy returns the greedy-token-aligning approximation of NSLD. It
-// never underestimates NSLD, so using it for thresholded joins can only
-// produce false negatives (precision stays 1.0, Sec. V-B.2).
-func NSLDGreedy(x, y token.TokenizedString) float64 {
-	return NSLDFromSLD(SLDGreedy(x, y), x.AggregateLen(), y.AggregateLen())
 }
 
 // WithinNSLD reports whether a pair with setwise distance sld and aggregate

@@ -219,7 +219,7 @@ func TestGreedyNeverUnderestimates(t *testing.T) {
 		if greedy < exact {
 			t.Fatalf("greedy %d < exact %d for %v | %v", greedy, exact, x, y)
 		}
-		if NSLDGreedy(x, y) < NSLD(x, y)-1e-12 {
+		if NSLDFromSLD(greedy, x.AggregateLen(), y.AggregateLen()) < NSLD(x, y)-1e-12 {
 			t.Fatalf("greedy NSLD underestimates for %v | %v", x, y)
 		}
 	}

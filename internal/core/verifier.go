@@ -45,8 +45,8 @@ func MaxSLDWithin(t float64, la, lb int) int {
 //
 //  1. the signature pre-pass (sigPrune) bounds each row's minimum cell
 //     from one 64-bit character signature per token, touching no DP cell
-//     (BuildCorpus computes those signatures once per distinct token at
-//     build time, and sigsOf reads them);
+//     (every TokenizedString stores them: BuildCorpus signs each distinct
+//     token once, token.New each token once);
 //  2. shared-token cancellation (cancelShared) removes the multiset
 //     intersection of the two sorted token lists, which an optimal — and
 //     the greedy — alignment pairs at cost 0 (see the package comment); a
@@ -67,8 +67,7 @@ func MaxSLDWithin(t float64, la, lb int) int {
 // the same with and without it. Only the lower-bound value reported for a
 // pruned pair differs. Step 1 runs over the full token lists, before
 // step 2: it rejects almost every candidate, so merging first would spend
-// a merge on pairs the signatures alone decide. Unbounded verification
-// (max < 0) has no budget and skips it.
+// a merge on pairs the signatures alone decide.
 //
 // Each pair is verified on its own, where its engine admits it: after
 // step 2 a surviving pair leaves one to three residue rows, too little
@@ -96,12 +95,11 @@ type Verifier struct {
 	// stats and resets it.
 	SigPruned int64
 
-	cost       []int    // flattened k x k cost matrix
-	levRow     []uint16 // Levenshtein DP row (token lengths fit uint16)
-	xsig, ysig []int    // signature scratch for sides that store none (sigsOf)
-	resid      [][]rune // residue rune views of the pair in verify (cancelShared)
-	scratch    assignment.Scratch
-	staged     int64 // pairs StageBatch decided since the last FlushBatch
+	cost    []int    // flattened k x k cost matrix
+	levRow  []uint16 // Levenshtein DP row (token lengths fit uint16)
+	resid   [][]rune // residue rune views of the pair in verify (cancelShared)
+	scratch assignment.Scratch
+	staged  int64 // pairs StageBatch decided since the last FlushBatch
 }
 
 // Verify decides NSLD(x, y) <= t with the threshold-derived budget.
@@ -111,40 +109,29 @@ type Verifier struct {
 // completed) by the budget.
 func (v *Verifier) Verify(x, y token.TokenizedString, t float64) (sld int, within, pruned bool) {
 	if t < 0 {
-		// No sld satisfies WithinNSLD; don't let MaxSLDWithin's -1 read
-		// as "unbounded" in verify.
+		// No sld satisfies WithinNSLD: every pair is pruned unverified.
 		return 0, false, true
 	}
 	return v.verify(x, y, MaxSLDWithin(t, x.AggregateLen(), y.AggregateLen()))
 }
 
-// SLDBounded returns SLD(x, y) and true if it is at most max; otherwise
-// it returns a value exceeding max and false. max < 0 computes the exact
-// SLD unbounded (always true).
-func (v *Verifier) SLDBounded(x, y token.TokenizedString, max int) (int, bool) {
-	sld, ok, _ := v.verify(x, y, max)
-	return sld, ok
-}
-
-// verify runs the budgeted pipeline: trivial sides, the signature
-// pre-pass, shared-token cancellation, matrix construction over the
-// residues with the row-minima abort, then the budget-aware alignment.
-// max < 0 means unbounded.
+// verify runs the budgeted pipeline under a non-negative SLD budget max:
+// trivial sides, the signature pre-pass, shared-token cancellation,
+// matrix construction over the residues with the row-minima abort, then
+// the budget-aware alignment. A budget of x.AggregateLen()+y.AggregateLen()
+// or more never binds (no SLD exceeds it).
 func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within, pruned bool) {
 	if x.Count() == 0 {
 		d := y.AggregateLen()
-		return d, max < 0 || d <= max, false
+		return d, d <= max, false
 	}
 	if y.Count() == 0 {
 		d := x.AggregateLen()
-		return d, max < 0 || d <= max, false
+		return d, d <= max, false
 	}
-	if max >= 0 {
-		xs, ys := sigsOf(&v.xsig, &x), sigsOf(&v.ysig, &y)
-		if lower, dead := sigPrune(x.RuneSlices(), y.RuneSlices(), xs, ys, max); dead {
-			v.SigPruned++
-			return lower, false, true
-		}
+	if lower, dead := sigPrune(x.RuneSlices(), y.RuneSlices(), x.Sigs(), y.Sigs(), max); dead {
+		v.SigPruned++
+		return lower, false, true
 	}
 	var xr, yr [][]rune
 	v.resid, xr, yr = cancelShared(v.resid[:0], &x, &y)
@@ -209,7 +196,7 @@ func cancelShared(buf [][]rune, x, y *token.TokenizedString) (grown, xr, yr [][]
 
 // residueOnly resolves a pair whose residue is empty on at least one side:
 // every remaining token of the other side aligns with ε, so the SLD is its
-// aggregate length. No alignment runs, so a pair over a budget max >= 0 is
+// aggregate length. No alignment runs, so a pair over the budget is
 // reported pruned: every pair the pre-pass kills stays one the later steps
 // report pruned (see Verifier).
 func residueOnly(xr, yr [][]rune, max int) (sld int, within, pruned bool) {
@@ -219,31 +206,8 @@ func residueOnly(xr, yr [][]rune, max int) (sld int, within, pruned bool) {
 	for _, r := range yr {
 		sld += len(r)
 	}
-	within = max < 0 || sld <= max
+	within = sld <= max
 	return sld, within, !within
-}
-
-// sigsOf returns the character signature of each token of ts: the ones
-// BuildCorpus stored once per distinct token, or, for a string that
-// carries none (token.New's, or one assembled by hand), the same values
-// computed into *scratch. The stored slice is read-only; only *scratch is
-// ever written.
-func sigsOf(scratch *[]int, ts *token.TokenizedString) []int {
-	if s := ts.Sigs(); s != nil {
-		return s
-	}
-	*scratch = tokenSigs(*scratch, ts.RuneSlices())
-	return *scratch
-}
-
-// tokenSigs returns the character signature of each token of rs, in buf's
-// storage, as the int bit pattern token.TokenizedString.Sigs stores.
-func tokenSigs(buf []int, rs [][]rune) []int {
-	buf = buf[:0]
-	for _, r := range rs {
-		buf = append(buf, int(strdist.Sig(r)))
-	}
-	return buf
 }
 
 // sigPrune is the signature pre-pass verify runs before it touches a DP
@@ -254,10 +218,10 @@ func tokenSigs(buf []int, rs [][]rune) []int {
 // the budget b. Its partial sums never exceed buildCost's over the same
 // rows of the full matrix, and cancelling shared tokens only raises that
 // row-minima sum, so dead here implies the residues' pruned verdict. xs
-// and ys are the sides' signatures from sigsOf, which for BuildCorpus
-// strings were computed once per distinct token at build time, not per
-// pair; uint64(uint(s)) recovers a signature without sign extension, so a
-// platform whose int truncates them only weakens the bound.
+// and ys are the sides' stored signatures (token.TokenizedString.Sigs),
+// taken when the strings were built, never per pair; uint64(uint(s))
+// recovers a signature without sign extension, so a platform whose int
+// truncates them only weakens the bound.
 func sigPrune(xr, yr [][]rune, xs, ys []int, b int) (lower int, dead bool) {
 	m, n := len(xr), len(yr)
 	cap1 := b + 1
@@ -310,7 +274,7 @@ func (v *Verifier) buildCost(xr, yr [][]rune, max int) (k, lower int, ok bool) {
 			var c int
 			switch {
 			case i < m && j < n:
-				c = v.tokenLD(xr[i], yr[j], max)
+				c, _ = strdist.LevenshteinBoundedScratchU16(xr[i], yr[j], max, &v.levRow)
 			case i < m:
 				c = len(xr[i]) // delete whole token into ε
 			case j < n:
@@ -318,7 +282,7 @@ func (v *Verifier) buildCost(xr, yr [][]rune, max int) (k, lower int, ok bool) {
 			default:
 				c = 0 // ε matched to ε
 			}
-			if max >= 0 && c > cap1 {
+			if c > cap1 {
 				c = cap1
 			}
 			row[j] = c
@@ -327,19 +291,9 @@ func (v *Verifier) buildCost(xr, yr [][]rune, max int) (k, lower int, ok bool) {
 			}
 		}
 		rowMinSum += rowMin
-		if max >= 0 && rowMinSum > max {
+		if rowMinSum > max {
 			return k, rowMinSum, false
 		}
 	}
 	return k, rowMinSum, true
-}
-
-// tokenLD returns the (budget-capped when max >= 0) Levenshtein distance
-// between two tokens.
-func (v *Verifier) tokenLD(xr, yr []rune, max int) int {
-	if max < 0 {
-		return strdist.LevenshteinRunesScratchU16(xr, yr, &v.levRow)
-	}
-	d, _ := strdist.LevenshteinBoundedScratchU16(xr, yr, max, &v.levRow)
-	return d
 }

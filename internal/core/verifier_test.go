@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,26 +10,52 @@ import (
 )
 
 // TestBoundedEquivalenceSLD: for random token multisets and every budget
-// around the true value, SLDBounded agrees with SLD whenever the true
-// value is within budget and correctly reports exceeded otherwise.
+// around the true value, plus one that cannot bind (the sum of the
+// aggregate lengths), the budgeted verify agrees with SLD (SLDGreedy under
+// Greedy) whenever the true value is within budget and correctly reports
+// exceeded otherwise. A second family draws multisets from a pool of four
+// tokens, so shared-token cancellation leaves small or empty residues.
 func TestBoundedEquivalenceSLD(t *testing.T) {
-	var v Verifier
-	f := func(a, b genTS) bool {
-		want := SLD(a.TS, b.TS)
-		for max := -1; max <= want+2; max++ {
-			got, ok := v.SLDBounded(a.TS, b.TS, max)
-			if max < 0 || want <= max {
-				if !ok || got != want {
+	var exact, greedy Verifier
+	greedy.Greedy = true
+	check := func(x, y token.TokenizedString) bool {
+		for _, c := range []struct {
+			v    *Verifier
+			want int
+		}{{&exact, SLD(x, y)}, {&greedy, SLDGreedy(x, y)}} {
+			budgets := []int{x.AggregateLen() + y.AggregateLen()}
+			for max := 0; max <= c.want+2; max++ {
+				budgets = append(budgets, max)
+			}
+			for _, max := range budgets {
+				got, ok, _ := c.v.verify(x, y, max)
+				if c.want <= max {
+					if !ok || got != c.want {
+						return false
+					}
+				} else if ok || got <= max {
 					return false
 				}
-			} else if ok || got <= max {
-				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, quickCfg()); err != nil {
+	if err := quick.Check(func(a, b genTS) bool { return check(a.TS, b.TS) }, quickCfg()); err != nil {
 		t.Error(err)
+	}
+	rng := rand.New(rand.NewSource(3031))
+	pool := []string{"ab", "abc", "bca", "d"}
+	draw := func() token.TokenizedString {
+		toks := make([]string, rng.Intn(7))
+		for i := range toks {
+			toks[i] = pool[rng.Intn(len(pool))]
+		}
+		return token.New(toks)
+	}
+	for i := 0; i < 2000; i++ {
+		if x, y := draw(), draw(); !check(x, y) {
+			t.Fatalf("%v | %v: budgeted verify disagrees with the full matrix", x.Tokens, y.Tokens)
+		}
 	}
 }
 
@@ -207,7 +234,7 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 						continue // trivial sides never reach the pre-pass
 					}
 					xr, yr := x.RuneSlices(), y.RuneSlices()
-					lower, isDead := sigPrune(xr, yr, tokenSigs(nil, xr), tokenSigs(nil, yr), b)
+					lower, isDead := sigPrune(xr, yr, x.Sigs(), y.Sigs(), b)
 					if !isDead {
 						alive++
 						continue
@@ -238,28 +265,27 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 	}
 }
 
-// TestStoredSigEquivalence: the signature pre-pass reads the signatures
-// BuildCorpus stored where a string has them and computes them where it
-// has none, and the two are the same pass. The same pairs verify as
-// corpus strings (stored), as token.New strings (computed) and mixed
-// (stored probe, computed candidates): every verdict — the lower bound
-// reported for a pruned pair included — and the SigPruned count equal the
-// stored side's.
+// TestStoredSigEquivalence: token.New signs each token as BuildCorpus
+// signs each distinct token, so the signature pre-pass reads the same
+// words either way. The same pairs verify as corpus strings, as token.New
+// strings and mixed (corpus probe, New candidates): every verdict — the
+// lower bound reported for a pruned pair included — and the SigPruned
+// count equal the corpus side's.
 func TestStoredSigEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	computed := make([]token.TokenizedString, 300)
-	for i := range computed {
-		computed[i] = spicedTS(rng)
+	news := make([]token.TokenizedString, 300)
+	for i := range news {
+		news[i] = spicedTS(rng)
 	}
-	stored := token.BuildCorpusFromTokenized(computed).Strings
-	for i := range stored {
-		if len(stored[i].Sigs()) != stored[i].Count() || computed[i].Sigs() != nil {
-			t.Fatalf("string %d: %d stored signatures for %d tokens, New stored %d",
-				i, len(stored[i].Sigs()), stored[i].Count(), len(computed[i].Sigs()))
+	built := token.BuildCorpusFromTokenized(news).Strings
+	for i := range built {
+		if !slices.Equal(built[i].Sigs(), news[i].Sigs()) || len(news[i].Sigs()) != news[i].Count() {
+			t.Fatalf("string %d (%d tokens): BuildCorpus signatures %x, New signatures %x",
+				i, news[i].Count(), built[i].Sigs(), news[i].Sigs())
 		}
 	}
 	sides := [3]struct{ xs, ys []token.TokenizedString }{
-		{stored, stored}, {computed, computed}, {stored, computed},
+		{built, built}, {news, news}, {built, news},
 	}
 	type verdict struct {
 		sld            int
@@ -267,23 +293,23 @@ func TestStoredSigEquivalence(t *testing.T) {
 	}
 	for _, th := range []float64{0.1, 0.3, 0.5} {
 		var vs [3]Verifier
-		for p := range computed {
-			for _, i := range rng.Perm(len(computed))[:1+rng.Intn(20)] {
+		for p := range news {
+			for _, i := range rng.Perm(len(news))[:1+rng.Intn(20)] {
 				var want verdict
 				for s, side := range sides {
 					sld, within, pruned := vs[s].Verify(side.xs[p], side.ys[i], th)
 					if got := (verdict{sld, within, pruned}); s == 0 {
 						want = got
 					} else if got != want {
-						t.Fatalf("t=%.1f side %d %q | %q: %+v, stored signatures %+v",
-							th, s, computed[p].Tokens, computed[i].Tokens, got, want)
+						t.Fatalf("t=%.1f side %d %q | %q: %+v, corpus strings %+v",
+							th, s, news[p].Tokens, news[i].Tokens, got, want)
 					}
 				}
 			}
 		}
 		for s := range sides {
 			if vs[s].SigPruned != vs[0].SigPruned {
-				t.Fatalf("t=%.1f side %d: SigPruned %d, stored signatures %d", th, s, vs[s].SigPruned, vs[0].SigPruned)
+				t.Fatalf("t=%.1f side %d: SigPruned %d, corpus strings %d", th, s, vs[s].SigPruned, vs[0].SigPruned)
 			}
 		}
 		if vs[0].SigPruned == 0 {

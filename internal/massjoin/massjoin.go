@@ -70,7 +70,7 @@ func fingerprint(indexLen, probeLen, seg int, chunk []rune) uint64 {
 
 // rows recycles Job 2's Levenshtein DP rows: the job's reducers run
 // concurrently, one verified token pair per call.
-var rows = sync.Pool{New: func() any { return new([]int) }}
+var rows = sync.Pool{New: func() any { return new([]uint16) }}
 
 // A Job-1 intermediate value is a token id on one side, packed as
 // id<<1 | side.
@@ -211,8 +211,8 @@ func run(r, p [][]rune, t float64, cfg Config, selfJoin bool) ([]passjoin.Pair, 
 			if strdist.SigLowerBound(sigs[a], sigs[b], len(x), len(y)) > tau {
 				return
 			}
-			row := rows.Get().(*[]int)
-			d, ok := strdist.LevenshteinBoundedScratch(x, y, tau, row)
+			row := rows.Get().(*[]uint16)
+			d, ok := strdist.LevenshteinBoundedScratchU16(x, y, tau, row)
 			rows.Put(row)
 			if !ok || !strdist.WithinNLD(d, len(x), len(y), t) {
 				return

@@ -21,9 +21,6 @@ import (
 // a partial wipe-and-reseed, not any prefix of the primary's history.
 var ErrSyncing = errors.New("replica: standby is mid-resync and cannot be promoted")
 
-// ErrSealed rejects replication traffic after promotion.
-var ErrSealed = errors.New("replica: standby is sealed (promoted)")
-
 // StandbyOptions configures the applier side.
 type StandbyOptions struct {
 	// Primary is the primary's base URL; Advertise is this node's base

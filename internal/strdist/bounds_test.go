@@ -117,12 +117,13 @@ func TestMinLenWithinLemma9(t *testing.T) {
 // decides every pair exactly as the unbanded distance does.
 func TestWithinNLDConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	var row []uint16
 	for i := 0; i < 2000; i++ {
 		a, b := randomRunes(rng, 12), randomRunes(rng, 12)
 		d := LevenshteinRunes(a, b)
 		for _, th := range []float64{0.05, 0.1, 0.2} {
 			exact := WithinNLD(d, len(a), len(b), th)
-			ld, ok := LevenshteinBounded(a, b, MaxLDWithin(th, len(a), len(b)))
+			ld, ok := LevenshteinBoundedScratchU16(a, b, MaxLDWithin(th, len(a), len(b)), &row)
 			if got := ok && WithinNLD(ld, len(a), len(b), th); got != exact {
 				t.Fatalf("banded check (%q,%q,%v)=%v disagrees with exact form %v (NLD=%v)",
 					string(a), string(b), th, got, exact, NLDRunes(a, b))

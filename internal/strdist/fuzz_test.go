@@ -13,12 +13,12 @@ func clampRunes(s string, max int) []rune {
 	return r
 }
 
-// FuzzLevenshteinBoundedU16 cross-checks the banded uint16 verifier
-// core — the DP the batch kernel's scalar spill path and the bounded
-// verifier both run per token pair — against the exact full-matrix
+// FuzzLevenshteinBoundedU16 cross-checks the one banded Levenshtein DP —
+// the body MassJoin's verify reducer and the verifier's token cost matrix
+// run per token pair — at both row widths against the exact full-matrix
 // oracle on arbitrary rune pairs and budgets: within budget the bounded
 // distance must equal the exact one, over budget it must report
-// (max+1, false), and the reused scratch row must not leak state
+// (max+1, false), and the reused scratch rows must not leak state
 // between calls. The checked-in seeds double as a regression corpus in
 // plain `go test`; CI additionally runs a bounded `-fuzz` exploration.
 func FuzzLevenshteinBoundedU16(f *testing.F) {
@@ -33,36 +33,15 @@ func FuzzLevenshteinBoundedU16(f *testing.F) {
 		br := clampRunes(b, 48)
 		max := int(maxSeed % 96)
 		if maxSeed%97 == 0 {
-			max = int(maxSeed) // exercise the wide-budget int fallback
+			max = int(maxSeed) // a budget far past any distance
 		}
 		exact := LevenshteinRunes(ar, br)
-
-		var row []uint16
-		d, ok := LevenshteinBoundedScratchU16(ar, br, max, &row)
-		if exact <= max {
-			if !ok || d != exact {
-				t.Fatalf("U16(%q, %q, %d) = (%d, %v), want (%d, true)", a, b, max, d, ok, exact)
-			}
-		} else if ok || d != max+1 {
-			t.Fatalf("U16(%q, %q, %d) = (%d, %v), want (%d, false); exact %d", a, b, max, d, ok, max+1, exact)
-		}
-
-		// The scratch row is reused dirty across pairs in production;
-		// a second call over the same row must agree with the first.
-		d2, ok2 := LevenshteinBoundedScratchU16(ar, br, max, &row)
-		if d2 != d || ok2 != ok {
-			t.Fatalf("dirty-row rerun (%d, %v) != first (%d, %v) on (%q, %q, %d)", d2, ok2, d, ok, a, b, max)
-		}
-
-		// The int-row variant and the allocating wrapper share the
-		// contract; all three must agree verdict for verdict.
-		var irow []int
-		di, oki := LevenshteinBoundedScratch(ar, br, max, &irow)
-		db, okb := LevenshteinBounded(ar, br, max)
-		if di != d || oki != ok || db != d || okb != ok {
-			t.Fatalf("bounded variants disagree on (%q, %q, %d): u16 (%d, %v), int (%d, %v), alloc (%d, %v)",
-				a, b, max, d, ok, di, oki, db, okb)
-		}
+		var rowU []uint16
+		var rowI []int
+		checkBanded(t, ar, br, max, exact, &rowU, &rowI)
+		// The scratch rows are reused dirty across pairs in production;
+		// a second call over the same rows must agree with the first.
+		checkBanded(t, ar, br, max, exact, &rowU, &rowI)
 	})
 }
 

@@ -11,24 +11,36 @@ func Levenshtein(a, b string) int {
 //
 // The implementation is the classic two-row dynamic program over the
 // (len(a)+1) x (len(b)+1) edit matrix, O(len(a)*len(b)) time and
-// O(min(len(a),len(b))) space. Allocation-free callers thread their own DP
-// row through LevenshteinRunesScratch.
+// O(min(len(a),len(b))) space. It is the unbounded reference; every
+// threshold-decided caller runs the banded LevenshteinBoundedScratchU16.
 func LevenshteinRunes(a, b []rune) int {
-	var row []int
-	return LevenshteinRunesScratch(a, b, &row)
-}
-
-// LevenshteinBounded returns LD(a, b) if it is at most max, and reports
-// whether it was. When the distance exceeds max it returns max+1, false.
-// A negative max always reports false.
-//
-// The implementation is the standard banded (Ukkonen) dynamic program that
-// only fills the diagonal band of half-width max, O(max*min(len(a),len(b)))
-// time. This is the verifier used by PassJoin, MassJoin and the TSJ
-// filters, where max is derived from the NLD threshold via Lemma 8.
-// Allocation-free callers thread their own DP row through
-// LevenshteinBoundedScratch.
-func LevenshteinBounded(a, b []rune, max int) (int, bool) {
-	var row []int
-	return LevenshteinBoundedScratch(a, b, max, &row)
+	// Keep the row as short as possible.
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	r := make([]int, len(b)+1)
+	for j := range r {
+		r[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		prev := r[0] // row[i-1][0]
+		r[0] = i
+		for j := 1; j <= len(b); j++ {
+			cur := r[j] // row[i-1][j]
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			best := prev + cost            // substitution / match
+			if d := r[j-1] + 1; d < best { // insertion
+				best = d
+			}
+			if d := cur + 1; d < best { // deletion
+				best = d
+			}
+			prev = cur
+			r[j] = best
+		}
+	}
+	return r[len(b)]
 }

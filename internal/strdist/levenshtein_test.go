@@ -87,28 +87,30 @@ func TestLevenshteinMatchesReference(t *testing.T) {
 
 func TestLevenshteinBoundedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var row []uint16
 	for i := 0; i < 4000; i++ {
 		a, b := randomRunes(rng, 14), randomRunes(rng, 14)
 		want := refLevenshtein(a, b)
 		max := rng.Intn(8) - 1 // includes -1
-		got, ok := LevenshteinBounded(a, b, max)
+		got, ok := LevenshteinBoundedScratchU16(a, b, max, &row)
 		if want <= max {
 			if !ok || got != want {
-				t.Fatalf("LevenshteinBounded(%q, %q, %d) = (%d,%v), want (%d,true)",
+				t.Fatalf("LevenshteinBoundedScratchU16(%q, %q, %d) = (%d,%v), want (%d,true)",
 					string(a), string(b), max, got, ok, want)
 			}
 		} else if ok {
-			t.Fatalf("LevenshteinBounded(%q, %q, %d) reported ok for true distance %d",
+			t.Fatalf("LevenshteinBoundedScratchU16(%q, %q, %d) reported ok for true distance %d",
 				string(a), string(b), max, want)
 		}
 	}
 }
 
 func TestLevenshteinBoundedZeroMax(t *testing.T) {
-	if d, ok := LevenshteinBounded([]rune("abc"), []rune("abc"), 0); !ok || d != 0 {
+	var row []uint16
+	if d, ok := LevenshteinBoundedScratchU16([]rune("abc"), []rune("abc"), 0, &row); !ok || d != 0 {
 		t.Fatalf("equal strings with max=0: got (%d,%v)", d, ok)
 	}
-	if _, ok := LevenshteinBounded([]rune("abc"), []rune("abd"), 0); ok {
+	if _, ok := LevenshteinBoundedScratchU16([]rune("abc"), []rune("abd"), 0, &row); ok {
 		t.Fatal("distinct strings must fail max=0")
 	}
 }

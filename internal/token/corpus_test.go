@@ -231,8 +231,8 @@ func compareCorpus(t *testing.T, got *Corpus, want *refCorpus) {
 // per-string cache — for the three built-in tokenizers (fused scan) and
 // a custom one (called per string), and each built-in tokenizer alone
 // equals its FieldsFunc/ToLower predecessor string by string. Every
-// corpus string also stores each token's strdist.Sig, which the
-// one-string tokenizers (New) do not.
+// corpus string also stores each token's strdist.Sig, and the one-string
+// tokenizers (New) store the very same signatures.
 func TestBuildCorpusMatchesReference(t *testing.T) {
 	inputs := append(namegen.Generate(namegen.Config{Seed: 21, NumNames: 1500}), adversarialInputs()...)
 	for _, tc := range []struct {
@@ -253,8 +253,11 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 				one, w := tc.tok(in), want.Strings[s]
 				if !slices.Equal(one.Tokens, w.Tokens) || !sameRuneViews(one.RuneSlices(), w.runes) ||
 					!slices.Equal(one.LengthHistogram(), w.lenHist) ||
-					one.AggregateLen() != w.aggLen || one.Sigs() != nil {
+					one.AggregateLen() != w.aggLen {
 					t.Fatalf("%s(%q) = %q, reference %q", tc.name, in, one.Tokens, w.Tokens)
+				}
+				if !slices.Equal(one.Sigs(), got.Strings[s].Sigs()) {
+					t.Fatalf("%s(%q): New signatures %x, BuildCorpus %x", tc.name, in, one.Sigs(), got.Strings[s].Sigs())
 				}
 				if !one.Equal(got.Strings[s]) {
 					t.Fatalf("fused scan of %q gave %q, tokenizer %q", in, got.Strings[s].Tokens, one.Tokens)

@@ -14,12 +14,13 @@
 // into one slab per string. BuildCorpus also takes each distinct token's
 // character signature (strdist.Sig) once and lays a string's signatures
 // right after its length histogram in the histogram arena, where Sigs
-// reads them; New stores none. The Corpus (or lone TokenizedString) owns its
-// arenas and nothing writes them after construction, so workers may read
-// them concurrently. Everything handed out is a read-only, cap-limited
-// view: callers must not write through one, and an append to one
-// reallocates instead of running into its neighbour. BuildCorpus token ids
-// are lexicographic: a string's ascending id list is its sorted token list.
+// reads them; New signs its own tokens into the same layout. The Corpus
+// (or lone TokenizedString) owns its arenas and nothing writes them after
+// construction, so workers may read them concurrently. Everything handed
+// out is a read-only, cap-limited view: callers must not write through
+// one, and an append to one reallocates instead of running into its
+// neighbour. BuildCorpus token ids are lexicographic: a string's ascending
+// id list is its sorted token list.
 package token
 
 import (
@@ -27,12 +28,16 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/strdist"
 )
 
 // TokenizedString is a tokenized string x^t = {x^t1, ..., x^tm}: a finite
 // multiset of tokens. Tokens are stored sorted so that two equal multisets
 // compare equal element-wise and hashing/keying is deterministic; multiset
-// semantics (duplicates allowed) are preserved.
+// semantics (duplicates allowed) are preserved. Build one with New, a
+// Tokenizer or BuildCorpus: a literal lacks the cached histogram and
+// signatures.
 type TokenizedString struct {
 	// Tokens holds the multiset in sorted order.
 	Tokens []string
@@ -41,17 +46,17 @@ type TokenizedString struct {
 	// aggLen caches L(x^t) in runes.
 	aggLen int
 	// lenHist caches the ascending token-length histogram in [:k], so the
-	// per-candidate-pair lower-bound filter costs no allocation. For
-	// BuildCorpus strings [k:] holds each token's strdist.Sig, in token
-	// order, as an int bit pattern (one slice header for both keeps the
-	// struct from growing).
+	// per-candidate-pair lower-bound filter costs no allocation, and
+	// each token's strdist.Sig in [k:], in token order, as an int bit
+	// pattern (one slice header for both keeps the struct from growing).
 	lenHist []int
 }
 
 // New builds a TokenizedString from an arbitrary (unsorted) multiset of
-// tokens. Empty tokens are dropped: per Definition 3 the set-level edit
-// operations add and remove empty tokens freely, so a stored ε token never
-// changes any SLD/NSLD value.
+// tokens, signing each token (strdist.Sig) as BuildCorpus does. Empty
+// tokens are dropped: per Definition 3 the set-level edit operations add
+// and remove empty tokens freely, so a stored ε token never changes any
+// SLD/NSLD value.
 func New(tokens []string) TokenizedString {
 	aggLen := 0
 	kept := make([]string, 0, len(tokens))
@@ -66,14 +71,16 @@ func New(tokens []string) TokenizedString {
 		Tokens:  kept,
 		runes:   make([][]rune, len(kept)),
 		aggLen:  aggLen,
-		lenHist: make([]int, len(kept)),
+		lenHist: make([]int, 2*len(kept)), // k lengths, then k signatures
 	}
+	sigs := ts.lenHist[len(kept):]
 	slab := make([]rune, 0, aggLen)
 	for i, t := range kept {
 		slab, ts.runes[i] = appendRunes(slab, t)
 		ts.lenHist[i] = len(ts.runes[i])
+		sigs[i] = int(strdist.Sig(ts.runes[i]))
 	}
-	slices.Sort(ts.lenHist)
+	slices.Sort(ts.lenHist[:len(kept)])
 	return ts
 }
 
@@ -131,29 +138,14 @@ func (ts TokenizedString) Equal(o TokenizedString) bool {
 // tokenized-string identifier (Sec. III-E). The returned slice is the
 // cached histogram; the caller must not mutate it.
 func (ts TokenizedString) LengthHistogram() []int {
-	if ts.lenHist == nil && len(ts.Tokens) > 0 {
-		// A TokenizedString assembled without New (zero value plus
-		// Tokens); fall back to computing on the spot.
-		h := make([]int, len(ts.Tokens))
-		for i, t := range ts.Tokens {
-			h[i] = utf8.RuneCountInString(t)
-		}
-		slices.Sort(h)
-		return h
-	}
 	return ts.lenHist[:len(ts.Tokens):len(ts.Tokens)]
 }
 
 // Sigs returns each token's character signature, int(strdist.Sig) of
-// TokenRunes(i), aligned with Tokens: the values BuildCorpus computed once
-// per distinct token. It returns nil for strings that stored none (New's,
-// or assembled by hand). The caller must not mutate the returned slice.
-func (ts *TokenizedString) Sigs() []int {
-	if len(ts.lenHist) <= len(ts.Tokens) {
-		return nil
-	}
-	return ts.lenHist[len(ts.Tokens):]
-}
+// TokenRunes(i), aligned with Tokens: taken once per distinct token by
+// BuildCorpus and once per token by New. The caller must not mutate the
+// returned slice.
+func (ts *TokenizedString) Sigs() []int { return ts.lenHist[len(ts.Tokens):] }
 
 // Tokenizer is a function mapping a raw string to its tokenized form.
 type Tokenizer func(string) TokenizedString
