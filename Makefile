@@ -37,7 +37,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReplayWAL -fuzztime 30s ./internal/corpus/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/corpus/
 	$(GO) test -fuzz FuzzServeApply -fuzztime 30s ./internal/replica/
-	$(GO) test -fuzz FuzzServeProbe -fuzztime 30s ./internal/distrib/
+	$(GO) test -fuzz FuzzServeProbe -fuzztime 30s ./internal/serve/
 
 race:
 	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/...

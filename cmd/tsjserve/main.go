@@ -9,7 +9,8 @@
 // id table, the membership heartbeats that promote worker standbys, and
 // the scatter/merge logic.
 //
-// Either way the process shuts down gracefully on SIGINT/SIGTERM.
+// Either way internal/serve answers, under one request lifecycle, and
+// the process shuts down gracefully on SIGINT/SIGTERM.
 package main
 
 import (
@@ -73,7 +74,7 @@ func run() error {
 		})
 		log.Printf("coordinator listening on %s (%d shards, heartbeat=%v, fail-after=%d)",
 			*addr, len(pm.Shards), *heartbeat, *failAfter)
-		return serve.ListenAndServe(*addr, co.Handler(), *writeTimeout, *idleTimeout, co.Run)
+		return serve.ListenAndServe(*addr, serve.CoordinatorHandler(co, *maxInflight), *writeTimeout, *idleTimeout, co.Run)
 	}
 	if *workersSpec != "" {
 		return errors.New("-workers requires -coordinator")

@@ -76,8 +76,8 @@ type loc struct {
 }
 
 // Coordinator owns the partition map, the global id table, and the
-// scatter/routing logic. It serves the single-node wire contract over
-// the cluster; see the package comment.
+// scatter/routing logic. Its methods answer the single-node wire
+// contract over the cluster; see the package comment.
 type Coordinator struct {
 	opt    Options
 	client *http.Client
@@ -145,105 +145,67 @@ func (co *Coordinator) Status() ClusterStatus {
 	return st
 }
 
-// Handler builds the coordinator's route table.
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/add", co.epochChecked(co.handleAdd))
-	mux.HandleFunc("/query", co.epochChecked(co.handleQuery))
-	mux.HandleFunc("/join", co.epochChecked(co.handleJoin))
-	mux.HandleFunc("/delete", co.epochChecked(co.handleDelete))
-	mux.HandleFunc("/cluster", co.handleCluster)
-	mux.HandleFunc("/cluster/selfjoin", co.handleSelfJoin)
-	mux.HandleFunc("/stats", co.handleStats)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", co.handleReady)
-	return mux
-}
-
-// epochChecked rejects requests stamped with a stale partition-map
-// epoch: 409 plus the current map, so one round trip refreshes the
-// caller. Requests without the header are trusted (the coordinator
-// itself routes them against the live map).
-func (co *Coordinator) epochChecked(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if hdr := r.Header.Get(EpochHeader); hdr != "" {
-			want, err := strconv.ParseUint(hdr, 10, 64)
-			if err != nil {
-				http.Error(w, "bad "+EpochHeader+" header", http.StatusBadRequest)
-				return
-			}
-			if cur := co.mapView().Epoch; want != cur {
-				httpx.WriteJSONStatus(w, http.StatusConflict, StaleEpochResponse{
-					Error:   fmt.Sprintf("stale partition map: epoch %d, cluster at %d", want, cur),
-					Cluster: co.Status(),
-				})
-				return
-			}
-		}
-		h(w, r)
+// CheckEpoch vets a request's EpochHeader value against the live map:
+// an empty one is trusted (the coordinator routes it against the live
+// map itself), a malformed one is 400, and a stale one 409 whose reply
+// is the current map, so one round trip refreshes the caller.
+func (co *Coordinator) CheckEpoch(hdr string) error {
+	if hdr == "" {
+		return nil
 	}
-}
-
-func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+	want, err := strconv.ParseUint(hdr, 10, 64)
+	if err != nil {
+		return &httpx.StatusError{Code: http.StatusBadRequest, Body: "bad " + EpochHeader + " header"}
 	}
-	httpx.WriteJSON(w, co.Status())
+	if cur := co.mapView().Epoch; want != cur {
+		msg := fmt.Sprintf("stale partition map: epoch %d, cluster at %d", want, cur)
+		return &httpx.StatusError{Code: http.StatusConflict, Body: msg,
+			Reply: StaleEpochResponse{Error: msg, Cluster: co.Status()}}
+	}
+	return nil
 }
 
-func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	co.mu.RLock()
+// Ready reports an error while some shard has no live worker.
+func (co *Coordinator) Ready() error {
 	var dead []int
-	for i, ok := range co.alive {
-		if !ok {
+	for i, sh := range co.Status().Shards {
+		if !sh.Alive {
 			dead = append(dead, i)
 		}
 	}
-	co.mu.RUnlock()
 	if len(dead) > 0 {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, fmt.Sprintf("not ready: shards %v have no live worker", dead), http.StatusServiceUnavailable)
-		return
+		return fmt.Errorf("not ready: shards %v have no live worker", dead)
 	}
-	fmt.Fprintln(w, "ready")
+	return nil
 }
 
 // ---- Routed writes -------------------------------------------------------
 
-// routeError maps a routing failure onto the client response: worker
-// rejections (and the coordinator's own verdicts, which addOne reports
-// in the same *httpx.StatusError form) pass through with their status,
-// transport failures are 502, deadline exhaustion 503 (retryable).
-func routeError(w http.ResponseWriter, what string, err error) {
+// routed gives a routing failure its client status: a worker's verdict
+// (and the coordinator's own, which addOne reports in the same form)
+// keeps its status, deadline exhaustion is 503 (retryable), and any
+// other transport failure is 502.
+func routed(err error) *httpx.StatusError {
 	if se, ok := httpx.Status(err); ok {
 		// The owning worker answered: its verdict (400 double delete, 503
 		// degraded, ...) is the cluster's verdict.
-		if se.Code == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		http.Error(w, what+": "+se.Body, se.Code)
-		return
+		return se
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, what+": worker did not answer in time: "+err.Error(), http.StatusServiceUnavailable)
-		return
+		return &httpx.StatusError{Code: http.StatusServiceUnavailable, Body: "worker did not answer in time: " + err.Error()}
 	}
-	http.Error(w, what+": "+err.Error(), http.StatusBadGateway)
+	return &httpx.StatusError{Code: http.StatusBadGateway, Body: err.Error()}
 }
 
 // addOne routes one /add: owner-shard add plus a scatter query of every
 // other shard, merged into the single-node response. Caller holds
 // writeMu.
-func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, error) {
+func (co *Coordinator) addOne(ctx context.Context, name string) (AddResponse, error) {
 	pm := co.mapView()
 	owner := pm.OwnerOf(name, co.opt.Tokenizer)
 	var resp AddResponse
 	if err := co.rpc(ctx, owner, false, "/add", AddRequest{Name: name}, &resp, co.opt.QueryTimeout); err != nil {
-		return 0, nil, err
+		return AddResponse{}, err
 	}
 
 	// Register the global id. The local id must be the next one we have
@@ -252,7 +214,7 @@ func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, e
 	co.mu.Lock()
 	if resp.ID != len(co.g[owner]) {
 		co.mu.Unlock()
-		return 0, nil, &httpx.StatusError{Code: http.StatusBadGateway,
+		return AddResponse{}, &httpx.StatusError{Code: http.StatusBadGateway,
 			Body: fmt.Sprintf("shard %d assigned local id %d, expected %d: out-of-band writes detected", owner, resp.ID, len(co.g[owner]))}
 	}
 	gid := len(co.locs)
@@ -261,35 +223,25 @@ func (co *Coordinator) addOne(ctx context.Context, name string) (int, []Match, e
 	co.live++
 	co.mu.Unlock()
 
-	merged, missing, err := co.mergeScatter(ctx, name, owner, resp.Matches)
+	results, missing := co.scatterQuery(ctx, name, owner)
+	results[owner] = resp.Matches
+	merged, err := co.toGlobal(results)
 	if err != nil {
-		return 0, nil, err
+		return AddResponse{}, err
 	}
 	if len(missing) > 0 {
 		// The string IS indexed (the owner committed it); the match list
 		// would be incomplete, and /add has no partial mode. Fail closed.
-		return 0, nil, &httpx.StatusError{Code: http.StatusServiceUnavailable,
+		return AddResponse{}, &httpx.StatusError{Code: http.StatusServiceUnavailable,
 			Body: fmt.Sprintf("shards %v did not answer: matches would be incomplete (string %d is indexed)", missing, gid)}
 	}
-	return gid, merged, nil
+	return AddResponse{ID: gid, Matches: merged}, nil
 }
 
-// mergeScatter queries every shard but owner, translates all local
-// match ids (owner's included) to global ids and merges them in global
-// id order — the single-node order.
-func (co *Coordinator) mergeScatter(ctx context.Context, name string, owner int, ownerMatches []Match) ([]Match, []int, error) {
-	results, missing := co.scatterQuery(ctx, name, owner)
-	if owner >= 0 {
-		results[owner] = ownerMatches
-	}
-	merged, err := co.toGlobal(results)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, missing, nil
-}
-
-// toGlobal translates per-shard local matches to global ids and sorts.
+// toGlobal translates per-shard local matches to global ids and sorts
+// them into the single-node order; the result is never nil, so an empty
+// list encodes as [] like a single node's.
+//
 // A local id past the end of the translation table is NOT an error: a
 // concurrent /add may have committed on the worker before its response
 // (and global id) reached the coordinator, and a racing query can
@@ -300,7 +252,7 @@ func (co *Coordinator) mergeScatter(ctx context.Context, name string, owner int,
 func (co *Coordinator) toGlobal(perShard [][]Match) ([]Match, error) {
 	co.mu.RLock()
 	defer co.mu.RUnlock()
-	var out []Match
+	out := []Match{}
 	for shard, ms := range perShard {
 		for _, m := range ms {
 			if m.ID < 0 {
@@ -316,125 +268,109 @@ func (co *Coordinator) toGlobal(perShard [][]Match) ([]Match, error) {
 	return out, nil
 }
 
-func (co *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req AddRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
+// Add is POST /add over the cluster: the string is indexed on its owner
+// shard under the next global id, and matched against every shard.
+func (co *Coordinator) Add(ctx context.Context, name string) (AddResponse, error) {
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
-	ctx, cancel := context.WithTimeout(r.Context(), co.opt.WriteTimeout)
+	ctx, cancel := context.WithTimeout(ctx, co.opt.WriteTimeout)
 	defer cancel()
-	gid, matches, err := co.addOne(ctx, req.Name)
+	resp, err := co.addOne(ctx, name)
 	if err != nil {
-		routeError(w, "add", err)
-		return
+		return AddResponse{}, routed(err)
 	}
-	httpx.WriteJSON(w, AddResponse{ID: gid, Matches: emptyNotNull(matches)})
+	return resp, nil
 }
 
-func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
+// Join is POST /join over the cluster: the names are added in order
+// under consecutive global ids. Like a single node's failed batch, a
+// failure leaves the earlier names indexed; its error says where the
+// batch broke.
+func (co *Coordinator) Join(ctx context.Context, names []string) (JoinResponse, error) {
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(len(req.Names)+1)*co.opt.WriteTimeout)
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(len(names)+1)*co.opt.WriteTimeout)
 	defer cancel()
 	// writeMu makes this batch's ids consecutive from here, so first is
 	// right even for an empty batch — the single node's answer.
 	co.mu.RLock()
 	first := len(co.locs)
 	co.mu.RUnlock()
-	results := make([]JoinResult, 0, len(req.Names))
-	for _, name := range req.Names {
-		gid, matches, err := co.addOne(ctx, name)
+	results := make([]JoinResult, 0, len(names))
+	for _, name := range names {
+		resp, err := co.addOne(ctx, name)
 		if err != nil {
-			// Like a single node's failed batch, earlier members stay
-			// indexed; report where it broke.
-			routeError(w, fmt.Sprintf("join: name %d of %d", len(results), len(req.Names)), err)
-			return
+			se := routed(err)
+			return JoinResponse{}, &httpx.StatusError{Code: se.Code,
+				Body: fmt.Sprintf("name %d of %d: %s", len(results), len(names), se.Body)}
 		}
-		results = append(results, JoinResult{ID: gid, Matches: emptyNotNull(matches)})
+		results = append(results, JoinResult(resp))
 	}
-	httpx.WriteJSON(w, JoinResponse{First: first, Results: results})
+	return JoinResponse{First: first, Results: results}, nil
 }
 
-func (co *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req DeleteRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.ID == nil {
-		http.Error(w, "bad request: missing id", http.StatusBadRequest)
-		return
-	}
+// Delete is POST /delete over the cluster: the global id's owner shard
+// tombstones its local id. An id the coordinator never assigned is 400.
+func (co *Coordinator) Delete(ctx context.Context, id int) (DeleteResponse, error) {
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
 	co.mu.RLock()
 	var l loc
-	known := *req.ID >= 0 && *req.ID < len(co.locs)
+	known := id >= 0 && id < len(co.locs)
 	if known {
-		l = co.locs[*req.ID]
+		l = co.locs[id]
 	}
 	co.mu.RUnlock()
 	if !known {
-		http.Error(w, fmt.Sprintf("delete: no string with id %d", *req.ID), http.StatusBadRequest)
-		return
+		return DeleteResponse{}, &httpx.StatusError{Code: http.StatusBadRequest, Body: fmt.Sprintf("no string with id %d", id)}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), co.opt.WriteTimeout)
+	ctx, cancel := context.WithTimeout(ctx, co.opt.WriteTimeout)
 	defer cancel()
 	local := int(l.local)
 	var resp DeleteResponse
 	if err := co.rpc(ctx, int(l.shard), false, "/delete", DeleteRequest{ID: &local}, &resp, co.opt.QueryTimeout); err != nil {
-		routeError(w, "delete", err)
-		return
+		return DeleteResponse{}, routed(err)
 	}
 	co.mu.Lock()
 	co.live--
 	co.mu.Unlock()
-	httpx.WriteJSON(w, DeleteResponse{Deleted: *req.ID})
+	return DeleteResponse{Deleted: id}, nil
 }
 
 // ---- Scatter-gather query ------------------------------------------------
 
-func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	partial := r.URL.Query().Get("partial") == "true"
-	ctx, cancel := context.WithTimeout(r.Context(), co.opt.QueryTimeout+time.Second)
+// Query is POST /query over the cluster: a scatter of every shard merged
+// in global id order. A shard that does not answer in time fails the
+// query closed — an incomplete match set is silently wrong for the
+// screening use case — with a 503 naming missing_shards, unless partial
+// opts into the survivors' matches plus MissingShards.
+func (co *Coordinator) Query(ctx context.Context, name string, partial bool) (QueryResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout+time.Second)
 	defer cancel()
-	results, missing := co.scatterQuery(ctx, req.Name, -1)
+	results, missing := co.scatterQuery(ctx, name, -1)
 	if len(missing) > 0 && !partial {
-		// Fail closed: an incomplete match set is silently wrong for the
-		// screening use case. ?partial=true opts into degraded answers.
-		w.Header().Set("Retry-After", "1")
-		httpx.WriteJSONStatus(w, http.StatusServiceUnavailable, struct {
-			Error         string `json:"error"`
-			MissingShards []int  `json:"missing_shards"`
-		}{fmt.Sprintf("shards %v did not answer within the deadline (use ?partial=true for partial results)", missing), missing})
-		return
+		msg := fmt.Sprintf("shards %v did not answer within the deadline (use ?partial=true for partial results)", missing)
+		return QueryResponse{}, &httpx.StatusError{Code: http.StatusServiceUnavailable, Body: msg,
+			Reply: struct {
+				Error         string `json:"error"`
+				MissingShards []int  `json:"missing_shards"`
+			}{msg, missing}}
 	}
 	merged, err := co.toGlobal(results)
 	if err != nil {
-		http.Error(w, "query: "+err.Error(), http.StatusBadGateway)
-		return
+		return QueryResponse{}, &httpx.StatusError{Code: http.StatusBadGateway, Body: err.Error()}
 	}
-	httpx.WriteJSON(w, QueryResponse{Matches: emptyNotNull(merged), MissingShards: missing})
+	return QueryResponse{Matches: merged, MissingShards: missing}, nil
 }
 
 // ---- Aggregated stats ----------------------------------------------------
 
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+// Stats is the cluster's GET /stats: every worker's /stats row, and the
+// reachable workers' funnels folded into one cluster-wide view — the
+// remote-shard counterpart of the in-process shard merge.
+func (co *Coordinator) Stats(ctx context.Context) ClusterStats {
 	pm := co.mapView()
-	ctx, cancel := context.WithTimeout(r.Context(), co.opt.QueryTimeout)
+	ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout)
 	defer cancel()
 	rows := make([]ClusterWorkerStats, len(pm.Shards))
 	var wg sync.WaitGroup
@@ -451,8 +387,6 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}(i, sh.Worker)
 	}
 	wg.Wait()
-	// Fold the reachable workers' funnels into one cluster-wide view —
-	// the remote-shard counterpart of the in-process shard merge.
 	var agg WorkerStats
 	total := agg.Sharded()
 	for _, row := range rows {
@@ -461,20 +395,11 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st := co.Status()
-	httpx.WriteJSON(w, ClusterStats{
+	return ClusterStats{
 		Epoch:   st.Epoch,
 		Strings: st.Strings,
 		Live:    st.Live,
 		Cluster: FromShardedStats(total),
 		Workers: rows,
-	})
-}
-
-// emptyNotNull keeps "matches": [] instead of null on the wire, exactly
-// like a single node's JSON.
-func emptyNotNull(ms []Match) []Match {
-	if ms == nil {
-		return []Match{}
 	}
-	return ms
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/distrib"
 	"repro/internal/httpx"
+	"repro/internal/serve"
 	"repro/internal/token"
 )
 
@@ -61,7 +62,7 @@ func fastOptions() distrib.Options {
 func coordServer(t *testing.T, pm distrib.Map, opt distrib.Options) (*distrib.Coordinator, *httptest.Server) {
 	t.Helper()
 	co := distrib.New(pm, opt)
-	cs := httptest.NewServer(co.Handler())
+	cs := httptest.NewServer(serve.CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 	return co, cs
 }

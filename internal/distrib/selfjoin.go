@@ -3,42 +3,12 @@ package distrib
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/mapreduce"
 )
-
-// handleSelfJoin is POST /cluster/selfjoin on the coordinator: the
-// corpus-wide similarity join over every shard's live strings, returned
-// as global-id pairs (A < B) — the cluster's version of a single node's
-// SelfJoin over the union corpus.
-func (co *Coordinator) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	var req SelfJoinRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	if !req.validate(w) {
-		return
-	}
-	co.mu.RLock()
-	n := len(co.pm.Shards)
-	co.mu.RUnlock()
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(n+1)*co.opt.WriteTimeout)
-	defer cancel()
-	pairs, err := co.DistributedSelfJoin(ctx, req.JoinConfig)
-	if err != nil {
-		routeError(w, "selfjoin", err)
-		return
-	}
-	if pairs == nil {
-		pairs = []Pair{}
-	}
-	httpx.WriteJSON(w, PairsResponse{Pairs: pairs})
-}
 
 // shardStrings is one shard's live corpus snapshot (phase 0 output).
 type shardStrings struct {
@@ -53,9 +23,14 @@ type sjTask struct {
 	i, j int
 }
 
-// DistributedSelfJoin runs the corpus-wide join by driving the paper's
-// two phases through the internal/mapreduce seam with workers as the
-// executors:
+// SelfJoin is POST /cluster/selfjoin on the coordinator: the
+// corpus-wide similarity join over every shard's live strings, returned
+// as global-id pairs (A < B) — the cluster's version of a single node's
+// SelfJoin over the union corpus. cfg must be valid (a threshold in
+// [0, 1)); the workers would refuse it otherwise.
+//
+// It drives the paper's two phases through the internal/mapreduce seam
+// with workers as the executors:
 //
 //   - Phase 0 (Job 1 analog — signature/statistics gathering): a map
 //     task per shard fetches that worker's live strings as token
@@ -73,7 +48,7 @@ type sjTask struct {
 // The decomposition is exact: the join predicate is pairwise, every
 // global pair lives on exactly one (i, j) task, and each worker runs
 // the identical pipeline config. The result is sorted by (A, B).
-func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) ([]Pair, error) {
+func (co *Coordinator) SelfJoin(ctx context.Context, cfg JoinConfig) (PairsResponse, error) {
 	co.mu.RLock()
 	n := len(co.pm.Shards)
 	gs := make([][]int, n)
@@ -81,9 +56,8 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 		gs[i] = append([]int(nil), co.g[i]...)
 	}
 	co.mu.RUnlock()
-	if n == 0 {
-		return nil, nil
-	}
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(n+1)*co.opt.WriteTimeout)
+	defer cancel()
 
 	// The engine has no error channel: map tasks record the first RPC or
 	// translation failure here and later tasks short-circuit.
@@ -148,7 +122,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 			rc.Emit(shardStrings{shard: shard, resp: vals[0]})
 		})
 	if failed() {
-		return nil, firstErr
+		return PairsResponse{}, routed(firstErr)
 	}
 	strs := make([]StringsResponse, n)
 	for _, g := range gathered {
@@ -229,7 +203,7 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 			rc.Emit(vals[0])
 		})
 	if failed() {
-		return nil, firstErr
+		return PairsResponse{}, routed(firstErr)
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].A != pairs[j].A {
@@ -237,5 +211,8 @@ func (co *Coordinator) DistributedSelfJoin(ctx context.Context, cfg JoinConfig) 
 		}
 		return pairs[i].B < pairs[j].B
 	})
-	return pairs, nil
+	if pairs == nil {
+		pairs = []Pair{}
+	}
+	return PairsResponse{Pairs: pairs}, nil
 }

@@ -6,12 +6,18 @@
 // distributed join phases through the internal/mapreduce seam with
 // workers as the executors.
 //
-// The coordinator serves the same /add, /query, /join and /delete wire
+// The coordinator answers the same /add, /query, /join and /delete wire
 // contract a single tsjserve node does — clients do not care whether
 // they talk to one node or a cluster — plus /cluster (membership and
 // partition map), /cluster/selfjoin (the distributed corpus-wide join)
-// and an aggregated cluster-wide /stats. The request and response types
-// below ARE that contract: internal/serve, the single-node server,
+// and an aggregated cluster-wide /stats. It does so as plain methods
+// (Add, Query, Join, Delete, SelfJoin, Stats, CheckEpoch, Ready) that
+// return these wire types, or an *httpx.StatusError carrying the status
+// a failure answers with; HTTP is only its RPC client. internal/serve
+// owns every handler: it serves a Coordinator through the same handlers,
+// error mapping and request lifecycle (load shedding at -max-inflight,
+// panic recovery, latency and endpoint counters on /stats) as a node.
+// The request and response types below ARE that contract: the node
 // encodes exactly these, so Match is the single-node type rather than a
 // copy of it.
 //

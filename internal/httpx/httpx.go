@@ -24,11 +24,14 @@ import (
 )
 
 // StatusError is a non-2xx response: the request URL, the status code,
-// and the (read-limited, trimmed) response body for diagnostics.
+// and the (read-limited, trimmed) response body for diagnostics. On the
+// server side it is the verdict a handler answers with; Reply, when set,
+// is then the JSON body sent in place of Body.
 type StatusError struct {
-	URL  string
-	Code int
-	Body string
+	URL   string
+	Code  int
+	Body  string
+	Reply any
 }
 
 func (e *StatusError) Error() string {

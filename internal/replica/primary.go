@@ -16,18 +16,15 @@ import (
 
 // PrimaryOptions configures the shipper side.
 type PrimaryOptions struct {
-	// BatchRecords / BatchBytes bound one apply request (defaults 256 /
-	// 1 MiB). Bootstrap streams chunk at BatchRecords too.
+	// BatchRecords bounds one apply request (default 256; batchBytes
+	// bounds its size). Bootstrap streams chunk at BatchRecords too.
 	BatchRecords int
-	BatchBytes   int
 	// Heartbeat is how often a caught-up follower is pinged so it can
 	// tell "primary idle" from "primary dead" (default 2s).
 	Heartbeat time.Duration
 	// RequestTimeout bounds one apply/heartbeat round trip — the stream
-	// timeout (default 10s). ConnectTimeout bounds dialing (default 5s;
-	// only used when Client is nil).
+	// timeout (default 10s).
 	RequestTimeout time.Duration
-	ConnectTimeout time.Duration
 	// Backoff paces per-follower retries after a failed round trip.
 	// Zero Base means the default {250ms base, 15s cap, 0.25 jitter}.
 	Backoff backoff.Policy
@@ -42,17 +39,11 @@ func (o *PrimaryOptions) fill() {
 	if o.BatchRecords <= 0 {
 		o.BatchRecords = defaultBatchRecords
 	}
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = defaultBatchBytes
-	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = defaultHeartbeat
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = defaultRequestTimeout
-	}
-	if o.ConnectTimeout <= 0 {
-		o.ConnectTimeout = defaultConnectTimeout
 	}
 	if o.Backoff.Base <= 0 {
 		o.Backoff = backoff.Policy{Base: 250 * time.Millisecond, Cap: 15 * time.Second, Jitter: 0.25}
@@ -135,7 +126,7 @@ func NewPrimary(src Source, opt PrimaryOptions) *Primary {
 	opt.fill()
 	client := opt.Client
 	if client == nil {
-		client = httpx.NewClient(opt.ConnectTimeout)
+		client = httpx.NewClient(connectTimeout)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Primary{
@@ -261,7 +252,7 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64, syncin
 		next = n
 	}
 	for ctx.Err() == nil {
-		payloads, err := p.src.ShipFrom(next, p.opt.BatchRecords, p.opt.BatchBytes)
+		payloads, err := p.src.ShipFrom(next, p.opt.BatchRecords, batchBytes)
 		if err != nil {
 			// Behind the ring or diverged: re-seed via bootstrap.
 			n, ok := p.bootstrap(ctx, f)
@@ -285,25 +276,8 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64, syncin
 				continue
 			case <-time.After(p.opt.Heartbeat):
 			}
-			resp, ok := p.send(ctx, f, applyRequest{From: next})
-			if !ok {
-				return
-			}
-			if resp.Sealed {
-				p.sealFollower(f)
-				return
-			}
-			if resp.Syncing {
-				n, ok := p.bootstrap(ctx, f)
-				if !ok {
-					return
-				}
-				next = n
-				continue
-			}
-			f.set(func(f *follower) { f.heartbeats++; f.acked = resp.LSN; f.lastAck = time.Now() })
-			next = resp.LSN
-			continue
+			// Idle for a heartbeat interval: the send below carries no
+			// frames, which is the heartbeat.
 		}
 		resp, ok := p.send(ctx, f, applyRequest{From: next, Frames: makeFrames(payloads)})
 		if !ok {
@@ -325,10 +299,16 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64, syncin
 		// next+len(payloads); a duplicate-suppressed retry or a standby
 		// restart lands elsewhere and the loop resumes from there (the
 		// ring — or a bootstrap — serves whatever gap remains).
-		if resp.LSN > next {
-			f.set(func(f *follower) { f.shipped += int64(len(payloads)); f.state = "streaming" })
-		}
-		f.set(func(f *follower) { f.acked = resp.LSN; f.lastAck = time.Now() })
+		f.set(func(f *follower) {
+			if len(payloads) == 0 {
+				f.heartbeats++
+			} else if resp.LSN > next {
+				f.shipped += int64(len(payloads))
+				f.state = "streaming"
+			}
+			f.acked = resp.LSN
+			f.lastAck = time.Now()
+		})
 		next = resp.LSN
 	}
 }

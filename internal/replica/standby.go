@@ -40,10 +40,8 @@ type StandbyOptions struct {
 	// instead of misreading that LSN against the ship ring. Empty skips
 	// the marker (a crash-free in-memory standby doesn't need it).
 	StateDir string
-	// RequestTimeout bounds one register round trip (default 10s);
-	// ConnectTimeout bounds dialing (default 5s, Client nil only).
+	// RequestTimeout bounds one register round trip (default 10s).
 	RequestTimeout time.Duration
-	ConnectTimeout time.Duration
 	// Backoff paces register retries. Zero Base means the default
 	// {250ms base, 15s cap, 0.25 jitter}.
 	Backoff backoff.Policy
@@ -59,9 +57,6 @@ func (o *StandbyOptions) fill() {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = defaultRequestTimeout
-	}
-	if o.ConnectTimeout <= 0 {
-		o.ConnectTimeout = defaultConnectTimeout
 	}
 	if o.Backoff.Base <= 0 {
 		o.Backoff = backoff.Policy{Base: 250 * time.Millisecond, Cap: 15 * time.Second, Jitter: 0.25}
@@ -132,7 +127,7 @@ func NewStandby(eng Applier, reset func() (Applier, error), opt StandbyOptions) 
 	opt.fill()
 	client := opt.Client
 	if client == nil {
-		client = httpx.NewClient(opt.ConnectTimeout)
+		client = httpx.NewClient(connectTimeout)
 	}
 	s := &Standby{opt: opt, client: client, reset: reset, eng: eng}
 	if opt.StateDir != "" {

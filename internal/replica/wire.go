@@ -137,13 +137,15 @@ type applyResponse struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Defaults shared by both ends.
+// Defaults shared by both ends, and the fixed limits: batchBytes bounds
+// one apply request's payload bytes, and connectTimeout bounds dialing
+// on the built-in client (a caller-supplied Client brings its own).
 const (
 	defaultBatchRecords   = 256
-	defaultBatchBytes     = 1 << 20
 	defaultHeartbeat      = 2 * time.Second
 	defaultRequestTimeout = 10 * time.Second
-	defaultConnectTimeout = 5 * time.Second
+	batchBytes            = 1 << 20
+	connectTimeout        = 5 * time.Second
 	// maxApplyBody bounds a decoded apply request on the standby; a
 	// batch is at most BatchRecords × maxWALPayload-ish, but in practice
 	// far below this.

@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	tsjoin "repro"
 	"repro/internal/backoff"
 	"repro/internal/distrib"
+	"repro/internal/httpx"
 	"repro/internal/namegen"
 )
 
@@ -44,7 +47,7 @@ func TestClusterE2E(t *testing.T) {
 		FailAfter:    2,
 		Logf:         t.Logf,
 	})
-	cs := httptest.NewServer(co.Handler())
+	cs := httptest.NewServer(CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 
 	// Single-node reference with the workers' matcher options
@@ -258,5 +261,65 @@ func TestClusterE2E(t *testing.T) {
 	}
 	if cstats.Epoch != 1 {
 		t.Fatalf("cluster stats epoch %d, want 1", cstats.Epoch)
+	}
+}
+
+// TestCoordinatorLifecycle: a coordinator serves under the node's
+// request lifecycle. With -max-inflight 1 and one /query held open on
+// its worker, a second concurrent /query is shed with 503 + Retry-After
+// and counted under endpoints.query.shed on the coordinator's /stats,
+// and latency.query.count counts exactly the queries it served.
+func TestCoordinatorLifecycle(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var queries atomic.Int64
+	worker := http.NewServeMux()
+	worker.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
+		if queries.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		httpx.WriteJSON(w, distrib.QueryResponse{Matches: []distrib.Match{}})
+	})
+	ws := httptest.NewServer(worker)
+	t.Cleanup(ws.Close)
+	co := distrib.New(distrib.Map{Shards: []distrib.Shard{{Worker: ws.URL}}}, distrib.Options{QueryTimeout: 10 * time.Second})
+	cs := httptest.NewServer(CoordinatorHandler(co, 1))
+	t.Cleanup(cs.Close)
+
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(cs.URL+"/query", "application/json", strings.NewReader(`{"name": "jane doe"}`))
+		if err != nil {
+			t.Error(err)
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-entered
+	resp := request(t, http.MethodPost, cs.URL+"/query", `{"name": "john doe"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("query over the limit: status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	var st struct {
+		Latency   map[string]wireLatency  `json:"latency"`
+		Endpoints map[string]wireEndpoint `json:"endpoints"`
+	}
+	getJSON(t, cs.URL+"/stats", &st)
+	if got := st.Endpoints["query"].Shed; got != 1 {
+		t.Fatalf("endpoints.query.shed = %d, want 1", got)
+	}
+
+	close(release)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held query: status %d, want 200", code)
+	}
+	if resp := request(t, http.MethodPost, cs.URL+"/query", `{"name": "jane doe"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after release: status %d, want 200", resp.StatusCode)
+	}
+	getJSON(t, cs.URL+"/stats", &st)
+	if got := st.Latency["query"].Count; got != 2 {
+		t.Fatalf("latency.query.count = %d, want the 2 queries served", got)
 	}
 }

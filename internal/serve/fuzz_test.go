@@ -1,4 +1,4 @@
-package distrib_test
+package serve
 
 import (
 	"bytes"
@@ -42,7 +42,12 @@ func FuzzServeProbe(f *testing.F) {
 	for i, ts := range toks {
 		live[i] = token.New(ts)
 	}
-	we := distrib.WorkerExt{C: c}
+	m, err := tsjoin.NewConcurrentMatcherFromCorpus(c, tsjoin.ConcurrentMatcherOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(m.Close)
+	h := newServer(m, c, 0).Handler()
 
 	for _, seed := range []string{
 		`{"threshold": 0.3, "probes": [["carmen", "del", "maria"], ["jon", "smith"]]}`,
@@ -61,7 +66,7 @@ func FuzzServeProbe(f *testing.F) {
 			return // keeps the naive join's Hungarian calls small
 		}
 		w := httptest.NewRecorder()
-		we.ServeProbe(w, httptest.NewRequest(http.MethodPost, "/cluster/probe", bytes.NewReader(body)))
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/cluster/probe", bytes.NewReader(body)))
 		if w.Code != http.StatusOK {
 			if w.Code < 400 || w.Code >= 500 {
 				t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.String())

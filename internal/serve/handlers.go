@@ -1,68 +1,43 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"runtime/debug"
-	"time"
 
 	tsjoin "repro"
 	"repro/internal/distrib"
 	"repro/internal/httpx"
 	"repro/internal/replica"
+	"repro/internal/token"
 )
 
-// endpointNames are the instrumented endpoints, in /stats display order.
-var endpointNames = []string{"add", "query", "join", "delete", "snapshot"}
-
-// Handler builds the route table. Instrumented endpoints get the full
-// request-lifecycle wrapper (shedding, panic recovery, status capture,
-// latency); mutating endpoints additionally fail fast while the corpus
-// is degraded. /snapshot stays ungated — it IS the manual heal path
-// (a successful rotation clears the degraded state).
+// Handler builds the node's route table: the shared wire contract under
+// the request lifecycle (see mount), behind readLocked; /snapshot under
+// the same lifecycle; and the node's own read, replication and cluster
+// executor endpoints. Writes fail fast while the node is a standby or
+// its corpus is degraded (writable); /snapshot stays ungated — it IS the
+// manual heal path (a successful rotation clears the degraded state).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/add", s.instrument("add", s.readLocked(s.writeGate(s.handleAdd))))
-	mux.HandleFunc("/query", s.instrument("query", s.readLocked(s.handleQuery)))
-	mux.HandleFunc("/join", s.instrument("join", s.readLocked(s.writeGate(s.handleJoin))))
-	mux.HandleFunc("/delete", s.instrument("delete", s.readLocked(s.writeGate(s.handleDelete))))
-	mux.HandleFunc("/snapshot", s.instrument("snapshot", s.readLocked(s.handleSnapshot)))
-	mux.HandleFunc("/stats", requireGet(s.readLocked(s.handleStats)))
-	mux.HandleFunc("/replication", requireGet(s.handleReplication))
+	s.mount(mux, node{s}, s.readLocked)
+	mux.HandleFunc("/snapshot", s.instrument("snapshot", s.readLocked(endpoint("snapshot", s.snapshot))))
+	mux.HandleFunc("GET /stats", s.readLocked(s.handleStats))
+	mux.HandleFunc("GET /readyz", s.readLocked(readyz(s.ready)))
+	mux.HandleFunc("GET /replication", s.handleReplication)
 	mux.HandleFunc("/replication/register", s.handleRegister)
 	mux.HandleFunc("/replication/apply", s.handleApply)
-	mux.HandleFunc("/promote", s.handlePromote)
-	mux.HandleFunc("/healthz", requireGet(func(w http.ResponseWriter, r *http.Request) {
-		// Pure liveness: answers while the process can serve at all, even
-		// degraded — orchestrators must not restart a replica that is
-		// serving reads and waiting out a disk fault. Readiness (routing)
-		// is /readyz.
-		fmt.Fprintln(w, "ok")
-	}))
-	mux.HandleFunc("/readyz", requireGet(s.readLocked(s.handleReady)))
+	mux.HandleFunc("POST /promote", s.handlePromote)
 	// Worker-side cluster endpoints: the executor surface a coordinator
-	// (tsjserve -coordinator) drives for the distributed join. They are
-	// corpus-backed, so an in-memory node answers 409.
-	mux.HandleFunc("/cluster/strings", s.readLocked(s.workerExt(distrib.WorkerExt.ServeStrings)))
-	mux.HandleFunc("/cluster/probe", s.readLocked(s.workerExt(distrib.WorkerExt.ServeProbe)))
-	mux.HandleFunc("/cluster/selfjoin", s.readLocked(s.workerExt(distrib.WorkerExt.ServeSelfJoin)))
+	// drives for the distributed join. They run over the durable corpus
+	// (reading its live token frequencies rather than counting them per
+	// call), so an in-memory node answers 409.
+	mux.HandleFunc("GET /cluster/strings", s.readLocked(s.handleStrings))
+	mux.HandleFunc("/cluster/probe", s.readLocked(endpoint("probe", s.probe)))
+	mux.HandleFunc("/cluster/selfjoin", s.readLocked(endpoint("selfjoin", s.selfJoin)))
 	return mux
-}
-
-// workerExt adapts a distrib.WorkerExt method to this server: the
-// corpus handle is re-read per request (a standby bootstrap swaps it;
-// callers hold the engine read lock via readLocked), and nodes without
-// a corpus reject the endpoint.
-func (s *Server) workerExt(h func(distrib.WorkerExt, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.c == nil {
-			http.Error(w, "no -data directory: cluster join endpoints require a corpus", http.StatusConflict)
-			return
-		}
-		h(distrib.WorkerExt{C: s.c}, w, r)
-	}
 }
 
 // readLocked pins the engine handles for the request's duration: a
@@ -86,109 +61,79 @@ func (s *Server) readLocked(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// statusWriter captures the response status so the middleware can count
-// error responses without inspecting handler internals.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
+// node is the backend of the shared contract on a single node: its own
+// matcher, read under the engine lock readLocked holds.
+type node struct{ s *Server }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+func (n node) Add(_ context.Context, name string) (distrib.AddResponse, error) {
+	if err := n.s.writable(); err != nil {
+		return distrib.AddResponse{}, err
 	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+	id, matches, err := n.s.m.AddDurable(name)
+	if err != nil {
+		return distrib.AddResponse{}, err
 	}
-	return w.ResponseWriter.Write(p)
+	return distrib.AddResponse{ID: id, Matches: distrib.Matches(matches)}, nil
 }
 
-// instrument is the request-lifecycle wrapper: load-shedding semaphore,
-// panic-to-500 recovery, status capture for the error counters, and the
-// latency histogram.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.lat[name]
-	ctr := s.ctr[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			ctr.shed.Add(1)
-			ctr.errors.Add(1)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "overloaded: concurrency limit reached", http.StatusServiceUnavailable)
-			return
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				ctr.panics.Add(1)
-				ctr.errors.Add(1)
-				log.Printf("panic in /%s: %v\n%s", name, p, debug.Stack())
-				if sw.status == 0 {
-					http.Error(sw, "internal server error", http.StatusInternalServerError)
-				}
-			} else if sw.status >= http.StatusBadRequest {
-				ctr.errors.Add(1)
-			}
-			hist.Observe(time.Since(start))
-		}()
-		h(sw, r)
+func (n node) Query(_ context.Context, name string, _ bool) (distrib.QueryResponse, error) {
+	return distrib.QueryResponse{Matches: distrib.Matches(n.s.m.Query(name))}, nil
+}
+
+func (n node) Join(_ context.Context, names []string) (distrib.JoinResponse, error) {
+	if err := n.s.writable(); err != nil {
+		return distrib.JoinResponse{}, err
 	}
-}
-
-// writeGate fails mutating requests fast: a standby is read-only by
-// role (writes go to the primary; promotion lifts this), and a degraded
-// corpus is read-only by circumstance — either way before the request
-// touches the write path.
-func (s *Server) writeGate(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.roleName() == roleStandby {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "read-only standby: writes go to the primary (POST /promote to fail over)", http.StatusServiceUnavailable)
-			return
-		}
-		if err := s.degraded(); err != nil {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "degraded, serving read-only: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		h(w, r)
+	first, matches, err := n.s.m.AddAllDurable(names)
+	if err != nil {
+		return distrib.JoinResponse{}, err
 	}
-}
-
-// requireGet rejects everything but GET/HEAD on read-only endpoints.
-func requireGet(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
+	results := make([]distrib.JoinResult, len(matches))
+	for i, ms := range matches {
+		results[i] = distrib.JoinResult{ID: first + i, Matches: distrib.Matches(ms)}
 	}
+	return distrib.JoinResponse{First: first, Results: results}, nil
 }
 
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.roleName() == roleStandby && s.stby != nil && !s.stby.Ready() {
-		// A standby is routable only as a warm, caught-up replica:
-		// registered with the primary, not mid-bootstrap, in recent
-		// contact. Anything else and its answers may be arbitrarily stale.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "standby not ready: syncing or out of contact with the primary", http.StatusServiceUnavailable)
-		return
+// Delete tombstones id; the matcher keeps the live index and the corpus
+// WAL (when durable) in step. An unknown or double delete is the
+// caller's fault (tsjoin.ErrNotFound), a WAL failure ours.
+func (n node) Delete(_ context.Context, id int) (distrib.DeleteResponse, error) {
+	if err := n.s.writable(); err != nil {
+		return distrib.DeleteResponse{}, err
+	}
+	if err := n.s.m.Delete(id); err != nil {
+		return distrib.DeleteResponse{}, err
+	}
+	return distrib.DeleteResponse{Deleted: id}, nil
+}
+
+// writable fails a mutation fast: a standby is read-only by role (writes
+// go to the primary; promotion lifts this), and a degraded corpus is
+// read-only by circumstance — either way before the request touches the
+// write path.
+func (s *Server) writable() error {
+	if s.roleName() == roleStandby {
+		return &httpx.StatusError{Code: http.StatusServiceUnavailable, Body: "read-only standby: writes go to the primary (POST /promote to fail over)"}
 	}
 	if err := s.degraded(); err != nil {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "degraded: "+err.Error(), http.StatusServiceUnavailable)
-		return
+		return &httpx.StatusError{Code: http.StatusServiceUnavailable, Body: "degraded, serving read-only: " + err.Error()}
 	}
-	fmt.Fprintln(w, "ready")
+	return nil
+}
+
+// ready is the node's readiness. A standby is routable only as a warm,
+// caught-up replica: registered with the primary, not mid-bootstrap, in
+// recent contact — anything else and its answers may be arbitrarily
+// stale. A degraded corpus is not ready either.
+func (s *Server) ready() error {
+	if s.roleName() == roleStandby && s.stby != nil && !s.stby.Ready() {
+		return errors.New("standby not ready: syncing or out of contact with the primary")
+	}
+	if err := s.degraded(); err != nil {
+		return fmt.Errorf("degraded: %w", err)
+	}
+	return nil
 }
 
 // replStatus is the JSON shape of GET /replication and the replication
@@ -250,25 +195,16 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 // Promotion of a syncing standby is refused: its state is a partial
 // bootstrap, not a prefix of the primary's history.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.stby == nil {
 		http.Error(w, "not a standby: nothing to promote", http.StatusConflict)
 		return
 	}
 	already := s.roleName() == rolePrimary
 	if err := s.stby.Promote(); err != nil {
-		if errors.Is(err, replica.ErrSyncing) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "promote: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		// A seal failure (e.g. degraded corpus: the final fsync cannot be
-		// trusted) leaves the standby unsealed and promotion retryable.
-		persistError(w, "promote", err)
+		// A syncing standby (ErrSyncing) or a seal failure (e.g. degraded
+		// corpus: the final fsync cannot be trusted) leaves the standby
+		// unsealed and promotion retryable.
+		writeError(w, "promote", err)
 		return
 	}
 	s.role.Store(rolePrimary)
@@ -294,90 +230,23 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}{rolePrimary, lsn, already})
 }
 
-// persistError maps a persistence failure to its status: degraded-mode
-// failures are 503 with Retry-After (the replica heals in place or an
-// operator intervenes; the request is safe to retry elsewhere), anything
-// else is a 500.
-func persistError(w http.ResponseWriter, what string, err error) {
-	if errors.Is(err, tsjoin.ErrDegraded) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, what+": "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, what+": "+err.Error(), http.StatusInternalServerError)
+// errNoCorpus answers the endpoints that need a durable corpus on an
+// in-memory node.
+var errNoCorpus = &httpx.StatusError{Code: http.StatusConflict, Body: "no -data directory: the index is not persistent"}
+
+// snapshotRequest / snapshotResponse are POST /snapshot.
+type snapshotRequest struct {
+	Compact bool `json:"compact"`
+}
+type snapshotResponse struct {
+	Generation uint64 `json:"generation"`
+	Strings    int    `json:"strings"`
+	Compacted  bool   `json:"compacted"`
 }
 
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	var req distrib.AddRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	id, matches, err := s.m.AddDurable(req.Name)
-	if err != nil {
-		persistError(w, "persistence failure", err)
-		return
-	}
-	httpx.WriteJSON(w, distrib.AddResponse{ID: id, Matches: distrib.Matches(matches)})
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req distrib.QueryRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	httpx.WriteJSON(w, distrib.QueryResponse{Matches: distrib.Matches(s.m.Query(req.Name))})
-}
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req distrib.JoinRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	first, matches, err := s.m.AddAllDurable(req.Names)
-	if err != nil {
-		persistError(w, "persistence failure", err)
-		return
-	}
-	results := make([]distrib.JoinResult, len(matches))
-	for i, ms := range matches {
-		results[i] = distrib.JoinResult{ID: first + i, Matches: distrib.Matches(ms)}
-	}
-	httpx.WriteJSON(w, distrib.JoinResponse{First: first, Results: results})
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req distrib.DeleteRequest
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.ID == nil {
-		http.Error(w, "bad request: missing id", http.StatusBadRequest)
-		return
-	}
-	// The matcher's delete keeps the live index and the corpus WAL (when
-	// durable) in step. Unknown/double deletes are the caller's fault; a
-	// WAL failure is ours.
-	if err := s.m.Delete(*req.ID); err != nil {
-		if errors.Is(err, tsjoin.ErrNotFound) {
-			http.Error(w, "delete: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		persistError(w, "delete", err)
-		return
-	}
-	httpx.WriteJSON(w, distrib.DeleteResponse{Deleted: *req.ID})
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Compact bool `json:"compact"`
-	}
-	if !httpx.DecodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) snapshot(_ *http.Request, req snapshotRequest) (snapshotResponse, error) {
 	if s.c == nil {
-		http.Error(w, "no -data directory: the index is not persistent", http.StatusConflict)
-		return
+		return snapshotResponse{}, errNoCorpus
 	}
 	var err error
 	if req.Compact {
@@ -386,53 +255,77 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		err = s.c.Snapshot()
 	}
 	if err != nil {
-		persistError(w, "snapshot", err)
-		return
+		return snapshotResponse{}, err
 	}
 	st := s.c.Stats()
-	httpx.WriteJSON(w, struct {
-		Generation uint64 `json:"generation"`
-		Strings    int    `json:"strings"`
-		Compacted  bool   `json:"compacted"`
-	}{st.Generation, st.Strings, req.Compact})
+	return snapshotResponse{st.Generation, st.Strings, req.Compact}, nil
 }
 
-// wireLatency is the JSON form of one endpoint's latency summary.
-type wireLatency struct {
-	Count  int64   `json:"count"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MeanMs float64 `json:"mean_ms"`
+// handleStrings is GET /cluster/strings: the live corpus as local-id +
+// token-multiset rows, the probe-side feed of the distributed join.
+func (s *Server) handleStrings(w http.ResponseWriter, r *http.Request) {
+	if s.c == nil {
+		writeError(w, "strings", errNoCorpus)
+		return
+	}
+	ids, toks := s.c.LiveTokens()
+	if ids == nil {
+		ids = []int{}
+	}
+	if toks == nil {
+		toks = [][]string{}
+	}
+	httpx.WriteJSON(w, distrib.StringsResponse{IDs: ids, Tokens: toks})
 }
 
-// wireEndpoint is the JSON form of one endpoint's error-path counters.
-type wireEndpoint struct {
-	Errors int64 `json:"errors"`
-	Shed   int64 `json:"shed"`
-	Panics int64 `json:"panics"`
+// probe is POST /cluster/probe: the bipartite join of the posted probe
+// token multisets against the live corpus (Job 1/Job 2 run here, on the
+// worker, over its corpus's stored frequencies).
+func (s *Server) probe(_ *http.Request, req distrib.ProbeJoinRequest) (distrib.PairsResponse, error) {
+	if s.c == nil {
+		return distrib.PairsResponse{}, errNoCorpus
+	}
+	opts, err := joinOptions(req.JoinConfig)
+	if err != nil {
+		return distrib.PairsResponse{}, err
+	}
+	probes := make([]tsjoin.TokenizedString, len(req.Probes))
+	for i, toks := range req.Probes {
+		probes[i] = token.New(toks)
+	}
+	pairs, _, err := s.c.JoinTokenized(probes, opts)
+	if err != nil {
+		return distrib.PairsResponse{}, err
+	}
+	return wirePairs(pairs), nil
+}
+
+// selfJoin is a node's POST /cluster/selfjoin: this shard's local
+// self-join over its durable corpus.
+func (s *Server) selfJoin(_ *http.Request, req distrib.SelfJoinRequest) (distrib.PairsResponse, error) {
+	if s.c == nil {
+		return distrib.PairsResponse{}, errNoCorpus
+	}
+	opts, err := joinOptions(req.JoinConfig)
+	if err != nil {
+		return distrib.PairsResponse{}, err
+	}
+	pairs, err := s.c.SelfJoin(opts)
+	if err != nil {
+		return distrib.PairsResponse{}, err
+	}
+	return wirePairs(pairs), nil
+}
+
+func wirePairs(pairs []tsjoin.Pair) distrib.PairsResponse {
+	out := make([]distrib.Pair, len(pairs))
+	for i, p := range pairs {
+		out[i] = distrib.Pair{A: p.A, B: p.B, SLD: p.SLD, NSLD: p.NSLD}
+	}
+	return distrib.PairsResponse{Pairs: out}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	lat := make(map[string]wireLatency, len(s.lat))
-	for name, h := range s.lat {
-		lat[name] = wireLatency{
-			Count:  h.Count(),
-			P50Ms:  ms(h.Quantile(0.50)),
-			P95Ms:  ms(h.Quantile(0.95)),
-			P99Ms:  ms(h.Quantile(0.99)),
-			MeanMs: ms(h.Mean()),
-		}
-	}
-	endpoints := make(map[string]wireEndpoint, len(s.ctr))
-	for name, c := range s.ctr {
-		endpoints[name] = wireEndpoint{
-			Errors: c.errors.Load(),
-			Shed:   c.shed.Load(),
-			Panics: c.panics.Load(),
-		}
-	}
 	var degradedCause string
 	if err := s.degraded(); err != nil {
 		degradedCause = err.Error()
@@ -452,11 +345,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// the node publishes.
 	httpx.WriteJSON(w, struct {
 		distrib.WorkerStats
-		Latency       map[string]wireLatency  `json:"latency"`
-		Endpoints     map[string]wireEndpoint `json:"endpoints"`
-		Degraded      bool                    `json:"degraded"`
-		DegradedCause string                  `json:"degraded_cause,omitempty"`
-		Corpus        *tsjoin.CorpusStats     `json:"corpus,omitempty"`
-		Replication   *replStatus             `json:"replication,omitempty"`
-	}{distrib.FromShardedStats(s.m.Stats()), lat, endpoints, degradedCause != "", degradedCause, corpusStats, repl})
+		lifecycleStats
+		Degraded      bool                `json:"degraded"`
+		DegradedCause string              `json:"degraded_cause,omitempty"`
+		Corpus        *tsjoin.CorpusStats `json:"corpus,omitempty"`
+		Replication   *replStatus         `json:"replication,omitempty"`
+	}{distrib.FromShardedStats(s.m.Stats()), s.stats(), degradedCause != "", degradedCause, corpusStats, repl})
 }

@@ -1,12 +1,22 @@
-// Package serve is the single-node server: an incremental NSLD matcher
-// over HTTP/JSON — the sign-up-screening scenario as a service. It is
-// what cmd/tsjserve runs, and what the cluster tests mount as their
-// workers, so the wire contract (internal/distrib's request and
-// response types) has one implementation. Every request body is JSON;
-// matches reference the sequence number (id) the matched string
-// received when it was added.
+// Package serve is tsjserve's one serving front: an incremental NSLD
+// matcher over HTTP/JSON — the sign-up-screening scenario as a service —
+// answered by a node (Server, over its own matcher) or by a cluster
+// coordinator (CoordinatorHandler, over an internal/distrib.Coordinator).
+// Both roles serve /add, /query, /join and /delete through the same
+// handlers and the same error-to-status mapping (writeError), under the
+// same request lifecycle: -max-inflight load shedding (503 +
+// Retry-After), panic-to-500 recovery, and per-endpoint latency
+// histograms and error/shed/panic counters, reported as the latency and
+// endpoints sections of either role's /stats; ListenAndServe is their
+// shared signal → drain → close sequence. The cluster tests mount the
+// node as their workers, so the wire contract (internal/distrib's
+// request and response types) has one implementation. Every request
+// body is JSON; matches reference the sequence number (id) the matched
+// string received when it was added.
 //
-// Endpoints:
+// A node's endpoints (a coordinator serves the first four, /stats,
+// /healthz and /readyz, plus GET /cluster and its own POST
+// /cluster/selfjoin; see internal/distrib):
 //
 //	POST /add      {"name": "Barak Obama"}
 //	               -> {"id": 17, "matches": [{"id": 3, "sld": 1, "nsld": 0.08}]}
@@ -29,6 +39,9 @@
 //	POST /replication/apply      (replication protocol; primary -> standby)
 //	POST /promote  {}            fail over: seal replication, flip writable
 //	               -> {"role": "primary", "lsn": 1041}
+//	GET  /cluster/strings        (distributed join executor; coordinator -> node,
+//	POST /cluster/probe           -data only)
+//	POST /cluster/selfjoin
 //
 // With -data DIR the index is durable: every add is appended to a
 // CRC-framed write-ahead log under DIR before it becomes visible, POST
@@ -78,7 +91,6 @@ import (
 
 	tsjoin "repro"
 	"repro/internal/backoff"
-	"repro/internal/histo"
 	"repro/internal/replica"
 )
 
@@ -103,16 +115,6 @@ type Config struct {
 	Advertise string
 }
 
-// endpointCounters are one instrumented endpoint's error-path tallies.
-type endpointCounters struct {
-	// errors counts responses with status >= 400 (including sheds and
-	// panics); shed counts requests rejected at the concurrency limit;
-	// panics counts handler panics converted to 500s.
-	errors atomic.Int64
-	shed   atomic.Int64
-	panics atomic.Int64
-}
-
 // Replication roles a node can be in. A durable node starts as a
 // primary (shipping-capable, writable), a -replica-of node as a standby
 // (read-only applier) until promoted; an in-memory node is "none".
@@ -135,15 +137,9 @@ type Server struct {
 	m     *tsjoin.ConcurrentMatcher
 	// c is the persistent corpus backing m, nil when running in-memory.
 	c *tsjoin.Corpus
-	// lat holds one latency histogram per endpoint, keyed by the
-	// endpoint name reported in /stats.
-	lat map[string]*histo.Histogram
-	ctr map[string]*endpointCounters
-	// inflight is the load-shedding semaphore: a request that cannot
-	// acquire a slot without blocking is rejected with 503 rather than
-	// queued — queueing under overload only converts overload into
-	// latency and memory growth.
-	inflight chan struct{}
+	// front is the request lifecycle: the contract's endpoints plus
+	// /snapshot are instrumented.
+	*front
 
 	// role is the replication role (roleNone/rolePrimary/roleStandby);
 	// promotion flips it standby -> primary while serving.
@@ -219,16 +215,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 func newServer(m *tsjoin.ConcurrentMatcher, c *tsjoin.Corpus, maxInflight int) *Server {
-	if maxInflight <= 0 {
-		maxInflight = 256
-	}
-	lat := make(map[string]*histo.Histogram)
-	ctr := make(map[string]*endpointCounters)
-	for _, name := range endpointNames {
-		lat[name] = &histo.Histogram{}
-		ctr[name] = &endpointCounters{}
-	}
-	s := &Server{m: m, c: c, lat: lat, ctr: ctr, inflight: make(chan struct{}, maxInflight)}
+	s := &Server{m: m, c: c, front: newFront(maxInflight)}
 	if c != nil {
 		s.role.Store(rolePrimary)
 	} else {

@@ -504,7 +504,7 @@ func TestServePanicRecovery(t *testing.T) {
 	}
 	// The wrapper recovered: the same server keeps serving.
 	rec2 := httptest.NewRecorder()
-	s.instrument("query", s.handleQuery)(rec2, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"name": "x"}`)))
+	s.Handler().ServeHTTP(rec2, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"name": "x"}`)))
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("request after panic: status %d, want 200", rec2.Code)
 	}

@@ -263,7 +263,6 @@ func (m *ShardedMatcher) ApplyShipped(payload []byte) error {
 // standby's index keeps the same lazy segment-storage shape as the
 // primary's. Caller holds addMu.
 func (m *ShardedMatcher) indexTokenized(ts token.TokenizedString) {
-	m.applied.Add(1)
 	probe := distinctProbe(ts)
 	m.markProbe(ts, probe)
 	m.appendAndIndex(ts, probe)

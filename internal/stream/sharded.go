@@ -62,7 +62,6 @@ type ShardedMatcher struct {
 	scratchPool sync.Pool
 
 	adds             atomic.Int64
-	applied          atomic.Int64
 	queries          atomic.Int64
 	verified         atomic.Int64
 	budgetPruned     atomic.Int64
@@ -91,10 +90,8 @@ type ShardedStats struct {
 	Strings int
 	// Shards is the partition count.
 	Shards int
-	// Adds and Queries count the operations served so far. Applied
-	// counts replicated records installed through ApplyShipped (a
-	// standby's ingest traffic, which never generates matches).
-	Adds, Applied, Queries int64
+	// Adds and Queries count the operations served so far.
+	Adds, Queries int64
 	// Verified counts candidate pairs that reached verification.
 	Verified int64
 	// BudgetPruned counts verifications rejected early by the
@@ -139,7 +136,6 @@ func (s *ShardedStats) Merge(o ShardedStats) {
 	s.Strings += o.Strings
 	s.Shards += o.Shards
 	s.Adds += o.Adds
-	s.Applied += o.Applied
 	s.Queries += o.Queries
 	s.Verified += o.Verified
 	s.BudgetPruned += o.BudgetPruned
@@ -198,7 +194,6 @@ func (m *ShardedMatcher) Stats() ShardedStats {
 	st := ShardedStats{
 		Shards:           len(m.shards),
 		Adds:             m.adds.Load(),
-		Applied:          m.applied.Load(),
 		Queries:          m.queries.Load(),
 		Verified:         m.verified.Load(),
 		BudgetPruned:     m.budgetPruned.Load(),

@@ -11,7 +11,7 @@ import (
 // token balance concatenates.
 func TestShardedStatsMerge(t *testing.T) {
 	a := ShardedStats{
-		Strings: 3, Shards: 2, Adds: 3, Applied: 1, Queries: 7, Verified: 11,
+		Strings: 3, Shards: 2, Adds: 3, Queries: 7, Verified: 11,
 		BudgetPruned: 2, PrefixPruned: 4, SegPrefixPruned: 1,
 		SegKeysProbed: 9, SegTokensChecked: 8, SegTokensSimilar: 5,
 		SigPruned:   4,
@@ -19,7 +19,7 @@ func TestShardedStatsMerge(t *testing.T) {
 		TokensPerShard: []int{4, 2}, Sweeps: 1, SweptEntries: 10,
 	}
 	b := ShardedStats{
-		Strings: 2, Shards: 2, Adds: 2, Applied: 2, Queries: 1, Verified: 4,
+		Strings: 2, Shards: 2, Adds: 2, Queries: 1, Verified: 4,
 		BudgetPruned: 1, PrefixPruned: 1, SegPrefixPruned: 2,
 		SegKeysProbed: 3, SegTokensChecked: 2, SegTokensSimilar: 1,
 		SigPruned:   1,
@@ -27,7 +27,7 @@ func TestShardedStatsMerge(t *testing.T) {
 		TokensPerShard: []int{1, 5}, Sweeps: 2, SweptEntries: 4,
 	}
 	want := ShardedStats{
-		Strings: 5, Shards: 4, Adds: 5, Applied: 3, Queries: 8, Verified: 15,
+		Strings: 5, Shards: 4, Adds: 5, Queries: 8, Verified: 15,
 		BudgetPruned: 3, PrefixPruned: 5, SegPrefixPruned: 3,
 		SegKeysProbed: 12, SegTokensChecked: 10, SegTokensSimilar: 6,
 		SigPruned:   5,
