@@ -77,6 +77,7 @@ func (m *ConcurrentMatcher) Add(s string) (id int, matches []Match) { return m.m
 // AddAll adds a batch atomically with respect to other writers: the batch
 // occupies the dense id range [first, first+len(names)). Element i holds
 // the matches of names[i], including matches to earlier batch elements.
+// On a corpus-backed matcher it is one WAL commit (see AddAllDurable).
 func (m *ConcurrentMatcher) AddAll(names []string) (first int, matches [][]Match) {
 	return m.m.AddAll(names)
 }
@@ -89,8 +90,8 @@ func (m *ConcurrentMatcher) AddDurable(s string) (id int, matches []Match, err e
 }
 
 // AddAllDurable is AddAll with the persistence error surfaced: the batch
-// is WAL-appended with one group-commit fsync before any element is
-// indexed.
+// is one WAL commit, fsynced by the corpus's SyncEvery rule, before any
+// element is indexed.
 func (m *ConcurrentMatcher) AddAllDurable(names []string) (first int, matches [][]Match, err error) {
 	return m.m.AddAllDurable(names)
 }
@@ -105,13 +106,16 @@ func (m *ConcurrentMatcher) Delete(id int) error { return m.m.Delete(id) }
 // Safe for concurrent use with Adds and other Queries.
 func (m *ConcurrentMatcher) Query(s string) []Match { return m.m.Query(s) }
 
-// ApplyShipped applies one replicated record — a payload shipped from a
-// primary corpus's WAL — to a corpus-backed matcher: the record is
-// persisted locally first, then indexed without matching (a standby
-// serves queries; it does not generate match results for replicated
-// arrivals). Applying the primary's committed stream in order
-// reproduces its id space, alive mask and LSN exactly.
-func (m *ConcurrentMatcher) ApplyShipped(payload []byte) error { return m.m.ApplyShipped(payload) }
+// ApplyShipped applies a batch of payloads shipped from a primary
+// corpus's WAL to a corpus-backed matcher: persisted locally first, as
+// one commit, then indexed in order without matching (a standby serves
+// queries; it does not generate match results for replicated arrivals),
+// up to the first invalid record, whose error it returns. Applying the
+// primary's committed stream in order reproduces its id space, alive
+// mask and LSN exactly.
+func (m *ConcurrentMatcher) ApplyShipped(payloads ...[]byte) error {
+	return m.m.ApplyShipped(payloads...)
+}
 
 // LSN returns the backing corpus's logical sequence number (0 for an
 // in-memory matcher) — the replication offset space.

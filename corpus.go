@@ -49,9 +49,12 @@ type CorpusOptions struct {
 	// stores tokenized forms, so recovery never depends on it. Defaults
 	// to whitespace+punctuation.
 	Tokenizer Tokenizer
-	// SyncEvery batches WAL fsyncs (1, the default, makes every Add
-	// durable before it returns; larger values trade the tail of the log
-	// for write throughput).
+	// SyncEvery is the one fsync rule, checked at the end of every commit
+	// (an Add, an AddBatch or a Delete): fsync once SyncEvery or more
+	// records are pending. 1, the default, makes every commit durable
+	// when it returns, at one fsync per batch. Larger values trade the
+	// tail of the log for throughput, and an AddBatch then follows the
+	// rule like an Add instead of forcing its own fsync.
 	SyncEvery int
 	// DisableSync skips fsync entirely (benchmarks and throwaway data).
 	DisableSync bool
@@ -96,8 +99,8 @@ func (c *Corpus) Add(name string) (int, error) {
 	return int(id), err
 }
 
-// AddBatch appends a batch with a single group-commit fsync, returning
-// the first id of the dense range the batch occupies.
+// AddBatch appends a batch as one commit, returning the first id of the
+// dense range the batch occupies.
 func (c *Corpus) AddBatch(names []string) (int, error) {
 	toks := make([]token.TokenizedString, len(names))
 	tok := c.c.Tokenizer()

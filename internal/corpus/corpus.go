@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +31,12 @@ type Options struct {
 	// stay fixed for as long as the caller wants new and old strings
 	// tokenized the same way. Defaults to whitespace+punctuation.
 	Tokenizer token.Tokenizer
-	// SyncEvery batches WAL fsyncs: the log is forced to stable storage
-	// every SyncEvery records (and always on Sync, Snapshot and Close).
-	// 1 (the default) is write-through — every Add returns durable.
-	// Larger values trade the tail of the log for throughput.
+	// SyncEvery is the one fsync rule, checked at the end of every commit
+	// (an Add, a batch, a Delete or a shipped batch): fsync once SyncEvery
+	// or more records are pending (and always on Sync, Snapshot, Close).
+	// 1 (the default) makes every commit durable when it returns, at one
+	// fsync per batch. Larger values trade the log's tail for throughput,
+	// and a batch then follows the rule like an Add: no fsync of its own.
 	SyncEvery int
 	// DisableSync skips fsync entirely (tests and benchmarks on throwaway
 	// data; a crash may lose anything after the last OS writeback).
@@ -81,7 +84,6 @@ type Corpus struct {
 	walReplayed int64
 	snapshots   int64
 	closed      bool
-	encBuf      []byte
 	// degraded, when non-nil, is the storage failure that sealed the
 	// write path: a failed WAL fsync or rollback (the generation can no
 	// longer be trusted to persist what it acknowledges) or a failed
@@ -409,65 +411,26 @@ func (c *Corpus) applyDelete(sid token.StringID) error {
 	return nil
 }
 
-// Add tokenizes s, appends it to the WAL and installs it, returning its
-// id. With SyncEvery = 1 the record is durable when Add returns.
+// Add tokenizes s and commits it (see AddTokenizedBatch), returning its
+// id.
 func (c *Corpus) Add(s string) (token.StringID, error) {
-	return c.AddTokenized(c.opt.Tokenizer(s))
+	return c.AddTokenizedBatch([]token.TokenizedString{c.opt.Tokenizer(s)})
 }
 
-// AddTokenized is Add for a pre-tokenized string.
-func (c *Corpus) AddTokenized(ts token.TokenizedString) (token.StringID, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return -1, errors.New("corpus: closed")
-	}
-	if c.degraded != nil {
-		return -1, c.degradedErr()
-	}
-	m := c.wal.mark()
-	c.encBuf = encodeAdd(c.encBuf, ts)
-	if err := c.wal.append(c.encBuf); err != nil {
-		// Discard any frame the failed append left behind: the string was
-		// never applied, so a replay must not see it (it would shift every
-		// later id).
-		c.wal.rollback(m)
-		return -1, c.noteWAL(err)
-	}
-	sid := c.applyAdd(ts)
-	c.shipAppend(c.encBuf)
-	return sid, nil
-}
-
-// AddTokenizedBatch appends a batch with one group-commit fsync and
-// installs every string, returning the first id (the batch occupies the
-// dense range [first, first+len(tss))).
+// AddTokenizedBatch commits a batch of tokenized strings as one commit
+// and installs them, returning the first id (the batch occupies the
+// dense range [first, first+len(tss))). On a WAL failure nothing is
+// installed.
 func (c *Corpus) AddTokenizedBatch(tss []token.TokenizedString) (token.StringID, error) {
+	recs := make([]Record, len(tss))
+	for i, ts := range tss {
+		recs[i] = Record{TS: ts, payload: encodeAdd(nil, ts)}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return -1, errors.New("corpus: closed")
-	}
-	if c.degraded != nil {
-		return -1, c.degradedErr()
-	}
 	first := token.StringID(len(c.strings))
-	m := c.wal.mark()
-	for _, ts := range tss {
-		c.encBuf = encodeAdd(c.encBuf, ts)
-		if err := c.wal.appendDeferred(c.encBuf); err != nil {
-			c.wal.rollback(m) // none of the batch was applied
-			return -1, c.noteWAL(err)
-		}
-	}
-	if err := c.wal.sync(); err != nil {
-		c.wal.rollback(m)
-		return -1, c.noteWAL(err)
-	}
-	for _, ts := range tss {
-		c.applyAdd(ts)
-		c.encBuf = encodeAdd(c.encBuf, ts)
-		c.shipAppend(c.encBuf)
+	if _, err := c.commit(recs); err != nil {
+		return -1, err
 	}
 	return first, nil
 }
@@ -478,26 +441,64 @@ func (c *Corpus) AddTokenizedBatch(tss []token.TokenizedString) (token.StringID,
 func (c *Corpus) Delete(sid token.StringID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	_, err := c.commit([]Record{{Delete: true, SID: sid, payload: encodeDelete(nil, sid)}})
+	return err
+}
+
+// Record is one logical mutation: an add carrying its tokenized string,
+// or a delete carrying the id it tombstones.
+type Record struct {
+	Delete bool
+	TS     token.TokenizedString // add records
+	SID    token.StringID        // delete records
+	// payload is the record's WAL encoding, appended verbatim.
+	payload []byte
+}
+
+// commit is the one path by which a mutation becomes durable. It
+// appends recs to the WAL up to the first invalid one — a delete of an
+// id that is unknown or dead once the records before it apply — then
+// fsyncs by the one rule (when SyncEvery or more appends are pending,
+// checked once, at the end), and only then installs and ships that
+// prefix. It returns the prefix length and the invalid record's error;
+// a WAL failure rolls the whole batch back. Caller holds c.mu.
+func (c *Corpus) commit(recs []Record) (int, error) {
 	if c.closed {
-		return errors.New("corpus: closed")
+		return 0, errors.New("corpus: closed")
 	}
 	if c.degraded != nil {
-		return c.degradedErr()
+		return 0, c.degradedErr()
 	}
-	if int(sid) >= len(c.strings) || sid < 0 || !c.alive[sid] {
-		return fmt.Errorf("corpus: delete of id %d: %w", sid, ErrNotFound)
+	var invalid error
+	m, next := c.wal.mark(), len(c.strings) // next: the id the next add receives
+	for i, r := range recs {
+		if !r.Delete {
+			next++
+		} else if sid := r.SID; sid < 0 || int(sid) >= next || int(sid) < len(c.strings) && !c.alive[sid] ||
+			slices.ContainsFunc(recs[:i], func(p Record) bool { return p.Delete && p.SID == sid }) {
+			recs, invalid = recs[:i], fmt.Errorf("corpus: delete of id %d: %w", sid, ErrNotFound)
+			break
+		}
+		if err := c.wal.appendDeferred(r.payload); err != nil {
+			// None of the batch was applied, so a replay must not see any
+			// of it (it would shift every later id).
+			c.wal.rollback(m)
+			return 0, c.noteWAL(err)
+		}
 	}
-	m := c.wal.mark()
-	c.encBuf = encodeDelete(c.encBuf, sid)
-	if err := c.wal.append(c.encBuf); err != nil {
+	if err := c.wal.syncDue(); err != nil {
 		c.wal.rollback(m)
-		return c.noteWAL(err)
+		return 0, c.noteWAL(err)
 	}
-	if err := c.applyDelete(sid); err != nil {
-		return err
+	for _, r := range recs {
+		if r.Delete {
+			_ = c.applyDelete(r.SID) // cannot fail: the loop above checked the id
+		} else {
+			c.applyAdd(r.TS)
+		}
+		c.shipAppend(r.payload)
 	}
-	c.shipAppend(c.encBuf)
-	return nil
+	return len(recs), invalid
 }
 
 // Sync forces any batched WAL appends to stable storage.

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/token"
 )
@@ -27,9 +28,9 @@ import (
 // whose offset fell off the head (or a fresh follower with an empty
 // directory) is served a bootstrap instead: BootstrapPayloads
 // synthesizes a payload stream that replays — through the very same
-// applier as streamed records — to the identical logical state AND
-// the identical LSN (each tombstoned id contributes one add and one
-// delete, exactly as it did historically on the primary).
+// ApplyShipped commit as streamed records — to the identical logical
+// state AND the identical LSN (each tombstoned id contributes one add
+// and one delete, exactly as it did historically on the primary).
 //
 // Records replayed from the WAL at Open are not buffered: the ring
 // starts at the corpus's post-recovery LSN, so a follower that is
@@ -158,23 +159,32 @@ func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, erro
 	return out, nil
 }
 
-// Record is one decoded replication payload: an add carrying the
-// tokenized form, or a delete carrying the StringID to tombstone.
-type Record struct {
-	Delete bool
-	Tokens []string       // add records
-	SID    token.StringID // delete records
-}
-
-// DecodeRecord parses a shipped payload (the WAL record encoding).
-// Standby appliers use it to route a payload to the matching mutation;
-// an error means corruption and the batch must be rejected.
-func DecodeRecord(payload []byte) (Record, error) {
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return Record{}, err
+// ApplyShipped commits shipped payloads (see ShipFrom and
+// BootstrapPayloads) as one commit, appending each verbatim, up to the
+// first that does not decode or apply: it returns the committed records
+// in order and that payload's error.
+func (c *Corpus) ApplyShipped(payloads [][]byte) ([]Record, error) {
+	recs := make([]Record, 0, len(payloads))
+	var bad error
+	for i, p := range payloads {
+		wr, err := decodeRecord(p)
+		if err != nil {
+			bad = fmt.Errorf("corpus: shipped record %d: %w", i, err)
+			break
+		}
+		r := Record{Delete: wr.op == opDelete, SID: wr.sid, payload: p}
+		if !r.Delete {
+			r.TS = token.New(wr.tokens)
+		}
+		recs = append(recs, r)
 	}
-	return Record{Delete: rec.op == opDelete, Tokens: rec.tokens, SID: rec.sid}, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, err := c.commit(recs)
+	if err == nil {
+		err = bad
+	}
+	return recs[:n], err
 }
 
 // BootstrapPayloads synthesizes a full-state record stream: applied in

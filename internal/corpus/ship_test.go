@@ -1,32 +1,22 @@
 package corpus
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/iofault"
 	"repro/internal/namegen"
 	"repro/internal/token"
 )
 
-// applyPayloads routes shipped payloads through the public mutation
-// surface, exactly as a standby applier does.
+// applyPayloads commits shipped payloads as one batch, exactly as a
+// standby applier does.
 func applyPayloads(t *testing.T, c *Corpus, payloads [][]byte) {
 	t.Helper()
-	for _, p := range payloads {
-		rec, err := DecodeRecord(p)
-		if err != nil {
-			t.Fatalf("decode shipped payload: %v", err)
-		}
-		if rec.Delete {
-			if err := c.Delete(rec.SID); err != nil {
-				t.Fatalf("apply shipped delete %d: %v", rec.SID, err)
-			}
-		} else {
-			if _, err := c.AddTokenized(token.New(rec.Tokens)); err != nil {
-				t.Fatalf("apply shipped add: %v", err)
-			}
-		}
+	if recs, err := c.ApplyShipped(payloads); err != nil || len(recs) != len(payloads) {
+		t.Fatalf("apply %d shipped payloads: %d committed, %v", len(payloads), len(recs), err)
 	}
 }
 
@@ -235,5 +225,147 @@ func TestBootstrapEquivalence(t *testing.T) {
 	applyPayloads(t, f, tail)
 	if !statesEqual(logicalState(f), logicalState(c)) {
 		t.Fatal("incremental tail after bootstrap diverged")
+	}
+}
+
+// shippedBatch is a batch over a corpus holding ids 0..2 with 1 dead:
+// two adds (ids 3 and 4), a delete of id 3 (added earlier in the same
+// batch), then bad, then one more add. bad is the record at position 3.
+func shippedBatch(bad []byte) [][]byte {
+	return [][]byte{
+		encodeAdd(nil, token.New([]string{"ada", "lovelace"})),
+		encodeAdd(nil, token.New([]string{"alan", "turing"})),
+		encodeDelete(nil, 3),
+		bad,
+		encodeAdd(nil, token.New([]string{"grace", "hopper"})),
+	}
+}
+
+// seedShipTarget opens a corpus at dir holding ids 0..2 with id 1 dead.
+func seedShipTarget(t *testing.T, dir string, opt Options) *Corpus {
+	t.Helper()
+	c := mustOpen(t, dir, opt)
+	for _, n := range []string{"barak obama", "obamma boraak", "john smith"} {
+		if _, err := c.Add(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestApplyShippedPrefix: a shipped batch whose record k is invalid —
+// undecodable, a delete of a dead id, a delete of an id the batch
+// already deleted, a delete past the id space — commits exactly records
+// [0, k) and advances the LSN by k; a delete of an id added earlier in
+// the same batch is valid; and a reopen replays the committed state
+// exactly.
+func TestApplyShippedPrefix(t *testing.T) {
+	const k = 3
+	for _, tc := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"undecodable", []byte{0x7f}},
+		{"delete-dead", encodeDelete(nil, 1)},
+		{"delete-twice-in-batch", encodeDelete(nil, 3)},
+		{"delete-unknown", encodeDelete(nil, 9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := seedShipTarget(t, dir, Options{})
+			before := c.LSN()
+			batch := shippedBatch(tc.bad)
+			recs, err := c.ApplyShipped(batch)
+			if err == nil {
+				t.Fatal("a batch with an invalid record applied without error")
+			}
+			if len(recs) != k || c.LSN() != before+k {
+				t.Fatalf("committed %d records, LSN %d → %d; want %d records, LSN +%d", len(recs), before, c.LSN(), k, k)
+			}
+			if !recs[2].Delete || recs[2].SID != 3 || recs[1].Delete || recs[1].TS.Key() != "alan\x1fturing" {
+				t.Fatalf("committed records out of order: %+v", recs)
+			}
+
+			// The same prefix through the local mutation paths.
+			ref := seedShipTarget(t, t.TempDir(), Options{DisableSync: true})
+			defer ref.Close()
+			if _, err := ref.AddTokenizedBatch([]token.TokenizedString{recs[0].TS, recs[1].TS}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Delete(3); err != nil {
+				t.Fatal(err)
+			}
+			want := logicalState(ref)
+			if !statesEqual(logicalState(c), want) {
+				t.Fatalf("state after the prefix = %q, want %q", logicalState(c), want)
+			}
+			shipped, err := c.ShipFrom(before, 100, 0)
+			if err != nil || len(shipped) != k {
+				t.Fatalf("ship ring holds %d records past the batch start, %v; want %d", len(shipped), err, k)
+			}
+			for i, p := range shipped {
+				if !bytes.Equal(p, batch[i]) {
+					t.Fatalf("shipped record %d = %x, want the verbatim %x", i, p, batch[i])
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := mustOpen(t, dir, Options{})
+			defer r.Close()
+			if r.LSN() != before+k || !statesEqual(logicalState(r), want) {
+				t.Fatalf("reopen: LSN %d, state %q; want LSN %d, state %q", r.LSN(), logicalState(r), before+k, want)
+			}
+		})
+	}
+}
+
+// TestApplyShippedWALFault: a WAL write failing mid-batch rolls the
+// whole batch back and leaves the corpus healthy; an fsync failing at the
+// end of the commit rolls it back and degrades the corpus, as for any
+// other commit. Either way the LSN and state are unchanged, and a reopen
+// replays exactly the state before the batch.
+func TestApplyShippedWALFault(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		plan     iofault.Plan
+		degraded bool
+	}{
+		{"write", iofault.Plan{Only: iofault.OpWrite, FailAt: 1}, false},
+		{"short-write", iofault.Plan{Only: iofault.OpWrite, FailAt: 2, ShortWrite: 5}, false},
+		{"fsync", iofault.Plan{Only: iofault.OpSync, FailAt: 0}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := iofault.NewInjector(iofault.OS, iofault.Disarmed())
+			c := seedShipTarget(t, dir, Options{FS: inj})
+			before, want := c.LSN(), logicalState(c)
+			inj.SetPlan(tc.plan)
+			recs, err := c.ApplyShipped(shippedBatch(encodeAdd(nil, token.New([]string{"x"}))))
+			if err == nil || len(recs) != 0 {
+				t.Fatalf("faulted batch: %d committed, err %v; want 0 and an error", len(recs), err)
+			}
+			if inj.Faults() != 1 {
+				t.Fatalf("fault fired %d times, want 1", inj.Faults())
+			}
+			if c.LSN() != before || !statesEqual(logicalState(c), want) {
+				t.Fatalf("faulted batch moved the corpus: LSN %d → %d", before, c.LSN())
+			}
+			if got := c.Degraded() != nil; got != tc.degraded || errors.Is(err, ErrDegraded) != tc.degraded {
+				t.Fatalf("degraded = %v (err %v), want %v", got, err, tc.degraded)
+			}
+			if got, err := c.ShipFrom(before, 100, 0); err != nil || len(got) != 0 {
+				t.Fatalf("faulted batch reached the ship ring: %d records, %v", len(got), err)
+			}
+			c.Close()
+			r := mustOpen(t, dir, Options{})
+			defer r.Close()
+			if r.LSN() != before || !statesEqual(logicalState(r), want) {
+				t.Fatalf("reopen after a faulted batch: LSN %d, want %d", r.LSN(), before)
+			}
+		})
 	}
 }

@@ -251,7 +251,7 @@ func buildReference(t *testing.T, m *model) *corpus.Corpus {
 		t.Fatalf("open reference: %v", err)
 	}
 	for i, s := range m.strs {
-		id, err := c.AddTokenized(token.New(strings.Split(s, "\x00")))
+		id, err := c.AddTokenizedBatch([]token.TokenizedString{token.New(strings.Split(s, "\x00"))})
 		if err != nil || int(id) != i {
 			t.Fatalf("reference add %d: id=%d err=%v", i, id, err)
 		}

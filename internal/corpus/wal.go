@@ -51,8 +51,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walWriter appends CRC-framed records to an open log file with batched
-// fsync: records are durable after every flushEvery appends, on Sync, and
-// on Close. flushEvery = 1 (the default) is write-through.
+// fsync: a commit fsyncs once flushEvery or more appends are pending at
+// its end (syncDue); sync and close flush whatever is pending.
 type walWriter struct {
 	f   iofault.File
 	buf []byte // frame assembly scratch
@@ -141,19 +141,8 @@ func (w *walWriter) rollback(m walMark) {
 	w.offset, w.records, w.bytes, w.pending = m.offset, m.records, m.bytes, m.pending
 }
 
-// append frames and writes one payload, fsyncing per the batching policy.
-func (w *walWriter) append(payload []byte) error {
-	if err := w.appendDeferred(payload); err != nil {
-		return err
-	}
-	if w.pending >= w.flushEvery {
-		return w.sync()
-	}
-	return nil
-}
-
 // appendDeferred frames and writes one payload without consulting the
-// fsync policy — group-commit callers batch several records and call sync
+// fsync policy: a commit appends all its records, then calls syncDue
 // once. A partial write is rolled back so the validated prefix stays
 // intact.
 func (w *walWriter) appendDeferred(payload []byte) error {
@@ -172,6 +161,16 @@ func (w *walWriter) appendDeferred(payload []byte) error {
 	w.records++
 	w.bytes += int64(len(w.buf))
 	w.pending++
+	return nil
+}
+
+// syncDue applies the batching policy once, at the end of a commit:
+// fsync when the appends pending since the last fsync number flushEvery
+// or more.
+func (w *walWriter) syncDue() error {
+	if w.pending >= w.flushEvery {
+		return w.sync()
+	}
 	return nil
 }
 

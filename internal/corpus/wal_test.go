@@ -341,7 +341,7 @@ func FuzzReplayWAL(f *testing.F) {
 			} else {
 				buf = encodeDelete(buf, r.sid)
 			}
-			if err := w.append(buf); err != nil {
+			if err := w.appendDeferred(buf); err != nil {
 				t.Fatal(err)
 			}
 		}

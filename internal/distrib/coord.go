@@ -182,9 +182,11 @@ func (co *Coordinator) Ready() error {
 // ---- Routed writes -------------------------------------------------------
 
 // routed gives a routing failure its client status: a worker's verdict
-// (and the coordinator's own, which addOne reports in the same form)
-// keeps its status, deadline exhaustion is 503 (retryable), and any
-// other transport failure is 502.
+// keeps its status and body (it carries the worker's URL, so the
+// serving front relays it unchanged), the coordinator's own verdict,
+// which addOne reports in the same form, keeps its status, deadline
+// exhaustion is 503 (retryable), and any other transport failure is
+// 502.
 func routed(err error) *httpx.StatusError {
 	if se, ok := httpx.Status(err); ok {
 		// The owning worker answered: its verdict (400 double delete, 503

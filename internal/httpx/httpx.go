@@ -38,13 +38,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("%s answered %d: %s", e.URL, e.Code, e.Body)
 }
 
-// IsStatus reports whether err carries a StatusError with the given
-// status code.
-func IsStatus(err error, code int) bool {
-	var se *StatusError
-	return errors.As(err, &se) && se.Code == code
-}
-
 // Status returns err's StatusError, if any.
 func Status(err error) (*StatusError, bool) {
 	var se *StatusError

@@ -55,15 +55,15 @@ func TestStatusError(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error on 409")
 	}
-	if !IsStatus(err, http.StatusConflict) {
-		t.Fatalf("IsStatus(409) = false for %v", err)
-	}
-	if IsStatus(err, http.StatusNotFound) {
-		t.Fatal("IsStatus(404) matched a 409")
-	}
 	se, ok := Status(err)
 	if !ok || se.Code != http.StatusConflict || se.Body != "nope" {
 		t.Fatalf("Status = %+v, %v", se, ok)
+	}
+	if _, ok := Status(fmt.Errorf("wrapped: %w", err)); !ok {
+		t.Fatal("Status misses a wrapped StatusError")
+	}
+	if _, ok := Status(errors.New("plain")); ok {
+		t.Fatal("Status matched an error that carries no status")
 	}
 }
 

@@ -30,10 +30,12 @@ func (e *memEngine) LSN() uint64 {
 	return uint64(len(e.applied))
 }
 
-func (e *memEngine) Apply(p []byte) error {
+func (e *memEngine) Apply(ps [][]byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.applied = append(e.applied, append([]byte(nil), p...))
+	for _, p := range ps {
+		e.applied = append(e.applied, append([]byte(nil), p...))
+	}
 	return nil
 }
 

@@ -230,8 +230,9 @@ func (s *Standby) register(ctx context.Context) error {
 // shipped-batch ingest point, including heartbeats and bootstrap
 // chunks. Batches are gap-checked against the engine's LSN; the
 // already-applied overlap of a retried batch is skipped (see the
-// package comment), and the response always carries the authoritative
-// LSN the primary must resume from.
+// package comment), the rest is committed up to its first bad frame in
+// one Apply, and the response always carries the authoritative LSN the
+// primary must resume from.
 func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -296,24 +297,29 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: lsn, Syncing: s.syncing})
 		return
 	}
-	skip := lsn - req.From // duplicate prefix of a retried batch
-	for i, fr := range req.Frames {
-		if uint64(i) < skip {
-			continue
-		}
+	// Past the duplicate prefix of a retried batch, commit the CRC-valid
+	// run in one Apply.
+	var payloads [][]byte
+	var bad error
+	for _, fr := range req.Frames[min(lsn-req.From, uint64(len(req.Frames))):] {
 		if crc32.Checksum(fr.Payload, castagnoli) != fr.CRC {
-			s.lastErr = "frame crc mismatch"
-			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: "frame crc mismatch"})
-			return
+			bad = errors.New("frame crc mismatch")
+			break
 		}
-		if err := s.eng.Apply(fr.Payload); err != nil {
-			// A partial apply is fine: the applied prefix advanced our
-			// LSN, and the primary resumes from it after the error.
-			s.lastErr = err.Error()
-			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: err.Error()})
-			return
+		payloads = append(payloads, fr.Payload)
+	}
+	if len(payloads) > 0 {
+		if err := s.eng.Apply(payloads); err != nil {
+			bad = err
 		}
-		s.applied++
+		s.applied += int64(s.eng.LSN() - lsn)
+	}
+	if bad != nil {
+		// A partial apply is fine: the applied prefix advanced our LSN,
+		// and the primary resumes from it after the error.
+		s.lastErr = bad.Error()
+		httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: bad.Error()})
+		return
 	}
 	if len(req.Frames) == 0 && !req.Resync {
 		s.heartbeats++

@@ -168,7 +168,7 @@ type nodeEngine struct{ n *repNode }
 
 func (e nodeEngine) LSN() uint64 { return e.n.corpus().LSN() }
 
-func (e nodeEngine) Apply(p []byte) error { return e.n.matcher().ApplyShipped(p) }
+func (e nodeEngine) Apply(ps [][]byte) error { return e.n.matcher().ApplyShipped(ps...) }
 
 func (e nodeEngine) Seal() error { return e.n.corpus().Sync() }
 

@@ -1,8 +1,8 @@
 // Package replica is WAL-shipping replication for the durable corpus:
 // a primary-side shipper streams committed, CRC-framed WAL records over
-// HTTP to N warm standbys, each of which applies them through the same
-// corpus mutation path a restart replays through, so a standby is at
-// all times a query-serving replica whose logical state — and therefore
+// HTTP to N warm standbys, each of which commits every shipped batch as
+// one corpus commit (one fsync) before its ack, so a standby is at all
+// times a query-serving replica whose logical state — and therefore
 // whose join results — match the primary's acknowledged history.
 //
 // # Offset space and gap detection
@@ -67,8 +67,9 @@ type Source interface {
 type Applier interface {
 	// LSN is the engine's committed logical sequence number.
 	LSN() uint64
-	// Apply installs one replicated payload (add or delete), durably.
-	Apply(payload []byte) error
+	// Apply installs a batch of replicated payloads durably, as one
+	// commit, up to its first invalid payload, whose error it returns.
+	Apply(payloads [][]byte) error
 	// Seal flushes the engine to stable storage; called by Promote.
 	Seal() error
 }

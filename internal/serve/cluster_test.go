@@ -323,3 +323,50 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		t.Fatalf("latency.query.count = %d, want the 2 queries served", got)
 	}
 }
+
+// TestCoordinatorRelaysWorkerVerdict: a worker's error answer reaches the
+// client through a coordinator unchanged. An add, then a double delete
+// of id 0, answers exactly the status, body and content type a single
+// node answers, not the worker's text under a second "delete: " prefix.
+func TestCoordinatorRelaysWorkerVerdict(t *testing.T) {
+	type answer struct {
+		code        int
+		body, ctype string
+	}
+	drive := func(base string) []answer {
+		var out []answer
+		for _, step := range []struct{ path, body string }{
+			{"/add", `{"name": "jane doe"}`},
+			{"/delete", `{"id": 0}`},
+			{"/delete", `{"id": 0}`},
+		} {
+			resp, err := http.Post(base+step.path, "application/json", strings.NewReader(step.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, answer{resp.StatusCode, string(body), resp.Header.Get("Content-Type")})
+		}
+		return out
+	}
+	node, _ := newTestServer(t)
+	want := drive(node.URL)
+	if last := want[len(want)-1]; last.code != http.StatusBadRequest {
+		t.Fatalf("single node double delete: %+v, want 400", last)
+	}
+
+	worker, _ := newTestServer(t)
+	co := distrib.New(distrib.Map{Shards: []distrib.Shard{{Worker: worker.URL}}}, distrib.Options{})
+	cs := httptest.NewServer(CoordinatorHandler(co, 0))
+	t.Cleanup(cs.Close)
+	got := drive(cs.URL)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d through the coordinator: %+v; single node: %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -116,17 +116,20 @@ func endpoint[Req, Resp any](what string, call func(*http.Request, Req) (Resp, e
 
 // writeError answers a failed request; it is the one mapping from error
 // to status for both roles. An *httpx.StatusError keeps its status (and
-// answers its Reply as the JSON body, when set); an unknown id is the
+// answers its Reply as the JSON body, when set, or a peer's body
+// unchanged, when it carries the peer's URL); an unknown id is the
 // caller's fault (400); a degraded corpus or a syncing standby is 503 —
 // the node heals in place or an operator intervenes, and the request is
 // safe to retry elsewhere; anything else is 500. Every 503 carries
 // Retry-After.
 func writeError(w http.ResponseWriter, what string, err error) {
-	code, msg := http.StatusInternalServerError, err.Error()
+	code, msg := http.StatusInternalServerError, what+": "+err.Error()
 	se, isStatus := httpx.Status(err)
 	switch {
+	case isStatus && se.URL != "":
+		code, msg = se.Code, se.Body // a peer's verdict: it names the operation
 	case isStatus:
-		code, msg = se.Code, se.Body
+		code, msg = se.Code, what+": "+se.Body
 	case errors.Is(err, tsjoin.ErrNotFound):
 		code = http.StatusBadRequest
 	case errors.Is(err, tsjoin.ErrDegraded), errors.Is(err, replica.ErrSyncing):
@@ -139,7 +142,7 @@ func writeError(w http.ResponseWriter, what string, err error) {
 		httpx.WriteJSONStatus(w, code, se.Reply)
 		return
 	}
-	http.Error(w, what+": "+msg, code)
+	http.Error(w, msg, code)
 }
 
 // readyz is GET /readyz over a role's readiness check.

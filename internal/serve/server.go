@@ -53,8 +53,8 @@
 // standbys register via POST /replication/register and committed WAL
 // records stream to them (far-behind followers get a full bootstrap).
 // Started with -replica-of URL (plus -advertise URL and -data DIR), the
-// node is instead a warm standby: it applies the primary's shipped
-// stream through the same replay path a restart uses, serves /query
+// node is instead a warm standby: it commits each shipped batch through
+// the corpus commit path the primary's writes take, serves /query
 // (and all read endpoints) from the warm index, answers 503 on writes,
 // and reports not-ready until it is registered and caught up. POST
 // /promote fails the node over: the applier is sealed, the corpus
@@ -337,9 +337,9 @@ func (s *Server) corpusHandle() *tsjoin.Corpus {
 }
 
 // serverEngine adapts the serving matcher+corpus to the replication
-// Applier: replicated records install through the same mutation path a
-// WAL replay uses, so the standby's matcher answers queries over
-// exactly the primary's acknowledged history. Its methods are called
+// Applier: a shipped batch commits through the same corpus path the
+// primary's writes take, as one commit, so the standby's matcher answers
+// queries over exactly the primary's acknowledged history. Its methods are called
 // only under the Standby's own lock, which also serializes them with
 // resetEngine's handle swap.
 type serverEngine struct{ s *Server }
@@ -351,11 +351,11 @@ func (e serverEngine) LSN() uint64 {
 	return e.s.m.LSN()
 }
 
-func (e serverEngine) Apply(payload []byte) error {
+func (e serverEngine) Apply(payloads [][]byte) error {
 	if e.s.m == nil {
 		return errors.New("engine is resetting")
 	}
-	return e.s.m.ApplyShipped(payload)
+	return e.s.m.ApplyShipped(payloads...)
 }
 
 func (e serverEngine) Seal() error {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -157,20 +158,23 @@ func (m *ShardedMatcher) Delete(id int) error {
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
 	m.mu.RLock()
-	n := len(m.strings)
+	live := id >= 0 && id < len(m.dead) && !m.dead[id]
 	m.mu.RUnlock()
-	if id < 0 || id >= n {
+	if !live {
 		return fmt.Errorf("stream: delete of id %d: %w", id, corpus.ErrNotFound)
 	}
 	if m.corpus != nil {
-		// The corpus rejects double deletes (with ErrNotFound), keeping
-		// the two id spaces' tombstone sets identical.
 		if err := m.corpus.Delete(token.StringID(id)); err != nil {
 			return err
 		}
-	} else if m.isDead(id) {
-		return fmt.Errorf("stream: delete of id %d: %w", id, corpus.ErrNotFound)
 	}
+	m.tombstone(id)
+	return nil
+}
+
+// tombstone marks a live id dead in the index and counts it toward the
+// next posting sweep. The caller holds addMu.
+func (m *ShardedMatcher) tombstone(id int) {
 	// Copy-on-write: concurrent queries hold snapshots of both slices.
 	m.mu.Lock()
 	dead := append([]bool(nil), m.dead...)
@@ -188,7 +192,6 @@ func (m *ShardedMatcher) Delete(id int) error {
 	m.mu.Unlock()
 	m.deletesSinceSweep++
 	m.maybeSweepTombstones()
-	return nil
 }
 
 // sweepMinDeletes floors the amortized tombstone-sweep threshold: a
@@ -232,72 +235,53 @@ func (m *ShardedMatcher) maybeSweepTombstones() {
 	}
 }
 
-// ApplyShipped applies one replicated record — a payload shipped from a
-// primary's corpus (see corpus.ShipFrom / corpus.BootstrapPayloads) —
-// to this matcher: adds are persisted to the attached corpus first
-// (durability precedes visibility, exactly like AddDurable) and then
-// indexed WITHOUT matching — a standby serves queries, it does not
-// generate match results for replicated arrivals — and deletes
-// tombstone both layers. Applying the primary's committed record
-// stream in order reproduces its id space, alive mask and LSN exactly.
-func (m *ShardedMatcher) ApplyShipped(payload []byte) error {
-	rec, err := corpus.DecodeRecord(payload)
-	if err != nil {
-		return err
+// ApplyShipped applies a batch of payloads shipped from a primary's
+// corpus to a corpus-backed matcher: the batch is one corpus commit
+// (corpus.ApplyShipped), and then, in order, its adds are indexed
+// WITHOUT matching — a standby serves queries, it does not generate
+// match results for replicated arrivals — and its deletes tombstone.
+// Applying the primary's committed record stream in order reproduces
+// its id space, alive mask and LSN exactly.
+func (m *ShardedMatcher) ApplyShipped(payloads ...[]byte) error {
+	if m.corpus == nil {
+		return errors.New("stream: shipped records need an attached corpus")
 	}
-	if rec.Delete {
-		return m.Delete(int(rec.SID))
-	}
-	ts := token.New(rec.Tokens)
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
-	if err := m.persist(ts); err != nil {
+	if err := m.checkAligned(); err != nil {
 		return err
 	}
-	m.indexTokenized(ts)
-	return nil
-}
-
-// indexTokenized appends one string to the live index without matching
-// it. The probe is priced and prefix-marked like a live Add's so the
-// standby's index keeps the same lazy segment-storage shape as the
-// primary's. Caller holds addMu.
-func (m *ShardedMatcher) indexTokenized(ts token.TokenizedString) {
-	probe := distinctProbe(ts)
-	m.markProbe(ts, probe)
-	m.appendAndIndex(ts, probe)
-}
-
-// isDead reports whether id is tombstoned.
-func (m *ShardedMatcher) isDead(id int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.dead[id]
+	recs, err := m.corpus.ApplyShipped(payloads)
+	for _, r := range recs {
+		if r.Delete {
+			m.tombstone(int(r.SID))
+			continue
+		}
+		// Priced and prefix-marked like a live Add's probe, so the
+		// standby's index keeps the primary's lazy segment-storage shape.
+		probe := distinctProbe(r.TS)
+		m.markProbe(r.TS, probe)
+		m.appendAndIndex(r.TS, probe)
+	}
+	return err
 }
 
 // Corpus returns the attached persistent corpus (nil for a purely
 // in-memory matcher).
 func (m *ShardedMatcher) Corpus() *corpus.Corpus { return m.corpus }
 
-// AddDurable is Add with the persistence error surfaced: the record is
-// appended to the attached corpus's WAL (fsynced per its policy) before
-// the string becomes visible to queries. On a persistence failure
-// nothing is indexed and id is -1. Without an attached corpus it behaves
-// exactly like Add.
+// AddDurable is AddAllDurable of one string.
 func (m *ShardedMatcher) AddDurable(s string) (int, []Match, error) {
-	ts := m.opt.Tokenizer(s)
-	m.addMu.Lock()
-	defer m.addMu.Unlock()
-	if err := m.persist(ts); err != nil {
+	id, matches, err := m.AddAllDurable([]string{s})
+	if err != nil {
 		return -1, nil, err
 	}
-	id, matches := m.addBatch([]token.TokenizedString{ts})
 	return id, matches[0], nil
 }
 
 // AddAllDurable is AddAll with the persistence error surfaced. The whole
-// batch is appended to the WAL with one group-commit fsync before any
-// element becomes visible; on failure nothing is indexed.
+// batch is one WAL commit, fsynced by the corpus's SyncEvery rule,
+// before any element becomes visible; on failure nothing is indexed.
 func (m *ShardedMatcher) AddAllDurable(names []string) (int, [][]Match, error) {
 	toks := make([]token.TokenizedString, len(names))
 	for i, s := range names {
@@ -315,19 +299,6 @@ func (m *ShardedMatcher) AddAllDurable(names []string) (int, [][]Match, error) {
 	}
 	first, matches := m.addBatch(toks)
 	return first, matches, nil
-}
-
-// persist appends one add record to the attached corpus (no-op when
-// detached). The caller holds addMu.
-func (m *ShardedMatcher) persist(ts token.TokenizedString) error {
-	if m.corpus == nil {
-		return nil
-	}
-	if err := m.checkAligned(); err != nil {
-		return err
-	}
-	_, err := m.corpus.AddTokenized(ts)
-	return err
 }
 
 // checkAligned verifies the corpus and matcher id spaces still agree

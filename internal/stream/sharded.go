@@ -242,7 +242,7 @@ func (m *ShardedMatcher) Add(s string) (int, []Match) {
 // occupies the dense id range [first, first+len(names)). Element i of the
 // returned slice holds the matches of names[i] — including matches to
 // earlier names of the same batch. On a corpus-backed matcher the whole
-// batch is WAL-appended (one group-commit fsync) before any element is
+// batch is committed to the WAL as one commit before any element is
 // indexed; a persistence failure returns (-1, nil) — callers that need
 // the error use AddAllDurable.
 func (m *ShardedMatcher) AddAll(names []string) (first int, matches [][]Match) {
