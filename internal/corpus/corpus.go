@@ -1,10 +1,10 @@
 // Package corpus implements the durable, mutable corpus behind the
-// persistent join and serving paths: it owns the tokenized strings, their
-// live token document frequencies and distinct-member lists, and it
-// persists all logical state through a versioned binary snapshot plus a
-// CRC-framed, fsync-batched write-ahead log, so a process restart
-// recovers the exact corpus (and any index derived from it) without
-// re-ingesting anything.
+// persistent join and serving paths: it holds the tokenized strings in
+// one token.Corpus, whose frequencies it keeps live (a delete uncounts
+// its string), beside the alive mask, and it persists all logical state
+// through a versioned binary snapshot plus a CRC-framed, fsync-batched
+// write-ahead log, so a process restart recovers the exact corpus (and
+// any index derived from it) without re-ingesting anything.
 //
 // The corpus keeps no prefix order of its own. A join over it derives the
 // rarest-first order from the live frequencies, exactly as a join over an
@@ -63,20 +63,11 @@ type Corpus struct {
 	fs  iofault.FS
 
 	// ---- logical state --------------------------------------------------
-	strings []token.TokenizedString
-	alive   []bool
-	live    int
-
-	tokens     []string
-	tokenRunes [][]rune
-	tokenID    map[string]token.TokenID
-	// freq is the live document frequency over alive strings (deletes
-	// decrement).
-	freq []int32
-
-	// lexMembers[s] holds s's distinct TokenIDs in lexicographic token
-	// order (the Members invariant of token.NewCorpusView).
-	lexMembers [][]token.TokenID
+	// tc holds every string ever added, tombstones included; its Freq
+	// counts the alive ones only (applyDelete forgets the dead).
+	tc    *token.Corpus
+	alive []bool
+	live  int
 
 	// ---- persistence ----------------------------------------------------
 	gen         uint64
@@ -167,7 +158,7 @@ func Open(dir string, opt Options) (*Corpus, error) {
 		dir:          dir,
 		opt:          opt,
 		fs:           fs,
-		tokenID:      make(map[string]token.TokenID),
+		tc:           &token.Corpus{},
 		corruptSnaps: make(map[uint64]bool),
 		lock:         lock,
 	}
@@ -274,90 +265,37 @@ func removeStaleTemp(fs iofault.FS, dir string) {
 	}
 }
 
-// applySnapshot installs a decoded snapshot as the corpus state and
-// rebuilds the derived structures (intern map, rune cache, live
-// frequencies, member lists) in one linear pass.
+// applySnapshot installs a decoded snapshot as the corpus state: its
+// token table seeds the token corpus, so every token keeps its id, and
+// the strings are added back in id order (a tombstone as an empty string
+// that counts nothing).
 func (c *Corpus) applySnapshot(st *snapState) {
 	c.gen = st.gen
-	c.tokens = st.tokens
-	n := len(c.tokens)
-	c.tokenRunes = make([][]rune, n)
-	c.tokenID = st.tokenID
-	for id, t := range c.tokens {
-		c.tokenRunes[id] = []rune(t)
-	}
-	c.freq = make([]int32, n)
-
-	c.strings = make([]token.TokenizedString, len(st.strs))
+	c.tc = st.tc
+	c.tc.Grow(len(st.strs))
 	c.alive = st.alive
-	c.lexMembers = make([][]token.TokenID, len(st.strs))
 	var toks []string
 	for sid, ids := range st.strs {
 		if !st.alive[sid] {
+			c.tc.Add(token.TokenizedString{})
 			continue
 		}
 		c.live++
 		toks = toks[:0]
 		for _, tid := range ids {
-			toks = append(toks, c.tokens[tid])
+			toks = append(toks, c.tc.Tokens[tid])
 		}
-		c.strings[sid] = token.New(toks)
-		lex := distinctIDs(ids)
-		c.lexMembers[sid] = lex
-		for _, tid := range lex {
-			c.freq[tid]++
-		}
+		c.tc.Add(token.New(toks))
 	}
-}
-
-// distinctIDs collapses a sorted-by-token multiset id list (duplicates
-// adjacent, because equal tokens are adjacent in TokenizedString order)
-// into the distinct list, preserving order.
-func distinctIDs(ids []token.TokenID) []token.TokenID {
-	out := make([]token.TokenID, 0, len(ids))
-	for i, id := range ids {
-		if i > 0 && id == ids[i-1] {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// intern returns the TokenID for t, interning it on first sight.
-func (c *Corpus) intern(t string) token.TokenID {
-	if tid, ok := c.tokenID[t]; ok {
-		return tid
-	}
-	tid := token.TokenID(len(c.tokens))
-	c.tokenID[t] = tid
-	c.tokens = append(c.tokens, t)
-	c.tokenRunes = append(c.tokenRunes, []rune(t))
-	c.freq = append(c.freq, 0)
-	return tid
 }
 
 // applyAdd installs one tokenized string (already WAL-durable or being
 // replayed) and returns its id.
 func (c *Corpus) applyAdd(ts token.TokenizedString) token.StringID {
-	sid := token.StringID(len(c.strings))
-	c.strings = append(c.strings, ts)
 	c.alive = append(c.alive, true)
 	c.live++
-
-	lex := make([]token.TokenID, 0, ts.Count())
-	for i, t := range ts.Tokens {
-		if i > 0 && t == ts.Tokens[i-1] {
-			continue
-		}
-		lex = append(lex, c.intern(t))
-	}
-	c.lexMembers = append(c.lexMembers, lex)
-	for _, tid := range lex {
-		c.freq[tid]++
-	}
 	c.dirty = true
-	return sid
+	return c.tc.Add(ts)
 }
 
 // ErrNotFound marks a delete of an id that does not exist or is already
@@ -396,7 +334,7 @@ func (c *Corpus) noteWAL(err error) error {
 // retained (point-in-time views may still hold them; readers filter by
 // alive) — a restart from a snapshot sheds them.
 func (c *Corpus) applyDelete(sid token.StringID) error {
-	if int(sid) >= len(c.strings) || sid < 0 {
+	if int(sid) >= len(c.alive) || sid < 0 {
 		return fmt.Errorf("corpus: delete of id %d: %w", sid, ErrNotFound)
 	}
 	if !c.alive[sid] {
@@ -404,9 +342,7 @@ func (c *Corpus) applyDelete(sid token.StringID) error {
 	}
 	c.alive[sid] = false
 	c.live--
-	for _, tid := range c.lexMembers[sid] {
-		c.freq[tid]--
-	}
+	c.tc.Forget(sid)
 	c.dirty = true
 	return nil
 }
@@ -428,7 +364,7 @@ func (c *Corpus) AddTokenizedBatch(tss []token.TokenizedString) (token.StringID,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	first := token.StringID(len(c.strings))
+	first := token.StringID(len(c.alive))
 	if _, err := c.commit(recs); err != nil {
 		return -1, err
 	}
@@ -470,11 +406,11 @@ func (c *Corpus) commit(recs []Record) (int, error) {
 		return 0, c.degradedErr()
 	}
 	var invalid error
-	m, next := c.wal.mark(), len(c.strings) // next: the id the next add receives
+	m, next := c.wal.mark(), len(c.alive) // next: the id the next add receives
 	for i, r := range recs {
 		if !r.Delete {
 			next++
-		} else if sid := r.SID; sid < 0 || int(sid) >= next || int(sid) < len(c.strings) && !c.alive[sid] ||
+		} else if sid := r.SID; sid < 0 || int(sid) >= next || int(sid) < len(c.alive) && !c.alive[sid] ||
 			slices.ContainsFunc(recs[:i], func(p Record) bool { return p.Delete && p.SID == sid }) {
 			recs, invalid = recs[:i], fmt.Errorf("corpus: delete of id %d: %w", sid, ErrNotFound)
 			break
@@ -696,7 +632,7 @@ func (c *Corpus) ReleaseLockForTest() {
 func (c *Corpus) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.strings)
+	return len(c.alive)
 }
 
 // Live returns the number of non-deleted strings.
@@ -717,10 +653,10 @@ func (c *Corpus) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := Stats{
-		Strings:     len(c.strings),
+		Strings:     len(c.alive),
 		Live:        c.live,
-		Tombstones:  len(c.strings) - c.live,
-		Tokens:      len(c.tokens),
+		Tombstones:  len(c.alive) - c.live,
+		Tokens:      c.tc.NumTokens(),
 		Generation:  c.gen,
 		WALReplayed: c.walReplayed,
 		Snapshots:   c.snapshots,
@@ -750,14 +686,5 @@ type View struct {
 func (c *Corpus) View() *View {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n := len(c.strings)
-	nt := len(c.tokens)
-	tc := token.NewCorpusView(
-		c.strings[:n:n],
-		c.tokens[:nt:nt],
-		c.tokenRunes[:nt:nt],
-		append([]int32(nil), c.freq...),
-		c.lexMembers[:n:n],
-	)
-	return &View{TC: tc, Alive: append([]bool(nil), c.alive...), Live: c.live}
+	return &View{TC: c.tc.View(), Alive: slices.Clone(c.alive), Live: c.live}
 }

@@ -3,10 +3,12 @@ package corpus
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/iofault"
 	"repro/internal/namegen"
+	"repro/internal/token"
 )
 
 // mustOpen opens a corpus or fails the test.
@@ -410,6 +412,77 @@ func TestViewIsolation(t *testing.T) {
 	for tid, f := range freq0 {
 		if v.TC.Freq[tid] != f {
 			t.Fatalf("later mutations moved the view's frequency of token %d: %d -> %d", tid, f, v.TC.Freq[tid])
+		}
+	}
+}
+
+// TestTokenSpaceSurvivesRestart: a view's token space — token ids,
+// live frequencies and alive strings' member lists — is the same before
+// Close and after reopening, from the WAL alone and from a snapshot plus
+// a WAL tail. The history holds tokens whose only string was deleted
+// (before and after the snapshot: each stays at its id, counted 0) and
+// empty strings. Ids are first-seen, not lexicographic, so a reload that
+// re-sorted the token table would show here. A tombstone's own member
+// list is not compared: a snapshot sheds it with the string's content.
+func TestTokenSpaceSurvivesRestart(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		c := mustOpen(t, dir, Options{DisableSync: true})
+		add := func(s string) token.StringID {
+			t.Helper()
+			id, err := c.Add(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		del := func(id token.StringID) {
+			t.Helper()
+			if err := c.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add("zeta alpha")
+		del(add("lonely beta"))
+		add("")
+		add("alpha alpha gamma")
+		if snapshot {
+			if err := c.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add("delta, alpha")
+		add("...")
+		del(add("solo"))
+		add("beta epsilon")
+		want := c.View()
+		c.Close()
+
+		c = mustOpen(t, dir, Options{DisableSync: true})
+		got := c.View()
+		st := c.Stats()
+		c.Close()
+		if snapshot && (st.Generation != 1 || st.WALReplayed != 5) || !snapshot && st.WALReplayed != 10 {
+			t.Fatalf("snapshot %v: reopened at generation %d with %d records replayed", snapshot, st.Generation, st.WALReplayed)
+		}
+		if !slices.Equal(got.TC.Tokens, want.TC.Tokens) || !slices.Equal(got.TC.Freq, want.TC.Freq) {
+			t.Fatalf("snapshot %v: tokens %q freq %v after reopen, want %q freq %v", snapshot, got.TC.Tokens, got.TC.Freq, want.TC.Tokens, want.TC.Freq)
+		}
+		if !slices.Equal(got.Alive, want.Alive) {
+			t.Fatalf("snapshot %v: alive %v after reopen, want %v", snapshot, got.Alive, want.Alive)
+		}
+		for sid, alive := range want.Alive {
+			if alive && !slices.Equal(got.TC.Members[sid], want.TC.Members[sid]) {
+				t.Fatalf("snapshot %v: string %d members %v after reopen, want %v", snapshot, sid, got.TC.Members[sid], want.TC.Members[sid])
+			}
+		}
+		for _, tok := range []string{"lonely", "solo"} {
+			if id, ok := got.TC.TokenIDOf(tok); !ok || got.TC.Freq[id] != 0 {
+				t.Fatalf("snapshot %v: deleted-only token %q lost or counted (id %d, present %v)", snapshot, tok, id, ok)
+			}
+		}
+		if slices.IsSorted(got.TC.Tokens) || got.TC.Strings[2].Count() != 0 || got.TC.Strings[5].Count() != 0 {
+			t.Fatalf("snapshot %v: tokens %q are sorted, or an empty string is not", snapshot, got.TC.Tokens)
 		}
 	}
 }

@@ -80,8 +80,8 @@ func newShipLog(maxRecords int) *shipLog {
 
 // lsnLocked computes the logical sequence number; caller holds c.mu.
 func (c *Corpus) lsnLocked() uint64 {
-	tombstones := len(c.strings) - c.live
-	return uint64(len(c.strings) + tombstones)
+	tombstones := len(c.alive) - c.live
+	return uint64(len(c.alive) + tombstones)
 }
 
 // LSN returns the corpus's logical sequence number: the total count of
@@ -197,12 +197,12 @@ func (c *Corpus) ApplyShipped(payloads [][]byte) ([]Record, error) {
 func (c *Corpus) BootstrapPayloads() ([][]byte, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	tombstones := len(c.strings) - c.live
-	out := make([][]byte, 0, len(c.strings)+tombstones)
+	tombstones := len(c.alive) - c.live
+	out := make([][]byte, 0, len(c.alive)+tombstones)
 	var buf []byte
-	for sid := range c.strings {
-		if c.alive[sid] {
-			buf = encodeAdd(buf, c.strings[sid])
+	for sid, alive := range c.alive {
+		if alive {
+			buf = encodeAdd(buf, c.tc.Strings[sid])
 			out = append(out, append([]byte(nil), buf...))
 			continue
 		}

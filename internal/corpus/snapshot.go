@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -33,31 +32,23 @@ import (
 //	crc32c  uint32 over everything above
 //
 // Version 1, written before the corpus stopped keeping a frequency order
-// of its own, is still read. It carries three more fields, which the
-// decoder range-checks and discards:
+// of its own, is no longer read: Open refuses a directory whose only
+// snapshot is one. Checkpoint such a directory with a build that still
+// reads it before upgrading.
 //
-//	magic, version = 1, gen             as above
-//	epoch   uint64                          frequency-order epoch
-//	reranks uint64                          lifetime order-rebuild count
-//	tokens                                  as above
-//	rank    per token: varint               frozen rarest-first rank
-//	frozen  per token: varint               document frequency at the last re-rank
-//	strings, crc32c                         as above
-//
-// Tokens are distinct, no string lists an empty token, a version-1 rank
-// or frequency is a non-negative int32, and every varint is in its
-// shortest form; decodeSnapshot refuses a file that breaks any of these.
+// Tokens are distinct, no string lists an empty token, and every varint is
+// in its shortest form; decodeSnapshot refuses a file that breaks any of
+// these.
 //
 // Derived state — distinct-member lists and live frequencies — is rebuilt
-// at load time from the logical state above. It is cheap (one linear
+// at load time from the logical state above, by adding the strings back
+// to a token corpus seeded with the token table. It is cheap (one linear
 // pass) and rebuilding it keeps the on-disk format small and free of
 // redundancy that could disagree with itself.
 
 const (
 	snapMagic   = "TSJSNAP1"
 	snapVersion = 2
-	// snapVersion1 is the older layout decodeSnapshot still reads.
-	snapVersion1 = 1
 )
 
 // snapPrefix/walPrefix name generation files: snap-%016x.tsj pairs with
@@ -170,10 +161,10 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 	if err = cw.u64(gen); err != nil {
 		return "", err
 	}
-	if err = cw.uvarint(uint64(len(c.tokens))); err != nil {
+	if err = cw.uvarint(uint64(c.tc.NumTokens())); err != nil {
 		return "", err
 	}
-	for _, t := range c.tokens {
+	for _, t := range c.tc.Tokens {
 		if err = cw.uvarint(uint64(len(t))); err != nil {
 			return "", err
 		}
@@ -181,12 +172,12 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 			return "", err
 		}
 	}
-	if err = cw.uvarint(uint64(len(c.strings))); err != nil {
+	if err = cw.uvarint(uint64(len(c.alive))); err != nil {
 		return "", err
 	}
 	idBuf := make([]token.TokenID, 0, 16)
-	for sid := range c.strings {
-		if !c.alive[sid] {
+	for sid, alive := range c.alive {
+		if !alive {
 			if _, err = cw.Write([]byte{0}); err != nil {
 				return "", err
 			}
@@ -195,8 +186,7 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 		if _, err = cw.Write([]byte{1}); err != nil {
 			return "", err
 		}
-		ts := &c.strings[sid]
-		idBuf = c.multisetIDs(ts, sid, idBuf[:0])
+		idBuf = c.multisetIDs(sid, idBuf[:0])
 		if err = cw.uvarint(uint64(len(idBuf))); err != nil {
 			return "", err
 		}
@@ -230,8 +220,8 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 // onto TokenIDs using the distinct member list: tokens and the distinct
 // token space are both lexicographically ordered within the string, so
 // the distinct index advances exactly when the token changes.
-func (c *Corpus) multisetIDs(ts *token.TokenizedString, sid int, buf []token.TokenID) []token.TokenID {
-	mem := c.lexMembers[sid]
+func (c *Corpus) multisetIDs(sid int, buf []token.TokenID) []token.TokenID {
+	ts, mem := &c.tc.Strings[sid], c.tc.Members[sid]
 	di := 0
 	for i, t := range ts.Tokens {
 		if i > 0 && t != ts.Tokens[i-1] {
@@ -252,11 +242,11 @@ func (c *Corpus) syncDir() error {
 
 // snapState is the decoded logical content of a snapshot file.
 type snapState struct {
-	gen    uint64
-	tokens []string
-	// tokenID is the intern map of tokens, built while decoding (where
-	// it catches duplicate tokens) and adopted by applySnapshot.
-	tokenID map[string]token.TokenID
+	gen uint64
+	// tc is the token table, seeded with no strings: its intern map is
+	// built while decoding (where it catches duplicate tokens) and the
+	// corpus adopts it in applySnapshot.
+	tc *token.Corpus
 	// strs[i] is nil for tombstones, else the multiset of TokenIDs.
 	strs  [][]token.TokenID
 	alive []bool
@@ -272,11 +262,10 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 }
 
 // decodeSnapshot CRC-verifies and parses a snapshot. It accepts exactly
-// what writeSnapshotTemp writes, or wrote as version 1 (the format comment
-// above), with string flags 0 and 1 and each alive string's ids sorted by
-// token. Anything else is corruption that slipped past the CRC, or a
-// writer bug, and is refused rather than loaded into a corpus that
-// disagrees with itself.
+// what writeSnapshotTemp writes (the format comment above), with string
+// flags 0 and 1 and each alive string's ids sorted by token. Anything else
+// is corruption that slipped past the CRC, or a writer bug, and is refused
+// rather than loaded into a corpus that disagrees with itself.
 func decodeSnapshot(raw []byte) (*snapState, error) {
 	if len(raw) < len(snapMagic)+4+8+4 || string(raw[:len(snapMagic)]) != snapMagic {
 		return nil, errors.New("corpus: bad snapshot header")
@@ -287,19 +276,12 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 	}
 	p := body[len(snapMagic):]
 	version := binary.LittleEndian.Uint32(p)
-	if version != snapVersion && version != snapVersion1 {
+	if version != snapVersion {
 		return nil, fmt.Errorf("corpus: unsupported snapshot version %d", version)
 	}
 	p = p[4:]
 	st := &snapState{gen: binary.LittleEndian.Uint64(p)}
 	p = p[8:]
-	if version == snapVersion1 {
-		// The order's epoch and re-rank count: any value is well-formed.
-		if len(p) < 16 {
-			return nil, errors.New("corpus: bad snapshot header")
-		}
-		p = p[16:]
-	}
 
 	uv := func() (uint64, error) {
 		v, k := uvarint(p)
@@ -321,9 +303,8 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 	if nTok > uint64(len(p)) {
 		return nil, errors.New("corpus: snapshot token count exceeds payload")
 	}
-	st.tokens = make([]string, nTok)
-	st.tokenID = make(map[string]token.TokenID, nTok)
-	for i := range st.tokens {
+	tokens := make([]string, nTok)
+	for i := range tokens {
 		l, err := uv()
 		if err != nil {
 			return nil, err
@@ -331,26 +312,11 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 		if uint64(len(p)) < l {
 			return nil, errors.New("corpus: truncated snapshot token")
 		}
-		t := string(p[:l])
+		tokens[i] = string(p[:l])
 		p = p[l:]
-		if _, dup := st.tokenID[t]; dup {
-			return nil, fmt.Errorf("corpus: snapshot token %q listed twice", t)
-		}
-		st.tokens[i] = t
-		st.tokenID[t] = token.TokenID(i)
 	}
-	if version == snapVersion1 {
-		// A version-1 rank and frozen frequency per token: non-negative
-		// int32s the writer stored as uvarints. Nothing reads them now.
-		for i := uint64(0); i < 2*nTok; i++ {
-			v, err := uv()
-			if err != nil {
-				return nil, err
-			}
-			if v > math.MaxInt32 {
-				return nil, fmt.Errorf("corpus: snapshot value %d beyond int32", v)
-			}
-		}
+	if st.tc, err = token.NewCorpus(tokens); err != nil {
+		return nil, fmt.Errorf("corpus: snapshot: %w", err)
 	}
 	nStr, err := uv()
 	if err != nil {
@@ -390,8 +356,8 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 			if v >= nTok {
 				return nil, errors.New("corpus: snapshot token id out of range")
 			}
-			t := st.tokens[v]
-			if t == "" || j > 0 && t < st.tokens[ids[j-1]] {
+			t := tokens[v]
+			if t == "" || j > 0 && t < tokens[ids[j-1]] {
 				return nil, fmt.Errorf("corpus: snapshot string %d is not a sorted token multiset", i)
 			}
 			ids[j] = token.TokenID(v)

@@ -1,6 +1,7 @@
 package token
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -20,22 +21,31 @@ type TokenID int32
 // Corpus is a set of tokenized strings R = {r^t_1, ..., r^t_S} together
 // with its token space R^t (Sec. III-D): the set of all distinct tokens of
 // all tokenized strings, each with the number of strings containing it.
+//
+// A Corpus is either built in one go (BuildCorpus, whose token ids are
+// lexicographic) or grown one string at a time (the zero Corpus or
+// NewCorpus, then Add, whose token ids are first-seen). Either way it only
+// ever grows: Add appends a string, Forget uncounts one, Grow reserves
+// room, and nothing else writes the corpus, so a View stays valid while
+// its base grows.
 type Corpus struct {
 	// Strings holds the tokenized strings, indexed by StringID.
 	Strings []TokenizedString
-	// Tokens holds the distinct token space, indexed by TokenID, sorted
-	// lexicographically for determinism.
+	// Tokens holds the distinct token space, indexed by TokenID.
 	Tokens []string
 	// TokenRunes caches the decoded form of each distinct token.
 	TokenRunes [][]rune
 	// Freq[t] is the number of tokenized strings containing token t at
 	// least once (document frequency, used for the max-frequency cutoff M
-	// of Sec. III-G.2 and for the IDF weights of the fuzzy set measures).
+	// of Sec. III-G.2 and for the IDF weights of the fuzzy set measures),
+	// over the strings added and not forgotten.
 	Freq []int32
-	// Members[s] lists the distinct TokenIDs of string s, in the
-	// lexicographic order of their token strings (for BuildCorpus corpora,
-	// whose ids are assigned lexicographically, that is also ascending id
-	// order).
+	// Members[s] lists the distinct TokenIDs of string s in the
+	// lexicographic order of their token strings, whichever order the ids
+	// themselves follow (with BuildCorpus's lexicographic ids it is also
+	// ascending id order). Consumers rely on exactly this: the
+	// id-expansion walk advances a distinct cursor whenever the sorted
+	// token changes.
 	Members     [][]TokenID
 	tokenID     map[string]TokenID
 	tokenIDOnce sync.Once
@@ -201,37 +211,93 @@ func (b *corpusBuilder) finish() *Corpus {
 	return c
 }
 
-// NewCorpusView assembles a Corpus from externally maintained state (the
-// persistent corpus of internal/corpus exposes its token space this way so
-// the batch joiner can run on it without rebuilding anything). Unlike
-// BuildCorpus, token ids follow the caller's interning order rather than
-// lexicographic order; members[s] must hold string s's distinct TokenIDs
-// in the lexicographic order of their token strings — the invariant
-// consumers of Members actually rely on (the id-expansion walk advances a
-// distinct cursor whenever the sorted token changes), and the one
-// BuildCorpus's lexicographic ids provide for free. The intern map is
-// built lazily on the first TokenIDOf call, so views captured per join
-// never pay for it (the join pipeline works on ids throughout).
-func NewCorpusView(strings []TokenizedString, tokens []string, tokenRunes [][]rune, freq []int32, members [][]TokenID) *Corpus {
+// NewCorpus returns a corpus with no strings over the token space tokens,
+// token i getting id i, and its intern map built. It fails if a token is
+// listed twice. The zero Corpus is the empty one.
+func NewCorpus(tokens []string) (*Corpus, error) {
+	n := len(tokens)
+	c := &Corpus{Tokens: tokens[:n:n], TokenRunes: make([][]rune, n), Freq: make([]int32, n)}
+	for id, t := range tokens {
+		c.TokenRunes[id] = []rune(t)
+	}
+	c.tokenIDOnce.Do(c.index)
+	if len(c.tokenID) != n {
+		return nil, fmt.Errorf("token: the token space lists %d tokens, %d of them distinct", n, len(c.tokenID))
+	}
+	return c, nil
+}
+
+// index builds the intern map over Tokens.
+func (c *Corpus) index() {
+	c.tokenID = make(map[string]TokenID, len(c.Tokens))
+	for id, tok := range c.Tokens {
+		c.tokenID[tok] = TokenID(id)
+	}
+}
+
+// Add appends ts as the next string and returns its id. Tokens new to the
+// corpus are interned at the tail of the token space in first-seen order;
+// ts's distinct tokens become its Members, in its (lexicographic) token
+// order, and each is counted once in Freq. Add, Grow and Forget are not
+// safe for concurrent use with any other method.
+func (c *Corpus) Add(ts TokenizedString) StringID {
+	c.tokenIDOnce.Do(c.index)
+	mem := make([]TokenID, 0, ts.Count())
+	for i, t := range ts.Tokens {
+		if i > 0 && t == ts.Tokens[i-1] {
+			continue
+		}
+		id, ok := c.tokenID[t]
+		if !ok {
+			id = TokenID(len(c.Tokens))
+			c.tokenID[t] = id
+			c.Tokens = append(c.Tokens, t)
+			c.TokenRunes = append(c.TokenRunes, []rune(t))
+			c.Freq = append(c.Freq, 0)
+		}
+		c.Freq[id]++
+		mem = append(mem, id)
+	}
+	c.Strings = append(c.Strings, ts)
+	c.Members = append(c.Members, mem)
+	return StringID(len(c.Strings) - 1)
+}
+
+// Grow copies the string and member tables once into room for exactly n
+// more strings, so the next n Adds append in place.
+func (c *Corpus) Grow(n int) {
+	c.Strings = append(make([]TokenizedString, 0, len(c.Strings)+n), c.Strings...)
+	c.Members = append(make([][]TokenID, 0, len(c.Members)+n), c.Members...)
+}
+
+// Forget uncounts string sid from Freq: a deleted string keeps its id, its
+// tokens and its Members, and stops counting. Forgetting a string twice
+// is the caller's error.
+func (c *Corpus) Forget(sid StringID) {
+	for _, id := range c.Members[sid] {
+		c.Freq[id]--
+	}
+}
+
+// View returns a point-in-time copy of the corpus that shares its tables
+// at capped capacity and copies Freq, so later Adds and Forgets on either
+// side never reach the other: an Add to the view reallocates the tables
+// it grows and interns into a map of its own, built on first use.
+func (c *Corpus) View() *Corpus {
+	n, nt := len(c.Strings), len(c.Tokens)
 	return &Corpus{
-		Strings:    strings,
-		Tokens:     tokens,
-		TokenRunes: tokenRunes,
-		Freq:       freq,
-		Members:    members,
+		Strings:    c.Strings[:n:n],
+		Tokens:     c.Tokens[:nt:nt],
+		TokenRunes: c.TokenRunes[:nt:nt],
+		Freq:       slices.Clone(c.Freq),
+		Members:    c.Members[:n:n],
 	}
 }
 
 // TokenIDOf returns the TokenID for a token string, if present. Safe for
-// concurrent use (the lazy intern-map build is synchronized).
+// concurrent use with itself (the lazy intern-map build is synchronized).
 func (c *Corpus) TokenIDOf(t string) (TokenID, bool) {
-	c.tokenIDOnce.Do(func() {
-		m := make(map[string]TokenID, len(c.Tokens))
-		for id, tok := range c.Tokens {
-			m[tok] = TokenID(id)
-		}
-		c.tokenID = m
-	})
+	c.tokenIDOnce.Do(c.index)
 	id, ok := c.tokenID[t]
 	return id, ok
 }

@@ -271,6 +271,151 @@ func TestBuildCorpusMatchesReference(t *testing.T) {
 	}
 }
 
+// corpusState is a deep copy of a corpus's tables, for checking that
+// later writes elsewhere leave them alone.
+type corpusState struct {
+	strings [][]string
+	tokens  []string
+	runes   []string
+	freq    []int32
+	members [][]TokenID
+}
+
+func stateOf(c *Corpus) corpusState {
+	st := corpusState{tokens: slices.Clone(c.Tokens), freq: slices.Clone(c.Freq)}
+	for _, r := range c.TokenRunes {
+		st.runes = append(st.runes, string(r))
+	}
+	for s := range c.Strings {
+		st.strings = append(st.strings, slices.Clone(c.Strings[s].Tokens))
+		st.members = append(st.members, slices.Clone(c.Members[s]))
+	}
+	return st
+}
+
+// TestCorpusAddMatchesReference: a corpus grown string by string with Add
+// is the reference build of the same inputs up to the token-id
+// permutation (first-seen ids instead of lexicographic ones): the same
+// strings, the same token space and runes, the same frequency per token,
+// and the same members read as token strings, in lexicographic order.
+// Forget uncounts exactly a string's distinct tokens, a View is untouched
+// by later Adds and Forgets on its base, and an Add to a view (a probe
+// join over a corpus view) leaves the base's tables, frequencies and
+// intern map alone.
+func TestCorpusAddMatchesReference(t *testing.T) {
+	inputs := append(namegen.Generate(namegen.Config{Seed: 23, NumNames: 1200}), adversarialInputs()...)
+	for _, tc := range []struct {
+		name string
+		tok  Tokenizer
+		ref  func(string) refString
+	}{
+		{"Whitespace", Whitespace, refWhitespace},
+		{"WhitespaceAndPunct", WhitespaceAndPunct, refWhitespaceAndPunct},
+		{"custom", commaTokenizer, refCommaTokenizer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := refBuildCorpus(inputs, tc.ref)
+			var got Corpus
+			for s, in := range inputs {
+				if sid := got.Add(tc.tok(in)); sid != StringID(s) {
+					t.Fatalf("Add of string %d returned id %d", s, sid)
+				}
+			}
+			if got.NumStrings() != len(want.Strings) || got.NumTokens() != len(want.Tokens) ||
+				len(got.TokenRunes) != len(want.Tokens) || len(got.Freq) != len(want.Tokens) {
+				t.Fatalf("%d strings, %d tokens, %d rune views, %d frequencies; want %d strings and %d tokens",
+					got.NumStrings(), got.NumTokens(), len(got.TokenRunes), len(got.Freq), len(want.Strings), len(want.Tokens))
+			}
+			for gid, tok := range got.Tokens {
+				wid, ok := want.tokenID[tok]
+				if !ok {
+					t.Fatalf("token %q is not in the reference token space", tok)
+				}
+				if id, ok := got.TokenIDOf(tok); !ok || id != TokenID(gid) {
+					t.Fatalf("TokenIDOf(%q) = %d, %v; want %d", tok, id, ok, gid)
+				}
+				if got.Freq[gid] != want.Freq[wid] || !slices.Equal(got.TokenRunes[gid], want.TokenRunes[wid]) {
+					t.Fatalf("token %q: Freq %d, runes %q; want %d and %q", tok, got.Freq[gid], string(got.TokenRunes[gid]), want.Freq[wid], string(want.TokenRunes[wid]))
+				}
+			}
+			asTokens := func(tokens []string, ids []TokenID) []string {
+				out := make([]string, len(ids))
+				for i, id := range ids {
+					out[i] = tokens[id]
+				}
+				return out
+			}
+			for s := range want.Strings {
+				if !slices.Equal(got.Strings[s].Tokens, want.Strings[s].Tokens) {
+					t.Fatalf("string %d: Tokens %q, want %q", s, got.Strings[s].Tokens, want.Strings[s].Tokens)
+				}
+				// The reference's ascending ids are lexicographic.
+				if g, w := asTokens(got.Tokens, got.Members[s]), asTokens(want.Tokens, want.Members[s]); !slices.Equal(g, w) {
+					t.Fatalf("string %d: Members as tokens %q, want %q", s, g, w)
+				}
+			}
+
+			// Forget uncounts exactly the string's distinct tokens.
+			for _, s := range []int{0, len(inputs) - 1, len(inputs) - 16} { // a name, "a,A", "bo bo bo"
+				before := slices.Clone(got.Freq)
+				got.Forget(StringID(s))
+				for id := range before {
+					d := before[id] - got.Freq[id]
+					if d != 0 && (d != 1 || !slices.Contains(got.Members[s], TokenID(id))) ||
+						d == 0 && slices.Contains(got.Members[s], TokenID(id)) {
+						t.Fatalf("Forget(%d) of %q moved Freq[%q] by %d", s, got.Strings[s].Tokens, got.Tokens[id], -d)
+					}
+				}
+			}
+
+			// A view is untouched by its base's later Adds and Forgets.
+			view := got.View()
+			frozen := stateOf(view)
+			for _, in := range []string{"zz-new-token alpha", "bo bo", "qq, rr"} {
+				got.Add(tc.tok(in))
+			}
+			got.Forget(1)
+			if !reflect.DeepEqual(stateOf(view), frozen) {
+				t.Fatal("a view changed under its base's Add and Forget")
+			}
+
+			// An Add to a view leaves its base alone: tables, frequencies
+			// and intern map, whether or not the view was grown first (as
+			// a probe join grows it).
+			for _, grow := range []bool{false, true} {
+				base := stateOf(&got)
+				nt := got.NumTokens()
+				view = got.View()
+				if grow {
+					view.Grow(2)
+				}
+				sid := view.Add(tc.tok("probe-only-token, " + inputs[5]))
+				view.Add(tc.tok(fmt.Sprintf("second probe-only token %v", grow)))
+				if int(sid) != got.NumStrings() || view.NumTokens() <= nt {
+					t.Fatalf("view Add gave id %d and %d tokens over a base of %d strings and %d tokens", sid, view.NumTokens(), got.NumStrings(), nt)
+				}
+				if !reflect.DeepEqual(stateOf(&got), base) || len(got.tokenID) != nt {
+					t.Fatal("an Add to a view changed its base")
+				}
+				for _, tok := range view.Tokens[nt:] {
+					if _, ok := got.TokenIDOf(tok); ok {
+						t.Fatalf("a view's token %q reached its base's intern map", tok)
+					}
+				}
+				// The base grows on past the view without writing into it.
+				grown := stateOf(view)
+				got.Add(tc.tok(fmt.Sprintf("xbase%v", grow)))
+				if !reflect.DeepEqual(stateOf(view), grown) {
+					t.Fatal("a base Add changed a view grown by Add")
+				}
+				if id, _ := got.TokenIDOf(fmt.Sprintf("xbase%v", grow)); id != TokenID(nt) {
+					t.Fatalf("the base's next token got id %d, want %d", id, nt)
+				}
+			}
+		})
+	}
+}
+
 // TestBuildCorpusFromTokenizedKeepsTokens: tokens are interned as given.
 // Rendering each string and re-splitting it on whitespace, as the builder
 // once did, cut "van der" in two.

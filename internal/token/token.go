@@ -16,7 +16,9 @@
 // right after its length histogram in the histogram arena, where Sigs
 // reads them; New signs its own tokens into the same layout. The Corpus
 // (or lone TokenizedString) owns its arenas and nothing writes them after
-// construction, so workers may read them concurrently. Everything handed
+// construction, so workers may read them concurrently. A Corpus grown by
+// Add appends whole strings to its tables and never rewrites one already
+// there; Add and Forget are the only writers of Freq. Everything handed
 // out is a read-only, cap-limited view: callers must not write through
 // one, and an append to one reallocates instead of running into its
 // neighbour. BuildCorpus token ids are lexicographic: a string's ascending

@@ -2,6 +2,7 @@ package tsj
 
 import (
 	"cmp"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -213,5 +214,69 @@ func TestJoinCorpusEmptySides(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].A != 0 || res[0].B != 0 || res[0].NSLD != 0 {
 		t.Fatalf("token-less pairing: %v", res)
+	}
+}
+
+// TestJoinCorpusConcurrentWrites: a corpus join grows its own view of the
+// corpus with the probes while a writer keeps adding strings with tokens
+// new to the corpus and deleting others. Under -race this checks that the
+// view and the corpus share no table either side writes. Afterwards the
+// probes' tokens have reached neither the corpus's token table nor its
+// frequencies, and a join over the quiet corpus is the reference's.
+func TestJoinCorpusConcurrentWrites(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 67, NumNames: 400})
+	pc := openSeeded(t, names[:100], corpus.Options{})
+	probes := []token.TokenizedString{
+		token.WhitespaceAndPunct(names[3]),
+		token.WhitespaceAndPunct("qqprobeonly " + names[150]),
+	}
+	opts := DefaultOptions()
+	done := make(chan error, 1)
+	go func() {
+		for i, n := range names[100:] {
+			if _, err := pc.Add(fmt.Sprintf("%s zzwriter%d", n, i)); err != nil {
+				done <- err
+				return
+			}
+			if i%10 == 0 {
+				if err := pc.Delete(token.StringID(i)); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 20; i++ {
+		if _, _, err := JoinCorpus(pc, probes, opts); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	v := pc.View()
+	if _, ok := v.TC.TokenIDOf("qqprobeonly"); ok {
+		t.Fatal("a probe-only token reached the corpus's token table")
+	}
+	freq := make([]int32, v.TC.NumTokens())
+	for sid, alive := range v.Alive {
+		for _, id := range v.TC.Members[sid] {
+			if alive {
+				freq[id]++
+			}
+		}
+	}
+	if !slices.Equal(v.TC.Freq, freq) {
+		t.Fatal("the corpus's frequencies are not its live strings' counts")
+	}
+	got, _, err := JoinCorpus(pc, probes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := joinCorpusReference(t, pc, probes, opts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after concurrent writes: %v, want %v", got, want)
 	}
 }

@@ -36,9 +36,12 @@
 // Job 1's reducers and the expansion pairing R ids with P ids only.
 // SelfJoin and Join run over an in-memory corpus and read the frequencies
 // token.BuildCorpus counted. SelfJoinCorpus and JoinCorpus run over a
-// persistent corpus's point-in-time view and read its live document
-// frequencies; everything after that, the prefix index's rarest-first
-// order included, is derived per join exactly as for an in-memory corpus.
+// persistent corpus's point-in-time view (a token.Corpus View) and read
+// its live document frequencies; JoinCorpus grows its view with the
+// probes (token.Corpus.Add), which interns their new tokens and counts
+// them, and builds no table of its own. Everything after that, the prefix
+// index's rarest-first order included, is derived per join exactly as for
+// an in-memory corpus.
 //
 // Every job reports task-cost statistics so the simulated cluster can
 // reproduce the paper's scalability figures.
