@@ -43,8 +43,9 @@ race:
 	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/...
 
 # Storage fault-injection suite under the race detector: the op-sweep
-# torture test (every WAL/snapshot/compact I/O operation failed in turn,
-# then reopen + invariant check), degraded-mode sealing and recovery,
+# torture tests (every WAL/snapshot/compact I/O operation, and every
+# operation of a snapshot install, failed in turn, then reopen +
+# invariant check), degraded-mode sealing and recovery,
 # and the bit-rot loud-failure contract — plus the serving layer's
 # degraded-mode end-to-end test. -short strides the sweep; the full
 # sweep runs in the plain `test` target.
@@ -52,10 +53,11 @@ torture:
 	$(GO) test -race -short -run 'Torture|Degraded|BitRot' -count=1 ./internal/corpus/ ./internal/serve/
 
 # Replication torture under the race detector: every shipped WAL frame
-# failed in turn (drop, torn write, delay, standby crash, primary
-# crash), plus promotion and restart equivalence, and the serving
-# layer's failover end-to-end test. -short strides the frame sweep; the
-# full sweep runs in the plain `test` target.
+# and snapshot install failed in turn (drop, torn write, delay, standby
+# crash, primary crash), plus promotion and restart equivalence, the
+# install handler's rejection of bad snapshots, and the serving layer's
+# failover, install and old-RESYNC-directory tests. -short strides the
+# frame sweep; the full sweep runs in the plain `test` target.
 replication-torture:
 	$(GO) test -race -short -run 'Replication|Promotion|Failover' -count=1 ./internal/replica/ ./internal/serve/
 
@@ -87,14 +89,14 @@ bench-corpus:
 	$(GO) test -run='^$$' -bench='CorpusAdd|SnapshotLoad|WALReplay' -benchtime=1x -benchmem ./internal/corpus/
 
 equivalence-guard:
-	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestOracleEquivalence TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback FuzzLevenshteinBoundedU16; do \
+	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestInstallEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
+	for pat in TestOracleEquivalence TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback FuzzLevenshteinBoundedU16; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (naive-join oracle + pair orientation + bounded + prefix + segment-prefix + restart + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths): ok"
+	echo "equivalence guard (naive-join oracle + pair orientation + bounded + prefix + segment-prefix + restart + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

@@ -22,7 +22,7 @@ var ErrDegraded = corpus.ErrDegraded
 // ErrShipBehind and ErrShipAhead report a ShipFrom offset the corpus
 // cannot serve incrementally — older than the retained ship log, or
 // beyond the committed LSN (a diverged follower). Either way the
-// follower must be re-seeded from BootstrapPayloads.
+// follower must be re-seeded with a snapshot (SnapshotBytes).
 var (
 	ErrShipBehind = corpus.ErrShipBehind
 	ErrShipAhead  = corpus.ErrShipAhead
@@ -64,12 +64,6 @@ type CorpusOptions struct {
 	// injector exercises every WAL/snapshot recovery path by failing a
 	// chosen write, fsync, or rename.
 	FS iofault.FS
-	// ShipBufferRecords bounds the in-memory replication ship log: the
-	// corpus retains up to this many recent committed records for
-	// streaming to followers (see ShipFrom); a follower that falls off
-	// the ring is re-seeded via BootstrapPayloads. 0 means the default
-	// (1024).
-	ShipBufferRecords int
 }
 
 // CorpusStats snapshots a corpus's state and persistence counters.
@@ -80,11 +74,10 @@ type CorpusStats = corpus.Stats
 // torn or corrupt WAL tail is detected via CRC and cleanly ignored.
 func OpenCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 	c, err := corpus.Open(dir, corpus.Options{
-		Tokenizer:         opts.Tokenizer,
-		SyncEvery:         opts.SyncEvery,
-		DisableSync:       opts.DisableSync,
-		FS:                opts.FS,
-		ShipBufferRecords: opts.ShipBufferRecords,
+		Tokenizer:   opts.Tokenizer,
+		SyncEvery:   opts.SyncEvery,
+		DisableSync: opts.DisableSync,
+		FS:          opts.FS,
 	})
 	if err != nil {
 		return nil, err
@@ -236,7 +229,7 @@ func (c *Corpus) LSN() uint64 { return c.c.LSN() }
 // ShipFrom reads committed replication payloads starting at LSN from
 // (up to maxRecords records / maxBytes payload bytes; empty means
 // caught up). ErrShipBehind / ErrShipAhead mean the offset cannot be
-// served incrementally and the follower needs BootstrapPayloads.
+// served incrementally and the follower needs SnapshotBytes.
 func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, error) {
 	return c.c.ShipFrom(from, maxRecords, maxBytes)
 }
@@ -245,11 +238,11 @@ func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, erro
 // so a shipper that drained ShipFrom can block instead of polling.
 func (c *Corpus) ShipNotify() <-chan struct{} { return c.c.ShipNotify() }
 
-// BootstrapPayloads synthesizes a full-state replication stream:
-// applied in order to an empty corpus it reproduces this corpus's
-// logical state and exact LSN (returned), after which the follower can
-// tail incrementally with ShipFrom.
-func (c *Corpus) BootstrapPayloads() ([][]byte, uint64) { return c.c.BootstrapPayloads() }
+// SnapshotBytes encodes the corpus's current state in its snapshot
+// format and returns it with the state's LSN. A follower installs the
+// bytes as its own directory's state and opens it as a restart would,
+// after which it tails incrementally with ShipFrom from that LSN.
+func (c *Corpus) SnapshotBytes() ([]byte, uint64) { return c.c.SnapshotBytes() }
 
 // Stats snapshots the corpus counters.
 func (c *Corpus) Stats() CorpusStats { return c.c.Stats() }

@@ -49,7 +49,7 @@ type Options struct {
 	// ShipBufferRecords bounds the in-memory replication ship log (see
 	// LSN, ShipFrom): the ring retains up to this many recent committed
 	// records for streaming to followers; a follower that falls off the
-	// ring is bootstrapped instead. 0 means the default (1024).
+	// ring installs a snapshot instead. 0 means the default (1024).
 	ShipBufferRecords int
 }
 
@@ -243,7 +243,8 @@ func Open(dir string, opt Options) (*Corpus, error) {
 		return nil, err
 	}
 	// The ship log starts at the post-recovery LSN: replayed records are
-	// not buffered (a follower behind a restarted primary bootstraps).
+	// not buffered (a follower behind a restarted primary installs a
+	// snapshot).
 	c.ship = newShipLog(opt.ShipBufferRecords)
 	c.ship.head = c.lsnLocked()
 	opened = true
@@ -273,14 +274,13 @@ func (c *Corpus) applySnapshot(st *snapState) {
 	c.gen = st.gen
 	c.tc = st.tc
 	c.tc.Grow(len(st.strs))
-	c.alive = st.alive
+	c.alive, c.live = st.alive, st.live
 	var toks []string
 	for sid, ids := range st.strs {
 		if !st.alive[sid] {
 			c.tc.Add(token.TokenizedString{})
 			continue
 		}
-		c.live++
 		toks = toks[:0]
 		for _, tid := range ids {
 			toks = append(toks, c.tc.Tokens[tid])

@@ -1,9 +1,12 @@
 package corpus
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 
+	"repro/internal/iofault"
 	"repro/internal/token"
 )
 
@@ -26,21 +29,21 @@ import (
 //
 // The ring holds the tail of the committed record stream. A follower
 // whose offset fell off the head (or a fresh follower with an empty
-// directory) is served a bootstrap instead: BootstrapPayloads
-// synthesizes a payload stream that replays — through the very same
-// ApplyShipped commit as streamed records — to the identical logical
-// state AND the identical LSN (each tombstoned id contributes one add
-// and one delete, exactly as it did historically on the primary).
+// directory) is seeded instead with the corpus's snapshot, the one
+// full-state encoding: SnapshotBytes encodes the current state with its
+// LSN, and the follower writes it into its directory with Install and
+// reopens it, through the same load path a restart takes. From that LSN
+// it tails the ring like any other follower.
 //
 // Records replayed from the WAL at Open are not buffered: the ring
 // starts at the corpus's post-recovery LSN, so a follower that is
-// behind a freshly restarted primary resyncs via bootstrap. That is
+// behind a freshly restarted primary is seeded with a snapshot. That is
 // the honest choice — buffering a replay of unbounded size would
 // either blow memory or silently cover only part of the gap.
 
 // defaultShipBuffer is the ship-log depth when Options.ShipBufferRecords
 // is zero: deep enough to ride out brief follower stalls and transient
-// network faults without forcing a full resync.
+// network faults without forcing a snapshot install.
 const defaultShipBuffer = 1024
 
 // maxShipBytes bounds the ring's payload memory regardless of record
@@ -49,12 +52,12 @@ const maxShipBytes = 8 << 20
 
 // ErrShipBehind reports a ShipFrom offset older than the ship log's
 // head: the records were evicted (or folded into a snapshot before this
-// process started), so the follower must be bootstrapped.
-var ErrShipBehind = errors.New("corpus: ship offset predates the ship log; follower needs a bootstrap")
+// process started), so the follower must install a snapshot.
+var ErrShipBehind = errors.New("corpus: ship offset predates the ship log; follower needs a snapshot")
 
 // ErrShipAhead reports a ShipFrom offset beyond the committed LSN: the
 // follower claims records this corpus never produced (a diverged
-// follower, e.g. an old primary), and must be bootstrapped onto this
+// follower, e.g. an old primary), and must install a snapshot of this
 // corpus's history.
 var ErrShipAhead = errors.New("corpus: ship offset is beyond the committed log; follower has diverged")
 
@@ -78,11 +81,12 @@ func newShipLog(maxRecords int) *shipLog {
 	return &shipLog{maxRecords: maxRecords, notify: make(chan struct{})}
 }
 
+// lsnOf is the logical sequence number of a state with n ids, live of
+// them alive: one add per id plus one delete per tombstone.
+func lsnOf(n, live int) uint64 { return uint64(2*n - live) }
+
 // lsnLocked computes the logical sequence number; caller holds c.mu.
-func (c *Corpus) lsnLocked() uint64 {
-	tombstones := len(c.alive) - c.live
-	return uint64(len(c.alive) + tombstones)
-}
+func (c *Corpus) lsnLocked() uint64 { return lsnOf(len(c.alive), c.live) }
 
 // LSN returns the corpus's logical sequence number: the total count of
 // committed mutations (adds plus deletes) over its whole history.
@@ -128,7 +132,7 @@ func (c *Corpus) ShipNotify() <-chan struct{} {
 // least one record is returned when any is available regardless of the
 // byte budget. An empty result with a nil error means the follower is
 // caught up. ErrShipBehind / ErrShipAhead mean the offset cannot be
-// served incrementally and the follower needs a bootstrap. The returned
+// served incrementally and the follower needs a snapshot. The returned
 // slices are shared with the ring and must not be modified.
 func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, error) {
 	c.mu.RLock()
@@ -159,10 +163,10 @@ func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, erro
 	return out, nil
 }
 
-// ApplyShipped commits shipped payloads (see ShipFrom and
-// BootstrapPayloads) as one commit, appending each verbatim, up to the
-// first that does not decode or apply: it returns the committed records
-// in order and that payload's error.
+// ApplyShipped commits shipped payloads (see ShipFrom) as one commit,
+// appending each verbatim, up to the first that does not decode or
+// apply: it returns the committed records in order and that payload's
+// error.
 func (c *Corpus) ApplyShipped(payloads [][]byte) ([]Record, error) {
 	recs := make([]Record, 0, len(payloads))
 	var bad error
@@ -187,29 +191,89 @@ func (c *Corpus) ApplyShipped(payloads [][]byte) ([]Record, error) {
 	return recs[:n], err
 }
 
-// BootstrapPayloads synthesizes a full-state record stream: applied in
-// order to an empty corpus, it reproduces this corpus's logical state
-// and — because every tombstoned id contributes one add and one delete,
-// exactly as it did historically — its exact LSN, which is returned.
-// Tombstones are emitted as an empty-string add immediately followed by
-// its delete (tombstone content is not retained, and logical state does
-// not include it).
-func (c *Corpus) BootstrapPayloads() ([][]byte, uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	tombstones := len(c.alive) - c.live
-	out := make([][]byte, 0, len(c.alive)+tombstones)
-	var buf []byte
-	for sid, alive := range c.alive {
-		if alive {
-			buf = encodeAdd(buf, c.tc.Strings[sid])
-			out = append(out, append([]byte(nil), buf...))
-			continue
-		}
-		buf = encodeAdd(buf, token.TokenizedString{})
-		out = append(out, append([]byte(nil), buf...))
-		buf = encodeDelete(buf, token.StringID(sid))
-		out = append(out, append([]byte(nil), buf...))
+// SnapshotBytes encodes the current state in the snapshot format and
+// returns it with the state's LSN: what a follower installs (Install)
+// before it tails the ring from that LSN. It encodes a captured View, so
+// commits proceed while it runs.
+func (c *Corpus) SnapshotBytes() ([]byte, uint64) {
+	v := c.View()
+	var buf bytes.Buffer
+	_ = encodeSnapshot(&buf, 0, v) // a bytes.Buffer does not fail a write
+	return buf.Bytes(), lsnOf(len(v.Alive), v.Live)
+}
+
+// CheckSnapshot decodes raw as a snapshot, with every check Open makes,
+// and returns the LSN of the state it holds. It touches nothing.
+func CheckSnapshot(raw []byte) (uint64, error) {
+	st, err := decodeSnapshot(raw)
+	if err != nil {
+		return 0, err
 	}
-	return out, c.lsnLocked()
+	return lsnOf(len(st.alive), st.live), nil
+}
+
+// Install makes the snapshot raw the whole state of the corpus directory
+// dir, which must not be open, and returns the installed LSN. It checks
+// raw before it touches anything. It then writes it through opt.FS as a
+// generation above every one in dir (temp file, fsync, rename, directory
+// fsync) and removes the older generations. The rename is the one commit
+// point: after a crash anywhere, dir reopens either as it was — empty,
+// for a fresh follower — or as exactly the installed state, never as a
+// mix of the two.
+func Install(dir string, raw []byte, opt Options) (uint64, error) {
+	st, err := decodeSnapshot(raw)
+	if err != nil {
+		return 0, err
+	}
+	c := &Corpus{dir: dir, opt: opt, fs: opt.FS}
+	if c.fs == nil {
+		c.fs = iofault.OS
+	}
+	fs := c.fs
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	defer unlockDir(lock)
+	removeStaleTemp(fs, dir)
+	snaps, err := listGens(fs, dir, snapPrefix, snapSuffix)
+	if err != nil {
+		return 0, err
+	}
+	wals, err := listGens(fs, dir, walPrefix, walSuffix)
+	if err != nil {
+		return 0, err
+	}
+	var gen uint64
+	for _, g := range append(snaps, wals...) {
+		gen = max(gen, g+1)
+	}
+	// The header is restamped with gen, so the CRC is recomputed.
+	tmp, err := c.writeTemp(func(w io.Writer) error {
+		return writeSnapshot(w, gen, func(cw *crcWriter) { cw.write(raw[snapHeaderLen : len(raw)-4]) })
+	})
+	if err != nil {
+		return 0, err
+	}
+	if err := fs.Rename(tmp, snapPath(dir, gen)); err != nil {
+		fs.Remove(tmp)
+		return 0, err
+	}
+	if err := c.syncDir(); err != nil {
+		return 0, err
+	}
+	for _, g := range snaps {
+		if err := fs.Remove(snapPath(dir, g)); err != nil {
+			return 0, err
+		}
+	}
+	for _, g := range wals {
+		if err := fs.Remove(walPath(dir, g)); err != nil {
+			return 0, err
+		}
+	}
+	return lsnOf(len(st.alive), st.live), c.syncDir()
 }

@@ -3,6 +3,8 @@ package corpus
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,7 +104,7 @@ func TestShipFromWindow(t *testing.T) {
 		t.Fatalf("paged ShipFrom = %d records, %v; want 3", len(page), err)
 	}
 
-	// A follower synced up to lsn-4 (seeded via bootstrap from a corpus
+	// A follower synced up to lsn-4 (seeded with a snapshot of a corpus
 	// at that point would be equivalent; here replay the first 6 adds)
 	// converges by applying the window.
 	f := mustOpen(t, t.TempDir(), Options{DisableSync: true})
@@ -172,13 +174,35 @@ func TestShipNotify(t *testing.T) {
 	}
 }
 
-// TestBootstrapEquivalence: the synthesized bootstrap stream, applied to
-// an empty corpus, reproduces the logical state AND the LSN — including
-// tombstones, whose content snapshots do not retain — and the follower
-// can then tail incrementally from that LSN.
-func TestBootstrapEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{DisableSync: true})
+// viewsEqual reports how view f differs from view c, the primary's:
+// the token table with its ids, the live frequencies, the alive mask, and
+// each live string's tokens and members. A tombstone's content is not
+// compared: a snapshot does not keep it.
+func viewsEqual(f, c *View) error {
+	switch {
+	case !slices.Equal(f.TC.Tokens, c.TC.Tokens):
+		return fmt.Errorf("tokens %q, want %q", f.TC.Tokens, c.TC.Tokens)
+	case !slices.Equal(f.TC.Freq, c.TC.Freq):
+		return fmt.Errorf("freq %v, want %v", f.TC.Freq, c.TC.Freq)
+	case !slices.Equal(f.Alive, c.Alive) || f.Live != c.Live:
+		return fmt.Errorf("alive %v (%d live), want %v (%d live)", f.Alive, f.Live, c.Alive, c.Live)
+	}
+	for sid, alive := range c.Alive {
+		if alive && (f.TC.Strings[sid].Key() != c.TC.Strings[sid].Key() || !slices.Equal(f.TC.Members[sid], c.TC.Members[sid])) {
+			return fmt.Errorf("string %d: %q members %v, want %q members %v", sid,
+				f.TC.Strings[sid].Key(), f.TC.Members[sid], c.TC.Strings[sid].Key(), c.TC.Members[sid])
+		}
+	}
+	return nil
+}
+
+// TestInstallEquivalence: a snapshot from SnapshotBytes, installed into
+// an empty directory, opens as the primary's exact view — the token
+// table with its ids, the live frequencies, the members, the alive mask
+// — at the primary's LSN, tombstones included, and the follower then
+// tails incrementally from that LSN.
+func TestInstallEquivalence(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{DisableSync: true})
 	defer c.Close()
 	names := namegen.Generate(namegen.Config{Seed: 5, NumNames: 30})
 	for _, n := range names {
@@ -191,28 +215,29 @@ func TestBootstrapEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Snapshot + reopen first, so the bootstrap is synthesized from a
-	// state whose tombstone content is genuinely gone.
-	if err := c.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
 
-	boot, lsn := c.BootstrapPayloads()
+	raw, lsn := c.SnapshotBytes()
 	if lsn != c.LSN() {
-		t.Fatalf("bootstrap LSN = %d, corpus LSN = %d", lsn, c.LSN())
+		t.Fatalf("snapshot LSN = %d, corpus LSN = %d", lsn, c.LSN())
 	}
-	f := mustOpen(t, t.TempDir(), Options{DisableSync: true})
+	if got, err := CheckSnapshot(raw); err != nil || got != lsn {
+		t.Fatalf("CheckSnapshot = %d, %v; want %d", got, err, lsn)
+	}
+	dir := t.TempDir()
+	if got, err := Install(dir, raw, Options{DisableSync: true}); err != nil || got != lsn {
+		t.Fatalf("Install = %d, %v; want %d", got, err, lsn)
+	}
+	f := mustOpen(t, dir, Options{DisableSync: true})
 	defer f.Close()
-	applyPayloads(t, f, boot)
 	if f.LSN() != lsn {
-		t.Fatalf("follower LSN after bootstrap = %d, want %d", f.LSN(), lsn)
+		t.Fatalf("follower LSN after install = %d, want %d", f.LSN(), lsn)
 	}
-	if !statesEqual(logicalState(f), logicalState(c)) {
-		t.Fatal("bootstrap did not reproduce logical state")
+	if err := viewsEqual(f.View(), c.View()); err != nil {
+		t.Fatalf("installed view: %v", err)
 	}
 
-	// Incremental tail from the bootstrap point.
-	if _, err := c.Add("fresh arrival after bootstrap"); err != nil {
+	// Incremental tail from the install point.
+	if _, err := c.Add("fresh arrival after install"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete(0); err != nil {
@@ -223,8 +248,56 @@ func TestBootstrapEquivalence(t *testing.T) {
 		t.Fatalf("tail ShipFrom = %d records, %v; want 2", len(tail), err)
 	}
 	applyPayloads(t, f, tail)
-	if !statesEqual(logicalState(f), logicalState(c)) {
-		t.Fatal("incremental tail after bootstrap diverged")
+	if err := viewsEqual(f.View(), c.View()); err != nil {
+		t.Fatalf("view after the tail: %v", err)
+	}
+	if f.LSN() != c.LSN() {
+		t.Fatalf("follower LSN after the tail = %d, want %d", f.LSN(), c.LSN())
+	}
+}
+
+// TestSnapshotBytesDuringCommits: SnapshotBytes encodes outside the
+// corpus lock while adds and deletes commit, and every snapshot it
+// returns decodes to exactly the LSN it reports, never behind an earlier
+// one.
+func TestSnapshotBytesDuringCommits(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{DisableSync: true})
+	defer c.Close()
+	names := namegen.Generate(namegen.Config{Seed: 9, NumNames: 400})
+	done := make(chan error)
+	go func() {
+		for i, n := range names {
+			if _, err := c.Add(n); err != nil {
+				done <- err
+				return
+			}
+			if i%5 == 4 {
+				if err := c.Delete(token.StringID(i - 2)); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	var last uint64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		raw, lsn := c.SnapshotBytes()
+		if got, err := CheckSnapshot(raw); err != nil || got != lsn || lsn < last {
+			t.Fatalf("snapshot at lsn %d (previous %d) decodes to %d, %v", lsn, last, got, err)
+		}
+		last = lsn
+	}
+	if last != c.LSN() {
+		t.Fatalf("last snapshot at lsn %d, corpus at %d", last, c.LSN())
 	}
 }
 

@@ -49,6 +49,8 @@ import (
 const (
 	snapMagic   = "TSJSNAP1"
 	snapVersion = 2
+	// snapHeaderLen covers magic, version and generation.
+	snapHeaderLen = len(snapMagic) + 4 + 8
 )
 
 // snapPrefix/walPrefix name generation files: snap-%016x.tsj pairs with
@@ -99,35 +101,75 @@ func listGens(fs iofault.FS, dir, prefix, suffix string) ([]uint64, error) {
 	return gens, nil
 }
 
-// crcWriter hashes everything written through it.
+// crcWriter hashes and writes a snapshot. The encoder appends to buf,
+// which is handed on a chunk at a time, so encoding does not allocate;
+// the first write error is kept, so the encoder checks once, at the end.
 type crcWriter struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	crc uint32
+	err error
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, castagnoli, p)
-	return cw.w.Write(p)
+// crcChunk is how much encoding crcWriter buffers before it writes.
+const crcChunk = 64 << 10
+
+// write hashes and writes the buffered encoding, then p.
+func (cw *crcWriter) write(p []byte) {
+	for _, b := range [2][]byte{cw.buf, p} {
+		if cw.err == nil && len(b) > 0 {
+			cw.crc = crc32.Update(cw.crc, castagnoli, b)
+			_, cw.err = cw.w.Write(b)
+		}
+	}
+	cw.buf = cw.buf[:0]
 }
 
-func (cw *crcWriter) uvarint(v uint64) error {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	_, err := cw.Write(b[:n])
-	return err
+// uvarint appends v, and writes the buffer once a chunk has built up.
+func (cw *crcWriter) uvarint(v uint64) {
+	if cw.buf = binary.AppendUvarint(cw.buf, v); len(cw.buf) >= crcChunk {
+		cw.write(nil)
+	}
 }
 
-func (cw *crcWriter) u32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := cw.Write(b[:])
-	return err
+// encodeSnapshot writes v in the snapshot format above, stamped with
+// generation gen. It reads only v, so a caller holding a captured View
+// encodes outside the corpus lock.
+func encodeSnapshot(w io.Writer, gen uint64, v *View) error {
+	return writeSnapshot(w, gen, func(cw *crcWriter) {
+		cw.uvarint(uint64(v.TC.NumTokens()))
+		for _, t := range v.TC.Tokens {
+			cw.uvarint(uint64(len(t)))
+			cw.buf = append(cw.buf, t...)
+		}
+		cw.uvarint(uint64(len(v.Alive)))
+		idBuf := make([]token.TokenID, 0, 16)
+		for sid, alive := range v.Alive {
+			if !alive {
+				cw.buf = append(cw.buf, 0)
+				continue
+			}
+			cw.buf = append(cw.buf, 1)
+			idBuf = multisetIDs(v.TC, sid, idBuf[:0])
+			cw.uvarint(uint64(len(idBuf)))
+			for _, tid := range idBuf {
+				cw.uvarint(uint64(tid))
+			}
+		}
+	})
 }
 
-func (cw *crcWriter) u64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := cw.Write(b[:])
+// writeSnapshot frames a snapshot: the header for generation gen, the
+// body that body writes, and the CRC over both.
+func writeSnapshot(w io.Writer, gen uint64, body func(*crcWriter)) error {
+	cw := &crcWriter{w: w, buf: make([]byte, 0, 2*crcChunk)}
+	cw.buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(append(cw.buf, snapMagic...), snapVersion), gen)
+	body(cw)
+	cw.write(nil)
+	if cw.err != nil {
+		return cw.err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, cw.crc))
 	return err
 }
 
@@ -139,7 +181,15 @@ func (cw *crcWriter) u64(v uint64) error {
 // an orphan snapshot shadowing later appends to the old generation. On
 // error the temp file is removed (best-effort; an unrenamed temp is
 // invisible to Open and swept by removeStaleTemp at the next start).
-func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
+func (c *Corpus) writeSnapshotTemp(gen uint64) (string, error) {
+	v := &View{TC: c.tc, Alive: c.alive, Live: c.live}
+	return c.writeTemp(func(w io.Writer) error { return encodeSnapshot(w, gen, v) })
+}
+
+// writeTemp writes a snapshot temp file in the data directory — encode
+// fills it, then it is flushed, fsynced and closed — and returns its
+// path; on error the temp file is removed.
+func (c *Corpus) writeTemp(encode func(io.Writer) error) (path string, err error) {
 	tmp, err := c.fs.CreateTemp(c.dir, "snap-*.tmp")
 	if err != nil {
 		return "", err
@@ -150,59 +200,11 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 			c.fs.Remove(tmp.Name())
 		}
 	}()
-
-	cw := &crcWriter{w: bufio.NewWriterSize(tmp, 1<<20)}
-	if _, err = io.WriteString(cw, snapMagic); err != nil {
+	bw := bufio.NewWriterSize(tmp, 1<<20)
+	if err = encode(bw); err != nil {
 		return "", err
 	}
-	if err = cw.u32(snapVersion); err != nil {
-		return "", err
-	}
-	if err = cw.u64(gen); err != nil {
-		return "", err
-	}
-	if err = cw.uvarint(uint64(c.tc.NumTokens())); err != nil {
-		return "", err
-	}
-	for _, t := range c.tc.Tokens {
-		if err = cw.uvarint(uint64(len(t))); err != nil {
-			return "", err
-		}
-		if _, err = io.WriteString(cw, t); err != nil {
-			return "", err
-		}
-	}
-	if err = cw.uvarint(uint64(len(c.alive))); err != nil {
-		return "", err
-	}
-	idBuf := make([]token.TokenID, 0, 16)
-	for sid, alive := range c.alive {
-		if !alive {
-			if _, err = cw.Write([]byte{0}); err != nil {
-				return "", err
-			}
-			continue
-		}
-		if _, err = cw.Write([]byte{1}); err != nil {
-			return "", err
-		}
-		idBuf = c.multisetIDs(sid, idBuf[:0])
-		if err = cw.uvarint(uint64(len(idBuf))); err != nil {
-			return "", err
-		}
-		for _, tid := range idBuf {
-			if err = cw.uvarint(uint64(tid)); err != nil {
-				return "", err
-			}
-		}
-	}
-	crc := cw.crc
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err = cw.w.Write(tail[:]); err != nil {
-		return "", err
-	}
-	if err = cw.w.Flush(); err != nil {
+	if err = bw.Flush(); err != nil {
 		return "", err
 	}
 	if !c.opt.DisableSync {
@@ -220,8 +222,8 @@ func (c *Corpus) writeSnapshotTemp(gen uint64) (path string, err error) {
 // onto TokenIDs using the distinct member list: tokens and the distinct
 // token space are both lexicographically ordered within the string, so
 // the distinct index advances exactly when the token changes.
-func (c *Corpus) multisetIDs(sid int, buf []token.TokenID) []token.TokenID {
-	ts, mem := &c.tc.Strings[sid], c.tc.Members[sid]
+func multisetIDs(tc *token.Corpus, sid int, buf []token.TokenID) []token.TokenID {
+	ts, mem := &tc.Strings[sid], tc.Members[sid]
 	di := 0
 	for i, t := range ts.Tokens {
 		if i > 0 && t != ts.Tokens[i-1] {
@@ -250,6 +252,7 @@ type snapState struct {
 	// strs[i] is nil for tombstones, else the multiset of TokenIDs.
 	strs  [][]token.TokenID
 	alive []bool
+	live  int
 }
 
 // readSnapshot loads and decodes one snapshot file.
@@ -267,7 +270,7 @@ func readSnapshot(fs iofault.FS, path string) (*snapState, error) {
 // is corruption that slipped past the CRC, or a writer bug, and is refused
 // rather than loaded into a corpus that disagrees with itself.
 func decodeSnapshot(raw []byte) (*snapState, error) {
-	if len(raw) < len(snapMagic)+4+8+4 || string(raw[:len(snapMagic)]) != snapMagic {
+	if len(raw) < snapHeaderLen+4 || string(raw[:len(snapMagic)]) != snapMagic {
 		return nil, errors.New("corpus: bad snapshot header")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
@@ -340,6 +343,7 @@ func decodeSnapshot(raw []byte) (*snapState, error) {
 			continue
 		}
 		st.alive[i] = true
+		st.live++
 		cnt, err := uv()
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"reflect"
@@ -238,4 +239,42 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("accepted %x, which rewrites to a different state:\n got %+v\nwant %+v", body, back, want)
 		}
 	})
+}
+
+// TestSnapshotEncodeAllocations: the encoder appends into one reused
+// buffer, so encoding a state costs a fixed handful of allocations
+// whatever its size, and an encoding over a chunk long still decodes
+// to the state it was made from.
+func TestSnapshotEncodeAllocations(t *testing.T) {
+	c, err := Open(t.TempDir(), Options{DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 6000; i++ {
+		if _, err := c.Add(fmt.Sprintf("name%d surname%d given%d", i, i%37, i%101)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	v := c.View()
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		if err := encodeSnapshot(&buf, 1, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("encoding %d strings made %.0f allocations, want at most 4", len(v.Alive), allocs)
+	}
+	if buf.Len() <= crcChunk {
+		t.Fatalf("encoding is %d bytes, want more than one %d-byte chunk", buf.Len(), crcChunk)
+	}
+	lsn, err := CheckSnapshot(buf.Bytes())
+	if err != nil || lsn != c.LSN() {
+		t.Fatalf("encoding decodes to lsn %d (%v), want %d", lsn, err, c.LSN())
+	}
 }

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -538,5 +539,108 @@ func TestBitRotMidChainFailsLoudly(t *testing.T) {
 
 	if _, err := corpus.Open(dir, corpus.Options{}); err == nil {
 		t.Fatal("Open succeeded over mid-chain bit rot; acknowledged records were silently dropped")
+	}
+}
+
+// TestTortureInstallOpSweep fails every filesystem operation of a
+// snapshot install in turn — an I/O error and a simulated power cut —
+// into an empty directory and into one holding an older state of
+// several generations, then reopens the directory. It must open as the
+// state it held before the install or as exactly the installed state,
+// never a mix; a successful install must have installed; and the
+// reopened corpus must accept a write at the next id.
+func TestTortureInstallOpSweep(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 23, NumNames: 18})
+	src, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	installed := &model{}
+	if ff := runWorkload(t, src, buildScript(names), installed); ff != -1 {
+		t.Fatalf("source workload failed at step %d", ff)
+	}
+	raw, lsn := src.SnapshotBytes()
+
+	// The older state: a few adds, a delete, two snapshots and a compact,
+	// so the directory holds several snapshot and WAL generations.
+	older := t.TempDir()
+	c, err := corpus.Open(older, corpus.Options{DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &model{}
+	oldScript := []opStep{{kind: 'a', name: names[3]}, {kind: 'a', name: names[4]}, {kind: 's'},
+		{kind: 'a', name: names[5]}, {kind: 'd', sid: 0}, {kind: 'c'}, {kind: 'a', name: names[6]}, {kind: 's'}}
+	if ff := runWorkload(t, c, oldScript, old); ff != -1 {
+		t.Fatalf("older workload failed at step %d", ff)
+	}
+	c.Close()
+
+	for _, start := range []struct {
+		name   string
+		before *model
+		fill   func(dir string) error
+	}{
+		{"empty", &model{}, func(string) error { return nil }},
+		{"older", old, func(dir string) error {
+			ents, err := os.ReadDir(older)
+			for _, e := range ents {
+				raw, rerr := os.ReadFile(filepath.Join(older, e.Name()))
+				err = errors.Join(err, rerr, os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644))
+			}
+			return err
+		}},
+	} {
+		prepare := func(t *testing.T) string {
+			dir := t.TempDir()
+			if err := start.fill(dir); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}
+		counter := iofault.NewInjector(iofault.OS, iofault.Disarmed())
+		if got, err := corpus.Install(prepare(t), raw, corpus.Options{FS: counter}); err != nil || got != lsn {
+			t.Fatalf("%s: fault-free install = %d, %v; want %d", start.name, got, err, lsn)
+		}
+		total := counter.Ops()
+		if total < 5 {
+			t.Fatalf("%s: suspiciously few ops in a fault-free install: %d", start.name, total)
+		}
+		for _, fl := range []tortureFlavor{tortureFlavors[0], tortureFlavors[2]} {
+			t.Run(start.name+"/"+fl.name, func(t *testing.T) {
+				outcomes := map[bool]int{} // reopened as installed?
+				for i := int64(0); i < total; i++ {
+					dir := prepare(t)
+					inj := iofault.NewInjector(iofault.OS, fl.plan(i))
+					_, ierr := corpus.Install(dir, raw, corpus.Options{FS: inj})
+					if inj.Faults() != 1 {
+						t.Fatalf("[%d] fault fired %d times, want exactly 1", i, inj.Faults())
+					}
+					r, err := corpus.Open(dir, corpus.Options{})
+					if err != nil {
+						t.Fatalf("[%d] reopen after a faulted install (%v): %v", i, ierr, err)
+					}
+					got, want := logical(r), installed
+					if ierr != nil && !stateEqual(got, installed) {
+						want = start.before
+					}
+					if !stateEqual(got, want) {
+						r.Close()
+						t.Fatalf("[%d] install error %v; reopened as %d strings (%d live), neither the state before (%d strings) nor the installed one (%d strings)",
+							i, ierr, len(got.strs), got.liveCount(), len(start.before.strs), len(installed.strs))
+					}
+					outcomes[want == installed]++
+					if id, err := r.Add("post install probe"); err != nil || int(id) != len(want.strs) {
+						t.Errorf("[%d] probe add after reopen: id %d, %v; want id %d", i, id, err, len(want.strs))
+					}
+					r.Close()
+				}
+				if outcomes[false] == 0 || outcomes[true] == 0 {
+					t.Fatalf("over %d ops: %d reopened as before, %d as installed; the sweep must reach both sides of the commit point",
+						total, outcomes[false], outcomes[true])
+				}
+			})
+		}
 	}
 }

@@ -79,8 +79,8 @@ func (co *Coordinator) probe(ctx context.Context, base string) bool {
 // primary (the PR 8 path), then the partition map is repointed at it —
 // the old worker is demoted into the back of the chain in case it comes
 // back — and the epoch bumps so every cached map is detectably stale.
-// A standby that refuses (still syncing: its state is a partial
-// bootstrap) is skipped; with no promotable standby the shard stays
+// A standby that refuses (a snapshot install in flight, or a disk that
+// cannot seal) is skipped; with no promotable standby the shard stays
 // dead and /readyz reports it.
 func (co *Coordinator) failover(ctx context.Context, shard int) {
 	co.mu.RLock()

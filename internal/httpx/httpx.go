@@ -66,16 +66,21 @@ func PostJSON(ctx context.Context, client *http.Client, url string, in, out any,
 	if err != nil {
 		return err
 	}
-	return roundTrip(ctx, client, http.MethodPost, url, body, out, timeout, maxBody)
+	return roundTrip(ctx, client, http.MethodPost, url, "application/json", body, out, timeout, maxBody)
+}
+
+// PostBytes is PostJSON with a raw, already-encoded request body.
+func PostBytes(ctx context.Context, client *http.Client, url string, body []byte, out any, timeout time.Duration, maxBody int64) error {
+	return roundTrip(ctx, client, http.MethodPost, url, "application/octet-stream", body, out, timeout, maxBody)
 }
 
 // GetJSON GETs url under timeout and unmarshals a 2xx body into out,
 // with the same error contract as PostJSON.
 func GetJSON(ctx context.Context, client *http.Client, url string, out any, timeout time.Duration, maxBody int64) error {
-	return roundTrip(ctx, client, http.MethodGet, url, nil, out, timeout, maxBody)
+	return roundTrip(ctx, client, http.MethodGet, url, "", nil, out, timeout, maxBody)
 }
 
-func roundTrip(ctx context.Context, client *http.Client, method, url string, body []byte, out any, timeout time.Duration, maxBody int64) error {
+func roundTrip(ctx context.Context, client *http.Client, method, url, contentType string, body []byte, out any, timeout time.Duration, maxBody int64) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -90,7 +95,7 @@ func roundTrip(ctx context.Context, client *http.Client, method, url string, bod
 		return err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	if client == nil {
 		client = http.DefaultClient

@@ -16,11 +16,13 @@ import (
 // records past the engine's starting LSN are frames lsn-from onward.
 func FuzzServeApply(f *testing.F) {
 	p := testPayloads(4)
+	corrupt := makeFrames(p[:2])
+	corrupt[1].CRC ^= 1
 	for _, req := range []applyRequest{
 		{From: 1, Frames: makeFrames(p)}, // a real batch, overlapping the engine
 		{From: 2},                        // a heartbeat
-		{From: 0, Resync: true, SyncTo: 3, Frames: makeFrames(p[:2])}, // a resync
-		{From: 5, Frames: makeFrames(p)},                              // a gap
+		{From: 2, Frames: corrupt},       // a batch whose second frame fails its CRC
+		{From: 5, Frames: makeFrames(p)}, // a gap
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -30,11 +32,7 @@ func FuzzServeApply(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		eng := &memEngine{applied: testPayloads(2)}
-		reset := func() (Applier, error) {
-			eng = &memEngine{}
-			return eng, nil
-		}
-		s := NewStandby(eng, reset, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
+		s := NewStandby(eng, nil, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
 		w := httptest.NewRecorder()
 		s.ServeApply(w, httptest.NewRequest(http.MethodPost, "/replication/apply", bytes.NewReader(body)))
 
@@ -53,9 +51,6 @@ func FuzzServeApply(f *testing.F) {
 			t.Fatalf("response lsn %d, engine lsn %d", resp.LSN, eng.LSN())
 		}
 		start := uint64(2)
-		if req.Resync {
-			start = 0
-		}
 		applied := eng.payloads()[start:]
 		if len(applied) == 0 {
 			return

@@ -71,7 +71,7 @@ func openCountedNode(t *testing.T, dir string, fs iofault.FS, ring int) *repNode
 // apply request that carries frames, where one fsync per record would
 // let it fall behind — and, with a 64-record ship ring, keeps pace:
 // after its first catch-up it converges to the primary's LSN and state
-// without another resync. Both nodes run over walSyncCounter, so fsyncs
+// without another install. Both nodes run over walSyncCounter, so fsyncs
 // are counted through the corpus's filesystem seam and cost the same
 // simulated latency whatever disk (or tmpfs) the host has.
 //
@@ -86,7 +86,7 @@ func TestReplicationStandbyGroupCommit(t *testing.T) {
 	prim := openCountedNode(t, t.TempDir(), &walSyncCounter{FS: iofault.OS}, ring)
 	defer prim.shutdown()
 	// History beyond the ring: the standby's first catch-up is a
-	// bootstrap.
+	// snapshot install.
 	if _, _, err := prim.m.AddAllDurable(names[:100]); err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestReplicationStandbyGroupCommit(t *testing.T) {
 	fs := &walSyncCounter{FS: iofault.OS}
 	stby := openCountedNode(t, t.TempDir(), fs, ring)
 	defer stby.shutdown()
-	reset := func() (Applier, error) {
+	install := func(snap []byte) (Applier, error) {
 		stby.mu.Lock()
 		defer stby.mu.Unlock()
 		stby.m.Close()
 		stby.c.Close()
-		if err := os.RemoveAll(stby.dir); err != nil {
+		if _, err := corpus.Install(stby.dir, snap, corpus.Options{FS: fs}); err != nil {
 			return nil, err
 		}
 		c, err := corpus.Open(stby.dir, corpus.Options{SyncEvery: 1, FS: fs, ShipBufferRecords: ring})
@@ -126,7 +126,7 @@ func TestReplicationStandbyGroupCommit(t *testing.T) {
 	stbyG := &gateHandler{}
 	stbySrv := httptest.NewServer(stbyG)
 	defer stbySrv.Close()
-	applier := NewStandby(nodeEngine{stby}, reset, StandbyOptions{
+	applier := NewStandby(nodeEngine{stby}, install, StandbyOptions{
 		Primary:          primSrv.URL,
 		Advertise:        stbySrv.URL,
 		RegisterInterval: tortRegister,
@@ -134,7 +134,9 @@ func TestReplicationStandbyGroupCommit(t *testing.T) {
 		Backoff:          tortBackoff(),
 	})
 	var withFrames atomic.Int64
-	stbyG.swap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/replication/install", applier.ServeInstall)
+	mux.HandleFunc("/replication/apply", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -146,7 +148,8 @@ func TestReplicationStandbyGroupCommit(t *testing.T) {
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		applier.ServeApply(w, r)
-	}))
+	})
+	stbyG.swap(mux)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go applier.Run(ctx)

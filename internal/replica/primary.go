@@ -17,13 +17,13 @@ import (
 // PrimaryOptions configures the shipper side.
 type PrimaryOptions struct {
 	// BatchRecords bounds one apply request (default 256; batchBytes
-	// bounds its size). Bootstrap streams chunk at BatchRecords too.
+	// bounds its size).
 	BatchRecords int
 	// Heartbeat is how often a caught-up follower is pinged so it can
 	// tell "primary idle" from "primary dead" (default 2s).
 	Heartbeat time.Duration
 	// RequestTimeout bounds one apply/heartbeat round trip — the stream
-	// timeout (default 10s).
+	// timeout (default 10s) — and an install's per batchBytes of snapshot.
 	RequestTimeout time.Duration
 	// Backoff paces per-follower retries after a failed round trip.
 	// Zero Base means the default {250ms base, 15s cap, 0.25 jitter}.
@@ -104,8 +104,8 @@ type FollowerStatus struct {
 	// LastAckAgoMs is milliseconds since the last acknowledged round
 	// trip (-1 before the first).
 	LastAckAgoMs int64 `json:"last_ack_ago_ms"`
-	// Retries counts failed round trips; Resyncs counts bootstrap
-	// re-seeds; ShippedRecords counts records acknowledged; Heartbeats
+	// Retries counts failed round trips; Resyncs counts snapshot
+	// installs; ShippedRecords counts records acknowledged; Heartbeats
 	// counts idle pings.
 	Retries        int64  `json:"retries"`
 	Resyncs        int64  `json:"resyncs"`
@@ -144,13 +144,6 @@ func NewPrimary(src Source, opt PrimaryOptions) *Primary {
 // the previous ship loop — the standby watchdog re-registers whenever
 // heartbeats stop, so this is the reconnect path too.
 func (p *Primary) Register(advertise string, lsn uint64) error {
-	return p.register(advertise, lsn, false)
-}
-
-// register is Register plus the syncing flag: a follower that restarted
-// mid-bootstrap reports an LSN in bootstrap space, which must never be
-// used against the real-history ring — it is re-seeded from scratch.
-func (p *Primary) register(advertise string, lsn uint64, syncing bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -165,9 +158,9 @@ func (p *Primary) register(advertise string, lsn uint64, syncing bool) error {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.shipLoop(ctx, f, lsn, syncing)
+		p.shipLoop(ctx, f, lsn)
 	}()
-	p.opt.Logf("replica: follower %s registered at lsn %d (syncing=%v)", advertise, lsn, syncing)
+	p.opt.Logf("replica: follower %s registered at lsn %d", advertise, lsn)
 	return nil
 }
 
@@ -183,7 +176,7 @@ func (p *Primary) ServeRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad register request", http.StatusBadRequest)
 		return
 	}
-	if err := p.register(req.Advertise, req.LSN, req.Syncing); err != nil {
+	if err := p.Register(req.Advertise, req.LSN); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
@@ -237,25 +230,16 @@ func (p *Primary) Close() {
 	p.wg.Wait()
 }
 
-// shipLoop drives one follower: stream from the ring, bootstrap when
-// the ring cannot serve the cursor, heartbeat when caught up. The
-// follower's authoritative LSN (from every response) is the only cursor
-// — the loop never assumes a send "worked" beyond what was acked — and
-// any ack flagged Syncing sends the loop back to bootstrap: a syncing
-// standby's LSN is a bootstrap-space offset the ring must not serve.
-func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64, syncing bool) {
-	if syncing {
-		n, ok := p.bootstrap(ctx, f)
-		if !ok {
-			return
-		}
-		next = n
-	}
+// shipLoop drives one follower: stream from the ring, install a
+// snapshot when the ring cannot serve the cursor, heartbeat when caught
+// up. The follower's authoritative LSN (from every response) is the only
+// cursor — the loop never assumes a send "worked" beyond what was acked.
+func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64) {
 	for ctx.Err() == nil {
 		payloads, err := p.src.ShipFrom(next, p.opt.BatchRecords, batchBytes)
 		if err != nil {
-			// Behind the ring or diverged: re-seed via bootstrap.
-			n, ok := p.bootstrap(ctx, f)
+			// Behind the ring or diverged: seed it with a snapshot.
+			n, ok := p.install(ctx, f)
 			if !ok {
 				return
 			}
@@ -279,26 +263,21 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64, syncin
 			// Idle for a heartbeat interval: the send below carries no
 			// frames, which is the heartbeat.
 		}
-		resp, ok := p.send(ctx, f, applyRequest{From: next, Frames: makeFrames(payloads)})
-		if !ok {
+		var resp applyResponse
+		req := applyRequest{From: next, Frames: makeFrames(payloads)}
+		if !p.retry(ctx, f, func() error {
+			return httpx.PostJSON(ctx, p.client, f.url+"/replication/apply", req, &resp, p.opt.RequestTimeout, 1<<20)
+		}) {
 			return
 		}
 		if resp.Sealed {
 			p.sealFollower(f)
 			return
 		}
-		if resp.Syncing {
-			n, ok := p.bootstrap(ctx, f)
-			if !ok {
-				return
-			}
-			next = n
-			continue
-		}
 		// resp.LSN is authoritative: a clean apply lands at
 		// next+len(payloads); a duplicate-suppressed retry or a standby
 		// restart lands elsewhere and the loop resumes from there (the
-		// ring — or a bootstrap — serves whatever gap remains).
+		// ring — or an install — serves whatever gap remains).
 		f.set(func(f *follower) {
 			if len(payloads) == 0 {
 				f.heartbeats++
@@ -313,60 +292,29 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64, syncin
 	}
 }
 
-// bootstrap re-seeds a follower: wipe, then stream the synthesized
-// full-state payloads in chunks. The chunk cursor lives entirely in
-// bootstrap space — the offset into the synthesized stream — and is
-// never handed to the outer (real-history) loop except as the full
-// target LSN of a COMPLETED bootstrap, where the two spaces coincide.
-// Any ack that is not a coherent bootstrap continuation (the standby
-// was wiped, restarted, or reset by another shipper underneath us)
-// restarts the re-seed from scratch, which is always sound: the first
-// chunk's Resync order wipes whatever state the standby holds. Returns
-// the LSN to resume tailing at, or ok=false when the loop should exit
-// (cancelled or follower sealed).
-func (p *Primary) bootstrap(ctx context.Context, f *follower) (uint64, bool) {
-	for ctx.Err() == nil {
-		f.set(func(f *follower) { f.state = "resync"; f.resyncs++ })
-		boot, lsn := p.src.BootstrapPayloads()
-		p.opt.Logf("replica: bootstrapping follower %s (%d records to lsn %d)", f.url, len(boot), lsn)
-		off := 0
-		restart := false
-		for !restart {
-			end := off + p.opt.BatchRecords
-			if end > len(boot) {
-				end = len(boot)
-			}
-			req := applyRequest{From: uint64(off), SyncTo: lsn, Frames: makeFrames(boot[off:end])}
-			if off == 0 {
-				req.Resync = true
-			}
-			resp, ok := p.send(ctx, f, req)
-			if !ok {
-				return 0, false
-			}
-			if resp.Sealed {
-				p.sealFollower(f)
-				return 0, false
-			}
-			f.set(func(f *follower) { f.acked = resp.LSN; f.lastAck = time.Now(); f.shipped += int64(end - off) })
-			switch {
-			case resp.LSN == uint64(end):
-				off = end
-				if off >= len(boot) {
-					f.set(func(f *follower) { f.state = "streaming" })
-					return lsn, true
-				}
-			case resp.LSN > uint64(off) && resp.LSN < uint64(end):
-				// The duplicate-suppressed part of a retried chunk: the
-				// standby already held a prefix. Continue from its offset.
-				off = int(resp.LSN)
-			default:
-				restart = true
-			}
-		}
-		p.opt.Logf("replica: bootstrap of %s incoherent at chunk %d; re-seeding from scratch", f.url, off)
+// install seeds a follower the ring cannot serve: one raw-body POST of
+// the source's snapshot to /replication/install, retried until the
+// standby takes it, with a deadline of RequestTimeout per batchBytes of
+// snapshot begun. It returns the LSN the standby answers — the
+// installed state's, a real-history offset the ring resumes from — or
+// ok=false when the loop should exit (cancelled or follower sealed).
+func (p *Primary) install(ctx context.Context, f *follower) (uint64, bool) {
+	f.set(func(f *follower) { f.state = "resync"; f.resyncs++ })
+	snap, lsn := p.src.SnapshotBytes()
+	p.opt.Logf("replica: installing a %d-byte snapshot at lsn %d on follower %s", len(snap), lsn, f.url)
+	timeout := p.opt.RequestTimeout * time.Duration(1+(len(snap)-1)/batchBytes)
+	var resp applyResponse
+	if !p.retry(ctx, f, func() error {
+		return httpx.PostBytes(ctx, p.client, f.url+"/replication/install", snap, &resp, timeout, 1<<20)
+	}) {
+		return 0, false
 	}
-	return 0, false
+	if resp.Sealed {
+		p.sealFollower(f)
+		return 0, false
+	}
+	f.set(func(f *follower) { f.state = "streaming"; f.acked = resp.LSN; f.lastAck = time.Now() })
+	return resp.LSN, true
 }
 
 // sealFollower records that the standby was promoted and stops shipping
@@ -376,36 +324,16 @@ func (p *Primary) sealFollower(f *follower) {
 	p.opt.Logf("replica: follower %s sealed (promoted); stopping shipment", f.url)
 }
 
-// send posts one apply request, retrying transport errors and non-200
-// responses with exponential backoff until it succeeds or ctx ends
-// (httpx.Retry drives the loop; the per-attempt hook keeps the
-// follower's retry accounting). ok=false only on cancellation.
-func (p *Primary) send(ctx context.Context, f *follower, req applyRequest) (applyResponse, bool) {
-	var resp applyResponse
-	err := httpx.Retry(ctx, p.opt.Backoff,
-		func() error {
-			var err error
-			resp, err = p.post(ctx, f.url, req)
-			return err
-		},
+// retry runs one round trip until it succeeds or ctx ends (httpx.Retry
+// drives the loop; the per-attempt hook keeps the follower's retry
+// accounting). A torn response read is an error like any other: the
+// standby may have applied the batch but the ack was lost — the retry is
+// safe because its overlap is duplicate-suppressed on the standby, and
+// an install replaces the whole state. false only on cancellation.
+func (p *Primary) retry(ctx context.Context, f *follower, roundTrip func() error) bool {
+	return httpx.Retry(ctx, p.opt.Backoff, roundTrip,
 		func(attempt int, d time.Duration, err error) {
 			f.set(func(f *follower) { f.retries++; f.state = "retrying"; f.lastErr = err.Error() })
 			p.opt.Logf("replica: ship to %s failed (retry %d in %v): %v", f.url, attempt, d, err)
-		})
-	if err != nil {
-		return applyResponse{}, false
-	}
-	return resp, true
-}
-
-// post performs one apply round trip under the request timeout. A torn
-// response read is an error like any other: the standby may have
-// applied the batch but the ack was lost — the retry is safe because
-// its overlap is duplicate-suppressed on the standby.
-func (p *Primary) post(ctx context.Context, base string, req applyRequest) (applyResponse, error) {
-	var ar applyResponse
-	if err := httpx.PostJSON(ctx, p.client, base+"/replication/apply", req, &ar, p.opt.RequestTimeout, 1<<20); err != nil {
-		return applyResponse{}, fmt.Errorf("replica: apply to %s: %w", base, err)
-	}
-	return ar, nil
+		}) == nil
 }

@@ -1,19 +1,25 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/corpus"
+	"repro/internal/token"
 )
 
 // memEngine is a pure in-memory Applier: each payload is one LSN unit,
@@ -75,15 +81,53 @@ func postApply(t *testing.T, s *Standby, req applyRequest) (applyResponse, int) 
 	return resp, w.Code
 }
 
+// postInstall drives ServeInstall directly with a recorder. It does not
+// fail the test itself, so a goroutine may call it.
+func postInstall(s *Standby, body io.Reader) (applyResponse, int) {
+	w := httptest.NewRecorder()
+	s.ServeInstall(w, httptest.NewRequest(http.MethodPost, "/replication/install", body))
+	var resp applyResponse
+	_ = json.Unmarshal(w.Body.Bytes(), &resp) // a body that is not JSON leaves resp zero, which callers' checks reject
+	return resp, w.Code
+}
+
+// memInstall stands in for a snapshot install: a fresh engine at the
+// snapshot's LSN, holding that many placeholder records.
+func memInstall(snap []byte) (Applier, error) {
+	lsn, err := corpus.CheckSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	return &memEngine{applied: make([][]byte, lsn)}, nil
+}
+
 func newMemStandby(t *testing.T) (*Standby, *memEngine) {
 	t.Helper()
 	eng := &memEngine{}
-	reset := func() (Applier, error) {
-		eng = &memEngine{}
-		return eng, nil
-	}
-	s := NewStandby(eng, reset, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
+	s := NewStandby(eng, memInstall, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
 	return s, eng
+}
+
+// testSnapshot is the snapshot of a corpus holding adds distinct names
+// with the first dels of them deleted, and its LSN.
+func testSnapshot(t *testing.T, adds, dels int) ([]byte, uint64) {
+	t.Helper()
+	c, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < adds; i++ {
+		if _, err := c.Add(fmt.Sprintf("name%d surname%d", i, i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < dels; i++ {
+		if err := c.Delete(token.StringID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c.SnapshotBytes()
 }
 
 func TestServeApplyGapAndOverlap(t *testing.T) {
@@ -147,35 +191,46 @@ func TestServeApplyGapAndOverlap(t *testing.T) {
 	}
 }
 
-func TestServeApplyResyncAndPromote(t *testing.T) {
+// TestReplicationInstallAndPromote: an install replaces whatever the
+// standby held with the snapshot's state and answers its LSN. While its
+// body is still arriving the standby reports syncing, is not ready and
+// refuses promotion; once promoted, it answers replication traffic —
+// applies and installs alike — with Sealed and changes nothing.
+func TestReplicationInstallAndPromote(t *testing.T) {
 	s, _ := newMemStandby(t)
-	p := testPayloads(4)
-
-	// Seed some pre-resync state the wipe must discard.
+	// Pre-install state the install must replace.
 	postApply(t, s, applyRequest{From: 0, Frames: makeFrames(testPayloads(2))})
+	snap, lsn := testSnapshot(t, 5, 1)
 
-	// First bootstrap chunk: wipe, then apply from offset 0.
-	resp, _ := postApply(t, s, applyRequest{From: 0, Resync: true, SyncTo: 4, Frames: makeFrames(p[:2])})
-	if resp.LSN != 2 {
-		t.Fatalf("resync chunk: lsn=%d, want 2", resp.LSN)
+	pr, pw := io.Pipe()
+	type result struct {
+		resp applyResponse
+		code int
 	}
-	if st := s.Status(); !st.Syncing || st.SyncTarget != 4 || st.Resyncs != 1 {
-		t.Fatalf("mid-bootstrap status: %+v", st)
+	done := make(chan result)
+	go func() {
+		resp, code := postInstall(s, pr)
+		done <- result{resp, code}
+	}()
+	if _, err := pw.Write(snap[:10]); err != nil {
+		t.Fatal(err)
 	}
-
-	// Promotion mid-bootstrap must be refused: the state is a partial
-	// re-seed, not any prefix of the primary's history.
+	waitFor(t, "install in flight", func() bool { return s.Status().Syncing })
 	if err := s.Promote(); !errors.Is(err, ErrSyncing) {
-		t.Fatalf("promote mid-sync: %v, want ErrSyncing", err)
+		t.Fatalf("promote mid-install: %v, want ErrSyncing", err)
 	}
-
-	// Final chunk reaches the target; syncing clears.
-	resp, _ = postApply(t, s, applyRequest{From: 2, SyncTo: 4, Frames: makeFrames(p[2:])})
-	if resp.LSN != 4 {
-		t.Fatalf("final chunk: lsn=%d", resp.LSN)
+	if s.Ready() {
+		t.Fatal("ready mid-install")
 	}
-	if st := s.Status(); st.Syncing {
-		t.Fatalf("still syncing after reaching target: %+v", st)
+	if _, err := pw.Write(snap[10:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if r := <-done; r.code != http.StatusOK || r.resp.LSN != lsn {
+		t.Fatalf("install: code=%d resp=%+v, want lsn %d", r.code, r.resp, lsn)
+	}
+	if st := s.Status(); st.Syncing || st.LSN != lsn || st.Resyncs != 1 {
+		t.Fatalf("after install: %+v", st)
 	}
 
 	if err := s.Promote(); err != nil {
@@ -189,70 +244,116 @@ func TestServeApplyResyncAndPromote(t *testing.T) {
 	}
 
 	// Replication traffic after promotion is answered Sealed so the old
-	// primary stops shipping; nothing is applied.
-	resp, code := postApply(t, s, applyRequest{From: 4, Frames: makeFrames(testPayloads(1))})
-	if code != http.StatusOK || !resp.Sealed || resp.LSN != 4 {
+	// primary stops shipping; nothing is applied or installed.
+	resp, code := postApply(t, s, applyRequest{From: lsn, Frames: makeFrames(testPayloads(1))})
+	if code != http.StatusOK || !resp.Sealed || resp.LSN != lsn {
 		t.Fatalf("post-seal apply: code=%d resp=%+v", code, resp)
+	}
+	other, _ := testSnapshot(t, 2, 0)
+	resp, code = postInstall(s, bytes.NewReader(other))
+	if code != http.StatusOK || !resp.Sealed || resp.LSN != lsn || s.Status().Resyncs != 1 {
+		t.Fatalf("post-seal install: code=%d resp=%+v status=%+v", code, resp, s.Status())
 	}
 }
 
-func TestResyncMarkerSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
+// TestReplicationInstallRejectsBadBodies: a body that is not a snapshot
+// the standby's own restart would load — empty, truncated, bit-flipped,
+// an unsupported version, or one trailing byte past a well-formed body
+// under a valid CRC — is answered 400 with an error, before the engine
+// is touched: the standby's state and LSN stay as they were.
+func TestReplicationInstallRejectsBadBodies(t *testing.T) {
+	n := openNode(t, t.TempDir())
+	defer n.shutdown()
+	for _, name := range tortureNames()[:6] {
+		if _, _, err := n.m.AddDurable(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.m.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	want, wantLSN := logicalOf(n.c), n.c.LSN()
+	installs := 0
+	s := NewStandby(nodeEngine{n}, func(snap []byte) (Applier, error) {
+		installs++
+		return n.install(snap)
+	}, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
+
+	good, goodLSN := testSnapshot(t, 4, 1)
+	body := good[:len(good)-4]
+	withCRC := func(b []byte) []byte {
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	}
+	v1 := slices.Clone(body)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	flipped := slices.Clone(good)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"empty", nil},
+		{"truncated", good[:len(good)/2]},
+		{"bit-flipped", flipped},
+		{"version 1", withCRC(v1)},
+		{"trailing byte", withCRC(append(slices.Clone(body), 0))},
+	} {
+		resp, code := postInstall(s, bytes.NewReader(tc.raw))
+		if code != http.StatusBadRequest || resp.Error == "" || resp.LSN != wantLSN {
+			t.Fatalf("%s: code=%d resp=%+v, want 400 with an error at lsn %d", tc.name, code, resp, wantLSN)
+		}
+		if installs != 0 || n.corpus().LSN() != wantLSN {
+			t.Fatalf("%s: %d installs, lsn %d; want none, lsn %d", tc.name, installs, n.corpus().LSN(), wantLSN)
+		}
+		if err := logicalEqual(want, logicalOf(n.corpus())); err != nil {
+			t.Fatalf("%s: state changed: %v", tc.name, err)
+		}
+	}
+
+	// The body they were made from installs.
+	if resp, code := postInstall(s, bytes.NewReader(good)); code != http.StatusOK || resp.LSN != goodLSN || installs != 1 {
+		t.Fatalf("good body: code=%d resp=%+v installs=%d, want lsn %d", code, resp, installs, goodLSN)
+	}
+}
+
+// TestReplicationInstallStalledBody: a primary that stalls mid-body —
+// its host gone, the connection still open — fails the install once one
+// read has waited RequestTimeout. The standby answers 400, is promotable
+// again, and its state is untouched.
+func TestReplicationInstallStalledBody(t *testing.T) {
 	eng := &memEngine{}
-	reset := func() (Applier, error) {
-		eng = &memEngine{}
-		return eng, nil
-	}
-	opts := StandbyOptions{Primary: "http://unused", Advertise: "http://unused", StateDir: dir}
-	s := NewStandby(eng, reset, opts)
-	p := testPayloads(6)
+	s := NewStandby(eng, memInstall, StandbyOptions{Primary: "http://unused", Advertise: "http://unused", RequestTimeout: 50 * time.Millisecond})
+	srv := standbyServer(t, s)
+	snap, _ := testSnapshot(t, 5, 1)
 
-	// A bootstrap starts (wipe + first chunk) but never finishes: the
-	// marker must be on disk.
-	resp, _ := postApply(t, s, applyRequest{From: 0, Resync: true, SyncTo: 6, Frames: makeFrames(p[:4])})
-	if resp.LSN != 4 || !resp.Syncing {
-		t.Fatalf("mid-bootstrap ack: %+v", resp)
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "RESYNC")); err != nil {
-		t.Fatalf("marker not written: %v", err)
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /replication/install HTTP/1.1\r\nHost: standby\r\nContent-Length: %d\r\n\r\n%s", len(snap), snap[:10]); err != nil {
+		t.Fatal(err)
 	}
-
-	// "Crash": a fresh Standby over the same state dir must know its
-	// engine holds a partial bootstrap, report Syncing, and refuse
-	// promotion and real-history batches.
-	s2 := NewStandby(&memEngine{applied: testPayloads(4)}, reset, opts)
-	if st := s2.Status(); !st.Syncing {
-		t.Fatalf("restarted standby not syncing: %+v", st)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to a stalled install: %v", err)
 	}
-	if err := s2.Promote(); !errors.Is(err, ErrSyncing) {
-		t.Fatalf("promote of partial bootstrap: %v, want ErrSyncing", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled install answered %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postApply(t, s2, applyRequest{From: 4, Frames: makeFrames(p[4:])})
-	if !resp.Syncing {
-		t.Fatalf("real-history batch accepted mid-resync: %+v", resp)
+	if st := s.Status(); st.Syncing || st.LSN != 0 || st.Resyncs != 0 {
+		t.Fatalf("after a stalled install: %+v", st)
 	}
-
-	// A fresh, completed re-seed clears the marker and the state.
-	resp, _ = postApply(t, s2, applyRequest{From: 0, Resync: true, SyncTo: 6, Frames: makeFrames(p[:4])})
-	if resp.LSN != 4 || !resp.Syncing {
-		t.Fatalf("re-seed first chunk: %+v", resp)
-	}
-	resp, _ = postApply(t, s2, applyRequest{From: 4, SyncTo: 6, Frames: makeFrames(p[4:])})
-	if resp.LSN != 6 || resp.Syncing {
-		t.Fatalf("re-seed final chunk: %+v", resp)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "RESYNC")); !os.IsNotExist(err) {
-		t.Fatalf("marker not cleared: %v", err)
-	}
-	if err := s2.Promote(); err != nil {
-		t.Fatalf("promote after re-seed: %v", err)
+	if err := s.Promote(); err != nil {
+		t.Fatalf("promote after a stalled install: %v", err)
 	}
 }
 
 func TestPromoteSealFailureIsRetryable(t *testing.T) {
 	eng := &memEngine{sealErr: errors.New("disk full")}
-	s := NewStandby(eng, func() (Applier, error) { return eng, nil },
-		StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
+	s := NewStandby(eng, memInstall, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})
 	if err := s.Promote(); err == nil {
 		t.Fatal("promote with failing seal succeeded")
 	}
@@ -274,11 +375,13 @@ func fastPrimaryOptions() PrimaryOptions {
 	}
 }
 
-// standbyServer exposes a Standby's apply endpoint over httptest.
+// standbyServer exposes a Standby's apply and install endpoints over
+// httptest.
 func standbyServer(t *testing.T, s *Standby) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/replication/apply", s.ServeApply)
+	mux.HandleFunc("/replication/install", s.ServeInstall)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -369,7 +472,7 @@ func TestPrimaryBootstrapsBehindFollower(t *testing.T) {
 		t.Fatalf("delete: %v", err)
 	}
 	// LSN 11 with only the last 4 records retained: a fresh follower
-	// cannot be served from the ring and must be bootstrapped.
+	// cannot be served from the ring and must install a snapshot.
 
 	stby, _ := newMemStandby(t)
 	srv := standbyServer(t, stby)
@@ -380,30 +483,30 @@ func TestPrimaryBootstrapsBehindFollower(t *testing.T) {
 		t.Fatalf("register: %v", err)
 	}
 
-	waitFor(t, "bootstrap catch-up", func() bool { return stby.LSN() == c.LSN() })
+	waitFor(t, "install catch-up", func() bool { return stby.LSN() == c.LSN() })
 	st := stby.Status()
-	if st.Resyncs < 1 {
-		t.Fatalf("no resync recorded: %+v", st)
+	if st.Resyncs != 1 {
+		t.Fatalf("want exactly one install: %+v", st)
 	}
 	if st.Syncing {
 		t.Fatalf("still syncing after catch-up: %+v", st)
 	}
-	// The bootstrap stream re-creates the full LSN history: one payload
-	// per LSN unit (tombstones contribute their add and their delete).
-	// The resync wiped the engine, so everything applied since the
-	// standby started is bootstrap records.
-	if got, want := st.AppliedRecords, int64(c.LSN()); got != want {
-		t.Fatalf("bootstrap applied %d records, want %d", got, want)
+	// The install carried the whole state: nothing was shipped as records.
+	if st.AppliedRecords != 0 {
+		t.Fatalf("catch-up applied %d records, want none past the install", st.AppliedRecords)
 	}
-	if fs := prim.Status().Followers; len(fs) != 1 || fs[0].Resyncs < 1 {
-		t.Fatalf("primary resync accounting: %+v", fs)
+	if fs := prim.Status().Followers; len(fs) != 1 || fs[0].Resyncs != 1 {
+		t.Fatalf("primary install accounting: %+v", fs)
 	}
 
-	// After the bootstrap the follower tails incrementally.
+	// After the install the follower tails incrementally.
 	if _, err := c.Add("lambda suffix"); err != nil {
 		t.Fatalf("add: %v", err)
 	}
-	waitFor(t, "post-bootstrap tail", func() bool { return stby.LSN() == c.LSN() })
+	waitFor(t, "post-install tail", func() bool { return stby.LSN() == c.LSN() })
+	if st := stby.Status(); st.AppliedRecords != 1 || st.Resyncs != 1 {
+		t.Fatalf("post-install tail: %+v", st)
+	}
 }
 
 func TestServeRegisterValidation(t *testing.T) {

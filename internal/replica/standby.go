@@ -8,18 +8,18 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/corpus"
 	"repro/internal/httpx"
 )
 
-// ErrSyncing rejects promotion of a standby mid-bootstrap: its state is
-// a partial wipe-and-reseed, not any prefix of the primary's history.
-var ErrSyncing = errors.New("replica: standby is mid-resync and cannot be promoted")
+// ErrSyncing rejects promotion of a standby while a snapshot install is
+// in flight: the state promotion would seal is about to be replaced.
+var ErrSyncing = errors.New("replica: standby is installing a snapshot and cannot be promoted")
 
 // StandbyOptions configures the applier side.
 type StandbyOptions struct {
@@ -31,16 +31,8 @@ type StandbyOptions struct {
 	// (apply or heartbeat) lands for this long, the standby re-registers
 	// (default 3× the primary's default heartbeat).
 	RegisterInterval time.Duration
-	// StateDir, when set, persists the mid-resync state as a RESYNC
-	// marker file there (normally the data directory): a standby that
-	// crashes while a bootstrap is streaming in replays a PARTIAL
-	// bootstrap from disk, whose LSN indexes the bootstrap stream, not
-	// the primary's real history. The marker makes the restarted
-	// standby report Syncing at registration so the primary re-seeds it
-	// instead of misreading that LSN against the ship ring. Empty skips
-	// the marker (a crash-free in-memory standby doesn't need it).
-	StateDir string
-	// RequestTimeout bounds one register round trip (default 10s).
+	// RequestTimeout bounds one register round trip, and each read of an
+	// install body (default 10s).
 	RequestTimeout time.Duration
 	// Backoff paces register retries. Zero Base means the default
 	// {250ms base, 15s cap, 0.25 jitter}.
@@ -67,21 +59,25 @@ func (o *StandbyOptions) fill() {
 }
 
 // Standby receives the shipped stream into an Applier, gap-checks every
-// batch against the engine's own LSN, re-registers with the primary
-// when heartbeats stop, and seals at Promote. Safe for concurrent use;
-// applies are serialized.
+// batch against the engine's own LSN, installs the primary's snapshot
+// when ordered to, re-registers with the primary when heartbeats stop,
+// and seals at Promote. Safe for concurrent use; applies and engine swaps
+// are serialized.
 type Standby struct {
 	opt    StandbyOptions
 	client *http.Client
-	// reset wipes the engine for a bootstrap and returns the fresh one
-	// (the caller swaps its serving handles inside this function).
-	reset func() (Applier, error)
+	// install replaces the engine with one opened from a primary's
+	// snapshot (the caller swaps its serving handles inside this
+	// function) and returns it.
+	install func(snapshot []byte) (Applier, error)
+	// installing counts installs in flight, from the request's arrival to
+	// its engine swap. It is read without mu so readiness and promotion
+	// answer at once while an install holds mu for its swap.
+	installing atomic.Int32
 
 	mu          sync.Mutex
 	eng         Applier
 	sealed      bool
-	syncing     bool
-	syncTarget  uint64
 	registered  bool
 	lastContact time.Time
 	applied     int64
@@ -98,19 +94,17 @@ type StandbyStatus struct {
 	Advertise string `json:"advertise"`
 	LSN       uint64 `json:"lsn"`
 	// Registered reports a successful register or primary contact;
-	// Syncing a bootstrap in flight; Sealed a completed promotion.
+	// Syncing a snapshot install in flight; Sealed a completed promotion.
 	Registered bool `json:"registered"`
 	Syncing    bool `json:"syncing"`
 	Sealed     bool `json:"sealed"`
-	// SyncTarget is the bootstrap's end LSN while Syncing.
-	SyncTarget uint64 `json:"sync_target,omitempty"`
 	// LastContactAgoMs is milliseconds since the primary last reached
 	// us (-1 for never).
 	LastContactAgoMs int64 `json:"last_contact_ago_ms"`
-	// AppliedRecords counts replicated records installed; Resyncs
-	// bootstrap wipes; Heartbeats idle pings; GapRejects batches
-	// rejected for starting beyond our LSN; RegisterFails failed
-	// registration attempts.
+	// AppliedRecords counts replicated records applied; Resyncs snapshot
+	// installs; Heartbeats idle pings; GapRejects batches rejected for
+	// starting beyond our LSN; RegisterFails failed registration
+	// attempts.
 	AppliedRecords int64  `json:"applied_records"`
 	Resyncs        int64  `json:"resyncs"`
 	Heartbeats     int64  `json:"heartbeats"`
@@ -119,51 +113,18 @@ type StandbyStatus struct {
 	LastError      string `json:"last_error,omitempty"`
 }
 
-// NewStandby wraps an engine. reset is called (under the standby lock)
-// when the primary orders a bootstrap: it must wipe the engine's
-// storage, swap the caller's serving handles to a fresh empty engine,
-// and return it.
-func NewStandby(eng Applier, reset func() (Applier, error), opt StandbyOptions) *Standby {
+// NewStandby wraps an engine. install is called, under the standby lock,
+// with a primary's snapshot that corpus.CheckSnapshot accepted: it must
+// close the engine, install the snapshot into its storage, swap the
+// caller's serving handles to an engine opened from it, and return that
+// engine.
+func NewStandby(eng Applier, install func(snapshot []byte) (Applier, error), opt StandbyOptions) *Standby {
 	opt.fill()
 	client := opt.Client
 	if client == nil {
 		client = httpx.NewClient(connectTimeout)
 	}
-	s := &Standby{opt: opt, client: client, reset: reset, eng: eng}
-	if opt.StateDir != "" {
-		if _, err := os.Stat(s.markerPath()); err == nil {
-			// A previous process died mid-bootstrap: the engine replayed
-			// a partial re-seed whose LSN is bootstrap-space. Stay in
-			// syncing (with an unreachable target) until the primary
-			// re-seeds us properly.
-			s.syncing = true
-			s.syncTarget = ^uint64(0)
-			s.opt.Logf("replica: RESYNC marker found; engine state is a partial bootstrap, awaiting re-seed")
-		}
-	}
-	return s
-}
-
-func (s *Standby) markerPath() string { return filepath.Join(s.opt.StateDir, "RESYNC") }
-
-// writeMarker durably flags the on-disk state as a partial bootstrap.
-func (s *Standby) writeMarker() error {
-	if s.opt.StateDir == "" {
-		return nil
-	}
-	return os.WriteFile(s.markerPath(), []byte("mid-resync\n"), 0o644)
-}
-
-// clearMarker un-flags it once the bootstrap reaches its target. A
-// failed remove leaves the marker: the worst case is a redundant
-// re-seed after the next restart, never a misread offset.
-func (s *Standby) clearMarker() {
-	if s.opt.StateDir == "" {
-		return
-	}
-	if err := os.Remove(s.markerPath()); err != nil && !os.IsNotExist(err) {
-		s.opt.Logf("replica: clearing RESYNC marker: %v", err)
-	}
+	return &Standby{opt: opt, client: client, install: install, eng: eng}
 }
 
 // Run is the registration watchdog: it registers with the primary, then
@@ -175,7 +136,9 @@ func (s *Standby) Run(ctx context.Context) {
 	for ctx.Err() == nil {
 		s.mu.Lock()
 		sealed := s.sealed
-		stale := !s.registered || time.Since(s.lastContact) > s.opt.RegisterInterval
+		// An install in flight is contact: its body may take longer than
+		// the interval to arrive, and re-registering would cancel it.
+		stale := !s.registered || time.Since(s.lastContact) > s.opt.RegisterInterval && s.installing.Load() == 0
 		s.mu.Unlock()
 		if sealed {
 			return
@@ -208,7 +171,7 @@ func (s *Standby) Run(ctx context.Context) {
 // register performs one registration round trip.
 func (s *Standby) register(ctx context.Context) error {
 	s.mu.Lock()
-	hello := registerRequest{Advertise: s.opt.Advertise, LSN: s.eng.LSN(), Syncing: s.syncing}
+	hello := registerRequest{Advertise: s.opt.Advertise, LSN: s.eng.LSN()}
 	s.mu.Unlock()
 	var rr registerResponse
 	if err := httpx.PostJSON(ctx, s.client, s.opt.Primary+"/replication/register", hello, &rr, s.opt.RequestTimeout, 1<<16); err != nil {
@@ -227,12 +190,11 @@ func (s *Standby) register(ctx context.Context) error {
 }
 
 // ServeApply is the HTTP handler for POST /replication/apply: the
-// shipped-batch ingest point, including heartbeats and bootstrap
-// chunks. Batches are gap-checked against the engine's LSN; the
-// already-applied overlap of a retried batch is skipped (see the
-// package comment), the rest is committed up to its first bad frame in
-// one Apply, and the response always carries the authoritative LSN the
-// primary must resume from.
+// shipped-batch ingest point, including heartbeats. Batches are
+// gap-checked against the engine's LSN; the already-applied overlap of a
+// retried batch is skipped (see the package comment), the rest is
+// committed up to its first bad frame in one Apply, and the response
+// always carries the authoritative LSN the primary must resume from.
 func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -253,48 +215,12 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Sealed: true})
 		return
 	}
-	switch {
-	case req.Resync:
-		eng, err := s.reset()
-		if err != nil {
-			s.lastErr = err.Error()
-			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: err.Error()})
-			return
-		}
-		s.eng = eng
-		s.syncing = true
-		s.syncTarget = req.SyncTo
-		s.resyncs++
-		if err := s.writeMarker(); err != nil {
-			// The wipe happened but the marker didn't land; stay syncing
-			// and fail the chunk so the primary's retry re-orders the
-			// resync (re-wipe and marker retry).
-			s.lastErr = err.Error()
-			httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: true, Error: err.Error()})
-			return
-		}
-		s.opt.Logf("replica: resync ordered by primary (target lsn %d)", req.SyncTo)
-	case s.syncing && req.SyncTo == 0 && len(req.Frames) > 0:
-		// Mid-bootstrap, a real-history batch (no SyncTo): our LSN is a
-		// bootstrap-space offset; applying ring records at it would
-		// interleave the two histories. Refuse and report Syncing so
-		// the shipper re-seeds instead.
-		s.gapRejects++
-		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Syncing: true})
-		return
-	case !s.syncing && req.SyncTo != 0:
-		// A stale bootstrap chunk from a superseded resync: our LSN is
-		// real-space now. Refuse; the shipper re-classifies.
-		s.gapRejects++
-		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN()})
-		return
-	}
 	lsn := s.eng.LSN()
 	if req.From > lsn {
 		// Gap: records between our LSN and the batch are missing. Reject
 		// and report where we actually are.
 		s.gapRejects++
-		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: lsn, Syncing: s.syncing})
+		httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: lsn})
 		return
 	}
 	// Past the duplicate prefix of a retried batch, commit the CRC-valid
@@ -318,34 +244,92 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 		// A partial apply is fine: the applied prefix advanced our LSN,
 		// and the primary resumes from it after the error.
 		s.lastErr = bad.Error()
-		httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing, Error: bad.Error()})
+		httpx.WriteJSONStatus(w, http.StatusInternalServerError, applyResponse{LSN: s.eng.LSN(), Error: bad.Error()})
 		return
 	}
-	if len(req.Frames) == 0 && !req.Resync {
+	if len(req.Frames) == 0 {
 		s.heartbeats++
 	}
-	if s.syncing && s.eng.LSN() >= s.syncTarget {
-		s.syncing = false
-		s.clearMarker()
-		s.opt.Logf("replica: resync complete at lsn %d", s.eng.LSN())
+	httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN()})
+}
+
+// ServeInstall is the HTTP handler for POST /replication/install: the
+// body is a primary's snapshot (corpus.SnapshotBytes). The body is read
+// (each read bounded by RequestTimeout) and checked without the standby
+// lock; a body corpus.CheckSnapshot
+// refuses is answered 400 and touches nothing. The lock is taken only to
+// swap the engine for one installed from the body, which a sealed
+// standby refuses. Either way the response carries the engine's LSN.
+func (s *Standby) ServeInstall(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
 	}
-	httpx.WriteJSONStatus(w, http.StatusOK, applyResponse{LSN: s.eng.LSN(), Syncing: s.syncing})
+	s.installing.Add(1)
+	defer s.installing.Add(-1)
+	body := idleReader{http.MaxBytesReader(w, r.Body, maxInstallBody), http.NewResponseController(w), s.opt.RequestTimeout}
+	snap, err := io.ReadAll(body)
+	if err == nil {
+		_, err = corpus.CheckSnapshot(snap)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lastContact, s.registered = time.Now(), true
+	resp, code := applyResponse{Sealed: s.sealed}, http.StatusOK
+	switch {
+	case s.sealed:
+	case err != nil:
+		code = http.StatusBadRequest
+	default:
+		var eng Applier
+		if eng, err = s.install(snap); err != nil {
+			code = http.StatusInternalServerError
+			break
+		}
+		s.eng = eng
+		s.resyncs++
+		s.opt.Logf("replica: installed the primary's snapshot at lsn %d", s.eng.LSN())
+	}
+	resp.LSN = s.eng.LSN()
+	if code != http.StatusOK {
+		s.lastErr = "install: " + err.Error()
+		resp.Error = s.lastErr
+	}
+	httpx.WriteJSONStatus(w, code, resp)
+}
+
+// idleReader bounds each read of a request body to timeout from its
+// start: a sender that stalls mid-body fails the read, rather than
+// holding the install in flight (and the standby unpromotable) for as
+// long as TCP keeps the dead connection. A writer without deadline
+// support (a test recorder) reads unbounded.
+type idleReader struct {
+	r       io.Reader
+	rc      *http.ResponseController
+	timeout time.Duration
+}
+
+func (ir idleReader) Read(p []byte) (int, error) {
+	_ = ir.rc.SetReadDeadline(time.Now().Add(ir.timeout)) // ErrNotSupported: read unbounded
+	return ir.r.Read(p)
 }
 
 // Promote seals the standby: replication traffic is rejected from here
 // on (old primaries shipping to us are told to stop), the engine is
 // fsynced, and the caller may flip the node to writable primary. It is
-// an error while a bootstrap is in flight (ErrSyncing) and fails —
+// an error while an install is in flight (ErrSyncing) and fails —
 // leaving the standby unsealed and retryable — if the engine cannot be
 // flushed (e.g. a degraded corpus).
 func (s *Standby) Promote() error {
+	if s.installing.Load() > 0 {
+		return ErrSyncing
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed {
 		return nil
-	}
-	if s.syncing {
-		return ErrSyncing
 	}
 	if err := s.eng.Seal(); err != nil {
 		return fmt.Errorf("replica: sealing engine at promote: %w", err)
@@ -370,12 +354,15 @@ func (s *Standby) LSN() uint64 {
 }
 
 // Ready reports whether the standby is a serving replica in good
-// standing: registered, not mid-bootstrap, not sealed, and in recent
+// standing: registered, not installing, not sealed, and in recent
 // contact with the primary (within 2× the register interval).
 func (s *Standby) Ready() bool {
+	if s.installing.Load() > 0 {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.sealed && !s.syncing && s.registered &&
+	return !s.sealed && s.registered &&
 		!s.lastContact.IsZero() && time.Since(s.lastContact) <= 2*s.opt.RegisterInterval
 }
 
@@ -387,12 +374,12 @@ func (s *Standby) Status() StandbyStatus {
 	if !s.lastContact.IsZero() {
 		ago = time.Since(s.lastContact).Milliseconds()
 	}
-	st := StandbyStatus{
+	return StandbyStatus{
 		Primary:          s.opt.Primary,
 		Advertise:        s.opt.Advertise,
 		LSN:              s.eng.LSN(),
 		Registered:       s.registered,
-		Syncing:          s.syncing,
+		Syncing:          s.installing.Load() > 0,
 		Sealed:           s.sealed,
 		LastContactAgoMs: ago,
 		AppliedRecords:   s.applied,
@@ -402,8 +389,4 @@ func (s *Standby) Status() StandbyStatus {
 		RegisterFails:    s.regFails,
 		LastError:        s.lastErr,
 	}
-	if s.syncing {
-		st.SyncTarget = s.syncTarget
-	}
-	return st
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -153,6 +152,22 @@ func (n *repNode) crash() {
 	n.c.ReleaseLockForTest()
 }
 
+// install is the node's install callback: close its handles, install
+// the snapshot into its directory through its disk injector, and reopen.
+// A failed install leaves the handles closed, as a crashed process
+// would; the harness restarts the node.
+func (n *repNode) install(snap []byte) (Applier, error) {
+	n.mu.Lock()
+	n.m.Close()
+	n.c.Close()
+	fs := n.fs
+	n.mu.Unlock()
+	if _, err := corpus.Install(n.dir, snap, corpus.Options{FS: fs}); err != nil {
+		return nil, err
+	}
+	return nodeEngine{n}, n.open()
+}
+
 // shutdown closes the node cleanly (end-of-iteration teardown).
 func (n *repNode) shutdown() {
 	n.mu.Lock()
@@ -162,8 +177,8 @@ func (n *repNode) shutdown() {
 }
 
 // nodeEngine adapts a repNode to the Applier interface, reading the
-// node's current handles on every call so restarts and resync swaps
-// stay transparent.
+// node's current handles on every call so restarts and installs stay
+// transparent.
 type nodeEngine struct{ n *repNode }
 
 func (e nodeEngine) LSN() uint64 { return e.n.corpus().LSN() }
@@ -190,6 +205,10 @@ type harness struct {
 	applier    *Standby
 	stbyCancel context.CancelFunc
 
+	// standbyCrashed and primaryCrashed record that a crash fault fired
+	// and its process was restarted, so each is restarted exactly once.
+	standbyCrashed, primaryCrashed bool
+
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -209,7 +228,6 @@ func newHarness(t *testing.T, plan iofault.NetPlan) *harness {
 
 	h.net = iofault.NewNetInjector(h.primSrv.Client().Transport, plan)
 	h.startShipper()
-	h.startApplier()
 	return h
 }
 
@@ -229,43 +247,18 @@ func (h *harness) startShipper() {
 }
 
 // startApplier builds a Standby over the standby node's current corpus
-// and starts its registration watchdog.
+// and starts its registration watchdog: the standby joins the primary.
 func (h *harness) startApplier() {
-	reset := func() (Applier, error) {
-		n := h.stby
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.m.Close()
-		n.c.Close()
-		if err := os.RemoveAll(n.dir); err != nil {
-			return nil, err
-		}
-		if err := os.MkdirAll(n.dir, 0o755); err != nil {
-			return nil, err
-		}
-		fs := iofault.NewInjector(iofault.OS, iofault.Disarmed())
-		c, err := corpus.Open(n.dir, corpus.Options{SyncEvery: 1, FS: fs, ShipBufferRecords: tortShipRing})
-		if err != nil {
-			return nil, err
-		}
-		m, err := stream.NewShardedFromCorpus(tortStreamOptions(), 2, c)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		n.fs, n.c, n.m = fs, c, m
-		return nodeEngine{n}, nil
-	}
-	h.applier = NewStandby(nodeEngine{h.stby}, reset, StandbyOptions{
+	h.applier = NewStandby(nodeEngine{h.stby}, h.stby.install, StandbyOptions{
 		Primary:          h.primSrv.URL,
 		Advertise:        h.stbySrv.URL,
 		RegisterInterval: tortRegister,
 		RequestTimeout:   tortReqTimeout,
 		Backoff:          tortBackoff(),
-		StateDir:         h.stby.dir,
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/replication/apply", h.applier.ServeApply)
+	mux.HandleFunc("/replication/install", h.applier.ServeInstall)
 	h.stbyG.swap(mux)
 	ctx, cancel := context.WithCancel(h.ctx)
 	h.stbyCancel = cancel
@@ -313,13 +306,13 @@ func (h *harness) teardown() {
 
 // healFaults is the convergence babysitter: it turns fired crash faults
 // into the matching process restarts, exactly once each.
-func (h *harness) healFaults(standbyCrashed, primaryCrashed *bool) {
-	if !*standbyCrashed && h.stby.injector().Crashed() {
-		*standbyCrashed = true
+func (h *harness) healFaults() {
+	if !h.standbyCrashed && h.stby.injector().Crashed() {
+		h.standbyCrashed = true
 		h.restartStandby()
 	}
-	if !*primaryCrashed && h.net.Crashed() {
-		*primaryCrashed = true
+	if !h.primaryCrashed && h.net.Crashed() {
+		h.primaryCrashed = true
 		h.restartPrimary()
 	}
 }
@@ -327,7 +320,11 @@ func (h *harness) healFaults(standbyCrashed, primaryCrashed *bool) {
 // workload drives the scripted mutation sequence against the primary's
 // matcher (the production write path: WAL append, then index). The
 // standby joins mid-script, after enough history that its registration
-// cannot be served from the 8-record ship ring and must bootstrap.
+// cannot be served from the 8-record ship ring and must install a
+// snapshot; the script waits for that install and then runs free. Its
+// 192-record tail is many rings long, so primary commits race the
+// shipping, and when they outrun it the ring moves past the standby's
+// LSN and forces another install — both under whatever fault is armed.
 func (h *harness) workload(names []string) {
 	h.t.Helper()
 	add := func(s string) {
@@ -340,49 +337,67 @@ func (h *harness) workload(names []string) {
 			h.t.Fatalf("primary delete %d: %v", id, err)
 		}
 	}
+	batch := func(names []string) {
+		if _, _, err := h.prim.matcher().AddAllDurable(names); err != nil {
+			h.t.Fatalf("primary batch add: %v", err)
+		}
+	}
 	for _, s := range names[:10] {
 		add(s)
 	}
-	// LSN 10, ring holds [2, 10): the standby's register at 0 forces a
-	// bootstrap under whatever fault is armed.
-	if err := h.shipper.Register(h.stbySrv.URL, h.applier.LSN()); err != nil {
-		h.t.Fatalf("register standby: %v", err)
+	// LSN 10, ring holds [2, 10): the standby's register at 0 forces an
+	// install under whatever fault is armed.
+	h.startApplier()
+	h.converge()
+	// Each round adds 20 names (singly and in batches) and deletes 4
+	// ids, one of them added in the same round.
+	for b := 10; b+20 <= len(names); b += 20 {
+		for _, s := range names[b : b+6] {
+			add(s)
+		}
+		del(b - 7)
+		del(b + 1)
+		batch(names[b+6 : b+12])
+		del(b - 10)
+		for _, s := range names[b+12 : b+16] {
+			add(s)
+		}
+		del(b - 5)
+		batch(names[b+16 : b+20])
 	}
-	for _, s := range names[10:16] {
-		add(s)
-	}
-	del(3)
-	del(11)
-	if _, _, err := h.prim.matcher().AddAllDurable(names[16:22]); err != nil {
-		h.t.Fatalf("primary batch add: %v", err)
-	}
-	del(0)
-	for _, s := range names[22:26] {
-		add(s)
-	}
-	del(5)
-	if _, _, err := h.prim.matcher().AddAllDurable(names[26:30]); err != nil {
-		h.t.Fatalf("primary batch add: %v", err)
-	}
-	// LSN 34: 30 adds + 4 deletes.
+	// LSN 202: 170 adds + 32 deletes.
 }
 
 // converge waits until the standby has caught the primary exactly —
-// equal LSNs, no resync in flight — restarting crashed processes along
-// the way.
-func (h *harness) converge(standbyCrashed, primaryCrashed *bool) {
+// equal LSNs, no install in flight — and the primary holds the ack for
+// it, restarting crashed processes along the way. Without the ack, an
+// install whose answer was lost is still due a retry, which would swap
+// the standby's engine again under the caller's checks.
+func (h *harness) converge() {
 	h.t.Helper()
 	deadline := time.Now().Add(tortConvergence)
 	for time.Now().Before(deadline) {
-		h.healFaults(standbyCrashed, primaryCrashed)
+		h.healFaults()
 		st := h.applier.Status()
-		if !st.Syncing && st.LSN == h.prim.corpus().LSN() {
+		lsn := h.prim.corpus().LSN()
+		if !st.Syncing && st.LSN == lsn && h.primaryAcked(lsn) {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	h.t.Fatalf("pair did not converge: standby=%+v primary lsn=%d followers=%+v",
 		h.applier.Status(), h.prim.corpus().LSN(), h.shipper.Status().Followers)
+}
+
+// primaryAcked reports whether the primary's ship loop for the standby
+// has the standby's ack at lsn.
+func (h *harness) primaryAcked(lsn uint64) bool {
+	for _, f := range h.shipper.Status().Followers {
+		if f.URL == h.stbySrv.URL {
+			return f.AckedLSN == lsn
+		}
+	}
+	return false
 }
 
 // logicalModel extracts the comparable logical state of a corpus: id
@@ -466,10 +481,10 @@ func (h *harness) checkEquivalence(probes []string) {
 	}
 }
 
-// tortureNames is the deterministic workload corpus (30 names used by
+// tortureNames is the deterministic workload corpus (170 names used by
 // the script; similar enough under T=0.25 that joins are non-trivial).
 func tortureNames() []string {
-	return namegen.Generate(namegen.Config{Seed: 7, NumNames: 30})
+	return namegen.Generate(namegen.Config{Seed: 7, NumNames: 170})
 }
 
 // netFlavor is one network-fault shape swept across every trip index.
@@ -489,9 +504,10 @@ var netFlavors = []netFlavor{
 		return iofault.NetPlan{FailAt: i, Kind: iofault.NetDelay, Stall: tortDelayStall}
 	}},
 	{"standby-crash", func(h *harness, i int64) iofault.NetPlan {
-		// The batch is delivered and the standby's disk dies on the
-		// second filesystem operation of the apply: a mid-apply power
-		// cut. Only fsynced records survive its restart.
+		// The batch (or snapshot) is delivered and the standby's disk
+		// dies on the second filesystem operation of the apply (or
+		// install): a power cut mid-way. Only fsynced records (or the
+		// state before the install's rename) survive its restart.
 		return iofault.NetPlan{FailAt: i, Kind: iofault.NetTorn, OnFault: func() {
 			h.stby.injector().SetPlan(iofault.Plan{FailAt: 1, Crash: true})
 		}}
@@ -516,14 +532,13 @@ func tortureOne(t *testing.T, mkPlan func(h *harness) iofault.NetPlan) int64 {
 	names := tortureNames()
 	h.workload(names)
 
-	var standbyCrashed, primaryCrashed bool
-	h.converge(&standbyCrashed, &primaryCrashed)
+	h.converge()
 	// One last heal pass: a crash fault that fired after the final
 	// workload record was acked leaves the pair converged but a process
 	// notionally dead; restart it and re-converge so the equivalence
 	// checks run against live nodes.
-	h.healFaults(&standbyCrashed, &primaryCrashed)
-	h.converge(&standbyCrashed, &primaryCrashed)
+	h.healFaults()
+	h.converge()
 
 	probes := append(append([]string(nil), names[:4]...), names[16:20]...)
 	h.checkEquivalence(probes)
@@ -587,8 +602,7 @@ func TestPromotionEquivalence(t *testing.T) {
 
 	names := tortureNames()
 	h.workload(names)
-	var sc, pc bool
-	h.converge(&sc, &pc)
+	h.converge()
 
 	// Freeze the primary's answers, then kill it.
 	wantJoin := joinPairs(t, h.prim.corpus())
@@ -627,8 +641,8 @@ func TestPromotionEquivalence(t *testing.T) {
 	if id != wantID {
 		t.Fatalf("promoted write id = %d, want %d", id, wantID)
 	}
-	if _, lsn := h.stby.corpus().BootstrapPayloads(); lsn != h.stby.corpus().LSN() {
-		t.Fatalf("promoted node cannot seed followers: bootstrap lsn %d vs %d", lsn, h.stby.corpus().LSN())
+	if _, lsn := h.stby.corpus().SnapshotBytes(); lsn != h.stby.corpus().LSN() {
+		t.Fatalf("promoted node cannot seed followers: snapshot lsn %d vs %d", lsn, h.stby.corpus().LSN())
 	}
 
 	// A straggler batch from a zombie primary is refused with Sealed.
@@ -646,8 +660,7 @@ func TestReplicationRestartEquivalence(t *testing.T) {
 	h := newHarness(t, iofault.NetDisarmed())
 	defer h.teardown()
 	h.workload(tortureNames())
-	var sc, pc bool
-	h.converge(&sc, &pc)
+	h.converge()
 
 	want := logicalOf(h.stby.corpus())
 	wantLSN := h.stby.corpus().LSN()

@@ -19,21 +19,28 @@
 // timing). Either way the standby answers with its authoritative LSN
 // and the primary simply resumes from there.
 //
-// # Bootstrap
+// # Install
 //
 // A follower the ship ring cannot serve (fresh, far behind, or diverged
-// — e.g. an old primary rejoining) is re-seeded: the standby wipes its
-// engine and the primary streams corpus.BootstrapPayloads in chunks,
-// which replays to the identical logical state and LSN. While the
-// bootstrap is in flight the standby reports "syncing" (it serves
+// — e.g. an old primary rejoining) is seeded with the primary's
+// snapshot: one raw-body POST /replication/install carrying
+// corpus.SnapshotBytes, the same CRC-checked encoding every restart
+// loads. The standby receives and checks the body without its lock,
+// then swaps in an engine opened from it (corpus.Install, then the
+// restart path) and answers the installed LSN — an offset into the
+// primary's real history, at which the primary resumes streaming from
+// the ring. A crash at any point of an install leaves the standby's
+// directory as it was or as exactly the installed state, so there is
+// one offset space and nothing to persist about an install in flight.
+// While one is in flight the standby reports "syncing" (it serves
 // whatever it has, but is not promotable and not ready).
 //
 // # Failure handling
 //
-// Every request carries a per-frame CRC (recomputed end to end, not
-// trusted from disk), connect and per-request timeouts, and per-
-// follower retry with exponential backoff and jitter (internal/
-// backoff). The standby re-registers with the primary whenever
+// Every shipped frame carries a CRC (recomputed end to end, not trusted
+// from disk) and every snapshot its own; every request has connect and
+// per-request timeouts and per-follower retry with exponential backoff
+// and jitter (internal/backoff). The standby re-registers with the primary whenever
 // heartbeats stop, so either side can die and the pair re-converges;
 // the replication torture sweep in this package fails every round trip
 // of a reference run in turn to prove it.
@@ -54,12 +61,12 @@ type Source interface {
 	// LSN is the committed logical sequence number.
 	LSN() uint64
 	// ShipFrom reads committed payloads starting at an LSN; empty means
-	// caught up, corpus.ErrShipBehind/ErrShipAhead mean "bootstrap me".
+	// caught up, corpus.ErrShipBehind/ErrShipAhead mean "install me".
 	ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, error)
 	// ShipNotify returns a channel closed at the next commit.
 	ShipNotify() <-chan struct{}
-	// BootstrapPayloads synthesizes the full-state stream and its LSN.
-	BootstrapPayloads() ([][]byte, uint64)
+	// SnapshotBytes encodes the current state as a snapshot, with its LSN.
+	SnapshotBytes() ([]byte, uint64)
 }
 
 // Applier is the standby-side engine: the corpus-backed matcher that
@@ -101,12 +108,6 @@ type registerRequest struct {
 	Advertise string `json:"advertise"`
 	// LSN is where the standby wants the stream to start.
 	LSN uint64 `json:"lsn"`
-	// Syncing reports that LSN is an offset into a partial bootstrap
-	// (the standby restarted mid-resync), NOT into the primary's real
-	// history: the primary must re-seed from scratch, whatever the
-	// number says. The two offset spaces coincide only when a bootstrap
-	// completes.
-	Syncing bool `json:"syncing,omitempty"`
 }
 
 type registerResponse struct {
@@ -115,32 +116,28 @@ type registerResponse struct {
 }
 
 // applyRequest is one shipped batch: POST {standby}/replication/apply.
-// Empty Frames is a heartbeat. Resync tells the standby to wipe and
-// treat the batch as the start of a bootstrap whose end is SyncTo.
+// Empty Frames is a heartbeat.
 type applyRequest struct {
 	From   uint64      `json:"from"`
-	Resync bool        `json:"resync,omitempty"`
-	SyncTo uint64      `json:"sync_to,omitempty"`
 	Frames []wireFrame `json:"frames,omitempty"`
 }
 
-// applyResponse always carries the standby's authoritative LSN — after
-// a gap rejection, a partial apply, or a clean batch alike, the primary
-// resumes from exactly this offset. Syncing qualifies which offset
-// space that LSN lives in: while true it indexes the bootstrap stream,
-// not real history, and the primary must keep (re-)seeding rather than
-// serve ring records at it. Sealed tells an old primary to stop
-// shipping: the standby was promoted.
+// applyResponse answers an apply and an install alike. It always
+// carries the standby's authoritative LSN — after a gap rejection, a
+// partial apply, a clean batch or an install, the primary resumes from
+// exactly this offset. Sealed tells an old primary to stop shipping: the
+// standby was promoted.
 type applyResponse struct {
-	LSN     uint64 `json:"lsn"`
-	Syncing bool   `json:"syncing,omitempty"`
-	Sealed  bool   `json:"sealed,omitempty"`
-	Error   string `json:"error,omitempty"`
+	LSN    uint64 `json:"lsn"`
+	Sealed bool   `json:"sealed,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
 // Defaults shared by both ends, and the fixed limits: batchBytes bounds
-// one apply request's payload bytes, and connectTimeout bounds dialing
-// on the built-in client (a caller-supplied Client brings its own).
+// one apply request's payload bytes (and an install's deadline grows by
+// one RequestTimeout per batchBytes of snapshot), and connectTimeout
+// bounds dialing on the built-in client (a caller-supplied Client brings
+// its own).
 const (
 	defaultBatchRecords   = 256
 	defaultHeartbeat      = 2 * time.Second
@@ -151,4 +148,7 @@ const (
 	// batch is at most BatchRecords × maxWALPayload-ish, but in practice
 	// far below this.
 	maxApplyBody = 64 << 20
+	// maxInstallBody bounds a snapshot the standby reads into memory, as
+	// a restart reads its snapshot file.
+	maxInstallBody = 4 << 30
 )

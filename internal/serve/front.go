@@ -118,7 +118,7 @@ func endpoint[Req, Resp any](what string, call func(*http.Request, Req) (Resp, e
 // to status for both roles. An *httpx.StatusError keeps its status (and
 // answers its Reply as the JSON body, when set, or a peer's body
 // unchanged, when it carries the peer's URL); an unknown id is the
-// caller's fault (400); a degraded corpus or a syncing standby is 503 —
+// caller's fault (400); a degraded corpus or an installing standby is 503 —
 // the node heals in place or an operator intervenes, and the request is
 // safe to retry elsewhere; anything else is 500. Every 503 carries
 // Retry-After.

@@ -28,7 +28,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.readLocked(readyz(s.ready)))
 	mux.HandleFunc("GET /replication", s.handleReplication)
 	mux.HandleFunc("/replication/register", s.handleRegister)
-	mux.HandleFunc("/replication/apply", s.handleApply)
+	mux.HandleFunc("/replication/apply", s.standbyOnly((*replica.Standby).ServeApply))
+	mux.HandleFunc("/replication/install", s.standbyOnly((*replica.Standby).ServeInstall))
 	mux.HandleFunc("POST /promote", s.handlePromote)
 	// Worker-side cluster endpoints: the executor surface a coordinator
 	// drives for the distributed join. They run over the durable corpus
@@ -41,20 +42,20 @@ func (s *Server) Handler() http.Handler {
 }
 
 // readLocked pins the engine handles for the request's duration: a
-// standby bootstrap swaps them under the write lock, so a handler that
-// grabbed s.m without this could race the swap's Close. While a swap is
-// in progress (or left the handles nil after failing) the request is
-// answered 503 — the primary's retry re-orders the reset.
+// standby's snapshot install swaps them under the write lock, so a
+// handler that grabbed s.m without this could race the swap's Close. If
+// a failed install left the handles nil the request is answered 503 —
+// the primary's retry re-sends the install.
 //
 // The replication endpoints themselves must NOT run under this lock:
-// /replication/apply is the path that takes the write lock.
+// /replication/install is the path that takes the write lock.
 func (s *Server) readLocked(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.engMu.RLock()
 		defer s.engMu.RUnlock()
 		if s.m == nil {
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, "engine resetting: replica re-seed in progress", http.StatusServiceUnavailable)
+			http.Error(w, "engine down: a snapshot install failed to reopen it", http.StatusServiceUnavailable)
 			return
 		}
 		h(w, r)
@@ -123,12 +124,12 @@ func (s *Server) writable() error {
 }
 
 // ready is the node's readiness. A standby is routable only as a warm,
-// caught-up replica: registered with the primary, not mid-bootstrap, in
-// recent contact — anything else and its answers may be arbitrarily
-// stale. A degraded corpus is not ready either.
+// caught-up replica: registered with the primary, not installing a
+// snapshot, in recent contact — anything else and its answers may be
+// arbitrarily stale. A degraded corpus is not ready either.
 func (s *Server) ready() error {
 	if s.roleName() == roleStandby && s.stby != nil && !s.stby.Ready() {
-		return errors.New("standby not ready: syncing or out of contact with the primary")
+		return errors.New("standby not ready: installing a snapshot or out of contact with the primary")
 	}
 	if err := s.degraded(); err != nil {
 		return fmt.Errorf("degraded: %w", err)
@@ -177,23 +178,26 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	p.ServeRegister(w, r)
 }
 
-// handleApply ingests one shipped batch on a standby. It runs outside
-// readLocked on purpose: a bootstrap chunk's reset takes the engine
-// write lock, which drains the readLocked endpoints first.
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if s.stby == nil {
-		http.Error(w, "not a standby: this node does not accept replication traffic", http.StatusConflict)
-		return
+// standbyOnly mounts a standby's replication ingest (a shipped batch, a
+// primary's snapshot), answering 409 on any other node. It runs outside
+// readLocked on purpose: an install's engine swap takes the engine write
+// lock, which drains the readLocked endpoints first.
+func (s *Server) standbyOnly(serve func(*replica.Standby, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.stby == nil {
+			http.Error(w, "not a standby: this node does not accept replication traffic", http.StatusConflict)
+			return
+		}
+		serve(s.stby, w, r)
 	}
-	s.stby.ServeApply(w, r)
 }
 
 // handlePromote fails the node over: seal the applier (rejecting
 // further replication traffic, including from a still-live old
 // primary), fsync the corpus, and flip the role to writable primary —
 // from here the node accepts follower registrations of its own.
-// Promotion of a syncing standby is refused: its state is a partial
-// bootstrap, not a prefix of the primary's history.
+// Promotion while a snapshot install is in flight is refused: the state
+// it would seal is about to be replaced.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.stby == nil {
 		http.Error(w, "not a standby: nothing to promote", http.StatusConflict)
@@ -201,9 +205,9 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	already := s.roleName() == rolePrimary
 	if err := s.stby.Promote(); err != nil {
-		// A syncing standby (ErrSyncing) or a seal failure (e.g. degraded
-		// corpus: the final fsync cannot be trusted) leaves the standby
-		// unsealed and promotion retryable.
+		// An install in flight (ErrSyncing) or a seal failure (e.g.
+		// degraded corpus: the final fsync cannot be trusted) leaves the
+		// standby unsealed and promotion retryable.
 		writeError(w, "promote", err)
 		return
 	}

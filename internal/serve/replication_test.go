@@ -3,10 +3,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,10 +64,9 @@ func newReplStandby(t *testing.T, dir, primaryURL string) (*Server, *httptest.Se
 	// The listener exists before Start, so the advertise URL is known
 	// before any replication traffic can race the field writes below.
 	advertise := "http://" + ts.Listener.Addr().String()
-	s.stby = replica.NewStandby(serverEngine{s}, s.resetEngine, replica.StandbyOptions{
+	s.stby = replica.NewStandby(serverEngine{s}, s.installEngine, replica.StandbyOptions{
 		Primary:          primaryURL,
 		Advertise:        advertise,
-		StateDir:         dir,
 		RegisterInterval: 60 * time.Millisecond,
 		Backoff:          backoff.Policy{Base: 2 * time.Millisecond, Cap: 30 * time.Millisecond},
 		Logf:             t.Logf,
@@ -92,7 +96,7 @@ func newReplStandby(t *testing.T, dir, primaryURL string) (*Server, *httptest.Se
 	return s, ts, shutdown
 }
 
-// buildReplServer assembles an unstarted durable server with the reset
+// buildReplServer assembles an unstarted durable server with the install
 // plumbing (dataDir + reopen options) that replication needs.
 func buildReplServer(t *testing.T, dir string, fs iofault.FS) (*Server, *httptest.Server) {
 	t.Helper()
@@ -153,7 +157,7 @@ func queryNames(t *testing.T, baseURL, name string) []distrib.Match {
 }
 
 // TestReplicationHandlerTable drives every replication endpoint through
-// its rejection paths: wrong method, wrong role, syncing standby,
+// its rejection paths: wrong method, wrong role, installing standby,
 // degraded promote.
 func TestReplicationHandlerTable(t *testing.T) {
 	t.Run("in-memory node", func(t *testing.T) {
@@ -168,6 +172,7 @@ func TestReplicationHandlerTable(t *testing.T) {
 			{http.MethodPost, "/promote", "{}", http.StatusConflict},
 			{http.MethodPost, "/replication/register", `{"advertise":"http://x","lsn":0}`, http.StatusServiceUnavailable},
 			{http.MethodPost, "/replication/apply", `{"from":0}`, http.StatusConflict},
+			{http.MethodPost, "/replication/install", "", http.StatusConflict},
 		}
 		for _, tc := range cases {
 			resp := request(t, tc.method, ts.URL+tc.path, tc.body)
@@ -181,14 +186,32 @@ func TestReplicationHandlerTable(t *testing.T) {
 	})
 
 	t.Run("syncing standby refuses promote and writes", func(t *testing.T) {
-		// A standby whose primary is unreachable; a resync chunk posted
-		// directly marks it mid-bootstrap.
+		// A standby whose primary is unreachable; an install whose body
+		// is still arriving holds it mid-install.
 		s, ts, _ := newReplStandby(t, t.TempDir(), "http://127.0.0.1:1")
-		resp := request(t, http.MethodPost, ts.URL+"/replication/apply",
-			`{"from":0,"resync":true,"sync_to":7}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("resync chunk: status %d", resp.StatusCode)
+		pr, pw := io.Pipe()
+		installed := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/replication/install", "application/octet-stream", pr)
+			if err != nil {
+				installed <- 0
+				return
+			}
+			resp.Body.Close()
+			installed <- resp.StatusCode
+		}()
+		if _, err := pw.Write([]byte(snapshotMagic)); err != nil {
+			t.Fatal(err)
 		}
+		for deadline := time.Now().Add(10 * time.Second); !s.stby.Status().Syncing; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("install never reached the standby")
+			}
+		}
+		defer func() {
+			pw.CloseWithError(errors.New("install abandoned"))
+			<-installed
+		}()
 		if resp := request(t, http.MethodPost, ts.URL+"/promote", "{}"); resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("promote while syncing: status %d, want 503", resp.StatusCode)
 		}
@@ -212,15 +235,15 @@ func TestReplicationHandlerTable(t *testing.T) {
 		inj := iofault.NewInjector(iofault.OS, iofault.Disarmed())
 		s, ts := buildReplServer(t, t.TempDir(), inj)
 		s.role.Store(roleStandby)
-		s.stby = replica.NewStandby(serverEngine{s}, s.resetEngine, replica.StandbyOptions{
+		s.stby = replica.NewStandby(serverEngine{s}, s.installEngine, replica.StandbyOptions{
 			Primary: "http://127.0.0.1:1", Advertise: "http://unused", Logf: t.Logf,
 		})
 		ts.Start()
 		t.Cleanup(func() { ts.Close(); s.closeEngine() })
 
 		// Ship one real record whose WAL fsync fails: the apply errors and
-		// the corpus degrades, but the standby is NOT syncing — promotion
-		// is refused only because the final seal fsync cannot be trusted.
+		// the corpus degrades, but no install is in flight — promotion is
+		// refused only because the final seal fsync cannot be trusted.
 		scratch, err := tsjoin.OpenCorpus(t.TempDir(), tsjoin.CorpusOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +251,10 @@ func TestReplicationHandlerTable(t *testing.T) {
 		if _, err := scratch.Add("barak obama"); err != nil {
 			t.Fatal(err)
 		}
-		payloads, _ := scratch.BootstrapPayloads()
+		payloads, err := scratch.ShipFrom(0, 1, 0)
+		if err != nil || len(payloads) != 1 {
+			t.Fatalf("ship the add: %d records, %v", len(payloads), err)
+		}
 		scratch.Close()
 		crc := crc32.Checksum(payloads[0], crc32.MakeTable(crc32.Castagnoli))
 		body, _ := json.Marshal(map[string]any{
@@ -286,7 +312,7 @@ func TestServeFailover(t *testing.T) {
 
 	stby, stbyTS, _ := newReplStandby(t, t.TempDir(), primTS.URL)
 
-	// Converge: the standby registers, bootstraps/streams to the
+	// Converge: the standby registers, installs/streams to the
 	// primary's LSN, and reports ready.
 	deadline := time.Now().Add(10 * time.Second)
 	primLSN := prim.corpusHandle().LSN()
@@ -394,5 +420,120 @@ func TestServeFailover(t *testing.T) {
 	getJSON(t, stbyTS.URL+"/stats", &stats)
 	if stats.Replication == nil || stats.Replication.Role != rolePrimary {
 		t.Fatalf("/stats replication: %+v", stats.Replication)
+	}
+}
+
+// snapshotMagic is the first bytes of every snapshot: a prefix of an
+// install body, enough to hold an install in flight.
+const snapshotMagic = "TSJSNAP1"
+
+// TestReplicationInstallAfterPrimaryRestart: a primary restarted from
+// its directory has an empty ship ring, so a fresh standby is seeded by
+// installing its snapshot. The standby then answers queries exactly as
+// the primary does, streams the live tail, and restarts from its own
+// directory at the installed history, resuming from the ring without a
+// second install.
+func TestReplicationInstallAfterPrimaryRestart(t *testing.T) {
+	primDir := t.TempDir()
+	_, primTS, stopPrim := newReplPrimary(t, primDir)
+	names := []string{"barak obama", "barack obama", "angela merkel", "emmanuel macron", "justin trudeau", "angela merkell"}
+	for _, n := range names {
+		if resp := post(t, primTS.URL+"/add", fmt.Sprintf(`{"name": %q}`, n), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed add: status %d", resp.StatusCode)
+		}
+	}
+	if resp := post(t, primTS.URL+"/delete", `{"id": 2}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed delete: status %d", resp.StatusCode)
+	}
+	stopPrim()
+	prim, primTS, _ := newReplPrimary(t, primDir)
+	lsn := prim.corpusHandle().LSN()
+
+	stbyDir := t.TempDir()
+	stby, stbyTS, stopStby := newReplStandby(t, stbyDir, primTS.URL)
+	// follower waits until the standby advertising url is caught up.
+	follower := func(url string) replica.FollowerStatus {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			for _, f := range getReplication(t, primTS.URL).Primary.Followers {
+				if f.URL == url && f.State == "streaming" && f.AckedLSN == prim.corpusHandle().LSN() {
+					return f
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("standby did not catch up: %+v", getReplication(t, primTS.URL).Primary)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if f := follower(stbyTS.URL); f.Resyncs != 1 || f.AckedLSN != lsn {
+		t.Fatalf("follower after catch-up: %+v, want one install at lsn %d", f, lsn)
+	}
+	if st := stby.stby.Status(); st.Resyncs != 1 || st.AppliedRecords != 0 {
+		t.Fatalf("standby after catch-up: %+v, want one install and no shipped records", st)
+	}
+	for _, q := range []string{"barak obamma", "angela merkl", "macron"} {
+		if got, want := queryNames(t, stbyTS.URL, q), queryNames(t, primTS.URL, q); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("query %q: standby %v, primary %v", q, got, want)
+		}
+	}
+	if resp := post(t, primTS.URL+"/add", `{"name": "barak h obama"}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live add: status %d", resp.StatusCode)
+	}
+	follower(stbyTS.URL)
+
+	// A restart reopens the installed directory at the installed history
+	// plus the tail; the ring serves it from there.
+	stopStby()
+	stby, stbyTS, _ = newReplStandby(t, stbyDir, primTS.URL)
+	if got := stby.corpusHandle().LSN(); got != lsn+1 {
+		t.Fatalf("restarted standby at lsn %d, want %d", got, lsn+1)
+	}
+	if f := follower(stbyTS.URL); f.Resyncs != 0 {
+		t.Fatalf("restarted standby was seeded again: %+v", f)
+	}
+}
+
+// TestReplicationRefusesResyncMarker: a data directory holding a RESYNC
+// file was left mid-bootstrap by an older build that seeded standbys as
+// a stream of records; its LSN counts records of that stream, not of the
+// primary's history. The node refuses to start on it — as a standby or
+// as a primary — telling the operator to delete the directory, and so
+// never registers with that LSN.
+func TestReplicationRefusesResyncMarker(t *testing.T) {
+	registers := 0
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		registers++
+		http.Error(w, "unexpected", http.StatusServiceUnavailable)
+	}))
+	defer primary.Close()
+	dir := t.TempDir()
+	c, err := tsjoin.OpenCorpus(dir, tsjoin.CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Add("barak obama"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := os.WriteFile(filepath.Join(dir, "RESYNC"), []byte("mid-resync\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{DataDir: dir, ReplicaOf: primary.URL, Advertise: "http://127.0.0.1:1"},
+		{DataDir: dir},
+	} {
+		s, err := New(cfg)
+		if err == nil {
+			s.Close()
+			t.Fatalf("started on a directory left mid-bootstrap (replica of %q)", cfg.ReplicaOf)
+		}
+		if !strings.Contains(err.Error(), "delete the directory") {
+			t.Fatalf("refusal does not tell the operator what to do: %v", err)
+		}
+	}
+	if registers != 0 {
+		t.Fatalf("%d registrations from a refused node", registers)
 	}
 }

@@ -33,10 +33,12 @@
 //	                  -data) corpus/WAL counters and replication state
 //	GET  /healthz  -> ok        pure liveness: 200 while the process serves
 //	GET  /readyz   -> ready     flips to 503 while the corpus is degraded
-//	                  or the node is a standby that is syncing/out of contact
+//	                  or the node is a standby that is installing a
+//	                  snapshot or out of contact
 //	GET  /replication          -> role plus shipper/applier status
 //	POST /replication/register   (replication protocol; standby -> primary)
 //	POST /replication/apply      (replication protocol; primary -> standby)
+//	POST /replication/install    (replication protocol; primary -> standby)
 //	POST /promote  {}            fail over: seal replication, flip writable
 //	               -> {"role": "primary", "lsn": 1041}
 //	GET  /cluster/strings        (distributed join executor; coordinator -> node,
@@ -51,15 +53,18 @@
 //
 // Replication: a durable node is always a shipping-capable primary —
 // standbys register via POST /replication/register and committed WAL
-// records stream to them (far-behind followers get a full bootstrap).
-// Started with -replica-of URL (plus -advertise URL and -data DIR), the
-// node is instead a warm standby: it commits each shipped batch through
-// the corpus commit path the primary's writes take, serves /query
-// (and all read endpoints) from the warm index, answers 503 on writes,
-// and reports not-ready until it is registered and caught up. POST
-// /promote fails the node over: the applier is sealed, the corpus
-// fsynced, and the node becomes a writable primary that accepts
-// follower registrations of its own.
+// records stream to them; a follower the ship ring cannot serve is sent
+// the primary's snapshot instead, which it installs into its data
+// directory and reopens exactly as a restart would. Started with
+// -replica-of URL (plus -advertise URL and -data DIR), the node is
+// instead a warm standby: it commits each shipped batch through the
+// corpus commit path the primary's writes take, serves /query (and all
+// read endpoints) from the warm index, answers 503 on writes, and
+// reports not-ready until it is registered and caught up. POST /promote
+// fails the node over: the applier is sealed, the corpus fsynced, and
+// the node becomes a writable primary that accepts follower
+// registrations of its own. A primary and its standbys must run the
+// same build: the replication wire format is not versioned.
 //
 // Degraded mode: a storage failure that seals the corpus write path (a
 // failed WAL fsync cannot be retried soundly — the kernel may drop the
@@ -84,6 +89,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -91,6 +97,7 @@ import (
 
 	tsjoin "repro"
 	"repro/internal/backoff"
+	"repro/internal/corpus"
 	"repro/internal/replica"
 )
 
@@ -127,8 +134,8 @@ const (
 // Server wires a ConcurrentMatcher (and optionally its backing corpus)
 // to the HTTP API.
 type Server struct {
-	// engMu guards the engine handles below. A standby's bootstrap
-	// re-seed closes and replaces m and c mid-flight (resetEngine), so
+	// engMu guards the engine handles below. A standby's snapshot
+	// install closes and replaces m and c mid-flight (installEngine), so
 	// every request that touches them runs under the read lock for its
 	// whole duration (readLocked) and the swap takes the write lock —
 	// the swap drains in-flight requests instead of closing the matcher
@@ -150,8 +157,8 @@ type Server struct {
 	// stby is non-nil for the life of a node started with -replica-of
 	// (it stays, sealed, after promotion — its counters remain visible).
 	stby *replica.Standby
-	// dataDir plus the open options let resetEngine rebuild the engine
-	// from a wiped directory when the primary orders a bootstrap.
+	// dataDir plus the open options let installEngine reopen the engine
+	// from the directory a primary's snapshot was installed into.
 	dataDir string
 	mopts   tsjoin.ConcurrentMatcherOptions
 	copts   tsjoin.CorpusOptions
@@ -177,17 +184,17 @@ func New(cfg Config) (*Server, error) {
 		err error
 	)
 	if cfg.DataDir != "" {
-		c, err = tsjoin.OpenCorpus(cfg.DataDir, cfg.Corpus)
-		if err != nil {
+		// A RESYNC file is the mid-bootstrap marker of builds that seeded
+		// a standby as a stream of records: the directory holds part of
+		// such a stream, whose LSN is no offset into the primary's history.
+		if _, err := os.Stat(filepath.Join(cfg.DataDir, "RESYNC")); err == nil {
+			return nil, fmt.Errorf("%s was left mid-bootstrap by an older build (it holds a RESYNC file): its state is not a prefix of the primary's history; delete the directory and start the standby again to re-seed it", cfg.DataDir)
+		}
+		start := time.Now()
+		if m, c, err = openEngine(cfg.DataDir, cfg.Corpus, cfg.Matcher); err != nil {
 			return nil, err
 		}
 		cs := c.Stats()
-		start := time.Now()
-		m, err = tsjoin.NewConcurrentMatcherFromCorpus(c, cfg.Matcher)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
 		log.Printf("warm restart from %s: %d strings (%d live, generation %d, %d WAL records replayed) in %v",
 			cfg.DataDir, cs.Strings, cs.Live, cs.Generation, cs.WALReplayed, time.Since(start).Round(time.Millisecond))
 	} else if m, err = tsjoin.NewConcurrentMatcher(cfg.Matcher); err != nil {
@@ -201,10 +208,9 @@ func New(cfg Config) (*Server, error) {
 	s.snapshotEvery = cfg.SnapshotEvery
 	if cfg.ReplicaOf != "" {
 		s.role.Store(roleStandby)
-		s.stby = replica.NewStandby(serverEngine{s}, s.resetEngine, replica.StandbyOptions{
+		s.stby = replica.NewStandby(serverEngine{s}, s.installEngine, replica.StandbyOptions{
 			Primary:   cfg.ReplicaOf,
 			Advertise: cfg.Advertise,
-			StateDir:  cfg.DataDir,
 			Logf:      log.Printf,
 		})
 		log.Printf("standby: replicating from %s, advertising %s (read-only until POST /promote)", cfg.ReplicaOf, cfg.Advertise)
@@ -232,7 +238,7 @@ func (s *Server) Run(addr string, writeTimeout, idleTimeout time.Duration) error
 	var loops []func(context.Context)
 	// The loops touch the corpus, so they must be joined before it
 	// closes; they re-read the corpus handle every tick because a
-	// standby bootstrap swaps it.
+	// standby's snapshot install swaps it.
 	if s.c != nil && s.snapshotEvery > 0 {
 		loops = append(loops, func(ctx context.Context) { runPeriodicSnapshots(ctx, s, s.snapshotEvery) })
 	}
@@ -328,8 +334,8 @@ func (s *Server) shipper() *replica.Primary {
 }
 
 // corpusHandle reads the current corpus under the engine lock; the
-// background loops re-read it every tick because a standby bootstrap
-// swaps it.
+// background loops re-read it every tick because a standby's snapshot
+// install swaps it.
 func (s *Server) corpusHandle() *tsjoin.Corpus {
 	s.engMu.RLock()
 	defer s.engMu.RUnlock()
@@ -341,7 +347,7 @@ func (s *Server) corpusHandle() *tsjoin.Corpus {
 // primary's writes take, as one commit, so the standby's matcher answers
 // queries over exactly the primary's acknowledged history. Its methods are called
 // only under the Standby's own lock, which also serializes them with
-// resetEngine's handle swap.
+// installEngine's handle swap.
 type serverEngine struct{ s *Server }
 
 func (e serverEngine) LSN() uint64 {
@@ -353,51 +359,54 @@ func (e serverEngine) LSN() uint64 {
 
 func (e serverEngine) Apply(payloads [][]byte) error {
 	if e.s.m == nil {
-		return errors.New("engine is resetting")
+		return errors.New("engine is down")
 	}
 	return e.s.m.ApplyShipped(payloads...)
 }
 
 func (e serverEngine) Seal() error {
 	if e.s.c == nil {
-		return errors.New("engine is resetting")
+		return errors.New("engine is down")
 	}
 	return e.s.c.Sync()
 }
 
-// resetEngine is the standby's bootstrap wipe: close the serving
-// handles, clear the data directory, and reopen an empty engine for the
-// primary to stream the full state into. Taking the engine write lock
-// drains every in-flight read first; while the swap is in progress (or
-// after a failed one) the handles are nil and readLocked answers 503.
-func (s *Server) resetEngine() (replica.Applier, error) {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if s.m != nil {
-		s.m.Close()
-	}
-	if s.c != nil {
-		if err := s.c.Close(); err != nil {
-			log.Printf("replica reset: closing old corpus: %v", err)
-		}
-	}
-	s.m, s.c = nil, nil
-	if err := os.RemoveAll(s.dataDir); err != nil {
-		return nil, fmt.Errorf("replica reset: wiping %s: %w", s.dataDir, err)
-	}
-	if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
-		return nil, err
-	}
-	c, err := tsjoin.OpenCorpus(s.dataDir, s.copts)
+// openEngine opens the durable corpus in dir and warm-loads a matcher
+// over it: a node's start and a standby's install reopen the same way.
+func openEngine(dir string, copts tsjoin.CorpusOptions, mopts tsjoin.ConcurrentMatcherOptions) (*tsjoin.ConcurrentMatcher, *tsjoin.Corpus, error) {
+	c, err := tsjoin.OpenCorpus(dir, copts)
 	if err != nil {
-		return nil, fmt.Errorf("replica reset: reopening corpus: %w", err)
+		return nil, nil, err
 	}
-	m, err := tsjoin.NewConcurrentMatcherFromCorpus(c, s.mopts)
+	m, err := tsjoin.NewConcurrentMatcherFromCorpus(c, mopts)
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("replica reset: rebuilding matcher: %w", err)
+		return nil, nil, err
+	}
+	return m, c, nil
+}
+
+// installEngine is the standby's install callback: close the serving
+// handles, install the primary's snapshot into the data directory
+// (corpus.Install), and reopen the engine from it as a restart would.
+// Taking the engine write lock drains every in-flight read first. A
+// failed install still reopens whatever the directory holds — the state
+// before the install, or the installed one — so the standby keeps
+// serving; only a failed reopen leaves the handles nil, and readLocked
+// then answers 503.
+func (s *Server) installEngine(snapshot []byte) (replica.Applier, error) {
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	s.closeLocked()
+	_, ierr := corpus.Install(s.dataDir, snapshot, corpus.Options{FS: s.copts.FS, DisableSync: s.copts.DisableSync})
+	m, c, err := openEngine(s.dataDir, s.copts, s.mopts)
+	if err != nil {
+		return nil, errors.Join(ierr, fmt.Errorf("reopening the engine: %w", err))
 	}
 	s.m, s.c = m, c
+	if ierr != nil {
+		return nil, ierr
+	}
 	return serverEngine{s}, nil
 }
 
@@ -407,6 +416,11 @@ func (s *Server) resetEngine() (replica.Applier, error) {
 func (s *Server) closeEngine() {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
+	s.closeLocked()
+}
+
+// closeLocked closes the engine handles; caller holds engMu.
+func (s *Server) closeLocked() {
 	if s.m != nil {
 		s.m.Close()
 	}
@@ -427,7 +441,7 @@ func (s *Server) closeEngine() {
 // interval off exponentially (backoff.Policy capped at 64x) so a
 // persistently sick filesystem isn't hammered; one success resets the
 // cadence. A standby skips checkpointing until promoted: its corpus is
-// wiped and re-seeded at the primary's discretion.
+// replaced by the primary's snapshot at the primary's discretion.
 func runPeriodicSnapshots(ctx context.Context, s *Server, every time.Duration) {
 	pol := backoff.Policy{Base: every, Cap: every << 6}
 	fails := 0
