@@ -67,7 +67,7 @@ func BenchmarkVerifyBounded(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				v.Verify(c.Strings[p[0]], c.Strings[p[1]], th)
+				v.Verify(&c.Strings[p[0]], &c.Strings[p[1]], th)
 			}
 		})
 	}
@@ -94,6 +94,6 @@ func BenchmarkSLDBudget(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Verify(x, y, 0.1)
+		v.Verify(&x, &y, 0.1)
 	}
 }

@@ -29,10 +29,10 @@ type BatchCounters struct {
 	Batched, Kernels, Lanes int64
 }
 
-// StageBatch writes Verify(x, *ys[i], t) into out[i] for every candidate.
+// StageBatch writes Verify(&x, ys[i], t) into out[i] for every candidate.
 func (v *Verifier) StageBatch(x token.TokenizedString, ys []*token.TokenizedString, t float64, out []BatchResult) {
 	for i, y := range ys {
-		sld, within, pruned := v.Verify(x, *y, t)
+		sld, within, pruned := v.Verify(&x, y, t)
 		out[i] = BatchResult{sld, within, pruned}
 	}
 	v.staged += int64(len(ys))

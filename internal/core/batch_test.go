@@ -38,12 +38,12 @@ func TestSIMDEquivalenceVerifyBatch(t *testing.T) {
 			stageFlush(&batchV, probe, ys, th, out, &ctr)
 			stageFlush(&greedyB, probe, ys, th, outG, nil)
 			for c, y := range ys {
-				sld, within, pruned := scalarV.Verify(probe, *y, th)
+				sld, within, pruned := scalarV.Verify(&probe, y, th)
 				if want := (BatchResult{sld, within, pruned}); out[c] != want {
 					t.Fatalf("iter %d t=%.2f cand %d: batch %+v != Verify %+v (probe %v cand %v)",
 						iter, th, c, out[c], want, probe.Tokens, y.Tokens)
 				}
-				gsld, gwithin, gpruned := greedyS.Verify(probe, *y, th)
+				gsld, gwithin, gpruned := greedyS.Verify(&probe, y, th)
 				if wantG := (BatchResult{gsld, gwithin, gpruned}); outG[c] != wantG {
 					t.Fatalf("iter %d t=%.2f cand %d: greedy batch %+v != greedy Verify %+v",
 						iter, th, c, outG[c], wantG)
@@ -87,7 +87,7 @@ func TestSIMDEquivalenceStagedBatch(t *testing.T) {
 		}
 		for p := range probes {
 			for c, y := range cands[p] {
-				sld, within, pruned := sv.Verify(probes[p], *y, th)
+				sld, within, pruned := sv.Verify(&probes[p], y, th)
 				if want := (BatchResult{sld, within, pruned}); outs[p][c] != want {
 					t.Fatalf("iter %d t=%.2f probe %d cand %d: staged %+v != Verify %+v (probe %v cand %v)",
 						iter, th, p, c, outs[p][c], want, probes[p].Tokens, y.Tokens)
@@ -120,7 +120,7 @@ func TestVerifyBatchDegenerateShapes(t *testing.T) {
 		for _, th := range []float64{-1, 0, 0.4, 2.5} {
 			stageFlush(&v, tc.probe, tc.ys, th, out, nil)
 			for c, y := range tc.ys {
-				sld, within, pruned := sv.Verify(tc.probe, *y, th)
+				sld, within, pruned := sv.Verify(&tc.probe, y, th)
 				if want := (BatchResult{sld, within, pruned}); out[c] != want {
 					t.Fatalf("%s t=%.1f cand %d: %+v != %+v", tc.name, th, c, out[c], want)
 				}

@@ -115,11 +115,11 @@ func TestSharedTokenCancelEquivalence(t *testing.T) {
 				sv := core.Verifier{Greedy: greedy}
 				for _, y := range ys {
 					want := ref(x, *y)
-					if got, ok, _ := sv.Verify(x, *y, 2); !ok || got != want {
+					if got, ok, _ := sv.Verify(&x, y, 2); !ok || got != want {
 						t.Fatalf("greedy=%v %v | %v: SLD %d (ok %v) under a budget that cannot bind, full matrix %d", greedy, x.Tokens, y.Tokens, got, ok, want)
 					}
 					for max := 0; max <= want+1; max++ {
-						got, ok, _ := sv.VerifyBudget(x, *y, max)
+						got, ok, _ := sv.VerifyBudget(&x, y, max)
 						if ok != (want <= max) || ok && got != want || !ok && got <= max {
 							t.Fatalf("greedy=%v %v | %v: budget %d gives (%d, %v), full matrix %d", greedy, x.Tokens, y.Tokens, max, got, ok, want)
 						}
@@ -132,7 +132,7 @@ func TestSharedTokenCancelEquivalence(t *testing.T) {
 					}
 					got := make([]verdict, len(ys))
 					for c, y := range ys {
-						sld, within, pruned := sv.Verify(x, *y, th)
+						sld, within, pruned := sv.Verify(&x, y, th)
 						got[c] = verdict{sld, within, pruned}
 						if want, in := hits[c]; within != in || in && sld != want {
 							t.Fatalf("t=%.3f greedy=%v %v | %v: %+v, oracle within %v at SLD %d", th, greedy, x.Tokens, y.Tokens, got[c], in, want)

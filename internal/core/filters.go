@@ -74,6 +74,12 @@ func HistogramLowerBound(histA, histB []int) int {
 // a pair with true NSLD <= t, because the bound never exceeds the true SLD
 // and NSLD is monotone in SLD for fixed lengths.
 func LowerBoundPrune(x, y token.TokenizedString, t float64) bool {
+	return lowerBoundPrune(&x, &y, t)
+}
+
+// lowerBoundPrune is LowerBoundPrune on pointers, which FilterPair's
+// per-candidate calls pass without copying the strings.
+func lowerBoundPrune(x, y *token.TokenizedString, t float64) bool {
 	lb := HistogramLowerBound(x.LengthHistogram(), y.LengthHistogram())
 	return !WithinNSLD(lb, x.AggregateLen(), y.AggregateLen(), t)
 }
@@ -93,7 +99,7 @@ func FilterPair(x, y *token.TokenizedString, t float64) Filter {
 	if LengthPrune(x.AggregateLen(), y.AggregateLen(), t) {
 		return LengthFiltered
 	}
-	if LowerBoundPrune(*x, *y, t) {
+	if lowerBoundPrune(x, y, t) {
 		return HistogramFiltered
 	}
 	return Admitted

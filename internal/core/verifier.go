@@ -107,7 +107,7 @@ type Verifier struct {
 // Greedy — whenever within is true), whether the pair is within the
 // threshold, and whether it was rejected early (before the alignment
 // completed) by the budget.
-func (v *Verifier) Verify(x, y token.TokenizedString, t float64) (sld int, within, pruned bool) {
+func (v *Verifier) Verify(x, y *token.TokenizedString, t float64) (sld int, within, pruned bool) {
 	if t < 0 {
 		// No sld satisfies WithinNSLD: every pair is pruned unverified.
 		return 0, false, true
@@ -120,7 +120,7 @@ func (v *Verifier) Verify(x, y token.TokenizedString, t float64) (sld int, withi
 // matrix construction over the residues with the row-minima abort, then
 // the budget-aware alignment. A budget of x.AggregateLen()+y.AggregateLen()
 // or more never binds (no SLD exceeds it).
-func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within, pruned bool) {
+func (v *Verifier) verify(x, y *token.TokenizedString, max int) (sld int, within, pruned bool) {
 	if x.Count() == 0 {
 		d := y.AggregateLen()
 		return d, d <= max, false
@@ -134,7 +134,7 @@ func (v *Verifier) verify(x, y token.TokenizedString, max int) (sld int, within,
 		return lower, false, true
 	}
 	var xr, yr [][]rune
-	v.resid, xr, yr = cancelShared(v.resid[:0], &x, &y)
+	v.resid, xr, yr = cancelShared(v.resid[:0], x, y)
 	if len(xr) == 0 || len(yr) == 0 {
 		return residueOnly(xr, yr, max)
 	}

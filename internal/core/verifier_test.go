@@ -28,7 +28,7 @@ func TestBoundedEquivalenceSLD(t *testing.T) {
 				budgets = append(budgets, max)
 			}
 			for _, max := range budgets {
-				got, ok, _ := c.v.verify(x, y, max)
+				got, ok, _ := c.v.verify(&x, &y, max)
 				if c.want <= max {
 					if !ok || got != c.want {
 						return false
@@ -72,13 +72,13 @@ func TestBoundedEquivalenceVerify(t *testing.T) {
 		for _, th := range thresholds {
 			wantSLD := SLD(a.TS, b.TS)
 			wantIn := WithinNSLD(wantSLD, la, lb, th)
-			sld, within, _ := exactV.Verify(a.TS, b.TS, th)
+			sld, within, _ := exactV.Verify(&a.TS, &b.TS, th)
 			if within != wantIn || (within && sld != wantSLD) {
 				return false
 			}
 			wantG := SLDGreedy(a.TS, b.TS)
 			wantGIn := WithinNSLD(wantG, la, lb, th)
-			gsld, gwithin, _ := greedyV.Verify(a.TS, b.TS, th)
+			gsld, gwithin, _ := greedyV.Verify(&a.TS, &b.TS, th)
 			if gwithin != wantGIn || (gwithin && gsld != wantG) {
 				return false
 			}
@@ -101,7 +101,7 @@ func TestBoundedEquivalenceVerify(t *testing.T) {
 					want = SLDGreedy(a, b)
 				}
 				wantIn := WithinNSLD(want, a.AggregateLen(), b.AggregateLen(), th)
-				if sld, within, _ := v.Verify(a, b, th); within != wantIn || within && sld != want {
+				if sld, within, _ := v.Verify(&a, &b, th); within != wantIn || within && sld != want {
 					t.Fatalf("greedy=%v t=%v %q | %q: Verify (%d, %v), reference SLD %d within %v",
 						v.Greedy, th, a.Tokens, b.Tokens, sld, within, want, wantIn)
 				}
@@ -220,7 +220,7 @@ func TestBoundedEquivalenceSigBound(t *testing.T) {
 				sv := Verifier{Greedy: greedy}
 				for _, y := range ys {
 					b := MaxSLDWithin(th, x.AggregateLen(), y.AggregateLen())
-					sld, within, pruned := sv.Verify(x, *y, th)
+					sld, within, pruned := sv.Verify(&x, y, th)
 					exact := SLD(x, *y)
 					ref := exact
 					if greedy {
@@ -297,7 +297,7 @@ func TestStoredSigEquivalence(t *testing.T) {
 			for _, i := range rng.Perm(len(news))[:1+rng.Intn(20)] {
 				var want verdict
 				for s, side := range sides {
-					sld, within, pruned := vs[s].Verify(side.xs[p], side.ys[i], th)
+					sld, within, pruned := vs[s].Verify(&side.xs[p], &side.ys[i], th)
 					if got := (verdict{sld, within, pruned}); s == 0 {
 						want = got
 					} else if got != want {

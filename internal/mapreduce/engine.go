@@ -40,6 +40,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/radix"
 )
 
 // Config controls one MapReduce job execution.
@@ -125,12 +127,6 @@ type Mapper[I any, K Key, V any] func(item I, ctx *MapCtx[K, V])
 // values past its return must copy them.
 type Reducer[K Key, V any, O any] func(key K, values []V, ctx *ReduceCtx[O])
 
-// entry is the sort handle of one intermediate record: the key's image
-// under an order-preserving map into uint64, and where the value lies —
-// map task in the high 32 bits, index in that task's buffer in the low 32,
-// so that pos order is emission order.
-type entry struct{ key, pos uint64 }
-
 // reduceBatch is how many consecutive keys a reduce worker claims at once.
 const reduceBatch = 64
 
@@ -190,10 +186,14 @@ func Run[I any, K Key, V any, O any](
 	// A group is a run of equal keys in the sorted entries; its values are
 	// the matching run of the slab. The sort is stable and entries start in
 	// emission order, so values keep it within a key.
-	ents, ebox := getSlab[entry]()
-	tmp, tbox := getSlab[entry]()
+	ents, ebox := getSlab[radix.Entry]()
+	tmp, tbox := getSlab[radix.Entry]()
 	ents, tmp = slices.Grow(ents, n), slices.Grow(tmp, n)[:n]
-	// Signed keys sort as unsigned once their sign bit is flipped.
+	// A record's sort handle is its key's image under an order-preserving
+	// map into uint64 and where its value lies: map task in the high 32
+	// bits, index in that task's buffer in the low 32, so that Val order is
+	// emission order. Signed keys sort as unsigned once their sign bit is
+	// flipped.
 	var zero K
 	var flip uint64
 	if zero-1 < zero {
@@ -201,27 +201,27 @@ func Run[I any, K Key, V any, O any](
 	}
 	for ti := range tasks {
 		for i, k := range tasks[ti].keys {
-			ents = append(ents, entry{uint64(k) ^ flip, uint64(ti)<<32 | uint64(i)})
+			ents = append(ents, radix.Entry{Key: uint64(k) ^ flip, Val: uint64(ti)<<32 | uint64(i)})
 		}
 	}
-	ents, idle := radixSort(ents, tmp)
+	ents, idle := radix.Sort(ents, tmp)
 	vals, vbox := getSlab[V]()
 	vals = slices.Grow(vals, n)[:n]
-	// Group g is ents[lo:hi] with lo, hi = bounds[g].key, bounds[g].pos:
+	// Group g is ents[lo:hi] with lo, hi = bounds[g].Key, bounds[g].Val:
 	// the group index lives in the sort's idle buffer, which holds n
 	// entries and so room for every group.
 	bounds := idle[:0]
 	for i, e := range ents {
-		vals[i] = tasks[e.pos>>32].vals[uint32(e.pos)]
-		if i == 0 || e.key != ents[i-1].key {
+		vals[i] = tasks[e.Val>>32].vals[uint32(e.Val)]
+		if i == 0 || e.Key != ents[i-1].Key {
 			if g := len(bounds); g > 0 {
-				bounds[g-1].pos = uint64(i)
+				bounds[g-1].Val = uint64(i)
 			}
-			bounds = append(bounds, entry{key: uint64(i)})
+			bounds = append(bounds, radix.Entry{Key: uint64(i)})
 		}
 	}
 	if g := len(bounds); g > 0 {
-		bounds[g-1].pos = uint64(n)
+		bounds[g-1].Val = uint64(n)
 	}
 	// The map output is dead; its slabs can serve the reduce phase.
 	for i := range tasks {
@@ -248,10 +248,10 @@ func Run[I any, K Key, V any, O any](
 		}
 		lo := len(ctx.out)
 		for g := b * reduceBatch; g < min(groups, (b+1)*reduceBatch); g++ {
-			s, e := bounds[g].key, bounds[g].pos
+			s, e := bounds[g].Key, bounds[g].Val
 			ctx.cost = 0
 			before := len(ctx.out)
-			reduceFn(K(ents[s].key^flip), vals[s:e:e], ctx)
+			reduceFn(K(ents[s].Key^flip), vals[s:e:e], ctx)
 			costs[g] = float64(e-s) + float64(len(ctx.out)-before) + ctx.cost
 		}
 		spans[b] = span{w, lo, len(ctx.out)}
@@ -272,9 +272,9 @@ func Run[I any, K Key, V any, O any](
 	putSlab(vbox, vals)
 	putSlab(ebox, ents)
 	putSlab(tbox, idle)
-	// Sorted costs and a total summed over them: per-key costs need not be
-	// integers, and a float sum is only reproducible in a fixed order.
-	slices.Sort(costs)
+	// Costs stay in key order, which no Parallelism changes, and the total
+	// is summed in that order: per-key costs need not be integers, and a
+	// float sum is only reproducible in a fixed order.
 	st.ReduceTaskCosts = costs
 	for _, c := range costs {
 		st.ReduceWork += c
@@ -297,39 +297,6 @@ func each(workers, n int, fn func(w, i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// radixSort sorts ents by key with a stable LSD byte radix, skipping the
-// bytes every key agrees on (dense ids vary in two or three of eight).
-// tmp must be as long as ents. It returns the sorted slice and the idle
-// one: ents and tmp, in one order or the other.
-func radixSort(ents, tmp []entry) (sorted, idle []entry) {
-	if len(ents) < 2 {
-		return ents, tmp
-	}
-	var hist [8][256]int
-	for _, e := range ents {
-		for b := range hist {
-			hist[b][byte(e.key>>(8*b))]++
-		}
-	}
-	for b := range hist {
-		next := &hist[b]
-		if next[byte(ents[0].key>>(8*b))] == len(ents) {
-			continue
-		}
-		sum := 0
-		for d, c := range next {
-			next[d], sum = sum, sum+c
-		}
-		for _, e := range ents {
-			d := byte(e.key >> (8 * b))
-			tmp[next[d]] = e
-			next[d]++
-		}
-		ents, tmp = tmp, ents
-	}
-	return ents, tmp
 }
 
 // splitRanges partitions [0, n) into at most k contiguous ranges of

@@ -18,7 +18,8 @@ type group[K Key] struct {
 
 // refJob is the reference the sort-based shuffle is checked against: the
 // map[K][]V group-by Run used to be, run serially, with the accounting
-// spelled out from the Run doc comment.
+// spelled out from the Run doc comment: one reduce cost per key, in
+// ascending key order, summed in that order.
 func refJob[K Key](input [][]K, mapTasks int) ([]group[K], *Stats) {
 	st := &Stats{MapRecordsIn: int64(len(input))}
 	groups := make(map[K][]int)
@@ -40,11 +41,11 @@ func refJob[K Key](input [][]K, mapTasks int) ([]group[K], *Stats) {
 	var out []group[K]
 	for k, vs := range groups {
 		out = append(out, group[K]{k, vs})
-		st.ReduceTaskCosts = append(st.ReduceTaskCosts, float64(len(vs))+1+float64(len(vs))*0.25)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	sort.Float64s(st.ReduceTaskCosts)
-	for _, c := range st.ReduceTaskCosts {
+	for _, g := range out {
+		c := float64(len(g.Vals)) + 1 + float64(len(g.Vals))*0.25
+		st.ReduceTaskCosts = append(st.ReduceTaskCosts, c)
 		st.ReduceWork += c
 	}
 	return out, st

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/radix"
 )
 
 // interfere runs a job that shares no key, value or output type with the
@@ -161,7 +163,7 @@ func TestHasPointers(t *testing.T) {
 		v    any
 		want bool
 	}{
-		{uint64(0), false}, {entry{}, false}, {struct{}{}, false}, {[2]float32{}, false},
+		{uint64(0), false}, {radix.Entry{}, false}, {struct{}{}, false}, {[2]float32{}, false},
 		{[0]*int{}, false}, {"", true}, {[]int(nil), true}, {(*int)(nil), true},
 		{struct {
 			a int

@@ -21,13 +21,13 @@ type Stats struct {
 
 	// MapTaskCosts has one entry per input split.
 	MapTaskCosts []float64
-	// ReduceTaskCosts has one entry per reduce key (sorted ascending).
+	// ReduceTaskCosts has one entry per reduce key, in ascending key order.
 	// Keys are the paper's scheduling granularity: "the grouping-on-one-
 	// string mechanism instantiates a worker for each string".
 	ReduceTaskCosts []float64
 
-	// MapWork sums MapTaskCosts in split order and ReduceWork sums the
-	// sorted ReduceTaskCosts, so equal jobs have == totals.
+	// MapWork sums MapTaskCosts in split order and ReduceWork sums
+	// ReduceTaskCosts in key order, so equal jobs have == totals.
 	MapWork    float64
 	ReduceWork float64
 
@@ -60,10 +60,11 @@ func (s *Stats) TotalWork() float64 {
 // MaxReduceTask returns the largest single reduce-key cost — the straggler
 // lower bound for the reduce phase.
 func (s *Stats) MaxReduceTask() float64 {
-	if len(s.ReduceTaskCosts) == 0 {
-		return 0
+	m := 0.0
+	for _, c := range s.ReduceTaskCosts {
+		m = max(m, c)
 	}
-	return s.ReduceTaskCosts[len(s.ReduceTaskCosts)-1]
+	return m
 }
 
 // String formats a one-line summary.

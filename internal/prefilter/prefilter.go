@@ -120,7 +120,6 @@ func PrefixLen(t float64, aggLen, distinct int) int {
 // generators, which run side by side).
 type Index struct {
 	c *token.Corpus
-	t float64
 
 	// rank maps TokenID -> position in the global rarest-first order;
 	// dropped tokens get rank -1 and never appear in prefixes.
@@ -177,7 +176,6 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	}
 	ix := &Index{
 		c:        c,
-		t:        t,
 		rank:     make([]int32, c.NumTokens()),
 		prefix:   make([][]token.TokenID, c.NumStrings()),
 		distinct: make([]int32, c.NumStrings()),
@@ -274,8 +272,10 @@ func (ix *Index) FirstCommon(a, b token.StringID) (tid token.TokenID, posA, posB
 // Admit decides, inside the posting-list reducer of token z, whether the
 // pair (a, b) should be emitted there. Exactly one reducer emits each
 // surviving pair (the one owning the pair's first prefix-common token),
-// and a pair is rejected — pruned — there when the aggregate-length filter
-// or the positional filter proves NSLD > t.
+// and a pair is rejected — pruned — there when the positional filter
+// proves NSLD > t. The caller has already applied the aggregate-length
+// filter (core.LengthPrune): Job 1's reducers only pair strings inside
+// its length window.
 //
 // Positional filter: all tokens common to distinct(a) and distinct(b) sit
 // at rank-order positions >= posA in a and >= posB in b (any earlier
@@ -288,12 +288,7 @@ func (ix *Index) Admit(z token.TokenID, a, b token.StringID) (emit, pruned bool)
 	if !ok || first != z {
 		return false, false // another reducer owns the pair
 	}
-	la := int(ix.aggLen[a])
-	lb := int(ix.aggLen[b])
-	if core.LengthPrune(la, lb, ix.t) {
-		return false, true
-	}
-	budget := ix.budgetBySum[la+lb]
+	budget := ix.budgetBySum[ix.aggLen[a]+ix.aggLen[b]]
 	da, db := int(ix.distinct[a]), int(ix.distinct[b])
 	req := da
 	if db > req {

@@ -148,7 +148,6 @@ func TestDroppedTokensExcluded(t *testing.T) {
 func refNewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	ix := &Index{
 		c:        c,
-		t:        t,
 		rank:     make([]int32, c.NumTokens()),
 		prefix:   make([][]token.TokenID, c.NumStrings()),
 		distinct: make([]int32, c.NumStrings()),

@@ -278,13 +278,15 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64) {
 		// next+len(payloads); a duplicate-suppressed retry or a standby
 		// restart lands elsewhere and the loop resumes from there (the
 		// ring — or an install — serves whatever gap remains).
+		// Any answered round trip, a heartbeat included, ends a retrying
+		// spell.
 		f.set(func(f *follower) {
 			if len(payloads) == 0 {
 				f.heartbeats++
 			} else if resp.LSN > next {
 				f.shipped += int64(len(payloads))
-				f.state = "streaming"
 			}
+			f.state = "streaming"
 			f.acked = resp.LSN
 			f.lastAck = time.Now()
 		})

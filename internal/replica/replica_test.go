@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,6 +455,66 @@ func TestPrimaryStreamsHeartbeatsAndSeals(t *testing.T) {
 		fs := prim.Status().Followers
 		return len(fs) == 1 && fs[0].State == "sealed"
 	})
+}
+
+// TestPrimaryStreamingAfterFailedHeartbeat: a caught-up follower whose
+// standby answers one heartbeat with a 500 is retried, and the next
+// answered heartbeat reports it streaming again, with no write needed to
+// clear the retrying state.
+func TestPrimaryStreamingAfterFailedHeartbeat(t *testing.T) {
+	c, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
+	if err != nil {
+		t.Fatalf("open corpus: %v", err)
+	}
+	defer c.Close()
+	for _, s := range []string{"alpha beta", "beta gamma", "gamma delta"} {
+		if _, err := c.Add(s); err != nil {
+			t.Fatalf("add: %v", err)
+		}
+	}
+
+	stby, _ := newMemStandby(t)
+	var failHeartbeat, failed atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("/replication/apply", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var req applyRequest
+		if json.Unmarshal(body, &req) == nil && len(req.Frames) == 0 && failHeartbeat.CompareAndSwap(true, false) {
+			failed.Store(true)
+			http.Error(w, "injected heartbeat failure", http.StatusInternalServerError)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		stby.ServeApply(w, r)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	prim := NewPrimary(c, fastPrimaryOptions())
+	defer prim.Close()
+	if err := prim.Register(srv.URL, 0); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	follower := func() FollowerStatus {
+		fs := prim.Status().Followers
+		if len(fs) != 1 {
+			t.Fatalf("followers = %d", len(fs))
+		}
+		return fs[0]
+	}
+	waitFor(t, "catch-up and a heartbeat", func() bool { return stby.LSN() == c.LSN() && follower().Heartbeats >= 1 })
+
+	failHeartbeat.Store(true)
+	waitFor(t, "the injected failure", failed.Load)
+	beats := follower().Heartbeats
+	waitFor(t, "two more heartbeats", func() bool { return follower().Heartbeats >= beats+2 })
+	if f := follower(); f.State != "streaming" || f.Retries < 1 || f.LagRecords != 0 || f.AckedLSN != c.LSN() {
+		t.Fatalf("follower status after a failed heartbeat: %+v", f)
+	}
 }
 
 func TestPrimaryBootstrapsBehindFollower(t *testing.T) {

@@ -31,7 +31,7 @@ func (m *ShardedMatcher) verifyChunk(ts token.TokenizedString, strs []token.Toke
 			continue
 		}
 		r.verified++
-		sld, within, pruned := v.Verify(ts, *y, t)
+		sld, within, pruned := v.Verify(&ts, y, t)
 		if pruned {
 			r.pruned++
 		}

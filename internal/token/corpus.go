@@ -1,12 +1,15 @@
 package token
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/radix"
 	"repro/internal/strdist"
 )
 
@@ -148,28 +151,29 @@ func BuildCorpusFromTokenized(strs []TokenizedString) *Corpus {
 }
 
 // finish runs passes 2 and 3. Pass 2 sorts the distinct tokens into their
-// final lexicographic ids, decodes each once into the rune slab and takes
-// its character signature (strdist.Sig) once. Pass 3 rewrites every
-// string's occurrences to final ids, sorts them, and carves the string's
-// Tokens, rune views and length histogram plus signatures out of
-// corpus-wide arenas; the occurrence list itself becomes the Members arena
-// (the dedup walk compacts each string's region in place) and Freq falls
-// out of it.
+// final lexicographic ids (lexOrder), decodes each once into the rune
+// slab and takes its character signature (strdist.Sig) once. Pass 3
+// rewrites every string's occurrences to final ids, sorts them, and carves
+// the string's Tokens, rune views and length histogram plus signatures
+// out of corpus-wide arenas; the occurrence list itself becomes the
+// Members arena (the dedup walk compacts each string's region in place)
+// and Freq falls out of it.
 func (b *corpusBuilder) finish() *Corpus {
 	nStr, nTok := len(b.off)-1, len(b.toks)
 	c := &Corpus{
 		Strings:    make([]TokenizedString, nStr),
-		Tokens:     b.toks, // sorted in place: ids holds the provisional order
+		Tokens:     make([]string, nTok),
 		TokenRunes: make([][]rune, nTok),
 		Freq:       make([]int32, nTok),
 		Members:    make([][]TokenID, nStr),
 	}
-	slices.Sort(c.Tokens)
 	final := make([]TokenID, nTok) // provisional id -> final id
 	sig := make([]int, nTok)
 	slab := make([]rune, 0, b.nRunes)
-	for id, t := range c.Tokens {
-		final[b.ids[t]] = TokenID(id)
+	for id, e := range lexOrder(b.toks) {
+		t := b.toks[e.Val]
+		c.Tokens[id] = t
+		final[e.Val] = TokenID(id)
 		slab, c.TokenRunes[id] = appendRunes(slab, t)
 		sig[id] = int(strdist.Sig(c.TokenRunes[id]))
 	}
@@ -209,6 +213,29 @@ func (b *corpusBuilder) finish() *Corpus {
 		c.Members[s] = ids[:distinct:distinct]
 	}
 	return c
+}
+
+// lexOrder returns the indexes of toks (as Val) in lexicographic order of
+// the tokens: a radix sort on each token's first 8 bytes, big-endian and
+// zero-padded, then strings.Compare within each run of equal keys. Keys
+// that differ order their tokens as strings.Compare does, since a pad
+// byte is no greater than any real byte; keys tie for tokens that share
+// their first 8 bytes, or that differ only by trailing NUL bytes.
+func lexOrder(toks []string) []radix.Entry {
+	ents := make([]radix.Entry, len(toks))
+	for i, t := range toks {
+		var key [8]byte
+		copy(key[:], t)
+		ents[i] = radix.Entry{Key: binary.BigEndian.Uint64(key[:]), Val: uint64(i)}
+	}
+	ents, _ = radix.Sort(ents, make([]radix.Entry, len(ents)))
+	byToken := func(x, y radix.Entry) int { return strings.Compare(toks[x.Val], toks[y.Val]) }
+	for lo, hi := 0, 0; lo < len(ents); lo = hi {
+		for hi = lo + 1; hi < len(ents) && ents[hi].Key == ents[lo].Key; hi++ {
+		}
+		slices.SortFunc(ents[lo:hi], byToken)
+	}
+	return ents
 }
 
 // NewCorpus returns a corpus with no strings over the token space tokens,

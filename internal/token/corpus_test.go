@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/namegen"
 	"repro/internal/strdist"
@@ -138,9 +139,23 @@ func refCommaTokenizer(s string) refString {
 	return refNew(fields)
 }
 
-// adversarialInputs are the shapes a name corpus does not contain.
+// adversarialInputs are the shapes a name corpus does not contain. They
+// cover every ASCII byte inside a token and as a separator (the scan's
+// table path), tokens that tie on the 8-byte radix key of the token-id
+// sort, and NUL-bearing tokens, which Whitespace keeps whole.
 func adversarialInputs() []string {
-	return []string{
+	var ascii []string
+	all := make([]byte, utf8.RuneSelf)
+	for c := range all {
+		all[c] = byte(c)
+		ascii = append(ascii, fmt.Sprintf("x%cY %c Q%c", c, c, c))
+	}
+	ascii = append(ascii, string(all), "Z"+string(all)+"z")
+	return append(ascii,
+		"abcdefgh abcdefghi abcdefgh\x00 abcdefgz",
+		"abcdefgz abcdefgh\x00 ABCDEFGHI abcdefgh\x00\x00 abcdefg abcdefgh\xff",
+		"\x00 a\x00 \x00a a\x00b \x00\x00 a",
+		"a\x00\x00\x00\x00\x00\x00\x00x a\x00\x00\x00\x00\x00\x00\x00 a\x00\x00\x00\x00\x00\x00",
 		"",
 		"   ",
 		"...,,; --",
@@ -153,11 +168,11 @@ func adversarialInputs() []string {
 		"bad\xffbyte \xc3( tail\xf0\x9f",           // invalid UTF-8
 		"a\vb\fc d\u0085e\u00a0f\u2003g\u200bh",    // whitespace beyond ASCII (and U+200B, which is none)
 		"名前 テスト 名前",
-		strings.Repeat("Ab3é", 17) + "xy tail", // a 70-rune token
+		strings.Repeat("Ab3é", 17)+"xy tail", // a 70-rune token
 		"van der Berg, de la Cruz ,, van der Berg",
 		"� replacement �char",
 		"a", "A", "a a", "a,A",
-	}
+	)
 }
 
 func sameRuneViews(a, b [][]rune) bool {

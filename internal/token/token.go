@@ -97,20 +97,22 @@ func appendRunes(slab []rune, t string) (grown, view []rune) {
 	return slab, slab[start:len(slab):len(slab)]
 }
 
+// The accessors the filters and the verifier call per candidate pair
+// take a pointer receiver: called through a *TokenizedString, a value
+// receiver copies the whole struct per call.
+
 // Count returns T(x^t), the number of tokens.
-func (ts TokenizedString) Count() int { return len(ts.Tokens) }
+func (ts *TokenizedString) Count() int { return len(ts.Tokens) }
 
 // AggregateLen returns L(x^t) = Σ_i |x^ti| in runes.
-func (ts TokenizedString) AggregateLen() int { return ts.aggLen }
+func (ts *TokenizedString) AggregateLen() int { return ts.aggLen }
 
 // TokenRunes returns the decoded form of token i. The caller must not
 // mutate the returned slice.
-func (ts TokenizedString) TokenRunes(i int) []rune { return ts.runes[i] }
+func (ts *TokenizedString) TokenRunes(i int) []rune { return ts.runes[i] }
 
 // RuneSlices returns the decoded form of every token, aligned with
-// Tokens. The caller must not mutate the returned slices; hot loops use
-// this to avoid re-copying the TokenizedString header per TokenRunes
-// call.
+// Tokens. The caller must not mutate the returned slices.
 func (ts *TokenizedString) RuneSlices() [][]rune { return ts.runes }
 
 // String renders the multiset as a space-joined string (tokens are sorted,
@@ -139,7 +141,7 @@ func (ts TokenizedString) Equal(o TokenizedString) bool {
 // This is the histogram the TSJ length-based filters ship with each
 // tokenized-string identifier (Sec. III-E). The returned slice is the
 // cached histogram; the caller must not mutate it.
-func (ts TokenizedString) LengthHistogram() []int {
+func (ts *TokenizedString) LengthHistogram() []int {
 	return ts.lenHist[:len(ts.Tokens):len(ts.Tokens)]
 }
 
@@ -163,18 +165,55 @@ type splitter struct {
 	fold bool
 }
 
+// The ASCII classes of the scan, bits of asciiClass.
+const (
+	spaceSep = 1 << iota // unicode.IsSpace
+	punctSep             // neither unicode.IsLetter nor unicode.IsDigit
+)
+
+// asciiClass and asciiLower are the scan's ASCII fast path: each byte
+// below utf8.RuneSelf classified and case-folded by the very unicode
+// calls the rune path makes, once.
+var asciiClass, asciiLower = func() (class, lower [utf8.RuneSelf]byte) {
+	for c := range class {
+		r := rune(c)
+		if unicode.IsSpace(r) {
+			class[c] |= spaceSep
+		}
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			class[c] |= punctSep
+		}
+		lower[c] = byte(unicode.ToLower(r))
+	}
+	return class, lower
+}()
+
 // next scans s from pos for the next token and returns its bytes,
 // written over buf, with the position just past it. An empty token means
-// s is exhausted. Invalid UTF-8 bytes decode to U+FFFD, which is no
-// letter and no space: they separate under punct and are kept verbatim
-// otherwise.
+// s is exhausted. ASCII bytes take the table path; everything else is
+// decoded. Invalid UTF-8 bytes decode to U+FFFD, which is no letter and
+// no space: they separate under punct and are kept verbatim otherwise.
 func (sp splitter) next(s string, pos int, buf []byte) ([]byte, int) {
 	buf = buf[:0]
+	sepClass := byte(spaceSep)
+	if sp.punct {
+		sepClass = punctSep
+	}
 	for pos < len(s) {
-		r, w := rune(s[pos]), 1
-		if r >= utf8.RuneSelf {
-			r, w = utf8.DecodeRuneInString(s[pos:])
+		if c := s[pos]; c < utf8.RuneSelf {
+			switch {
+			case asciiClass[c]&sepClass == 0:
+				if sp.fold {
+					c = asciiLower[c]
+				}
+				buf = append(buf, c)
+			case len(buf) > 0:
+				return buf, pos
+			}
+			pos++
+			continue
 		}
+		r, w := utf8.DecodeRuneInString(s[pos:])
 		sep := sp.punct && !unicode.IsLetter(r) && !unicode.IsDigit(r) || !sp.punct && unicode.IsSpace(r)
 		switch {
 		case sep && len(buf) > 0:

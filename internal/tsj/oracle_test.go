@@ -144,8 +144,8 @@ func TestOracleEquivalenceOrientation(t *testing.T) {
 		sensitive := 0
 		for a := 0; a < c.NumStrings(); a++ {
 			for b := a + 1; b < c.NumStrings(); b++ {
-				_, _, p1 := v.Verify(c.Strings[a], c.Strings[b], threshold)
-				_, _, p2 := v.Verify(c.Strings[b], c.Strings[a], threshold)
+				_, _, p1 := v.Verify(&c.Strings[a], &c.Strings[b], threshold)
+				_, _, p2 := v.Verify(&c.Strings[b], &c.Strings[a], threshold)
 				if p1 != p2 {
 					sensitive++
 				}

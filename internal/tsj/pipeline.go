@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/massjoin"
 	"repro/internal/passjoin"
@@ -118,28 +119,50 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 		}()
 	}
 
+	// The values are ranks in the (side, aggregate length, id) order of the
+	// live strings, so a reducer that sorts them walks each side by length
+	// and each string's length-feasible partners form one window of the
+	// partner run whose ends only move forward: as in PASS-JOIN's
+	// length-ordered visit, pairs that fail the aggregate-length filter
+	// are never enumerated.
+	order, rank, lens := lengthOrder(src, sids)
+	firstP, _ := slices.BinarySearch(sids, split) // R's live strings take the ranks below it
 	var prefixPruned atomic.Int64
 	sharedCands, st1 := mapreduce.Run(engCfg("tsj-shared-token"), sids,
-		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, token.StringID]) {
+		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, int32]) {
 			for _, tid := range pf.Prefix(sid) {
-				ctx.Emit(tid, sid)
+				ctx.Emit(tid, rank[sid])
 			}
 		},
-		func(tid token.TokenID, vals []token.StringID, ctx *mapreduce.ReduceCtx[uint64]) {
-			// A self-join pairs every i < j. R ids sort before P ids, so a
-			// bipartite join pairs vals[:nr] with vals[nr:].
-			slices.Sort(vals)
-			nr := len(vals)
+		func(tid token.TokenID, ranks []int32, ctx *mapreduce.ReduceCtx[uint64]) {
+			// A self-join pairs every i < j. R ranks sort before P ranks,
+			// so a bipartite join pairs ranks[:nr] with ranks[nr:].
+			slices.Sort(ranks)
+			n, nr := len(ranks), len(ranks)
 			if bipartite {
-				nr, _ = slices.BinarySearch(vals, split)
+				nr, _ = slices.BinarySearch(ranks, int32(firstP))
 			}
+			// ranks[lo:hi] is the window of the partners of ranks[i] that
+			// LengthPrune keeps. A self-join's partners follow i and are
+			// no shorter, so only the upper end prunes; a bipartite
+			// window starts at P's first rank and also drops the P
+			// strings too short for ranks[i].
 			var pruned int64
-			for i, a := range vals[:nr] {
-				partners := vals[nr:]
+			lo, hi := nr, 0
+			for i, ra := range ranks[:nr] {
+				la := int(lens[ra])
 				if !bipartite {
-					partners = vals[i+1:]
+					lo = i + 1
 				}
-				for _, b := range partners {
+				for lo < n && int(lens[ranks[lo]]) < la && core.LengthPrune(la, int(lens[ranks[lo]]), opts.Threshold) {
+					lo++
+				}
+				hi = max(hi, lo)
+				for hi < n && !core.LengthPrune(la, int(lens[ranks[hi]]), opts.Threshold) {
+					hi++
+				}
+				for _, rb := range ranks[lo:hi] {
+					a, b := normPair(order[ra], order[rb])
 					emit, prn := pf.Admit(tid, a, b)
 					if !emit {
 						if prn {
@@ -154,11 +177,11 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 				prefixPruned.Add(pruned)
 			}
 			// Quadratic pair enumeration beyond the default linear charge.
-			n, m := float64(nr), float64(nr)
+			nf, mf := float64(nr), float64(nr)
 			if bipartite {
-				m = float64(len(vals) - nr)
+				mf = float64(n - nr)
 			}
-			ctx.AddCost(n * m * 0.05)
+			ctx.AddCost(nf * mf * 0.05)
 		},
 	)
 	st.Pipeline.Add(st1)
@@ -179,6 +202,39 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return results, st, nil
+}
+
+// lengthOrder lists the live strings sids (ascending ids) in (side,
+// aggregate length, id) order, R before P, by a stable counting sort on
+// side and length. It returns that order, each string's rank in it
+// (indexed by string id) and the aggregate lengths by rank.
+func lengthOrder(src *source, sids []token.StringID) (order []token.StringID, rank, lens []int32) {
+	c := src.c
+	maxLen := 0
+	for _, s := range sids {
+		maxLen = max(maxLen, c.Strings[s].AggregateLen())
+	}
+	key := func(s token.StringID) int {
+		if src.split >= 0 && int(s) >= src.split {
+			return maxLen + 1 + c.Strings[s].AggregateLen()
+		}
+		return c.Strings[s].AggregateLen()
+	}
+	next := make([]int, 2*maxLen+3) // next[k]: the next free rank for key k
+	for _, s := range sids {
+		next[key(s)+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	order, rank, lens = make([]token.StringID, len(sids)), make([]int32, c.NumStrings()), make([]int32, len(sids))
+	for _, s := range sids {
+		k := key(s)
+		r := next[k]
+		next[k]++
+		order[r], rank[s], lens[r] = s, int32(r), int32(c.Strings[s].AggregateLen())
+	}
+	return order, rank, lens
 }
 
 // similarTokenCandidates runs the token-space NLD join (MassJoin) and

@@ -21,10 +21,13 @@ type Stats struct {
 	// pairs emitted by each generation strategy (before dedup).
 	SharedTokenCandidates  int64
 	SimilarTokenCandidates int64
-	// PrefixPruned counts candidate pairs the prefix filter discarded at
-	// posting-list probe time: pairs whose first common prefix token's
-	// reducer proved — from positions and aggregate lengths alone — that
-	// NSLD must exceed the threshold.
+	// PrefixPruned counts candidate pairs the positional filter discarded
+	// at posting-list probe time: pairs whose first common prefix token's
+	// reducer proved — from prefix positions and distinct-token counts
+	// alone — that NSLD must exceed the threshold. Pairs the aggregate-
+	// length filter rejects are never enumerated there (each string meets
+	// only the window of partners LengthPrune keeps), so they are not
+	// counted.
 	PrefixPruned int64
 	// SegPrefixPruned counts posting entries (token, string) the segment
 	// prefix filter excluded from the similar-token expansion — non-prefix

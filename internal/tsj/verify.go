@@ -80,7 +80,7 @@ func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *m
 		if !v.admit(x, y, pv, ctx) {
 			continue
 		}
-		sld, within, pruned := pv.v.Verify(*x, *y, v.opts.Threshold)
+		sld, within, pruned := pv.v.Verify(x, y, v.opts.Threshold)
 		if pruned {
 			pv.budgetPruned++
 		}
