@@ -4,13 +4,13 @@ import "repro/internal/stream"
 
 // ConcurrentMatcher is the concurrent incremental NSLD matcher: the
 // inverted and segment indexes are partitioned across N shards by token
-// hash, each arrival's candidate generation fans out to the shards
-// through a persistent worker pool, and verification runs in parallel.
-// Results are the same for any shard count; Matcher is the one-shard case.
+// id, each arrival's candidate generation fans out to the shards through
+// a persistent worker pool, and verification runs in parallel. Results
+// are the same for any shard count; Matcher is the one-shard case.
 //
 // Adds are serialized with each other (ids are assigned in arrival
-// order); Query runs concurrently with everything, so mixed Add/Query
-// traffic scales with the shard count. This is the serving-layer building
+// order); Queries run concurrently with each other, and with an Add
+// except while it indexes its string. This is the serving-layer building
 // block behind cmd/tsjserve.
 type ConcurrentMatcher struct {
 	m *stream.ShardedMatcher

@@ -519,8 +519,10 @@ var netFlavors = []netFlavor{
 
 // tortureOne runs the full scripted replication once with the given
 // plan and asserts convergence and equivalence. Returns the primary's
-// round-trip count (the sweep bound on the reference run).
-func tortureOne(t *testing.T, mkPlan func(h *harness) iofault.NetPlan) int64 {
+// round-trip count (the sweep bound on the reference run) and the
+// records the standby holds, every one of which crossed the primary's
+// network in an apply frame or a snapshot install.
+func tortureOne(t *testing.T, mkPlan func(h *harness) iofault.NetPlan) (trips int64, records uint64) {
 	t.Helper()
 	var h *harness
 	h = newHarness(t, iofault.NetDisarmed())
@@ -549,7 +551,7 @@ func tortureOne(t *testing.T, mkPlan func(h *harness) iofault.NetPlan) int64 {
 		t.Fatalf("promote converged standby: %v", err)
 	}
 	h.checkEquivalence(probes)
-	return h.net.Trips()
+	return h.net.Trips(), h.stby.corpus().LSN()
 }
 
 // TestReplicationTortureSweep fails every primary round trip of a
@@ -558,19 +560,24 @@ func TestReplicationTortureSweep(t *testing.T) {
 	if testing.Short() && testing.Verbose() {
 		t.Log("short mode: sweeping with a coarser stride")
 	}
-	trips := tortureOne(t, nil)
-	if trips < 8 {
-		t.Fatalf("reference run made only %d round trips; workload too small for a meaningful sweep", trips)
+	// The floor counts the records the reference run replicated, which
+	// the script fixes, not its round trips: when the primary outruns the
+	// 8-record ship ring, fewer and larger installs carry what many apply
+	// batches would have, so the trip count moves from run to run (14 to
+	// 69 between runs of one binary). The floor asks for the records of
+	// at least 8 full apply batches.
+	trips, records := tortureOne(t, nil)
+	if records < 8*tortBatch {
+		t.Fatalf("reference run replicated only %d records, fewer than 8 full batches; workload too small for a meaningful sweep", records)
 	}
-	t.Logf("reference run: %d primary round trips", trips)
+	t.Logf("reference run: %d records in %d primary round trips", records, trips)
 
-	// Round trips after the reference count are timing noise
-	// (heartbeats); the sweep covers the deterministic core. It never
-	// covers fewer than 24 indices: the reference count itself moves with
-	// the heartbeats (13 to 23 between runs of one binary), and a suite
-	// whose subtest names change from run to run cannot be compared with
-	// its last run. Short mode strides coarser but still touches every
-	// flavor at several indices.
+	// Round trips after the reference count are timing noise; the sweep
+	// covers the deterministic core. It never covers fewer than 24
+	// indices: the reference count itself moves with the installs and
+	// heartbeats, and a suite whose subtest names change from run to run
+	// cannot be compared with its last run. Short mode strides coarser
+	// but still touches every flavor at several indices.
 	sweep := max(trips, 24)
 	stride := int64(1)
 	if testing.Short() {
@@ -580,7 +587,7 @@ func TestReplicationTortureSweep(t *testing.T) {
 		for i := int64(0); i < sweep; i += stride {
 			i := i
 			t.Run(fmt.Sprintf("%s/trip%02d", fl.name, i), func(t *testing.T) {
-				got := tortureOne(t, func(h *harness) iofault.NetPlan { return fl.plan(h, i) })
+				got, _ := tortureOne(t, func(h *harness) iofault.NetPlan { return fl.plan(h, i) })
 				if got <= i {
 					// The faulted run finished in fewer trips than the
 					// fault index (timing variance): the fault never

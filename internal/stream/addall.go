@@ -27,11 +27,11 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match
 		if ts.Count() == 0 {
 			out[ei] = m.emptyMatches()
 		} else if cands := m.genCandidates(ts, probe); len(cands) > 0 {
-			// Snapshot after generation: every candidate id reached
-			// strings before any posting list, and dead is kept the
-			// same length.
+			// Snapshot after generation: every candidate id was
+			// interned before its postings, and dead is kept the same
+			// length.
 			m.mu.RLock()
-			strs := m.strings
+			strs := m.tc.Strings
 			dead := m.dead
 			m.mu.RUnlock()
 			verifyStart := time.Now()

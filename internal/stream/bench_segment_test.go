@@ -27,23 +27,23 @@ func segmentProbeBench(b *testing.B, th float64) {
 	for _, n := range names {
 		m.Add(n)
 	}
-	ix, sc := m.shards[0].ix, newProbeScratch(th)
+	ix, sc := m.shards[0], newProbeScratch(th)
 	probes := make([][]probeToken, 0, 64)
 	for i := 0; i < 64; i++ {
-		probes = append(probes, markedProbe(ix, m.opt.Tokenizer(names[(i*31)%len(names)]), th))
+		probes = append(probes, markedProbe(m, m.opt.Tokenizer(names[(i*31)%len(names)])))
 	}
 	var pc probeCounters
 	var emitted int64
 	emit := func(int32) { emitted++ }
 	// Warm the scratch (visited sizing, plan memo, hash arrays).
 	for _, p := range probes {
-		ix.candidates(p, sc, &pc, emit)
+		ix.candidates(m.tc, p, sc, &pc, emit)
 	}
 	pc, emitted = probeCounters{}, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.candidates(probes[i%len(probes)], sc, &pc, emit)
+		ix.candidates(m.tc, probes[i%len(probes)], sc, &pc, emit)
 	}
 	b.ReportMetric(float64(pc.segKeysProbed)/float64(b.N), "seg-keys/op")
 	b.ReportMetric(float64(pc.segTokensChecked)/float64(b.N), "seg-checked/op")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/corpus"
@@ -11,14 +12,15 @@ import (
 )
 
 // NewShardedFromCorpus builds a concurrent matcher over a persistent
-// corpus: the corpus's strings are bulk-loaded into the sharded index
-// (index-only — warm loading never generates or verifies candidates, so
-// a restart costs one linear pass over local state instead of re-serving
-// the ingest traffic), ids are the corpus's StringIDs, and the matcher
-// stays attached: every subsequent Add/AddAll first appends to the
-// corpus WAL — durability precedes visibility — then indexes. Tombstoned
-// corpus ids keep their slot in the id space but are neither indexed nor
-// matchable.
+// corpus: the matcher adopts a view of the corpus's token space as its own
+// (ids are the corpus's StringIDs and token ids, and nothing is
+// re-interned) and bulk-indexes its live strings (index-only — warm
+// loading never generates or verifies candidates, so a restart costs one
+// linear pass over local state instead of re-serving the ingest traffic).
+// The matcher stays attached: every subsequent Add/AddAll first appends
+// to the corpus WAL — durability precedes visibility — then indexes.
+// Tombstoned corpus ids keep their slot in the id space but are neither
+// indexed nor matchable.
 //
 // While a matcher is attached, route all writes through it; adding to
 // the corpus directly would desynchronize the id spaces (the matcher
@@ -28,125 +30,88 @@ func NewShardedFromCorpus(opt Options, shards int, pc *corpus.Corpus) (*ShardedM
 	if err != nil {
 		return nil, err
 	}
-	markStorage := opt.MaxTokenFreq <= 0 && !opt.ExactTokensOnly
-	m.warmLoad(pc.View(), markStorage)
+	m.warmLoad(pc.View())
 	m.corpus = pc
 	return m, nil
 }
 
-// warmLoad is the one warm load. The per-string work (rune decoding,
-// probe extraction, prefix marking) runs chunked across GOMAXPROCS
-// workers, and the index insertion runs one goroutine per shard — each
-// walks every probe in ascending sid order and takes only the tokens
-// hashing to its shard, so every posting list comes out in sid order,
-// as one insert per string in sid order would leave it. No locks: the
-// matcher is still private to its constructor, each slice header is
-// written before the fan-out, and each shard is touched by exactly one
-// goroutine. An empty corpus (every fresh data directory) loads nothing.
+// warmLoad is the one warm load. The view's token space becomes the
+// matcher's: its Freq holds the live document frequencies, which are
+// what indexing the live strings one by one would have counted, and the
+// matcher's own adds count on from there. Prefix marking runs chunked
+// across GOMAXPROCS workers, and the index insertion runs one goroutine
+// per shard — each walks the live strings in ascending sid order and
+// takes only the token ids it owns, so every posting list comes out in
+// sid order, as one insert per string in sid order would leave it. An
+// empty corpus (every fresh data directory) loads nothing.
 //
-// With markStorage, each string's probe is prefix-marked by markPrefix
-// against the view's live document frequencies, so tokens that sit in no
-// string's prefix are never segment-indexed. That order is not the one
-// the live-ingest path saw, which costs nothing: the storage-pruning
-// argument (tokenIndex.insert) never consults the order.
-func (m *ShardedMatcher) warmLoad(v *corpus.View, markStorage bool) {
-	n := len(v.TC.Strings)
-	// Phase 1 (serial, cheap): id-space headers. Appending one slot per
-	// sid — tombstone or live — keeps matcher ids equal to corpus
-	// StringIDs, so below id == sid.
-	for sid := range v.TC.Strings {
-		if !v.Alive[sid] {
-			m.loadTombstone()
-			continue
-		}
-		ts := v.TC.Strings[sid]
-		id := int32(len(m.strings))
-		m.strings = append(m.strings, ts)
-		m.dead = append(m.dead, false)
-		if ts.Count() == 0 {
-			m.emptyIDs = append(m.emptyIDs, id)
+// Without a max-frequency cutoff, each string's probe is prefix-marked by
+// markPrefix against the view's live document frequencies, so tokens
+// that sit in no string's prefix are never segment-indexed. That order
+// is not the one the live-ingest path saw, which costs nothing: the
+// storage-pruning argument (tokenIndex.insert) never consults the order.
+func (m *ShardedMatcher) warmLoad(v *corpus.View) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tc = v.TC
+	n := len(v.Alive)
+	m.dead = make([]bool, n)
+	for sid, alive := range v.Alive {
+		m.dead[sid] = !alive
+		if alive && v.TC.Strings[sid].Count() == 0 {
+			m.emptyIDs = append(m.emptyIDs, int32(sid))
 		}
 	}
-	// Phase 2 (parallel over sid chunks): probes and prefix marks.
-	// shardIDs caches shardOf per probe token so phase 3's per-shard
-	// scans do not re-hash every token once per shard.
-	probes := make([][]probeToken, n)
-	shardIDs := make([][]int32, n)
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	chunk := (n + workers - 1) / workers
+	// Prefix marks, parallel over sid chunks; probes[sid] lists string
+	// sid's distinct tokens in Members order.
+	var probes [][]probeToken
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var freqs []int32
-			var keys []int64
-			for sid := lo; sid < hi; sid++ {
-				ts := v.TC.Strings[sid]
-				if !v.Alive[sid] || ts.Count() == 0 {
-					continue
-				}
-				probe := distinctProbe(ts)
-				if markStorage {
-					// Members[sid] lists the distinct tokens in probe order.
+	if m.opt.MaxTokenFreq <= 0 && !m.opt.ExactTokensOnly {
+		probes = make([][]probeToken, n)
+		workers := max(1, min(runtime.GOMAXPROCS(0), n))
+		chunk := (n + workers - 1) / workers
+		for lo := 0; lo < n; lo += chunk {
+			hi := min(lo+chunk, n)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var freqs []int32
+				var keys []int64
+				for sid := lo; sid < hi; sid++ {
+					ts := v.TC.Strings[sid]
+					if !v.Alive[sid] || ts.Count() == 0 {
+						continue
+					}
 					freqs = freqs[:0]
 					for _, tid := range v.TC.Members[sid] {
 						freqs = append(freqs, v.TC.Freq[tid])
 					}
-					markPrefix(probe, freqs, m.opt.Threshold, ts, &keys)
+					probes[sid] = distinctProbe(ts)
+					markPrefix(probes[sid], freqs, m.opt.Threshold, ts, &keys)
 				}
-				sids := make([]int32, len(probe))
-				for i := range probe {
-					sids[i] = int32(shardOf(probe[i].s, len(m.shards)))
-				}
-				probes[sid] = probe
-				shardIDs[sid] = sids
-			}
-		}(lo, hi)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	// Phase 3 (parallel over shards): insertion, ascending sid within
-	// each shard.
-	for si := range m.shards {
+	// Insertion, parallel over shards, ascending sid within each.
+	nShards := token.TokenID(len(m.shards))
+	for _, ix := range m.shards {
 		wg.Add(1)
-		go func(si int) {
+		go func() {
 			defer wg.Done()
-			sh := m.shards[si]
-			var buf []probeToken
-			for sid := 0; sid < n; sid++ {
-				probe := probes[sid]
-				if len(probe) == 0 {
+			for sid, mem := range v.TC.Members {
+				if !v.Alive[sid] {
 					continue
 				}
-				buf = buf[:0]
-				for i := range probe {
-					if shardIDs[sid][i] == int32(si) {
-						buf = append(buf, probe[i])
+				for i, tid := range mem {
+					if tid%nShards == ix.shard {
+						ix.insert(m.tc, tid, probes != nil && probes[sid][i].nonPrefix, int32(sid))
 					}
 				}
-				if len(buf) > 0 {
-					sh.ix.insert(buf, int32(sid))
-				}
 			}
-		}(si)
+		}()
 	}
 	wg.Wait()
-}
-
-// loadTombstone reserves an id for a deleted corpus string: it occupies
-// its slot (keeping matcher ids equal to corpus StringIDs) but is not
-// indexed and never matches — not even as an empty string.
-func (m *ShardedMatcher) loadTombstone() {
-	m.strings = append(m.strings, token.TokenizedString{})
-	m.dead = append(m.dead, true)
 }
 
 // Delete tombstones a string in the live index (it stops matching
@@ -175,21 +140,15 @@ func (m *ShardedMatcher) Delete(id int) error {
 // tombstone marks a live id dead in the index and counts it toward the
 // next posting sweep. The caller holds addMu.
 func (m *ShardedMatcher) tombstone(id int) {
-	// Copy-on-write: concurrent queries hold snapshots of both slices.
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Copy-on-write: verification holds snapshots of dead.
 	dead := append([]bool(nil), m.dead...)
 	dead[id] = true
 	m.dead = dead
-	if m.strings[id].Count() == 0 {
-		empties := make([]int32, 0, len(m.emptyIDs))
-		for _, e := range m.emptyIDs {
-			if e != int32(id) {
-				empties = append(empties, e)
-			}
-		}
-		m.emptyIDs = empties
+	if m.tc.Strings[id].Count() == 0 {
+		m.emptyIDs = slices.DeleteFunc(m.emptyIDs, func(e int32) bool { return e == int32(id) })
 	}
-	m.mu.Unlock()
 	m.deletesSinceSweep++
 	m.maybeSweepTombstones()
 }
@@ -208,30 +167,15 @@ var sweepMinDeletes = 256
 // sweep is purely an occupancy reclaim: without it a churn-heavy corpus
 // (delete-dominated workloads, a standby replaying years of churn)
 // degrades every probe with postings full of ids that can never match.
-// The caller holds addMu; shards are compacted one write-lock at a
-// time, so queries interleave between shards but each shard flips
-// atomically.
+// The caller holds addMu and mu's write lock.
 func (m *ShardedMatcher) maybeSweepTombstones() {
-	m.mu.RLock()
-	n := len(m.strings)
-	dead := m.dead
-	m.mu.RUnlock()
-	threshold := n / 8
-	if threshold < sweepMinDeletes {
-		threshold = sweepMinDeletes
-	}
-	if m.deletesSinceSweep < threshold {
+	if m.deletesSinceSweep < max(sweepMinDeletes, len(m.tc.Strings)/8) {
 		return
 	}
 	m.deletesSinceSweep = 0
 	m.sweeps.Add(1)
-	// dead is a copy-on-write snapshot: Delete replaces the slice
-	// wholesale (and no other Delete can run — the caller holds addMu),
-	// so the reference stays frozen while shards compact against it.
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		m.sweptEntries.Add(int64(sh.ix.sweepTombstones(dead)))
-		sh.mu.Unlock()
+	for _, ix := range m.shards {
+		m.sweptEntries.Add(int64(ix.sweepTombstones(m.dead)))
 	}
 }
 
@@ -260,7 +204,9 @@ func (m *ShardedMatcher) ApplyShipped(payloads ...[]byte) error {
 		// Priced and prefix-marked like a live Add's probe, so the
 		// standby's index keeps the primary's lazy segment-storage shape.
 		probe := distinctProbe(r.TS)
+		m.mu.RLock()
 		m.markProbe(r.TS, probe)
+		m.mu.RUnlock()
 		m.appendAndIndex(r.TS, probe)
 	}
 	return err
@@ -305,7 +251,7 @@ func (m *ShardedMatcher) AddAllDurable(names []string) (int, [][]Match, error) {
 // (they drift only if a writer bypassed the matcher).
 func (m *ShardedMatcher) checkAligned() error {
 	m.mu.RLock()
-	n := len(m.strings)
+	n := len(m.tc.Strings)
 	m.mu.RUnlock()
 	if cn := m.corpus.Len(); cn != n {
 		return fmt.Errorf("stream: corpus id space (%d) out of step with matcher (%d); write through the matcher only", cn, n)

@@ -10,6 +10,9 @@ import (
 type probeToken struct {
 	s string
 	r []rune
+	// tid is the token's id in the matcher's token space, stamped by
+	// markProbe; -1 while the token is new to it.
+	tid token.TokenID
 	// nonPrefix marks a token outside the string's threshold-derived
 	// prefix (its MaxErrors(T, L)+1 rarest distinct tokens under the
 	// frequency order — see markPrefix). The shared-token inverted-index
@@ -17,67 +20,55 @@ type probeToken struct {
 	// (subject to the freq > M carve-out below), and segment *storage*
 	// skips them under the conditions in tokenIndex.insert.
 	nonPrefix bool
-	// freq is the document frequency observed by the prefix-selection
-	// pre-pass (markPrefix), which every probe passes before it reaches
-	// the index. The exact lookup's max-frequency gate
-	// uses this snapshot rather than re-reading the live counter: the
-	// losslessness argument needs the ordering and the gate to agree on
-	// one observation, and under concurrent writers a token could cross
-	// the cutoff between the two reads. Frequencies only grow, so gating
-	// on the snapshot is never stricter than the live gate. The segment
-	// probe's freq > M carve-out judges the same snapshot for the same
-	// reason.
-	freq int32
 }
 
 // distinctProbe extracts the distinct tokens of ts. Tokens are stored
 // sorted, so deduplication is a neighbor scan and the probe order is
-// deterministic.
+// deterministic: it is the order of ts's Members in a token.Corpus.
 func distinctProbe(ts token.TokenizedString) []probeToken {
 	probe := make([]probeToken, 0, ts.Count())
 	for i, t := range ts.Tokens {
 		if i > 0 && t == ts.Tokens[i-1] {
 			continue
 		}
-		probe = append(probe, probeToken{s: t, r: ts.TokenRunes(i)})
+		probe = append(probe, probeToken{s: t, r: ts.TokenRunes(i), tid: -1})
 	}
 	return probe
 }
 
-// tokenIndex is one partition of the incremental generate-filter index:
-// the shared-token inverted index plus the Pass-Join style segment index
-// over the token space. A ShardedMatcher owns N partitions, each holding
-// the tokens that hash to it (at one shard, every token). The type itself
-// is not goroutine-safe: the ShardedMatcher guards each partition with a
-// RWMutex.
+// tokenIndex is one shard of the incremental generate-filter index: the
+// shared-token inverted index plus the Pass-Join style segment index over
+// the matcher's token space, a token.Corpus. Shard i of n owns the token
+// ids ≡ i (mod n), each at local slot id/n (at one shard, every token at
+// its own id). Token runes and frequencies are read from the token space
+// the caller passes in; the index stores only what is keyed by token.
+// The type is not goroutine-safe: the ShardedMatcher guards the token
+// space and every shard with one RWMutex.
 type tokenIndex struct {
 	threshold float64
 	maxFreq   int
 	exactOnly bool
+	// shard and shards place this index in the token-id partition.
+	shard, shards token.TokenID
 
-	// tokenIDs interns distinct token strings to partition-local ids.
-	tokenIDs   map[string]int32
-	tokenRunes [][]rune
-	// postings maps token id -> ids of strings containing it.
+	// postings maps a local slot to the ids of the strings containing its
+	// token.
 	postings [][]int32
-	// freq tracks per-token document frequency.
-	freq []int32
-	// segIndexed marks token ids whose segments are present in
-	// segBuckets. With storage-side pruning (see insert) a token is
-	// segment-indexed lazily, the first time it lands inside some
-	// string's prefix; without it, at intern time.
+	// segIndexed marks the local slots whose token's segments are present
+	// in segBuckets. With storage-side pruning (see insert) a token is
+	// segment-indexed lazily, the first time it lands inside some string's
+	// prefix; without it, on its first insert.
 	segIndexed []bool
 
 	// segBuckets is the similar-token index: (tokenLen ls, probeLen ly)
-	// -> segment fingerprint -> token ids whose i-th segment under the
-	// (ls, ly) partition hashes there. Replacing the old per-window
-	// string-keyed map with 64-bit fingerprints keys makes both sides of
-	// the index allocation-free: probes derive window fingerprints from a
-	// rolling prefix-hash in O(1) per window instead of materializing a
-	// substring per window. Fingerprint collisions are possible and
-	// harmless: probeSimilar verifies the actual segment runes before
-	// trusting a hit.
-	segBuckets map[uint32]map[uint64][]int32
+	// -> segment fingerprint -> ids of the tokens whose i-th segment under
+	// the (ls, ly) partition hashes there. 64-bit fingerprint keys make
+	// both sides of the index allocation-free: probes derive window
+	// fingerprints from a rolling prefix-hash in O(1) per window instead
+	// of materializing a substring per window. Fingerprint collisions are
+	// possible and harmless: probeSimilar verifies the actual segment
+	// runes before trusting a hit.
+	segBuckets map[uint32]map[uint64][]token.TokenID
 
 	// plans memoizes the per-(tokenLen, probeLen) partition geometry for
 	// the insert side. Guarded by the caller's write lock like the rest
@@ -86,76 +77,60 @@ type tokenIndex struct {
 	plans planCache
 }
 
-func newTokenIndex(opt Options) *tokenIndex {
+func newTokenIndex(opt Options, shard, shards int) *tokenIndex {
 	return &tokenIndex{
 		threshold:  opt.Threshold,
 		maxFreq:    opt.MaxTokenFreq,
 		exactOnly:  opt.ExactTokensOnly,
-		tokenIDs:   make(map[string]int32),
-		segBuckets: make(map[uint32]map[uint64][]int32),
+		shard:      token.TokenID(shard),
+		shards:     token.TokenID(shards),
+		segBuckets: make(map[uint32]map[uint64][]token.TokenID),
 		plans:      planCache{t: opt.Threshold},
 	}
 }
 
-// tokens returns the number of distinct tokens interned in this partition.
-func (ix *tokenIndex) tokens() int { return len(ix.tokenRunes) }
-
-// freqOf returns the document frequency of a token in this partition
-// (0 when the token has never been interned here). In the sharded matcher
-// each token is interned only on its owning shard, so the owner's stripe
-// holds the token's true global frequency.
-func (ix *tokenIndex) freqOf(s string) int32 {
-	if tid, ok := ix.tokenIDs[s]; ok {
-		return ix.freq[tid]
-	}
-	return 0
+// slot returns tid's local slot and whether this shard owns tid.
+func (ix *tokenIndex) slot(tid token.TokenID) (int, bool) {
+	return int(tid / ix.shards), tid%ix.shards == ix.shard
 }
 
-// insert registers string id under every probe token, interning tokens on
-// first sight.
+// insert registers string id under token tid of tc, which this shard
+// owns; nonPrefix is the token's prefix mark in that string.
 //
 // Storage-side segment pruning: with no max-frequency cutoff, a token's
 // segments enter segBuckets only once the token appears inside some
-// string's threshold-derived prefix (p.nonPrefix false), which shrinks
-// the segment index and the insert cost by the non-prefix share of the
-// token space. Lossless, whatever order priced the prefix (the warm load
-// prices every string against the corpus's final frequencies): see
+// string's threshold-derived prefix (nonPrefix false), which shrinks the
+// segment index and the insert cost by the non-prefix share of the token
+// space. Lossless, whatever order priced the prefix (the warm load prices
+// every string against the corpus's final frequencies): see
 // prefilter.PrefixLen; the inverted index stores every token. Under a
 // finite cutoff M storage pruning is off: a token shared by a qualifying
 // pair can cross the cutoff between the insert and the probe, stranding
 // a pair whose segment witness was pruned at insert time.
-func (ix *tokenIndex) insert(probe []probeToken, id int32) {
-	storagePrune := ix.maxFreq <= 0 && !ix.exactOnly
-	for pi := range probe {
-		p := &probe[pi]
-		tid, ok := ix.tokenIDs[p.s]
-		if !ok {
-			tid = int32(len(ix.tokenRunes))
-			ix.tokenIDs[p.s] = tid
-			ix.tokenRunes = append(ix.tokenRunes, p.r)
-			ix.postings = append(ix.postings, nil)
-			ix.freq = append(ix.freq, 0)
-			ix.segIndexed = append(ix.segIndexed, false)
-		}
-		if !ix.exactOnly && !ix.segIndexed[tid] && !(storagePrune && p.nonPrefix) {
-			ix.segIndexed[tid] = true
-			ix.indexTokenSegments(tid, ix.tokenRunes[tid])
-		}
-		ix.postings[tid] = append(ix.postings[tid], id)
-		ix.freq[tid]++
+func (ix *tokenIndex) insert(tc *token.Corpus, tid token.TokenID, nonPrefix bool, id int32) {
+	slot, _ := ix.slot(tid)
+	for len(ix.postings) <= slot {
+		ix.postings = append(ix.postings, nil)
+		ix.segIndexed = append(ix.segIndexed, false)
 	}
+	storagePrune := ix.maxFreq <= 0 && !ix.exactOnly
+	if !ix.exactOnly && !ix.segIndexed[slot] && !(storagePrune && nonPrefix) {
+		ix.segIndexed[slot] = true
+		ix.indexTokenSegments(tid, tc.TokenRunes[tid])
+	}
+	ix.postings[slot] = append(ix.postings[slot], id)
 }
 
 // sweepTombstones compacts dead string ids out of every posting list,
 // in place and order-preserving, and returns how many entries it
 // removed. A token left with no postings is de-listed from the segment
 // index (its fingerprints are dropped and segIndexed cleared, so a
-// later re-appearance re-indexes it lazily); the token itself stays
-// interned — ids are positional. Frequencies are deliberately NOT
-// decremented: the max-frequency gate and the prefix orders judge
-// insert-time observations, and rewriting history here would change
-// match results under a finite MaxTokenFreq rather than just reclaim
-// memory. The caller holds the shard write lock.
+// later re-appearance re-indexes it lazily); the token keeps its id.
+// Frequencies are deliberately NOT decremented (the matcher never calls
+// token.Corpus.Forget): the max-frequency gate and the prefix orders
+// judge insert-time observations, and rewriting history here would
+// change match results under a finite MaxTokenFreq rather than just
+// reclaim memory. The caller holds the matcher's write lock.
 func (ix *tokenIndex) sweepTombstones(dead []bool) int {
 	removed := 0
 	emptied := false
@@ -198,7 +173,7 @@ func (ix *tokenIndex) dropEmptySegTokens() {
 		for k, tids := range bk {
 			kept := tids[:0]
 			for _, tid := range tids {
-				if len(ix.postings[tid]) > 0 {
+				if slot, _ := ix.slot(tid); len(ix.postings[slot]) > 0 {
 					kept = append(kept, tid)
 				}
 			}
@@ -216,7 +191,7 @@ func (ix *tokenIndex) dropEmptySegTokens() {
 
 // indexTokenSegments registers a distinct token's segment fingerprints
 // for every compatible probe length (the MassJoin index side).
-func (ix *tokenIndex) indexTokenSegments(tid int32, r []rune) {
+func (ix *tokenIndex) indexTokenSegments(tid token.TokenID, r []rune) {
 	l := len(r)
 	if l >= maxSegLen {
 		return // beyond the packed bucket-key range; never a real token
@@ -234,7 +209,7 @@ func (ix *tokenIndex) indexTokenSegments(tid int32, r []rune) {
 		bkey := bucketKey(l, ly)
 		bk := ix.segBuckets[bkey]
 		if bk == nil {
-			bk = make(map[uint64][]int32)
+			bk = make(map[uint64][]token.TokenID)
 			ix.segBuckets[bkey] = bk
 		}
 		for i := range pl.segs {
@@ -274,27 +249,30 @@ func (pc *probeCounters) add(o *probeCounters) {
 }
 
 // candidates feeds every indexed string id sharing a prefix token with
-// the probe — or, unless exact-token matching is on, containing a token
-// within the NLD threshold of a prefix token (see probeSimilar for the
-// prefix restriction's losslessness) — to emit. The same id may be
-// emitted more than once; callers deduplicate. sc is caller-owned probe
-// scratch (one per worker); counters accumulate into pc.
-func (ix *tokenIndex) candidates(probe []probeToken, sc *probeScratch, pc *probeCounters, emit func(int32)) {
+// the (markProbe-stamped) probe — or, unless exact-token matching is on,
+// containing a token within the NLD threshold of a prefix token (see
+// probeSimilar for the prefix restriction's losslessness) — to emit. The
+// exact lookup runs on the token's owning shard only; the segment probe
+// runs on every shard, since a similar token may live on any. The same id
+// may be emitted more than once; callers deduplicate. sc is caller-owned
+// probe scratch (one per worker); counters accumulate into pc.
+func (ix *tokenIndex) candidates(tc *token.Corpus, probe []probeToken, sc *probeScratch, pc *probeCounters, emit func(int32)) {
 	for pi := range probe {
 		p := &probe[pi]
+		var freq int32
+		if p.tid >= 0 {
+			freq = tc.Freq[p.tid]
+		}
 		// Shared-token candidates: prefix tokens only. Lossless — a pair
 		// within the threshold that shares any token with the probe shares
 		// one of its MaxErrors+1 rarest tokens (see markPrefix).
-		selfTid := int32(-1)
-		if tid, ok := ix.tokenIDs[p.s]; ok {
-			selfTid = tid
-			if ix.maxFreq <= 0 || int(p.freq) <= ix.maxFreq {
-				if p.nonPrefix {
-					pc.prefixPruned += int64(len(ix.postings[tid]))
-				} else {
-					for _, cand := range ix.postings[tid] {
-						emit(cand)
-					}
+		if slot, own := ix.slot(p.tid); p.tid >= 0 && own && slot < len(ix.postings) &&
+			(ix.maxFreq <= 0 || int(freq) <= ix.maxFreq) {
+			if p.nonPrefix {
+				pc.prefixPruned += int64(len(ix.postings[slot]))
+			} else {
+				for _, cand := range ix.postings[slot] {
+					emit(cand)
 				}
 			}
 		}
@@ -304,22 +282,22 @@ func (ix *tokenIndex) candidates(probe []probeToken, sc *probeScratch, pc *probe
 		// Similar-token candidates: probe the segment index with prefix
 		// tokens only, and under a finite cutoff M with tokens beyond it
 		// (the carve-out; see markPrefix and prefilter.PrefixLen).
-		if p.nonPrefix && !(ix.maxFreq > 0 && int(p.freq) > ix.maxFreq) {
+		if p.nonPrefix && !(ix.maxFreq > 0 && int(freq) > ix.maxFreq) {
 			pc.segPrefixPruned++
 			continue
 		}
-		ix.probeSimilar(sc, pc, p.r, selfTid, emit)
+		ix.probeSimilar(tc, sc, pc, p.r, p.tid, emit)
 	}
 }
 
-// probeSimilar finds indexed tokens with NLD <= T to the probe token and
-// feeds their postings to emit. selfTid (-1 for none) is the probe
-// token's own interned id, which is skipped — identical tokens belong to
+// probeSimilar finds this shard's indexed tokens with NLD <= T to the
+// probe token and feeds their postings to emit. selfTid (-1 for none) is
+// the probe token's own id, which is skipped — identical tokens belong to
 // the exact shared-token path. The loop is allocation-free at steady
 // state: window keys come from a rolling prefix-hash over the probe
 // runes, dedup uses the scratch's epoch-stamped visited array, and the
 // partition/window geometry is memoized per (ls, ly) in the scratch.
-func (ix *tokenIndex) probeSimilar(sc *probeScratch, pc *probeCounters, r []rune, selfTid int32, emit func(int32)) {
+func (ix *tokenIndex) probeSimilar(tc *token.Corpus, sc *probeScratch, pc *probeCounters, r []rune, selfTid token.TokenID, emit func(int32)) {
 	ly := len(r)
 	if ly >= maxSegLen {
 		return
@@ -329,7 +307,7 @@ func (ix *tokenIndex) probeSimilar(sc *probeScratch, pc *probeCounters, r []rune
 	if maxLs >= maxSegLen {
 		maxLs = maxSegLen - 1
 	}
-	sc.begin(len(ix.tokenRunes))
+	sc.begin(len(tc.TokenRunes))
 	hashed := false
 	for ls := minLs; ls <= maxLs; ls++ {
 		// Bucket first: if no indexed token has length ls (for this probe
@@ -356,7 +334,7 @@ func (ix *tokenIndex) probeSimilar(sc *probeScratch, pc *probeCounters, r []rune
 					if tid == selfTid || sc.visited[tid] == sc.epoch {
 						continue
 					}
-					other := ix.tokenRunes[tid]
+					other := tc.TokenRunes[tid]
 					// Collision verification: the fingerprint must really
 					// be this token's i-th segment. A mismatch leaves the
 					// token unvisited — a later window may hit it
@@ -365,7 +343,7 @@ func (ix *tokenIndex) probeSimilar(sc *probeScratch, pc *probeCounters, r []rune
 						continue
 					}
 					sc.visited[tid] = sc.epoch
-					if ix.maxFreq > 0 && int(ix.freq[tid]) > ix.maxFreq {
+					if ix.maxFreq > 0 && int(tc.Freq[tid]) > ix.maxFreq {
 						continue
 					}
 					pc.segTokensChecked++
@@ -373,7 +351,8 @@ func (ix *tokenIndex) probeSimilar(sc *probeScratch, pc *probeCounters, r []rune
 						continue
 					}
 					pc.segTokensSimilar++
-					for _, cand := range ix.postings[tid] {
+					slot, _ := ix.slot(tid)
+					for _, cand := range ix.postings[slot] {
 						emit(cand)
 					}
 				}

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/namegen"
 	"repro/internal/nsldtest"
 	"repro/internal/token"
@@ -194,6 +196,139 @@ func TestOracleEquivalenceMonotone(t *testing.T) {
 				}
 			}
 			prev = got
+		}
+	}
+}
+
+// scriptOp is one step of an Add/Delete/Query script: add name, delete
+// the string with id, or query name.
+type scriptOp struct {
+	kind byte // 'a', 'd' or 'q'
+	name string
+	id   int
+}
+
+// deleteScript adds every name in order; after each add it deletes a
+// live id with probability 1/3 and queries a name with probability 1/2.
+func deleteScript(names []string, seed int64) []scriptOp {
+	rng := rand.New(rand.NewSource(seed))
+	var ops []scriptOp
+	var live []int
+	for i, n := range names {
+		ops = append(ops, scriptOp{kind: 'a', name: n})
+		live = append(live, i)
+		if rng.Intn(3) == 0 {
+			k := rng.Intn(len(live))
+			ops = append(ops, scriptOp{kind: 'd', id: live[k]})
+			live = append(live[:k], live[k+1:]...)
+		}
+		if rng.Intn(2) == 0 {
+			ops = append(ops, scriptOp{kind: 'q', name: names[rng.Intn(len(names))]})
+		}
+	}
+	return ops
+}
+
+// cutoffModel is the stream rule under deletes: every string added so far
+// counts toward the document frequencies, deleted or not, and a deleted
+// string is never answered.
+type cutoffModel struct {
+	o    nsldtest.Cutoff
+	strs []token.TokenizedString
+	dead []bool
+}
+
+func (md *cutoffModel) matches(x token.TokenizedString) []Match {
+	var out []Match
+	for _, h := range md.o.Matches(x, md.strs) {
+		if !md.dead[h.ID] {
+			out = append(out, Match(h))
+		}
+	}
+	return out
+}
+
+// TestOracleEquivalenceDeletes pins the stream's frequency semantics
+// under deletes: the matcher never uncounts a deleted string, so under a
+// finite cutoff M a deleted string still gates the tokens it held, while
+// it is never answered itself. An Add/Delete/Query script runs at
+// M ∈ {1, 2} on 1 and 3 shards, on an in-memory matcher and on one
+// warm-loaded from a corpus that ran the script's first half. Every
+// answer must be nsldtest.Cutoff's over the strings that count, less the
+// deleted ones: every string added so far, or for the warm-loaded
+// matcher the strings live at load plus the later adds (the corpus's
+// frequencies count live strings only). Tombstone sweeps run every few
+// deletes and must not change the counts either.
+func TestOracleEquivalenceDeletes(t *testing.T) {
+	defer func(old int) { sweepMinDeletes = old }(sweepMinDeletes)
+	sweepMinDeletes = 4
+	names := namegen.Generate(namegen.Config{Seed: 64, NumNames: 240})
+	ops := deleteScript(names, 65)
+	const th = 0.2
+	for _, maxFreq := range []int{1, 2} {
+		opt := Options{Threshold: th, MaxTokenFreq: maxFreq}
+		for _, warm := range []bool{false, true} {
+			for _, shards := range []int{1, 3} {
+				label := fmt.Sprintf("M=%d warm=%v shards=%d", maxFreq, warm, shards)
+				md := &cutoffModel{o: nsldtest.Cutoff{T: th, M: maxFreq}}
+				rest := ops
+				var m *ShardedMatcher
+				if warm {
+					rest = ops[len(ops)/2:]
+					pc, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer pc.Close()
+					for _, op := range ops[:len(ops)/2] {
+						var err error
+						switch op.kind {
+						case 'a':
+							_, err = pc.Add(op.name)
+							md.strs = append(md.strs, token.WhitespaceAndPunct(op.name))
+							md.dead = append(md.dead, false)
+						case 'd':
+							err = pc.Delete(token.StringID(op.id))
+							md.strs[op.id] = token.TokenizedString{}
+							md.dead[op.id] = true
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					if m, err = NewShardedFromCorpus(opt, shards, pc); err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(m.Close)
+				} else {
+					m = newMatcher(t, opt, shards)
+				}
+				for i, op := range rest {
+					ts := token.WhitespaceAndPunct(op.name)
+					switch op.kind {
+					case 'a':
+						want := md.matches(ts)
+						id, got := m.Add(op.name)
+						if id != len(md.strs) || !matchesEqual(want, got) {
+							t.Fatalf("%s: op %d: Add %q = %d, %v; want %d, %v", label, i, op.name, id, got, len(md.strs), want)
+						}
+						md.strs = append(md.strs, ts)
+						md.dead = append(md.dead, false)
+					case 'd':
+						if err := m.Delete(op.id); err != nil {
+							t.Fatalf("%s: op %d: %v", label, i, err)
+						}
+						md.dead[op.id] = true
+					case 'q':
+						if want, got := md.matches(ts), m.Query(op.name); !matchesEqual(want, got) {
+							t.Fatalf("%s: op %d: Query %q = %v; want %v", label, i, op.name, got, want)
+						}
+					}
+				}
+				if st := m.Stats(); st.Sweeps == 0 {
+					t.Fatalf("%s: no tombstone sweep ran", label)
+				}
+			}
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 // threshold-derived prefix so the shared-token inverted-index lookup
 // (prefix filter) and the segment-index probe (segment prefix filter) can
 // skip it. freqs[i] must hold the current document frequency of
-// probe[i] (0 for never-seen tokens); in the sharded matcher these come
-// from the per-shard frequency stripes, folded here into one global
-// rarest-first order with the same deterministic tie-break as the batch
-// engine (frequency ascending, then token ascending — probe is sorted by
-// token string, so the probe index breaks frequency ties). keys is a
+// probe[i] (0 for never-seen tokens) in the matcher's token space; the
+// order is the global rarest-first one, with the same deterministic
+// tie-break as the batch engine (frequency ascending, then token
+// ascending — probe is sorted by token string, so the probe index breaks
+// frequency ties). keys is a
 // caller-owned scratch buffer, reused so steady-state selection
 // allocates nothing.
 //
@@ -33,13 +33,11 @@ import (
 // max-frequency cutoff M the same argument applies to the kept tokens: a
 // shared token with freq <= M outside the prefix forces every prefix
 // token's frequency at most M, so the M-gate never hides the witnessing
-// prefix token — provided the gate judges the same frequency observation
-// the ordering used, which is why this pre-pass stamps its snapshot onto
-// the probe (a concurrent writer could otherwise push a witness across
-// the cutoff between selection and probing). Unlike the batch
-// (two-sided) filter, no cross-insert order stability is needed: the
-// argument holds for the snapshot frequencies, whatever earlier inserts
-// saw.
+// prefix token — provided the gate judges the same frequencies the
+// ordering used, which the matcher guarantees by marking and probing
+// under one read lock (genCandidates). Unlike the batch (two-sided)
+// filter, no cross-insert order stability is needed: the argument holds
+// for the frequencies at probe time, whatever earlier inserts saw.
 //
 // The same marks bound the similar-token (segment) probe: a qualifying
 // pair that shares no token has an untruncated prefix, so every
@@ -49,12 +47,6 @@ import (
 // cutoff too — is why the segment probe carves out tokens beyond the
 // cutoff (see tokenIndex.candidates).
 func markPrefix(probe []probeToken, freqs []int32, t float64, ts token.TokenizedString, keys *[]int64) {
-	// Stamp the snapshot onto the probe so the exact lookup's
-	// max-frequency gate judges the same observation the ordering used
-	// (see probeToken.freq).
-	for i := range probe {
-		probe[i].freq = freqs[i]
-	}
 	p := prefilter.PrefixLen(t, ts.AggregateLen(), len(probe))
 	if p >= len(probe) {
 		return // the prefix is the whole probe; nothing to skip

@@ -43,8 +43,8 @@ func TestPrefixEquivalenceStreamMaxFreq(t *testing.T) {
 }
 
 // TestPrefixEquivalenceSharded: behind the prefix filter, the matcher
-// equals the oracle at several shard counts — the per-shard frequency
-// stripes must fold into one global order.
+// equals the oracle at several shard counts — the prefix priced on the
+// one token space must hold on whichever shard owns each token.
 func TestPrefixEquivalenceSharded(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 53, NumNames: 200})
 	for _, th := range []float64{0.1, 0.2, 0.3} {

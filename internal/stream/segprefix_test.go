@@ -87,8 +87,8 @@ func TestSegmentPrefixEquivalenceStreamMaxFreqCarveOut(t *testing.T) {
 
 // TestSegmentPrefixEquivalenceSharded: behind the segment prefix filter,
 // the matcher equals the oracle at several shard counts and thresholds —
-// per-shard segment storage and the globally-folded frequency order must
-// lose nothing.
+// per-shard segment storage and the one global frequency order must lose
+// nothing.
 func TestSegmentPrefixEquivalenceSharded(t *testing.T) {
 	names := namegen.Generate(namegen.Config{Seed: 57, NumNames: 200})
 	for _, th := range []float64{0.1, 0.2, 0.3} {
@@ -154,13 +154,15 @@ func TestSegmentPrefixEquivalenceWarmLoad(t *testing.T) {
 		}
 	}
 	segIndexed := func(m *ShardedMatcher) (indexed, interned int) {
-		for _, sh := range m.shards {
-			for _, in := range sh.ix.segIndexed {
+		for _, ix := range m.shards {
+			for _, in := range ix.segIndexed {
 				if in {
 					indexed++
 				}
 			}
-			interned += sh.ix.tokens()
+		}
+		for _, n := range m.Stats().TokensPerShard {
+			interned += n
 		}
 		return indexed, interned
 	}
@@ -194,17 +196,17 @@ func TestSegmentProbeZeroAlloc(t *testing.T) {
 	for _, n := range names {
 		m.Add(n)
 	}
-	ix, sc := m.shards[0].ix, newProbeScratch(th)
+	ix, sc := m.shards[0], newProbeScratch(th)
 	probes := make([][]probeToken, 0, 50)
 	for i := 0; i < 50; i++ {
-		probes = append(probes, markedProbe(ix, token.WhitespaceAndPunct(names[i*7%len(names)]), th))
+		probes = append(probes, markedProbe(m, token.WhitespaceAndPunct(names[i*7%len(names)])))
 	}
 	var pc probeCounters
 	var sink int64
 	emit := func(cand int32) { sink += int64(cand) }
 	probeAll := func() {
 		for _, p := range probes {
-			ix.candidates(p, sc, &pc, emit)
+			ix.candidates(m.tc, p, sc, &pc, emit)
 		}
 	}
 	probeAll() // warm the scratch (visited growth, plan memo, hash arrays)
@@ -216,15 +218,12 @@ func TestSegmentProbeZeroAlloc(t *testing.T) {
 	}
 }
 
-// markedProbe is ts's distinct-token probe, prefix-marked against ix's
-// frequencies the way a live Add marks it.
-func markedProbe(ix *tokenIndex, ts token.TokenizedString, th float64) []probeToken {
+// markedProbe is ts's distinct-token probe, stamped and prefix-marked
+// against m's token space the way a live Add marks it.
+func markedProbe(m *ShardedMatcher, ts token.TokenizedString) []probeToken {
 	probe := distinctProbe(ts)
-	freqs := make([]int32, len(probe))
-	for j, p := range probe {
-		freqs[j] = ix.freqOf(p.s)
-	}
-	var keys []int64
-	markPrefix(probe, freqs, th, ts, &keys)
+	m.mu.RLock()
+	m.markProbe(ts, probe)
+	m.mu.RUnlock()
 	return probe
 }

@@ -12,26 +12,30 @@ import (
 	"repro/internal/token"
 )
 
-// ShardedMatcher is the incremental joiner: the inverted and segment
-// indexes are partitioned across N shards by token hash (the
-// MassJoin/PASS-JOIN partitioning carried over to the online path), and a
-// persistent worker pool fans each arrival's candidate generation out to
-// the shards and verifies the merged candidates in parallel chunks. Add,
-// Query and AddAll run one op path (run, addall.go) at every shard count;
-// one shard is the single-threaded matcher, whose pool starts no
-// goroutine.
+// ShardedMatcher is the incremental joiner. It owns one token space, a
+// token.Corpus that interns every added string and holds the strings by
+// id, the token runes and the document frequencies. The inverted and
+// segment indexes are partitioned across N shards by token id (shard i
+// owns the ids ≡ i mod N; the MassJoin/PASS-JOIN partitioning carried
+// over to the online path), and a persistent worker pool fans each
+// arrival's candidate generation out to the shards and verifies the
+// merged candidates in parallel chunks. Add, Query and AddAll run one op
+// path (run, addall.go) at every shard count; one shard is the
+// single-threaded matcher, whose pool starts no goroutine.
 //
 // Driven serially, Add returns the same match set (sorted by id) for any
 // shard count; under the exact configuration it is the naive join's.
 // Concurrently, writers are serialized with each other — ids are assigned
-// in arrival order — while Query (match-without-insert) runs lock-free
-// against writers except for brief per-shard read locks, so mixed
-// Add/Query traffic scales with shards.
+// in arrival order. One RWMutex guards the token space and every shard:
+// candidate generation (prefix marking and the shard fan-out) runs under
+// its read lock, so Queries run alongside each other, and a writer takes
+// the write lock only to intern and index one string, to tombstone one,
+// or to sweep. Verification runs outside the lock.
 //
 // Close releases the worker pool; the matcher must not be used after.
 type ShardedMatcher struct {
 	opt    Options
-	shards []*shard
+	shards []*tokenIndex
 	pool   *workerPool
 
 	// corpus, when non-nil, is the durable backing store: Add/AddAll
@@ -45,11 +49,15 @@ type ShardedMatcher struct {
 	// (guarded by addMu); once it crosses the amortization threshold the
 	// next delete pays for compacting dead ids out of every shard.
 	deletesSinceSweep int
-	// mu guards the strings, dead and emptyIDs slice headers. strings
-	// elements are immutable once appended and dead/emptyIDs are replaced
-	// copy-on-write by Delete, so readers may retain snapshots.
+	// mu guards tc, dead, emptyIDs and every shard. tc is the token space:
+	// its Strings are the matcher's strings by id, tombstoned ones
+	// included. The matcher never calls tc.Forget, so tc.Freq counts every
+	// string indexed since the load, deleted or not (see sweepTombstones).
+	// tc.Strings elements are immutable once appended and dead is replaced
+	// copy-on-write by Delete, so verification may keep snapshots of both
+	// after releasing mu.
 	mu       sync.RWMutex
-	strings  []token.TokenizedString
+	tc       *token.Corpus
 	dead     []bool
 	emptyIDs []int32
 
@@ -76,12 +84,6 @@ type ShardedMatcher struct {
 	sweeps           atomic.Int64
 	sweptEntries     atomic.Int64
 	closed           sync.Once
-}
-
-// shard is one index partition and its reader/writer guard.
-type shard struct {
-	mu sync.RWMutex
-	ix *tokenIndex
 }
 
 // ShardedStats is a snapshot of a ShardedMatcher's state and traffic.
@@ -118,8 +120,10 @@ type ShardedStats struct {
 	// candidates (shard fan-out, merge, dedup) and verifying them.
 	CandGenWall time.Duration
 	VerifyWall  time.Duration
-	// TokensPerShard is the distinct-token count of each partition — a
-	// direct view of the hash partitioning's balance.
+	// TokensPerShard counts, per shard, the tokens it owns (shard i owns
+	// the token ids ≡ i mod Shards) that some indexed string has held.
+	// Token ids are dense, so the counts differ by at most one unless some
+	// token is held only by strings deleted before a warm load.
 	TokensPerShard []int
 	// Sweeps counts amortized tombstone sweeps; SweptEntries the dead
 	// posting entries they compacted away.
@@ -164,8 +168,9 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 	}
 	m := &ShardedMatcher{
 		opt:    opt,
-		shards: make([]*shard, shards),
+		shards: make([]*tokenIndex, shards),
 		pool:   newWorkerPool(shards),
+		tc:     &token.Corpus{},
 	}
 	m.verPool.New = func() any {
 		return &core.Verifier{Greedy: opt.Greedy}
@@ -174,7 +179,7 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 		return newProbeScratch(opt.Threshold)
 	}
 	for i := range m.shards {
-		m.shards[i] = &shard{ix: newTokenIndex(opt)}
+		m.shards[i] = newTokenIndex(opt, i, shards)
 	}
 	return m, nil
 }
@@ -186,7 +191,7 @@ func (m *ShardedMatcher) Shards() int { return len(m.shards) }
 func (m *ShardedMatcher) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.strings)
+	return len(m.tc.Strings)
 }
 
 // Stats snapshots the matcher.
@@ -210,12 +215,12 @@ func (m *ShardedMatcher) Stats() ShardedStats {
 		SweptEntries:     m.sweptEntries.Load(),
 	}
 	m.mu.RLock()
-	st.Strings = len(m.strings)
-	m.mu.RUnlock()
-	for i, sh := range m.shards {
-		sh.mu.RLock()
-		st.TokensPerShard[i] = sh.ix.tokens()
-		sh.mu.RUnlock()
+	defer m.mu.RUnlock()
+	st.Strings = len(m.tc.Strings)
+	for tid, f := range m.tc.Freq {
+		if f > 0 {
+			st.TokensPerShard[tid%len(m.shards)]++
+		}
 	}
 	return st
 }
@@ -271,39 +276,21 @@ func (m *ShardedMatcher) addBatch(toks []token.TokenizedString) (first int, matc
 	return first, m.run(toks, true)
 }
 
-// appendAndIndex gives ts the next id and indexes it under probe, its
-// distinct tokens. Strings first, postings second: a concurrent Query
-// that discovers id in a shard's postings is then guaranteed to find
-// strings[id]. The caller holds addMu or owns the matcher outright.
+// appendAndIndex interns ts as the next id and indexes it on the shards
+// owning its distinct tokens; probe is ts's prefix-marked distinct probe,
+// which lists the tokens in the order of ts's Members. The caller holds
+// addMu or owns the matcher outright.
 func (m *ShardedMatcher) appendAndIndex(ts token.TokenizedString, probe []probeToken) {
 	m.mu.Lock()
-	id := int32(len(m.strings))
-	m.strings = append(m.strings, ts)
+	defer m.mu.Unlock()
+	id := m.tc.Add(ts)
 	m.dead = append(m.dead, false)
 	if ts.Count() == 0 {
-		m.emptyIDs = append(m.emptyIDs, id)
+		m.emptyIDs = append(m.emptyIDs, int32(id))
 	}
-	m.mu.Unlock()
-	m.insertProbe(probe, id)
-}
-
-// insertProbe registers id under the probe tokens on their owning
-// shards, grouping the tokens so each shard is visited (and
-// write-locked) at most once.
-func (m *ShardedMatcher) insertProbe(probe []probeToken, id int32) {
-	per := make([][]probeToken, len(m.shards))
-	for _, p := range probe {
-		si := shardOf(p.s, len(m.shards))
-		per[si] = append(per[si], p)
-	}
-	for si, ps := range per {
-		if len(ps) == 0 {
-			continue
-		}
-		sh := m.shards[si]
-		sh.mu.Lock()
-		sh.ix.insert(ps, id)
-		sh.mu.Unlock()
+	n := token.TokenID(len(m.shards))
+	for i, tid := range m.tc.Members[id] {
+		m.shards[tid%n].insert(m.tc, tid, probe[i].nonPrefix, int32(id))
 	}
 }
 
@@ -327,31 +314,28 @@ func verifyChunkCount(n, shards int) int {
 	return max(1, min(n/minPerChunk, shards))
 }
 
-// genCandidates fans the (prefix-marked) probe out to every shard,
-// merges, deduplicates and sorts the resulting candidate ids, and folds
-// the probe counters into the matcher's stats. The caller has ruled out
-// the empty probe.
+// genCandidates marks the probe (markProbe) and fans it out to every
+// shard, merges, deduplicates and sorts the resulting candidate ids, and
+// folds the probe counters into the matcher's stats. The caller has
+// ruled out the empty probe.
 func (m *ShardedMatcher) genCandidates(ts token.TokenizedString, probe []probeToken) []int32 {
 	// ---- Generate: fan out to the shards --------------------------------
 	genStart := time.Now()
 	defer func() { m.candGenWall.Add(int64(time.Since(genStart))) }()
-	m.markProbe(ts, probe)
-
-	// Every shard then resolves the (prefix-marked) probe: exact-token
-	// lookups miss on non-owner shards, and the segment index must be
-	// probed everywhere because a similar token may live on any shard.
+	// Every shard resolves the marked probe under the one read lock, so
+	// the max-frequency gate judges the frequencies the marking used.
 	perShard := make([][]int32, len(m.shards))
 	perCtr := make([]probeCounters, len(m.shards))
+	m.mu.RLock()
+	m.markProbe(ts, probe)
 	m.pool.each(len(m.shards), func(i int) {
 		var local []int32
-		sh := m.shards[i]
 		sc := m.scratchPool.Get().(*probeScratch)
-		sh.mu.RLock()
-		sh.ix.candidates(probe, sc, &perCtr[i], func(cand int32) { local = append(local, cand) })
-		sh.mu.RUnlock()
+		m.shards[i].candidates(m.tc, probe, sc, &perCtr[i], func(cand int32) { local = append(local, cand) })
 		m.scratchPool.Put(sc)
 		perShard[i] = local
 	})
+	m.mu.RUnlock()
 	var pctr probeCounters
 	for i := range perCtr {
 		pctr.add(&perCtr[i])
@@ -387,33 +371,20 @@ func (m *ShardedMatcher) genCandidates(ts token.TokenizedString, probe []probeTo
 	return slices.Compact(cands)
 }
 
-// markProbe prices the probe against the live per-shard frequencies and
-// flags the tokens the prefix filters may skip at lookup and storage
-// time. The prefix filter folds the per-shard frequency stripes into
-// the one global rarest-first order: each probe token's true document
-// frequency lives on its owning shard (tokens intern only where they
-// hash), so one read-locked visit per owning shard prices the whole
-// probe, and markPrefix flags the tokens the exact lookup may skip.
+// markProbe stamps each probe token's id in the token space, prices the
+// probe against the live frequencies and flags the tokens the prefix
+// filters may skip at lookup and storage time (markPrefix). The caller
+// holds mu.
 func (m *ShardedMatcher) markProbe(ts token.TokenizedString, probe []probeToken) {
 	freqs := make([]int32, len(probe))
-	byShard := make([][]int, len(m.shards))
-	for i, p := range probe {
-		si := shardOf(p.s, len(m.shards))
-		byShard[si] = append(byShard[si], i)
-	}
-	for si, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
+	for i := range probe {
+		if tid, ok := m.tc.TokenIDOf(probe[i].s); ok {
+			probe[i].tid = tid
+			freqs[i] = m.tc.Freq[tid]
 		}
-		sh := m.shards[si]
-		sh.mu.RLock()
-		for _, i := range idxs {
-			freqs[i] = sh.ix.freqOf(probe[i].s)
-		}
-		sh.mu.RUnlock()
 	}
-	// keys is per-call: Query runs concurrently, so the scratch
-	// cannot live on the matcher without defeating its lock-freedom.
+	// keys is per-call: Queries mark concurrently under the read lock, so
+	// the scratch cannot live on the matcher.
 	var keys []int64
 	markPrefix(probe, freqs, m.opt.Threshold, ts, &keys)
 }
@@ -430,15 +401,6 @@ func (m *ShardedMatcher) countVerify(verified, budgetPruned, sigPruned int64) {
 	if sigPruned > 0 {
 		m.sigPruned.Add(sigPruned)
 	}
-}
-
-// shardOf assigns a token to a shard by FNV-1a hash.
-func shardOf(s string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // workerPool is a fixed set of persistent goroutines executing submitted

@@ -22,10 +22,12 @@
 // naive all-pairs join in internal/nsldtest; in every configuration it
 // returns exactly nsldtest.Cutoff's stream rule.
 //
-// There is one implementation, ShardedMatcher (sharded.go): it
-// partitions the index (tokenIndex in index.go) by token hash across N
-// shards and serves concurrent Add/Query traffic through a worker pool.
-// At one shard it runs every job inline on the caller's goroutine.
+// There is one implementation, ShardedMatcher (sharded.go). It interns
+// every string into one token space, a token.Corpus (adopted from the
+// durable corpus on a warm load), partitions the index (tokenIndex in
+// index.go) by token id across N shards, and serves concurrent Add/Query
+// traffic through a worker pool under one read/write lock. At one shard
+// it runs every job inline on the caller's goroutine.
 package stream
 
 import (

@@ -263,7 +263,8 @@ func (c *Corpus) index() {
 }
 
 // Add appends ts as the next string and returns its id. Tokens new to the
-// corpus are interned at the tail of the token space in first-seen order;
+// corpus are interned at the tail of the token space in first-seen order,
+// their TokenRunes sharing ts's decoded runes;
 // ts's distinct tokens become its Members, in its (lexicographic) token
 // order, and each is counted once in Freq. Add, Grow and Forget are not
 // safe for concurrent use with any other method.
@@ -279,7 +280,7 @@ func (c *Corpus) Add(ts TokenizedString) StringID {
 			id = TokenID(len(c.Tokens))
 			c.tokenID[t] = id
 			c.Tokens = append(c.Tokens, t)
-			c.TokenRunes = append(c.TokenRunes, []rune(t))
+			c.TokenRunes = append(c.TokenRunes, ts.TokenRunes(i))
 			c.Freq = append(c.Freq, 0)
 		}
 		c.Freq[id]++
