@@ -38,7 +38,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	threshold := flag.Float64("threshold", 0.1, "NSLD threshold T in [0, 1)")
-	maxFreq := flag.Int("maxfreq", 0, "max token frequency M (0 = unlimited)")
+	maxFreq := flag.Int("maxfreq", 0, "max token frequency M: tokens held by more than M live strings generate no candidates (0 = unlimited)")
 	shards := flag.Int("shards", 0, "index shards (0 = GOMAXPROCS)")
 	greedy := flag.Bool("greedy", false, "greedy-token-aligning verification")
 	exactTokens := flag.Bool("exact-tokens", false, "exact-token matching only")

@@ -30,7 +30,7 @@ type MatcherStats = stream.ShardedStats
 // NewConcurrentMatcher creates an empty concurrent matcher. Call Close
 // when done to release the worker pool.
 func NewConcurrentMatcher(opts ConcurrentMatcherOptions) (*ConcurrentMatcher, error) {
-	m, err := stream.NewShardedMatcher(streamOptions(opts.MatcherOptions), opts.Shards)
+	m, err := stream.NewShardedMatcher(opts.MatcherOptions, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -52,21 +52,11 @@ func NewConcurrentMatcher(opts ConcurrentMatcherOptions) (*ConcurrentMatcher, er
 // (use ConcurrentMatcher.Delete). Close the matcher before closing the
 // corpus.
 func NewConcurrentMatcherFromCorpus(c *Corpus, opts ConcurrentMatcherOptions) (*ConcurrentMatcher, error) {
-	m, err := stream.NewShardedFromCorpus(streamOptions(opts.MatcherOptions), opts.Shards, c.c)
+	m, err := stream.NewShardedFromCorpus(opts.MatcherOptions, opts.Shards, c.c)
 	if err != nil {
 		return nil, err
 	}
 	return &ConcurrentMatcher{m: m}, nil
-}
-
-func streamOptions(opts MatcherOptions) stream.Options {
-	return stream.Options{
-		Threshold:       opts.Threshold,
-		MaxTokenFreq:    opts.MaxTokenFreq,
-		Greedy:          opts.Greedy,
-		ExactTokensOnly: opts.ExactTokensOnly,
-		Tokenizer:       opts.Tokenizer,
-	}
 }
 
 // Add matches s against every previously added string, then indexes it,

@@ -202,29 +202,40 @@ func (c *Corpus) SnapshotBytes() ([]byte, uint64) {
 	return buf.Bytes(), lsnOf(len(v.Alive), v.Live)
 }
 
-// CheckSnapshot decodes raw as a snapshot, with every check Open makes,
-// and returns the LSN of the state it holds. It touches nothing.
-func CheckSnapshot(raw []byte) (uint64, error) {
-	st, err := decodeSnapshot(raw)
-	if err != nil {
-		return 0, err
-	}
-	return lsnOf(len(st.alive), st.live), nil
+// CheckedSnapshot is a snapshot body that CheckSnapshot accepted, the
+// only input Install takes: a body is decoded once, before any lock of
+// the installer is taken.
+type CheckedSnapshot struct {
+	raw []byte
+	lsn uint64
 }
 
-// Install makes the snapshot raw the whole state of the corpus directory
-// dir, which must not be open, and returns the installed LSN. It checks
-// raw before it touches anything. It then writes it through opt.FS as a
-// generation above every one in dir (temp file, fsync, rename, directory
-// fsync) and removes the older generations. The rename is the one commit
-// point: after a crash anywhere, dir reopens either as it was — empty,
-// for a fresh follower — or as exactly the installed state, never as a
-// mix of the two.
-func Install(dir string, raw []byte, opt Options) (uint64, error) {
+// LSN returns the logical sequence number of the state the snapshot
+// holds.
+func (s *CheckedSnapshot) LSN() uint64 { return s.lsn }
+
+// CheckSnapshot decodes raw as a snapshot, with every check Open makes,
+// and returns it checked for Install. It touches nothing.
+func CheckSnapshot(raw []byte) (*CheckedSnapshot, error) {
 	st, err := decodeSnapshot(raw)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
+	return &CheckedSnapshot{raw: raw, lsn: lsnOf(len(st.alive), st.live)}, nil
+}
+
+// Install makes the checked snapshot snap the whole state of the corpus
+// directory dir, which must not be open, and returns the installed LSN.
+// It writes the snapshot through opt.FS as a generation above every one
+// in dir (temp file, fsync, rename, directory fsync) and removes the
+// older generations. The rename is the one commit point: after a crash
+// anywhere, dir reopens either as it was — empty, for a fresh follower —
+// or as exactly the installed state, never as a mix of the two.
+func Install(dir string, snap *CheckedSnapshot, opt Options) (uint64, error) {
+	if snap == nil || snap.raw == nil {
+		return 0, errors.New("corpus: install of an unchecked snapshot")
+	}
+	raw := snap.raw
 	c := &Corpus{dir: dir, opt: opt, fs: opt.FS}
 	if c.fs == nil {
 		c.fs = iofault.OS
@@ -275,5 +286,5 @@ func Install(dir string, raw []byte, opt Options) (uint64, error) {
 			return 0, err
 		}
 	}
-	return lsnOf(len(st.alive), st.live), c.syncDir()
+	return snap.lsn, c.syncDir()
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -220,11 +222,12 @@ func TestInstallEquivalence(t *testing.T) {
 	if lsn != c.LSN() {
 		t.Fatalf("snapshot LSN = %d, corpus LSN = %d", lsn, c.LSN())
 	}
-	if got, err := CheckSnapshot(raw); err != nil || got != lsn {
-		t.Fatalf("CheckSnapshot = %d, %v; want %d", got, err, lsn)
+	snap, err := CheckSnapshot(raw)
+	if err != nil || snap.LSN() != lsn {
+		t.Fatalf("CheckSnapshot = %v; want lsn %d", err, lsn)
 	}
 	dir := t.TempDir()
-	if got, err := Install(dir, raw, Options{DisableSync: true}); err != nil || got != lsn {
+	if got, err := Install(dir, snap, Options{DisableSync: true}); err != nil || got != lsn {
 		t.Fatalf("Install = %d, %v; want %d", got, err, lsn)
 	}
 	f := mustOpen(t, dir, Options{DisableSync: true})
@@ -253,6 +256,39 @@ func TestInstallEquivalence(t *testing.T) {
 	}
 	if f.LSN() != c.LSN() {
 		t.Fatalf("follower LSN after the tail = %d, want %d", f.LSN(), c.LSN())
+	}
+}
+
+// TestCheckSnapshotRejectsBadBodies: CheckSnapshot refuses every body a
+// restart would refuse — empty, truncated, bit-flipped, and each
+// one-field departure of rejectedSnapBodies — while the body they depart
+// from passes. Install takes only what CheckSnapshot returned, so it
+// never decodes; handed a snapshot nobody checked, it fails and touches
+// nothing.
+func TestCheckSnapshotRejectsBadBodies(t *testing.T) {
+	good := withCRC(validSnapBody())
+	if snap, err := CheckSnapshot(good); err != nil || snap.LSN() != 3 {
+		t.Fatalf("valid body: %v, %v; want lsn 3", snap, err)
+	}
+	flipped := slices.Clone(good)
+	flipped[len(flipped)/2] ^= 0x10
+	bad := map[string][]byte{"empty": nil, "truncated": good[:len(good)/2], "bit-flipped": flipped}
+	for name, body := range rejectedSnapBodies() {
+		bad[name] = withCRC(body)
+	}
+	for name, raw := range bad {
+		if snap, err := CheckSnapshot(raw); err == nil || snap != nil {
+			t.Errorf("%s: CheckSnapshot = %v, %v; want a refusal", name, snap, err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "follower")
+	for _, snap := range []*CheckedSnapshot{nil, {}} {
+		if _, err := Install(dir, snap, Options{DisableSync: true}); err == nil {
+			t.Fatalf("Install(%v) succeeded", snap)
+		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused install touched the directory: %v", err)
 	}
 }
 
@@ -291,8 +327,8 @@ func TestSnapshotBytesDuringCommits(t *testing.T) {
 		default:
 		}
 		raw, lsn := c.SnapshotBytes()
-		if got, err := CheckSnapshot(raw); err != nil || got != lsn || lsn < last {
-			t.Fatalf("snapshot at lsn %d (previous %d) decodes to %d, %v", lsn, last, got, err)
+		if snap, err := CheckSnapshot(raw); err != nil || snap.LSN() != lsn || lsn < last {
+			t.Fatalf("snapshot at lsn %d (previous %d) decodes to %v, %v", lsn, last, snap, err)
 		}
 		last = lsn
 	}

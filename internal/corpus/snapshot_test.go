@@ -273,8 +273,8 @@ func TestSnapshotEncodeAllocations(t *testing.T) {
 	if buf.Len() <= crcChunk {
 		t.Fatalf("encoding is %d bytes, want more than one %d-byte chunk", buf.Len(), crcChunk)
 	}
-	lsn, err := CheckSnapshot(buf.Bytes())
-	if err != nil || lsn != c.LSN() {
-		t.Fatalf("encoding decodes to lsn %d (%v), want %d", lsn, err, c.LSN())
+	snap, err := CheckSnapshot(buf.Bytes())
+	if err != nil || snap.LSN() != c.LSN() {
+		t.Fatalf("encoding decodes to %v (%v), want lsn %d", snap, err, c.LSN())
 	}
 }

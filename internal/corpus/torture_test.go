@@ -561,6 +561,10 @@ func TestTortureInstallOpSweep(t *testing.T) {
 		t.Fatalf("source workload failed at step %d", ff)
 	}
 	raw, lsn := src.SnapshotBytes()
+	snap, err := corpus.CheckSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The older state: a few adds, a delete, two snapshots and a compact,
 	// so the directory holds several snapshot and WAL generations.
@@ -600,7 +604,7 @@ func TestTortureInstallOpSweep(t *testing.T) {
 			return dir
 		}
 		counter := iofault.NewInjector(iofault.OS, iofault.Disarmed())
-		if got, err := corpus.Install(prepare(t), raw, corpus.Options{FS: counter}); err != nil || got != lsn {
+		if got, err := corpus.Install(prepare(t), snap, corpus.Options{FS: counter}); err != nil || got != lsn {
 			t.Fatalf("%s: fault-free install = %d, %v; want %d", start.name, got, err, lsn)
 		}
 		total := counter.Ops()
@@ -613,7 +617,7 @@ func TestTortureInstallOpSweep(t *testing.T) {
 				for i := int64(0); i < total; i++ {
 					dir := prepare(t)
 					inj := iofault.NewInjector(iofault.OS, fl.plan(i))
-					_, ierr := corpus.Install(dir, raw, corpus.Options{FS: inj})
+					_, ierr := corpus.Install(dir, snap, corpus.Options{FS: inj})
 					if inj.Faults() != 1 {
 						t.Fatalf("[%d] fault fired %d times, want exactly 1", i, inj.Faults())
 					}

@@ -60,10 +60,17 @@ func (c Config) withDefaults() Config {
 	if c.MapTasks <= 0 {
 		c.MapTasks = 4 * runtime.GOMAXPROCS(0)
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	c.Parallelism = c.Workers()
 	return c
+}
+
+// Workers is the number of worker goroutines Run starts: Parallelism, or
+// GOMAXPROCS when it is unset. Every ReduceCtx.Worker is below it.
+func (c Config) Workers() int {
+	if c.Parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Parallelism
 }
 
 // Key is the set of shuffle key types: fixed-size integers. The shuffle
@@ -104,11 +111,17 @@ func (c *MapCtx[K, V]) AddCost(units float64) { c.cost += units }
 // worker, a recycled slab; Run copies the outputs out of it before it
 // returns.
 type ReduceCtx[O any] struct {
-	out  []O
-	cost float64
+	out    []O
+	cost   float64
+	worker int
 
 	box *[]O // the pool's handle on out; nil until the worker's first key
 }
+
+// Worker reports which of the job's Config.Workers goroutines runs the
+// reduce call, so a reducer may keep per-worker state that no other
+// goroutine touches while the job runs.
+func (c *ReduceCtx[O]) Worker() int { return c.worker }
 
 // Emit outputs a final record.
 func (c *ReduceCtx[O]) Emit(o O) { c.out = append(c.out, o) }
@@ -245,6 +258,7 @@ func Run[I any, K Key, V any, O any](
 		ctx := &outs[w]
 		if ctx.box == nil {
 			ctx.out, ctx.box = getSlab[O]()
+			ctx.worker = w
 		}
 		lo := len(ctx.out)
 		for g := b * reduceBatch; g < min(groups, (b+1)*reduceBatch); g++ {

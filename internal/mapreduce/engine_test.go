@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -157,5 +159,46 @@ func TestSplitRanges(t *testing.T) {
 				t.Errorf("splitRanges(%d,%d)[%d] = %v, want %v", c.n, c.k, i, got[i], c.want[i])
 			}
 		}
+	}
+}
+
+// TestReduceWorkerOwnsItsState: ReduceCtx.Worker names one of the job's
+// Config.Workers goroutines, and no two reduce calls of one worker
+// overlap, so a reducer may keep unsynchronized per-worker state.
+func TestReduceWorkerOwnsItsState(t *testing.T) {
+	cfg := Config{Parallelism: 4, MapTasks: 3}
+	input := make([]int, 5000)
+	for i := range input {
+		input[i] = i
+	}
+	busy := make([]atomic.Bool, cfg.Workers())
+	calls := make([]int, cfg.Workers()) // per-worker state, written unlocked
+	out, _ := Run(cfg, input,
+		func(x int, ctx *MapCtx[int, int]) { ctx.Emit(x, x) },
+		func(k int, vs []int, ctx *ReduceCtx[int]) {
+			w := ctx.Worker()
+			if w < 0 || w >= len(busy) || !busy[w].CompareAndSwap(false, true) {
+				ctx.Emit(-1)
+				return
+			}
+			calls[w]++
+			busy[w].Store(false)
+			ctx.Emit(k)
+		},
+	)
+	total := 0
+	for _, n := range calls {
+		total += n
+	}
+	if len(out) != len(input) || total != len(input) {
+		t.Fatalf("%d outputs, %d calls counted; want %d of each", len(out), total, len(input))
+	}
+	for i, k := range out {
+		if k != i {
+			t.Fatalf("output %d = %d: a worker id out of range or two overlapping calls of one worker", i, k)
+		}
+	}
+	if got := (Config{}).Workers(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default Workers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }

@@ -42,8 +42,10 @@ func (o Cutoff) Join(strs []token.TokenizedString, nr int) map[[2]int]int {
 }
 
 // Matches is the stream rule: the matches of x, arriving after strs,
-// against strs, in ascending id; pass strs[:i] for arrival i. freq
-// counts the strings of strs holding a token. strs[j] is a candidate when
+// against strs, in ascending index into strs. Pass the strings live when
+// x arrives — strs[:i] for arrival i of a stream without deletes — and
+// map the indexes back to ids: a deleted string neither answers nor
+// counts. freq counts the strings of strs holding a token. strs[j] is a candidate when
 // both strings are token-less, when they share a token of freq <= M, or,
 // unless Exact, when some token u of x, which the cutoff does not gate,
 // and some v of strs[j] with freq(v) <= M differ within NLD T. x aligns

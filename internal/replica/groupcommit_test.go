@@ -94,7 +94,7 @@ func TestReplicationStandbyGroupCommit(t *testing.T) {
 	fs := &walSyncCounter{FS: iofault.OS}
 	stby := openCountedNode(t, t.TempDir(), fs, ring)
 	defer stby.shutdown()
-	install := func(snap []byte) (Applier, error) {
+	install := func(snap *corpus.CheckedSnapshot) (Applier, error) {
 		stby.mu.Lock()
 		defer stby.mu.Unlock()
 		stby.m.Close()

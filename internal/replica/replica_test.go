@@ -94,12 +94,8 @@ func postInstall(s *Standby, body io.Reader) (applyResponse, int) {
 
 // memInstall stands in for a snapshot install: a fresh engine at the
 // snapshot's LSN, holding that many placeholder records.
-func memInstall(snap []byte) (Applier, error) {
-	lsn, err := corpus.CheckSnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	return &memEngine{applied: make([][]byte, lsn)}, nil
+func memInstall(snap *corpus.CheckedSnapshot) (Applier, error) {
+	return &memEngine{applied: make([][]byte, snap.LSN())}, nil
 }
 
 func newMemStandby(t *testing.T) (*Standby, *memEngine) {
@@ -275,7 +271,7 @@ func TestReplicationInstallRejectsBadBodies(t *testing.T) {
 	}
 	want, wantLSN := logicalOf(n.c), n.c.LSN()
 	installs := 0
-	s := NewStandby(nodeEngine{n}, func(snap []byte) (Applier, error) {
+	s := NewStandby(nodeEngine{n}, func(snap *corpus.CheckedSnapshot) (Applier, error) {
 		installs++
 		return n.install(snap)
 	}, StandbyOptions{Primary: "http://unused", Advertise: "http://unused"})

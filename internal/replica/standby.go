@@ -67,9 +67,9 @@ type Standby struct {
 	opt    StandbyOptions
 	client *http.Client
 	// install replaces the engine with one opened from a primary's
-	// snapshot (the caller swaps its serving handles inside this
+	// checked snapshot (the caller swaps its serving handles inside this
 	// function) and returns it.
-	install func(snapshot []byte) (Applier, error)
+	install func(snap *corpus.CheckedSnapshot) (Applier, error)
 	// installing counts installs in flight, from the request's arrival to
 	// its engine swap. It is read without mu so readiness and promotion
 	// answer at once while an install holds mu for its swap.
@@ -115,10 +115,10 @@ type StandbyStatus struct {
 
 // NewStandby wraps an engine. install is called, under the standby lock,
 // with a primary's snapshot that corpus.CheckSnapshot accepted: it must
-// close the engine, install the snapshot into its storage, swap the
-// caller's serving handles to an engine opened from it, and return that
-// engine.
-func NewStandby(eng Applier, install func(snapshot []byte) (Applier, error), opt StandbyOptions) *Standby {
+// close the engine, install the snapshot into its storage
+// (corpus.Install), swap the caller's serving handles to an engine
+// opened from it, and return that engine.
+func NewStandby(eng Applier, install func(snap *corpus.CheckedSnapshot) (Applier, error), opt StandbyOptions) *Standby {
 	opt.fill()
 	client := opt.Client
 	if client == nil {
@@ -255,11 +255,11 @@ func (s *Standby) ServeApply(w http.ResponseWriter, r *http.Request) {
 
 // ServeInstall is the HTTP handler for POST /replication/install: the
 // body is a primary's snapshot (corpus.SnapshotBytes). The body is read
-// (each read bounded by RequestTimeout) and checked without the standby
-// lock; a body corpus.CheckSnapshot
-// refuses is answered 400 and touches nothing. The lock is taken only to
-// swap the engine for one installed from the body, which a sealed
-// standby refuses. Either way the response carries the engine's LSN.
+// (each read bounded by RequestTimeout) and decoded and checked once,
+// without the standby lock; a body corpus.CheckSnapshot refuses is
+// answered 400 and touches nothing. The lock is taken only to swap the
+// engine for one installed from the checked body, which a sealed standby
+// refuses. Either way the response carries the engine's LSN.
 func (s *Standby) ServeInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -269,9 +269,10 @@ func (s *Standby) ServeInstall(w http.ResponseWriter, r *http.Request) {
 	s.installing.Add(1)
 	defer s.installing.Add(-1)
 	body := idleReader{http.MaxBytesReader(w, r.Body, maxInstallBody), http.NewResponseController(w), s.opt.RequestTimeout}
-	snap, err := io.ReadAll(body)
+	raw, err := io.ReadAll(body)
+	var snap *corpus.CheckedSnapshot
 	if err == nil {
-		_, err = corpus.CheckSnapshot(snap)
+		snap, err = corpus.CheckSnapshot(raw)
 	}
 
 	s.mu.Lock()

@@ -394,11 +394,11 @@ func openEngine(dir string, copts tsjoin.CorpusOptions, mopts tsjoin.ConcurrentM
 // before the install, or the installed one — so the standby keeps
 // serving; only a failed reopen leaves the handles nil, and readLocked
 // then answers 503.
-func (s *Server) installEngine(snapshot []byte) (replica.Applier, error) {
+func (s *Server) installEngine(snap *corpus.CheckedSnapshot) (replica.Applier, error) {
 	s.engMu.Lock()
 	defer s.engMu.Unlock()
 	s.closeLocked()
-	_, ierr := corpus.Install(s.dataDir, snapshot, corpus.Options{FS: s.copts.FS, DisableSync: s.copts.DisableSync})
+	_, ierr := corpus.Install(s.dataDir, snap, corpus.Options{FS: s.copts.FS, DisableSync: s.copts.DisableSync})
 	m, c, err := openEngine(s.dataDir, s.copts, s.mopts)
 	if err != nil {
 		return nil, errors.Join(ierr, fmt.Errorf("reopening the engine: %w", err))

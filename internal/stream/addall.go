@@ -9,8 +9,8 @@ import (
 // The op path: Add, Query and AddAll are one routine, run, at every
 // shard count. Per element it generates candidates on every shard,
 // filters and verifies them in contiguous chunks through the worker pool
-// (verifyChunk), and, for inserts, indexes the element before the next
-// one is generated. A single Add or Query is an op of one element.
+// (verifyChunk), and, for inserts, interns and indexes the element
+// (index) before the next one is generated. A single Add or Query is an op of one element.
 //
 // Match semantics are those of per-element Add: element i's matches are
 // everything previously indexed plus earlier elements of the same batch
@@ -23,10 +23,9 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match
 	out := make([][]Match, len(toks))
 	var verified, pruned, sigPruned int64
 	for ei, ts := range toks {
-		probe := distinctProbe(ts)
 		if ts.Count() == 0 {
 			out[ei] = m.emptyMatches()
-		} else if cands := m.genCandidates(ts, probe); len(cands) > 0 {
+		} else if cands := m.genCandidates(ts); len(cands) > 0 {
 			// Snapshot after generation: every candidate id was
 			// interned before its postings, and dead is kept the same
 			// length.
@@ -56,9 +55,13 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match
 			m.verifyWall.Add(int64(time.Since(verifyStart)))
 		}
 		if index {
-			m.appendAndIndex(ts, probe)
+			m.mu.Lock()
+			m.index(m.intern(ts))
+			m.mu.Unlock()
 		}
 	}
-	m.countVerify(verified, pruned, sigPruned)
+	addNonZero(&m.verified, verified)
+	addNonZero(&m.budgetPruned, pruned)
+	addNonZero(&m.sigPruned, sigPruned)
 	return out
 }

@@ -3,9 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/corpus"
 	"repro/internal/token"
@@ -13,10 +11,11 @@ import (
 
 // NewShardedFromCorpus builds a concurrent matcher over a persistent
 // corpus: the matcher adopts a view of the corpus's token space as its own
-// (ids are the corpus's StringIDs and token ids, and nothing is
-// re-interned) and bulk-indexes its live strings (index-only — warm
-// loading never generates or verifies candidates, so a restart costs one
-// linear pass over local state instead of re-serving the ingest traffic).
+// (ids are the corpus's StringIDs and token ids, its frequencies the
+// corpus's live ones, and nothing is re-interned) and bulk-indexes its
+// live strings (index-only — warm loading never generates or verifies
+// candidates, so a restart costs one linear pass over local state
+// instead of re-serving the ingest traffic).
 // The matcher stays attached: every subsequent Add/AddAll first appends
 // to the corpus WAL — durability precedes visibility — then indexes.
 // Tombstoned corpus ids keep their slot in the id space but are neither
@@ -35,83 +34,19 @@ func NewShardedFromCorpus(opt Options, shards int, pc *corpus.Corpus) (*ShardedM
 	return m, nil
 }
 
-// warmLoad is the one warm load. The view's token space becomes the
-// matcher's: its Freq holds the live document frequencies, which are
-// what indexing the live strings one by one would have counted, and the
-// matcher's own adds count on from there. Prefix marking runs chunked
-// across GOMAXPROCS workers, and the index insertion runs one goroutine
-// per shard — each walks the live strings in ascending sid order and
-// takes only the token ids it owns, so every posting list comes out in
-// sid order, as one insert per string in sid order would leave it. An
-// empty corpus (every fresh data directory) loads nothing.
-//
-// Without a max-frequency cutoff, each string's probe is prefix-marked by
-// markPrefix against the view's live document frequencies, so tokens
-// that sit in no string's prefix are never segment-indexed. That order
-// is not the one the live-ingest path saw, which costs nothing: the
-// storage-pruning argument (tokenIndex.insert) never consults the order.
+// warmLoad adopts the view's token space, whose Freq holds the live
+// document frequencies, and indexes its live strings through the one
+// insertion routine, index(0). An empty corpus (every fresh data
+// directory) loads nothing.
 func (m *ShardedMatcher) warmLoad(v *corpus.View) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tc = v.TC
-	n := len(v.Alive)
-	m.dead = make([]bool, n)
+	m.dead = make([]bool, len(v.Alive))
 	for sid, alive := range v.Alive {
 		m.dead[sid] = !alive
-		if alive && v.TC.Strings[sid].Count() == 0 {
-			m.emptyIDs = append(m.emptyIDs, int32(sid))
-		}
 	}
-	// Prefix marks, parallel over sid chunks; probes[sid] lists string
-	// sid's distinct tokens in Members order.
-	var probes [][]probeToken
-	var wg sync.WaitGroup
-	if m.opt.MaxTokenFreq <= 0 && !m.opt.ExactTokensOnly {
-		probes = make([][]probeToken, n)
-		workers := max(1, min(runtime.GOMAXPROCS(0), n))
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var freqs []int32
-				var keys []int64
-				for sid := lo; sid < hi; sid++ {
-					ts := v.TC.Strings[sid]
-					if !v.Alive[sid] || ts.Count() == 0 {
-						continue
-					}
-					freqs = freqs[:0]
-					for _, tid := range v.TC.Members[sid] {
-						freqs = append(freqs, v.TC.Freq[tid])
-					}
-					probes[sid] = distinctProbe(ts)
-					markPrefix(probes[sid], freqs, m.opt.Threshold, ts, &keys)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// Insertion, parallel over shards, ascending sid within each.
-	nShards := token.TokenID(len(m.shards))
-	for _, ix := range m.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sid, mem := range v.TC.Members {
-				if !v.Alive[sid] {
-					continue
-				}
-				for i, tid := range mem {
-					if tid%nShards == ix.shard {
-						ix.insert(m.tc, tid, probes != nil && probes[sid][i].nonPrefix, int32(sid))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	m.index(0)
 }
 
 // Delete tombstones a string in the live index (it stops matching
@@ -133,19 +68,21 @@ func (m *ShardedMatcher) Delete(id int) error {
 			return err
 		}
 	}
+	m.mu.Lock()
+	m.dead = slices.Clone(m.dead)
 	m.tombstone(id)
+	m.mu.Unlock()
 	return nil
 }
 
-// tombstone marks a live id dead in the index and counts it toward the
-// next posting sweep. The caller holds addMu.
+// tombstone marks a live id dead, uncounts it from the live document
+// frequencies (token.Corpus.Forget, as the durable corpus does) and
+// counts it toward the next posting sweep. The caller holds addMu and
+// mu's write lock, and has replaced dead with a copy of its own since
+// it last released mu: verification holds snapshots of dead.
 func (m *ShardedMatcher) tombstone(id int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Copy-on-write: verification holds snapshots of dead.
-	dead := append([]bool(nil), m.dead...)
-	dead[id] = true
-	m.dead = dead
+	m.tc.Forget(token.StringID(id))
+	m.dead[id] = true
 	if m.tc.Strings[id].Count() == 0 {
 		m.emptyIDs = slices.DeleteFunc(m.emptyIDs, func(e int32) bool { return e == int32(id) })
 	}
@@ -181,11 +118,12 @@ func (m *ShardedMatcher) maybeSweepTombstones() {
 
 // ApplyShipped applies a batch of payloads shipped from a primary's
 // corpus to a corpus-backed matcher: the batch is one corpus commit
-// (corpus.ApplyShipped), and then, in order, its adds are indexed
-// WITHOUT matching — a standby serves queries, it does not generate
-// match results for replicated arrivals — and its deletes tombstone.
-// Applying the primary's committed record stream in order reproduces
-// its id space, alive mask and LSN exactly.
+// (corpus.ApplyShipped). Then, under one write lock, its adds are
+// interned and its deletes tombstoned in order, and the batch's live
+// adds are indexed in one index call, WITHOUT matching — a standby
+// serves queries, it does not generate match results for replicated
+// arrivals. Applying the primary's committed record stream in order
+// reproduces its id space, alive mask, LSN and frequencies exactly.
 func (m *ShardedMatcher) ApplyShipped(payloads ...[]byte) error {
 	if m.corpus == nil {
 		return errors.New("stream: shipped records need an attached corpus")
@@ -196,19 +134,20 @@ func (m *ShardedMatcher) ApplyShipped(payloads ...[]byte) error {
 		return err
 	}
 	recs, err := m.corpus.ApplyShipped(payloads)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	first := len(m.tc.Strings)
+	if slices.ContainsFunc(recs, func(r corpus.Record) bool { return r.Delete }) {
+		m.dead = slices.Clone(m.dead) // once per batch; see tombstone
+	}
 	for _, r := range recs {
 		if r.Delete {
 			m.tombstone(int(r.SID))
-			continue
+		} else {
+			m.intern(r.TS)
 		}
-		// Priced and prefix-marked like a live Add's probe, so the
-		// standby's index keeps the primary's lazy segment-storage shape.
-		probe := distinctProbe(r.TS)
-		m.mu.RLock()
-		m.markProbe(r.TS, probe)
-		m.mu.RUnlock()
-		m.appendAndIndex(r.TS, probe)
 	}
+	m.index(first)
 	return err
 }
 

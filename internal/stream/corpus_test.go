@@ -1,11 +1,14 @@
 package stream
 
 import (
+	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/namegen"
+	"repro/internal/nsldtest"
 	"repro/internal/token"
 )
 
@@ -391,5 +394,164 @@ func TestRestartEquivalenceWarmLoad(t *testing.T) {
 	}
 	if got := m.Query(names[0]); len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("empty corpus: query after the first add: %v", got)
+	}
+}
+
+// TestRestartEquivalenceDeletes: a matcher answers by one frequency rule
+// however it was built. One seeded Add/Delete/Query script runs at
+// M ∈ {0, 1, 2} on 1 and 3 shards through five builds: an in-memory
+// matcher; one attached to a durable corpus; one attached and restarted
+// at the script's midpoint; a standby fed the primary's ShipFrom batches
+// (applied before each query, so a batch mixes adds, deletes and deletes
+// of its own adds, and held back over the script's second eighth to
+// midpoint, so one batch is long enough for index to fan out); and a
+// standby installed from the primary's SnapshotBytes at the midpoint,
+// then fed before each query. Every answer —
+// a writer's Add and Query, a standby's Query — must equal
+// nsldtest.Cutoff.Matches over the strings live before the op
+// (cutoffModel), and after every op an attached matcher's frequencies
+// must equal its corpus's. Tombstone sweeps run every few deletes.
+func TestRestartEquivalenceDeletes(t *testing.T) {
+	defer func(old int) { sweepMinDeletes = old }(sweepMinDeletes)
+	sweepMinDeletes = 4
+	names := namegen.Generate(namegen.Config{Seed: 66, NumNames: 200})
+	names[11], names[90] = "...", "--"
+	ops := deleteScript(names, 67)
+	const th = 0.2
+	for _, maxFreq := range []int{0, 1, 2} {
+		// want[i] is the model's answer to op i, an add or a query.
+		md := &cutoffModel{o: nsldtest.Cutoff{T: th, M: maxFreq}}
+		want := make([][]Match, len(ops))
+		for i, op := range ops {
+			ts := token.WhitespaceAndPunct(op.name)
+			switch op.kind {
+			case 'a':
+				want[i] = md.matches(ts)
+				md.add(ts)
+			case 'd':
+				md.dead[op.id] = true
+			case 'q':
+				want[i] = md.matches(ts)
+			}
+		}
+		for _, shards := range []int{1, 3} {
+			for _, build := range []string{"memory", "durable", "restarted", "shipped", "installed"} {
+				t.Run(fmt.Sprintf("M=%d/shards=%d/%s", maxFreq, shards, build), func(t *testing.T) {
+					replayDeletes(t, build, Options{Threshold: th, MaxTokenFreq: maxFreq}, shards, ops, want)
+				})
+			}
+		}
+	}
+}
+
+// replayDeletes runs ops through one build of TestRestartEquivalenceDeletes
+// and checks every answer against want.
+func replayDeletes(t *testing.T, build string, opt Options, shards int, ops []scriptOp, want [][]Match) {
+	open := func(dir string) (*ShardedMatcher, *corpus.Corpus) {
+		pc, err := corpus.Open(dir, corpus.Options{DisableSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewShardedFromCorpus(opt, shards, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, pc
+	}
+	closeBoth := func(m *ShardedMatcher, pc *corpus.Corpus) {
+		m.Close()
+		if err := pc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkFreq := func(what string, i int, m *ShardedMatcher, pc *corpus.Corpus) {
+		m.mu.RLock()
+		got := slices.Clone(m.tc.Freq)
+		m.mu.RUnlock()
+		if want := pc.View().TC.Freq; !slices.Equal(got, want) {
+			t.Fatalf("op %d: %s frequencies %v, corpus %v", i, what, got, want)
+		}
+	}
+	// w takes the writes and answers them; sb, when set, is a standby of w
+	// that answers the queries.
+	var w, sb *ShardedMatcher
+	var wpc, sbpc *corpus.Corpus
+	wdir, sbdir := t.TempDir(), t.TempDir()
+	if build == "memory" {
+		w = newMatcher(t, opt, shards)
+	} else {
+		w, wpc = open(wdir)
+	}
+	if build == "shipped" {
+		sb, sbpc = open(sbdir)
+	}
+	defer func() {
+		if wpc != nil {
+			closeBoth(w, wpc)
+		}
+		if sb != nil {
+			closeBoth(sb, sbpc)
+		}
+	}()
+	catchUp := func(i int) {
+		for {
+			batch, err := wpc.ShipFrom(sbpc.LSN(), 0, 0)
+			if err != nil {
+				t.Fatalf("op %d: ShipFrom: %v", i, err)
+			}
+			if len(batch) == 0 {
+				return
+			}
+			if err := sb.ApplyShipped(batch...); err != nil {
+				t.Fatalf("op %d: ApplyShipped: %v", i, err)
+			}
+			checkFreq("standby", i, sb, sbpc)
+		}
+	}
+	for i, op := range ops {
+		if i == len(ops)/2 {
+			switch build {
+			case "restarted":
+				closeBoth(w, wpc)
+				w, wpc = open(wdir)
+			case "installed":
+				raw, _ := wpc.SnapshotBytes()
+				snap, err := corpus.CheckSnapshot(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := corpus.Install(sbdir, snap, corpus.Options{DisableSync: true}); err != nil {
+					t.Fatal(err)
+				}
+				sb, sbpc = open(sbdir)
+				checkFreq("installed standby", i, sb, sbpc)
+			}
+		}
+		switch op.kind {
+		case 'a':
+			if id, got := w.Add(op.name); id < 0 || !matchesEqual(want[i], got) {
+				t.Fatalf("op %d: Add %q = %d, %v; want %v", i, op.name, id, got, want[i])
+			}
+		case 'd':
+			if err := w.Delete(op.id); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		case 'q':
+			q, who := w, "writer"
+			lagging := build == "shipped" && i >= len(ops)/8 && i < len(ops)/2
+			if sb != nil && !lagging {
+				catchUp(i)
+				q, who = sb, "standby"
+			}
+			if got := q.Query(op.name); !matchesEqual(want[i], got) {
+				t.Fatalf("op %d: %s Query %q = %v; want %v", i, who, op.name, got, want[i])
+			}
+		}
+		if wpc != nil {
+			checkFreq("writer", i, w, wpc)
+		}
+	}
+	if st := w.Stats(); st.Sweeps == 0 {
+		t.Fatal("no tombstone sweep ran")
 	}
 }

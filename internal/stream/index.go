@@ -16,9 +16,8 @@ type probeToken struct {
 	// nonPrefix marks a token outside the string's threshold-derived
 	// prefix (its MaxErrors(T, L)+1 rarest distinct tokens under the
 	// frequency order — see markPrefix). The shared-token inverted-index
-	// lookup skips such tokens, the segment-index probe skips them
-	// (subject to the freq > M carve-out below), and segment *storage*
-	// skips them under the conditions in tokenIndex.insert.
+	// lookup skips such tokens, and the segment-index probe skips them
+	// (subject to the freq > M carve-out below).
 	nonPrefix bool
 }
 
@@ -94,27 +93,31 @@ func (ix *tokenIndex) slot(tid token.TokenID) (int, bool) {
 	return int(tid / ix.shards), tid%ix.shards == ix.shard
 }
 
-// insert registers string id under token tid of tc, which this shard
-// owns; nonPrefix is the token's prefix mark in that string.
+// prunesStorage reports whether insert honours prefix marks: with no
+// max-frequency cutoff and the similar-token path on.
 //
-// Storage-side segment pruning: with no max-frequency cutoff, a token's
-// segments enter segBuckets only once the token appears inside some
-// string's threshold-derived prefix (nonPrefix false), which shrinks the
-// segment index and the insert cost by the non-prefix share of the token
-// space. Lossless, whatever order priced the prefix (the warm load prices
-// every string against the corpus's final frequencies): see
-// prefilter.PrefixLen; the inverted index stores every token. Under a
-// finite cutoff M storage pruning is off: a token shared by a qualifying
-// pair can cross the cutoff between the insert and the probe, stranding
-// a pair whose segment witness was pruned at insert time.
+// Storage-side segment pruning: a token's segments enter segBuckets only
+// once the token appears inside some string's threshold-derived prefix
+// (nonPrefix false), which shrinks the segment index and the insert cost
+// by the non-prefix share of the token space. Lossless, whatever
+// frequencies priced the prefix (ShardedMatcher.index prices each range
+// against the frequencies of its own moment): see prefilter.PrefixLen;
+// the inverted index stores every token. Under a finite cutoff M storage
+// pruning is off: a token shared by a qualifying pair can cross the
+// cutoff between the insert and the probe, stranding a pair whose
+// segment witness was pruned at insert time.
+func (ix *tokenIndex) prunesStorage() bool { return ix.maxFreq <= 0 && !ix.exactOnly }
+
+// insert registers string id under token tid of tc, which this shard
+// owns; nonPrefix is the token's prefix mark in that string, which only
+// a storage-pruning shard (prunesStorage) reads.
 func (ix *tokenIndex) insert(tc *token.Corpus, tid token.TokenID, nonPrefix bool, id int32) {
 	slot, _ := ix.slot(tid)
 	for len(ix.postings) <= slot {
 		ix.postings = append(ix.postings, nil)
 		ix.segIndexed = append(ix.segIndexed, false)
 	}
-	storagePrune := ix.maxFreq <= 0 && !ix.exactOnly
-	if !ix.exactOnly && !ix.segIndexed[slot] && !(storagePrune && nonPrefix) {
+	if !ix.exactOnly && !ix.segIndexed[slot] && !(ix.prunesStorage() && nonPrefix) {
 		ix.segIndexed[slot] = true
 		ix.indexTokenSegments(tid, tc.TokenRunes[tid])
 	}
@@ -126,11 +129,11 @@ func (ix *tokenIndex) insert(tc *token.Corpus, tid token.TokenID, nonPrefix bool
 // removed. A token left with no postings is de-listed from the segment
 // index (its fingerprints are dropped and segIndexed cleared, so a
 // later re-appearance re-indexes it lazily); the token keeps its id.
-// Frequencies are deliberately NOT decremented (the matcher never calls
-// token.Corpus.Forget): the max-frequency gate and the prefix orders
-// judge insert-time observations, and rewriting history here would
-// change match results under a finite MaxTokenFreq rather than just
-// reclaim memory. The caller holds the matcher's write lock.
+// The sweep changes no answer and no frequency: the tombstone already
+// uncounted the string (token.Corpus.Forget), so the max-frequency gate
+// and the prefix orders read live document frequencies whether or not
+// a dead id still sits in some posting list. The caller holds the
+// matcher's write lock.
 func (ix *tokenIndex) sweepTombstones(dead []bool) int {
 	removed := 0
 	emptied := false

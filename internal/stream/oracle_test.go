@@ -229,36 +229,47 @@ func deleteScript(names []string, seed int64) []scriptOp {
 	return ops
 }
 
-// cutoffModel is the stream rule under deletes: every string added so far
-// counts toward the document frequencies, deleted or not, and a deleted
-// string is never answered.
+// cutoffModel is the stream rule under deletes: nsldtest.Cutoff over the
+// live strings, so a deleted string neither counts toward the document
+// frequencies nor is answered.
 type cutoffModel struct {
 	o    nsldtest.Cutoff
 	strs []token.TokenizedString
 	dead []bool
 }
 
+func (md *cutoffModel) add(ts token.TokenizedString) {
+	md.strs = append(md.strs, ts)
+	md.dead = append(md.dead, false)
+}
+
+// matches is the model's answer to x, arriving now.
 func (md *cutoffModel) matches(x token.TokenizedString) []Match {
-	var out []Match
-	for _, h := range md.o.Matches(x, md.strs) {
-		if !md.dead[h.ID] {
-			out = append(out, Match(h))
+	var live []token.TokenizedString
+	var ids []int
+	for id, s := range md.strs {
+		if !md.dead[id] {
+			live = append(live, s)
+			ids = append(ids, id)
 		}
+	}
+	var out []Match
+	for _, h := range md.o.Matches(x, live) {
+		h.ID = ids[h.ID]
+		out = append(out, Match(h))
 	}
 	return out
 }
 
 // TestOracleEquivalenceDeletes pins the stream's frequency semantics
-// under deletes: the matcher never uncounts a deleted string, so under a
-// finite cutoff M a deleted string still gates the tokens it held, while
-// it is never answered itself. An Add/Delete/Query script runs at
-// M ∈ {1, 2} on 1 and 3 shards, on an in-memory matcher and on one
-// warm-loaded from a corpus that ran the script's first half. Every
-// answer must be nsldtest.Cutoff's over the strings that count, less the
-// deleted ones: every string added so far, or for the warm-loaded
-// matcher the strings live at load plus the later adds (the corpus's
-// frequencies count live strings only). Tombstone sweeps run every few
-// deletes and must not change the counts either.
+// under deletes: a deleted string stops counting at once, so under a
+// finite cutoff M it no longer gates the tokens it held, and it is never
+// answered itself. An Add/Delete/Query script runs at M ∈ {1, 2} on 1
+// and 3 shards, on an in-memory matcher and on one warm-loaded from a
+// corpus that ran the script's first half. Every answer must be the
+// one rule's, cutoffModel's over the live strings, whichever way the
+// matcher was built. Tombstone sweeps run every few deletes and must not
+// change the counts.
 func TestOracleEquivalenceDeletes(t *testing.T) {
 	defer func(old int) { sweepMinDeletes = old }(sweepMinDeletes)
 	sweepMinDeletes = 4
@@ -285,11 +296,9 @@ func TestOracleEquivalenceDeletes(t *testing.T) {
 						switch op.kind {
 						case 'a':
 							_, err = pc.Add(op.name)
-							md.strs = append(md.strs, token.WhitespaceAndPunct(op.name))
-							md.dead = append(md.dead, false)
+							md.add(token.WhitespaceAndPunct(op.name))
 						case 'd':
 							err = pc.Delete(token.StringID(op.id))
-							md.strs[op.id] = token.TokenizedString{}
 							md.dead[op.id] = true
 						}
 						if err != nil {
@@ -312,8 +321,7 @@ func TestOracleEquivalenceDeletes(t *testing.T) {
 						if id != len(md.strs) || !matchesEqual(want, got) {
 							t.Fatalf("%s: op %d: Add %q = %d, %v; want %d, %v", label, i, op.name, id, got, len(md.strs), want)
 						}
-						md.strs = append(md.strs, ts)
-						md.dead = append(md.dead, false)
+						md.add(ts)
 					case 'd':
 						if err := m.Delete(op.id); err != nil {
 							t.Fatalf("%s: op %d: %v", label, i, err)

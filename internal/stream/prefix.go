@@ -8,17 +8,17 @@ import (
 )
 
 // markPrefix implements the streaming half of the threshold-aware prefix
-// filters: it flags every probe token outside the arriving string's
-// threshold-derived prefix so the shared-token inverted-index lookup
-// (prefix filter) and the segment-index probe (segment prefix filter) can
-// skip it. freqs[i] must hold the current document frequency of
-// probe[i] (0 for never-seen tokens) in the matcher's token space; the
-// order is the global rarest-first one, with the same deterministic
+// filters: it calls flag(i) for every distinct token i of ts outside the
+// string's threshold-derived prefix, so the shared-token inverted-index
+// lookup (prefix filter) and the segment-index probe (segment prefix
+// filter) can skip it, and segment storage may (tokenIndex.insert).
+// freqs[i] must hold the current document frequency of ts's i-th
+// distinct token (0 for never-seen tokens) in the matcher's token space;
+// the order is the global rarest-first one, with the same deterministic
 // tie-break as the batch engine (frequency ascending, then token
-// ascending — probe is sorted by token string, so the probe index breaks
-// frequency ties). keys is a
-// caller-owned scratch buffer, reused so steady-state selection
-// allocates nothing.
+// ascending — distinct tokens are listed in token order, so the index
+// breaks frequency ties). keys is a caller-owned scratch buffer, reused
+// so steady-state selection allocates nothing.
 //
 // Why one-sided probing is lossless for the shared-token path:
 // index-side strings keep all their tokens in the inverted index, and
@@ -46,9 +46,9 @@ import (
 // cutoff, with its witness carrier outside the prefix and so above the
 // cutoff too — is why the segment probe carves out tokens beyond the
 // cutoff (see tokenIndex.candidates).
-func markPrefix(probe []probeToken, freqs []int32, t float64, ts token.TokenizedString, keys *[]int64) {
-	p := prefilter.PrefixLen(t, ts.AggregateLen(), len(probe))
-	if p >= len(probe) {
+func markPrefix(freqs []int32, t float64, ts *token.TokenizedString, keys *[]int64, flag func(i int)) {
+	p := prefilter.PrefixLen(t, ts.AggregateLen(), len(freqs))
+	if p >= len(freqs) {
 		return // the prefix is the whole probe; nothing to skip
 	}
 	// Pack (freq, probe index) into one ordered key; sorting realizes the
@@ -61,6 +61,6 @@ func markPrefix(probe []probeToken, freqs []int32, t float64, ts token.Tokenized
 	*keys = ks
 	slices.Sort(ks)
 	for _, k := range ks[p:] {
-		probe[k&0xffffffff].nonPrefix = true
+		flag(int(k & 0xffffffff))
 	}
 }

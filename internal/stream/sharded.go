@@ -29,8 +29,14 @@ import (
 // in arrival order. One RWMutex guards the token space and every shard:
 // candidate generation (prefix marking and the shard fan-out) runs under
 // its read lock, so Queries run alongside each other, and a writer takes
-// the write lock only to intern and index one string, to tombstone one,
-// or to sweep. Verification runs outside the lock.
+// the write lock only to intern and index (index, the one insertion
+// routine of warm loads, shipped batches and adds), to tombstone, or to
+// sweep. Verification runs outside the lock.
+//
+// The token space's Freq holds the live document frequencies: a
+// tombstone forgets its string (token.Corpus.Forget), as the durable
+// corpus does, so the max-frequency gate and the prefix orders read the
+// same counts before and after a restart, and on a standby.
 //
 // Close releases the worker pool; the matcher must not be used after.
 type ShardedMatcher struct {
@@ -51,11 +57,10 @@ type ShardedMatcher struct {
 	deletesSinceSweep int
 	// mu guards tc, dead, emptyIDs and every shard. tc is the token space:
 	// its Strings are the matcher's strings by id, tombstoned ones
-	// included. The matcher never calls tc.Forget, so tc.Freq counts every
-	// string indexed since the load, deleted or not (see sweepTombstones).
-	// tc.Strings elements are immutable once appended and dead is replaced
-	// copy-on-write by Delete, so verification may keep snapshots of both
-	// after releasing mu.
+	// included, and its Freq counts the live ones. tc.Strings elements are
+	// immutable once appended and dead is replaced copy-on-write by
+	// tombstone, so verification may keep snapshots of both after
+	// releasing mu.
 	mu       sync.RWMutex
 	tc       *token.Corpus
 	dead     []bool
@@ -121,9 +126,9 @@ type ShardedStats struct {
 	CandGenWall time.Duration
 	VerifyWall  time.Duration
 	// TokensPerShard counts, per shard, the tokens it owns (shard i owns
-	// the token ids ≡ i mod Shards) that some indexed string has held.
-	// Token ids are dense, so the counts differ by at most one unless some
-	// token is held only by strings deleted before a warm load.
+	// the token ids ≡ i mod Shards) that some live string holds. Token
+	// ids are dense, so the counts differ by at most one until deletes
+	// leave some token held by no live string.
 	TokensPerShard []int
 	// Sweeps counts amortized tombstone sweeps; SweptEntries the dead
 	// posting entries they compacted away.
@@ -276,22 +281,73 @@ func (m *ShardedMatcher) addBatch(toks []token.TokenizedString) (first int, matc
 	return first, m.run(toks, true)
 }
 
-// appendAndIndex interns ts as the next id and indexes it on the shards
-// owning its distinct tokens; probe is ts's prefix-marked distinct probe,
-// which lists the tokens in the order of ts's Members. The caller holds
-// addMu or owns the matcher outright.
-func (m *ShardedMatcher) appendAndIndex(ts token.TokenizedString, probe []probeToken) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id := m.tc.Add(ts)
+// intern appends ts to the token space as the next id, live but not yet
+// indexed (see index), and returns the id. The caller holds mu's write
+// lock.
+func (m *ShardedMatcher) intern(ts token.TokenizedString) int {
 	m.dead = append(m.dead, false)
-	if ts.Count() == 0 {
-		m.emptyIDs = append(m.emptyIDs, int32(id))
+	return int(m.tc.Add(ts))
+}
+
+// indexFanOut is the shortest id range index spreads over the worker
+// pool; a shorter one — a live add, a small shipped batch — runs inline.
+const indexFanOut = 64
+
+// index is the one insertion routine: it indexes the live strings
+// [lo, n) of the token space, which the warm load (index(0)), a shipped
+// batch (index(first), once per batch) and a live add (index(id)) have
+// interned. Where storage pruning applies (tokenIndex.prunesStorage) it
+// first marks each string's prefix against the current frequencies; then
+// each shard inserts the tokens it owns in ascending id, so every posting
+// list stays in id order. A range of indexFanOut strings or more runs
+// both passes through the worker pool, one job per shard. The caller
+// holds mu's write lock.
+func (m *ShardedMatcher) index(lo int) {
+	hi := len(m.tc.Strings)
+	for id := lo; id < hi; id++ {
+		if !m.dead[id] && len(m.tc.Members[id]) == 0 {
+			m.emptyIDs = append(m.emptyIDs, int32(id))
+		}
+	}
+	jobs := len(m.shards)
+	if hi-lo < indexFanOut {
+		jobs = 1
+	}
+	// marks[id-lo][i] is the prefix mark of string id's i-th member.
+	var marks [][]bool
+	if m.shards[0].prunesStorage() {
+		marks = make([][]bool, hi-lo)
+		m.pool.each(jobs, func(j int) {
+			var freqs []int32
+			var keys []int64
+			for id := lo + j*(hi-lo)/jobs; id < lo+(j+1)*(hi-lo)/jobs; id++ {
+				mem := m.tc.Members[id]
+				if m.dead[id] || len(mem) == 0 {
+					continue
+				}
+				freqs = freqs[:0]
+				for _, tid := range mem {
+					freqs = append(freqs, m.tc.Freq[tid])
+				}
+				mk := make([]bool, len(mem))
+				markPrefix(freqs, m.opt.Threshold, &m.tc.Strings[id], &keys, func(i int) { mk[i] = true })
+				marks[id-lo] = mk
+			}
+		})
 	}
 	n := token.TokenID(len(m.shards))
-	for i, tid := range m.tc.Members[id] {
-		m.shards[tid%n].insert(m.tc, tid, probe[i].nonPrefix, int32(id))
-	}
+	m.pool.each(jobs, func(j int) {
+		for id := lo; id < hi; id++ {
+			if m.dead[id] {
+				continue
+			}
+			for i, tid := range m.tc.Members[id] {
+				if jobs == 1 || tid%n == token.TokenID(j) {
+					m.shards[tid%n].insert(m.tc, tid, marks != nil && marks[id-lo][i], int32(id))
+				}
+			}
+		}
+	})
 }
 
 // emptyMatches returns the live token-less strings: the matches of a
@@ -314,16 +370,17 @@ func verifyChunkCount(n, shards int) int {
 	return max(1, min(n/minPerChunk, shards))
 }
 
-// genCandidates marks the probe (markProbe) and fans it out to every
-// shard, merges, deduplicates and sorts the resulting candidate ids, and
-// folds the probe counters into the matcher's stats. The caller has
-// ruled out the empty probe.
-func (m *ShardedMatcher) genCandidates(ts token.TokenizedString, probe []probeToken) []int32 {
+// genCandidates builds ts's probe, marks it (markProbe) and fans it out
+// to every shard, merges, deduplicates and sorts the resulting candidate
+// ids, and folds the probe counters into the matcher's stats. The caller
+// has ruled out the empty probe.
+func (m *ShardedMatcher) genCandidates(ts token.TokenizedString) []int32 {
 	// ---- Generate: fan out to the shards --------------------------------
 	genStart := time.Now()
 	defer func() { m.candGenWall.Add(int64(time.Since(genStart))) }()
 	// Every shard resolves the marked probe under the one read lock, so
 	// the max-frequency gate judges the frequencies the marking used.
+	probe := distinctProbe(ts)
 	perShard := make([][]int32, len(m.shards))
 	perCtr := make([]probeCounters, len(m.shards))
 	m.mu.RLock()
@@ -343,21 +400,11 @@ func (m *ShardedMatcher) genCandidates(ts token.TokenizedString, probe []probeTo
 	// segPrefixPruned is a per-probe-token count and every shard skips
 	// the same pruned tokens; count them once, not once per shard.
 	pctr.segPrefixPruned = perCtr[0].segPrefixPruned
-	if pctr.prefixPruned > 0 {
-		m.prefixPruned.Add(pctr.prefixPruned)
-	}
-	if pctr.segPrefixPruned > 0 {
-		m.segPrefixPruned.Add(pctr.segPrefixPruned)
-	}
-	if pctr.segKeysProbed > 0 {
-		m.segKeysProbed.Add(pctr.segKeysProbed)
-	}
-	if pctr.segTokensChecked > 0 {
-		m.segTokensChecked.Add(pctr.segTokensChecked)
-	}
-	if pctr.segTokensSimilar > 0 {
-		m.segTokensSimilar.Add(pctr.segTokensSimilar)
-	}
+	addNonZero(&m.prefixPruned, pctr.prefixPruned)
+	addNonZero(&m.segPrefixPruned, pctr.segPrefixPruned)
+	addNonZero(&m.segKeysProbed, pctr.segKeysProbed)
+	addNonZero(&m.segTokensChecked, pctr.segTokensChecked)
+	addNonZero(&m.segTokensSimilar, pctr.segTokensSimilar)
 
 	// ---- Merge and deduplicate ------------------------------------------
 	cands := perShard[0]
@@ -373,8 +420,7 @@ func (m *ShardedMatcher) genCandidates(ts token.TokenizedString, probe []probeTo
 
 // markProbe stamps each probe token's id in the token space, prices the
 // probe against the live frequencies and flags the tokens the prefix
-// filters may skip at lookup and storage time (markPrefix). The caller
-// holds mu.
+// filters may skip at lookup time (markPrefix). The caller holds mu.
 func (m *ShardedMatcher) markProbe(ts token.TokenizedString, probe []probeToken) {
 	freqs := make([]int32, len(probe))
 	for i := range probe {
@@ -386,20 +432,14 @@ func (m *ShardedMatcher) markProbe(ts token.TokenizedString, probe []probeToken)
 	// keys is per-call: Queries mark concurrently under the read lock, so
 	// the scratch cannot live on the matcher.
 	var keys []int64
-	markPrefix(probe, freqs, m.opt.Threshold, ts, &keys)
+	markPrefix(freqs, m.opt.Threshold, &ts, &keys, func(i int) { probe[i].nonPrefix = true })
 }
 
-// countVerify folds one verify pass's funnel into the stats, touching
-// only the atomics whose count moved.
-func (m *ShardedMatcher) countVerify(verified, budgetPruned, sigPruned int64) {
-	if verified > 0 {
-		m.verified.Add(verified)
-	}
-	if budgetPruned > 0 {
-		m.budgetPruned.Add(budgetPruned)
-	}
-	if sigPruned > 0 {
-		m.sigPruned.Add(sigPruned)
+// addNonZero folds a count into a stats counter, touching the atomic
+// only when the count moved.
+func addNonZero(c *atomic.Int64, v int64) {
+	if v != 0 {
+		c.Add(v)
 	}
 }
 

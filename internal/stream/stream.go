@@ -20,14 +20,16 @@
 // unlimited token frequency: Add(i) returns precisely the earlier strings
 // within the threshold of string i, which the tests check against the
 // naive all-pairs join in internal/nsldtest; in every configuration it
-// returns exactly nsldtest.Cutoff's stream rule.
+// returns exactly nsldtest.Cutoff's stream rule over the live strings.
 //
 // There is one implementation, ShardedMatcher (sharded.go). It interns
 // every string into one token space, a token.Corpus (adopted from the
-// durable corpus on a warm load), partitions the index (tokenIndex in
-// index.go) by token id across N shards, and serves concurrent Add/Query
-// traffic through a worker pool under one read/write lock. At one shard
-// it runs every job inline on the caller's goroutine.
+// durable corpus on a warm load) whose frequencies count the live
+// strings, partitions the index (tokenIndex in index.go) by token id
+// across N shards, and serves concurrent Add/Query traffic through a
+// worker pool under one read/write lock. One routine, index, inserts
+// into the shards for a warm load, a shipped batch and an add alike. At
+// one shard it runs every job inline on the caller's goroutine.
 package stream
 
 import (
@@ -40,16 +42,18 @@ import (
 type Options struct {
 	// Threshold is the NSLD threshold T in [0, 1).
 	Threshold float64
-	// MaxTokenFreq is M: tokens seen in more than M strings stop
-	// generating candidates (0 = unlimited). Matching remains exact for
-	// pairs that also share a rarer token or a similar token.
+	// MaxTokenFreq is M: tokens held by more than M live strings stop
+	// generating candidates (0 = unlimited). A deleted string stops
+	// counting at once. Matching remains exact for pairs that also share
+	// a rarer token or a similar token.
 	MaxTokenFreq int
-	// Greedy switches verification to greedy-token-aligning.
+	// Greedy switches verification to greedy-token-aligning (faster,
+	// recall may drop, never false positives).
 	Greedy bool
 	// ExactTokensOnly disables the similar-token path (the
 	// exact-token-matching approximation).
 	ExactTokensOnly bool
-	// Tokenizer defaults to whitespace+punctuation.
+	// Tokenizer overrides the default whitespace+punctuation tokenizer.
 	Tokenizer token.Tokenizer
 }
 

@@ -46,10 +46,13 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	bipartite := src.split >= 0
 	split := token.StringID(src.split)
 	st := &Stats{}
-	ver := newVerifier(c, opts)
+	// Every job runs on the same worker count, resolved once, so the
+	// verifier's per-worker engines cover the verify job's workers.
+	workers := mapreduce.Config{Parallelism: opts.Parallelism}.Workers()
 	engCfg := func(name string) mapreduce.Config {
-		return mapreduce.Config{Name: name, MapTasks: opts.MapTasks, Parallelism: opts.Parallelism}
+		return mapreduce.Config{Name: name, MapTasks: opts.MapTasks, Parallelism: workers}
 	}
+	ver := newVerifier(c, opts, workers)
 
 	// Live string ids, the universal job input.
 	sids := make([]token.StringID, 0, c.NumStrings())

@@ -3,7 +3,6 @@ package tsj
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mapreduce"
@@ -13,18 +12,17 @@ import (
 // verifier is the filter+verify stage shared by both dedup strategies. The
 // corpus acts as the distributed cache the paper resolves identifiers
 // against ("the tokenized-string identifiers are resolved to the tokenized
-// strings", Sec. III-F). Reducers borrow a verification engine (scratch
-// matrices, Hungarian state) per reduce key, so concurrent reducers never
-// share one, at most one engine per reduce worker is ever built, and
-// steady-state verification allocates nothing per pair. Funnel counters
-// accumulate on the engines and are folded into the join's Stats by fold.
+// strings", Sec. III-F). Each reduce worker owns one verification engine
+// (scratch matrices, Hungarian state), built on its first key, so
+// concurrent reducers never share one and steady-state verification
+// allocates nothing per pair. Funnel counters accumulate on the engines
+// and are folded into the join's Stats by fold.
 type verifier struct {
 	corpus *token.Corpus
 	opts   Options
-	// mu guards idle: the engines no reducer is borrowing right now —
-	// after the job, every engine built.
-	mu   sync.Mutex
-	idle []*pairVerifier
+	// engines[w] is reduce worker w's engine (mapreduce.ReduceCtx.Worker);
+	// nil until that worker's first key.
+	engines []*pairVerifier
 }
 
 // pairVerifier is one worker's verification state: the threshold-aware
@@ -35,36 +33,28 @@ type pairVerifier struct {
 	lengthPruned, lbPruned, verified, budgetPruned, results int64
 }
 
-// newVerifier builds the stage from the join options.
-func newVerifier(c *token.Corpus, opts Options) *verifier {
-	return &verifier{corpus: c, opts: opts}
+// newVerifier builds the stage from the join options for jobs of the
+// given worker count (mapreduce.Config.Workers).
+func newVerifier(c *token.Corpus, opts Options, workers int) *verifier {
+	return &verifier{corpus: c, opts: opts, engines: make([]*pairVerifier, workers)}
 }
 
-// get borrows an idle engine, building one when every engine is in use.
-// The options that choose how a pair is verified are read here and
-// nowhere else: the core engine decides from them.
-func (v *verifier) get() *pairVerifier {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if n := len(v.idle); n > 0 {
-		pv := v.idle[n-1]
-		v.idle = v.idle[:n-1]
-		return pv
+// engine returns the engine of the worker running ctx, building it on the
+// worker's first key. The options that choose how a pair is verified are
+// read here and nowhere else: the core engine decides from them.
+func (v *verifier) engine(ctx *mapreduce.ReduceCtx[Result]) *pairVerifier {
+	pv := v.engines[ctx.Worker()]
+	if pv == nil {
+		pv = &pairVerifier{v: core.Verifier{Greedy: v.opts.Aligning == GreedyAligning}}
+		v.engines[ctx.Worker()] = pv
 	}
-	return &pairVerifier{v: core.Verifier{Greedy: v.opts.Aligning == GreedyAligning}}
-}
-
-// put returns an engine borrowed with get.
-func (v *verifier) put(pv *pairVerifier) {
-	v.mu.Lock()
-	v.idle = append(v.idle, pv)
-	v.mu.Unlock()
+	return pv
 }
 
 // verifyKey is the one verification entry of the dedup reducers: it
 // de-duplicates reduce key k's partner list (sorting it in place), runs
 // the Sec. III-E filters and the cost accounting on every distinct pair,
-// verifies the survivors (Sec. III-F) on a borrowed engine and emits the
+// verifies the survivors (Sec. III-F) on the worker's engine and emits the
 // qualifying ones through ctx. Each pair (a, b), a < b, verifies as
 // Verify(Strings[a], Strings[b]) whichever side the grouping rule keyed
 // it on: the row-minima abort walks the first string's rows, so whether a
@@ -73,7 +63,7 @@ func (v *verifier) put(pv *pairVerifier) {
 func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *mapreduce.ReduceCtx[Result]) {
 	slices.Sort(partners)
 	partners = slices.Compact(partners)
-	pv := v.get()
+	pv := v.engine(ctx)
 	for _, p := range partners {
 		a, b := normPair(k, p)
 		x, y := &v.corpus.Strings[a], &v.corpus.Strings[b]
@@ -89,7 +79,6 @@ func (v *verifier) verifyKey(k token.StringID, partners []token.StringID, ctx *m
 			ctx.Emit(Result{A: a, B: b, SLD: sld, NSLD: core.NSLDFromSLD(sld, x.AggregateLen(), y.AggregateLen())})
 		}
 	}
-	v.put(pv)
 }
 
 // admit runs the Sec. III-E filters on candidate (x, y) and, when it
@@ -124,10 +113,12 @@ func (v *verifier) admit(x, y *token.TokenizedString, pv *pairVerifier, ctx *map
 }
 
 // fold adds every engine's funnel counters to st. Callers run it once,
-// after the verify job's mapreduce.Run returns, when every engine is idle
-// again.
+// after the verify job's mapreduce.Run returns.
 func (v *verifier) fold(st *Stats) {
-	for _, pv := range v.idle {
+	for _, pv := range v.engines {
+		if pv == nil {
+			continue
+		}
 		st.LengthPruned += pv.lengthPruned
 		st.LBPruned += pv.lbPruned
 		st.Verified += pv.verified

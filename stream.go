@@ -15,21 +15,10 @@ type Matcher struct {
 	m *stream.ShardedMatcher
 }
 
-// MatcherOptions configures an incremental Matcher.
-type MatcherOptions struct {
-	// Threshold is the NSLD threshold T in [0, 1).
-	Threshold float64
-	// MaxTokenFreq is M (0 = unlimited); see Options.MaxTokenFreq.
-	MaxTokenFreq int
-	// Greedy switches verification to greedy-token-aligning (faster,
-	// recall may drop, never false positives).
-	Greedy bool
-	// ExactTokensOnly disables the similar-token candidate path (the
-	// exact-token-matching approximation).
-	ExactTokensOnly bool
-	// Tokenizer overrides the default whitespace+punctuation tokenizer.
-	Tokenizer Tokenizer
-}
+// MatcherOptions configures an incremental Matcher: the NSLD threshold,
+// the max-frequency cutoff M over the live strings, the aligner, the
+// exact-token-matching approximation and the tokenizer.
+type MatcherOptions = stream.Options
 
 // Match is one incremental hit: the earlier string's sequence number and
 // the verified distances.
@@ -37,7 +26,7 @@ type Match = stream.Match
 
 // NewMatcher creates an empty incremental matcher.
 func NewMatcher(opts MatcherOptions) (*Matcher, error) {
-	m, err := stream.NewShardedMatcher(streamOptions(opts), 1)
+	m, err := stream.NewShardedMatcher(opts, 1)
 	if err != nil {
 		return nil, err
 	}
