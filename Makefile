@@ -89,14 +89,14 @@ bench-corpus:
 	$(GO) test -run='^$$' -bench='CorpusAdd|SnapshotLoad|WALReplay' -benchtime=1x -benchmem ./internal/corpus/
 
 equivalence-guard:
-	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestInstallEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestSharedTokenLengthWindow|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestOracleEquivalence TestOracleEquivalenceDeletes TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestRestartEquivalenceDeletes TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestSharedTokenLengthWindow TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback FuzzLevenshteinBoundedU16; do \
+	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestInstallEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestSharedTokenLengthWindow|TestAttachedCorpusRefusesDirectWrites|TestAttachedMatcherSharesTokenSpace|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
+	for pat in TestOracleEquivalence TestOracleEquivalenceDeletes TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestRestartEquivalenceDeletes TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestSharedTokenLengthWindow TestAttachedCorpusRefusesDirectWrites TestAttachedMatcherSharesTokenSpace TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback FuzzLevenshteinBoundedU16; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (naive-join oracle + stream frequencies under deletes + pair orientation + bounded + prefix + segment-prefix + restart + one frequency rule across restart/ship/install + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + shared-token length window + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths): ok"
+	echo "equivalence guard (naive-join oracle + stream frequencies under deletes + pair orientation + bounded + prefix + segment-prefix + restart + one frequency rule across restart/ship/install + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + shared-token length window + attached corpus refuses direct writes + one token space per durable node + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

@@ -41,16 +41,16 @@ func NewConcurrentMatcher(opts ConcurrentMatcherOptions) (*ConcurrentMatcher, er
 // persistent corpus: every string already in the corpus is bulk-loaded
 // into the index (no matching, no verification — a restart costs one
 // linear pass over local state), ids are the corpus ids, and the matcher
-// stays attached: each subsequent Add/AddAll appends to the corpus WAL
-// before the string becomes visible, so the matcher can always be
-// rebuilt, byte-identically, from the directory it left behind.
+// stays attached. It shares the corpus's token space, so each string is
+// interned once, by the corpus, and each subsequent Add/AddAll/Delete is
+// one corpus commit, durable before the change becomes visible, so the
+// matcher can always be rebuilt, byte-identically, from the directory it
+// left behind.
 //
-// While a matcher is attached, route all writes through it: an Add
-// straight to the corpus desynchronizes the id spaces (the matcher
-// detects this and fails the next durable add), and a Corpus.Delete
-// alone leaves the live index serving the string until the next restart
-// (use ConcurrentMatcher.Delete). Close the matcher before closing the
-// corpus.
+// While the matcher is attached it owns the corpus's write path: the
+// corpus's own Add, AddBatch and Delete fail with ErrAttached. A corpus
+// takes one matcher at a time. Close the matcher, which detaches it,
+// before closing the corpus.
 func NewConcurrentMatcherFromCorpus(c *Corpus, opts ConcurrentMatcherOptions) (*ConcurrentMatcher, error) {
 	m, err := stream.NewShardedFromCorpus(opts.MatcherOptions, opts.Shards, c.c)
 	if err != nil {
@@ -87,9 +87,9 @@ func (m *ConcurrentMatcher) AddAllDurable(names []string) (first int, matches []
 }
 
 // Delete tombstones a string: it stops matching immediately, and on a
-// corpus-backed matcher the delete is WAL-durable. Always delete through
-// the matcher while one is attached — Corpus.Delete alone would leave
-// the live index serving the string until the next restart.
+// corpus-backed matcher the delete is WAL-durable. It is the one delete
+// path while a matcher is attached: Corpus.Delete then fails with
+// ErrAttached.
 func (m *ConcurrentMatcher) Delete(id int) error { return m.m.Delete(id) }
 
 // Query matches s against everything added so far without indexing it.
@@ -137,5 +137,7 @@ func (m *ConcurrentMatcher) Shards() int { return m.m.Shards() }
 // Stats snapshots the matcher's state and traffic counters.
 func (m *ConcurrentMatcher) Stats() MatcherStats { return m.m.Stats() }
 
-// Close stops the worker pool. The matcher must not be used afterwards.
+// Close stops the worker pool and detaches the matcher from its corpus,
+// which then takes direct writes again. The matcher must not be used
+// afterwards.
 func (m *ConcurrentMatcher) Close() { m.m.Close() }

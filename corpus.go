@@ -19,6 +19,12 @@ var ErrNotFound = corpus.ErrNotFound
 // Snapshot), which rotates to a fresh on-disk generation.
 var ErrDegraded = corpus.ErrDegraded
 
+// ErrAttached marks a write (Add, AddBatch, Delete) to a Corpus that a
+// ConcurrentMatcher is attached to (NewConcurrentMatcherFromCorpus): the
+// matcher owns the corpus's write path until it is closed, so the write
+// fails at once and changes nothing. Write through the matcher instead.
+var ErrAttached = corpus.ErrAttached
+
 // ErrShipBehind and ErrShipAhead report a ShipFrom offset the corpus
 // cannot serve incrementally — older than the retained ship log, or
 // beyond the committed LSN (a diverged follower). Either way the
@@ -36,9 +42,12 @@ var (
 // frequencies, and its joins read them; each join derives its own prefix
 // order from them, as the package-level joins do.
 //
-// All methods are safe for concurrent use. To serve live traffic over a
-// corpus, attach it to a matcher with NewConcurrentMatcherFromCorpus —
-// and then route all writes through the matcher.
+// All methods are safe for concurrent use; reads never wait on a write's
+// fsync. To serve live traffic over a corpus, attach it to a matcher
+// with NewConcurrentMatcherFromCorpus. The matcher shares the corpus's
+// token space — one per corpus, never a copy — and owns its write path:
+// until the matcher is closed, Add, AddBatch and Delete fail with
+// ErrAttached, and writes go through the matcher.
 type Corpus struct {
 	c *corpus.Corpus
 }
@@ -86,14 +95,16 @@ func OpenCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 }
 
 // Add appends one string durably and returns its id (dense, starting at
-// 0, stable across restarts).
+// 0, stable across restarts). It fails with ErrAttached while a matcher
+// is attached.
 func (c *Corpus) Add(name string) (int, error) {
 	id, err := c.c.Add(name)
 	return int(id), err
 }
 
 // AddBatch appends a batch as one commit, returning the first id of the
-// dense range the batch occupies.
+// dense range the batch occupies. It fails with ErrAttached while a
+// matcher is attached.
 func (c *Corpus) AddBatch(names []string) (int, error) {
 	toks := make([]token.TokenizedString, len(names))
 	tok := c.c.Tokenizer()
@@ -106,11 +117,9 @@ func (c *Corpus) AddBatch(names []string) (int, error) {
 
 // Delete durably tombstones a string: it stops participating in joins
 // and in matchers built later from this corpus; its id is never reused.
-// If a ConcurrentMatcher is currently attached (via
-// NewConcurrentMatcherFromCorpus), delete through the matcher instead —
-// ConcurrentMatcher.Delete updates the live index and the WAL together,
-// while this method alone leaves the attached index serving the string
-// until its next restart.
+// It fails with ErrAttached while a matcher is attached: delete through
+// ConcurrentMatcher.Delete, which updates the live index and the WAL
+// together.
 func (c *Corpus) Delete(id int) error { return c.c.Delete(token.StringID(id)) }
 
 // Len returns the total id space (live strings plus tombstones); Live

@@ -1,6 +1,7 @@
 package tsjoin
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -168,5 +169,44 @@ func TestConcurrentMatcherFromCorpus(t *testing.T) {
 	got := m2.Query("jonn smith")
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("warm-restart query differs: %v != %v", got, want)
+	}
+}
+
+// TestCorpusRefusesWritesWhileAttached: the Corpus write methods fail at
+// once with ErrAttached, and change nothing, while a ConcurrentMatcher is
+// attached; the matcher's writes go on, and its Close hands the write
+// path back.
+func TestCorpusRefusesWritesWhileAttached(t *testing.T) {
+	c, err := OpenCorpus(t.TempDir(), CorpusOptions{DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, err := NewConcurrentMatcherFromCorpus(c, ConcurrentMatcherOptions{MatcherOptions: MatcherOptions{Threshold: 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.AddDurable("john smith"); err != nil {
+		t.Fatal(err)
+	}
+	lsn := c.LSN()
+	if _, err := c.Add("jon smith"); !errors.Is(err, ErrAttached) {
+		t.Fatalf("Add: %v, want ErrAttached", err)
+	}
+	if _, err := c.AddBatch([]string{"a b"}); !errors.Is(err, ErrAttached) {
+		t.Fatalf("AddBatch: %v, want ErrAttached", err)
+	}
+	if err := c.Delete(0); !errors.Is(err, ErrAttached) {
+		t.Fatalf("Delete: %v, want ErrAttached", err)
+	}
+	if c.LSN() != lsn || c.Len() != 1 {
+		t.Fatalf("refused writes moved the corpus to LSN %d, Len %d", c.LSN(), c.Len())
+	}
+	if err := m.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if _, err := c.Add("jon smith"); err != nil {
+		t.Fatalf("Add after the matcher closed: %v", err)
 	}
 }

@@ -8,8 +8,12 @@
 //
 // The corpus keeps no prefix order of its own. A join over it derives the
 // rarest-first order from the live frequencies, exactly as a join over an
-// in-memory corpus does (prefilter.NewIndex), and a warm-loaded matcher
-// prices each string against the same frequencies.
+// in-memory corpus does (prefilter.NewIndex), and an attached matcher
+// prices each string against the same frequencies: it shares the
+// corpus's token space and owns its write path (Attach), so a node holds
+// one token space, and the corpus refuses direct writes meanwhile.
+// Readers take only the state lock and never wait on a commit's fsync
+// (see Corpus).
 package corpus
 
 import (
@@ -53,10 +57,17 @@ type Options struct {
 	ShipBufferRecords int
 }
 
-// Corpus is the durable corpus. All methods are safe for concurrent use;
-// mutations are serialized, and View captures a consistent point-in-time
-// read view that later mutations never disturb.
+// Corpus is the durable corpus. All methods are safe for concurrent use,
+// and View captures a consistent point-in-time read view that later
+// mutations never disturb. The log lock serializes the write path: a
+// commit holds it across its WAL append, its fsync, an attached matcher's
+// matching and the installs, and Sync, Snapshot, Compact, Recover and
+// Close take it too. The state lock mu guards what readers see and is
+// write-held only while records are installed (and indexed, by an
+// attached matcher), so readers never wait on an fsync or a match. Every
+// field it guards is written under both locks, so either lock reads it.
 type Corpus struct {
+	log sync.Mutex
 	mu  sync.RWMutex
 	dir string
 	opt Options
@@ -68,6 +79,9 @@ type Corpus struct {
 	tc    *token.Corpus
 	alive []bool
 	live  int
+	// attached, guarded by the log lock, is the matcher that shares the
+	// state and owns the write path (Attach).
+	attached *Attached
 
 	// ---- persistence ----------------------------------------------------
 	gen         uint64
@@ -309,9 +323,17 @@ var ErrNotFound = errors.New("unknown or already-deleted id")
 var ErrDegraded = errors.New("corpus degraded: write path sealed")
 
 // degradedErr renders the current degraded state as an ErrDegraded-
-// wrapped error. Caller holds at least the read lock; c.degraded != nil.
+// wrapped error. Caller holds either lock; c.degraded != nil.
 func (c *Corpus) degradedErr() error {
 	return fmt.Errorf("%w: %v", ErrDegraded, c.degraded)
+}
+
+// setDegraded seals (err != nil) or heals (nil) the write path. Caller
+// holds the log lock.
+func (c *Corpus) setDegraded(err error) {
+	c.mu.Lock()
+	c.degraded = err
+	c.mu.Unlock()
 }
 
 // noteWAL post-processes a failed WAL operation: if it left the writer
@@ -324,7 +346,7 @@ func (c *Corpus) noteWAL(err error) error {
 		return nil
 	}
 	if c.wal.broken != nil {
-		c.degraded = c.wal.broken
+		c.setDegraded(c.wal.broken)
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
 	return err
@@ -356,16 +378,14 @@ func (c *Corpus) Add(s string) (token.StringID, error) {
 // AddTokenizedBatch commits a batch of tokenized strings as one commit
 // and installs them, returning the first id (the batch occupies the
 // dense range [first, first+len(tss))). On a WAL failure nothing is
-// installed.
+// installed. While a matcher is attached it fails with ErrAttached.
 func (c *Corpus) AddTokenizedBatch(tss []token.TokenizedString) (token.StringID, error) {
 	recs := make([]Record, len(tss))
 	for i, ts := range tss {
-		recs[i] = Record{TS: ts, payload: encodeAdd(nil, ts)}
+		recs[i] = Record{TS: ts}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	first := token.StringID(len(c.alive))
-	if _, err := c.commit(recs); err != nil {
+	first, _, err := c.write(recs, nil, nil)
+	if err != nil {
 		return -1, err
 	}
 	return first, nil
@@ -373,11 +393,10 @@ func (c *Corpus) AddTokenizedBatch(tss []token.TokenizedString) (token.StringID,
 
 // Delete tombstones a string: it stops participating in joins, queries
 // and future snapshots. Deleting an unknown or already-deleted id is an
-// error (and is never logged).
+// error (and is never logged). While a matcher is attached it fails with
+// ErrAttached.
 func (c *Corpus) Delete(sid token.StringID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.commit([]Record{{Delete: true, SID: sid, payload: encodeDelete(nil, sid)}})
+	_, _, err := c.write([]Record{{Delete: true, SID: sid}}, nil, nil)
 	return err
 }
 
@@ -387,8 +406,19 @@ type Record struct {
 	Delete bool
 	TS     token.TokenizedString // add records
 	SID    token.StringID        // delete records
-	// payload is the record's WAL encoding, appended verbatim.
+	// payload is the record's WAL encoding, appended verbatim; commit
+	// encodes it when it is nil.
 	payload []byte
+}
+
+// write commits recs (see commit) under the log lock and returns the id
+// the first add takes, the committed prefix length and the error.
+func (c *Corpus) write(recs []Record, a *Attached, apply Apply) (token.StringID, int, error) {
+	c.log.Lock()
+	defer c.log.Unlock()
+	first := token.StringID(len(c.alive))
+	n, err := c.commit(recs, a, apply)
+	return first, n, err
 }
 
 // commit is the one path by which a mutation becomes durable. It
@@ -396,14 +426,22 @@ type Record struct {
 // id that is unknown or dead once the records before it apply — then
 // fsyncs by the one rule (when SyncEvery or more appends are pending,
 // checked once, at the end), and only then installs and ships that
-// prefix. It returns the prefix length and the invalid record's error;
-// a WAL failure rolls the whole batch back. Caller holds c.mu.
-func (c *Corpus) commit(recs []Record) (int, error) {
+// prefix (install). It returns the prefix length and the invalid
+// record's error; a WAL failure rolls the whole batch back. a and apply
+// are the attached matcher's, or nil for a direct write, which an
+// attached corpus refuses. Caller holds the log lock.
+func (c *Corpus) commit(recs []Record, a *Attached, apply Apply) (int, error) {
 	if c.closed {
 		return 0, errors.New("corpus: closed")
 	}
 	if c.degraded != nil {
 		return 0, c.degradedErr()
+	}
+	if c.attached != a {
+		return 0, ErrAttached
+	}
+	if a != nil && a.lags {
+		return 0, errors.New("corpus: the attached matcher's index lags its token space; reopen the corpus")
 	}
 	var invalid error
 	m, next := c.wal.mark(), len(c.alive) // next: the id the next add receives
@@ -415,7 +453,12 @@ func (c *Corpus) commit(recs []Record) (int, error) {
 			recs, invalid = recs[:i], fmt.Errorf("corpus: delete of id %d: %w", sid, ErrNotFound)
 			break
 		}
-		if err := c.wal.appendDeferred(r.payload); err != nil {
+		if r.payload == nil && r.Delete {
+			recs[i].payload = encodeDelete(nil, r.SID)
+		} else if r.payload == nil {
+			recs[i].payload = encodeAdd(nil, r.TS)
+		}
+		if err := c.wal.appendDeferred(recs[i].payload); err != nil {
 			// None of the batch was applied, so a replay must not see any
 			// of it (it would shift every later id).
 			c.wal.rollback(m)
@@ -426,21 +469,109 @@ func (c *Corpus) commit(recs []Record) (int, error) {
 		c.wal.rollback(m)
 		return 0, c.noteWAL(err)
 	}
-	for _, r := range recs {
-		if r.Delete {
-			_ = c.applyDelete(r.SID) // cannot fail: the loop above checked the id
-		} else {
-			c.applyAdd(r.TS)
-		}
-		c.shipAppend(r.payload)
-	}
+	c.install(recs, a, apply)
 	return len(recs), invalid
+}
+
+// Apply is an attached matcher's part of a commit, called once the
+// records recs are durable. It installs them in order through install,
+// which installs the next n records under one hold of the state write
+// lock and runs then under the same hold. If apply panics, the corpus
+// installs the rest itself, so the state holds every logged record, and
+// the attachment refuses further writes: its matcher's index lags.
+// apply runs under the log lock, and each then under the state write
+// lock too, so neither may call the corpus.
+type Apply func(recs []Record, install func(n int, then func()))
+
+// install installs and ships recs, through apply when a matcher is
+// attached. Caller holds the log lock.
+func (c *Corpus) install(recs []Record, a *Attached, apply Apply) {
+	next := 0
+	install := func(n int, then func()) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, r := range recs[next : next+n] {
+			if r.Delete {
+				_ = c.applyDelete(r.SID) // cannot fail: commit checked the id
+			} else {
+				c.applyAdd(r.TS)
+			}
+			c.shipAppend(r.payload)
+		}
+		next += n
+		if then != nil {
+			then()
+		}
+	}
+	if a == nil {
+		install(len(recs), nil)
+		return
+	}
+	done := false
+	defer func() {
+		if !done {
+			a.lags = true
+			install(len(recs)-next, nil)
+		}
+	}()
+	apply(recs, install)
+	done = next == len(recs)
+}
+
+// ErrAttached marks a direct write (Add, AddTokenizedBatch, Delete,
+// ApplyShipped) to a corpus that a matcher is attached to: the matcher
+// owns the write path, so the write fails and changes nothing.
+var ErrAttached = errors.New("corpus: a matcher is attached; write through it")
+
+// Attached is the one matcher attached to a corpus (Attach). It reads
+// the corpus's token space TC under its state lock Mu and writes only
+// through Commit, so every record is installed once, into one token
+// space. lags (guarded by the log lock) is set when an Apply panicked.
+type Attached struct {
+	c    *Corpus
+	Mu   *sync.RWMutex
+	TC   *token.Corpus
+	lags bool
+}
+
+// Attach attaches a matcher to the corpus, which refuses direct writes
+// with ErrAttached until Detach. A corpus takes one matcher at a time.
+func (c *Corpus) Attach() (*Attached, error) {
+	c.log.Lock()
+	defer c.log.Unlock()
+	if c.closed {
+		return nil, errors.New("corpus: closed")
+	}
+	if c.attached != nil {
+		return nil, ErrAttached
+	}
+	c.attached = &Attached{c: c, Mu: &c.mu, TC: c.tc}
+	return c.attached, nil
+}
+
+// Detach hands the write path back to the corpus.
+func (a *Attached) Detach() {
+	a.c.log.Lock()
+	defer a.c.log.Unlock()
+	if a.c.attached == a {
+		a.c.attached = nil
+	}
+}
+
+// Alive reports whether string sid is live. The caller holds Mu.
+func (a *Attached) Alive(sid token.StringID) bool { return a.c.alive[sid] }
+
+// Commit commits recs as one commit whose records apply installs. It
+// returns the id the first add takes, the length of the committed prefix
+// (see commit) and the error of the record after it.
+func (a *Attached) Commit(recs []Record, apply Apply) (token.StringID, int, error) {
+	return a.c.write(recs, a, apply)
 }
 
 // Sync forces any batched WAL appends to stable storage.
 func (c *Corpus) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Lock()
+	defer c.log.Unlock()
 	if c.closed {
 		return errors.New("corpus: closed")
 	}
@@ -473,8 +604,8 @@ func (c *Corpus) Degraded() error {
 // why healing always goes through a full rotation. On a healthy corpus
 // Recover is a no-op.
 func (c *Corpus) Recover() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Lock()
+	defer c.log.Unlock()
 	if c.closed {
 		return errors.New("corpus: closed")
 	}
@@ -489,8 +620,8 @@ func (c *Corpus) Recover() error {
 // appends go to the new generation. Older generations remain on disk
 // until Compact.
 func (c *Corpus) Snapshot() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Lock()
+	defer c.log.Unlock()
 	return c.snapshotLocked()
 }
 
@@ -532,20 +663,20 @@ func (c *Corpus) snapshotLocked() error {
 		return err
 	}
 	old := c.wal
-	c.wal = w
-	c.gen = gen
+	c.mu.Lock()
+	c.wal, c.gen, c.dirty = w, gen, false
 	c.snapshots++
-	c.dirty = false
+	c.mu.Unlock()
 	old.close()
 	if err := c.syncDir(); err != nil {
 		// The rename may not be durable: a crash now could resurface the
 		// previous generation. The in-memory swap already happened, so
 		// appends target the new WAL — seal the corpus until a later
 		// rotation (Recover) fsyncs the directory successfully.
-		c.degraded = fmt.Errorf("corpus: snapshot dir fsync failed: %w", err)
+		c.setDegraded(fmt.Errorf("corpus: snapshot dir fsync failed: %w", err))
 		return c.degradedErr()
 	}
-	c.degraded = nil
+	c.setDegraded(nil)
 	return nil
 }
 
@@ -558,8 +689,8 @@ func (c *Corpus) snapshotLocked() error {
 // are removed here. Disk usage is bounded to two snapshots plus their
 // logs (transiently more while a corrupt span is being healed).
 func (c *Corpus) Compact() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Lock()
+	defer c.log.Unlock()
 	if err := c.snapshotLocked(); err != nil {
 		return err
 	}
@@ -603,8 +734,8 @@ func (c *Corpus) Compact() error {
 // Close flushes the WAL and releases the log file. The corpus must not
 // be used afterwards.
 func (c *Corpus) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Lock()
+	defer c.log.Unlock()
 	if c.closed {
 		return nil
 	}
@@ -622,8 +753,8 @@ func (c *Corpus) Close() error {
 // the directory locked). For crash-recovery tests only — after calling
 // it, the corpus must not be written again.
 func (c *Corpus) ReleaseLockForTest() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.log.Lock()
+	defer c.log.Unlock()
 	unlockDir(c.lock)
 	c.lock = nil
 }
@@ -665,8 +796,8 @@ func (c *Corpus) Stats() Stats {
 		JoinsServed: c.joinsServed.Load(),
 	}
 	if c.wal != nil {
-		st.WALRecords = c.wal.records
-		st.WALBytes = c.wal.bytes
+		st.WALRecords = c.wal.records.Load()
+		st.WALBytes = c.wal.bytes.Load()
 	}
 	return st
 }
@@ -682,9 +813,17 @@ type View struct {
 	Live  int
 }
 
-// View captures a read view.
-func (c *Corpus) View() *View {
+// View captures a read view. Probes, when given, are added to the view
+// under the same read lock as live strings [Len, Len+len(probes)): the
+// view looks their tokens up in the corpus's intern map and interns only
+// the new ones, so a probe join builds no map over the token space.
+func (c *Corpus) View(probes ...token.TokenizedString) *View {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return &View{TC: c.tc.View(), Alive: slices.Clone(c.alive), Live: c.live}
+	v := &View{TC: c.tc.View(), Alive: slices.Clone(c.alive), Live: c.live + len(probes)}
+	for _, p := range probes {
+		v.TC.Add(p)
+		v.Alive = append(v.Alive, true)
+	}
+	return v
 }

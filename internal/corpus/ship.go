@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -62,8 +63,9 @@ var ErrShipBehind = errors.New("corpus: ship offset predates the ship log; follo
 var ErrShipAhead = errors.New("corpus: ship offset is beyond the committed log; follower has diverged")
 
 // shipLog is the bounded ring of committed payloads. Guarded by the
-// corpus mutex (appends happen under the write lock the mutation
-// already holds; readers take the read lock).
+// corpus's state lock (a record is appended as it is installed, under the
+// write lock; readers take the read lock), so it exposes only installed
+// records and its readers never wait on an fsync.
 type shipLog struct {
 	head       uint64 // LSN of entries[0]
 	entries    [][]byte
@@ -85,7 +87,8 @@ func newShipLog(maxRecords int) *shipLog {
 // them alive: one add per id plus one delete per tombstone.
 func lsnOf(n, live int) uint64 { return uint64(2*n - live) }
 
-// lsnLocked computes the logical sequence number; caller holds c.mu.
+// lsnLocked computes the logical sequence number; caller holds either
+// lock.
 func (c *Corpus) lsnLocked() uint64 { return lsnOf(len(c.alive), c.live) }
 
 // LSN returns the corpus's logical sequence number: the total count of
@@ -98,9 +101,9 @@ func (c *Corpus) LSN() uint64 {
 
 // shipAppend retains one committed payload in the ship ring (copying it
 // — callers reuse their encode buffers) and wakes blocked shippers.
-// Caller holds c.mu and has already applied the mutation, so the ring's
-// tail LSN is the current lsnLocked(). No-op before Open completes
-// (WAL replay must not be buffered).
+// Caller holds the state write lock and has already applied the
+// mutation, so the ring's tail LSN is the current lsnLocked(). No-op
+// before Open completes (WAL replay must not be buffered).
 func (c *Corpus) shipAppend(payload []byte) {
 	s := c.ship
 	if s == nil {
@@ -166,15 +169,21 @@ func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, erro
 // ApplyShipped commits shipped payloads (see ShipFrom) as one commit,
 // appending each verbatim, up to the first that does not decode or
 // apply: it returns the committed records in order and that payload's
-// error.
+// error. While a matcher is attached it fails with ErrAttached.
 func (c *Corpus) ApplyShipped(payloads [][]byte) ([]Record, error) {
+	recs, bad := DecodeShipped(payloads)
+	_, n, err := c.write(recs, nil, nil)
+	return recs[:n], cmp.Or(err, bad)
+}
+
+// DecodeShipped decodes shipped payloads into records, up to the first
+// that does not decode, whose error it returns.
+func DecodeShipped(payloads [][]byte) ([]Record, error) {
 	recs := make([]Record, 0, len(payloads))
-	var bad error
 	for i, p := range payloads {
 		wr, err := decodeRecord(p)
 		if err != nil {
-			bad = fmt.Errorf("corpus: shipped record %d: %w", i, err)
-			break
+			return recs, fmt.Errorf("corpus: shipped record %d: %w", i, err)
 		}
 		r := Record{Delete: wr.op == opDelete, SID: wr.sid, payload: p}
 		if !r.Delete {
@@ -182,13 +191,7 @@ func (c *Corpus) ApplyShipped(payloads [][]byte) ([]Record, error) {
 		}
 		recs = append(recs, r)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, err := c.commit(recs)
-	if err == nil {
-		err = bad
-	}
-	return recs[:n], err
+	return recs, nil
 }
 
 // SnapshotBytes encodes the current state in the snapshot format and

@@ -134,7 +134,7 @@ func (cw *crcWriter) uvarint(v uint64) {
 
 // encodeSnapshot writes v in the snapshot format above, stamped with
 // generation gen. It reads only v, so a caller holding a captured View
-// encodes outside the corpus lock.
+// encodes outside the corpus's locks.
 func encodeSnapshot(w io.Writer, gen uint64, v *View) error {
 	return writeSnapshot(w, gen, func(cw *crcWriter) {
 		cw.uvarint(uint64(v.TC.NumTokens()))
@@ -173,14 +173,15 @@ func writeSnapshot(w io.Writer, gen uint64, body func(*crcWriter)) error {
 	return err
 }
 
-// writeSnapshotTemp serializes the corpus state (caller holds the
-// corpus lock) into a fully fsynced, closed temp file and returns its
-// path. The caller renames it into place: keeping the rename out of
-// this function lets snapshotLocked order it against the new
-// generation's WAL creation so that no failure interleaving can leave
-// an orphan snapshot shadowing later appends to the old generation. On
-// error the temp file is removed (best-effort; an unrenamed temp is
-// invisible to Open and swept by removeStaleTemp at the next start).
+// writeSnapshotTemp serializes the corpus state (caller holds the log
+// lock, so no install runs meanwhile) into a fully fsynced, closed temp
+// file and returns its path. The caller renames it into place: keeping
+// the rename out of this function lets snapshotLocked order it against
+// the new generation's WAL creation so that no failure interleaving can
+// leave an orphan snapshot shadowing later appends to the old
+// generation. On error the temp file is removed (best-effort; an
+// unrenamed temp is invisible to Open and swept by removeStaleTemp at
+// the next start).
 func (c *Corpus) writeSnapshotTemp(gen uint64) (string, error) {
 	v := &View{TC: c.tc, Alive: c.alive, Live: c.live}
 	return c.writeTemp(func(w io.Writer) error { return encodeSnapshot(w, gen, v) })

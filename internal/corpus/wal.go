@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 
 	"repro/internal/iofault"
 	"repro/internal/token"
@@ -63,8 +64,9 @@ type walWriter struct {
 	pending    int // appends since the last fsync
 	flushEvery int
 	noSync     bool
-	records    int64
-	bytes      int64
+	// records and bytes count appends; Stats reads them without the log
+	// lock.
+	records, bytes atomic.Int64
 	// broken seals the writer: no append or sync may touch the fd again.
 	// It is set when a rollback failed (the log may hold a frame that was
 	// never applied) or when an fsync failed (post-fsyncgate, the kernel
@@ -116,7 +118,7 @@ type walMark struct {
 
 // mark captures the current append point.
 func (w *walWriter) mark() walMark {
-	return walMark{offset: w.offset, records: w.records, bytes: w.bytes, pending: w.pending}
+	return walMark{offset: w.offset, records: w.records.Load(), bytes: w.bytes.Load(), pending: w.pending}
 }
 
 // rollback truncates the log back to a mark, discarding frames appended
@@ -138,7 +140,9 @@ func (w *walWriter) rollback(m walMark) {
 		w.broken = fmt.Errorf("corpus: wal rollback seek failed: %w", err)
 		return
 	}
-	w.offset, w.records, w.bytes, w.pending = m.offset, m.records, m.bytes, m.pending
+	w.offset, w.pending = m.offset, m.pending
+	w.records.Store(m.records)
+	w.bytes.Store(m.bytes)
 }
 
 // appendDeferred frames and writes one payload without consulting the
@@ -154,12 +158,12 @@ func (w *walWriter) appendDeferred(payload []byte) error {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, castagnoli))
 	w.buf = append(w.buf, payload...)
 	if _, err := w.f.Write(w.buf); err != nil {
-		w.rollback(walMark{offset: w.offset, records: w.records, bytes: w.bytes, pending: w.pending})
+		w.rollback(w.mark())
 		return err
 	}
 	w.offset += int64(len(w.buf))
-	w.records++
-	w.bytes += int64(len(w.buf))
+	w.records.Add(1)
+	w.bytes.Add(int64(len(w.buf)))
 	w.pending++
 	return nil
 }

@@ -9,17 +9,18 @@ import (
 // The op path: Add, Query and AddAll are one routine, run, at every
 // shard count. Per element it generates candidates on every shard,
 // filters and verifies them in contiguous chunks through the worker pool
-// (verifyChunk), and, for inserts, interns and indexes the element
-// (index) before the next one is generated. A single Add or Query is an op of one element.
+// (verifyChunk), and, for inserts, adds and indexes the element (index)
+// before the next one is generated. A single Add or Query is an op of one element.
 //
 // Match semantics are those of per-element Add: element i's matches are
 // everything previously indexed plus earlier elements of the same batch
 // that pass the threshold, property-tested against the naive join by
 // TestOracleEquivalence.
 
-// run is the op path. When index is set the caller holds addMu. Element
-// i of the result holds its matches sorted by id.
-func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match {
+// run is the op path; insert, when set, adds and indexes an element after
+// its match, and its caller holds addMu. Element i of the result holds
+// its matches sorted by id.
+func (m *ShardedMatcher) run(toks []token.TokenizedString, insert func()) [][]Match {
 	out := make([][]Match, len(toks))
 	var verified, pruned, sigPruned int64
 	for ei, ts := range toks {
@@ -27,8 +28,7 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match
 			out[ei] = m.emptyMatches()
 		} else if cands := m.genCandidates(ts); len(cands) > 0 {
 			// Snapshot after generation: every candidate id was
-			// interned before its postings, and dead is kept the same
-			// length.
+			// indexed, so strs and dead cover it.
 			m.mu.RLock()
 			strs := m.tc.Strings
 			dead := m.dead
@@ -54,10 +54,8 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, index bool) [][]Match
 			out[ei] = ms
 			m.verifyWall.Add(int64(time.Since(verifyStart)))
 		}
-		if index {
-			m.mu.Lock()
-			m.index(m.intern(ts))
-			m.mu.Unlock()
+		if insert != nil {
+			insert()
 		}
 	}
 	addNonZero(&m.verified, verified)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,51 +10,38 @@ import (
 	"repro/internal/token"
 )
 
-// NewShardedFromCorpus builds a concurrent matcher over a persistent
-// corpus: the matcher adopts a view of the corpus's token space as its own
-// (ids are the corpus's StringIDs and token ids, its frequencies the
-// corpus's live ones, and nothing is re-interned) and bulk-indexes its
-// live strings (index-only — warm loading never generates or verifies
-// candidates, so a restart costs one linear pass over local state
-// instead of re-serving the ingest traffic).
-// The matcher stays attached: every subsequent Add/AddAll first appends
-// to the corpus WAL — durability precedes visibility — then indexes.
-// Tombstoned corpus ids keep their slot in the id space but are neither
-// indexed nor matchable.
-//
-// While a matcher is attached, route all writes through it; adding to
-// the corpus directly would desynchronize the id spaces (the matcher
-// detects the drift and fails the write rather than corrupt results).
+// NewShardedFromCorpus builds a concurrent matcher attached to a
+// persistent corpus (corpus.Attach): its token space is the corpus's own
+// token.Corpus and its lock the corpus's state lock. It bulk-indexes the
+// live strings with index(0) and never matches them, so a restart costs
+// one linear pass over local state. Tombstoned ids keep their slot but
+// are neither indexed nor matchable. Every later write is one corpus
+// commit (see commit), durable before it is visible; meanwhile the corpus
+// refuses direct writes with corpus.ErrAttached, until Close detaches.
 func NewShardedFromCorpus(opt Options, shards int, pc *corpus.Corpus) (*ShardedMatcher, error) {
 	m, err := NewShardedMatcher(opt, shards)
 	if err != nil {
 		return nil, err
 	}
-	m.warmLoad(pc.View())
-	m.corpus = pc
-	return m, nil
-}
-
-// warmLoad adopts the view's token space, whose Freq holds the live
-// document frequencies, and indexes its live strings through the one
-// insertion routine, index(0). An empty corpus (every fresh data
-// directory) loads nothing.
-func (m *ShardedMatcher) warmLoad(v *corpus.View) {
+	att, err := pc.Attach()
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	m.corpus, m.att, m.mu, m.tc = pc, att, att.Mu, att.TC
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tc = v.TC
-	m.dead = make([]bool, len(v.Alive))
-	for sid, alive := range v.Alive {
-		m.dead[sid] = !alive
+	m.dead = make([]bool, len(m.tc.Strings))
+	for sid := range m.dead {
+		m.dead[sid] = !att.Alive(token.StringID(sid))
 	}
 	m.index(0)
+	return m, nil
 }
 
 // Delete tombstones a string in the live index (it stops matching
 // immediately) and, on a corpus-backed matcher, durably in the WAL.
-// This is the delete path to use while a matcher is attached — deleting
-// straight on the corpus would leave the live index serving the string
-// until the next restart. Safe for concurrent use.
+// Safe for concurrent use.
 func (m *ShardedMatcher) Delete(id int) error {
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
@@ -63,25 +51,47 @@ func (m *ShardedMatcher) Delete(id int) error {
 	if !live {
 		return fmt.Errorf("stream: delete of id %d: %w", id, corpus.ErrNotFound)
 	}
-	if m.corpus != nil {
-		if err := m.corpus.Delete(token.StringID(id)); err != nil {
-			return err
-		}
-	}
-	m.mu.Lock()
-	m.dead = slices.Clone(m.dead)
-	m.tombstone(id)
-	m.mu.Unlock()
-	return nil
+	_, err := m.commit([]corpus.Record{{Delete: true, SID: token.StringID(id)}}, func(_ []corpus.Record, install func(int, func())) {
+		install(1, func() {
+			m.dead = slices.Clone(m.dead)
+			m.tombstone(id)
+		})
+	})
+	return err
 }
 
-// tombstone marks a live id dead, uncounts it from the live document
-// frequencies (token.Corpus.Forget, as the durable corpus does) and
-// counts it toward the next posting sweep. The caller holds addMu and
-// mu's write lock, and has replaced dead with a copy of its own since
-// it last released mu: verification holds snapshots of dead.
+// commit makes recs one write whose records apply installs (see
+// corpus.Apply): a commit of the attached corpus, which installs them
+// into the one token space, or, in memory, the matcher's own install
+// into its own token space. It returns the id the first add takes.
+func (m *ShardedMatcher) commit(recs []corpus.Record, apply corpus.Apply) (int, error) {
+	if m.att != nil {
+		first, _, err := m.att.Commit(recs, apply)
+		return int(first), err
+	}
+	first, next := m.Len(), 0
+	apply(recs, func(n int, then func()) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, r := range recs[next : next+n] {
+			if r.Delete {
+				m.tc.Forget(r.SID)
+			} else {
+				m.tc.Add(r.TS)
+			}
+		}
+		next += n
+		then()
+	})
+	return first, nil
+}
+
+// tombstone marks a live id dead, which the token space's Freq no longer
+// counts (its install forgot it), and counts it toward the next posting
+// sweep. The caller holds addMu and mu's write lock, and has replaced
+// dead with a copy of its own since it last released mu: verification
+// holds snapshots of dead.
 func (m *ShardedMatcher) tombstone(id int) {
-	m.tc.Forget(token.StringID(id))
 	m.dead[id] = true
 	if m.tc.Strings[id].Count() == 0 {
 		m.emptyIDs = slices.DeleteFunc(m.emptyIDs, func(e int32) bool { return e == int32(id) })
@@ -104,9 +114,11 @@ var sweepMinDeletes = 256
 // sweep is purely an occupancy reclaim: without it a churn-heavy corpus
 // (delete-dominated workloads, a standby replaying years of churn)
 // degrades every probe with postings full of ids that can never match.
-// The caller holds addMu and mu's write lock.
+// Len counts the ids the dead mask covers, so within a shipped batch it
+// is the ids before the delete. The caller holds addMu and mu's write
+// lock.
 func (m *ShardedMatcher) maybeSweepTombstones() {
-	if m.deletesSinceSweep < max(sweepMinDeletes, len(m.tc.Strings)/8) {
+	if m.deletesSinceSweep < max(sweepMinDeletes, len(m.dead)/8) {
 		return
 	}
 	m.deletesSinceSweep = 0
@@ -117,38 +129,37 @@ func (m *ShardedMatcher) maybeSweepTombstones() {
 }
 
 // ApplyShipped applies a batch of payloads shipped from a primary's
-// corpus to a corpus-backed matcher: the batch is one corpus commit
-// (corpus.ApplyShipped). Then, under one write lock, its adds are
-// interned and its deletes tombstoned in order, and the batch's live
-// adds are indexed in one index call, WITHOUT matching — a standby
-// serves queries, it does not generate match results for replicated
-// arrivals. Applying the primary's committed record stream in order
-// reproduces its id space, alive mask, LSN and frequencies exactly.
+// corpus to a corpus-backed matcher as one corpus commit. Under one hold
+// of the write lock the corpus installs the batch's records, the matcher
+// tombstones its deletes in order, and it indexes the batch's live adds
+// in one index call, WITHOUT matching — a standby serves queries, it
+// does not generate match results for replicated arrivals. Applying the
+// primary's committed record stream in order reproduces its id space,
+// alive mask, LSN and frequencies exactly.
 func (m *ShardedMatcher) ApplyShipped(payloads ...[]byte) error {
-	if m.corpus == nil {
+	if m.att == nil {
 		return errors.New("stream: shipped records need an attached corpus")
 	}
+	recs, bad := corpus.DecodeShipped(payloads)
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
-	if err := m.checkAligned(); err != nil {
-		return err
-	}
-	recs, err := m.corpus.ApplyShipped(payloads)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	first := len(m.tc.Strings)
-	if slices.ContainsFunc(recs, func(r corpus.Record) bool { return r.Delete }) {
-		m.dead = slices.Clone(m.dead) // once per batch; see tombstone
-	}
-	for _, r := range recs {
-		if r.Delete {
-			m.tombstone(int(r.SID))
-		} else {
-			m.intern(r.TS)
-		}
-	}
-	m.index(first)
-	return err
+	_, err := m.commit(recs, func(recs []corpus.Record, install func(int, func())) {
+		install(len(recs), func() {
+			first := len(m.dead)
+			if slices.ContainsFunc(recs, func(r corpus.Record) bool { return r.Delete }) {
+				m.dead = slices.Clone(m.dead) // once per batch; see tombstone
+			}
+			for _, r := range recs {
+				if r.Delete {
+					m.tombstone(int(r.SID))
+				} else {
+					m.dead = append(m.dead, false)
+				}
+			}
+			m.index(first)
+		})
+	})
+	return cmp.Or(err, bad)
 }
 
 // Corpus returns the attached persistent corpus (nil for a purely
@@ -164,36 +175,26 @@ func (m *ShardedMatcher) AddDurable(s string) (int, []Match, error) {
 	return id, matches[0], nil
 }
 
-// AddAllDurable is AddAll with the persistence error surfaced. The whole
-// batch is one WAL commit, fsynced by the corpus's SyncEvery rule,
-// before any element becomes visible; on failure nothing is indexed.
+// AddAllDurable is AddAll with the persistence error surfaced. On a
+// corpus-backed matcher the whole batch is one WAL commit, fsynced by the
+// corpus's SyncEvery rule before any element is matched or becomes
+// visible; on failure nothing is indexed.
 func (m *ShardedMatcher) AddAllDurable(names []string) (int, [][]Match, error) {
 	toks := make([]token.TokenizedString, len(names))
+	recs := make([]corpus.Record, len(names))
 	for i, s := range names {
 		toks[i] = m.opt.Tokenizer(s)
+		recs[i].TS = toks[i]
 	}
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
-	if m.corpus != nil {
-		if err := m.checkAligned(); err != nil {
-			return -1, nil, err
-		}
-		if _, err := m.corpus.AddTokenizedBatch(toks); err != nil {
-			return -1, nil, err
-		}
+	var matches [][]Match
+	first, err := m.commit(recs, func(_ []corpus.Record, install func(int, func())) {
+		m.adds.Add(int64(len(toks)))
+		matches = m.run(toks, func() { install(1, m.indexNext) })
+	})
+	if err != nil {
+		return -1, nil, err
 	}
-	first, matches := m.addBatch(toks)
 	return first, matches, nil
-}
-
-// checkAligned verifies the corpus and matcher id spaces still agree
-// (they drift only if a writer bypassed the matcher).
-func (m *ShardedMatcher) checkAligned() error {
-	m.mu.RLock()
-	n := len(m.tc.Strings)
-	m.mu.RUnlock()
-	if cn := m.corpus.Len(); cn != n {
-		return fmt.Errorf("stream: corpus id space (%d) out of step with matcher (%d); write through the matcher only", cn, n)
-	}
-	return nil
 }

@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -281,27 +283,183 @@ func TestLiveDelete(t *testing.T) {
 	}
 }
 
-// TestCorpusAlignmentGuard: writes that bypass the matcher are detected
-// instead of silently corrupting the id space.
-func TestCorpusAlignmentGuard(t *testing.T) {
-	pc, err := corpus.Open(t.TempDir(), corpus.Options{})
+// TestAttachedCorpusRefusesDirectWrites: while a matcher is attached,
+// every direct write to its corpus fails with corpus.ErrAttached and
+// changes nothing, and the matcher's own writes go on. After a panic in
+// the matcher's part of a commit the corpus still installs every record
+// it logged, and the matcher, whose index now lags its token space,
+// refuses writes. Closing the matcher hands the write path back.
+func TestAttachedCorpusRefusesDirectWrites(t *testing.T) {
+	pc, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pc.Close()
+	if _, err := pc.Add("john smith"); err != nil {
+		t.Fatal(err)
+	}
 	m, err := NewShardedFromCorpus(Options{Threshold: 0.2}, 2, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if _, _, err := m.AddDurable("a name"); err != nil {
+	if _, _, err := m.AddDurable("jane doe"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pc.Add("bypassing writer"); err != nil {
+	if _, err := NewShardedFromCorpus(Options{Threshold: 0.2}, 1, pc); !errors.Is(err, corpus.ErrAttached) {
+		t.Fatalf("a second attach: %v, want ErrAttached", err)
+	}
+	refused := func(what string) {
+		t.Helper()
+		lsn, n := pc.LSN(), pc.Len()
+		for name, write := range map[string]func() error{
+			"Add":               func() error { _, err := pc.Add("jon smith"); return err },
+			"AddTokenizedBatch": func() error { _, err := pc.AddTokenizedBatch(tokenizeAll([]string{"a b", "c"})); return err },
+			"Delete":            func() error { return pc.Delete(0) },
+			"ApplyShipped":      func() error { _, err := pc.ApplyShipped(nil); return err },
+		} {
+			if err := write(); !errors.Is(err, corpus.ErrAttached) {
+				t.Fatalf("%s: direct %s = %v, want ErrAttached", what, name, err)
+			}
+		}
+		if pc.LSN() != lsn || pc.Len() != n {
+			t.Fatalf("%s: refused writes moved the corpus: LSN %d → %d, Len %d → %d", what, lsn, pc.LSN(), n, pc.Len())
+		}
+	}
+	refused("attached")
+	if id, got, err := m.AddDurable("jon smith"); err != nil || id != 2 || len(got) != 1 || got[0].ID != 0 {
+		t.Fatalf("the matcher's add after refused writes: %d, %v, %v", id, got, err)
+	}
+	if err := m.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.AddDurable("another name"); err == nil {
-		t.Fatal("desynchronized corpus must fail the durable add")
+
+	// A panic in the matcher's part of a commit, after it installed one
+	// of three logged records.
+	lsn := pc.LSN()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the apply did not panic")
+			}
+		}()
+		recs := []corpus.Record{{TS: token.New([]string{"x", "y"})}, {TS: token.New([]string{"y", "z"})}, {TS: token.New([]string{"x", "z"})}}
+		m.att.Commit(recs, func(_ []corpus.Record, install func(int, func())) {
+			install(1, nil)
+			panic("apply failed")
+		})
+	}()
+	if pc.LSN() != lsn+3 || pc.Len() != 6 {
+		t.Fatalf("after the panic LSN %d, Len %d; want %d, 6: every logged record installed", pc.LSN(), pc.Len(), lsn+3)
+	}
+	lsn = pc.LSN()
+	if _, _, err := m.AddDurable("ann lee"); err == nil {
+		t.Fatal("a matcher whose index lags its token space took an add")
+	}
+	if err := m.Delete(0); err == nil {
+		t.Fatal("a matcher whose index lags its token space took a delete")
+	}
+	if pc.LSN() != lsn {
+		t.Fatalf("refused matcher writes moved the LSN %d → %d", lsn, pc.LSN())
+	}
+	refused("lagging")
+	if got := m.Query("jon smith"); len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
+		t.Fatalf("a lagging matcher still serves its index: %v", got)
+	}
+
+	m.Close()
+	if _, err := pc.Add("ann lee"); err != nil {
+		t.Fatalf("a direct write after Close: %v", err)
+	}
+}
+
+// TestAttachedMatcherSharesTokenSpace: an attached matcher, on a writer
+// and on a standby fed shipped batches, reads its corpus's own token
+// space — the same string, member and token tables, not a copy — and
+// every string is interned once: the token space holds one string per id.
+// Corpus readers, probe views among them, and queries run beside the
+// writes to the shared token space.
+func TestAttachedMatcherSharesTokenSpace(t *testing.T) {
+	names := namegen.Generate(namegen.Config{Seed: 91, NumNames: 120})
+	open := func(pre []string) (*ShardedMatcher, *corpus.Corpus) {
+		pc, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pc.Close() })
+		for _, n := range pre {
+			if _, err := pc.Add(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := NewShardedFromCorpus(Options{Threshold: 0.2}, 2, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		return m, pc
+	}
+	shared := func(who string, m *ShardedMatcher, pc *corpus.Corpus) {
+		t.Helper()
+		v := pc.View()
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		if &m.tc.Strings[0] != &v.TC.Strings[0] || &m.tc.Members[0] != &v.TC.Members[0] || &m.tc.Tokens[0] != &v.TC.Tokens[0] {
+			t.Fatalf("%s: the matcher's tables are not its corpus's", who)
+		}
+		if len(m.tc.Strings) != pc.Len() || len(m.dead) != pc.Len() || !slices.Equal(m.tc.Freq, v.TC.Freq) {
+			t.Fatalf("%s: %d strings and %d indexed over a corpus of %d", who, len(m.tc.Strings), len(m.dead), pc.Len())
+		}
+	}
+	w, wpc := open(names[:40]) // warm-loaded, then written
+	sb, sbpc := open(nil)
+	shared("warm load", w, wpc)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := r; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				probe := token.WhitespaceAndPunct(names[k%len(names)] + " zz")
+				if v := wpc.View(probe); v.TC.NumStrings() != len(v.Alive) {
+					t.Errorf("a probe view holds %d strings and %d alive flags", v.TC.NumStrings(), len(v.Alive))
+				}
+				_, _, _ = wpc.Stats(), wpc.LSN(), w.Query(names[k%len(names)])
+			}
+		}()
+	}
+	for i, n := range names[40:] {
+		if _, _, err := w.AddDurable(n); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			if err := w.Delete(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+	shared("writer", w, wpc)
+	for sbpc.LSN() < wpc.LSN() {
+		batch, err := wpc.ShipFrom(sbpc.LSN(), 32, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sb.ApplyShipped(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared("standby", sb, sbpc)
+	for _, n := range names[:30] {
+		if got, want := sb.Query(n), w.Query(n); !matchesEqual(got, want) {
+			t.Fatalf("standby query %q = %v, writer %v", n, got, want)
+		}
 	}
 }
 

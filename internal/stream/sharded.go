@@ -12,26 +12,29 @@ import (
 	"repro/internal/token"
 )
 
-// ShardedMatcher is the incremental joiner. It owns one token space, a
+// ShardedMatcher is the incremental joiner. It reads one token space, a
 // token.Corpus that interns every added string and holds the strings by
-// id, the token runes and the document frequencies. The inverted and
-// segment indexes are partitioned across N shards by token id (shard i
-// owns the ids ≡ i mod N; the MassJoin/PASS-JOIN partitioning carried
-// over to the online path), and a persistent worker pool fans each
-// arrival's candidate generation out to the shards and verifies the
-// merged candidates in parallel chunks. Add, Query and AddAll run one op
-// path (run, addall.go) at every shard count; one shard is the
-// single-threaded matcher, whose pool starts no goroutine.
+// id, the token runes and the document frequencies: its own when it runs
+// in memory, the durable corpus's when it is attached to one
+// (NewShardedFromCorpus). The inverted and segment indexes are
+// partitioned across N shards by token id (shard i owns the ids ≡ i mod
+// N; the MassJoin/PASS-JOIN partitioning carried over to the online
+// path), and a persistent worker pool fans each arrival's candidate
+// generation out to the shards and verifies the merged candidates in
+// parallel chunks. Add, Query and AddAll run one op path (run, addall.go)
+// at every shard count; one shard is the single-threaded matcher, whose
+// pool starts no goroutine.
 //
 // Driven serially, Add returns the same match set (sorted by id) for any
 // shard count; under the exact configuration it is the naive join's.
 // Concurrently, writers are serialized with each other — ids are assigned
-// in arrival order. One RWMutex guards the token space and every shard:
-// candidate generation (prefix marking and the shard fan-out) runs under
-// its read lock, so Queries run alongside each other, and a writer takes
-// the write lock only to intern and index (index, the one insertion
-// routine of warm loads, shipped batches and adds), to tombstone, or to
-// sweep. Verification runs outside the lock.
+// in arrival order. One RWMutex guards the token space and every shard
+// (an attached matcher's is the corpus's state lock): candidate
+// generation (prefix marking and the shard fan-out) runs under its read
+// lock, so Queries run alongside each other, and a writer takes the write
+// lock only to install and index (index, the one insertion routine of
+// warm loads, shipped batches and adds), to tombstone, or to sweep.
+// Verification runs outside the lock.
 //
 // The token space's Freq holds the live document frequencies: a
 // tombstone forgets its string (token.Corpus.Forget), as the durable
@@ -44,9 +47,11 @@ type ShardedMatcher struct {
 	shards []*tokenIndex
 	pool   *workerPool
 
-	// corpus, when non-nil, is the durable backing store: Add/AddAll
-	// append to its WAL before indexing (see NewShardedFromCorpus).
+	// corpus, when non-nil, is the durable backing store, and att the
+	// matcher's attachment to it: every write is one of its commits (see
+	// NewShardedFromCorpus).
 	corpus *corpus.Corpus
+	att    *corpus.Attached
 
 	// addMu serializes writers so ids are dense and match results are
 	// deterministic; it is never held by pool workers.
@@ -60,8 +65,8 @@ type ShardedMatcher struct {
 	// included, and its Freq counts the live ones. tc.Strings elements are
 	// immutable once appended and dead is replaced copy-on-write by
 	// tombstone, so verification may keep snapshots of both after
-	// releasing mu.
-	mu       sync.RWMutex
+	// releasing mu. dead covers the ids indexed so far.
+	mu       *sync.RWMutex
 	tc       *token.Corpus
 	dead     []bool
 	emptyIDs []int32
@@ -175,6 +180,7 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 		opt:    opt,
 		shards: make([]*tokenIndex, shards),
 		pool:   newWorkerPool(shards),
+		mu:     new(sync.RWMutex),
 		tc:     &token.Corpus{},
 	}
 	m.verPool.New = func() any {
@@ -230,9 +236,15 @@ func (m *ShardedMatcher) Stats() ShardedStats {
 	return st
 }
 
-// Close stops the worker pool. The matcher must not be used afterwards.
+// Close stops the worker pool and detaches the matcher from its corpus.
+// The matcher must not be used afterwards.
 func (m *ShardedMatcher) Close() {
-	m.closed.Do(m.pool.close)
+	m.closed.Do(func() {
+		m.pool.close()
+		if m.att != nil {
+			m.att.Detach()
+		}
+	})
 }
 
 // Add matches s against everything previously added, then indexes it,
@@ -269,24 +281,14 @@ func (m *ShardedMatcher) AddAll(names []string) (first int, matches [][]Match) {
 // being added concurrently.
 func (m *ShardedMatcher) Query(s string) []Match {
 	m.queries.Add(1)
-	return m.run([]token.TokenizedString{m.opt.Tokenizer(s)}, false)[0]
+	return m.run([]token.TokenizedString{m.opt.Tokenizer(s)}, nil)[0]
 }
 
-// addBatch matches and indexes toks in order under the dense id range
-// [first, first+len(toks)); element i of matches holds the matches of
-// toks[i]. The caller holds addMu.
-func (m *ShardedMatcher) addBatch(toks []token.TokenizedString) (first int, matches [][]Match) {
-	m.adds.Add(int64(len(toks)))
-	first = m.Len()
-	return first, m.run(toks, true)
-}
-
-// intern appends ts to the token space as the next id, live but not yet
-// indexed (see index), and returns the id. The caller holds mu's write
-// lock.
-func (m *ShardedMatcher) intern(ts token.TokenizedString) int {
+// indexNext indexes the string just added to the token space, as live.
+// The caller holds mu's write lock.
+func (m *ShardedMatcher) indexNext() {
 	m.dead = append(m.dead, false)
-	return int(m.tc.Add(ts))
+	m.index(len(m.dead) - 1)
 }
 
 // indexFanOut is the shortest id range index spreads over the worker
@@ -296,7 +298,7 @@ const indexFanOut = 64
 // index is the one insertion routine: it indexes the live strings
 // [lo, n) of the token space, which the warm load (index(0)), a shipped
 // batch (index(first), once per batch) and a live add (index(id)) have
-// interned. Where storage pruning applies (tokenIndex.prunesStorage) it
+// added. Where storage pruning applies (tokenIndex.prunesStorage) it
 // first marks each string's prefix against the current frequencies; then
 // each shard inserts the tokens it owns in ascending id, so every posting
 // list stays in id order. A range of indexFanOut strings or more runs
@@ -383,16 +385,20 @@ func (m *ShardedMatcher) genCandidates(ts token.TokenizedString) []int32 {
 	probe := distinctProbe(ts)
 	perShard := make([][]int32, len(m.shards))
 	perCtr := make([]probeCounters, len(m.shards))
-	m.mu.RLock()
-	m.markProbe(ts, probe)
-	m.pool.each(len(m.shards), func(i int) {
-		var local []int32
-		sc := m.scratchPool.Get().(*probeScratch)
-		m.shards[i].candidates(m.tc, probe, sc, &perCtr[i], func(cand int32) { local = append(local, cand) })
-		m.scratchPool.Put(sc)
-		perShard[i] = local
-	})
-	m.mu.RUnlock()
+	func() {
+		// Unlocked by defer: a corpus commit that this match is part of
+		// must still take the write lock after a panic (corpus.Apply).
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		m.markProbe(ts, probe)
+		m.pool.each(len(m.shards), func(i int) {
+			var local []int32
+			sc := m.scratchPool.Get().(*probeScratch)
+			m.shards[i].candidates(m.tc, probe, sc, &perCtr[i], func(cand int32) { local = append(local, cand) })
+			m.scratchPool.Put(sc)
+			perShard[i] = local
+		})
+	}()
 	var pctr probeCounters
 	for i := range perCtr {
 		pctr.add(&perCtr[i])

@@ -22,14 +22,17 @@
 // naive all-pairs join in internal/nsldtest; in every configuration it
 // returns exactly nsldtest.Cutoff's stream rule over the live strings.
 //
-// There is one implementation, ShardedMatcher (sharded.go). It interns
-// every string into one token space, a token.Corpus (adopted from the
-// durable corpus on a warm load) whose frequencies count the live
-// strings, partitions the index (tokenIndex in index.go) by token id
-// across N shards, and serves concurrent Add/Query traffic through a
-// worker pool under one read/write lock. One routine, index, inserts
-// into the shards for a warm load, a shipped batch and an add alike. At
-// one shard it runs every job inline on the caller's goroutine.
+// There is one implementation, ShardedMatcher (sharded.go). It reads one
+// token space, a token.Corpus whose frequencies count the live strings:
+// in memory its own, into which it interns every string; attached to a
+// durable corpus the corpus's own, into which the corpus installs every
+// string once while the matcher matches and indexes it
+// (NewShardedFromCorpus). It partitions the index (tokenIndex in
+// index.go) by token id across N shards, and serves concurrent Add/Query
+// traffic through a worker pool under one read/write lock. One routine,
+// index, inserts into the shards for a warm load, a shipped batch and an
+// add alike. At one shard it runs every job inline on the caller's
+// goroutine.
 package stream
 
 import (

@@ -29,8 +29,8 @@ type TokenID int32
 // lexicographic) or grown one string at a time (the zero Corpus or
 // NewCorpus, then Add, whose token ids are first-seen). Either way it only
 // ever grows: Add appends a string, Forget uncounts one, Grow reserves
-// room, and nothing else writes the corpus, so a View stays valid while
-// its base grows.
+// room, and nothing else writes the corpus, so a View's tables stay valid
+// while its base grows.
 type Corpus struct {
 	// Strings holds the tokenized strings, indexed by StringID.
 	Strings []TokenizedString
@@ -52,6 +52,11 @@ type Corpus struct {
 	Members     [][]TokenID
 	tokenID     map[string]TokenID
 	tokenIDOnce sync.Once
+	// base is the corpus this one is a View of, and shared the number of
+	// tokens base had then: those are looked up in base's intern map, and
+	// tokenID holds only the tokens new to the view.
+	base   *Corpus
+	shared int
 }
 
 // builtins maps the code pointers of this package's own tokenizers to
@@ -254,11 +259,11 @@ func NewCorpus(tokens []string) (*Corpus, error) {
 	return c, nil
 }
 
-// index builds the intern map over Tokens.
+// index builds the intern map over the tokens not shared with a base.
 func (c *Corpus) index() {
-	c.tokenID = make(map[string]TokenID, len(c.Tokens))
-	for id, tok := range c.Tokens {
-		c.tokenID[tok] = TokenID(id)
+	c.tokenID = make(map[string]TokenID, len(c.Tokens)-c.shared)
+	for id := c.shared; id < len(c.Tokens); id++ {
+		c.tokenID[c.Tokens[id]] = TokenID(id)
 	}
 }
 
@@ -269,13 +274,12 @@ func (c *Corpus) index() {
 // order, and each is counted once in Freq. Add, Grow and Forget are not
 // safe for concurrent use with any other method.
 func (c *Corpus) Add(ts TokenizedString) StringID {
-	c.tokenIDOnce.Do(c.index)
 	mem := make([]TokenID, 0, ts.Count())
 	for i, t := range ts.Tokens {
 		if i > 0 && t == ts.Tokens[i-1] {
 			continue
 		}
-		id, ok := c.tokenID[t]
+		id, ok := c.TokenIDOf(t)
 		if !ok {
 			id = TokenID(len(c.Tokens))
 			c.tokenID[t] = id
@@ -310,7 +314,9 @@ func (c *Corpus) Forget(sid StringID) {
 // View returns a point-in-time copy of the corpus that shares its tables
 // at capped capacity and copies Freq, so later Adds and Forgets on either
 // side never reach the other: an Add to the view reallocates the tables
-// it grows and interns into a map of its own, built on first use.
+// it grows. The view looks the tokens it shares with c up in c's intern
+// map and interns only its own new ones, so it builds no map over the
+// whole token space; its lookups and Adds must not run while c is written.
 func (c *Corpus) View() *Corpus {
 	n, nt := len(c.Strings), len(c.Tokens)
 	return &Corpus{
@@ -319,6 +325,8 @@ func (c *Corpus) View() *Corpus {
 		TokenRunes: c.TokenRunes[:nt:nt],
 		Freq:       slices.Clone(c.Freq),
 		Members:    c.Members[:n:n],
+		base:       c,
+		shared:     nt,
 	}
 }
 
@@ -326,8 +334,13 @@ func (c *Corpus) View() *Corpus {
 // concurrent use with itself (the lazy intern-map build is synchronized).
 func (c *Corpus) TokenIDOf(t string) (TokenID, bool) {
 	c.tokenIDOnce.Do(c.index)
-	id, ok := c.tokenID[t]
-	return id, ok
+	if id, ok := c.tokenID[t]; ok || c.base == nil {
+		return id, ok
+	}
+	if id, ok := c.base.TokenIDOf(t); ok && int(id) < c.shared {
+		return id, true
+	}
+	return 0, false
 }
 
 // NumStrings returns |R|.

@@ -24,8 +24,8 @@ func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 
 // JoinCorpus performs the bipartite NSLD join of a probe set against the
 // live strings of a persistent corpus (the bipartite counterpart of
-// SelfJoinCorpus). It takes a point-in-time view of the corpus and grows
-// the view with the probes: they take ids [n, n+len(probes)), their new
+// SelfJoinCorpus). It takes a point-in-time view of the corpus grown with
+// the probes (corpus.View): they take ids [n, n+len(probes)), their new
 // tokens are interned at the tail of the token space, and the view's
 // frequencies count them beside the live corpus strings. So the
 // MaxTokenFreq cutoff and the prefix order see exactly the combined
@@ -35,15 +35,9 @@ func SelfJoinCorpus(pc *corpus.Corpus, opts Options) ([]Result, *Stats, error) {
 // Result.A is a corpus StringID, Result.B indexes probes. Tombstoned
 // corpus strings neither generate nor receive.
 func JoinCorpus(pc *corpus.Corpus, probes []token.TokenizedString, opts Options) ([]Result, *Stats, error) {
-	v := pc.View()
-	n := v.TC.NumStrings()
-	alive := v.Alive
-	v.TC.Grow(len(probes))
-	for _, p := range probes {
-		v.TC.Add(p)
-		alive = append(alive, true)
-	}
-	results, st, err := run(&source{c: v.TC, alive: alive, split: n}, opts)
+	v := pc.View(probes...)
+	n := v.TC.NumStrings() - len(probes)
+	results, st, err := run(&source{c: v.TC, alive: v.Alive, split: n}, opts)
 	if err != nil {
 		return nil, nil, err
 	}

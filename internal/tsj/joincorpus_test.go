@@ -280,3 +280,46 @@ func TestJoinCorpusConcurrentWrites(t *testing.T) {
 		t.Fatalf("after concurrent writes: %v, want %v", got, want)
 	}
 }
+
+// TestJoinCorpusAllocationsFlat: a one-probe JoinCorpus allocates about
+// as many objects over 30,000 names as over 1,000. Its probe is interned
+// under the corpus's read lock against the corpus's own intern map, so no
+// call builds a map over the whole token space, which alone adds about 30
+// allocations at 30,000 names. The slack of 20 covers the engine's
+// recycled slabs, which move the count by up to 10 from run to run.
+func TestJoinCorpusAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled slabs at random")
+	}
+	probes := []token.TokenizedString{token.WhitespaceAndPunct("barak obama")}
+	opts := DefaultOptions()
+	allocs := make(map[int]float64)
+	for _, n := range []int{1000, 30000} {
+		names := namegen.Generate(namegen.Config{Seed: 5, NumNames: n})
+		pc, err := corpus.Open(t.TempDir(), corpus.Options{DisableSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		toks := make([]token.TokenizedString, n)
+		for i, s := range names {
+			toks[i] = token.WhitespaceAndPunct(s)
+		}
+		if _, err := pc.AddTokenizedBatch(toks); err != nil {
+			t.Fatal(err)
+		}
+		join := func() {
+			if _, _, err := JoinCorpus(pc, probes, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 3 { // grow the engine's recycled slabs first
+			join()
+		}
+		allocs[n] = testing.AllocsPerRun(5, join)
+		t.Logf("%d names: %.0f allocations per one-probe join", n, allocs[n])
+	}
+	if allocs[30000] > allocs[1000]+20 {
+		t.Errorf("a one-probe JoinCorpus allocates %.0f objects over 30,000 names and %.0f over 1,000", allocs[30000], allocs[1000])
+	}
+}

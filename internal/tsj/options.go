@@ -38,10 +38,11 @@
 // token.BuildCorpus counted. SelfJoinCorpus and JoinCorpus run over a
 // persistent corpus's point-in-time view (a token.Corpus View) and read
 // its live document frequencies; JoinCorpus grows its view with the
-// probes (token.Corpus.Add), which interns their new tokens and counts
-// them, and builds no table of its own. Everything after that, the prefix
-// index's rarest-first order included, is derived per join exactly as for
-// an in-memory corpus.
+// probes under the corpus's read lock (corpus.View), which interns only
+// their new tokens and counts them, and builds no table of its own,
+// intern map included. Everything after that, the prefix index's
+// rarest-first order included, is derived per join exactly as for an
+// in-memory corpus.
 //
 // Every job reports task-cost statistics so the simulated cluster can
 // reproduce the paper's scalability figures.
