@@ -20,8 +20,8 @@
 // A job's slabs are recycled, across the jobs of a pipeline and across
 // pipelines: the map tasks' key and value buffers, the gathered value
 // slab, the sort's entry buffers and the reduce workers' output buffers
-// come from one pool per element type and go back to it when Run
-// returns (slab.go). A reducer's values therefore live only for the
+// come from the shared pools of package slab and go back to them when Run
+// returns. A reducer's values therefore live only for the
 // duration of its call, and a pipeline allocates a bounded number of
 // objects once its slabs have grown to size. The []O Run returns is the
 // caller's, freshly allocated.
@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/radix"
+	"repro/internal/slab"
 )
 
 // Config controls one MapReduce job execution.
@@ -90,9 +91,7 @@ type MapCtx[K Key, V any] struct {
 	keys []K
 	vals []V
 	cost float64
-
-	kbox *[]K // the pool's handles on keys and vals
-	vbox *[]V
+	bufs slab.Loans // keys and vals
 }
 
 // Emit outputs an intermediate key/value pair.
@@ -114,8 +113,7 @@ type ReduceCtx[O any] struct {
 	out    []O
 	cost   float64
 	worker int
-
-	box *[]O // the pool's handle on out; nil until the worker's first key
+	bufs   slab.Loans // out
 }
 
 // Worker reports which of the job's Config.Workers goroutines runs the
@@ -174,8 +172,11 @@ func Run[I any, K Key, V any, O any](
 
 	each(cfg.Parallelism, len(splits), func(_, si int) {
 		ctx := &tasks[si]
-		ctx.keys, ctx.kbox = getSlab[K]()
-		ctx.vals, ctx.vbox = getSlab[V]()
+		// A task's buffers start at one record per input; one that
+		// emits more grows them, and its slab returns to a higher class.
+		n := splits[si][1] - splits[si][0]
+		slab.Lend(&ctx.bufs, &ctx.keys, n)
+		slab.Lend(&ctx.bufs, &ctx.vals, n)
 		cost := 0.0
 		for i := splits[si][0]; i < splits[si][1]; i++ {
 			ctx.cost = 0
@@ -199,9 +200,8 @@ func Run[I any, K Key, V any, O any](
 	// A group is a run of equal keys in the sorted entries; its values are
 	// the matching run of the slab. The sort is stable and entries start in
 	// emission order, so values keep it within a key.
-	ents, ebox := getSlab[radix.Entry]()
-	tmp, tbox := getSlab[radix.Entry]()
-	ents, tmp = slices.Grow(ents, n), slices.Grow(tmp, n)[:n]
+	var shuffle slab.Loans
+	ents, tmp := slab.Take[radix.Entry](&shuffle, n)[:0], slab.Take[radix.Entry](&shuffle, n)
 	// A record's sort handle is its key's image under an order-preserving
 	// map into uint64 and where its value lies: map task in the high 32
 	// bits, index in that task's buffer in the low 32, so that Val order is
@@ -218,8 +218,7 @@ func Run[I any, K Key, V any, O any](
 		}
 	}
 	ents, idle := radix.Sort(ents, tmp)
-	vals, vbox := getSlab[V]()
-	vals = slices.Grow(vals, n)[:n]
+	vals := slab.Take[V](&shuffle, n)
 	// Group g is ents[lo:hi] with lo, hi = bounds[g].Key, bounds[g].Val:
 	// the group index lives in the sort's idle buffer, which holds n
 	// entries and so room for every group.
@@ -238,8 +237,7 @@ func Run[I any, K Key, V any, O any](
 	}
 	// The map output is dead; its slabs can serve the reduce phase.
 	for i := range tasks {
-		putSlab(tasks[i].kbox, tasks[i].keys)
-		putSlab(tasks[i].vbox, tasks[i].vals)
+		tasks[i].bufs.Return()
 	}
 	groups := len(bounds)
 	st.ReduceKeys = int64(groups)
@@ -253,13 +251,13 @@ func Run[I any, K Key, V any, O any](
 	type span struct{ worker, lo, hi int }
 	spans := make([]span, (groups+reduceBatch-1)/reduceBatch)
 	outs := make([]ReduceCtx[O], cfg.Parallelism)
+	for w := range outs {
+		outs[w].worker = w
+		slab.Lend(&outs[w].bufs, &outs[w].out, 0) // nothing predicts a worker's output
+	}
 	costs := make([]float64, groups)
 	each(cfg.Parallelism, len(spans), func(w, b int) {
 		ctx := &outs[w]
-		if ctx.box == nil {
-			ctx.out, ctx.box = getSlab[O]()
-			ctx.worker = w
-		}
 		lo := len(ctx.out)
 		for g := b * reduceBatch; g < min(groups, (b+1)*reduceBatch); g++ {
 			s, e := bounds[g].Key, bounds[g].Val
@@ -279,13 +277,9 @@ func Run[I any, K Key, V any, O any](
 		result = append(result, outs[sp.worker].out[sp.lo:sp.hi]...)
 	}
 	for i := range outs {
-		if outs[i].box != nil {
-			putSlab(outs[i].box, outs[i].out)
-		}
+		outs[i].bufs.Return()
 	}
-	putSlab(vbox, vals)
-	putSlab(ebox, ents)
-	putSlab(tbox, idle)
+	shuffle.Return()
 	// Costs stay in key order, which no Parallelism changes, and the total
 	// is summed in that order: per-key costs need not be integers, and a
 	// float sum is only reproducible in a fixed order.

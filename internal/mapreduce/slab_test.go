@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -10,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/radix"
+	"repro/internal/slab"
 )
 
 // interfere runs a job that shares no key, value or output type with the
@@ -88,7 +87,9 @@ type payload struct{ buf [64]byte }
 // TestSlabReuseReleasesPointers: a pointer a job emitted as a value or an
 // output is not kept alive by the slabs the job hands back to the pools.
 // The test holds every pooled slab of the two pointer types while it
-// waits, so only clearing them before they went back can free the
+// waits — the output buffers by draining the drift pool, the map tasks'
+// value buffers and the gathered value slabs by taking their size
+// classes — so only clearing them before they went back can free the
 // payloads.
 func TestSlabReuseReleasesPointers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one pool shard to drain
@@ -127,51 +128,40 @@ func TestSlabReuseReleasesPointers(t *testing.T) {
 	}
 	// A pool may drop what is put back (the race detector makes it drop a
 	// share at random), so run the jobs until some slab is there to hold.
-	var held []*[]*payload
-	for try := 0; len(held) == 0 && try < 20; try++ {
+	var held slab.Loans // never returned
+	drifted := 0
+	for try := 0; drifted == 0 && try < 20; try++ {
 		emit(1)
 		emit(2)
-		held = drain[*payload]()
+		drifted = drain[*payload](&held)
+		for i := 0; i < 4; i++ {
+			slab.Take[*payload](&held, len(input))   // the gathered values
+			slab.Take[*payload](&held, len(input)/3) // a map task's values
+		}
 	}
-	if len(held) == 0 {
-		t.Fatal("no *payload slab went back to its pool")
+	if drifted == 0 {
+		t.Fatal("no *payload output buffer went back to its pool")
 	}
 	for i := 0; i < 50 && freed.Load() < made.Load(); i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	runtime.KeepAlive(held)
+	runtime.KeepAlive(&held)
 	if f, m := freed.Load(), made.Load(); f < m {
-		t.Fatalf("%d of %d emitted payloads are still reachable after Run returned (%d pooled slabs held)", m-f, m, len(held))
+		t.Fatalf("%d of %d emitted payloads are still reachable after Run returned", m-f, m)
 	}
 }
 
-// drain takes every slab of element type T out of its pool.
-func drain[T any]() []*[]T {
-	var held []*[]T
-	for {
-		box, ok := poolOf[T]().Get().(*[]T)
-		if !ok {
-			return held
-		}
-		held = append(held, box)
-	}
-}
-
-func TestHasPointers(t *testing.T) {
-	for _, c := range []struct {
-		v    any
-		want bool
-	}{
-		{uint64(0), false}, {radix.Entry{}, false}, {struct{}{}, false}, {[2]float32{}, false},
-		{[0]*int{}, false}, {"", true}, {[]int(nil), true}, {(*int)(nil), true},
-		{struct {
-			a int
-			b map[int]int
-		}{}, true}, {[3]struct{ s string }{}, true},
-	} {
-		if got := hasPointers(reflect.TypeOf(c.v)); got != c.want {
-			t.Errorf("hasPointers(%T) = %v, want %v", c.v, got, c.want)
+// drain takes the slabs of element type T out of their drift pool onto
+// held and counts the ones with room: it asks a fixed number of times,
+// since the pool hands out an empty slab when it has none.
+func drain[T any](held *slab.Loans) int {
+	n := 0
+	for i := 0; i < 64; i++ {
+		var s []T
+		if slab.Lend(held, &s, 0); cap(s) > 0 {
+			n++
 		}
 	}
+	return n
 }

@@ -30,6 +30,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/slab"
 	"repro/internal/token"
 )
 
@@ -117,7 +118,8 @@ func PrefixLen(t float64, aggLen, distinct int) int {
 // order and every string's prefix under it. Build it once per join from
 // the corpus's document frequencies; it is immutable afterwards and safe
 // for concurrent readers (the reduce workers of both candidate
-// generators, which run side by side).
+// generators, which run side by side). Its tables are slabs on loan from
+// the slab pools until its owner calls Release.
 type Index struct {
 	c *token.Corpus
 
@@ -137,6 +139,8 @@ type Index struct {
 	// depends only on the aggregate-length sum; Admit runs once per
 	// co-occurring pair, so the iterative boundary snap is hoisted here.
 	budgetBySum []int
+	// tables holds the slabs of the tables above, for Release.
+	tables slab.Loans
 }
 
 // NewIndex builds the pruning index for a corpus at threshold t. dropped
@@ -167,20 +171,21 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 		}
 		return c.Freq[tid]
 	}
-	next := make([]int32, maxFreq+3) // next[k]: the next free rank for key k
+	var scratch slab.Loans
+	defer scratch.Return()
+	next := slab.Take[int32](&scratch, int(maxFreq)+3) // next[k]: the next free rank for key k
+	clear(next)
 	for tid := range c.Freq {
 		next[key(token.TokenID(tid))+1]++
 	}
 	for k := 1; k < len(next); k++ {
 		next[k] += next[k-1]
 	}
-	ix := &Index{
-		c:        c,
-		rank:     make([]int32, c.NumTokens()),
-		prefix:   make([][]token.TokenID, c.NumStrings()),
-		distinct: make([]int32, c.NumStrings()),
-		aggLen:   make([]int32, c.NumStrings()),
-	}
+	ix := &Index{c: c}
+	ix.rank = slab.Take[int32](&ix.tables, c.NumTokens())
+	ix.prefix = slab.Take[[]token.TokenID](&ix.tables, c.NumStrings())
+	ix.distinct = slab.Take[int32](&ix.tables, c.NumStrings())
+	ix.aggLen = slab.Take[int32](&ix.tables, c.NumStrings())
 	for tid := range ix.rank {
 		k := key(token.TokenID(tid))
 		ix.rank[tid] = next[k]
@@ -192,13 +197,13 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 		ix.aggLen[sid] = int32(l)
 		maxLen = max(maxLen, l)
 	}
-	ix.budgetBySum = make([]int, 2*maxLen+1)
+	ix.budgetBySum = slab.Take[int](&ix.tables, 2*maxLen+1)
 	for sum := range ix.budgetBySum {
 		ix.budgetBySum[sum] = core.MaxSLDWithin(t, sum, 0)
 	}
 	// maxPrefix[l] is MaxErrors(t, l) + 1, the prefix length of a string
 	// of aggregate length l before the cap at its distinct count.
-	maxPrefix := make([]int, maxLen+1)
+	maxPrefix := slab.Take[int](&scratch, maxLen+1)
 	for l := range maxPrefix {
 		maxPrefix[l] = MaxErrors(t, l) + 1
 	}
@@ -208,7 +213,7 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	for _, m := range c.Members {
 		size += len(m)
 	}
-	arena := make([]token.TokenID, 0, size)
+	arena := slab.Take[token.TokenID](&ix.tables, size)[:0]
 	for sid, m := range c.Members {
 		from := len(arena)
 		arena = append(arena, m...)
@@ -230,6 +235,15 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 		}
 	}
 	return ix
+}
+
+// Release gives the index's tables back to the slab pools and nils them,
+// so a use after Release panics. Only the index's owner calls it, once
+// nothing reads the index or a prefix taken from it; a second call does
+// nothing.
+func (ix *Index) Release() {
+	ix.tables.Return()
+	ix.c, ix.rank, ix.prefix, ix.distinct, ix.aggLen, ix.budgetBySum = nil, nil, nil, nil, nil, nil
 }
 
 // Prefix returns the string's prefix tokens (rank-ascending). The caller

@@ -213,7 +213,8 @@ func refNewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 // counts for every string, and the same Admit verdict for every pair that
 // shares a prefix token — on a name corpus full of frequency ties, with
 // no cutoff, with a max-frequency cutoff, and with an arbitrary dropped
-// set.
+// set. Every index is released once checked, so each after the first is
+// built on the slabs of one with other prefixes.
 func TestNewIndexMatchesSortOrder(t *testing.T) {
 	names := append(namegen.Generate(namegen.Config{Seed: 5, NumNames: 1200}),
 		"", "...", "bo bo bo", "a a b", "Zoë \U0001F600 zoë")
@@ -270,6 +271,7 @@ func TestNewIndexMatchesSortOrder(t *testing.T) {
 					}
 				}
 			}
+			got.Release()
 		}
 	}
 }

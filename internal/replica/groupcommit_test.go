@@ -76,10 +76,11 @@ func openCountedNode(t *testing.T, dir string, fs iofault.FS, ring int) *repNode
 // simulated latency whatever disk (or tmpfs) the host has.
 //
 // The primary's batches are 8 records, an eighth of the ring. The
-// standby's round trip costs more than the primary's commit (HTTP, and
-// waiting out the primary's fsync, which holds the corpus lock
-// ShipFrom reads under), so it keeps pace by taking several commits per
-// request; the ring must hold those plus a scheduling hiccup's worth.
+// standby's round trip costs more than the primary's commit (HTTP plus
+// the standby's own simulated fsync of the applied batch; ShipFrom reads
+// under the state lock alone and does not wait out the primary's fsync),
+// so it keeps pace by taking several commits per request; the ring must
+// hold those plus a scheduling hiccup's worth.
 func TestReplicationStandbyGroupCommit(t *testing.T) {
 	const ring, batch, batches = 64, 8, 64
 	names := namegen.Generate(namegen.Config{Seed: 42, NumNames: 100 + batch*batches})

@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/radix"
+	"repro/internal/slab"
 	"repro/internal/strdist"
 )
 
@@ -30,7 +31,8 @@ type TokenID int32
 // NewCorpus, then Add, whose token ids are first-seen). Either way it only
 // ever grows: Add appends a string, Forget uncounts one, Grow reserves
 // room, and nothing else writes the corpus, so a View's tables stay valid
-// while its base grows.
+// while its base grows. A built corpus's tables are on loan from the slab
+// pools until its owner calls Release.
 type Corpus struct {
 	// Strings holds the tokenized strings, indexed by StringID.
 	Strings []TokenizedString
@@ -57,6 +59,9 @@ type Corpus struct {
 	// tokenID holds only the tokens new to the view.
 	base   *Corpus
 	shared int
+	// arenas are the slabs a build took its tables from (nil for a
+	// corpus Add grew from empty, or a View), which Release gives back.
+	arenas *slab.Loans
 }
 
 // builtins maps the code pointers of this package's own tokenizers to
@@ -70,21 +75,28 @@ var builtins = map[uintptr]splitter{
 
 // corpusBuilder is pass 1 of a corpus build: every token occurrence is
 // interned to a provisional first-seen id and appended to one flat
-// occurrence list with per-string offsets.
+// occurrence list with per-string offsets. Its map and tables come from
+// the slab pools. occ, which becomes the Members arena, is on loan to the
+// corpus; the rest is scratch and goes back when the build returns.
 type corpusBuilder struct {
-	ids    map[string]TokenID // token -> provisional id
-	toks   []string           // provisional id -> token
-	occ    []TokenID          // every string's occurrences, back to back
-	off    []int32            // string s owns occ[off[s]:off[s+1]]
-	nRunes int                // total rune length of toks
+	ids     map[string]TokenID // token -> provisional id
+	toks    []string           // provisional id -> token
+	occ     []TokenID          // every string's occurrences, back to back
+	off     []int32            // string s owns occ[off[s]:off[s+1]]
+	nRunes  int                // total rune length of toks
+	arenas  *slab.Loans        // the corpus's tables
+	scratch slab.Loans         // the build's own
 }
 
 func newCorpusBuilder(n int) *corpusBuilder {
-	return &corpusBuilder{
-		ids: make(map[string]TokenID, n),
-		occ: make([]TokenID, 0, 4*n),
-		off: make([]int32, 1, n+1),
+	b := &corpusBuilder{ids: slab.GetMap[string, TokenID](), arenas: new(slab.Loans)}
+	if b.ids == nil {
+		b.ids = make(map[string]TokenID, n)
 	}
+	slab.Lend(&b.scratch, &b.toks, n)
+	slab.Lend(b.arenas, &b.occ, 4*n)
+	b.off = append(slab.Take[int32](&b.scratch, n+1)[:0], 0)
+	return b
 }
 
 // intern gives a token that missed in ids the next provisional id.
@@ -117,10 +129,13 @@ func (b *corpusBuilder) addTokens(tokens []string) {
 // in lexicographic order of the tokens. The package's own tokenizers are
 // recognised and fused into the build (no per-string TokenizedString is
 // made); any other tokenizer is called per string and its Tokens interned.
+// The corpus's tables are slabs: an owner done with it may Release it for
+// the next build to reuse, and one never released is collected as usual.
 func BuildCorpus(raw []string, tok Tokenizer) *Corpus {
 	b := newCorpusBuilder(len(raw))
 	sp, fused := builtins[reflect.ValueOf(tok).Pointer()]
 	var buf []byte
+	slab.Lend(&b.scratch, &buf, 64)
 	for _, s := range raw {
 		if !fused {
 			b.addTokens(tok(s).Tokens)
@@ -162,30 +177,36 @@ func BuildCorpusFromTokenized(strs []TokenizedString) *Corpus {
 // the string's Tokens, rune views and length histogram plus signatures
 // out of corpus-wide arenas; the occurrence list itself becomes the
 // Members arena (the dedup walk compacts each string's region in place)
-// and Freq falls out of it.
+// and Freq falls out of it. Every table is a slab: the corpus's go back
+// on Release, the build's scratch before finish returns.
 func (b *corpusBuilder) finish() *Corpus {
+	defer func() {
+		b.scratch.Return()
+		slab.PutMap(b.ids)
+	}()
 	nStr, nTok := len(b.off)-1, len(b.toks)
-	c := &Corpus{
-		Strings:    make([]TokenizedString, nStr),
-		Tokens:     make([]string, nTok),
-		TokenRunes: make([][]rune, nTok),
-		Freq:       make([]int32, nTok),
-		Members:    make([][]TokenID, nStr),
-	}
-	final := make([]TokenID, nTok) // provisional id -> final id
-	sig := make([]int, nTok)
-	slab := make([]rune, 0, b.nRunes)
-	for id, e := range lexOrder(b.toks) {
+	a, scratch := b.arenas, &b.scratch
+	c := &Corpus{arenas: a}
+	c.Strings = slab.Take[TokenizedString](a, nStr)
+	c.Tokens = slab.Take[string](a, nTok)
+	c.TokenRunes = slab.Take[[]rune](a, nTok)
+	c.Freq = slab.Take[int32](a, nTok)
+	clear(c.Freq)
+	c.Members = slab.Take[[]TokenID](a, nStr)
+	final := slab.Take[TokenID](scratch, nTok) // provisional id -> final id
+	sig := slab.Take[int](scratch, nTok)
+	runes := slab.Take[rune](a, b.nRunes)[:0]
+	for id, e := range lexOrder(b.toks, scratch) {
 		t := b.toks[e.Val]
 		c.Tokens[id] = t
 		final[e.Val] = TokenID(id)
-		slab, c.TokenRunes[id] = appendRunes(slab, t)
+		runes, c.TokenRunes[id] = appendRunes(runes, t)
 		sig[id] = int(strdist.Sig(c.TokenRunes[id]))
 	}
 
-	tokArena := make([]string, len(b.occ))
-	viewArena := make([][]rune, len(b.occ))
-	histArena := make([]int, 2*len(b.occ)) // per string: k lengths, then k signatures
+	tokArena := slab.Take[string](a, len(b.occ))
+	viewArena := slab.Take[[]rune](a, len(b.occ))
+	histArena := slab.Take[int](a, 2*len(b.occ)) // per string: k lengths, then k signatures
 	for s := range c.Strings {
 		lo, hi := int(b.off[s]), int(b.off[s+1])
 		ids := b.occ[lo:hi]
@@ -225,15 +246,16 @@ func (b *corpusBuilder) finish() *Corpus {
 // zero-padded, then strings.Compare within each run of equal keys. Keys
 // that differ order their tokens as strings.Compare does, since a pad
 // byte is no greater than any real byte; keys tie for tokens that share
-// their first 8 bytes, or that differ only by trailing NUL bytes.
-func lexOrder(toks []string) []radix.Entry {
-	ents := make([]radix.Entry, len(toks))
+// their first 8 bytes, or that differ only by trailing NUL bytes. The
+// sort's two buffers are slabs on loan to scratch.
+func lexOrder(toks []string, scratch *slab.Loans) []radix.Entry {
+	ents := slab.Take[radix.Entry](scratch, len(toks))
 	for i, t := range toks {
 		var key [8]byte
 		copy(key[:], t)
 		ents[i] = radix.Entry{Key: binary.BigEndian.Uint64(key[:]), Val: uint64(i)}
 	}
-	ents, _ = radix.Sort(ents, make([]radix.Entry, len(ents)))
+	ents, _ = radix.Sort(ents, slab.Take[radix.Entry](scratch, len(ents)))
 	byToken := func(x, y radix.Entry) int { return strings.Compare(toks[x.Val], toks[y.Val]) }
 	for lo, hi := 0, 0; lo < len(ents); lo = hi {
 		for hi = lo + 1; hi < len(ents) && ents[hi].Key == ents[lo].Key; hi++ {
@@ -241,6 +263,22 @@ func lexOrder(toks []string) []radix.Entry {
 		slices.SortFunc(ents[lo:hi], byToken)
 	}
 	return ents
+}
+
+// Release gives a built corpus's tables back to the slab pools, where the
+// next build reuses them, and nils them, so a use after Release indexes an
+// empty table and panics instead of reading another build's data. Only the
+// corpus's owner calls it, once nothing reads the corpus: no View of it,
+// and no TokenizedString, rune view or member list taken from it, may
+// still be alive. A second call does nothing, as does a call on a corpus
+// that was not built (NewCorpus, the zero Corpus, a View).
+func (c *Corpus) Release() {
+	if c.arenas == nil {
+		return
+	}
+	c.arenas.Return()
+	c.arenas = nil
+	c.Strings, c.Tokens, c.TokenRunes, c.Freq, c.Members, c.tokenID = nil, nil, nil, nil, nil, nil
 }
 
 // NewCorpus returns a corpus with no strings over the token space tokens,

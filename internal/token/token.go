@@ -16,7 +16,11 @@
 // right after its length histogram in the histogram arena, where Sigs
 // reads them; New signs its own tokens into the same layout. The Corpus
 // (or lone TokenizedString) owns its arenas and nothing writes them after
-// construction, so workers may read them concurrently. A Corpus grown by
+// construction, so workers may read them concurrently — until Release: a
+// built corpus's tables and arenas, like the build's own scratch, are
+// slabs from the shared pools of package slab, and Release hands them to
+// the next build, so its owner calls it only once nothing reads the
+// corpus or anything taken from it. A Corpus grown by
 // Add appends whole strings to its tables and never rewrites one already
 // there; Add and Forget are the only writers of Freq. Everything handed
 // out is a read-only, cap-limited view: callers must not write through

@@ -104,6 +104,7 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	// both filters: Job 1's first-common-token rule and Job 2's segment
 	// prefix restriction.
 	pf := prefilter.NewIndex(c, dropped, opts.Threshold)
+	defer pf.Release()
 
 	// ---- Jobs 2a+2b: similar-token candidates (Sec. III-D) --------------
 	// The stage reads only the corpus and the prefix index (safe for

@@ -27,6 +27,7 @@ func JoinStats(r, p []string, opts Options) ([]Pair, *Stats, error) {
 	combined = append(combined, r...)
 	combined = append(combined, p...)
 	c := token.BuildCorpus(combined, tok)
+	defer c.Release()
 	results, st, err := tsj.Join(c, len(r), opts.tsj())
 	if err != nil {
 		return nil, nil, err

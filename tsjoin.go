@@ -174,6 +174,7 @@ func SelfJoinStats(names []string, opts Options) ([]Pair, *Stats, error) {
 		tok = token.WhitespaceAndPunct
 	}
 	c := token.BuildCorpus(names, tok)
+	defer c.Release()
 	results, st, err := tsj.SelfJoin(c, opts.tsj())
 	if err != nil {
 		return nil, nil, err
