@@ -27,9 +27,10 @@ test-arm64:
 
 # Bounded coverage-guided exploration of the distance-kernel fuzz targets,
 # of the WAL-record, WAL-replay and snapshot decoder ones, of the
-# standby-apply and worker-probe handlers, and of a corpus build on a
-# released build's recycled slabs; their seed corpora also run in every
-# plain `go test`.
+# standby-apply and worker-probe handlers, of a corpus build on a
+# released build's recycled slabs, and of the shuffle's radix sort
+# against a stable sort; their seed corpora also run in every plain
+# `go test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLevenshteinSIMDEquivalence -fuzztime 30s ./internal/strdist/simd/
 	$(GO) test -fuzz FuzzLevenshteinBoundedU16 -fuzztime 30s ./internal/strdist/
@@ -40,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzServeApply -fuzztime 30s ./internal/replica/
 	$(GO) test -fuzz FuzzServeProbe -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzBuildCorpusRecycled -fuzztime 30s ./internal/token/
+	$(GO) test -fuzz FuzzRadixSort -fuzztime 30s ./internal/radix/
 
 race:
 	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/... ./internal/prefilter/... ./internal/slab/... .
@@ -91,14 +93,14 @@ bench-corpus:
 	$(GO) test -run='^$$' -bench='CorpusAdd|SnapshotLoad|WALReplay' -benchtime=1x -benchmem ./internal/corpus/
 
 equivalence-guard:
-	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestInstallEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestBuildCorpusRecycled|TestReleasedCorpusKeepsNoTokens|TestUseAfterReleaseFails|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestSharedTokenLengthWindow|TestAttachedCorpusRefusesDirectWrites|TestAttachedMatcherSharesTokenSpace|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestOracleEquivalence TestOracleEquivalenceDeletes TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestRestartEquivalenceDeletes TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestBuildCorpusRecycledMatchesFresh TestReleasedCorpusKeepsNoTokens TestUseAfterReleaseFails TestBuildCorpusRecycledAllocations TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestSharedTokenLengthWindow TestAttachedCorpusRefusesDirectWrites TestAttachedMatcherSharesTokenSpace TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback FuzzLevenshteinBoundedU16; do \
+	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestInstallEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestBuildCorpusRecycled|TestReleasedCorpusKeepsNoTokens|TestUseAfterReleaseFails|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestSharedTokenLengthWindow|TestAttachedCorpusRefusesDirectWrites|TestAttachedMatcherSharesTokenSpace|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|TestJob1OwnershipSignatureCollisions|TestSortMatchesStableSort|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
+	for pat in TestOracleEquivalence TestOracleEquivalenceDeletes TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestRestartEquivalenceDeletes TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestBuildCorpusRecycledMatchesFresh TestReleasedCorpusKeepsNoTokens TestUseAfterReleaseFails TestBuildCorpusRecycledAllocations TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestSharedTokenLengthWindow TestAttachedCorpusRefusesDirectWrites TestAttachedMatcherSharesTokenSpace TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback TestJob1OwnershipSignatureCollisions TestSortMatchesStableSort FuzzLevenshteinBoundedU16; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (naive-join oracle + stream frequencies under deletes + pair orientation + bounded + prefix + segment-prefix + restart + one frequency rule across restart/ship/install + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + recycled corpus build, its release and its allocation bound + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + shared-token length window + attached corpus refuses direct writes + one token space per durable node + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths): ok"
+	echo "equivalence guard (naive-join oracle + stream frequencies under deletes + pair orientation + bounded + prefix + segment-prefix + restart + one frequency rule across restart/ship/install + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + recycled corpus build, its release and its allocation bound + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + shared-token length window + attached corpus refuses direct writes + one token space per durable node + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths + Job 1 ownership under signature collisions (TestJob1OwnershipSignatureCollisions) + radix sort against a stable sort (TestSortMatchesStableSort)): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

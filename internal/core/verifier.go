@@ -77,8 +77,9 @@ func MaxSLDWithin(t float64, la, lb int) int {
 // row, Hungarian potentials and paths, greedy edge list) is owned by the
 // Verifier and reused across calls, so a long-lived per-worker Verifier
 // performs zero steady-state allocations. A Verifier is NOT safe for
-// concurrent use; give each worker its own (the batch join keeps an idle
-// list of them, the stream a sync.Pool; the zero value is ready to use).
+// concurrent use; give each worker its own (each reduce worker of the
+// batch join owns one, the stream keeps a sync.Pool; the zero value is
+// ready to use).
 //
 // Exactness: for every pair, the bounded verdict equals the exact one
 // (accept iff SLD <= budget, or greedy-SLD <= budget under Greedy), and

@@ -14,10 +14,14 @@
 //
 // tokens of x under that order its prefix. Then for any pair with
 // NSLD <= T that shares at least one token, the two prefixes share a
-// token (see FirstCommon for the argument). The shared-token generator may
+// token (see Admit for the argument). The shared-token generator may
 // therefore index and probe prefixes only — the pairs it no longer emits
 // are exactly pairs that either share no token (never job-1's
 // responsibility) or cannot satisfy the threshold (pruned losslessly).
+// Each such pair meets in the reducer of every prefix token it shares,
+// and the one of its first common token emits it: the map knows where
+// each token sits in its string's prefix, so the reducer decides that
+// from the two positions, comparing only the prefix heads before them.
 //
 // MaxErrors bounds B without knowing the partner: by Lemma 6 a pair with
 // NSLD <= T has L(y) <= L(x)/(1-T), and MaxSLDWithin is monotone in the
@@ -26,7 +30,6 @@
 package prefilter
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/core"
@@ -86,7 +89,7 @@ func MaxErrors(t float64, aggLen int) int {
 // prefix is then *untruncated*, and every token — in particular every
 // similar-witness carrier — is a prefix token. A pair that does share a
 // token is the shared-token path's responsibility (its prefixes
-// intersect; see FirstCommon / markPrefix), so restricting the segment
+// intersect; see Admit), so restricting the segment
 // index to prefix tokens on both the probe and the storage side loses no
 // pair.
 //
@@ -114,21 +117,27 @@ func PrefixLen(t float64, aggLen, distinct int) int {
 	return p
 }
 
-// Index is the batch-side pruning state for one join: the global token
-// order and every string's prefix under it. Build it once per join from
-// the corpus's document frequencies; it is immutable afterwards and safe
-// for concurrent readers (the reduce workers of both candidate
-// generators, which run side by side). Its tables are slabs on loan from
-// the slab pools until its owner calls Release.
+// Index is the batch-side pruning state for one join: every string's
+// prefix under the global token order, with what Job 1's reducers need to
+// decide a pair there. Build it once per join from the corpus's document
+// frequencies; it is immutable afterwards and safe for concurrent readers
+// (the reduce workers of both candidate generators, which run side by
+// side). Its tables are slabs on loan from the slab pools until its owner
+// calls Release.
 type Index struct {
-	c *token.Corpus
-
-	// rank maps TokenID -> position in the global rarest-first order;
-	// dropped tokens get rank -1 and never appear in prefixes.
+	// off[sid]:off[sid+1] is string sid's prefix in the three arenas
+	// below, position by position.
+	off []int32
+	// tok holds each prefix's tokens, rank ascending: the head of the
+	// string's rank-sorted kept-distinct list.
+	tok []token.TokenID
+	// rank holds each prefix token's rank in the global rarest-first
+	// order, so a reducer compares prefix heads without a rank lookup.
 	rank []int32
-	// prefix[sid] holds the string's prefix tokens sorted by rank
-	// ascending (the head of its full rank-sorted kept-distinct list).
-	prefix [][]token.TokenID
+	// head holds, per prefix position i, the signature of the ranks before
+	// position i: bit r%64 is set for every such rank r. Two heads whose
+	// signatures share no bit share no token.
+	head []uint64
 	// distinct[sid] is the string's kept-distinct token count, the |D'|
 	// term of the positional filter.
 	distinct []int32
@@ -154,19 +163,19 @@ type Index struct {
 // constantly in real corpora.
 //
 // Losslessness does not require the order to be frequency-sorted: every
-// argument in this package (FirstCommon's prefix-intersection theorem and
-// Admit's positional filter) assumes only some fixed total order shared
-// by all strings. The frequencies only make it prune well.
+// argument in this package (the prefix-intersection theorem and Admit's
+// ownership rule and positional filter) assumes only some fixed total
+// order shared by all strings. The frequencies only make it prune well.
 func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	maxFreq := int32(0)
 	for _, f := range c.Freq {
 		maxFreq = max(maxFreq, f)
 	}
 	// Dropped tokens sort as frequency maxFreq+1, after every kept one, so
-	// they trail each rank-sorted list and are cut off its tail in place.
-	isDropped := func(tid token.TokenID) bool { return dropped != nil && dropped[tid] }
-	key := func(tid token.TokenID) int32 {
-		if isDropped(tid) {
+	// their ranks are the top ones and they trail each rank-sorted list,
+	// whose tail is cut off in place.
+	key := func(tid int) int32 {
+		if dropped != nil && dropped[tid] {
 			return maxFreq + 1
 		}
 		return c.Freq[tid]
@@ -176,21 +185,22 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	next := slab.Take[int32](&scratch, int(maxFreq)+3) // next[k]: the next free rank for key k
 	clear(next)
 	for tid := range c.Freq {
-		next[key(token.TokenID(tid))+1]++
+		next[key(tid)+1]++
 	}
 	for k := 1; k < len(next); k++ {
 		next[k] += next[k-1]
 	}
-	ix := &Index{c: c}
-	ix.rank = slab.Take[int32](&ix.tables, c.NumTokens())
-	ix.prefix = slab.Take[[]token.TokenID](&ix.tables, c.NumStrings())
-	ix.distinct = slab.Take[int32](&ix.tables, c.NumStrings())
-	ix.aggLen = slab.Take[int32](&ix.tables, c.NumStrings())
-	for tid := range ix.rank {
-		k := key(token.TokenID(tid))
-		ix.rank[tid] = next[k]
+	kept := next[maxFreq+1] // the ranks of kept tokens lie below it
+	rank := slab.Take[int32](&scratch, c.NumTokens())
+	for tid := range rank {
+		k := key(tid)
+		rank[tid] = next[k]
 		next[k]++
 	}
+	n := c.NumStrings()
+	ix := &Index{}
+	ix.distinct = slab.Take[int32](&ix.tables, n)
+	ix.aggLen = slab.Take[int32](&ix.tables, n)
 	maxLen := 0
 	for sid := range c.Strings {
 		l := c.Strings[sid].AggregateLen()
@@ -207,32 +217,40 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	for l := range maxPrefix {
 		maxPrefix[l] = MaxErrors(t, l) + 1
 	}
-	// Each string's members, rank-sorted, in one arena; the prefix is the
-	// head of the kept part.
-	size := 0
-	for _, m := range c.Members {
-		size += len(m)
-	}
-	arena := slab.Take[token.TokenID](&ix.tables, size)[:0]
+	// The arenas are sized by the prefixes' lengths before dropped tokens
+	// are cut, which bound them.
+	size, longest := 0, 0
 	for sid, m := range c.Members {
-		from := len(arena)
-		arena = append(arena, m...)
-		list := arena[from:len(arena):len(arena)]
-		slices.SortFunc(list, func(a, b token.TokenID) int { return cmp.Compare(ix.rank[a], ix.rank[b]) })
-		for len(list) > 0 && isDropped(list[len(list)-1]) {
+		size += min(len(m), maxPrefix[ix.aggLen[sid]])
+		longest = max(longest, len(m))
+	}
+	ix.off = slab.Take[int32](&ix.tables, n+1)
+	ix.tok = slab.Take[token.TokenID](&ix.tables, size)[:0]
+	ix.rank = slab.Take[int32](&ix.tables, size)[:0]
+	ix.head = slab.Take[uint64](&ix.tables, size)[:0]
+	// Each string's members sort by rank as (rank, token) words, so the
+	// sorted list yields both without a lookup.
+	words := slab.Take[uint64](&scratch, longest)
+	ix.off[0] = 0
+	for sid, m := range c.Members {
+		list := words[:len(m)]
+		for i, tid := range m {
+			list[i] = uint64(rank[tid])<<32 | uint64(uint32(tid))
+		}
+		slices.Sort(list)
+		for len(list) > 0 && int32(list[len(list)-1]>>32) >= kept {
 			list = list[:len(list)-1]
 		}
 		ix.distinct[sid] = int32(len(list))
-		if p := min(len(list), maxPrefix[ix.aggLen[sid]]); p > 0 {
-			ix.prefix[sid] = list[:p:p]
+		var sig uint64
+		for _, w := range list[:min(len(list), maxPrefix[ix.aggLen[sid]])] {
+			r := int32(w >> 32)
+			ix.tok = append(ix.tok, token.TokenID(uint32(w)))
+			ix.rank = append(ix.rank, r)
+			ix.head = append(ix.head, sig)
+			sig |= 1 << (r & 63)
 		}
-	}
-	// Dropped tokens never appear in a prefix; FirstCommon reads only the
-	// kept ranks.
-	for tid := range ix.rank {
-		if isDropped(token.TokenID(tid)) {
-			ix.rank[tid] = -1
-		}
+		ix.off[sid+1] = int32(len(ix.rank))
 	}
 	return ix
 }
@@ -243,77 +261,77 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 // nothing.
 func (ix *Index) Release() {
 	ix.tables.Return()
-	ix.c, ix.rank, ix.prefix, ix.distinct, ix.aggLen, ix.budgetBySum = nil, nil, nil, nil, nil, nil
+	ix.off, ix.tok, ix.rank, ix.head, ix.distinct, ix.aggLen, ix.budgetBySum = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Prefix returns the string's prefix tokens (rank-ascending). The caller
 // must not mutate the returned slice.
-func (ix *Index) Prefix(sid token.StringID) []token.TokenID { return ix.prefix[sid] }
+func (ix *Index) Prefix(sid token.StringID) []token.TokenID {
+	lo, hi := ix.off[sid], ix.off[sid+1]
+	return ix.tok[lo:hi:hi]
+}
+
+// Pos returns the position of token z in the string's prefix, or -1 when
+// the prefix does not hold z: one scan of a prefix a few tokens long.
+func (ix *Index) Pos(sid token.StringID, z token.TokenID) int {
+	return slices.Index(ix.Prefix(sid), z)
+}
 
 // Distinct returns the string's kept-distinct token count (the |D'| term
 // of the positional filter; 0 for tombstoned strings).
 func (ix *Index) Distinct(sid token.StringID) int { return int(ix.distinct[sid]) }
 
-// FirstCommon returns the first token (in the global order) present in
-// both prefixes, with its position in each, or ok = false when the
-// prefixes are disjoint.
+// Admit decides, inside the posting-list reducer of a token z that sits
+// at position posA of a's prefix and posB of b's, whether the pair (a, b)
+// should be emitted there. Exactly one reducer emits each surviving pair:
+// the one owning the pair's first prefix-common token, where the prefix
+// heads a[:posA] and b[:posB] share no token. A pair is rejected — pruned
+// — there when the positional filter proves NSLD > t. The caller has
+// already applied the aggregate-length filter (core.LengthPrune): Job 1's
+// reducers only pair strings inside its length window.
 //
-// Why the first prefix-common token governs the pair: suppose prefixes
-// were disjoint for a pair with NSLD <= T sharing a kept token, and let a
-// (resp. b) be the last prefix element of x (resp. y), with, WLOG,
-// rank(a) <= rank(b). Every prefix token of x precedes b, so if it were
-// in distinct(y) it would be in y's prefix — contradiction with
-// disjointness. Hence prefix(x) ⊆ distinct(x)\distinct(y), whose size is
-// at most SLD <= B < |prefix(x)| (or the prefix is all of distinct(x) and
-// the pair shares no token at all). Either way: contradiction.
-func (ix *Index) FirstCommon(a, b token.StringID) (tid token.TokenID, posA, posB int, ok bool) {
-	pa, pb := ix.prefix[a], ix.prefix[b]
-	i, j := 0, 0
-	for i < len(pa) && j < len(pb) {
-		ra, rb := ix.rank[pa[i]], ix.rank[pb[j]]
+// Ownership: heads whose rank signatures share no bit are disjoint, which
+// decides most pairs in O(1); heads whose signatures meet are merged by
+// rank, exactly. Why the first prefix-common token governs the pair:
+// suppose the prefixes were disjoint for a pair with NSLD <= T sharing a
+// kept token, and let a' (resp. b') be the last prefix element of a
+// (resp. b), with, WLOG, rank(a') <= rank(b'). Every prefix token of a
+// precedes b', so if it were in distinct(b) it would be in b's prefix —
+// contradiction with disjointness. Hence prefix(a) ⊆
+// distinct(a)\distinct(b), whose size is at most SLD <= B < |prefix(a)|
+// (or the prefix is all of distinct(a) and the pair shares no token at
+// all). Either way: contradiction.
+//
+// Positional filter: all tokens common to distinct(a) and distinct(b) sit
+// at rank-order positions >= posA in a and >= posB in b (any earlier
+// common token would sit in both heads), so the overlap is at most
+// 1 + min(|D'a|-posA-1, |D'b|-posB-1); a pair within the threshold needs
+// overlap >= max(|D'a|, |D'b|) - MaxSLDWithin(t, La, Lb).
+func (ix *Index) Admit(a, b token.StringID, posA, posB int) (emit, pruned bool) {
+	ha, hb := int(ix.off[a]), int(ix.off[b])
+	if ix.head[ha+posA]&ix.head[hb+posB] != 0 && meet(ix.rank[ha:ha+posA], ix.rank[hb:hb+posB]) {
+		return false, false // another reducer owns the pair
+	}
+	budget := ix.budgetBySum[ix.aggLen[a]+ix.aggLen[b]]
+	da, db := int(ix.distinct[a]), int(ix.distinct[b])
+	req := max(da, db) - budget
+	if req > 1 && 1+min(da-posA-1, db-posB-1) < req {
+		return false, true
+	}
+	return true, false
+}
+
+// meet reports whether two rank-ascending lists share a rank.
+func meet(x, y []int32) bool {
+	for i, j := 0, 0; i < len(x) && j < len(y); {
 		switch {
-		case ra == rb:
-			return pa[i], i, j, true
-		case ra < rb:
+		case x[i] == y[j]:
+			return true
+		case x[i] < y[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	return 0, 0, 0, false
-}
-
-// Admit decides, inside the posting-list reducer of token z, whether the
-// pair (a, b) should be emitted there. Exactly one reducer emits each
-// surviving pair (the one owning the pair's first prefix-common token),
-// and a pair is rejected — pruned — there when the positional filter
-// proves NSLD > t. The caller has already applied the aggregate-length
-// filter (core.LengthPrune): Job 1's reducers only pair strings inside
-// its length window.
-//
-// Positional filter: all tokens common to distinct(a) and distinct(b) sit
-// at rank-order positions >= posA in a and >= posB in b (any earlier
-// common token would contradict z being the first prefix-common token —
-// see FirstCommon), so the overlap is at most
-// 1 + min(|D'a|-posA-1, |D'b|-posB-1); a pair within the threshold needs
-// overlap >= max(|D'a|, |D'b|) - MaxSLDWithin(t, La, Lb).
-func (ix *Index) Admit(z token.TokenID, a, b token.StringID) (emit, pruned bool) {
-	first, posA, posB, ok := ix.FirstCommon(a, b)
-	if !ok || first != z {
-		return false, false // another reducer owns the pair
-	}
-	budget := ix.budgetBySum[ix.aggLen[a]+ix.aggLen[b]]
-	da, db := int(ix.distinct[a]), int(ix.distinct[b])
-	req := da
-	if db > req {
-		req = db
-	}
-	req -= budget
-	if req > 1 {
-		ubound := 1 + min(da-posA-1, db-posB-1)
-		if ubound < req {
-			return false, true
-		}
-	}
-	return true, false
+	return false
 }

@@ -1,8 +1,11 @@
 package prefilter
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -97,8 +100,9 @@ func TestIndexDeterministicUnderTies(t *testing.T) {
 	}
 }
 
-// TestFirstCommonSymmetric: FirstCommon agrees with a brute-force scan and
-// is symmetric in its positions.
+// TestFirstCommonSymmetric: the first token (in the global order) the
+// two prefixes share owns the pair: Admit emits it at that token's
+// positions and at no later shared token's, in either argument order.
 func TestFirstCommonSymmetric(t *testing.T) {
 	raw := []string{
 		"alpha bravo charlie delta",
@@ -108,15 +112,36 @@ func TestFirstCommonSymmetric(t *testing.T) {
 	c := token.BuildCorpus(raw, token.WhitespaceAndPunct)
 	ix := NewIndex(c, nil, 0.5)
 
-	tid, pa, pb, ok := ix.FirstCommon(0, 1)
+	tid, pa, pb, ok := firstCommon(ix, 0, 1)
 	if !ok {
-		t.Fatal("strings 0 and 1 share tokens; FirstCommon found none")
+		t.Fatal("strings 0 and 1 share tokens; the oracle found none")
 	}
-	tid2, pb2, pa2, ok2 := ix.FirstCommon(1, 0)
+	tid2, pb2, pa2, ok2 := firstCommon(ix, 1, 0)
 	if !ok2 || tid2 != tid || pa2 != pa || pb2 != pb {
-		t.Fatalf("FirstCommon not symmetric: (%d,%d,%d) vs (%d,%d,%d)", tid, pa, pb, tid2, pa2, pb2)
+		t.Fatalf("first common token not symmetric: (%d,%d,%d) vs (%d,%d,%d)", tid, pa, pb, tid2, pa2, pb2)
 	}
-	if _, _, _, ok := ix.FirstCommon(0, 2); ok {
+	owners := 0
+	for _, z := range ix.Prefix(0) {
+		posA, posB := ix.Pos(0, z), ix.Pos(1, z)
+		if posB < 0 {
+			continue
+		}
+		e1, p1 := ix.Admit(0, 1, posA, posB)
+		e2, p2 := ix.Admit(1, 0, posB, posA)
+		if e1 != e2 || p1 != p2 {
+			t.Fatalf("token %d: Admit not symmetric: %v/%v vs %v/%v", z, e1, p1, e2, p2)
+		}
+		if owner := e1 || p1; owner != (z == tid) {
+			t.Fatalf("token %d decided the pair: %v, want %v (first common token %d)", z, owner, z == tid, tid)
+		}
+		if e1 || p1 {
+			owners++
+		}
+	}
+	if owners != 1 {
+		t.Fatalf("%d reducers decided the pair, want 1", owners)
+	}
+	if _, _, _, ok := firstCommon(ix, 0, 2); ok {
 		t.Fatal("disjoint strings reported a common prefix token")
 	}
 }
@@ -142,12 +167,21 @@ func TestDroppedTokensExcluded(t *testing.T) {
 	}
 }
 
-// refNewIndex is NewIndex as it stood before the counting sort, kept
-// verbatim as the oracle for TestNewIndexMatchesSortOrder: one global
-// sort.Slice for the order and one per string for its prefix.
-func refNewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
-	ix := &Index{
-		c:        c,
+// refIndex is the pruning index as NewIndex built it before the
+// counting sort and the prefix positions, kept as the oracle for
+// TestNewIndexMatchesSortOrder and TestJob1OwnershipSignatureCollisions:
+// one global sort.Slice for the order, one per string for its prefix, and
+// ownership decided by merging the two full prefixes through rank.
+type refIndex struct {
+	rank        []int32 // TokenID -> global rank; -1 for dropped tokens
+	prefix      [][]token.TokenID
+	distinct    []int32
+	aggLen      []int32
+	budgetBySum []int
+}
+
+func refNewIndex(c *token.Corpus, dropped []bool, t float64) *refIndex {
+	ix := &refIndex{
 		rank:     make([]int32, c.NumTokens()),
 		prefix:   make([][]token.TokenID, c.NumStrings()),
 		distinct: make([]int32, c.NumStrings()),
@@ -208,13 +242,51 @@ func refNewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	return ix
 }
 
+// firstCommon is the brute-force ownership oracle: the first token (in
+// the global order) present in both prefixes, with its position in each,
+// or ok = false when the prefixes are disjoint. Both prefixes are rank
+// ascending, so the first token of a's prefix that b's holds is it.
+func firstCommon(ix *Index, a, b token.StringID) (tid token.TokenID, posA, posB int, ok bool) {
+	for i, z := range ix.Prefix(a) {
+		if j := slices.Index(ix.Prefix(b), z); j >= 0 {
+			return z, i, j, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// admit is Admit as it stood before prefix positions: the owner found by
+// merging both full prefixes through rank, then the positional filter.
+func (ix *refIndex) admit(z token.TokenID, a, b token.StringID) (emit, pruned bool) {
+	pa, pb := ix.prefix[a], ix.prefix[b]
+	posA, posB := 0, 0
+	for posA < len(pa) && posB < len(pb) && pa[posA] != pb[posB] {
+		if ix.rank[pa[posA]] < ix.rank[pb[posB]] {
+			posA++
+		} else {
+			posB++
+		}
+	}
+	if posA == len(pa) || posB == len(pb) || pa[posA] != z {
+		return false, false // another reducer owns the pair
+	}
+	budget := ix.budgetBySum[ix.aggLen[a]+ix.aggLen[b]]
+	da, db := int(ix.distinct[a]), int(ix.distinct[b])
+	req := max(da, db) - budget
+	if req > 1 && 1+min(da-posA-1, db-posB-1) < req {
+		return false, true
+	}
+	return true, false
+}
+
 // TestNewIndexMatchesSortOrder: the counting-sort index is the sorting
-// one — the same rank for every token, the same prefixes and distinct
-// counts for every string, and the same Admit verdict for every pair that
-// shares a prefix token — on a name corpus full of frequency ties, with
-// no cutoff, with a max-frequency cutoff, and with an arbitrary dropped
-// set. Every index is released once checked, so each after the first is
-// built on the slabs of one with other prefixes.
+// one — the same prefixes, prefix ranks and distinct counts for every
+// string, and the same Admit verdict, from the prefix positions, as the
+// full-prefix merge gives for every pair that shares a prefix token — on
+// a name corpus full of frequency ties, with no cutoff, with a
+// max-frequency cutoff, and with an arbitrary dropped set. Every index is
+// released once checked, so each after the first is built on the slabs
+// of one with other prefixes.
 func TestNewIndexMatchesSortOrder(t *testing.T) {
 	names := append(namegen.Generate(namegen.Config{Seed: 5, NumNames: 1200}),
 		"", "...", "bo bo bo", "a a b", "Zoë \U0001F600 zoë")
@@ -244,36 +316,170 @@ func TestNewIndexMatchesSortOrder(t *testing.T) {
 		for _, th := range []float64{0, 0.1, 0.3, 0.6} {
 			want := refNewIndex(c, tc.dropped, th)
 			got := NewIndex(c, tc.dropped, th)
-			if !slices.Equal(got.rank, want.rank) {
-				t.Fatalf("%s t=%g: ranks differ", tc.name, th)
+			checkAgainstRef(t, fmt.Sprintf("%s t=%g", tc.name, th), got, want, names)
+			got.Release()
+		}
+	}
+}
+
+// checkAgainstRef fails unless ix has ref's prefixes, prefix ranks and
+// distinct counts, and Admit, given each shared prefix token's positions,
+// returns ref's verdict for every pair of strings sharing one.
+func checkAgainstRef(t *testing.T, label string, ix *Index, ref *refIndex, raw []string) (fallbacks, owned int) {
+	t.Helper()
+	// posting[z] lists the strings whose prefix holds z: every pair
+	// that shares one is a pair some reducer sees.
+	posting := make([][]token.StringID, len(ref.rank))
+	for sid := range ref.prefix {
+		s := token.StringID(sid)
+		if !slices.Equal(ix.Prefix(s), ref.prefix[sid]) || ix.Distinct(s) != int(ref.distinct[sid]) {
+			t.Fatalf("%s string %d %q: prefix %v distinct %d, want %v and %d", label, sid,
+				raw[sid], ix.Prefix(s), ix.Distinct(s), ref.prefix[sid], ref.distinct[sid])
+		}
+		lo := ix.off[sid]
+		for i, z := range ix.Prefix(s) {
+			if ix.rank[int(lo)+i] != ref.rank[z] {
+				t.Fatalf("%s string %d: prefix rank %d of token %d, want %d", label, sid, ix.rank[int(lo)+i], z, ref.rank[z])
 			}
-			// posting[z] lists the strings whose prefix holds z: every pair
-			// that shares one is a pair some reducer sees.
+			posting[z] = append(posting[z], s)
+		}
+	}
+	for z, list := range posting {
+		for i, a := range list {
+			for _, b := range list[i+1:] {
+				posA, posB := ix.Pos(a, token.TokenID(z)), ix.Pos(b, token.TokenID(z))
+				ge, gp := ix.Admit(a, b, posA, posB)
+				we, wp := ref.admit(token.TokenID(z), a, b)
+				if ge != we || gp != wp {
+					t.Fatalf("%s: Admit(%d, %d) at token %d = %v/%v, want %v/%v", label, a, b, z, ge, gp, we, wp)
+				}
+				if ix.head[int(ix.off[a])+posA]&ix.head[int(ix.off[b])+posB] != 0 {
+					fallbacks++
+					if we || wp {
+						owned++
+					}
+				}
+			}
+		}
+	}
+	return fallbacks, owned
+}
+
+// TestJob1OwnershipSignatureCollisions: Job 1's ownership rule is exact
+// where the 64-bit head signatures collide. Each corpus holds more than
+// 64 kept tokens, so head ranks congruent mod 64 share a signature bit:
+// a crafted corpus puts ranks r and r+64 in the heads of two strings that
+// then share a token, and random corpora of long strings over a few
+// hundred tokens collide by the thousand. On each, the pairs Job 1 emits
+// from every reducer and the pairs it prunes equal the brute-force
+// first-common-token oracle's, every surviving pair is emitted exactly
+// once, and the fallback both clears disjoint heads and rejects heads
+// that meet.
+func TestJob1OwnershipSignatureCollisions(t *testing.T) {
+	// Crafted: k000…k127 occur once each and sort by id, so k000 has rank
+	// 0 and k064 rank 64. "k000 zz" and "k064 zz" share zz behind heads
+	// whose signatures meet at bit 0 and whose ranks do not; "m1 m2 zq"
+	// and "m1 m3 zq" share zq behind heads that truly share m1.
+	filler := make([]string, 0, 126)
+	for i := 1; i < 128; i++ {
+		if i != 64 {
+			filler = append(filler, fmt.Sprintf("k%03d", i))
+		}
+	}
+	crafted := []string{"k000 zz", "k064 zz", strings.Join(filler, " "), "m1 m2 zq", "m1 m3 zq"}
+
+	rng := rand.New(rand.NewSource(11))
+	vocab := make([]string, 300)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%03d", i)
+	}
+	random := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			toks := make([]string, 8+rng.Intn(5))
+			for j := range toks {
+				toks[j] = vocab[int(float64(len(vocab))*rng.Float64()*rng.Float64())] // skewed: early words are common
+			}
+			out[i] = strings.Join(toks, " ")
+		}
+		return out
+	}
+	var fallbacks, owned int
+	for ci, raw := range [][]string{crafted, random(300), random(600)} {
+		c := token.BuildCorpus(raw, token.WhitespaceAndPunct)
+		if c.NumTokens() <= 64 {
+			t.Fatalf("corpus %d has %d tokens; signatures cannot collide", ci, c.NumTokens())
+		}
+		for _, th := range []float64{0.1, 0.3, 0.5} {
+			label := fmt.Sprintf("corpus %d t=%g", ci, th)
+			ix, ref := NewIndex(c, nil, th), refNewIndex(c, nil, th)
+			f, o := checkAgainstRef(t, label, ix, ref, raw)
+			if ci == 0 && th == 0.5 && (o != 1 || f != 2) {
+				t.Fatalf("%s: %d signature fallbacks, %d of them owned; want the two crafted ones, one owned", label, f, o)
+			}
+			fallbacks, owned = fallbacks+f, owned+o
+			// Job 1 as the pipeline runs it: every reducer's emits and
+			// prunes over the length-feasible pairs of its postings.
+			emitted := make(map[[2]token.StringID]int)
+			var pruned int
 			posting := make([][]token.StringID, c.NumTokens())
 			for sid := range c.Strings {
-				s := token.StringID(sid)
-				if !slices.Equal(got.Prefix(s), want.Prefix(s)) || got.Distinct(s) != want.Distinct(s) {
-					t.Fatalf("%s t=%g string %d %q: prefix %v distinct %d, want %v and %d", tc.name, th, sid,
-						names[sid], got.Prefix(s), got.Distinct(s), want.Prefix(s), want.Distinct(s))
-				}
-				for _, z := range got.Prefix(s) {
-					posting[z] = append(posting[z], s)
+				for _, z := range ix.Prefix(token.StringID(sid)) {
+					posting[z] = append(posting[z], token.StringID(sid))
 				}
 			}
 			for z, list := range posting {
 				for i, a := range list {
 					for _, b := range list[i+1:] {
-						ge, gp := got.Admit(token.TokenID(z), a, b)
-						we, wp := want.Admit(token.TokenID(z), a, b)
-						if ge != we || gp != wp {
-							t.Fatalf("%s t=%g: Admit(%d, %d, %d) = %v/%v, want %v/%v", tc.name, th, z, a, b, ge, gp, we, wp)
+						if core.LengthPrune(c.Strings[a].AggregateLen(), c.Strings[b].AggregateLen(), th) {
+							continue
+						}
+						switch e, p := ix.Admit(a, b, ix.Pos(a, token.TokenID(z)), ix.Pos(b, token.TokenID(z))); {
+						case e:
+							emitted[[2]token.StringID{a, b}]++
+						case p:
+							pruned++
 						}
 					}
 				}
 			}
-			got.Release()
+			// The oracle: each length-feasible pair whose prefixes meet,
+			// decided once at its first common token.
+			var wantEmitted, wantPruned int
+			for a := range c.Strings {
+				for b := a + 1; b < len(c.Strings); b++ {
+					sa, sb := token.StringID(a), token.StringID(b)
+					z, _, _, ok := firstCommon(ix, sa, sb)
+					if !ok || core.LengthPrune(c.Strings[a].AggregateLen(), c.Strings[b].AggregateLen(), th) {
+						continue
+					}
+					e, p := ref.admit(z, sa, sb)
+					switch n := emitted[[2]token.StringID{sa, sb}]; {
+					case e && n != 1:
+						t.Fatalf("%s: pair (%d, %d) emitted %d times, want once", label, a, b, n)
+					case !e && n != 0:
+						t.Fatalf("%s: pair (%d, %d) emitted %d times, want none", label, a, b, n)
+					}
+					if e {
+						wantEmitted++
+					}
+					if p {
+						wantPruned++
+					}
+				}
+			}
+			if len(emitted) != wantEmitted || pruned != wantPruned {
+				t.Fatalf("%s: Job 1 emitted %d and pruned %d, the oracle %d and %d", label, len(emitted), pruned, wantEmitted, wantPruned)
+			}
+			ix.Release()
 		}
 	}
+	// Both outcomes of the fallback must have been exercised: heads whose
+	// signatures meet yet share no token, and heads that share one.
+	if owned == 0 || owned == fallbacks {
+		t.Fatalf("%d signature fallbacks, %d of them owned: the merge was not driven both ways", fallbacks, owned)
+	}
+	t.Logf("%d signature fallbacks, %d of them owned", fallbacks, owned)
 }
 
 func BenchmarkNewIndex(b *testing.B) {

@@ -1,21 +1,20 @@
 package tsj
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-
-	"repro/internal/token"
-)
+import "repro/internal/token"
 
 // hashID fingerprints a string id, standing in for the paper's HASH
 // fingerprint function over strings (ids are unique per string, as
 // Sec. III-C notes "identifiers of the tokenized strings ... are used").
+// It is 64-bit FNV-1a over the id's 4 little-endian bytes, computed
+// inline: hash/fnv's New64a, Write and Sum64 give the same value.
 func hashID(id token.StringID) uint64 {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(id))
-	h := fnv.New64a()
-	h.Write(b[:])
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < 4; i++ {
+		h ^= uint64(byte(uint32(id) >> (8 * i)))
+		h *= prime64
+	}
+	return h
 }
 
 // groupKey implements the grouping-on-one-string load-balancing rule of

@@ -99,10 +99,12 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	// MaxErrors(T, L)+1 rarest kept tokens under the global frequency
 	// order — and the reducer emits a pair only from its first common
 	// prefix token, after the positional and length filters prove the pair
-	// can still satisfy NSLD <= T. Lossless under any fixed total order:
-	// see the prefilter package for the argument. One prefix index serves
-	// both filters: Job 1's first-common-token rule and Job 2's segment
-	// prefix restriction.
+	// can still satisfy NSLD <= T. The reducer of token z finds z's
+	// position in each value's prefix, and the pair is z's exactly when
+	// the prefix heads before those positions share no token (Admit).
+	// Lossless under any fixed total order: see the prefilter package for
+	// the argument. One prefix index serves both filters: Job 1's
+	// first-common-token rule and Job 2's segment prefix restriction.
 	pf := prefilter.NewIndex(c, dropped, opts.Threshold)
 	defer pf.Release()
 
@@ -132,6 +134,9 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 	order, rank, lens := lengthOrder(src, sids)
 	firstP, _ := slices.BinarySearch(sids, split) // R's live strings take the ranks below it
 	var prefixPruned atomic.Int64
+	// pos[w] is reduce worker w's scratch: the position of the key token
+	// in each value's prefix.
+	pos := make([][]int32, workers)
 	sharedCands, st1 := mapreduce.Run(engCfg("tsj-shared-token"), sids,
 		func(sid token.StringID, ctx *mapreduce.MapCtx[token.TokenID, int32]) {
 			for _, tid := range pf.Prefix(sid) {
@@ -142,6 +147,11 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 			// A self-join pairs every i < j. R ranks sort before P ranks,
 			// so a bipartite join pairs ranks[:nr] with ranks[nr:].
 			slices.Sort(ranks)
+			at := slices.Grow(pos[ctx.Worker()][:0], len(ranks))[:len(ranks)]
+			pos[ctx.Worker()] = at
+			for i, r := range ranks {
+				at[i] = int32(pf.Pos(order[r], tid))
+			}
 			n, nr := len(ranks), len(ranks)
 			if bipartite {
 				nr, _ = slices.BinarySearch(ranks, int32(firstP))
@@ -165,16 +175,16 @@ func run(src *source, opts Options) ([]Result, *Stats, error) {
 				for hi < n && !core.LengthPrune(la, int(lens[ranks[hi]]), opts.Threshold) {
 					hi++
 				}
-				for _, rb := range ranks[lo:hi] {
-					a, b := normPair(order[ra], order[rb])
-					emit, prn := pf.Admit(tid, a, b)
+				for j := lo; j < hi; j++ {
+					a, b := order[ra], order[ranks[j]]
+					emit, prn := pf.Admit(a, b, int(at[i]), int(at[j]))
 					if !emit {
 						if prn {
 							pruned++
 						}
 						continue
 					}
-					ctx.Emit(pairKey(a, b))
+					ctx.Emit(pairKey(normPair(a, b)))
 				}
 			}
 			if pruned > 0 {

@@ -32,7 +32,9 @@ func windowFamily() (raw []string, shapeA map[int]int) {
 // admittedPairs is Job 1's contract counted by brute force: over every
 // pair a < b of strings (cross pairs only when nr >= 0) that LengthPrune
 // keeps and whose prefixes meet, how many Admit emits from their first
-// common prefix token and how many it prunes.
+// common prefix token and how many it prunes. Both prefixes are rank
+// ascending, so the first token of a's prefix that b's holds is that
+// token.
 func admittedPairs(c *token.Corpus, nr int, t float64) (emitted, pruned int64) {
 	pf := prefilter.NewIndex(c, nil, t)
 	for a := 0; a < c.NumStrings(); a++ {
@@ -41,15 +43,18 @@ func admittedPairs(c *token.Corpus, nr int, t float64) (emitted, pruned int64) {
 				continue
 			}
 			sa, sb := token.StringID(a), token.StringID(b)
-			z, _, _, ok := pf.FirstCommon(sa, sb)
-			if !ok {
-				continue
-			}
-			switch emit, prn := pf.Admit(z, sa, sb); {
-			case emit:
-				emitted++
-			case prn:
-				pruned++
+			for posA, z := range pf.Prefix(sa) {
+				posB := pf.Pos(sb, z)
+				if posB < 0 {
+					continue
+				}
+				switch emit, prn := pf.Admit(sa, sb, posA, posB); {
+				case emit:
+					emitted++
+				case prn:
+					pruned++
+				}
+				break
 			}
 		}
 	}
