@@ -43,8 +43,11 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzBuildCorpusRecycled -fuzztime 30s ./internal/token/
 	$(GO) test -fuzz FuzzRadixSort -fuzztime 30s ./internal/radix/
 
+# The second line stresses the process-wide slab free lists: concurrent
+# joins, and slabs handed between goroutines, ten times over.
 race:
 	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/... ./internal/prefilter/... ./internal/slab/... .
+	$(GO) test -race -count=10 -run 'TestSelfJoinConcurrentRecycled|TestSlabReuseAcrossGoroutines' . ./internal/slab
 
 # Storage fault-injection suite under the race detector: the op-sweep
 # torture tests (every WAL/snapshot/compact I/O operation, and every
@@ -94,13 +97,13 @@ bench-corpus:
 
 equivalence-guard:
 	@out=$$($(GO) test -v -run 'TestOracleEquivalence|TestBoundedEquivalence|TestPrefixEquivalence|TestSegmentPrefixEquivalence|TestRestartEquivalence|TestInstallEquivalence|TestSIMDEquivalence|TestTortureOpSweep|TestReplicationTortureSweep|TestPromotionEquivalence|TestJoinCorpusEquivalence|TestJoinSelfJoinEquivalence|TestClusterEquivalence|TestClusterE2E|TestPipelineAccountingGolden|TestFingerprintCollisionsAreHarmless|TestBuildCorpusMatchesReference|TestBuildCorpusRecycled|TestReleasedCorpusKeepsNoTokens|TestUseAfterReleaseFails|TestCorpusAddMatchesReference|TestNewIndexMatchesSortOrder|TestStoredSigEquivalence|TestSharedTokenCancelEquivalence|TestPipelineDeterministicUnderOverlap|TestSharedTokenLengthWindow|TestAttachedCorpusRefusesDirectWrites|TestAttachedMatcherSharesTokenSpace|TestCutoff|TestSlabReuse|TestSelfJoinAllocations|TestU16Row|TestJob1OwnershipSignatureCollisions|TestSortMatchesStableSort|FuzzLevenshteinBoundedU16' ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
-	for pat in TestOracleEquivalence TestOracleEquivalenceDeletes TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestRestartEquivalenceDeletes TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestBuildCorpusRecycledMatchesFresh TestReleasedCorpusKeepsNoTokens TestUseAfterReleaseFails TestBuildCorpusRecycledAllocations TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestSharedTokenLengthWindow TestAttachedCorpusRefusesDirectWrites TestAttachedMatcherSharesTokenSpace TestCutoff TestSlabReuseAcrossJobs TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback TestJob1OwnershipSignatureCollisions TestSortMatchesStableSort FuzzLevenshteinBoundedU16; do \
+	for pat in TestOracleEquivalence TestOracleEquivalenceDeletes TestBoundedEquivalence TestBoundedEquivalenceSigBound TestPrefixEquivalence TestSegmentPrefixEquivalence TestRestartEquivalence TestRestartEquivalenceDeletes TestInstallEquivalence TestSIMDEquivalence TestOracleEquivalenceOrientation TestTortureOpSweep TestReplicationTortureSweep TestPromotionEquivalence TestJoinCorpusEquivalence TestJoinSelfJoinEquivalence TestClusterEquivalence TestClusterE2E TestPipelineAccountingGolden TestFingerprintCollisionsAreHarmless TestBuildCorpusMatchesReference TestBuildCorpusRecycledMatchesFresh TestReleasedCorpusKeepsNoTokens TestUseAfterReleaseFails TestBuildCorpusRecycledAllocations TestCorpusAddMatchesReference TestNewIndexMatchesSortOrder TestStoredSigEquivalence TestSharedTokenCancelEquivalence TestPipelineDeterministicUnderOverlap TestSharedTokenLengthWindow TestAttachedCorpusRefusesDirectWrites TestAttachedMatcherSharesTokenSpace TestCutoff TestSlabReuseAcrossJobs TestSlabReuseAcrossGoroutines TestSlabReuseReleasesPointers TestSelfJoinAllocations TestU16RowEquivalence TestU16RowEquivalenceLong TestU16RowOverflowFallback TestJob1OwnershipSignatureCollisions TestSortMatchesStableSort FuzzLevenshteinBoundedU16; do \
 		if ! echo "$$out" | grep -q -- "--- PASS: $$pat"; then \
 			echo "no $$pat tests ran"; exit 1; fi; \
 		if echo "$$out" | grep -q -- "--- SKIP: $$pat"; then \
 			echo "$$pat tests were skipped"; exit 1; fi; \
 	done; \
-	echo "equivalence guard (naive-join oracle + stream frequencies under deletes + pair orientation + bounded + prefix + segment-prefix + restart + one frequency rule across restart/ship/install + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + recycled corpus build, its release and its allocation bound + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + shared-token length window + attached corpus refuses direct writes + one token space per durable node + finite-M cutoff oracle + recycled job slabs + join allocation bound + banded DP at both row widths + Job 1 ownership under signature collisions (TestJob1OwnershipSignatureCollisions) + radix sort against a stable sort (TestSortMatchesStableSort)): ok"
+	echo "equivalence guard (naive-join oracle + stream frequencies under deletes + pair orientation + bounded + prefix + segment-prefix + restart + one frequency rule across restart/ship/install + snapshot install + simd kernels + torture + replication + corpus-join + join-is-self-join + cluster + job accounting + fingerprint collisions + corpus build + recycled corpus build, its release and its allocation bound + grown token corpus + prefix order + stored signatures + shared-token cancellation + candidate-generator overlap + shared-token length window + attached corpus refuses direct writes + one token space per durable node + finite-M cutoff oracle + recycled job slabs + slabs handed between goroutines + join allocation bound + banded DP at both row widths + Job 1 ownership under signature collisions (TestJob1OwnershipSignatureCollisions) + radix sort against a stable sort (TestSortMatchesStableSort)): ok"
 
 # vet + gofmt always; staticcheck and govulncheck when installed (CI
 # installs both — locally they degrade to a notice, never a failure).

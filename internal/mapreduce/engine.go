@@ -20,11 +20,11 @@
 // A job's slabs are recycled, across the jobs of a pipeline and across
 // pipelines: the map tasks' key and value buffers, the gathered value
 // slab, the sort's entry buffers and the reduce workers' output buffers
-// come from the shared pools of package slab and go back to them when Run
-// returns. A reducer's values therefore live only for the
-// duration of its call, and a pipeline allocates a bounded number of
-// objects once its slabs have grown to size. The []O Run returns is the
-// caller's, freshly allocated.
+// come from the shared free lists of package slab and go back when Run
+// returns. A reducer's values therefore live only for the duration of its
+// call, and a pipeline allocates a bounded number of objects once its
+// slabs have grown to size. The []O Run returns is the caller's, freshly
+// allocated.
 //
 // The paper ran on 1,000 physical machines; we cannot. Every job therefore
 // records fine-grained task costs (map work per split, reduce work per key,
@@ -35,6 +35,7 @@
 package mapreduce
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -113,7 +114,7 @@ type ReduceCtx[O any] struct {
 	out    []O
 	cost   float64
 	worker int
-	bufs   slab.Loans // out
+	bufs   slab.Loans // out; it also pads a worker's context to a cache line
 }
 
 // Worker reports which of the job's Config.Workers goroutines runs the
@@ -141,6 +142,24 @@ type Reducer[K Key, V any, O any] func(key K, values []V, ctx *ReduceCtx[O])
 // reduceBatch is how many consecutive keys a reduce worker claims at once.
 const reduceBatch = 64
 
+// learned is what the last run of a job emitted: the most records per
+// input of any map task and the most records any one task emitted, and the
+// most outputs per value of its even share of any reduce worker and the
+// most outputs any one worker emitted. The next run of the job lends its
+// buffers at the rate, capped at the most: a join's jobs emit from 0.1 to
+// 25 of either, which nothing known beforehand shows, and a rate learned
+// on a small dense input must not size a large sparse input's buffers
+// beyond what the job ever used.
+type learned struct {
+	perInput, perValue   float64
+	mostTask, mostWorker int
+}
+
+var lastRun sync.Map // job name -> learned
+
+// fit estimates what n inputs or values emit at rate per, capped at most.
+func fit(n, per float64, most int) int { return int(min(n*per+1, float64(most))) }
+
 // Run executes one MapReduce job over the input and returns the outputs
 // together with the job's task-cost statistics. Keys are reduced in
 // ascending key order and the outputs are concatenated in that order, so
@@ -159,6 +178,8 @@ func Run[I any, K Key, V any, O any](
 ) ([]O, *Stats) {
 	cfg = cfg.withDefaults()
 	st := &Stats{Name: cfg.Name}
+	got, _ := lastRun.LoadOrStore(cfg.Name, learned{perInput: 1, mostTask: math.MaxInt, mostWorker: math.MaxInt})
+	last, next := got.(learned), learned{}
 	start := time.Now()
 	defer func() {
 		st.WallTime = time.Since(start)
@@ -172,11 +193,9 @@ func Run[I any, K Key, V any, O any](
 
 	each(cfg.Parallelism, len(splits), func(_, si int) {
 		ctx := &tasks[si]
-		// A task's buffers start at one record per input; one that
-		// emits more grows them, and its slab returns to a higher class.
-		n := splits[si][1] - splits[si][0]
-		slab.Lend(&ctx.bufs, &ctx.keys, n)
-		slab.Lend(&ctx.bufs, &ctx.vals, n)
+		est := fit(float64(splits[si][1]-splits[si][0]), last.perInput, last.mostTask)
+		slab.Lend(&ctx.bufs, &ctx.keys, est)
+		slab.Lend(&ctx.bufs, &ctx.vals, est)
 		cost := 0.0
 		for i := splits[si][0]; i < splits[si][1]; i++ {
 			ctx.cost = 0
@@ -191,6 +210,8 @@ func Run[I any, K Key, V any, O any](
 	for i := range tasks {
 		n += len(tasks[i].keys)
 		st.MapWork += st.MapTaskCosts[i]
+		next.perInput = max(next.perInput, float64(len(tasks[i].keys))/float64(splits[i][1]-splits[i][0]))
+		next.mostTask = max(next.mostTask, len(tasks[i].keys))
 	}
 	st.MapRecordsIn = int64(len(input))
 	st.MapRecordsOut = int64(n)
@@ -251,9 +272,10 @@ func Run[I any, K Key, V any, O any](
 	type span struct{ worker, lo, hi int }
 	spans := make([]span, (groups+reduceBatch-1)/reduceBatch)
 	outs := make([]ReduceCtx[O], cfg.Parallelism)
+	share := float64(max(n, 1)) / float64(len(outs)) // a worker's even share of the values
 	for w := range outs {
 		outs[w].worker = w
-		slab.Lend(&outs[w].bufs, &outs[w].out, 0) // nothing predicts a worker's output
+		slab.Lend(&outs[w].bufs, &outs[w].out, fit(share, last.perValue, last.mostWorker))
 	}
 	costs := make([]float64, groups)
 	each(cfg.Parallelism, len(spans), func(w, b int) {
@@ -271,7 +293,10 @@ func Run[I any, K Key, V any, O any](
 
 	for i := range outs {
 		st.OutRecords += int64(len(outs[i].out))
+		next.perValue = max(next.perValue, float64(len(outs[i].out))/share)
+		next.mostWorker = max(next.mostWorker, len(outs[i].out))
 	}
+	lastRun.Store(cfg.Name, next)
 	result := slices.Grow([]O(nil), int(st.OutRecords))
 	for _, sp := range spans {
 		result = append(result, outs[sp.worker].out[sp.lo:sp.hi]...)

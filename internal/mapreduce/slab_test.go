@@ -3,8 +3,10 @@ package mapreduce
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,14 +87,14 @@ func checkReuse[K Key](t *testing.T, pool []K) {
 type payload struct{ buf [64]byte }
 
 // TestSlabReuseReleasesPointers: a pointer a job emitted as a value or an
-// output is not kept alive by the slabs the job hands back to the pools.
-// The test holds every pooled slab of the two pointer types while it
-// waits — the output buffers by draining the drift pool, the map tasks'
-// value buffers and the gathered value slabs by taking their size
-// classes — so only clearing them before they went back can free the
-// payloads.
+// output is not kept alive by the slabs the job hands back to their free
+// lists. The test takes every idle slab of the pointer type back out and
+// holds it while it waits, so only clearing the slabs before they went
+// back can free the payloads. Collection is off until the slabs are taken
+// back, so that no collection ages them out first.
 func TestSlabReuseReleasesPointers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one pool shard to drain
+	gcPercent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPercent)
 	var made, freed atomic.Int64
 	obj := func() *payload {
 		p := new(payload)
@@ -104,7 +106,7 @@ func TestSlabReuseReleasesPointers(t *testing.T) {
 	for i := range input {
 		input[i] = i
 	}
-	emit := func(par int) {
+	for par := 1; par <= 2; par++ {
 		// As values: the reducer only counts them.
 		out, _ := Run(Config{MapTasks: 3, Parallelism: par}, input,
 			func(i int, ctx *MapCtx[int, *payload]) { ctx.Emit(i%7, obj()) },
@@ -126,22 +128,11 @@ func TestSlabReuseReleasesPointers(t *testing.T) {
 			t.Fatalf("output job returned %d outputs, want %d", len(res), len(input))
 		}
 	}
-	// A pool may drop what is put back (the race detector makes it drop a
-	// share at random), so run the jobs until some slab is there to hold.
 	var held slab.Loans // never returned
-	drifted := 0
-	for try := 0; drifted == 0 && try < 20; try++ {
-		emit(1)
-		emit(2)
-		drifted = drain[*payload](&held)
-		for i := 0; i < 4; i++ {
-			slab.Take[*payload](&held, len(input))   // the gathered values
-			slab.Take[*payload](&held, len(input)/3) // a map task's values
-		}
+	if drain[*payload](&held) == 0 {
+		t.Fatal("no *payload slab went back to its free list")
 	}
-	if drifted == 0 {
-		t.Fatal("no *payload output buffer went back to its pool")
-	}
+	debug.SetGCPercent(gcPercent)
 	for i := 0; i < 50 && freed.Load() < made.Load(); i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
@@ -152,16 +143,84 @@ func TestSlabReuseReleasesPointers(t *testing.T) {
 	}
 }
 
-// drain takes the slabs of element type T out of their drift pool onto
-// held and counts the ones with room: it asks a fixed number of times,
-// since the pool hands out an empty slab when it has none.
+// drain takes every idle slab of element type T with a capacity up to
+// 4096 onto held, and counts the ones it can tell from new slabs: a
+// request gets an idle slab of capacity up to four times its own, so a
+// few requests at each power of two reach every capacity, and a new slab
+// has exactly the capacity asked for.
 func drain[T any](held *slab.Loans) int {
 	n := 0
-	for i := 0; i < 64; i++ {
-		var s []T
-		if slab.Lend(held, &s, 0); cap(s) > 0 {
-			n++
+	for k := 1; k <= 4096; k *= 2 {
+		for range 8 {
+			var s []T
+			if slab.Lend(held, &s, k); cap(s) != k {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// TestLearnedSizesStayWithinUse: a job's buffers are lent at the rates its
+// last run emitted at, but never above the most that run emitted. A small
+// run whose one key pairs up 200 values (100 records per input, 199
+// outputs per value) is followed, under the same name, by a run of 20,000
+// distinct keys; at those rates its buffers would be lent at a million
+// records per map task and two million outputs per reduce worker. Each
+// must instead get at most four times (the free lists' best fit) the
+// small run's largest task or worker output.
+func TestLearnedSizesStayWithinUse(t *testing.T) {
+	cfg := Config{Name: "learned-sizes-within-use", MapTasks: 2, Parallelism: 2}
+	pairs, _ := Run(cfg, make([]int, 2),
+		func(_ int, ctx *MapCtx[int, int]) {
+			for i := range 100 {
+				ctx.Emit(0, i)
+			}
+		},
+		func(_ int, vs []int, ctx *ReduceCtx[int]) {
+			for i := range vs {
+				for range vs[i+1:] {
+					ctx.Emit(i)
+				}
+			}
+		},
+	)
+	if len(pairs) != 200*199/2 {
+		t.Fatalf("dense run emitted %d pairs, want %d", len(pairs), 200*199/2)
+	}
+	mostTask, mostWorker := 100, len(pairs)
+
+	var mu sync.Mutex
+	var mapCap, outCap int
+	sparse := make([]int, 20000)
+	for i := range sparse {
+		sparse[i] = i
+	}
+	out, _ := Run(cfg, sparse,
+		func(x int, ctx *MapCtx[int, int]) {
+			if len(ctx.keys) == 0 {
+				mu.Lock()
+				mapCap = max(mapCap, cap(ctx.keys), cap(ctx.vals))
+				mu.Unlock()
+			}
+			ctx.Emit(x, x)
+		},
+		func(_ int, vs []int, ctx *ReduceCtx[int]) {
+			if len(ctx.out) == 0 {
+				mu.Lock()
+				outCap = max(outCap, cap(ctx.out))
+				mu.Unlock()
+			}
+			ctx.Emit(vs[0])
+		},
+	)
+	if len(out) != len(sparse) {
+		t.Fatalf("sparse run emitted %d outputs, want %d", len(out), len(sparse))
+	}
+	if mapCap > 4*mostTask {
+		t.Errorf("a map task's buffers were lent with capacity %d, above 4 × the %d records the last run's largest task emitted", mapCap, mostTask)
+	}
+	if outCap > 4*mostWorker {
+		t.Errorf("a reduce worker's buffer was lent with capacity %d, above 4 × the %d outputs the last run's largest worker emitted", outCap, mostWorker)
+	}
 }

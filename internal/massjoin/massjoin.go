@@ -25,8 +25,6 @@
 package massjoin
 
 import (
-	"sync"
-
 	"repro/internal/mapreduce"
 	"repro/internal/passjoin"
 	"repro/internal/strdist"
@@ -67,10 +65,6 @@ func fingerprint(indexLen, probeLen, seg int, chunk []rune) uint64 {
 	h ^= h >> 32
 	return h & fpMask
 }
-
-// rows recycles Job 2's Levenshtein DP rows: the job's reducers run
-// concurrently, one verified token pair per call.
-var rows = sync.Pool{New: func() any { return new([]uint16) }}
 
 // A Job-1 intermediate value is a token id on one side, packed as
 // id<<1 | side.
@@ -197,6 +191,7 @@ func run(r, p [][]rune, t float64, cfg Config, selfJoin bool) ([]passjoin.Pair, 
 
 	// ---- Job 2: de-duplicate + verify -----------------------------------
 	engCfg.Name = cfg.NamePrefix + "-verify"
+	rows := make([][]uint16, engCfg.Workers()) // each reduce worker's Levenshtein DP row
 	results, st2 := mapreduce.Run(engCfg, cands,
 		func(c uint64, ctx *mapreduce.MapCtx[uint64, struct{}]) {
 			ctx.Emit(c, struct{}{})
@@ -211,9 +206,7 @@ func run(r, p [][]rune, t float64, cfg Config, selfJoin bool) ([]passjoin.Pair, 
 			if strdist.SigLowerBound(sigs[a], sigs[b], len(x), len(y)) > tau {
 				return
 			}
-			row := rows.Get().(*[]uint16)
-			d, ok := strdist.LevenshteinBoundedScratchU16(x, y, tau, row)
-			rows.Put(row)
+			d, ok := strdist.LevenshteinBoundedScratchU16(x, y, tau, &rows[ctx.Worker()])
 			if !ok || !strdist.WithinNLD(d, len(x), len(y), t) {
 				return
 			}

@@ -122,7 +122,7 @@ func PrefixLen(t float64, aggLen, distinct int) int {
 // decide a pair there. Build it once per join from the corpus's document
 // frequencies; it is immutable afterwards and safe for concurrent readers
 // (the reduce workers of both candidate generators, which run side by
-// side). Its tables are slabs on loan from the slab pools until its owner
+// side). Its tables are slabs on loan from package slab until its owner
 // calls Release.
 type Index struct {
 	// off[sid]:off[sid+1] is string sid's prefix in the three arenas
@@ -255,7 +255,7 @@ func NewIndex(c *token.Corpus, dropped []bool, t float64) *Index {
 	return ix
 }
 
-// Release gives the index's tables back to the slab pools and nils them,
+// Release gives the index's tables back to package slab and nils them,
 // so a use after Release panics. Only the index's owner calls it, once
 // nothing reads the index or a prefix taken from it; a second call does
 // nothing.

@@ -573,14 +573,14 @@ func TestReplicationTortureSweep(t *testing.T) {
 	t.Logf("reference run: %d records in %d primary round trips", records, trips)
 
 	// Round trips after the reference count are timing noise; the sweep
-	// covers the deterministic core. It never covers fewer than 72
-	// indices, above the 9 to 69 trips reference runs have made: the
+	// covers the deterministic core. It never covers fewer than 96
+	// indices, above the 9 to 93 trips reference runs have made: the
 	// reference count itself moves with the installs and heartbeats, and
 	// a suite whose subtest names change from run to run cannot be
 	// compared with its last run. Short mode sweeps max(trips, 24)
 	// indices at a coarser stride but still touches every flavor at
 	// several indices.
-	sweep, stride := max(trips, 72), int64(1)
+	sweep, stride := max(trips, 96), int64(1)
 	if testing.Short() {
 		sweep = max(trips, 24)
 		stride = sweep/6 + 1

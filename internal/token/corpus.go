@@ -31,8 +31,8 @@ type TokenID int32
 // NewCorpus, then Add, whose token ids are first-seen). Either way it only
 // ever grows: Add appends a string, Forget uncounts one, Grow reserves
 // room, and nothing else writes the corpus, so a View's tables stay valid
-// while its base grows. A built corpus's tables are on loan from the slab
-// pools until its owner calls Release.
+// while its base grows. A built corpus's tables are on loan from package
+// slab's free lists until its owner calls Release.
 type Corpus struct {
 	// Strings holds the tokenized strings, indexed by StringID.
 	Strings []TokenizedString
@@ -76,7 +76,7 @@ var builtins = map[uintptr]splitter{
 // corpusBuilder is pass 1 of a corpus build: every token occurrence is
 // interned to a provisional first-seen id and appended to one flat
 // occurrence list with per-string offsets. Its map and tables come from
-// the slab pools. occ, which becomes the Members arena, is on loan to the
+// package slab. occ, which becomes the Members arena, is on loan to the
 // corpus; the rest is scratch and goes back when the build returns.
 type corpusBuilder struct {
 	ids     map[string]TokenID // token -> provisional id
@@ -89,10 +89,8 @@ type corpusBuilder struct {
 }
 
 func newCorpusBuilder(n int) *corpusBuilder {
-	b := &corpusBuilder{ids: slab.GetMap[string, TokenID](), arenas: new(slab.Loans)}
-	if b.ids == nil {
-		b.ids = make(map[string]TokenID, n)
-	}
+	b := &corpusBuilder{arenas: new(slab.Loans)}
+	b.ids = slab.Map[string, TokenID](&b.scratch, n)
 	slab.Lend(&b.scratch, &b.toks, n)
 	slab.Lend(b.arenas, &b.occ, 4*n)
 	b.off = append(slab.Take[int32](&b.scratch, n+1)[:0], 0)
@@ -180,10 +178,7 @@ func BuildCorpusFromTokenized(strs []TokenizedString) *Corpus {
 // and Freq falls out of it. Every table is a slab: the corpus's go back
 // on Release, the build's scratch before finish returns.
 func (b *corpusBuilder) finish() *Corpus {
-	defer func() {
-		b.scratch.Return()
-		slab.PutMap(b.ids)
-	}()
+	defer b.scratch.Return()
 	nStr, nTok := len(b.off)-1, len(b.toks)
 	a, scratch := b.arenas, &b.scratch
 	c := &Corpus{arenas: a}
@@ -265,7 +260,7 @@ func lexOrder(toks []string, scratch *slab.Loans) []radix.Entry {
 	return ents
 }
 
-// Release gives a built corpus's tables back to the slab pools, where the
+// Release gives a built corpus's tables back to package slab, where the
 // next build reuses them, and nils them, so a use after Release indexes an
 // empty table and panics instead of reading another build's data. Only the
 // corpus's owner calls it, once nothing reads the corpus: no View of it,

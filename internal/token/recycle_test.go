@@ -2,6 +2,7 @@ package token
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -103,12 +104,15 @@ func fuzzList(data []byte) []string {
 
 // TestReleasedCorpusKeepsNoTokens: neither a released corpus nor the
 // slabs it gave back keep its token strings alive. The test takes the
-// corpus's own string and rune-view slabs back out of the pools (it knows
-// them by address), and the build's scratch and intern map with them,
-// and holds them and the corpus while it waits, so only Release's nilling
-// and the pools' clearing can free the tokens.
+// corpus's own string and rune-view slabs back out of their free lists
+// (it knows them by address), and the build's scratch and intern map with
+// them, and holds them and the corpus while it waits, so that only
+// Release's nilling and the lists' clearing can free the tokens, and not
+// the lists dropping slabs that stay idle. Collection is off until the
+// tables are taken back, so that no collection ages them out first.
 func TestReleasedCorpusKeepsNoTokens(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one pool shard
+	gcPercent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPercent)
 	var made, freed atomic.Int64
 	raw := make([]string, 300)
 	for i := range raw {
@@ -116,61 +120,52 @@ func TestReleasedCorpusKeepsNoTokens(t *testing.T) {
 		// allocation of their own, so a finalizer can watch each.
 		raw[i] = strings.Repeat(string(rune('a'+i%26)), 20+i%7) + " tokennumber" + strings.Repeat("x", 10+i%40)
 	}
-	var held []any // the released corpora and every table taken back
-	recovered := false
-	for try := 0; !recovered && try < 20; try++ {
-		c := BuildCorpus(raw, WhitespaceAndPunct)
-		if _, ok := c.TokenIDOf(c.Tokens[0]); !ok { // builds the lazy intern map too
-			t.Fatal("TokenIDOf missed a token of the corpus")
-		}
-		for _, tok := range c.Tokens {
-			made.Add(1)
-			runtime.SetFinalizer(unsafe.StringData(tok), func(*byte) { freed.Add(1) })
-		}
-		nOcc := 0
-		for s := range c.Strings {
-			nOcc += c.Strings[s].Count()
-		}
-		sizes := []int{len(raw), c.NumTokens(), nOcc}
-		want := []unsafe.Pointer{
-			unsafe.Pointer(unsafe.SliceData(c.Strings)),
-			unsafe.Pointer(unsafe.SliceData(c.Tokens)),
-			unsafe.Pointer(unsafe.SliceData(c.TokenRunes)),
-			unsafe.Pointer(unsafe.SliceData(c.Strings[0].Tokens)),       // the token arena
-			unsafe.Pointer(unsafe.SliceData(c.Strings[0].RuneSlices())), // the rune-view arena
-		}
-		c.Release()
-		held = append(held, c)
-		// A pool may drop what is put back (the race detector makes it drop
-		// a share at random), so build until every table is taken back.
-		var l slab.Loans
-		got := map[unsafe.Pointer]bool{}
-		for _, n := range sizes {
-			for i := 0; i < len(sizes); i++ { // tables of one class come back in any order
-				got[unsafe.Pointer(unsafe.SliceData(slab.Take[string](&l, n)))] = true
-				got[unsafe.Pointer(unsafe.SliceData(slab.Take[[]rune](&l, n)))] = true
-				got[unsafe.Pointer(unsafe.SliceData(slab.Take[TokenizedString](&l, n)))] = true
-			}
-		}
-		for m := slab.GetMap[string, TokenID](); m != nil; m = slab.GetMap[string, TokenID]() {
-			held = append(held, m)
-		}
-		held = append(held, &l, got)
-		recovered = true
-		for _, p := range want {
-			recovered = recovered && got[p]
+	c := BuildCorpus(raw, WhitespaceAndPunct)
+	if _, ok := c.TokenIDOf(c.Tokens[0]); !ok { // builds the lazy intern map too
+		t.Fatal("TokenIDOf missed a token of the corpus")
+	}
+	for _, tok := range c.Tokens {
+		made.Add(1)
+		runtime.SetFinalizer(unsafe.StringData(tok), func(*byte) { freed.Add(1) })
+	}
+	nOcc := 0
+	for s := range c.Strings {
+		nOcc += c.Strings[s].Count()
+	}
+	sizes := []int{len(raw), c.NumTokens(), nOcc}
+	want := []unsafe.Pointer{
+		unsafe.Pointer(unsafe.SliceData(c.Strings)),
+		unsafe.Pointer(unsafe.SliceData(c.Tokens)),
+		unsafe.Pointer(unsafe.SliceData(c.TokenRunes)),
+		unsafe.Pointer(unsafe.SliceData(c.Strings[0].Tokens)),       // the token arena
+		unsafe.Pointer(unsafe.SliceData(c.Strings[0].RuneSlices())), // the rune-view arena
+	}
+	c.Release()
+	var held slab.Loans // never returned
+	got := map[unsafe.Pointer]bool{}
+	for _, n := range sizes {
+		for i := 0; i < len(sizes); i++ { // tables of one size come back in any order
+			got[unsafe.Pointer(unsafe.SliceData(slab.Take[string](&held, n)))] = true
+			got[unsafe.Pointer(unsafe.SliceData(slab.Take[[]rune](&held, n)))] = true
+			got[unsafe.Pointer(unsafe.SliceData(slab.Take[TokenizedString](&held, n)))] = true
 		}
 	}
-	if !recovered {
-		t.Fatal("the corpus's tables never came back out of the pools")
+	ids := slab.Map[string, TokenID](&held, len(raw))
+	debug.SetGCPercent(gcPercent)
+	for _, p := range want {
+		if !got[p] {
+			t.Fatal("the corpus's tables did not come back out of their free lists")
+		}
 	}
 	for i := 0; i < 50 && freed.Load() < made.Load(); i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	runtime.KeepAlive(held)
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(&held)
+	runtime.KeepAlive(ids)
 	if f, m := freed.Load(), made.Load(); f < m {
-		t.Fatalf("%d of %d token strings are still reachable after Release (%d tables held)", m-f, m, len(held))
+		t.Fatalf("%d of %d token strings are still reachable after Release", m-f, m)
 	}
 }
 
@@ -214,13 +209,11 @@ func TestUseAfterReleaseFails(t *testing.T) {
 }
 
 // TestBuildCorpusRecycledAllocations: once a released build's slabs are
-// in the pools, the next build of the same size allocates at most a tenth
-// of the bytes a build on empty pools does — the token strings and a few
-// small tables.
+// idle, the next build of the same size allocates at most a tenth of the
+// bytes a build on empty free lists does — the token strings and a few
+// small tables. Collection is off while it measures, so that no
+// collection ages the slabs out between builds.
 func TestBuildCorpusRecycledAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled slabs at random")
-	}
 	names := namegen.Generate(namegen.Config{Seed: 5, NumNames: 8000})
 	allocated := func(f func()) uint64 {
 		var m0, m1 runtime.MemStats
@@ -229,8 +222,11 @@ func TestBuildCorpusRecycledAllocations(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	runtime.GC() // two collections empty the pools
+	// Two collections age out what earlier tests left idle; a slab left
+	// over would only serve part of the fresh build, a stricter bound.
 	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var c *Corpus
 	fresh := allocated(func() { c = BuildCorpus(names, WhitespaceAndPunct) })
 	const cycles = 5

@@ -18,7 +18,7 @@
 // (or lone TokenizedString) owns its arenas and nothing writes them after
 // construction, so workers may read them concurrently — until Release: a
 // built corpus's tables and arenas, like the build's own scratch, are
-// slabs from the shared pools of package slab, and Release hands them to
+// slabs from the shared free lists of package slab, and Release hands them to
 // the next build, so its owner calls it only once nothing reads the
 // corpus or anything taken from it. A Corpus grown by
 // Add appends whole strings to its tables and never rewrites one already

@@ -12,9 +12,6 @@ import (
 // per-stage tables, never one per string, per posting or per verified
 // pair — so one fixed limit holds at any threshold and corpus size.
 func TestSelfJoinAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled slabs at random")
-	}
 	const limit = 1000
 	names := namegen.Generate(namegen.Config{Seed: 3, NumNames: 2000})
 	c := token.BuildCorpus(names, token.WhitespaceAndPunct)

@@ -288,9 +288,6 @@ func TestJoinCorpusConcurrentWrites(t *testing.T) {
 // allocations at 30,000 names. The slack of 20 covers the engine's
 // recycled slabs, which move the count by up to 10 from run to run.
 func TestJoinCorpusAllocationsFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled slabs at random")
-	}
 	probes := []token.TokenizedString{token.WhitespaceAndPunct("barak obama")}
 	opts := DefaultOptions()
 	allocs := make(map[int]float64)
