@@ -43,11 +43,13 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzBuildCorpusRecycled -fuzztime 30s ./internal/token/
 	$(GO) test -fuzz FuzzRadixSort -fuzztime 30s ./internal/radix/
 
-# The second line stresses the process-wide slab free lists: concurrent
-# joins, and slabs handed between goroutines, ten times over.
+# The second line stresses, ten times over, what many goroutines share:
+# the process-wide slab free lists (concurrent joins, slabs handed
+# between goroutines), one HTTP client's connection pool, the shared
+# worker pool, and the coordinator under concurrent /add and /query.
 race:
-	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/... ./internal/prefilter/... ./internal/slab/... .
-	$(GO) test -race -count=10 -run 'TestSelfJoinConcurrentRecycled|TestSlabReuseAcrossGoroutines' . ./internal/slab
+	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/... ./internal/prefilter/... ./internal/slab/... ./internal/workpool/... .
+	$(GO) test -race -count=10 -run 'TestSelfJoinConcurrentRecycled|TestSlabReuseAcrossGoroutines|TestTransportConcurrentCalls|TestEachConcurrent|TestCoordinatorConcurrentAddQuery' . ./internal/slab ./internal/httpx ./internal/workpool ./internal/distrib
 
 # Storage fault-injection suite under the race detector: the op-sweep
 # torture tests (every WAL/snapshot/compact I/O operation, and every

@@ -54,7 +54,7 @@ func run() error {
 	workersSpec := flag.String("workers", "", "coordinator: comma-separated worker shards, each primary|standby1|standby2...")
 	heartbeat := flag.Duration("heartbeat", time.Second, "coordinator: membership probe interval")
 	failAfter := flag.Int("fail-after", 3, "coordinator: consecutive missed heartbeats before a standby is promoted")
-	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "coordinator: per-shard scatter deadline")
+	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "coordinator: scatter deadline")
 	flag.Parse()
 
 	if *coordinator {
@@ -72,6 +72,7 @@ func run() error {
 			FailAfter:    *failAfter,
 			Logf:         log.Printf,
 		})
+		defer co.Close()
 		log.Printf("coordinator listening on %s (%d shards, heartbeat=%v, fail-after=%d)",
 			*addr, len(pm.Shards), *heartbeat, *failAfter)
 		return serve.ListenAndServe(*addr, serve.CoordinatorHandler(co, *maxInflight), *writeTimeout, *idleTimeout, co.Run)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/httpx"
 	"repro/internal/token"
+	"repro/internal/workpool"
 )
 
 // Options configures a Coordinator. The zero value works for tests;
@@ -21,9 +22,8 @@ type Options struct {
 	// Tokenizer must match the workers' (it decides routing and the
 	// probe tokens of the distributed join). Default whitespace+punct.
 	Tokenizer token.Tokenizer
-	// QueryTimeout is the per-shard scatter deadline: a worker that has
-	// not answered within it makes the shard "missing" for that query.
-	// Default 2s.
+	// QueryTimeout is the scatter deadline: a shard whose chain has not
+	// answered within it is "missing" for that query. Default 2s.
 	QueryTimeout time.Duration
 	// WriteTimeout bounds one routed write (including its retries).
 	// Default 5s.
@@ -35,7 +35,11 @@ type Options struct {
 	// worker dead and promotes a standby. Defaults 1s / 3.
 	Heartbeat time.Duration
 	FailAfter int
-	// Client overrides the HTTP client (tests inject httptest clients).
+	// Client carries every worker RPC: scatter, routed writes,
+	// heartbeats and promotion. Default httpx.NewClient(2s), whose
+	// transport keeps warm connections to each worker and makes each
+	// RPC on the calling goroutine. Tests may inject another, e.g. one
+	// whose transport wraps that one to inject faults.
 	Client *http.Client
 	// Logf sinks coordinator logs; nil discards.
 	Logf func(format string, args ...any)
@@ -81,6 +85,9 @@ type loc struct {
 type Coordinator struct {
 	opt    Options
 	client *http.Client
+	// pool runs the scatter's worker RPCs past the first, which runs on
+	// the caller's goroutine.
+	pool *workpool.Pool
 
 	// mu guards the partition map, the id tables and the membership
 	// state. Handlers read under RLock; heartbeat failover and the
@@ -109,6 +116,7 @@ func New(pm Map, opt Options) *Coordinator {
 	co := &Coordinator{
 		opt:       opt,
 		client:    opt.Client,
+		pool:      workpool.NewGrowing(),
 		pm:        pm.clone(),
 		g:         make([][]int, n),
 		alive:     make([]bool, n),
@@ -120,6 +128,10 @@ func New(pm Map, opt Options) *Coordinator {
 	}
 	return co
 }
+
+// Close stops the goroutines the coordinator keeps for its scatter; the
+// coordinator must not be used after.
+func (co *Coordinator) Close() { co.pool.Close() }
 
 // mapView returns a copy of the current partition map.
 func (co *Coordinator) mapView() Map {
@@ -347,8 +359,6 @@ func (co *Coordinator) Delete(ctx context.Context, id int) (DeleteResponse, erro
 // screening use case — with a 503 naming missing_shards, unless partial
 // opts into the survivors' matches plus MissingShards.
 func (co *Coordinator) Query(ctx context.Context, name string, partial bool) (QueryResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout+time.Second)
-	defer cancel()
 	results, missing := co.scatterQuery(ctx, name, -1)
 	if len(missing) > 0 && !partial {
 		msg := fmt.Sprintf("shards %v did not answer within the deadline (use ?partial=true for partial results)", missing)

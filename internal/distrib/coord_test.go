@@ -62,6 +62,7 @@ func fastOptions() distrib.Options {
 func coordServer(t *testing.T, pm distrib.Map, opt distrib.Options) (*distrib.Coordinator, *httptest.Server) {
 	t.Helper()
 	co := distrib.New(pm, opt)
+	t.Cleanup(co.Close)
 	cs := httptest.NewServer(serve.CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 	return co, cs
@@ -299,7 +300,7 @@ func TestCoordinatorQueryPartialFailure(t *testing.T) {
 }
 
 // TestCoordinatorQuerySlowWorker: a worker that answers after the
-// per-shard deadline counts as missing, not as a hang.
+// scatter deadline counts as missing, not as a hang.
 func TestCoordinatorQuerySlowWorker(t *testing.T) {
 	up := newStubWorker(t).answers()
 	slow := newStubWorker(t)
@@ -317,7 +318,7 @@ func TestCoordinatorQuerySlowWorker(t *testing.T) {
 		t.Fatalf("status %d (%s)", code, body)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("query took %v: the slow worker leaked past the per-shard deadline", elapsed)
+		t.Fatalf("query took %v: the slow worker leaked past the scatter deadline", elapsed)
 	}
 	var qr distrib.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
@@ -325,6 +326,50 @@ func TestCoordinatorQuerySlowWorker(t *testing.T) {
 	}
 	if len(qr.MissingShards) != 1 || qr.MissingShards[0] != 1 {
 		t.Fatalf("missing_shards = %v, want [1]", qr.MissingShards)
+	}
+}
+
+// TestCoordinatorQueryHedgesSlowPrimary: a primary whose /query stalls
+// past the per-attempt slice is hedged to its standby, which holds the
+// same history: the default fail-closed query answers 200 with the
+// standby's matches and no missing shard, inside QueryTimeout.
+func TestCoordinatorQueryHedgesSlowPrimary(t *testing.T) {
+	primary := newStubWorker(t)
+	primary.mux.HandleFunc("/add", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(distrib.AddResponse{ID: 0, Matches: []distrib.Match{}})
+	})
+	release := make(chan struct{})
+	primary.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	})
+	defer close(release) // before the stub servers' cleanup waits on the handler
+	standby := newStubWorker(t)
+	standby.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(distrib.QueryResponse{Matches: []distrib.Match{{ID: 0, SLD: 1, NSLD: 0.1}}})
+	})
+	opt := fastOptions()
+	opt.QueryTimeout = time.Second
+	_, cs := coordServer(t, distrib.Map{Shards: []distrib.Shard{{Worker: primary.ts.URL, Standbys: []string{standby.ts.URL}}}}, opt)
+	mustPost(t, cs.URL+"/add", distrib.AddRequest{Name: "jane doe"}, nil)
+
+	start := time.Now()
+	code, body := postRaw(t, cs.URL+"/query", distrib.QueryRequest{Name: "jane do"})
+	elapsed := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200 from the standby", code, body)
+	}
+	if elapsed > opt.QueryTimeout {
+		t.Fatalf("query took %v, past the %v QueryTimeout", elapsed, opt.QueryTimeout)
+	}
+	var qr distrib.QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if len(qr.MissingShards) != 0 {
+		t.Fatalf("missing_shards = %v, want none", qr.MissingShards)
+	}
+	if len(qr.Matches) != 1 || qr.Matches[0] != (distrib.Match{ID: 0, SLD: 1, NSLD: 0.1}) {
+		t.Fatalf("matches = %+v, want the standby's one match", qr.Matches)
 	}
 }
 

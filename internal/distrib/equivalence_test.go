@@ -55,6 +55,7 @@ func newTestCluster(t *testing.T, n int, mopts tsjoin.MatcherOptions, opt distri
 		pm.Shards = append(pm.Shards, distrib.Shard{Worker: workers[i].ts.URL})
 	}
 	co := distrib.New(pm, opt)
+	t.Cleanup(co.Close)
 	cs := httptest.NewServer(serve.CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 	return co, cs, workers
@@ -296,6 +297,7 @@ func TestClusterEquivalenceAfterFailover(t *testing.T) {
 		WriteTimeout: 10 * time.Second,
 		Retry:        backoff.Policy{Base: 10 * time.Millisecond, Cap: 50 * time.Millisecond},
 	})
+	t.Cleanup(co.Close)
 	cs := httptest.NewServer(serve.CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 

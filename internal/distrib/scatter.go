@@ -3,8 +3,6 @@ package distrib
 import (
 	"context"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/backoff"
@@ -12,49 +10,50 @@ import (
 )
 
 // scatterQuery fans one /query out to every shard (except exclude, or
-// -1 for all) under the per-shard deadline, with a hedged retry chain
-// per shard: each attempt re-reads the partition map and walks the
+// -1 for all) under one QueryTimeout deadline, with a hedged retry
+// chain per shard: each attempt re-reads the partition map and walks the
 // shard's current chain — active worker first, then its warm standbys —
 // so a mid-query failover (or a promoted standby) answers later
 // attempts, and a merely slow primary is hedged by a replica that holds
-// the same acknowledged history. Shards that never answer are returned
-// in missing (ascending); the caller decides the partial-result policy.
+// the same acknowledged history. One shard's RPC runs on the calling
+// goroutine and the others on the coordinator's pool. Shards that never
+// answer are returned in missing (ascending); the caller decides the
+// partial-result policy.
 //
 // Results are local-id match lists indexed by shard; translation to
 // global ids is the caller's (toGlobal), because only the coordinator
 // tables can do it consistently.
 func (co *Coordinator) scatterQuery(ctx context.Context, name string, exclude int) ([][]Match, []int) {
+	ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout)
+	defer cancel()
 	co.mu.RLock()
 	n := len(co.pm.Shards)
 	co.mu.RUnlock()
-	results := make([][]Match, n)
-	var (
-		missMu  sync.Mutex
-		missing []int
-		wg      sync.WaitGroup
-	)
+	shards := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if i == exclude {
-			continue
+		if i != exclude {
+			shards = append(shards, i)
 		}
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, co.opt.QueryTimeout)
-			defer cancel()
-			var resp QueryResponse
-			if err := co.rpc(ctx, shard, true, "/query", QueryRequest{Name: name}, &resp, 0); err != nil {
-				co.opt.Logf("distrib: query on shard %d failed: %v", shard, err)
-				missMu.Lock()
-				missing = append(missing, shard)
-				missMu.Unlock()
-				return
-			}
-			results[shard] = resp.Matches
-		}(i)
 	}
-	wg.Wait()
-	sort.Ints(missing)
+	results := make([][]Match, n)
+	failed := make([]bool, n)
+	req := QueryRequest{Name: name}
+	co.pool.Each(len(shards), func(j int) {
+		shard := shards[j]
+		var resp QueryResponse
+		if err := co.rpc(ctx, shard, true, "/query", req, &resp, 0); err != nil {
+			co.opt.Logf("distrib: query on shard %d failed: %v", shard, err)
+			failed[shard] = true
+			return
+		}
+		results[shard] = resp.Matches
+	})
+	var missing []int
+	for _, shard := range shards {
+		if failed[shard] {
+			missing = append(missing, shard)
+		}
+	}
 	return results, missing
 }
 
@@ -65,22 +64,24 @@ func (co *Coordinator) scatterQuery(ctx context.Context, name string, exclude in
 // A 503 member (a syncing standby, a resetting or degraded engine) or an
 // unreachable one falls through to the next; any other worker answer is
 // final. Returns the last attempt's error. in == nil sends a GET.
-// timeout bounds one HTTP leg; 0 gives each leg half of what is left of
-// ctx's deadline (perAttemptTimeout), so a slow primary leaves room to
-// hedge.
+// timeout bounds one HTTP leg; 0 gives each leg of a chain with a
+// standby half of what is left of ctx's deadline (perAttemptTimeout), so
+// a slow primary leaves room to hedge, and a lone worker's leg ctx's
+// deadline alone.
 func (co *Coordinator) rpc(ctx context.Context, shard int, hedge bool, path string, in, out any, timeout time.Duration) error {
 	var last error
 	err := httpx.Retry(ctx, co.opt.Retry, func() error {
+		var buf [4]string
 		co.mu.RLock()
 		sh := co.pm.Shards[shard]
-		chain := []string{sh.Worker}
+		chain := append(buf[:0], sh.Worker)
 		if hedge {
 			chain = append(chain, sh.Standbys...)
 		}
 		co.mu.RUnlock()
 		for _, base := range chain {
 			t := timeout
-			if t == 0 {
+			if t == 0 && len(chain) > 1 {
 				t = perAttemptTimeout(ctx, co.opt.Retry)
 			}
 			if in == nil {

@@ -28,8 +28,11 @@ type PrimaryOptions struct {
 	// Backoff paces per-follower retries after a failed round trip.
 	// Zero Base means the default {250ms base, 15s cap, 0.25 jitter}.
 	Backoff backoff.Policy
-	// Client overrides the HTTP client (tests inject a fault-injecting
-	// transport); RequestTimeout still applies per request.
+	// Client carries the shipped batches, heartbeats and installs.
+	// Default httpx.NewClient, whose transport keeps warm connections to
+	// each follower. Tests inject a fault-injecting one
+	// (iofault.NetInjector wrapping that same transport);
+	// RequestTimeout still applies per request.
 	Client *http.Client
 	// Logf receives replication events; nil discards.
 	Logf func(format string, args ...any)

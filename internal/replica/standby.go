@@ -37,7 +37,9 @@ type StandbyOptions struct {
 	// Backoff paces register retries. Zero Base means the default
 	// {250ms base, 15s cap, 0.25 jitter}.
 	Backoff backoff.Policy
-	// Client overrides the HTTP client (tests inject fault transports).
+	// Client carries the registrations. Default httpx.NewClient, whose
+	// transport keeps warm connections to the primary; tests may inject
+	// a fault-injecting one that wraps that same transport.
 	Client *http.Client
 	// Logf receives replication events; nil discards.
 	Logf func(format string, args ...any)

@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/corpus"
+	"repro/internal/httpx"
 	"repro/internal/iofault"
 	"repro/internal/namegen"
 	"repro/internal/stream"
@@ -226,7 +227,10 @@ func newHarness(t *testing.T, plan iofault.NetPlan) *harness {
 	h.prim = openNode(t, t.TempDir())
 	h.stby = openNode(t, t.TempDir())
 
-	h.net = iofault.NewNetInjector(h.primSrv.Client().Transport, plan)
+	// The injector wraps the transport production clients run on, so the
+	// sweep faults the connection pool and the exchange the shipper ships
+	// with.
+	h.net = iofault.NewNetInjector(httpx.NewClient(connectTimeout).Transport, plan)
 	h.startShipper()
 	return h
 }

@@ -47,6 +47,7 @@ func TestClusterE2E(t *testing.T) {
 		FailAfter:    2,
 		Logf:         t.Logf,
 	})
+	t.Cleanup(co.Close)
 	cs := httptest.NewServer(CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 
@@ -283,6 +284,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	ws := httptest.NewServer(worker)
 	t.Cleanup(ws.Close)
 	co := distrib.New(distrib.Map{Shards: []distrib.Shard{{Worker: ws.URL}}}, distrib.Options{QueryTimeout: 10 * time.Second})
+	t.Cleanup(co.Close)
 	cs := httptest.NewServer(CoordinatorHandler(co, 1))
 	t.Cleanup(cs.Close)
 
@@ -361,6 +363,7 @@ func TestCoordinatorRelaysWorkerVerdict(t *testing.T) {
 
 	worker, _ := newTestServer(t)
 	co := distrib.New(distrib.Map{Shards: []distrib.Shard{{Worker: worker.URL}}}, distrib.Options{})
+	t.Cleanup(co.Close)
 	cs := httptest.NewServer(CoordinatorHandler(co, 0))
 	t.Cleanup(cs.Close)
 	got := drive(cs.URL)

@@ -35,7 +35,7 @@ func (m *ShardedMatcher) run(toks []token.TokenizedString, insert func()) [][]Ma
 			m.mu.RUnlock()
 			verifyStart := time.Now()
 			chunks := make([]chunkResult, verifyChunkCount(len(cands), len(m.shards)))
-			m.pool.each(len(chunks), func(c int) {
+			m.pool.Each(len(chunks), func(c int) {
 				lo := c * len(cands) / len(chunks)
 				hi := (c + 1) * len(cands) / len(chunks)
 				chunks[c] = m.verifyChunk(ts, strs, dead, cands[lo:hi])

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/token"
+	"repro/internal/workpool"
 )
 
 // ShardedMatcher is the incremental joiner. It reads one token space, a
@@ -45,7 +46,7 @@ import (
 type ShardedMatcher struct {
 	opt    Options
 	shards []*tokenIndex
-	pool   *workerPool
+	pool   *workpool.Pool
 
 	// corpus, when non-nil, is the durable backing store, and att the
 	// matcher's attachment to it: every write is one of its commits (see
@@ -179,7 +180,7 @@ func NewShardedMatcher(opt Options, shards int) (*ShardedMatcher, error) {
 	m := &ShardedMatcher{
 		opt:    opt,
 		shards: make([]*tokenIndex, shards),
-		pool:   newWorkerPool(shards),
+		pool:   workpool.New(shards),
 		mu:     new(sync.RWMutex),
 		tc:     &token.Corpus{},
 	}
@@ -240,7 +241,7 @@ func (m *ShardedMatcher) Stats() ShardedStats {
 // The matcher must not be used afterwards.
 func (m *ShardedMatcher) Close() {
 	m.closed.Do(func() {
-		m.pool.close()
+		m.pool.Close()
 		if m.att != nil {
 			m.att.Detach()
 		}
@@ -319,7 +320,7 @@ func (m *ShardedMatcher) index(lo int) {
 	var marks [][]bool
 	if m.shards[0].prunesStorage() {
 		marks = make([][]bool, hi-lo)
-		m.pool.each(jobs, func(j int) {
+		m.pool.Each(jobs, func(j int) {
 			var freqs []int32
 			var keys []int64
 			for id := lo + j*(hi-lo)/jobs; id < lo+(j+1)*(hi-lo)/jobs; id++ {
@@ -338,7 +339,7 @@ func (m *ShardedMatcher) index(lo int) {
 		})
 	}
 	n := token.TokenID(len(m.shards))
-	m.pool.each(jobs, func(j int) {
+	m.pool.Each(jobs, func(j int) {
 		for id := lo; id < hi; id++ {
 			if m.dead[id] {
 				continue
@@ -391,7 +392,7 @@ func (m *ShardedMatcher) genCandidates(ts token.TokenizedString) []int32 {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
 		m.markProbe(ts, probe)
-		m.pool.each(len(m.shards), func(i int) {
+		m.pool.Each(len(m.shards), func(i int) {
 			var local []int32
 			sc := m.scratchPool.Get().(*probeScratch)
 			m.shards[i].candidates(m.tc, probe, sc, &perCtr[i], func(cand int32) { local = append(local, cand) })
@@ -447,65 +448,4 @@ func addNonZero(c *atomic.Int64, v int64) {
 	if v != 0 {
 		c.Add(v)
 	}
-}
-
-// workerPool is a fixed set of persistent goroutines executing submitted
-// closures; it exists so per-operation fan-out does not pay goroutine
-// startup on the hot path. A pool of one runs each job inline on the
-// submitter and starts no goroutine: one worker never ran two jobs at
-// once, and a matcher that is never closed then leaks nothing.
-type workerPool struct {
-	jobs chan func() // nil for a pool of one
-	wg   sync.WaitGroup
-}
-
-func newWorkerPool(n int) *workerPool {
-	p := &workerPool{}
-	if n == 1 {
-		return p
-	}
-	p.jobs = make(chan func())
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.wg.Done()
-			for f := range p.jobs {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *workerPool) submit(f func()) {
-	if p.jobs == nil {
-		f()
-		return
-	}
-	p.jobs <- f
-}
-
-// each runs f(0) … f(n-1) as pool jobs and returns once all have run; a
-// single job runs inline on the caller, skipping the hand-off.
-func (p *workerPool) each(n int, f func(i int)) {
-	if n == 1 {
-		f(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		p.submit(func() {
-			defer wg.Done()
-			f(i)
-		})
-	}
-	wg.Wait()
-}
-
-func (p *workerPool) close() {
-	if p.jobs != nil {
-		close(p.jobs)
-	}
-	p.wg.Wait()
 }
