@@ -46,10 +46,11 @@ fuzz-smoke:
 # The second line stresses, ten times over, what many goroutines share:
 # the process-wide slab free lists (concurrent joins, slabs handed
 # between goroutines), one HTTP client's connection pool, the shared
-# worker pool, and the coordinator under concurrent /add and /query.
+# worker pool, the coordinator under concurrent /add and /query, and the
+# WAL shipper's pacing against its standby's apply handler.
 race:
 	$(GO) test -race ./internal/token/... ./internal/mapreduce/... ./internal/massjoin/... ./internal/stream/... ./internal/tsj/... ./internal/core/... ./internal/assignment/... ./internal/corpus/... ./internal/histo/... ./internal/replica/... ./internal/backoff/... ./internal/httpx/... ./internal/distrib/... ./internal/serve/... ./internal/iofault/... ./internal/prefilter/... ./internal/slab/... ./internal/workpool/... .
-	$(GO) test -race -count=10 -run 'TestSelfJoinConcurrentRecycled|TestSlabReuseAcrossGoroutines|TestTransportConcurrentCalls|TestEachConcurrent|TestCoordinatorConcurrentAddQuery' . ./internal/slab ./internal/httpx ./internal/workpool ./internal/distrib
+	$(GO) test -race -count=10 -run 'TestSelfJoinConcurrentRecycled|TestSlabReuseAcrossGoroutines|TestTransportConcurrentCalls|TestEachConcurrent|TestCoordinatorConcurrentAddQuery|TestReplicationShipCoalescesSteadyCommits|TestReplicationShipBacklogIsNotPaced' . ./internal/slab ./internal/httpx ./internal/workpool ./internal/distrib ./internal/replica
 
 # Storage fault-injection suite under the race detector: the op-sweep
 # torture tests (every WAL/snapshot/compact I/O operation, and every
@@ -64,8 +65,9 @@ torture:
 # Replication torture under the race detector: every shipped WAL frame
 # and snapshot install failed in turn (drop, torn write, delay, standby
 # crash, primary crash), plus promotion and restart equivalence, the
-# install handler's rejection of bad snapshots, and the serving layer's
-# failover, install and old-RESYNC-directory tests. -short strides the
+# install handler's rejection of bad snapshots, the shipper's pacing
+# (steady commits coalesce, a backlog ships unpaced), and the serving
+# layer's failover, install and old-RESYNC-directory tests. -short strides the
 # frame sweep; the full sweep runs in the plain `test` target.
 replication-torture:
 	$(GO) test -race -short -run 'Replication|Promotion|Failover' -count=1 ./internal/replica/ ./internal/serve/

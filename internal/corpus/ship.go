@@ -154,15 +154,21 @@ func (c *Corpus) ShipFrom(from uint64, maxRecords, maxBytes int) ([][]byte, erro
 	if maxRecords <= 0 {
 		maxRecords = defaultShipBuffer
 	}
-	out := make([][]byte, 0, maxRecords)
-	bytes := 0
-	for i := int(from - s.head); i < len(s.entries) && len(out) < maxRecords; i++ {
-		if len(out) > 0 && maxBytes > 0 && bytes+len(s.entries[i]) > maxBytes {
+	// Find the end first, so the result is allocated at its own size:
+	// a caught-up shipper's batch is a record or two, not maxRecords.
+	// The copy keeps the caller off the ring's backing array, whose head
+	// slots shipAppend clears on eviction.
+	start := int(from - s.head)
+	end, bytes := start, 0
+	for end < len(s.entries) && end-start < maxRecords {
+		if end > start && maxBytes > 0 && bytes+len(s.entries[end]) > maxBytes {
 			break
 		}
-		out = append(out, s.entries[i])
-		bytes += len(s.entries[i])
+		bytes += len(s.entries[end])
+		end++
 	}
+	out := make([][]byte, end-start)
+	copy(out, s.entries[start:end])
 	return out, nil
 }
 

@@ -128,6 +128,25 @@ func TestShipFromWindow(t *testing.T) {
 	}
 }
 
+// TestShipFromSizedToResult: a caught-up shipper's read of a one-record
+// backlog allocates one slot, not maxRecords of them.
+func TestShipFromSizedToResult(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{DisableSync: true})
+	defer c.Close()
+	for _, n := range namegen.Generate(namegen.Config{Seed: 5, NumNames: 3}) {
+		if _, err := c.Add(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.ShipFrom(c.LSN()-1, 256, 1<<20)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("ShipFrom(lsn-1) = %d records, %v; want 1", len(got), err)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("ShipFrom of a one-record backlog returned cap %d, want %d", cap(got), len(got))
+	}
+}
+
 // TestShipBatchAndDeleteRecords: group-committed batch adds and deletes
 // each land in the ring as individual records, in apply order.
 func TestShipBatchAndDeleteRecords(t *testing.T) {

@@ -304,12 +304,14 @@ func TestCoordinatorQueryPartialFailure(t *testing.T) {
 func TestCoordinatorQuerySlowWorker(t *testing.T) {
 	up := newStubWorker(t).answers()
 	slow := newStubWorker(t)
+	release := make(chan struct{})
 	slow.mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
+		case <-release:
 		}
 	})
+	t.Cleanup(func() { close(release) }) // before the stub server's cleanup waits on the handler
 	_, cs := coordServer(t, distrib.Map{Shards: []distrib.Shard{{Worker: up.ts.URL}, {Worker: slow.ts.URL}}}, fastOptions())
 
 	start := time.Now()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -17,7 +18,9 @@ import (
 // PrimaryOptions configures the shipper side.
 type PrimaryOptions struct {
 	// BatchRecords bounds one apply request (default 256; batchBytes
-	// bounds its size).
+	// bounds its size). An eighth of it is the pacing bound: a backlog
+	// under BatchRecords/8 records waits out the ship interval, a larger
+	// one ships at once (see the package comment's Shipping cadence).
 	BatchRecords int
 	// Heartbeat is how often a caught-up follower is pinged so it can
 	// tell "primary idle" from "primary dead" (default 2s).
@@ -71,6 +74,9 @@ type Primary struct {
 	mu        sync.Mutex
 	followers map[string]*follower
 	closed    bool
+
+	// paceWaits counts the ships pace held back, over every follower.
+	paceWaits atomic.Int64
 }
 
 // follower is one registered standby's shipping state.
@@ -85,6 +91,7 @@ type follower struct {
 	retries    int64
 	resyncs    int64
 	shipped    int64
+	batches    int64
 	heartbeats int64
 	lastErr    string
 }
@@ -108,11 +115,14 @@ type FollowerStatus struct {
 	// trip (-1 before the first).
 	LastAckAgoMs int64 `json:"last_ack_ago_ms"`
 	// Retries counts failed round trips; Resyncs counts snapshot
-	// installs; ShippedRecords counts records acknowledged; Heartbeats
-	// counts idle pings.
+	// installs; ShippedRecords counts records acknowledged; Batches
+	// counts the acknowledged apply round trips that carried them, so
+	// ShippedRecords/Batches is the records per apply; Heartbeats counts
+	// idle pings.
 	Retries        int64  `json:"retries"`
 	Resyncs        int64  `json:"resyncs"`
 	ShippedRecords int64  `json:"shipped_records"`
+	Batches        int64  `json:"batches"`
 	Heartbeats     int64  `json:"heartbeats"`
 	LastError      string `json:"last_error,omitempty"`
 }
@@ -215,6 +225,7 @@ func (p *Primary) Status() PrimaryStatus {
 			Retries:        f.retries,
 			Resyncs:        f.resyncs,
 			ShippedRecords: f.shipped,
+			Batches:        f.batches,
 			Heartbeats:     f.heartbeats,
 			LastError:      f.lastErr,
 		})
@@ -233,11 +244,18 @@ func (p *Primary) Close() {
 	p.wg.Wait()
 }
 
-// shipLoop drives one follower: stream from the ring, install a
-// snapshot when the ring cannot serve the cursor, heartbeat when caught
-// up. The follower's authoritative LSN (from every response) is the only
-// cursor — the loop never assumes a send "worked" beyond what was acked.
+// shipInterval is the shipping cadence under steady load: a backlog
+// under the pacing bound ships no sooner than this after the previous
+// apply began.
+const shipInterval = time.Millisecond
+
+// shipLoop drives one follower: stream from the ring, paced (see pace),
+// install a snapshot when the ring cannot serve the cursor, heartbeat
+// when caught up. The follower's authoritative LSN (from every response)
+// is the only cursor — the loop never assumes a send "worked" beyond
+// what was acked.
 func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64) {
+	var began time.Time // when the last apply carrying frames began
 	for ctx.Err() == nil {
 		payloads, err := p.src.ShipFrom(next, p.opt.BatchRecords, batchBytes)
 		if err != nil {
@@ -265,6 +283,11 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64) {
 			}
 			// Idle for a heartbeat interval: the send below carries no
 			// frames, which is the heartbeat.
+		} else if p.pace(ctx, next, began) {
+			// Re-read: the ring now holds what committed during the wait.
+			continue
+		} else {
+			began = time.Now()
 		}
 		var resp applyResponse
 		req := applyRequest{From: next, Frames: makeFrames(payloads)}
@@ -288,12 +311,46 @@ func (p *Primary) shipLoop(ctx context.Context, f *follower, next uint64) {
 				f.heartbeats++
 			} else if resp.LSN > next {
 				f.shipped += int64(len(payloads))
+				f.batches++
 			}
 			f.state = "streaming"
 			f.acked = resp.LSN
 			f.lastAck = time.Now()
 		})
 		next = resp.LSN
+	}
+}
+
+// pace holds back the ship of a backlog under BatchRecords/8 records
+// until shipInterval after the previous apply began, so that one apply
+// carries every record committed in the interval. It waits only while
+// both hold, waking at each commit to re-check the backlog, and ends the
+// wait early on cancellation. It reports whether it waited: the caller
+// then re-reads the ring. A larger backlog, the first ship and one due
+// anyway return false at once.
+func (p *Primary) pace(ctx context.Context, next uint64, began time.Time) bool {
+	bound := next + uint64(p.opt.BatchRecords/8)
+	deadline := began.Add(shipInterval)
+	var timer *time.Timer
+	for {
+		// Notify channel first: a commit after the LSN read closes it.
+		ch := p.src.ShipNotify()
+		d := time.Until(deadline)
+		if d <= 0 || p.src.LSN() >= bound {
+			return timer != nil
+		}
+		if timer == nil {
+			p.paceWaits.Add(1)
+			timer = time.NewTimer(d)
+			defer timer.Stop()
+		}
+		select {
+		case <-ctx.Done():
+			return true
+		case <-timer.C:
+			return true
+		case <-ch:
+		}
 	}
 }
 

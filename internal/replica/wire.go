@@ -35,6 +35,24 @@
 // While one is in flight the standby reports "syncing" (it serves
 // whatever it has, but is not promotable and not ready).
 //
+// # Shipping cadence
+//
+// The shipper paces a steady trickle of commits into batches. Before it
+// ships a backlog (the primary's LSN minus the follower's cursor) under
+// BatchRecords/8 records, it waits until shipInterval (1 ms) after the
+// previous apply began, or until the backlog reaches that bound, and
+// then ships everything committed since, up to BatchRecords records and
+// batchBytes bytes. So one apply carries a millisecond of commits, not
+// one, and both ends pay the per-request HTTP and JSON cost once per
+// batch. A backlog at or over the bound ships at once, batch after
+// batch, and so do heartbeats and installs.
+//
+// The price is lag: under steady load a standby trails the primary's
+// acknowledged history by at most shipInterval plus one round trip,
+// where an unpaced shipper trails by one round trip. Replication is
+// asynchronous, so a standby promoted at that instant lacks up to that
+// much acknowledged history.
+//
 // # Failure handling
 //
 // Every shipped frame carries a CRC (recomputed end to end, not trusted

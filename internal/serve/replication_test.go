@@ -358,6 +358,17 @@ func TestServeFailover(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Its /stats carries the follower's records per apply: the records
+	// it shipped and the applies that carried them.
+	var primStats struct {
+		Replication *replStatus `json:"replication"`
+	}
+	getJSON(t, primTS.URL+"/stats", &primStats)
+	if r := primStats.Replication; r == nil || r.Primary == nil || len(r.Primary.Followers) != 1 {
+		t.Fatalf("primary /stats replication: %+v", r)
+	} else if f := r.Primary.Followers[0]; f.Batches < 1 || f.ShippedRecords < f.Batches {
+		t.Fatalf("primary /stats follower: %d records shipped in %d batches", f.ShippedRecords, f.Batches)
+	}
 
 	// Freeze the answers the promoted standby must reproduce.
 	probes := []string{"barak obamma", "angela merkl", "justin trudeau"}
